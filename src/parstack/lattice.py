@@ -68,7 +68,7 @@ class Lattice:
     def scale(self, d):
         """The lattice t^d * self; canonical form shifts entrywise."""
         if d == 0 or self.n == 0:
-            return self if d == 0 else self
+            return self
         cols = tuple(tuple(e.shift(d) for e in col) for col in self.cols)
         diag = tuple(a + d for a in self.diag)
         return Lattice(self.field, self.n, cols, diag, _trusted=True)
@@ -169,7 +169,8 @@ def _canonicalize(field, n, columns):
             col = work[c]
             for r in range(i + 1):
                 col[r] = ptilde * col[r] - f * piv[r]
-            assert col[i].is_zero()
+            if not col[i].is_zero():
+                raise AssertionError("internal: elimination left row %d nonzero" % i)
     tri = [work[pivot_col[i]] for i in range(n)]
     diag = [tri[i][i].ord for i in range(n)]
 
@@ -186,7 +187,8 @@ def _canonicalize(field, n, columns):
         for i in range(j - 1, -1, -1):
             lam = w[i].high_div(diag[i])
             if not lam.is_zero():
-                assert lam.ord >= 0
+                if lam.ord < 0:
+                    raise AssertionError("internal: negative reduction quotient")
                 for r in range(i):
                     cir = canon[i][r]
                     if not cir.is_zero():

@@ -152,6 +152,8 @@ class LocalElement:
         if self.ord != 0 or not self.coeffs:
             raise ZeroDivisionError("not a unit of R")
         a = self.coeffs
+        if len(a) == 1:
+            return LocalElement(0, (1 / a[0],))
         inv0 = 1 / a[0]
         out = [inv0]
         for m in range(1, nterms):

@@ -1,15 +1,30 @@
 """Parabolic symplectic and orthogonal structures and their transport.
 
 A pairing on E valued in a parabolic line L is an (anti)symmetric matrix
-over K.  Perfection is a finite list of lattice equalities: at each point,
-with L's local data (lattice exponent g, jump c) and chain extension
-E^{m} := t * E^{m-r} for m > r, the induced map must satisfy
+F over K.  Perfection is a finite list of lattice equalities: at each
+point, with L's local data (lattice exponent g, jump c) and chain
+extension E^{m} := t * E^{m-r} for m > r, the induced map must satisfy
 
-    form^T * E^a  =  t^{1+g} * (E^{r+c-a})^*        for all levels a.
+    F^T * E^a  =  t^{1+g} * (E^{r+c-a})^*        for all levels a.
 
 For the trivial value line this couples the level-a subspace perfectly
 against level r-a, which is exactly what the residue functional
 (coefficient of t^{e-1}, scaled by 1/u) produces under direct image.
+
+`check_pairing` tests each equality without building either side.  Write
+b = r+c-a, B_a and B_b for the canonical bases of E^a and E^b, and
+delta for the determinant valuation.  Then
+
+    F^T * E^a  <=  t^{1+g} * (E^b)^*  iff  every entry of B_a^T * F * B_b
+                                           has valuation >= 1+g;
+    delta(F^T * E^a) = delta(F) + delta(E^a),
+    delta(t^{1+g} * (E^b)^*) = n(1+g) - delta(E^b);
+
+and a full-rank lattice inside another with the same delta equals it.
+So each level is an integer index comparison plus a Gram-matrix
+valuation check in exact Laurent arithmetic.  `hom_chain` and
+`dual_point` build the right-hand side explicitly; they remain the
+definition and the reference the check is tested against.
 """
 
 from __future__ import annotations
@@ -18,8 +33,8 @@ from dataclasses import dataclass
 
 from .errors import (NotAPairing, ProfileMismatch, ShapeMismatch, SingularBasis,
                      ValueLineMismatch)
-from .lattice import Lattice, apply_matrix
-from .linalg import mat_eq, transpose
+from .lattice import Lattice, apply_matrix, image_columns
+from .linalg import mat_eq, mat_vec, transpose
 from .localring import LocalElement
 from .parabolic import ParabolicBundle, ParabolicPoint, parabolic_degree
 
@@ -90,7 +105,15 @@ def _symmetry_holds(kind, form):
 
 
 def check_pairing(pairing, bundle):
-    """Kind, K-nondegeneracy and levelwise perfection at every point."""
+    """Kind, K-nondegeneracy and levelwise perfection at every point.
+
+    Level a at a point holds iff delta(F) + delta(E^a) + delta(E^b) equals
+    n(1+g), with b = r+c-a, and every entry of the Gram matrix
+    B_a^T * F * B_b has valuation >= 1+g.  The Gram condition is the
+    containment F^T * E^a <= t^{1+g} * (E^b)^*; the index condition says
+    both sides have the same determinant valuation, and a full-rank
+    lattice contained in another of equal index is equal to it.
+    """
     n = bundle.rank
     form = pairing.form
     if len(form) != n or (form and len(form[0]) != n):
@@ -100,19 +123,27 @@ def check_pairing(pairing, bundle):
         return False
     if n == 0 or not bundle.points:
         return True
-    ft = transpose(form)
     try:
-        apply_matrix(ft, _ambient(bundle), out_rank=n)
+        det_f = apply_matrix(transpose(form), _ambient(bundle), out_rank=n).det_valuation()
     except SingularBasis:
         return False
     for label in bundle.labels():
         pt = bundle.points[label]
-        g, c = line_local_data(pairing.value_line, label, pt.order)
-        target = hom_chain(pt, g, c)
-        for a in range(pt.order):
-            if apply_matrix(ft, pt.chain[a], out_rank=n) != target.chain[a]:
+        r = pt.order
+        g, c = line_local_data(pairing.value_line, label, r)
+        for a in range(r):
+            src, tgt = pt.chain[a], _chain_ext(pt, r + c - a)
+            if det_f + src.det_valuation() + tgt.det_valuation() != n * (1 + g):
+                return False
+            if not _gram_valuation_at_least(src, form, tgt, 1 + g):
                 return False
     return True
+
+
+def _gram_valuation_at_least(src, form, tgt, v):
+    """True iff every entry of B_src^T * form * B_tgt has valuation >= v."""
+    return all(x.is_zero() or x.ord >= v
+               for w in image_columns(form, tgt) for x in mat_vec(src.cols, w))
 
 
 def _ambient(bundle):

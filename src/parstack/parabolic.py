@@ -199,7 +199,9 @@ def split_into_lines(point, rng=None):
         red = tracker.try_add(v)
         if red is not None:
             chosen.append((red, 0))
-    assert len(chosen) == n
+    if len(chosen) != n:
+        raise AssertionError("internal: adapted basis has %d of %d vectors"
+                             % (len(chosen), n))
 
     # lift through B0: column b of the change of basis is B0 * v_b
     vmat_cols = [v for v, _ in chosen]

@@ -1,9 +1,13 @@
 """CLI commands: conversion round trips, functor tables, verify/replay."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import parstack
 from parstack.cli import main
 from parstack.harness import run_mutation
 
@@ -159,6 +163,28 @@ def test_verify_all_suites_smoke(tmp_path, capsys):
     assert main(["verify", "--trials", "2", "--seed", "0",
                  "--out", str(tmp_path / "r.json")]) == 0
     capsys.readouterr()
+
+
+def test_verify_reports_survive_optimize_flag(tmp_path, capsys):
+    """Internal guards are explicit raises, so `python -O` changes nothing."""
+    args = ["verify", "--suite", "all", "--trials", "5", "--seed", "0",
+            "--field", "prime:101"]
+    plain, optimized = str(tmp_path / "plain.json"), str(tmp_path / "opt.json")
+    assert main(args + ["--out", plain]) == 0
+    capsys.readouterr()
+    src = os.path.dirname(os.path.dirname(parstack.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-m", "parstack.cli"] + args
+                          + ["--out", optimized], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+    def reports(path):
+        return json.dumps(json.loads(open(path).read())["reports"],
+                          indent=2, sort_keys=True)
+
+    assert reports(optimized) == reports(plain)
 
 
 def test_replay_reproduces_counterexample(tmp_path, capsys):

@@ -60,6 +60,12 @@ def test_unit_poly_and_inverse_series():
     inv = u.inv_series(6)
     prod = (u * inv).truncate(6)
     assert prod == el(0, 1)
+    # constant units take the fast path on both coefficient fields
+    for field in (QQ, GF101):
+        for c in (1, -1, 3, 7):
+            u = el(0, c, field=field)
+            for k in (1, 4):
+                assert (u * u.inv_series(k)).truncate(k) == el(0, 1, field=field)
     with pytest.raises(ZeroDivisionError):
         LocalElement.zero().unit_poly()
     with pytest.raises(ZeroDivisionError):

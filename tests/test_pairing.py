@@ -7,15 +7,17 @@ import pytest
 
 from parstack import (ANTISYMMETRIC, SYMMETRIC, QQ, Lattice, NotAPairing,
                       ParabolicBundle, ParabolicPairing, ParabolicPoint,
-                      ProfileMismatch, ShapeMismatch, ValueLineMismatch,
-                      check_pairing, dual_point, make_profile,
-                      parabolic_degree, pullback_pairing, pushforward_pairing)
+                      ProfileMismatch, ShapeMismatch, SingularBasis,
+                      ValueLineMismatch, apply_matrix, check_pairing,
+                      dual_point, make_profile, parabolic_degree,
+                      pullback_pairing, pushforward_pairing)
 from parstack.harness import (_value_line_bundle, gen_pairing_point,
                               gen_parabolic_point)
-from parstack.linalg import identity_matrix
+from parstack.linalg import identity_matrix, transpose
 from parstack.localring import LocalElement
+from parstack.pairing import _symmetry_holds, hom_chain, line_local_data
 
-from conftest import el
+from conftest import GF101, el
 
 _Z = LocalElement.zero()
 
@@ -101,6 +103,64 @@ def test_dual_point_involution_and_weights():
             key = Fraction(r - 1 - w.numerator * r // w.denominator, r)
             expected[key] = expected.get(key, 0) + m
         assert dict(d.weights()) == expected
+
+
+def _reference_check(pairing, bundle):
+    """check_pairing by its definition: F^T * E^a equals the hom chain."""
+    if not _symmetry_holds(pairing.kind, pairing.form):
+        return False
+    ft = transpose(pairing.form)
+    for label in bundle.labels():
+        pt = bundle.points[label]
+        g, c = line_local_data(pairing.value_line, label, pt.order)
+        target = hom_chain(pt, g, c)
+        try:
+            if not all(apply_matrix(ft, pt.chain[a], out_rank=bundle.rank)
+                       == target.chain[a] for a in range(pt.order)):
+                return False
+        except SingularBasis:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("field", [QQ, GF101], ids=["rational", "prime101"])
+def test_check_pairing_matches_reference_definition(field):
+    rng = random.Random(211)
+    verdicts, data = [], set()
+    made_count = 0
+    while made_count < 30:
+        kind = rng.choice([SYMMETRIC, ANTISYMMETRIC])
+        r = rng.randint(1, 4)
+        c_l, g_l = rng.randint(0, r - 1), rng.randint(-1, 1)
+        made = gen_pairing_point(rng, field, r, c_l, g_l, kind, rng.randint(1, 2), "p")
+        if made is None:
+            continue
+        made_count += 1
+        data.add((c_l > 0, g_l != 0))
+        pt, form, value = made
+        n = pt.n
+        bundle = ParabolicBundle(n, 0, {"p": pt})
+        # one entry perturbed, keeping the declared kind
+        i, j = rng.randrange(n), rng.randrange(n)
+        d = el(rng.randint(-1, 2), rng.randint(1, 5), field=field)
+        perturbed = [row[:] for row in form]
+        perturbed[i][j] = perturbed[i][j] + d
+        if i != j:
+            perturbed[j][i] = perturbed[j][i] + (d if kind == SYMMETRIC else -d)
+        elif kind == ANTISYMMETRIC:
+            perturbed[i][j] = form[i][j]
+        forms = [form, perturbed] + [[[x.shift(s) for x in row] for row in form]
+                                     for s in (-1, 1)]
+        if n >= 2 and kind == SYMMETRIC:
+            # symmetric rank-1 form v v^T
+            forms.append([[x * y for y in form[0]] for x in form[0]])
+        for f in forms:
+            pairing = ParabolicPairing(kind, f, value)
+            verdict = check_pairing(pairing, bundle)
+            assert verdict == _reference_check(pairing, bundle)
+            verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
+    assert (True, True) in data
 
 
 # -- pullback --------------------------------------------------------------
