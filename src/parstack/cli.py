@@ -46,11 +46,16 @@ def _decode_objects(field, raw):
     """Objects are per-point: (kind, at-label, decoded point or module, rank,
     underlying_degree)."""
     out = []
-    for idx, obj in enumerate(raw.get("objects", [])):
+    objects = raw.get("objects", [])
+    if not isinstance(objects, list):
+        raise ParseError("'objects' must be a list")
+    for idx, obj in enumerate(objects):
+        where = " (object %d)" % idx
+        if not isinstance(obj, dict):
+            raise ParseError("object%s must be a JSON object" % where)
         kind = obj.get("kind")
         at = obj.get("at")
         rank = obj.get("rank")
-        where = " (object %d)" % idx
         if kind in ("parabolic_point", "parabolic_bundle"):
             if kind == "parabolic_bundle":
                 bundle = sio.decode_bundle(obj, field)
@@ -224,7 +229,7 @@ def cmd_pull(args):
     _write_out(out, args.out)
     for tbl in tables:
         print(tbl, file=sys.stderr)
-    if "deg_f" in raw or "underlying_degree" in json.dumps(raw.get("objects", [])):
+    if "deg_f" in raw or any("underlying_degree" in o for o in raw.get("objects", [])):
         print("pulled parabolic degree: %s  (= deg f %s x source degree data)"
               % (pulled_degree_total, deg_f), file=sys.stderr)
     return PASS

@@ -11,7 +11,7 @@ splits into lines and applies the floor/fractional-part line formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InadmissibleProfile, InadmissibleWeight, ProfileMismatch

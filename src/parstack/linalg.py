@@ -57,10 +57,6 @@ def mat_eq(a, b):
     return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
 
 
-def scalar_mat_mul(s, a):
-    return [[s * e for e in row] for row in a]
-
-
 # -- k-matrices (field-element entries) -----------------------------------
 
 
@@ -103,10 +99,6 @@ def k_inverse(field, rows):
     if len(red) != n or pivots != list(range(n)):
         raise ZeroDivisionError("matrix not invertible over k")
     return [row[n:] for row in red]
-
-
-def k_mat_vec(rows, v):
-    return [sum((e * x for e, x in zip(row, v)), 0 * v[0]) if row else 0 for row in rows]
 
 
 class EchelonTracker:

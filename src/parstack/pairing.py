@@ -12,29 +12,35 @@ against level r-a, which is exactly what the residue functional
 (coefficient of t^{e-1}, scaled by 1/u) produces under direct image.
 
 `check_pairing` tests each equality without building either side.  Write
-b = r+c-a, B_a and B_b for the canonical bases of E^a and E^b, and
-delta for the determinant valuation.  Then
+v = 1+g, b = r+c-a, B_a and B_b for the canonical bases of E^a and E^b,
+G_a = B_a^T * F * B_b for the Gram matrix, and delta for the determinant
+valuation.  The columns of F^T * B_a span the left side, and those of
+t^v * B_b^{-T} span the right side; they are related by
 
-    F^T * E^a  <=  t^{1+g} * (E^b)^*  iff  every entry of B_a^T * F * B_b
-                                           has valuation >= 1+g;
-    delta(F^T * E^a) = delta(F) + delta(E^a),
-    delta(t^{1+g} * (E^b)^*) = n(1+g) - delta(E^b);
+    F^T * B_a  =  t^v * B_b^{-T} * (t^{-v} * G_a^T),
 
-and a full-rank lattice inside another with the same delta equals it.
-So each level is an integer index comparison plus a Gram-matrix
-valuation check in exact Laurent arithmetic.  `hom_chain` and
-`dual_point` build the right-hand side explicitly; they remain the
-definition and the reference the check is tested against.
+so level a holds iff t^{-v} * G_a lies in GL_n(R): every entry of G_a
+has valuation >= v and the t^v-coefficients of G_a form an invertible
+matrix over k.  A singular F fails this test.  The full test runs at
+level 0 only; it fixes delta(F) = n*v - delta(E^0) - delta(E^{r+c}).
+For a >= 1 the Gram valuations still give the containment
+F^T * E^a <= t^v * (E^b)^*, and both sides have equal delta iff
+
+    delta(E^a) + delta(E^b)  =  delta(E^0) + delta(E^{r+c}),
+
+which is an integer comparison; a full-rank lattice inside another of
+the same delta equals it.  `hom_chain` and `dual_point` build the
+right-hand side explicitly; they remain the definition and the
+reference the check is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (NotAPairing, ProfileMismatch, ShapeMismatch, SingularBasis,
-                     ValueLineMismatch)
-from .lattice import Lattice, apply_matrix, image_columns
-from .linalg import mat_eq, mat_vec, transpose
+from .errors import NotAPairing, ProfileMismatch, ShapeMismatch, ValueLineMismatch
+from .lattice import image_columns
+from .linalg import mat_eq, mat_vec, rref, transpose
 from .localring import LocalElement
 from .parabolic import ParabolicBundle, ParabolicPoint, parabolic_degree
 
@@ -107,12 +113,12 @@ def _symmetry_holds(kind, form):
 def check_pairing(pairing, bundle):
     """Kind, K-nondegeneracy and levelwise perfection at every point.
 
-    Level a at a point holds iff delta(F) + delta(E^a) + delta(E^b) equals
-    n(1+g), with b = r+c-a, and every entry of the Gram matrix
-    B_a^T * F * B_b has valuation >= 1+g.  The Gram condition is the
-    containment F^T * E^a <= t^{1+g} * (E^b)^*; the index condition says
-    both sides have the same determinant valuation, and a full-rank
-    lattice contained in another of equal index is equal to it.
+    With v = 1+g and b = r+c-a, level a holds iff t^{-v} times the Gram
+    matrix B_a^T * F * B_b is invertible over R (module docstring).  Level
+    0 is tested that way: all entries of valuation >= v, and their
+    t^v-coefficients of full rank over k.  That pins delta(F), so each
+    level a >= 1 only needs the index equality delta(E^a) + delta(E^b) =
+    delta(E^0) + delta(E^{r+c}) and the entry valuations >= v.
     """
     n = bundle.rank
     form = pairing.form
@@ -121,34 +127,34 @@ def check_pairing(pairing, bundle):
                             % (len(form), len(form[0]) if form else 0, n))
     if not _symmetry_holds(pairing.kind, form):
         return False
-    if n == 0 or not bundle.points:
-        return True
-    try:
-        det_f = apply_matrix(transpose(form), _ambient(bundle), out_rank=n).det_valuation()
-    except SingularBasis:
-        return False
     for label in bundle.labels():
         pt = bundle.points[label]
         r = pt.order
         g, c = line_local_data(pairing.value_line, label, r)
-        for a in range(r):
+        v = 1 + g
+        top = _chain_ext(pt, r + c)
+        gram = _gram(pt.chain[0], form, top)
+        if not _valuations_at_least(gram, v):
+            return False
+        if len(rref(pt.field, [[x.coefficient(v) for x in col] for col in gram])[0]) != n:
+            return False
+        index = pt.chain[0].det_valuation() + top.det_valuation()
+        for a in range(1, r):
             src, tgt = pt.chain[a], _chain_ext(pt, r + c - a)
-            if det_f + src.det_valuation() + tgt.det_valuation() != n * (1 + g):
+            if src.det_valuation() + tgt.det_valuation() != index:
                 return False
-            if not _gram_valuation_at_least(src, form, tgt, 1 + g):
+            if not _valuations_at_least(_gram(src, form, tgt), v):
                 return False
     return True
 
 
-def _gram_valuation_at_least(src, form, tgt, v):
-    """True iff every entry of B_src^T * form * B_tgt has valuation >= v."""
-    return all(x.is_zero() or x.ord >= v
-               for w in image_columns(form, tgt) for x in mat_vec(src.cols, w))
+def _gram(src, form, tgt):
+    """Columns of the Gram matrix B_src^T * form * B_tgt."""
+    return [mat_vec(src.cols, w) for w in image_columns(form, tgt)]
 
 
-def _ambient(bundle):
-    pt = next(iter(bundle.points.values()))
-    return Lattice.identity(pt.field, bundle.rank)
+def _valuations_at_least(gram, v):
+    return all(x.is_zero() or x.ord >= v for col in gram for x in col)
 
 
 # -- transport -------------------------------------------------------------

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .errors import InvalidChain, ShapeMismatch
 from .lattice import Lattice, direct_sum, image_columns, quotient_dim
-from .linalg import EchelonTracker, k_inverse, mat_mul, mat_vec
+from .linalg import EchelonTracker, k_inverse, mat_mul
 from .localring import LocalElement
 
 _Z = LocalElement.zero()

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .errors import InvalidGrading
 from .lattice import Lattice, image_columns
-from .parabolic import ParabolicPoint, SplitLines, split_into_lines
+from .parabolic import ParabolicPoint, split_into_lines
 
 
 class GradedModule:

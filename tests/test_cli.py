@@ -1,5 +1,6 @@
 """CLI commands: conversion round trips, functor tables, verify/replay."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -8,7 +9,9 @@ import sys
 import pytest
 
 import parstack
+from parstack import harness
 from parstack.cli import main
+from parstack.errors import NotContained
 from parstack.harness import run_mutation
 
 
@@ -139,6 +142,26 @@ def test_pull_degree_line(tmp_path, capsys):
     assert "pulled parabolic degree: 3" in err
 
 
+def test_pull_degree_line_needs_the_key(tmp_path, capsys):
+    cover = {"target": "y", "s": 2,
+             "branches": [{"label": "x", "e": 2, "r": 1, "unit": "1"}]}
+    doc = line_scenario(weight="1/2", order=2, at="y", cover=cover)
+    note = dict(line_scenario(weight="0", order=2)["objects"][0],
+                at="underlying_degree_note")
+    doc["objects"].append(note)
+    src = write(tmp_path, "nodeg.json", doc)
+    assert main(["pull", src, "--out", str(tmp_path / "o.json")]) == 0
+    assert "pulled parabolic degree" not in capsys.readouterr().err
+
+
+def test_non_object_entry_is_a_parse_error(tmp_path, capsys):
+    for objects in ([1], ["y"], 7):
+        src = write(tmp_path, "bad.json",
+                    {"version": 1, "field": "rational", "objects": objects})
+        assert main(["degree", src]) == 2
+        assert "input error" in capsys.readouterr().err
+
+
 def test_degree_table(tmp_path, capsys):
     src = write(tmp_path, "line.json", line_scenario(degree=1))
     assert main(["degree", src]) == 0
@@ -185,6 +208,32 @@ def test_verify_reports_survive_optimize_flag(tmp_path, capsys):
                           indent=2, sort_keys=True)
 
     assert reports(optimized) == reports(plain)
+
+
+def test_verify_report_digest_is_pinned(tmp_path, capsys):
+    """Reports of a fixed run stay byte-identical across optimizations."""
+    out = str(tmp_path / "r.json")
+    assert main(["verify", "--suite", "all", "--trials", "30", "--seed", "0",
+                 "--field", "prime:101", "--out", out]) == 0
+    capsys.readouterr()
+    blob = json.dumps(json.loads(open(out).read())["reports"], sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest()[:16] == "238c2cd1310b7ddd"
+
+
+def test_library_error_in_a_trial_fails_verify(tmp_path, capsys, monkeypatch):
+    def raising_trial(rng, cfg, coverage, mutation):
+        raise NotContained("planted")
+
+    monkeypatch.setattr(harness, "_pullback_trial", raising_trial)
+    out = str(tmp_path / "r.json")
+    assert main(["verify", "--suite", "pull", "--trials", "2", "--out", out]) == 1
+    assert "input error" not in capsys.readouterr().err
+    rep = json.loads(open(out).read())["reports"][0]
+    assert rep["verdicts"] == [[0, False, "raised NotContained: planted"],
+                               [1, False, "raised NotContained: planted"]]
+    assert len(rep["failures"]) == 1
+    assert rep["failures"][0]["trial_index"] == 0
+    assert rep["failures"][0]["instance"] is None
 
 
 def test_replay_reproduces_counterexample(tmp_path, capsys):

@@ -5,12 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from parstack import (MUTATIONS, QQ, TrialConfig, gen_parabolic_point,
+from parstack import (ANTISYMMETRIC, MUTATIONS, QQ, SYMMETRIC, Lattice,
+                      ParabolicBundle, ParabolicPairing, ParabolicPoint,
+                      TrialConfig, check_pairing, gen_parabolic_point,
                       run_mutation)
-from parstack.harness import (SUITES, degree_scenario_trial, gen_point_morphism,
+from parstack.harness import (SUITES, _find_line_pair, _line_pair_exponent,
+                              _value_line_bundle,
+                              degree_scenario_trial, gen_point_morphism,
                               gen_profile, gen_unimodular, verify_corollaries,
                               verify_direct_image, verify_pullback)
 from parstack.linalg import identity_matrix, mat_mul
+from parstack.localring import LocalElement
 from parstack.parabolic import is_point_morphism
 
 from conftest import GF101
@@ -116,3 +121,96 @@ def test_degree_scenarios():
     for _ in range(25):
         pulled, oracle = degree_scenario_trial(rng)
         assert pulled == oracle
+
+
+# -- closed-form line pairs --------------------------------------------------
+
+_Z = LocalElement.zero()
+
+
+def _search_exponent(field, r, c_l, g_l, kind, jumps, twists):
+    """First h in -4..4 for which check_pairing accepts the line block."""
+    pt = ParabolicPoint(r, [Lattice.diagonal(
+        field, [g + (1 if j > a else 0) for a, g in zip(jumps, twists)])
+        for j in range(r + 1)])
+    bundle = ParabolicBundle(len(jumps), 0, {"p": pt})
+    value = _value_line_bundle(field, "p", r, c_l, g_l)
+    for h in range(-4, 5):
+        th = LocalElement.t_power(field, h)
+        if len(jumps) == 1:
+            form = [[th]]
+        else:
+            form = [[_Z, th], [-th if kind == ANTISYMMETRIC else th, _Z]]
+        if check_pairing(ParabolicPairing(kind, form, value), bundle):
+            return h
+    return None
+
+
+def _brute_force_line_pair(rng, field, r, c_l, g_l, kind, self_pair):
+    """The search the closed form replaces: check_pairing for every h."""
+    cands = list(range(r))
+    rng.shuffle(cands)
+    for a_v in cands:
+        if self_pair:
+            if kind == ANTISYMMETRIC:
+                return None
+            g_v = rng.randint(-1, 1)
+            h = _search_exponent(field, r, c_l, g_l, SYMMETRIC, [a_v], [g_v])
+            if h is not None:
+                return [a_v], [g_v], h
+        else:
+            g_v, g_w = rng.randint(-1, 1), rng.randint(-1, 1)
+            for a_w in range(r):
+                h = _search_exponent(field, r, c_l, g_l, kind, [a_v, a_w], [g_v, g_w])
+                if h is not None:
+                    return [a_v, a_w], [g_v, g_w], h
+    return None
+
+
+@pytest.mark.parametrize("field", [QQ, GF101], ids=["rational", "prime101"])
+def test_line_pair_exponent_matches_search_on_grid(field):
+    found = set()
+    for r in range(1, 4):
+        for c_l in range(r):
+            for g_l in (-1, 0, 1):
+                for a_v in range(r):
+                    for g_v in (-1, 0, 1):
+                        h = _line_pair_exponent(r, c_l, g_l, a_v, g_v, a_v, g_v)
+                        h = h if h is not None and -4 <= h <= 4 else None
+                        assert h == _search_exponent(field, r, c_l, g_l, SYMMETRIC,
+                                                     [a_v], [g_v])
+                        found.add(("self", h is not None))
+                        for a_w in range(r):
+                            for g_w in (-1, 0, 1):
+                                h = _line_pair_exponent(
+                                    r, c_l, g_l, a_v, g_v, a_w, g_w)
+                                h = h if h is not None and -4 <= h <= 4 else None
+                                for kind in (SYMMETRIC, ANTISYMMETRIC):
+                                    assert h == _search_exponent(
+                                        field, r, c_l, g_l, kind,
+                                        [a_v, a_w], [g_v, g_w])
+                                found.add(("pair", h is not None))
+    assert found == {("self", True), ("self", False), ("pair", True), ("pair", False)}
+
+
+@pytest.mark.parametrize("field", [QQ, GF101], ids=["rational", "prime101"])
+def test_find_line_pair_matches_brute_force_and_rng_stream(field):
+    outcomes = set()
+    for seed in range(40):
+        for r in range(1, 5):
+            for kind in (SYMMETRIC, ANTISYMMETRIC):
+                for self_pair in (False, True):
+                    args = (r, seed % r, seed % 3 - 1, kind, self_pair)
+                    rng_a, rng_b = random.Random(seed), random.Random(seed)
+                    got = _find_line_pair(rng_a, field, *args)
+                    want = _brute_force_line_pair(rng_b, field, *args)
+                    assert rng_a.getstate() == rng_b.getstate()
+                    if want is None:
+                        assert got is None
+                    else:
+                        jumps, twists, h = want
+                        th = LocalElement.t_power(field, h)
+                        assert got[:2] == (jumps, twists)
+                        assert got[2][0][-1] == th
+                    outcomes.add(want is None)
+    assert outcomes == {True, False}
