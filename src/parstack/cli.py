@@ -15,6 +15,7 @@ from fractions import Fraction
 from . import __version__
 from . import scenario as sio
 from .errors import ParstackError, ParseError, ValidationError
+from .fields import QQ
 from .functors import (pullback_parabolic, pullback_graded,
                        pushforward_graded, pushforward_parabolic)
 from .harness import SUITES, TrialConfig
@@ -341,7 +342,10 @@ def cmd_replay(args):
 def build_parser():
     p = argparse.ArgumentParser(prog="parstack",
                                 description=__doc__.splitlines()[0])
-    p.add_argument("--version", action="version", version=__version__)
+    backend = type(QQ.one)
+    p.add_argument("--version", action="version",
+                   version="%s (coefficients: %s.%s)"
+                   % (__version__, backend.__module__, backend.__qualname__))
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("convert", help="convert between the two representations")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InadmissibleProfile, InadmissibleWeight, ProfileMismatch
-from .lattice import Lattice, direct_sum
+from .lattice import Lattice, direct_sum, map_runs
 from .localring import LocalElement
 from .parabolic import ParabolicPoint, split_into_lines
 from .rootstack import GradedModule, graded_split_into_lines
@@ -35,7 +35,6 @@ class Branch:
 class CoverProfile:
     target_order: int
     branches: tuple
-    is_marked_target: bool = True
 
     def __post_init__(self):
         s = self.target_order
@@ -65,10 +64,9 @@ class CoverProfile:
         return tuple(br for br in self.branches if br.e > 1)
 
 
-def make_profile(s, branch_specs, is_marked_target=True):
+def make_profile(s, branch_specs):
     """branch_specs: iterable of (label, e, r, unit)."""
-    return CoverProfile(s, tuple(Branch(l, e, r, u) for l, e, r, u in branch_specs),
-                        is_marked_target)
+    return CoverProfile(s, tuple(Branch(l, e, r, u) for l, e, r, u in branch_specs))
 
 
 # -- scalar restriction ----------------------------------------------------
@@ -158,6 +156,15 @@ def substitute_matrix(rows, e, u):
     return [[substitute_element(x, e, u) for x in row] for row in rows]
 
 
+def substitute_lattices(lattices, u):
+    """The lattices with t rescaled by the unit u, as an unramified branch
+    (e = 1, w_y = u * t) sees them; a chain is substituted once per
+    distinct member."""
+    return map_runs(lambda lat: Lattice.from_columns(
+        lat.field, lat.n, [[substitute_element(x, 1, u) for x in col] for col in lat.cols]),
+        lattices)
+
+
 # -- refinement ------------------------------------------------------------
 
 
@@ -185,32 +192,46 @@ def _check_branches(profile, branch_objects, order_of):
 
 
 def pushforward_parabolic(profile, branches):
-    """Parabolic direct image over one target point."""
+    """Parabolic direct image over one target point.
+
+    Each branch chain is refined to denominator s = r*e and restricted
+    member by member; a refined member equal to its predecessor reuses
+    the predecessor's restriction.
+    """
     _check_branches(profile, branches, lambda p: p.order)
-    s = profile.target_order
-    chain = []
-    for a in range(s):
-        parts = []
-        for br, pt in zip(profile.branches, branches):
-            l, k = divmod(a, br.r)
-            parts.append(restrict_scalars(pt.chain[k].scale(l), br.e, br.unit))
-        chain.append(direct_sum(parts))
+    restricted = [map_runs(lambda lat: restrict_scalars(lat, br.e, br.unit),
+                           refine_branch_filtration(pt, br.e))
+                  for br, pt in zip(profile.branches, branches)]
+    chain = [direct_sum(parts) for parts in zip(*restricted)]
     chain.append(chain[0].scale(1))
-    return ParabolicPoint(s, chain)
+    return ParabolicPoint(profile.target_order, chain)
 
 
 def pushforward_graded(profile, branches):
-    """Invariant direct image on the graded side, grade m = r*l + k."""
+    """Invariant direct image on the graded side, grade m = r*l + k.
+
+    The twisted piece t^{-l} * M_k is restricted once per twist l and run
+    of equal pieces, keyed by the run's first grade.  This bookkeeping is
+    separate from the parabolic route's, so that a fault in one shows up
+    as a disagreement between the routes.
+    """
     _check_branches(profile, branches, lambda m: m.order)
     s = profile.target_order
-    pieces = []
-    for m in range(s):
-        parts = []
-        for br, mod in zip(profile.branches, branches):
+    restricted = []
+    for br, mod in zip(profile.branches, branches):
+        run_start = [0] * br.r
+        for k in range(1, br.r):
+            run_start[k] = run_start[k - 1] if mod.pieces[k] == mod.pieces[k - 1] else k
+        memo = {}
+        res = []
+        for m in range(s):
             l, k = divmod(m, br.r)
-            parts.append(restrict_scalars(mod.pieces[k].scale(-l), br.e, br.unit))
-        pieces.append(direct_sum(parts))
-    return GradedModule(s, pieces)
+            key = (run_start[k], l)
+            if key not in memo:
+                memo[key] = restrict_scalars(mod.pieces[k].scale(-l), br.e, br.unit)
+            res.append(memo[key])
+        restricted.append(res)
+    return GradedModule(s, [direct_sum(parts) for parts in zip(*restricted)])
 
 
 def pushforward_matrix(profile, branch_mats, n_outs, n_ins):
@@ -256,22 +277,22 @@ def pullback_parabolic(profile, point, label, rng=None):
         # the identification K_Y = K_X still rescales t by the unit
         if br.unit == 1:
             return point
-        chain = [Lattice.from_columns(point.field, point.n,
-                                      [[substitute_element(x, 1, br.unit) for x in col]
-                                       for col in lat.basis_columns()])
-                 for lat in point.chain]
-        return ParabolicPoint(r, chain)
+        return ParabolicPoint(r, substitute_lattices(point.chain, br.unit))
     sp = split_into_lines(point, rng=rng)
     mat_x = substitute_matrix(sp.matrix, e, br.unit)
     n = point.n
+    members = {}  # exponent vector of the lines -> canonical member
     chain = []
     for j in range(r):
-        gens = []
-        for b, c in enumerate(sp.jumps):
+        exps = []
+        for c in sp.jumps:
             twist, k = c // r, c % r
-            exp = -twist + (1 if j > k else 0)
-            gens.append([mat_x[i][b].shift(exp) for i in range(n)])
-        chain.append(Lattice.from_columns(point.field, n, gens))
+            exps.append(-twist + (1 if j > k else 0))
+        exps = tuple(exps)
+        if exps not in members:
+            gens = [[mat_x[i][b].shift(x) for i in range(n)] for b, x in enumerate(exps)]
+            members[exps] = Lattice.from_columns(point.field, n, gens)
+        chain.append(members[exps])
     chain.append(chain[0].scale(1))
     return ParabolicPoint(r, chain)
 
@@ -286,22 +307,22 @@ def pullback_graded(profile, module, label, rng=None):
     if e == 1:
         if br.unit == 1:
             return module
-        pieces = [Lattice.from_columns(module.field, module.n,
-                                       [[substitute_element(x, 1, br.unit) for x in col]
-                                        for col in lat.basis_columns()])
-                  for lat in module.pieces]
-        return GradedModule(r, pieces)
+        return GradedModule(r, substitute_lattices(module.pieces, br.unit))
     sp, _glines = graded_split_into_lines(module, rng=rng)
     mat_x = substitute_matrix(sp.matrix, e, br.unit)
     n = module.n
+    members = {}  # exponent vector of the lines -> canonical piece
     pieces = []
     for k in range(r):
-        gens = []
-        for b, c in enumerate(sp.jumps):
+        exps = []
+        for c in sp.jumps:
             twist, jump = c // r, c % r
-            exp = -twist - (1 if jump >= 1 and k >= r - jump else 0)
-            gens.append([mat_x[i][b].shift(exp) for i in range(n)])
-        pieces.append(Lattice.from_columns(module.field, n, gens))
+            exps.append(-twist - (1 if jump >= 1 and k >= r - jump else 0))
+        exps = tuple(exps)
+        if exps not in members:
+            gens = [[mat_x[i][b].shift(x) for i in range(n)] for b, x in enumerate(exps)]
+            members[exps] = Lattice.from_columns(module.field, n, gens)
+        pieces.append(members[exps])
     return GradedModule(r, pieces)
 
 

@@ -115,11 +115,28 @@ def gen_parabolic_point(rng, n, r, field=QQ):
     jumps = [rng.randint(0, r - 1) for _ in range(n)]
     exps = [rng.randint(-2, 2) for _ in range(n)]
     m, _ = gen_unimodular(rng, field, n)
+    return _basis_chain(field, r, m, exps, jumps)
+
+
+def _basis_chain(field, r, m, exps, jumps):
+    """The point whose member E^j is spanned by the columns
+    t^{exps[b] + [j > jumps[b]]} * m[:, b], canonicalized once per jump
+    pattern: a chain of order r has at most n+1 distinct members, and the
+    all-jumped pattern is t * E^0."""
+    n = len(jumps)
+
+    def span(pattern):
+        return Lattice.from_columns(field, n, [
+            [m[i][b].shift(exps[b] + pattern[b]) for i in range(n)] for b in range(n)])
+
+    top = span((False,) * n)
+    members = {(False,) * n: top, (True,) * n: top.scale(1)}
     chain = []
     for j in range(r + 1):
-        cols = [[m[i][b].shift(exps[b] + (1 if j > jumps[b] else 0))
-                 for i in range(n)] for b in range(n)]
-        chain.append(Lattice.from_columns(field, n, cols))
+        pattern = tuple(j > jb for jb in jumps)
+        if pattern not in members:
+            members[pattern] = span(pattern)
+        chain.append(members[pattern])
     return ParabolicPoint(r, chain)
 
 
@@ -270,7 +287,7 @@ def _direct_image_trial(rng, cfg, coverage, mutation):
     if not is_point_morphism(pushed_mat, route_b,
                              pushforward_parabolic(profile, dst_pts)):
         return False, "pushforward not natural (parabolic)", instance
-    if not is_graded_morphism(pushed_mat, pushforward_graded(profile, mods),
+    if not is_graded_morphism(pushed_mat, pushed_graded,
                               pushforward_graded(profile, dst_mods)):
         return False, "pushforward not natural (graded)", instance
     return True, "weights=%r" % (_weights_key(route_b),), instance
@@ -437,12 +454,7 @@ def gen_pairing_point(rng, field, r, c_l, g_l, kind, blocks, label):
                 phi[off + i][off + j] = fb[i][j]
         off += k
     m, minv = gen_unimodular(rng, field, n)
-    chain = []
-    for j in range(r + 1):
-        cols = [[m[i][b].shift(exps[b] + (1 if j > jumps[b] else 0))
-                 for i in range(n)] for b in range(n)]
-        chain.append(Lattice.from_columns(field, n, cols))
-    pt = ParabolicPoint(r, chain)
+    pt = _basis_chain(field, r, m, exps, jumps)
     minv_t = [[minv[j][i] for j in range(n)] for i in range(n)]
     form = mat_mul(minv_t, mat_mul(phi, minv))
     value = _value_line_bundle(field, label, r, c_l, g_l)

@@ -285,6 +285,18 @@ def apply_matrix(rows, lattice, out_rank=None):
     return Lattice.from_columns(lattice.field, m, image_columns(rows, lattice, m))
 
 
+def map_runs(fn, items):
+    """[fn(x) for x in items], calling fn once per run of equal neighbours.
+
+    The equal members of a lattice chain are neighbours, so on a chain fn
+    runs once per distinct member.
+    """
+    out = []
+    for k, x in enumerate(items):
+        out.append(out[-1] if k and x == items[k - 1] else fn(x))
+    return out
+
+
 def _check_ambient(a, b):
     if a.n != b.n or a.field != b.field:
         raise AmbientMismatch("ambient rank %d vs %d" % (a.n, b.n))

@@ -118,7 +118,8 @@ def check_pairing(pairing, bundle):
     0 is tested that way: all entries of valuation >= v, and their
     t^v-coefficients of full rank over k.  That pins delta(F), so each
     level a >= 1 only needs the index equality delta(E^a) + delta(E^b) =
-    delta(E^0) + delta(E^{r+c}) and the entry valuations >= v.
+    delta(E^0) + delta(E^{r+c}) and the entry valuations >= v.  A level
+    whose pair (E^a, E^b) repeats the previous level's pair is skipped.
     """
     n = bundle.rank
     form = pairing.form
@@ -139,8 +140,12 @@ def check_pairing(pairing, bundle):
         if len(rref(pt.field, [[x.coefficient(v) for x in col] for col in gram])[0]) != n:
             return False
         index = pt.chain[0].det_valuation() + top.det_valuation()
+        prev = (pt.chain[0], top)
         for a in range(1, r):
-            src, tgt = pt.chain[a], _chain_ext(pt, r + c - a)
+            pair = (pt.chain[a], _chain_ext(pt, r + c - a))
+            if pair == prev:
+                continue  # the same test as the previous level
+            prev = src, tgt = pair
             if src.det_valuation() + tgt.det_valuation() != index:
                 return False
             if not _valuations_at_least(_gram(src, form, tgt), v):

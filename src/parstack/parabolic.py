@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidChain, ShapeMismatch
-from .lattice import Lattice, direct_sum, image_columns, quotient_dim
+from .lattice import Lattice, direct_sum, image_columns, map_runs
 from .linalg import EchelonTracker, k_inverse, mat_mul
 from .localring import LocalElement
 
@@ -44,8 +44,9 @@ class ParabolicPoint:
         self.chain = chain
         self.n = first.n
         self.field = first.field
+        # equal neighbours need no containment test
         for j in range(order):
-            if not chain[j].contains(chain[j + 1]):
+            if chain[j] != chain[j + 1] and not chain[j].contains(chain[j + 1]):
                 raise InvalidChain("chain member %d does not contain member %d" % (j, j + 1))
         if chain[order] != first.scale(1):
             raise InvalidChain("chain endpoint differs from t * E^0")
@@ -65,10 +66,14 @@ class ParabolicPoint:
         return cls(order, [top if j <= jump else bot for j in range(order + 1)])
 
     def weights(self):
-        """Weight multiset as a sorted tuple of (Fraction, multiplicity)."""
+        """Weight multiset as a sorted tuple of (Fraction, multiplicity).
+
+        The chain was checked at construction, so each multiplicity
+        dim(E^a / E^{a+1}) is a difference of determinant valuations.
+        """
         out = []
         for a in range(self.order):
-            m = quotient_dim(self.chain[a], self.chain[a + 1])
+            m = self.chain[a + 1].det_valuation() - self.chain[a].det_valuation()
             if m:
                 out.append((Fraction(a, self.order), m))
         return tuple(out)
@@ -121,13 +126,19 @@ def parabolic_degree(bundle):
 
 
 def is_point_morphism(rows, src, dst):
-    """True iff rows * src.chain[j] <= dst.chain[j] for every stage j."""
+    """True iff rows * src.chain[j] <= dst.chain[j] for every stage j.
+
+    A stage whose (source, target) pair repeats the previous stage's pair
+    is not tested again.
+    """
     if src.order != dst.order:
         raise ShapeMismatch("orders %d vs %d" % (src.order, dst.order))
     if len(rows) != dst.n or (rows and len(rows[0]) != src.n):
         raise ShapeMismatch("matrix is %dx%d, expected %dx%d"
                             % (len(rows), len(rows[0]) if rows else 0, dst.n, src.n))
     for j in range(src.order):
+        if j and src.chain[j] == src.chain[j - 1] and dst.chain[j] == dst.chain[j - 1]:
+            continue
         for col in image_columns(rows, src.chain[j], out_rank=dst.n):
             if not dst.chain[j].member(col):
                 return False
@@ -176,14 +187,11 @@ def split_into_lines(point, rng=None):
         return SplitLines([], [], [], [])
 
     # fiber images of the chain members, as k-row-vectors in B0-coordinates
-    fiber = []
-    for j in range(1, r):
-        vecs = []
-        for col in point.chain[j].basis_columns():
-            coords = top.solve(col)
-            vecs.append([c.coefficient(0) if not c.is_zero() else field.zero
-                         for c in coords])
-        fiber.append((j, vecs))
+    def fiber_image(lat):
+        return [[c.coefficient(0) if not c.is_zero() else field.zero
+                 for c in top.solve(col)] for col in lat.cols]
+
+    fiber = list(enumerate(map_runs(fiber_image, point.chain[1:r]), start=1))
 
     tracker = EchelonTracker(field, n)
     chosen = []  # (k-vector in B0 coordinates, jump)

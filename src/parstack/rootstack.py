@@ -31,8 +31,9 @@ class GradedModule:
         self.pieces = pieces
         self.n = first.n
         self.field = first.field
+        # equal neighbours need no inclusion test
         for k in range(order - 1):
-            if not pieces[k + 1].contains(pieces[k]):
+            if pieces[k + 1] != pieces[k] and not pieces[k + 1].contains(pieces[k]):
                 raise InvalidGrading("piece %d does not include into piece %d" % (k, k + 1))
         if not pieces[0].scale(-1).contains(pieces[order - 1]):
             raise InvalidGrading("wraparound piece escapes t^{-1} M_0")
@@ -88,10 +89,13 @@ def from_parabolic(point):
 
 
 def is_graded_morphism(rows, src, dst):
-    """True iff rows * src.pieces[k] <= dst.pieces[k] for every grade."""
+    """True iff rows * src.pieces[k] <= dst.pieces[k] for every grade;
+    a grade repeating the previous grade's pair of pieces is skipped."""
     if src.order != dst.order:
         return False
     for k in range(src.order):
+        if k and src.pieces[k] == src.pieces[k - 1] and dst.pieces[k] == dst.pieces[k - 1]:
+            continue
         for col in image_columns(rows, src.pieces[k], out_rank=dst.n):
             if not dst.pieces[k].member(col):
                 return False

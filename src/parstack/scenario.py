@@ -14,7 +14,7 @@ from fractions import Fraction
 from .errors import ParseError, ValidationError
 from .fields import field_from_name
 from .functors import make_profile
-from .lattice import Lattice
+from .lattice import Lattice, map_runs
 from .localring import LocalElement
 from .parabolic import ParabolicBundle, ParabolicPoint
 from .rootstack import GradedModule
@@ -74,6 +74,11 @@ def decode_lattice(obj, field, n):
 # -- chains ----------------------------------------------------------------
 
 
+def _decode_chain(objs, field, n):
+    """Decode chain members, canonicalizing each distinct encoding once."""
+    return map_runs(lambda obj: decode_lattice(obj, field, n), objs)
+
+
 def _expand_weights(field, order, weights, n):
     """Diagonal chain from weight shorthand [[weight, mult], ...]."""
     jumps = []
@@ -105,7 +110,7 @@ def decode_point(obj, field, n, where=""):
     if "weights" in obj:
         chain = _expand_weights(field, order, obj["weights"], n)
     else:
-        chain = [decode_lattice(l, field, n) for l in obj.get("chain", [])]
+        chain = _decode_chain(obj.get("chain", []), field, n)
         if len(chain) != order + 1:
             raise ValidationError("point%s: chain has %d members, expected %d"
                                   % (where, len(chain), order + 1))
@@ -123,7 +128,7 @@ def encode_module(mod, field):
 def decode_module(obj, field, n, where=""):
     try:
         order = obj["order"]
-        pieces = [decode_lattice(l, field, n) for l in obj["pieces"]]
+        pieces = _decode_chain(obj["pieces"], field, n)
     except (KeyError, TypeError):
         raise ParseError("module%s needs 'order' and 'pieces'" % where)
     try:

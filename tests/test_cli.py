@@ -39,6 +39,14 @@ def test_version_flag(capsys):
     assert capsys.readouterr().out.strip()
 
 
+def test_version_names_the_coefficient_backend(capsys):
+    with pytest.raises(SystemExit):
+        main(["--version"])
+    backend = type(parstack.QQ.one)
+    assert capsys.readouterr().out.strip() == "%s (coefficients: %s.%s)" % (
+        parstack.__version__, backend.__module__, backend.__qualname__)
+
+
 def test_convert_weight_half_round_trip(tmp_path, capsys):
     src = write(tmp_path, "line.json", line_scenario())
     g1 = str(tmp_path / "graded.json")
@@ -218,6 +226,18 @@ def test_verify_report_digest_is_pinned(tmp_path, capsys):
     capsys.readouterr()
     blob = json.dumps(json.loads(open(out).read())["reports"], sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest()[:16] == "238c2cd1310b7ddd"
+
+
+@pytest.mark.parametrize("suite,digest", [("direct", "97638613c08c6fc5"),
+                                          ("pull", "5622197f9826652b")])
+def test_rational_report_digests_are_pinned(tmp_path, capsys, suite, digest):
+    """The functor suites over Q, pinned like the GF(101) run above."""
+    out = str(tmp_path / "r.json")
+    assert main(["verify", "--suite", suite, "--trials", "30", "--seed", "0",
+                 "--field", "rational", "--out", out]) == 0
+    capsys.readouterr()
+    blob = json.dumps(json.loads(open(out).read())["reports"], sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest()[:16] == digest
 
 
 def test_library_error_in_a_trial_fails_verify(tmp_path, capsys, monkeypatch):

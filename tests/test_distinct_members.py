@@ -1,0 +1,318 @@
+"""Each distinct chain member is built once: equality with the per-member
+reference code and call counts.
+
+A chain of order r has r+1 members but at most n+1 distinct ones.  The
+generators, the direct image, the pullback, the chain checks and scenario
+decoding compute each distinct member once; the reference functions below
+are the per-member versions they replaced and must give the same results.
+"""
+
+import random
+
+import pytest
+
+from parstack import (ANTISYMMETRIC, QQ, SYMMETRIC, GradedModule, InvalidChain,
+                      InvalidGrading, Lattice, ParabolicPoint, from_parabolic,
+                      is_graded_morphism, is_point_morphism, pullback_graded,
+                      pullback_parabolic, pushforward_graded,
+                      pushforward_parabolic, quotient_dim)
+from parstack import functors
+from parstack import scenario as sio
+from parstack.functors import (direct_sum, make_profile, restrict_scalars,
+                               substitute_element, substitute_matrix)
+from parstack.lattice import image_columns
+from parstack.localring import LocalElement
+from parstack.harness import (_find_line_pair, gen_pairing_point,
+                              gen_parabolic_point, gen_point_morphism,
+                              gen_profile, gen_unimodular)
+from parstack.parabolic import split_into_lines
+from parstack.rootstack import graded_split_into_lines
+
+from conftest import GF101
+
+FIELDS = pytest.mark.parametrize("field", [QQ, GF101], ids=["rational", "prime101"])
+
+
+# -- per-member reference code ----------------------------------------------
+
+
+def ref_chain(field, r, m, exps, jumps):
+    n = len(jumps)
+    return tuple(Lattice.from_columns(field, n, [
+        [m[i][b].shift(exps[b] + (1 if j > jumps[b] else 0)) for i in range(n)]
+        for b in range(n)]) for j in range(r + 1))
+
+
+def ref_gen_parabolic_point(rng, n, r, field):
+    jumps = [rng.randint(0, r - 1) for _ in range(n)]
+    exps = [rng.randint(-2, 2) for _ in range(n)]
+    m, _ = gen_unimodular(rng, field, n)
+    return ref_chain(field, r, m, exps, jumps)
+
+
+def ref_gen_pairing_chain(rng, field, r, c_l, g_l, kind, blocks):
+    jumps, exps = [], []
+    for _ in range(blocks):
+        self_pair = kind == SYMMETRIC and rng.random() < 0.3
+        found = _find_line_pair(rng, field, r, c_l, g_l, kind, self_pair)
+        if found is None:
+            found = _find_line_pair(rng, field, r, c_l, g_l, kind, False)
+        if found is None:
+            return None
+        jumps.extend(found[0])
+        exps.extend(found[1])
+    m, _ = gen_unimodular(rng, field, len(jumps))
+    return ref_chain(field, r, m, exps, jumps)
+
+
+def ref_pushforward_parabolic(profile, branches):
+    s = profile.target_order
+    chain = []
+    for a in range(s):
+        parts = []
+        for br, pt in zip(profile.branches, branches):
+            l, k = divmod(a, br.r)
+            parts.append(restrict_scalars(pt.chain[k].scale(l), br.e, br.unit))
+        chain.append(direct_sum(parts))
+    chain.append(chain[0].scale(1))
+    return tuple(chain)
+
+
+def ref_pushforward_graded(profile, branches):
+    pieces = []
+    for m in range(profile.target_order):
+        parts = []
+        for br, mod in zip(profile.branches, branches):
+            l, k = divmod(m, br.r)
+            parts.append(restrict_scalars(mod.pieces[k].scale(-l), br.e, br.unit))
+        pieces.append(direct_sum(parts))
+    return tuple(pieces)
+
+
+def _ref_substitute(lattices, u):
+    return tuple(Lattice.from_columns(lat.field, lat.n,
+                                      [[substitute_element(x, 1, u) for x in col]
+                                       for col in lat.basis_columns()])
+                 for lat in lattices)
+
+
+def ref_pullback_parabolic(profile, point, label, rng=None):
+    br = profile.branch(label)
+    e, r = br.e, br.r
+    if e == 1:
+        return point.chain if br.unit == 1 else _ref_substitute(point.chain, br.unit)
+    sp = split_into_lines(point, rng=rng)
+    mat_x = substitute_matrix(sp.matrix, e, br.unit)
+    n = point.n
+    chain = []
+    for j in range(r):
+        gens = []
+        for b, c in enumerate(sp.jumps):
+            exp = -(c // r) + (1 if j > c % r else 0)
+            gens.append([mat_x[i][b].shift(exp) for i in range(n)])
+        chain.append(Lattice.from_columns(point.field, n, gens))
+    chain.append(chain[0].scale(1))
+    return tuple(chain)
+
+
+def ref_pullback_graded(profile, module, label, rng=None):
+    br = profile.branch(label)
+    e, r = br.e, br.r
+    if e == 1:
+        return module.pieces if br.unit == 1 else _ref_substitute(module.pieces, br.unit)
+    sp, _ = graded_split_into_lines(module, rng=rng)
+    mat_x = substitute_matrix(sp.matrix, e, br.unit)
+    n = module.n
+    pieces = []
+    for k in range(r):
+        gens = []
+        for b, c in enumerate(sp.jumps):
+            twist, jump = c // r, c % r
+            exp = -twist - (1 if jump >= 1 and k >= r - jump else 0)
+            gens.append([mat_x[i][b].shift(exp) for i in range(n)])
+        pieces.append(Lattice.from_columns(module.field, n, gens))
+    return tuple(pieces)
+
+
+def ref_is_morphism(rows, src_members, dst_members):
+    return all(tgt.member(col) for lat, tgt in zip(src_members, dst_members)
+               for col in image_columns(rows, lat, out_rank=tgt.n))
+
+
+def ref_weights(point):
+    out = []
+    for a in range(point.order):
+        mult = quotient_dim(point.chain[a], point.chain[a + 1])
+        if mult:
+            out.append((a, mult))
+    return out
+
+
+# -- equality with the reference --------------------------------------------
+
+
+@FIELDS
+def test_generators_match_per_member_reference(field):
+    rng = random.Random(101)
+    for _ in range(20):
+        n, r = rng.randint(1, 3), rng.randint(1, 12)
+        seed = rng.getrandbits(32)
+        a, b = random.Random(seed), random.Random(seed)
+        assert gen_parabolic_point(a, n, r, field).chain == \
+            ref_gen_parabolic_point(b, n, r, field)
+        assert a.getstate() == b.getstate()
+    for _ in range(20):
+        r, kind = rng.randint(1, 6), rng.choice([SYMMETRIC, ANTISYMMETRIC])
+        c_l, g_l, blocks = rng.randint(0, r - 1), rng.randint(-1, 1), rng.randint(1, 2)
+        seed = rng.getrandbits(32)
+        a, b = random.Random(seed), random.Random(seed)
+        made = gen_pairing_point(a, field, r, c_l, g_l, kind, blocks, "y")
+        ref = ref_gen_pairing_chain(b, field, r, c_l, g_l, kind, blocks)
+        assert (made is None) == (ref is None)
+        if made is not None:
+            assert made[0].chain == ref
+        assert a.getstate() == b.getstate()
+
+
+@FIELDS
+def test_direct_image_matches_per_member_reference(field):
+    rng = random.Random(103)
+    for _ in range(12):
+        s = rng.randint(1, 8)
+        profile, ranks = gen_profile(rng, s, 2, field, rank_bound=6, max_rank=3)
+        pts = [gen_parabolic_point(rng, n, br.r, field)
+               for br, n in zip(profile.branches, ranks)]
+        mods = [from_parabolic(p) for p in pts]
+        assert pushforward_parabolic(profile, pts).chain == \
+            ref_pushforward_parabolic(profile, pts)
+        assert pushforward_graded(profile, mods).pieces == \
+            ref_pushforward_graded(profile, mods)
+
+
+@FIELDS
+def test_pullback_matches_per_member_reference(field):
+    rng = random.Random(107)
+    for i in range(16):
+        s = rng.randint(1, 8)
+        e = rng.choice([d for d in range(1, s + 1) if s % d == 0])
+        unit = field.one if i % 3 == 0 else field.random_nonzero(rng)
+        profile = make_profile(s, [("x", e, s // e, unit)])
+        pt = gen_parabolic_point(rng, rng.randint(1, 3), s, field)
+        mod = from_parabolic(pt)
+        seed = rng.getrandbits(32)
+        assert pullback_parabolic(profile, pt, "x").chain == \
+            ref_pullback_parabolic(profile, pt, "x")
+        assert pullback_parabolic(profile, pt, "x", rng=random.Random(seed)).chain == \
+            ref_pullback_parabolic(profile, pt, "x", rng=random.Random(seed))
+        assert pullback_graded(profile, mod, "x").pieces == \
+            ref_pullback_graded(profile, mod, "x")
+
+
+@FIELDS
+def test_chain_checks_match_per_member_reference(field):
+    rng = random.Random(109)
+    for _ in range(12):
+        n, r = rng.randint(1, 3), rng.randint(1, 8)
+        src, dst = gen_parabolic_point(rng, n, r, field), gen_parabolic_point(rng, n, r, field)
+        assert [(w.numerator * r // w.denominator, m) for w, m in src.weights()] == \
+            ref_weights(src)
+        good = gen_point_morphism(rng, src, dst)
+        # t^{-1} * good is a morphism only for some chains; the reference decides
+        for rows in (good, [[x.shift(-1) for x in row] for row in good]):
+            gsrc, gdst = from_parabolic(src), from_parabolic(dst)
+            assert is_point_morphism(rows, src, dst) == \
+                ref_is_morphism(rows, src.chain[:r], dst.chain[:r])
+            assert is_graded_morphism(rows, gsrc, gdst) == \
+                ref_is_morphism(rows, gsrc.pieces, gdst.pieces)
+
+
+def test_unequal_neighbours_are_still_checked():
+    top = Lattice.identity(QQ, 2)
+    mid = Lattice.diagonal(QQ, [1, 0])
+    bad = Lattice.diagonal(QQ, [0, 1]).scale(-1)  # not inside mid
+    ParabolicPoint(4, [top, top, mid, mid, top.scale(1)])
+    with pytest.raises(InvalidChain):
+        ParabolicPoint(4, [top, top, mid, bad, top.scale(1)])
+    GradedModule(4, [top, top, mid.scale(-1), mid.scale(-1)])
+    with pytest.raises(InvalidGrading):
+        GradedModule(4, [top, top, mid.scale(-1), top])
+    # a stage repeating only one side of the previous pair is still tested
+    one = [[LocalElement.const(QQ.one)]]
+    assert not is_point_morphism(one, ParabolicPoint.line(QQ, 2, 1),
+                                 ParabolicPoint.line(QQ, 2, 0))
+    assert not is_graded_morphism(one, GradedModule.line(QQ, 2, 1),
+                                  GradedModule.trivial(QQ, 1, order=2))
+
+
+# -- call counts ------------------------------------------------------------
+
+
+def _count(monkeypatch, owner, name):
+    calls = []
+    orig = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@FIELDS
+def test_generator_canonicalizes_once_per_distinct_member(field, monkeypatch):
+    calls = _count(monkeypatch, Lattice, "from_columns")
+    rng = random.Random(113)
+    for n in (1, 2, 3):
+        for _ in range(5):
+            del calls[:]
+            pt = gen_parabolic_point(rng, n, 12, field)
+            assert len(calls) <= n + 1
+            assert len(set(pt.chain)) <= n + 1
+
+
+@FIELDS
+def test_direct_image_restricts_once_per_distinct_member(field, monkeypatch):
+    calls = _count(monkeypatch, functors, "restrict_scalars")
+    rng = random.Random(127)
+    for _ in range(12):
+        s = rng.randint(2, 12)
+        profile, ranks = gen_profile(rng, s, 2, field, rank_bound=8, max_rank=3)
+        pts = [gen_parabolic_point(rng, n, br.r, field)
+               for br, n in zip(profile.branches, ranks)]
+        mods = [from_parabolic(p) for p in pts]
+        del calls[:]
+        pushforward_parabolic(profile, pts)
+        assert len(calls) <= sum(len(set(pt.chain[:br.r])) * br.e
+                                 for br, pt in zip(profile.branches, pts))
+        del calls[:]
+        pushforward_graded(profile, mods)
+        assert len(calls) <= sum(len(set(mod.pieces)) * br.e
+                                 for br, mod in zip(profile.branches, mods))
+
+
+@FIELDS
+def test_pullback_and_decoding_canonicalize_once_per_distinct_member(field, monkeypatch):
+    rng = random.Random(131)
+    cases = []
+    for i in range(12):
+        s = rng.randint(2, 12)
+        e = rng.choice([d for d in range(1, s + 1) if s % d == 0])
+        unit = field.one if i % 4 == 0 else field.random_nonzero(rng)
+        cases.append((make_profile(s, [("x", e, s // e, unit)]),
+                      gen_parabolic_point(rng, rng.randint(1, 3), s, field)))
+    calls = _count(monkeypatch, Lattice, "from_columns")
+    for profile, pt in cases:
+        del calls[:]
+        pullback_parabolic(profile, pt, "x")
+        assert len(calls) <= pt.n + 1
+        del calls[:]
+        pullback_graded(profile, from_parabolic(pt), "x")
+        assert len(calls) <= pt.n + 1
+        del calls[:]
+        assert sio.decode_point(sio.encode_point(pt, field), field, pt.n) == pt
+        assert len(calls) == len(set(pt.chain))
+        mod = from_parabolic(pt)
+        del calls[:]
+        assert sio.decode_module(sio.encode_module(mod, field), field, mod.n) == mod
+        assert len(calls) == len(set(mod.pieces))
