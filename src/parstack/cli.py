@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -20,7 +21,7 @@ from .functors import (pullback_parabolic, pullback_graded,
                        pushforward_graded, pushforward_parabolic)
 from .harness import SUITES, TrialConfig
 from .parabolic import ParabolicBundle, parabolic_degree
-from .rootstack import from_parabolic, to_parabolic
+from .rootstack import GradedModule, from_parabolic, to_parabolic
 
 PASS, FAIL, USAGE = 0, 1, 2
 
@@ -43,6 +44,18 @@ def _write_out(obj, out_path):
         sys.stdout.write(text)
 
 
+def _encoded(field, obj, at, rank):
+    """A point or a module as a scenario object at ``at``."""
+    if isinstance(obj, GradedModule):
+        enc = sio.encode_module(obj, field)
+        enc["kind"] = "graded_module"
+    else:
+        enc = sio.encode_point(obj, field)
+        enc["kind"] = "parabolic_point"
+    enc.update(at=at, rank=rank)
+    return enc
+
+
 def _decode_objects(field, raw):
     """Objects are per-point: (kind, at-label, decoded point or module, rank,
     underlying_degree)."""
@@ -59,21 +72,21 @@ def _decode_objects(field, raw):
         rank = obj.get("rank")
         if kind in ("parabolic_point", "parabolic_bundle"):
             if kind == "parabolic_bundle":
-                bundle = sio.decode_bundle(obj, field)
+                bundle = sio.decode_bundle(obj, field, where)
                 out.append(("parabolic_bundle", None, bundle, bundle.rank,
                             bundle.underlying_degree))
                 continue
             if not isinstance(rank, int) or rank < 1:
                 raise ParseError("object%s needs an integer rank" % where)
+            deg = sio.underlying_degree(obj, "point" + where)
             pt = sio.decode_point(obj, field, rank, where)
-            out.append(("parabolic_point", at, pt, rank,
-                        obj.get("underlying_degree", 0)))
+            out.append(("parabolic_point", at, pt, rank, deg))
         elif kind == "graded_module":
             if not isinstance(rank, int) or rank < 1:
                 raise ParseError("object%s needs an integer rank" % where)
+            deg = sio.underlying_degree(obj, "module" + where)
             mod = sio.decode_module(obj, field, rank, where)
-            out.append(("graded_module", at, mod, rank,
-                        obj.get("underlying_degree", 0)))
+            out.append(("graded_module", at, mod, rank, deg))
         else:
             raise ParseError("object%s has unknown kind %r" % (where, kind))
     return out
@@ -92,48 +105,27 @@ def _weight_table(point, rank, heading):
 
 def cmd_convert(args):
     field, raw = _read_scenario(args.scenario)
-    direction = args.direction
-    objects = _decode_objects(field, raw)
+    to_graded = args.direction == "to-graded"
     converted = []
     touched = 0
-    for kind, at, obj, rank, deg in objects:
+    for kind, at, obj, rank, deg in _decode_objects(field, raw):
         if kind == "parabolic_bundle":
-            if direction == "to-graded":
-                for label in obj.labels():
-                    enc = sio.encode_module(from_parabolic(obj.points[label]), field)
-                    enc.update(kind="graded_module", at=label, rank=obj.rank,
-                               underlying_degree=obj.underlying_degree)
-                    converted.append(enc)
-                    touched += 1
-            else:
+            if not to_graded:
                 converted.append(sio.encode_bundle(obj, field))
-        elif kind == "parabolic_point":
-            if direction == "to-graded":
-                enc = sio.encode_module(from_parabolic(obj), field)
-                enc.update(kind="graded_module", at=at, rank=rank,
-                           underlying_degree=deg)
-                converted.append(enc)
-                touched += 1
-            else:
-                enc = sio.encode_point(obj, field)
-                enc.update(kind="parabolic_point", at=at, rank=rank,
-                           underlying_degree=deg)
-                converted.append(enc)
+                continue
+            items = [(label, obj.points[label], obj.rank, obj.underlying_degree)
+                     for label in obj.labels()]
         else:
-            if direction == "to-parabolic":
-                enc = sio.encode_point(to_parabolic(obj), field)
-                enc.update(kind="parabolic_point", at=at, rank=rank,
-                           underlying_degree=deg)
-                converted.append(enc)
+            items = [(at, obj, rank, deg)]
+        for at, obj, rank, deg in items:
+            if to_graded != isinstance(obj, GradedModule):  # on the source side
+                obj = from_parabolic(obj) if to_graded else to_parabolic(obj)
                 touched += 1
-            else:
-                enc = sio.encode_module(obj, field)
-                enc.update(kind="graded_module", at=at, rank=rank,
-                           underlying_degree=deg)
-                converted.append(enc)
+            converted.append(dict(_encoded(field, obj, at, rank),
+                                  underlying_degree=deg))
     if not touched:
         raise ValidationError("no objects in the source representation "
-                              "for direction %r" % direction)
+                              "for direction %r" % args.direction)
     out = dict(raw)
     out["objects"] = converted
     _write_out(out, args.out)
@@ -172,16 +164,12 @@ def cmd_push(args):
         raise ValidationError("all branch objects must be on the same side")
     side = kinds.pop()
     if side == "graded_module":
-        pushed_mod = pushforward_graded(profile, per_branch)
-        pushed = to_parabolic(pushed_mod)
-        enc = sio.encode_module(pushed_mod, field)
-        enc.update(kind="graded_module", at=target, rank=pushed_mod.n)
+        result = pushforward_graded(profile, per_branch)
+        pushed = to_parabolic(result)
     else:
-        pushed = pushforward_parabolic(profile, per_branch)
-        enc = sio.encode_point(pushed, field)
-        enc.update(kind="parabolic_point", at=target, rank=pushed.n)
+        result = pushed = pushforward_parabolic(profile, per_branch)
     out = dict(raw)
-    out["objects"] = [enc]
+    out["objects"] = [_encoded(field, result, target, pushed.n)]
     _write_out(out, args.out)
     print(_weight_table(pushed, pushed.n, "direct image at %r" % target),
           file=sys.stderr)
@@ -205,20 +193,18 @@ def cmd_pull(args):
     else:
         point = obj
     deg_f = raw.get("deg_f", sum(br.e for br in profile.branches))
+    if type(deg_f) is not int or deg_f < 1:
+        raise ParseError("deg_f must be a positive integer, not %r" % (deg_f,))
     results = []
     tables = []
     pulled_degree_total = Fraction(deg_f) * deg
     for br in profile.branches:
         if kind == "graded_module":
-            pulled_mod = pullback_graded(profile, point, br.label)
-            pulled = to_parabolic(pulled_mod)
-            enc = sio.encode_module(pulled_mod, field)
-            enc.update(kind="graded_module", at=br.label, rank=pulled_mod.n)
+            result = pullback_graded(profile, point, br.label)
+            pulled = to_parabolic(result)
         else:
-            pulled = pullback_parabolic(profile, point, br.label)
-            enc = sio.encode_point(pulled, field)
-            enc.update(kind="parabolic_point", at=br.label, rank=pulled.n)
-        results.append(enc)
+            result = pulled = pullback_parabolic(profile, point, br.label)
+        results.append(_encoded(field, result, br.label, pulled.n))
         tables.append(_weight_table(pulled, pulled.n, "pullback at %r" % br.label))
         src_pt = point if kind != "graded_module" else to_parabolic(point)
         for w, m in src_pt.weights():
@@ -293,12 +279,7 @@ def cmd_verify(args):
         "reports": [rep.to_dict(with_timing=False) for rep in reports],
         "timing": {rep.suite: rep.elapsed for rep in reports},
     }
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_out(doc, args.out)
     for rep in reports:
         print("suite %-12s %s (%d trials)" %
               (rep.suite, "pass" if rep.passed else "FAIL", len(rep.verdicts)),
@@ -339,7 +320,9 @@ def cmd_replay(args):
 # -- entry point -----------------------------------------------------------
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and reused after it."""
     p = argparse.ArgumentParser(prog="parstack",
                                 description=__doc__.splitlines()[0])
     backend = type(QQ.one)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quoted
 
 from .errors import ParseError, ValidationError
 from .fields import field_from_name
@@ -148,13 +149,23 @@ def encode_bundle(bundle, field, kind="parabolic_bundle"):
                        for label, pt in sorted(bundle.points.items())}}
 
 
-def decode_bundle(obj, field):
+def decode_bundle(obj, field, where=""):
     rank = obj.get("rank")
     if not isinstance(rank, int) or rank < 0:
         raise ParseError("bundle needs an integer rank")
+    degree = underlying_degree(obj, "bundle" + where)
     pts = {label: decode_point(p, field, rank, " at %r" % label)
            for label, p in obj.get("points", {}).items()}
-    return ParabolicBundle(rank, obj.get("underlying_degree", 0), pts)
+    return ParabolicBundle(rank, degree, pts)
+
+
+def underlying_degree(obj, what):
+    """The object's ``underlying_degree``: a JSON integer, 0 when absent."""
+    degree = obj.get("underlying_degree", 0)
+    if type(degree) is not int:
+        raise ParseError("%s: underlying_degree must be an integer, not %r"
+                         % (what, degree))
+    return degree
 
 
 def encode_cover(profile, field, target="y"):
@@ -197,5 +208,86 @@ def loads(text):
 
 
 def dumps(obj):
-    """Canonical serialization: sorted keys, fixed indentation."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Canonical serialization: sorted keys, 2-space indent, ASCII escapes.
+
+    The text is byte-identical to ``json.dumps(obj, indent=2,
+    sort_keys=True) + "\\n"`` for the values ``json.loads`` produces: dicts
+    with str keys, lists, str, int, float, bool and None.  Anything else
+    raises TypeError.  The stdlib falls back to its pure-Python encoder
+    whenever ``indent`` is set; writing into one list and joining it once
+    is several times faster.
+    """
+    out = []
+    _write(obj, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+_INF = float("inf")
+
+
+def _float_text(x):
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _bool_text(b):
+    return "true" if b else "false"
+
+
+def _null_text(_):
+    return "null"
+
+
+# exact types only: json.loads makes no subclasses, and bool is not int here
+_SCALAR_TEXT = {str: _quoted, int: int.__repr__, float: _float_text,
+                bool: _bool_text, type(None): _null_text}
+
+
+def _write(obj, out, newline):
+    """Append the text of ``obj`` to ``out``; ``newline`` carries its indent."""
+    kind = type(obj)
+    if kind is dict:
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            if type(key) is not str:
+                raise TypeError("keys must be str, not %s" % type(key).__name__)
+            item = obj[key]
+            text = _SCALAR_TEXT.get(type(item))
+            if text is not None:
+                out.append(sep + _quoted(key) + ": " + text(item))
+            else:
+                out.append(sep + _quoted(key) + ": ")
+                _write(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif kind is list:
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in obj:
+            text = _SCALAR_TEXT.get(type(item))
+            if text is not None:
+                out.append(sep + text(item))
+            else:
+                out.append(sep)
+                _write(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        text = _SCALAR_TEXT.get(kind)
+        if text is None:
+            raise TypeError("Object of type %s is not JSON serializable"
+                            % kind.__name__)
+        out.append(text(obj))

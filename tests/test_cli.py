@@ -276,3 +276,120 @@ def test_verify_replay_flag(tmp_path, capsys):
     path = write(tmp_path, "cex.json", rep.failures[0])
     assert main(["verify", "--replay", path]) == 0
     capsys.readouterr()
+
+
+DATA = os.path.join(os.path.dirname(__file__), "data", "cli")
+
+
+def data_file(name):
+    return os.path.join(DATA, name + ".json")
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (["push", data_file("push-parabolic")], "fbc1bc56c459806e"),
+    (["push", data_file("push-graded")], "4cc950e2d140bd01"),
+    (["pull", data_file("pull-parabolic")], "71d59ab14f9f71d3"),
+    (["pull", data_file("pull-graded")], "7356f3096d062943"),
+    (["convert", data_file("convert-to-graded"), "--direction", "to-graded"],
+     "77c11a8c1ca44eb4"),
+    (["convert", data_file("convert-to-parabolic"), "--direction", "to-parabolic"],
+     "548433599e432055"),
+    (["convert", data_file("degree"), "--direction", "to-graded"], "d99e291f22f3b797"),
+    (["degree", data_file("degree")], "b5f1c8e4728548a0"),
+], ids=["push-parabolic", "push-graded", "pull-parabolic", "pull-graded",
+        "convert-to-graded", "convert-to-parabolic", "convert-bundle", "degree"])
+def test_command_stdout_bytes_are_pinned(capsys, argv, digest):
+    """Stdout bytes of the scenario commands on fixed scenario files over Q."""
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
+def test_verify_out_file_is_canonical_json(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(["verify", "--suite", "pull", "--trials", "3", "--seed", "1",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+def _with_degree(doc, degree, **top):
+    doc = json.loads(json.dumps(doc))
+    doc["objects"][0]["underlying_degree"] = degree
+    doc.update(top)
+    return doc
+
+
+def _data_doc(name):
+    with open(data_file(name)) as fh:
+        return json.load(fh)
+
+
+COVER_E2 = {"target": "y", "s": 2,
+              "branches": [{"label": "x", "e": 2, "r": 1, "unit": "1"}]}
+
+
+@pytest.mark.parametrize("command,doc,named", [
+    ("degree", _with_degree(line_scenario(), "abc"), "point (object 0)"),
+    ("degree", _with_degree(line_scenario(), "3"), "point (object 0)"),
+    ("degree", _with_degree(line_scenario(), True), "point (object 0)"),
+    ("pull", _with_degree(line_scenario(cover=COVER_E2), [1]), "point (object 0)"),
+    ("degree", _with_degree(_data_doc("convert-to-parabolic"), "abc"),
+     "module (object 0)"),
+    ("pull", _with_degree(_data_doc("pull-graded"), 1.5), "module (object 0)"),
+    ("degree", _with_degree(_data_doc("degree"), [1]), "bundle (object 0)"),
+    ("pull", _with_degree(line_scenario(cover=COVER_E2), 1, deg_f="abc"), "deg_f"),
+    ("pull", _with_degree(line_scenario(cover=COVER_E2), 1, deg_f=2.0), "deg_f"),
+    ("pull", _with_degree(line_scenario(cover=COVER_E2), 1, deg_f=0), "deg_f"),
+    ("pull", _with_degree(line_scenario(cover=COVER_E2), 1, deg_f=False), "deg_f"),
+], ids=["point-str", "point-digit-str", "point-bool", "point-list-pull",
+        "module-str", "module-float-pull", "bundle-list", "deg-f-str",
+        "deg-f-float", "deg-f-zero", "deg-f-bool"])
+def test_bad_degree_input_exits_2(tmp_path, capsys, command, doc, named):
+    src = write(tmp_path, "bad_degree.json", doc)
+    assert main([command, src]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and named in err
+    assert "Traceback" not in err
+
+
+def _inprocess(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    cap = capsys.readouterr()
+    return code, cap.out, cap.err
+
+
+def test_consecutive_main_calls_match_separate_processes(tmp_path, capsys,
+                                                       monkeypatch):
+    """One parser serves every call; no option of one call leaks into the next."""
+    push_src = write(tmp_path, "push.json",
+                     line_scenario(weight="0", order=1, at="x", cover=COVER_E2))
+    pull_src = write(tmp_path, "pull.json", line_scenario(cover=COVER_E2, degree=1))
+    junk = tmp_path / "junk.json"
+    junk.write_text("{ not json")
+    calls = [["push", push_src, "--out", "pushed.json"], ["pull", pull_src],
+             ["degree", str(junk)], ["push"], ["--version"]]
+
+    src = os.path.dirname(os.path.dirname(parstack.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    separate = []
+    for argv in calls:
+        proc = subprocess.run([sys.executable, "-m", "parstack.cli"] + argv,
+                              cwd=tmp_path, env=env, capture_output=True,
+                              text=True, timeout=60)
+        separate.append((proc.returncode, proc.stdout, proc.stderr))
+    pushed_separately = (tmp_path / "pushed.json").read_text()
+    (tmp_path / "pushed.json").unlink()
+
+    monkeypatch.chdir(tmp_path)
+    in_process = [_inprocess(argv, capsys) for argv in calls]
+    assert in_process == separate
+    assert [code for code, _, _ in in_process] == [0, 0, 2, 2, 0]
+    assert in_process[1][1].startswith("{")
+    assert (tmp_path / "pushed.json").read_text() == pushed_separately
+    assert in_process == [_inprocess(argv, capsys) for argv in calls]
