@@ -14,10 +14,10 @@ from .localring import LocalElement
 from .lattice import (Lattice, apply_matrix, canonicalize, direct_sum,
                       lattice_intersect, lattice_sum, quotient_dim)
 from .parabolic import (ParabolicBundle, ParabolicPoint, SplitLines,
-                        is_morphism, is_point_morphism, make_weight,
-                        parabolic_degree, split_into_lines, weights_of)
-from .rootstack import (GradedModule, from_parabolic, graded_split_into_lines,
-                        is_graded_morphism, to_parabolic)
+                        is_morphism, is_point_morphism, parabolic_degree,
+                        split_into_lines)
+from .rootstack import (GradedModule, from_parabolic, is_graded_morphism,
+                        to_parabolic)
 from .functors import (Branch, CoverProfile, make_profile, pullback_graded,
                        pullback_matrix, pullback_parabolic,
                        pullback_parabolic_line, pushforward_graded,

@@ -76,13 +76,13 @@ def _decode_objects(field, raw):
                 out.append(("parabolic_bundle", None, bundle, bundle.rank,
                             bundle.underlying_degree))
                 continue
-            if not isinstance(rank, int) or rank < 1:
+            if type(rank) is not int or rank < 1:
                 raise ParseError("object%s needs an integer rank" % where)
             deg = sio.underlying_degree(obj, "point" + where)
             pt = sio.decode_point(obj, field, rank, where)
             out.append(("parabolic_point", at, pt, rank, deg))
         elif kind == "graded_module":
-            if not isinstance(rank, int) or rank < 1:
+            if type(rank) is not int or rank < 1:
                 raise ParseError("object%s needs an integer rank" % where)
             deg = sio.underlying_degree(obj, "module" + where)
             mod = sio.decode_module(obj, field, rank, where)

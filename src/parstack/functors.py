@@ -5,8 +5,10 @@ target point: branches (e, r, u) with the admissibility relation
 r * e = s and local uniformizer relation w_y = u * t^e on each branch.
 The parabolic direct image refines each branch chain to denominator
 r*e and restricts scalars; the graded direct image distributes the
-branch grades over grade m = r*l + k with a t^{-l} twist.  Pullback
-splits into lines and applies the floor/fractional-part line formula.
+branch grades over grade m = r*l + k with a t^{-l} twist.  The parabolic
+pullback splits into lines and applies the floor/fractional-part line
+formula; the graded pullback is base change of the root-stack module and
+uses no splitting, so the two routes stay independent computations.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .errors import InadmissibleProfile, InadmissibleWeight, ProfileMismatch
 from .lattice import Lattice, direct_sum, map_runs
 from .localring import LocalElement
 from .parabolic import ParabolicPoint, split_into_lines
-from .rootstack import GradedModule, graded_split_into_lines
+from .rootstack import GradedModule
 
 _Z = LocalElement.zero()
 
@@ -156,15 +158,6 @@ def substitute_matrix(rows, e, u):
     return [[substitute_element(x, e, u) for x in row] for row in rows]
 
 
-def substitute_lattices(lattices, u):
-    """The lattices with t rescaled by the unit u, as an unramified branch
-    (e = 1, w_y = u * t) sees them; a chain is substituted once per
-    distinct member."""
-    return map_runs(lambda lat: Lattice.from_columns(
-        lat.field, lat.n, [[substitute_element(x, 1, u) for x in col] for col in lat.cols]),
-        lattices)
-
-
 # -- refinement ------------------------------------------------------------
 
 
@@ -277,7 +270,9 @@ def pullback_parabolic(profile, point, label, rng=None):
         # the identification K_Y = K_X still rescales t by the unit
         if br.unit == 1:
             return point
-        return ParabolicPoint(r, substitute_lattices(point.chain, br.unit))
+        return ParabolicPoint(r, map_runs(lambda lat: Lattice.from_columns(
+            lat.field, lat.n, [[substitute_element(x, 1, br.unit) for x in col]
+                               for col in lat.cols]), point.chain))
     sp = split_into_lines(point, rng=rng)
     mat_x = substitute_matrix(sp.matrix, e, br.unit)
     n = point.n
@@ -297,33 +292,48 @@ def pullback_parabolic(profile, point, label, rng=None):
     return ParabolicPoint(r, chain)
 
 
-def pullback_graded(profile, module, label, rng=None):
-    """Graded-side pullback, computed through the graded line splitting."""
+def pullback_graded(profile, module, label):
+    """Graded-side pullback: base change of the root-stack module.
+
+    On the target chart with root T^s = t_y the module is
+    M~ = sum_m T^m M_m, over all m in Z with M_{m+s} = t_y^{-1} M_m.  The
+    branch chart has root S^r = t_x, so S^s = t_x^e = t_y / u and T pulls
+    back to a constant multiple of S, which changes no lattice.  Base change
+    thus turns T^m M_m into S^m bc(M_m), where bc substitutes
+    t_y = u * t_x^e in every entry.  Multiplied into grade k (mod r), the
+    term first lands there as S^k t_x^q bc(M_m) with q = ceil((m-k)/r), so
+    piece k is
+
+        N_k = sum_{0 <= m < s} t_x^{ceil((m-k)/r)} * bc(M_m),
+
+    the grades outside [0, s) repeating these terms.  Within a run of equal
+    pieces M_m = M_{m0} the exponent ceil((m-k)/r) does not decrease with m,
+    so the run's first grade m0 gives the largest term and alone is kept.
+    For e = 1 (r = s) the exponent is 0 for m <= k and 1 for m > k: the
+    first terms sum to bc(M_k) because the chain ascends, and each later
+    term t_x * bc(M_m) lies in t_x * bc(t_y^{-1} M_0) = bc(M_0), so
+    N_k = bc(M_k).  No line splitting is used, so this route stays
+    independent of pullback_parabolic.
+    """
     br = profile.branch(label)
     if module.order != profile.target_order:
         raise ProfileMismatch("module order %d, profile s=%d"
                               % (module.order, profile.target_order))
-    e, r = br.e, br.r
-    if e == 1:
-        if br.unit == 1:
-            return module
-        return GradedModule(r, substitute_lattices(module.pieces, br.unit))
-    sp, _glines = graded_split_into_lines(module, rng=rng)
-    mat_x = substitute_matrix(sp.matrix, e, br.unit)
-    n = module.n
-    members = {}  # exponent vector of the lines -> canonical piece
-    pieces = []
+    r, pieces = br.r, module.pieces
+    firsts = [m for m in range(module.order) if m == 0 or pieces[m] != pieces[m - 1]]
+    bc = {m: [[substitute_element(x, br.e, br.unit) for x in col] for col in pieces[m].cols]
+          for m in firsts}
+    members = {}  # exponents of the runs' first grades -> canonical piece
+    out = []
     for k in range(r):
-        exps = []
-        for c in sp.jumps:
-            twist, jump = c // r, c % r
-            exps.append(-twist - (1 if jump >= 1 and k >= r - jump else 0))
-        exps = tuple(exps)
-        if exps not in members:
-            gens = [[mat_x[i][b].shift(x) for i in range(n)] for b, x in enumerate(exps)]
-            members[exps] = Lattice.from_columns(module.field, n, gens)
-        pieces.append(members[exps])
-    return GradedModule(r, pieces)
+        key = tuple(-((k - m) // r) for m in firsts)
+        if key not in members:
+            # of the grades sharing an exponent, the largest holds the others
+            gens = [[x.shift(d) for x in col]
+                    for d, m in dict(zip(key, firsts)).items() for col in bc[m]]
+            members[key] = Lattice.from_columns(module.field, module.n, gens)
+        out.append(members[key])
+    return GradedModule(r, out)
 
 
 def pullback_matrix(profile, rows, label):

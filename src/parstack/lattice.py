@@ -57,9 +57,6 @@ class Lattice:
 
     # -- basic views -------------------------------------------------------
 
-    def column(self, j):
-        return list(self.cols[j])
-
     def basis_columns(self):
         return [list(c) for c in self.cols]
 
@@ -193,7 +190,7 @@ def _canonicalize(field, n, columns):
                     cir = canon[i][r]
                     if not cir.is_zero():
                         w[r] = (w[r] - lam * cir).truncate(prec)
-                w[i] = w[i].low_part(diag[i])
+                w[i] = w[i].truncate(diag[i])
         col = canon[j]
         for i in range(j):
             col[i] = w[i]

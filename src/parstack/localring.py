@@ -53,9 +53,6 @@ class LocalElement:
     def is_zero(self):
         return not self.coeffs
 
-    def is_t_power(self):
-        return len(self.coeffs) == 1 and self.coeffs[0] == 1
-
     @property
     def degree(self):
         """Largest exponent with nonzero coefficient; None for zero."""
@@ -118,10 +115,6 @@ class LocalElement:
         if self.ord >= exp:
             return _ZERO
         return LocalElement.make(self.ord, self.coeffs[: exp - self.ord])
-
-    def low_part(self, exp):
-        """Terms with exponent < exp."""
-        return self.truncate(exp)
 
     def high_div(self, exp):
         """Terms with exponent >= exp, divided by t**exp."""

@@ -16,18 +16,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidChain, ShapeMismatch
-from .lattice import Lattice, direct_sum, image_columns, map_runs
+from .lattice import Lattice, image_columns, map_runs
 from .linalg import EchelonTracker, k_inverse, mat_mul
 from .localring import LocalElement
 
 _Z = LocalElement.zero()
-
-
-def make_weight(numerator, denominator):
-    """The weight numerator/denominator as an exact rational in [0, 1)."""
-    if denominator <= 0 or not 0 <= numerator < denominator:
-        raise ValueError("weight %d/%d outside [0,1)" % (numerator, denominator))
-    return Fraction(numerator, denominator)
 
 
 class ParabolicPoint:
@@ -94,11 +87,6 @@ class ParabolicPoint:
             self.order, self.n, [(str(w), m) for w, m in self.weights()])
 
 
-def weights_of(point):
-    """Weight multiset of a parabolic point (module-level convenience)."""
-    return point.weights()
-
-
 @dataclass(frozen=True)
 class ParabolicBundle:
     """Rank, global degree bookkeeping and the per-point chains."""
@@ -157,22 +145,16 @@ def is_morphism(rows, src_bundle, dst_bundle):
 
 @dataclass
 class SplitLines:
-    """Adapted-basis splitting of a parabolic point into rank-1 chains."""
+    """Adapted-basis splitting of a parabolic point into rank-1 chains;
+    line b is ParabolicPoint.line(order, jumps[b])."""
 
-    lines: list          # rank-1 ParabolicPoint, base lattice R
     jumps: list          # jump index of each line (weight jump/order)
     matrix: list         # n x n over K: direct sum of lines -> point
     inverse: list        # exact inverse of matrix
 
-    def direct_sum_point(self):
-        field = self.lines[0].field if self.lines else None
-        order = self.lines[0].order
-        chain = [direct_sum([l.chain[j] for l in self.lines]) for j in range(order + 1)]
-        return ParabolicPoint(order, chain)
-
 
 def split_into_lines(point, rng=None):
-    """Adapted basis for the chain, as rank-1 lines plus change of basis.
+    """Adapted basis for the chain: the jump of each line plus change of basis.
 
     Works in the fiber V = E^0 / tE^0: the chain members map to a flag of
     subspaces; a basis adapted to the flag (echelon completion, pivots at
@@ -182,9 +164,8 @@ def split_into_lines(point, rng=None):
     """
     n, r, field = point.n, point.order, point.field
     top = point.chain[0]
-    bottom = top.scale(1)
     if n == 0:
-        return SplitLines([], [], [], [])
+        return SplitLines([], [], [])
 
     # fiber images of the chain members, as k-row-vectors in B0-coordinates
     def fiber_image(lat):
@@ -229,9 +210,7 @@ def split_into_lines(point, rng=None):
     b0inv = [[b0inv_cols[j][i] for j in range(n)] for i in range(n)]
     vinv_loc = [[LocalElement.const(e) for e in row] for row in vinv]
     inv = mat_mul(vinv_loc, b0inv)
-
-    lines = [ParabolicPoint.line(field, r, j) for j in jumps]
-    return SplitLines(lines, jumps, mat, inv)
+    return SplitLines(jumps, mat, inv)
 
 
 def _stage_vectors(field, vecs, n, rng):

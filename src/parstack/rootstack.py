@@ -8,13 +8,15 @@ inside a common K^n; the inclusions model multiplication by the root T of
 the uniformizer, and the wraparound composite is multiplication by t.  The
 correspondence with parabolic chains is the index map E^0 = M_0,
 E^j = t * M_{s-j}, which is exact in both directions on canonical forms.
+Nothing here splits a module into lines: the graded functors work on the
+pieces themselves, and the graded pullback is base change (functors).
 """
 
 from __future__ import annotations
 
 from .errors import InvalidGrading
 from .lattice import Lattice, image_columns
-from .parabolic import ParabolicPoint, split_into_lines
+from .parabolic import ParabolicPoint
 
 
 class GradedModule:
@@ -101,13 +103,3 @@ def is_graded_morphism(rows, src, dst):
                 return False
     return True
 
-
-def graded_split_into_lines(module, rng=None):
-    """Split into rank-1 graded lines through the correspondence.
-
-    The lines are from_parabolic of the adapted-basis lines of
-    to_parabolic(module); the change-of-basis matrix is shared.
-    """
-    sp = split_into_lines(to_parabolic(module), rng=rng)
-    glines = [from_parabolic(l) for l in sp.lines]
-    return sp, glines

@@ -12,7 +12,7 @@ import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quoted
 
-from .errors import ParseError, ValidationError
+from .errors import InvalidChain, InvalidGrading, ParseError, ValidationError
 from .fields import field_from_name
 from .functors import make_profile
 from .lattice import Lattice, map_runs
@@ -31,10 +31,23 @@ def encode_element(x, field):
 
 
 def decode_element(obj, field):
+    if type(obj) is not dict or type(obj.get("t_order")) is not int \
+            or type(obj.get("coeffs")) is not list:
+        raise ParseError("bad element %r: needs an integer t_order and a coeffs list"
+                         % (obj,))
+    return LocalElement.make(obj["t_order"],
+                             [_scalar(field, c, "bad element %r", obj) for c in obj["coeffs"]])
+
+
+def _scalar(field, x, what, arg):
+    """The field element written as a JSON integer or an "a/b" string;
+    ``what % arg`` names the object in the error."""
     try:
-        return LocalElement.make(obj["t_order"], [field.of(c) for c in obj["coeffs"]])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError("bad element %r: %s" % (obj, exc))
+        if type(x) is int or type(x) is str:
+            return field.of(x)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ParseError("%s: %r is not an element of %s" % (what % (arg,), x, field.name))
 
 
 def encode_matrix_cols(rows, field):
@@ -45,29 +58,18 @@ def encode_matrix_cols(rows, field):
             for j in range(len(rows[0]))]
 
 
-def decode_matrix_cols(cols, field, expect_rows=None):
-    if not cols:
-        return []
-    decoded = [[decode_element(e, field) for e in col] for col in cols]
-    nrows = len(decoded[0])
-    if any(len(c) != nrows for c in decoded):
-        raise ParseError("ragged matrix")
-    if expect_rows is not None and nrows != expect_rows:
-        raise ParseError("matrix has %d rows, expected %d" % (nrows, expect_rows))
-    return [[decoded[j][i] for j in range(len(decoded))] for i in range(nrows)]
-
-
 def encode_lattice(lat, field):
     return {"columns": [[encode_element(e, field) for e in col]
                         for col in lat.basis_columns()]}
 
 
-def decode_lattice(obj, field, n):
-    cols = obj.get("columns")
-    if cols is None:
-        raise ParseError("lattice needs 'columns'")
-    if len(cols) != n or any(len(c) != n for c in cols):
-        raise ParseError("lattice columns must form an %dx%d matrix" % (n, n))
+def decode_lattice(obj, field, n, what="lattice"):
+    if type(obj) is not dict or "columns" not in obj:
+        raise ParseError("%s needs 'columns'" % what)
+    cols = obj["columns"]
+    if type(cols) is not list or len(cols) != n \
+            or any(type(c) is not list or len(c) != n for c in cols):
+        raise ParseError("%s: columns must form an %dx%d matrix" % (what, n, n))
     return Lattice.from_columns(field, n,
                                 [[decode_element(e, field) for e in col] for col in cols])
 
@@ -75,16 +77,37 @@ def decode_lattice(obj, field, n):
 # -- chains ----------------------------------------------------------------
 
 
-def _decode_chain(objs, field, n):
+def _decode_chain(objs, field, n, what):
     """Decode chain members, canonicalizing each distinct encoding once."""
-    return map_runs(lambda obj: decode_lattice(obj, field, n), objs)
+    if type(objs) is not list:
+        raise ParseError("%s must be a list" % what)
+    return map_runs(lambda obj: decode_lattice(obj, field, n, what + " member"), objs)
 
 
-def _expand_weights(field, order, weights, n):
+def _order(obj, what):
+    """The ``order`` of a point or module object: a positive JSON integer."""
+    order = obj.get("order") if type(obj) is dict else None
+    if type(order) is not int or order < 1:
+        raise ParseError("%s needs a positive integer 'order', not %r" % (what, order))
+    return order
+
+
+def _expand_weights(field, order, weights, n, what):
     """Diagonal chain from weight shorthand [[weight, mult], ...]."""
+    if type(weights) is not list:
+        raise ParseError("%s: weights must be a list" % what)
     jumps = []
-    for w, m in weights:
-        frac = Fraction(w)
+    for pair in weights:
+        if type(pair) is not list or len(pair) != 2 \
+                or type(pair[0]) not in (int, str) \
+                or type(pair[1]) is not int or pair[1] < 0:
+            raise ParseError("%s: weight entry %r is not a [weight, multiplicity] pair"
+                             % (what, pair))
+        w, m = pair
+        try:
+            frac = Fraction(w)
+        except (ValueError, ZeroDivisionError):
+            raise ParseError("%s: weight %r is not a fraction" % (what, w))
         if not 0 <= frac < 1:
             raise ValidationError("weight %s outside [0,1)" % w)
         if order % frac.denominator != 0:
@@ -104,21 +127,19 @@ def encode_point(pt, field):
 
 
 def decode_point(obj, field, n, where=""):
-    try:
-        order = obj["order"]
-    except (KeyError, TypeError):
-        raise ParseError("point%s needs 'order'" % where)
+    what = "point" + where
+    order = _order(obj, what)
     if "weights" in obj:
-        chain = _expand_weights(field, order, obj["weights"], n)
+        chain = _expand_weights(field, order, obj["weights"], n, what)
     else:
-        chain = _decode_chain(obj.get("chain", []), field, n)
+        chain = _decode_chain(obj.get("chain", []), field, n, what + ": chain")
         if len(chain) != order + 1:
-            raise ValidationError("point%s: chain has %d members, expected %d"
-                                  % (where, len(chain), order + 1))
+            raise ValidationError("%s: chain has %d members, expected %d"
+                                  % (what, len(chain), order + 1))
     try:
         return ParabolicPoint(order, chain)
-    except Exception as exc:
-        raise ValidationError("point%s: %s" % (where, exc))
+    except InvalidChain as exc:
+        raise ValidationError("%s: %s" % (what, exc))
 
 
 def encode_module(mod, field):
@@ -127,15 +148,13 @@ def encode_module(mod, field):
 
 
 def decode_module(obj, field, n, where=""):
-    try:
-        order = obj["order"]
-        pieces = _decode_chain(obj["pieces"], field, n)
-    except (KeyError, TypeError):
-        raise ParseError("module%s needs 'order' and 'pieces'" % where)
+    what = "module" + where
+    order = _order(obj, what)
+    pieces = _decode_chain(obj.get("pieces"), field, n, what + ": pieces")
     try:
         return GradedModule(order, pieces)
-    except Exception as exc:
-        raise ValidationError("module%s: %s" % (where, exc))
+    except InvalidGrading as exc:
+        raise ValidationError("%s: %s" % (what, exc))
 
 
 # -- bundles and covers ----------------------------------------------------
@@ -151,11 +170,14 @@ def encode_bundle(bundle, field, kind="parabolic_bundle"):
 
 def decode_bundle(obj, field, where=""):
     rank = obj.get("rank")
-    if not isinstance(rank, int) or rank < 0:
+    if type(rank) is not int or rank < 0:
         raise ParseError("bundle needs an integer rank")
     degree = underlying_degree(obj, "bundle" + where)
+    points = obj.get("points", {})
+    if type(points) is not dict:
+        raise ParseError("bundle%s: 'points' must be an object keyed by label" % where)
     pts = {label: decode_point(p, field, rank, " at %r" % label)
-           for label, p in obj.get("points", {}).items()}
+           for label, p in points.items()}
     return ParabolicBundle(rank, degree, pts)
 
 
@@ -177,13 +199,19 @@ def encode_cover(profile, field, target="y"):
 
 
 def decode_cover(obj, field):
-    try:
-        s = obj["s"]
-        specs = [(b["label"], b["e"], b["r"], field.of(b["unit"]))
-                 for b in obj["branches"]]
-    except (KeyError, TypeError) as exc:
-        raise ParseError("bad cover block: %s" % exc)
-    return obj.get("target", "y"), make_profile(s, specs)
+    if type(obj) is not dict or type(obj.get("s")) is not int \
+            or type(obj.get("branches")) is not list:
+        raise ParseError("cover needs an integer 's' and a 'branches' list")
+    specs = []
+    for b in obj["branches"]:
+        if type(b) is not dict or type(b.get("label")) is not str \
+                or type(b.get("e")) is not int or type(b.get("r")) is not int \
+                or "unit" not in b:
+            raise ParseError("cover branch %r needs a string 'label', integers "
+                             "'e' and 'r' and a 'unit'" % (b,))
+        specs.append((b["label"], b["e"], b["r"],
+                      _scalar(field, b["unit"], "unit of branch %r", b["label"])))
+    return obj.get("target", "y"), make_profile(obj["s"], specs)
 
 
 # -- whole scenarios -------------------------------------------------------

@@ -354,6 +354,38 @@ def test_bad_degree_input_exits_2(tmp_path, capsys, command, doc, named):
     assert "Traceback" not in err
 
 
+def _cover_e2_with(**fields):
+    return dict(COVER_E2, **fields)
+
+
+@pytest.mark.parametrize("command,doc,named", [
+    ("degree", line_scenario(order="2"), "point (object 0)"),
+    ("degree", line_scenario(weight="x"), "point (object 0)"),
+    ("degree", dict(line_scenario(), objects=[dict(
+        line_scenario()["objects"][0], weights=[["1/2", "1"]])]), "point (object 0)"),
+    ("degree", {"version": 1, "field": "rational", "objects": [{
+        "kind": "parabolic_point", "at": "y", "rank": 1, "order": 1, "chain": 5}]},
+     "point (object 0)"),
+    ("degree", {"version": 1, "field": "rational", "objects": [{
+        "kind": "parabolic_bundle", "rank": 1, "points": []}]}, "bundle (object 0)"),
+    ("degree", {"version": 1, "field": "rational", "objects": [{
+        "kind": "parabolic_bundle", "rank": True, "points": {}}]}, "bundle"),
+    ("degree", dict(line_scenario(), objects=[dict(
+        line_scenario()["objects"][0], rank=True)]), "object 0"),
+    ("pull", line_scenario(cover=_cover_e2_with(s="2")), "cover"),
+    ("pull", line_scenario(cover=_cover_e2_with(branches=[
+        dict(COVER_E2["branches"][0], e="2")])), "cover branch"),
+], ids=["order-str", "weight-str", "multiplicity-str", "chain-not-list",
+        "points-list", "bundle-rank-bool", "point-rank-bool", "cover-s-str",
+        "branch-e-str"])
+def test_mistyped_scenario_fields_exit_2(tmp_path, capsys, command, doc, named):
+    src = write(tmp_path, "mistyped.json", doc)
+    assert main([command, src]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and named in err
+    assert "Traceback" not in err
+
+
 def _inprocess(argv, capsys):
     try:
         code = main(argv)

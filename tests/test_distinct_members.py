@@ -15,7 +15,7 @@ from parstack import (ANTISYMMETRIC, QQ, SYMMETRIC, GradedModule, InvalidChain,
                       InvalidGrading, Lattice, ParabolicPoint, from_parabolic,
                       is_graded_morphism, is_point_morphism, pullback_graded,
                       pullback_parabolic, pushforward_graded,
-                      pushforward_parabolic, quotient_dim)
+                      pushforward_parabolic, quotient_dim, to_parabolic)
 from parstack import functors
 from parstack import scenario as sio
 from parstack.functors import (direct_sum, make_profile, restrict_scalars,
@@ -26,7 +26,6 @@ from parstack.harness import (_find_line_pair, gen_pairing_point,
                               gen_parabolic_point, gen_point_morphism,
                               gen_profile, gen_unimodular)
 from parstack.parabolic import split_into_lines
-from parstack.rootstack import graded_split_into_lines
 
 from conftest import GF101
 
@@ -116,11 +115,13 @@ def ref_pullback_parabolic(profile, point, label, rng=None):
 
 
 def ref_pullback_graded(profile, module, label, rng=None):
+    """The graded pullback through the line splitting of to_parabolic(module),
+    as it was computed before the base-change formula replaced it."""
     br = profile.branch(label)
     e, r = br.e, br.r
     if e == 1:
         return module.pieces if br.unit == 1 else _ref_substitute(module.pieces, br.unit)
-    sp, _ = graded_split_into_lines(module, rng=rng)
+    sp = split_into_lines(to_parabolic(module), rng=rng)
     mat_x = substitute_matrix(sp.matrix, e, br.unit)
     n = module.n
     pieces = []
@@ -192,10 +193,12 @@ def test_direct_image_matches_per_member_reference(field):
 @FIELDS
 def test_pullback_matches_per_member_reference(field):
     rng = random.Random(107)
+    kinds = set()  # (unramified, unit 1) of each case
     for i in range(16):
         s = rng.randint(1, 8)
         e = rng.choice([d for d in range(1, s + 1) if s % d == 0])
         unit = field.one if i % 3 == 0 else field.random_nonzero(rng)
+        kinds.add((e == 1, unit == field.one))
         profile = make_profile(s, [("x", e, s // e, unit)])
         pt = gen_parabolic_point(rng, rng.randint(1, 3), s, field)
         mod = from_parabolic(pt)
@@ -206,6 +209,7 @@ def test_pullback_matches_per_member_reference(field):
             ref_pullback_parabolic(profile, pt, "x", rng=random.Random(seed))
         assert pullback_graded(profile, mod, "x").pieces == \
             ref_pullback_graded(profile, mod, "x")
+    assert len(kinds) == 4
 
 
 @FIELDS

@@ -6,9 +6,8 @@ from fractions import Fraction
 import pytest
 
 from parstack import (QQ, InvalidChain, Lattice, ParabolicBundle,
-                      ParabolicPoint, ShapeMismatch, is_morphism,
-                      is_point_morphism, make_weight, parabolic_degree,
-                      split_into_lines, weights_of)
+                      ParabolicPoint, ShapeMismatch, direct_sum, is_morphism,
+                      is_point_morphism, parabolic_degree, split_into_lines)
 from parstack.harness import gen_parabolic_point, gen_point_morphism
 from parstack.linalg import identity_matrix, mat_mul
 
@@ -20,14 +19,6 @@ def _chain_point(order, lattices):
 
 
 L_MIXED = lat([[1, 1], [0, (1, 1)]])  # span{(1,1),(0,t)} inside R^2
-
-
-def test_make_weight_bounds():
-    assert make_weight(1, 2) == Fraction(1, 2)
-    with pytest.raises(ValueError):
-        make_weight(2, 2)
-    with pytest.raises(ValueError):
-        make_weight(-1, 2)
 
 
 def test_chain_validation():
@@ -47,7 +38,7 @@ def test_weights_examples():
     assert ParabolicPoint.line(QQ, 4, 3).weights() == ((Fraction(3, 4), 1),)
     r2 = Lattice.identity(QQ, 2)
     pt = _chain_point(2, [r2, L_MIXED, r2.scale(1)])
-    assert weights_of(pt) == ((Fraction(0), 1), (Fraction(1, 2), 1))
+    assert pt.weights() == ((Fraction(0), 1), (Fraction(1, 2), 1))
     assert pt.weight_sum() == Fraction(1, 2)
 
 
@@ -83,14 +74,22 @@ def test_bundle_morphism():
         is_morphism(ident, a, ParabolicBundle(1, 0, {"z": ParabolicPoint.line(QQ, 2, 0)}))
 
 
+def _sum_of_lines(field, order, sp):
+    """Direct sum of the rank-1 lines ParabolicPoint.line(order, jump)."""
+    lines = [ParabolicPoint.line(field, order, j) for j in sp.jumps]
+    return ParabolicPoint(order, [direct_sum([l.chain[j] for l in lines])
+                                  for j in range(order + 1)])
+
+
 def test_split_into_lines_adapted_basis_example():
     r2 = Lattice.identity(QQ, 2)
     pt = _chain_point(2, [r2, L_MIXED, r2.scale(1)])
     sp = split_into_lines(pt)
     assert sorted(sp.jumps) == [0, 1]
     assert mat_mul(sp.matrix, sp.inverse) == identity_matrix(QQ, 2)
-    assert is_point_morphism(sp.matrix, sp.direct_sum_point(), pt)
-    assert is_point_morphism(sp.inverse, pt, sp.direct_sum_point())
+    lines = _sum_of_lines(QQ, 2, sp)
+    assert is_point_morphism(sp.matrix, lines, pt)
+    assert is_point_morphism(sp.inverse, pt, lines)
 
 
 @pytest.mark.parametrize("field", [QQ, GF101])
@@ -104,8 +103,9 @@ def test_split_into_lines_random(field):
             assert sorted(Fraction(j, r) for j in sp.jumps) == \
                 sorted(w for w, m in pt.weights() for _ in range(m))
             assert mat_mul(sp.matrix, sp.inverse) == identity_matrix(field, n)
-            assert is_point_morphism(sp.matrix, sp.direct_sum_point(), pt)
-            assert is_point_morphism(sp.inverse, pt, sp.direct_sum_point())
+            lines = _sum_of_lines(field, r, sp)
+            assert is_point_morphism(sp.matrix, lines, pt)
+            assert is_point_morphism(sp.inverse, pt, lines)
 
 
 def test_generated_morphisms_are_morphisms():

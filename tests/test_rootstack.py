@@ -6,9 +6,8 @@ from fractions import Fraction
 import pytest
 
 from parstack import (QQ, GradedModule, InvalidGrading, Lattice,
-                      ParabolicPoint, from_parabolic, graded_split_into_lines,
-                      is_graded_morphism, is_point_morphism, quotient_dim,
-                      to_parabolic, weights_of)
+                      ParabolicPoint, from_parabolic, is_graded_morphism,
+                      is_point_morphism, quotient_dim, to_parabolic)
 from parstack.harness import (gen_graded_module, gen_parabolic_point,
                               gen_point_morphism)
 from parstack.linalg import identity_matrix
@@ -80,7 +79,7 @@ def test_weight_dictionary_from_graded_pieces():
     for _ in range(12):
         n, s = rng.randint(1, 3), rng.randint(2, 6)
         mod = gen_graded_module(rng, n, s)
-        got = dict(weights_of(to_parabolic(mod)))
+        got = dict(to_parabolic(mod).weights())
         expected = {}
         for a in range(1, s):
             m = quotient_dim(mod.pieces[s - a], mod.pieces[s - a - 1])
@@ -91,21 +90,3 @@ def test_weight_dictionary_from_graded_pieces():
             expected[Fraction(0)] = rest
         assert got == expected
 
-
-def test_graded_split_transports_the_parabolic_splitting():
-    from parstack import split_into_lines
-
-    rng = random.Random(67)
-    for _ in range(8):
-        n, s = rng.randint(1, 3), rng.randint(1, 5)
-        mod = gen_graded_module(rng, n, s)
-        sp, glines = graded_split_into_lines(mod)
-        sp_par = split_into_lines(to_parabolic(mod))
-        assert sp.jumps == sp_par.jumps and sp.matrix == sp_par.matrix
-        assert [to_parabolic(g) for g in glines] == sp.lines
-
-    # rank-1 module splits into itself; diagonal module into diagonal lines
-    line = GradedModule.line(QQ, 3, 2, 1)
-    sp, glines = graded_split_into_lines(line)
-    assert len(glines) == 1 and to_parabolic(glines[0]).weights() == \
-        to_parabolic(line).weights()

@@ -1,0 +1,72 @@
+"""The graded pullback is computed without the line splitting.
+
+The pull suite compares the parabolic pullback (adapted-basis line
+splitting) with the graded pullback (base change of the root-stack
+module).  That comparison can only catch a fault in the splitting if the
+graded route does not run it; these tests pin that.
+"""
+
+import inspect
+import random
+import sys
+
+import pytest
+
+from parstack import (QQ, TrialConfig, from_parabolic, pullback_graded,
+                      pullback_parabolic, to_parabolic, verify_pullback)
+from parstack import parabolic
+from parstack.functors import make_profile
+from parstack.harness import gen_parabolic_point
+
+from conftest import GF101
+
+FIELDS = pytest.mark.parametrize("field", [QQ, GF101], ids=["rational", "prime101"])
+
+
+def _replace_everywhere(monkeypatch, original, replacement):
+    """Rebind every parstack module global that names ``original``."""
+    bound = 0
+    for name, mod in list(sys.modules.items()):
+        if name != "parstack" and not name.startswith("parstack."):
+            continue
+        for attr, value in list(vars(mod).items()):
+            if value is original:
+                monkeypatch.setattr(mod, attr, replacement)
+                bound += 1
+    assert bound
+
+
+@FIELDS
+def test_graded_pullback_runs_without_the_splitting(field, monkeypatch):
+    rng = random.Random(137)
+    cases = []
+    for i in range(20):
+        s = rng.randint(1, 12)
+        e = rng.choice([d for d in range(1, s + 1) if s % d == 0])
+        unit = field.one if i % 3 == 0 else field.random_nonzero(rng)
+        profile = make_profile(s, [("x", e, s // e, unit)])
+        pt = gen_parabolic_point(rng, rng.randint(1, 3), s, field)
+        cases.append((profile, pt, pullback_parabolic(profile, pt, "x")))
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("split_into_lines called")
+
+    _replace_everywhere(monkeypatch, parabolic.split_into_lines, refuse)
+    for profile, pt, expected in cases:
+        assert to_parabolic(pullback_graded(profile, from_parabolic(pt), "x")) == expected
+
+
+def _transposed_lift():
+    """split_into_lines lifting the fiber basis through B0 transposed."""
+    source = inspect.getsource(parabolic.split_into_lines)
+    assert "b0[c][i]" in source
+    namespace = dict(vars(parabolic))
+    exec(source.replace("b0[c][i]", "b0[i][c]"), namespace)
+    return namespace["split_into_lines"]
+
+
+@pytest.mark.parametrize("field_name", ["rational", "prime:101"])
+def test_planted_splitting_fault_is_a_pipeline_mismatch(field_name, monkeypatch):
+    _replace_everywhere(monkeypatch, parabolic.split_into_lines, _transposed_lift())
+    report = verify_pullback(TrialConfig(seed=0, trials=60, field_name=field_name))
+    assert any(note == "pipeline mismatch" for _, _, note in report.verdicts)
