@@ -6,16 +6,14 @@ differential verification that the two sides agree.
 __version__ = "0.1.0"
 
 from .errors import (AmbientMismatch, InadmissibleProfile, InadmissibleWeight,
-                     InvalidChain, InvalidGrading, NotAPairing, NotContained,
-                     ParseError, ParstackError, ProfileMismatch, ShapeMismatch,
+                     InvalidChain, InvalidGrading, NotAPairing, ParseError,
+                     ParstackError, ProfileMismatch, ShapeMismatch,
                      SingularBasis, ValidationError, ValueLineMismatch)
 from .fields import QQ, FpElement, PrimeField, RationalField, field_from_name
 from .localring import LocalElement
-from .lattice import (Lattice, apply_matrix, canonicalize, direct_sum,
-                      lattice_intersect, lattice_sum, quotient_dim)
+from .lattice import Lattice, apply_matrix, direct_sum
 from .parabolic import (ParabolicBundle, ParabolicPoint, SplitLines,
-                        is_morphism, is_point_morphism, parabolic_degree,
-                        split_into_lines)
+                        is_point_morphism, parabolic_degree, split_into_lines)
 from .rootstack import (GradedModule, from_parabolic, is_graded_morphism,
                         to_parabolic)
 from .functors import (Branch, CoverProfile, make_profile, pullback_graded,
@@ -24,8 +22,7 @@ from .functors import (Branch, CoverProfile, make_profile, pullback_graded,
                        pushforward_matrix, pushforward_parabolic,
                        restrict_scalars)
 from .pairing import (ANTISYMMETRIC, SYMMETRIC, ParabolicPairing,
-                      check_pairing, dual_point, pullback_pairing,
-                      pushforward_pairing)
+                      check_pairing, pullback_pairing, pushforward_pairing)
 from .harness import (MUTATIONS, TrialConfig, TrialReport, gen_parabolic_point,
                       run_mutation, verify_corollaries, verify_direct_image,
                       verify_pullback)

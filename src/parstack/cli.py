@@ -11,7 +11,6 @@ import functools
 import hashlib
 import json
 import sys
-from fractions import Fraction
 
 from . import __version__
 from . import scenario as sio
@@ -70,6 +69,8 @@ def _decode_objects(field, raw):
         kind = obj.get("kind")
         at = obj.get("at")
         rank = obj.get("rank")
+        if at is not None and type(at) is not str:
+            raise ParseError("object%s: 'at' must be a string, not %r" % (where, at))
         if kind in ("parabolic_point", "parabolic_bundle"):
             if kind == "parabolic_bundle":
                 bundle = sio.decode_bundle(obj, field, where)
@@ -197,7 +198,6 @@ def cmd_pull(args):
         raise ParseError("deg_f must be a positive integer, not %r" % (deg_f,))
     results = []
     tables = []
-    pulled_degree_total = Fraction(deg_f) * deg
     for br in profile.branches:
         if kind == "graded_module":
             result = pullback_graded(profile, point, br.label)
@@ -206,11 +206,10 @@ def cmd_pull(args):
             result = pulled = pullback_parabolic(profile, point, br.label)
         results.append(_encoded(field, result, br.label, pulled.n))
         tables.append(_weight_table(pulled, pulled.n, "pullback at %r" % br.label))
-        src_pt = point if kind != "graded_module" else to_parabolic(point)
-        for w, m in src_pt.weights():
-            scaled = w * br.e
-            pulled_degree_total += m * (scaled.numerator // scaled.denominator
-                                        + scaled - int(scaled))
+    # each branch adds floor(e*w) + frac(e*w) = e*w per weight w
+    src_pt = point if kind != "graded_module" else to_parabolic(point)
+    pulled_degree_total = (deg_f * deg
+                           + sum(br.e for br in profile.branches) * src_pt.weight_sum())
     out = dict(raw)
     out["objects"] = results
     _write_out(out, args.out)
@@ -267,8 +266,11 @@ def cmd_verify(args):
     if args.replay:
         return cmd_replay(args)
     suites = list(SUITES) if args.suite == "all" else [args.suite]
-    cfg = TrialConfig(seed=args.seed, trials=args.trials,
-                      field_name=args.field)
+    try:
+        cfg = TrialConfig(seed=args.seed, trials=args.trials,
+                          field_name=args.field)
+    except ValueError as exc:
+        raise ParseError(str(exc))
     reports, all_pass = _run_verify(suites, cfg)
     doc = {
         "tool_version": __version__,
@@ -305,6 +307,8 @@ def cmd_replay(args):
                           field_name=record["config"]["field"])
     except (KeyError, TypeError) as exc:
         raise ParseError("malformed counterexample: missing %s" % exc)
+    except ValueError as exc:
+        raise ParseError("malformed counterexample: %s" % exc)
     if suite not in SUITES:
         raise ParseError("unknown suite %r" % suite)
     rep = SUITES[suite](cfg, mutation=record.get("mutation"))

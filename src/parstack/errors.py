@@ -13,10 +13,6 @@ class AmbientMismatch(ParstackError):
     """Two lattices do not live in the same ambient space."""
 
 
-class NotContained(ParstackError):
-    """Expected containment of lattices fails."""
-
-
 class InvalidChain(ParstackError):
     """A parabolic lattice chain violates its inclusion or endpoint law."""
 

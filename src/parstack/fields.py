@@ -8,6 +8,7 @@ polynomial layer can stay field-agnostic.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 try:
@@ -88,7 +89,6 @@ class RationalField:
     """The field of rational numbers."""
 
     name = "rational"
-    characteristic = 0
 
     def __init__(self):
         self.zero = _mpq(0)
@@ -124,13 +124,10 @@ class RationalField:
 class PrimeField:
     """GF(p) for a prime p."""
 
-    characteristic = None  # set per instance
-
     def __init__(self, p):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
+        if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
             raise ValueError("p must be prime, got %d" % p)
         self.p = p
-        self.characteristic = p
         self.name = "prime:%d" % p
         self.zero = FpElement(0, p)
         self.one = FpElement(1, p)
@@ -166,9 +163,15 @@ QQ = RationalField()
 
 
 def field_from_name(name):
-    """Parse 'rational' or 'prime:p' into a field object."""
+    """Parse 'rational' or 'prime:p' with p < 2^31 into a field object.
+
+    The bound keeps the trial-division primality test of PrimeField fast.
+    """
     if name == "rational":
         return QQ
-    if name.startswith("prime:"):
-        return PrimeField(int(name.split(":", 1)[1]))
-    raise ValueError("unknown field %r" % name)
+    if type(name) is str and name.startswith("prime:"):
+        p = int(name.split(":", 1)[1])
+        if p >= 2 ** 31:
+            raise ValueError("prime %d is too large; fields need p < 2^31" % p)
+        return PrimeField(p)
+    raise ValueError("unknown field %r" % (name,))

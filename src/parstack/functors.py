@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from .errors import InadmissibleProfile, InadmissibleWeight, ProfileMismatch
 from .lattice import Lattice, direct_sum, map_runs
+from .linalg import block_diag, transpose
 from .localring import LocalElement
 from .parabolic import ParabolicPoint, split_into_lines
 from .rootstack import GradedModule
@@ -42,6 +43,8 @@ class CoverProfile:
         s = self.target_order
         if s < 1:
             raise InadmissibleProfile("target order must be >= 1")
+        if not self.branches:
+            raise InadmissibleProfile("a cover needs at least one branch")
         seen = set()
         for br in self.branches:
             if br.e < 1 or br.r < 1:
@@ -60,10 +63,6 @@ class CoverProfile:
             if br.label == label:
                 return br
         raise ProfileMismatch("no branch labelled %r" % label)
-
-    @property
-    def ramified(self):
-        return tuple(br for br in self.branches if br.e > 1)
 
 
 def make_profile(s, branch_specs):
@@ -118,40 +117,35 @@ def substitute_element(x, e, u):
     return acc
 
 
+def _restrict_column(col, rho, e, u):
+    """The K_X-column t^rho * col written over K_Y, in the coordinates
+    (i, rho2) -> i*e + rho2 of the K_Y-basis 1, t, ..., t^{e-1}."""
+    out = []
+    for x in col:
+        out.extend(decompose_element(x.shift(rho), e, u))
+    return out
+
+
 def restrict_scalars(lattice, e, u):
     """View a branch lattice as a target-chart lattice of rank n*e.
 
-    Coordinates are indexed (i, rho) -> i*e + rho for the K_Y-basis
-    1, t, ..., t^{e-1} of K_X; t^{eq} contributes u^{-q} w_y^q.
+    Each basis column c gives the generators t^rho * c, rho < e; t^{eq}
+    contributes u^{-q} w_y^q.
     """
-    n = lattice.n
     if e == 1 and u == 1:
         return lattice
-    gens = []
-    for col in lattice.basis_columns():
-        for rho in range(e):
-            shifted = [x.shift(rho) for x in col]
-            out = [_Z] * (n * e)
-            for i, x in enumerate(shifted):
-                for rho2, comp in enumerate(decompose_element(x, e, u)):
-                    out[i * e + rho2] = comp
-            gens.append(out)
-    return Lattice.from_columns(lattice.field, n * e, gens)
+    gens = [_restrict_column(col, rho, e, u)
+            for col in lattice.basis_columns() for rho in range(e)]
+    return Lattice.from_columns(lattice.field, lattice.n * e, gens)
 
 
 def restrict_matrix(rows, e, u, n_out, n_in):
     """Restriction of scalars of a K_X-linear map, as an (n_out*e) x (n_in*e)
-    matrix over K_Y with the same coordinate convention."""
-    out = [[_Z] * (n_in * e) for _ in range(n_out * e)]
-    for ii in range(n_in):
-        for sigma in range(e):
-            for io in range(n_out):
-                entry = rows[io][ii]
-                if entry.is_zero():
-                    continue
-                for rho, comp in enumerate(decompose_element(entry.shift(sigma), e, u)):
-                    out[io * e + rho][ii * e + sigma] = comp
-    return out
+    matrix over K_Y with the same coordinate convention: column i*e + sigma
+    is the restricted image of t^sigma times basis vector i."""
+    cols = [_restrict_column([rows[io][ii] for io in range(n_out)], sigma, e, u)
+            for ii in range(n_in) for sigma in range(e)]
+    return transpose(cols)
 
 
 def substitute_matrix(rows, e, u):
@@ -229,18 +223,9 @@ def pushforward_graded(profile, branches):
 
 def pushforward_matrix(profile, branch_mats, n_outs, n_ins):
     """Block direct sum of restricted branch matrices."""
-    total_out = sum(n * br.e for n, br in zip(n_outs, profile.branches))
-    total_in = sum(n * br.e for n, br in zip(n_ins, profile.branches))
-    out = [[_Z] * total_in for _ in range(total_out)]
-    ro = ci = 0
-    for br, mat, no, ni in zip(profile.branches, branch_mats, n_outs, n_ins):
-        block = restrict_matrix(mat, br.e, br.unit, no, ni)
-        for i, row in enumerate(block):
-            for j, x in enumerate(row):
-                out[ro + i][ci + j] = x
-        ro += no * br.e
-        ci += ni * br.e
-    return out
+    return block_diag([restrict_matrix(mat, br.e, br.unit, no, ni)
+                       for br, mat, no, ni in zip(profile.branches, branch_mats,
+                                                  n_outs, n_ins)])
 
 
 # -- pullback --------------------------------------------------------------

@@ -22,7 +22,7 @@ from .functors import (make_profile, pullback_graded, pullback_matrix,
                        pushforward_graded, pushforward_matrix,
                        pushforward_parabolic)
 from .lattice import Lattice
-from .linalg import mat_mul
+from .linalg import block_diag, mat_mul
 from .localring import LocalElement
 from .pairing import (ANTISYMMETRIC, SYMMETRIC, ParabolicPairing, check_pairing,
                       expected_branch_value_data, pullback_pairing,
@@ -48,6 +48,7 @@ class TrialConfig:
         if self.trials < 1 or self.max_rank < 1 or self.max_order < 1 \
                 or self.max_branches < 1:
             raise ValueError("all bounds must be >= 1")
+        field_from_name(self.field_name)
 
     @property
     def field(self):
@@ -88,7 +89,7 @@ class TrialReport:
 # -- generators ------------------------------------------------------------
 
 
-def gen_unimodular(rng, field, n, ops=None):
+def gen_unimodular(rng, field, n):
     """Random unimodular-over-R matrix with its exact inverse (row-major)."""
     from .linalg import identity_matrix
 
@@ -96,9 +97,7 @@ def gen_unimodular(rng, field, n, ops=None):
     minv = identity_matrix(field, n)
     if n < 2:
         return m, minv
-    if ops is None:
-        ops = n + rng.randint(0, n)
-    for _ in range(ops):
+    for _ in range(n + rng.randint(0, n)):
         i, j = rng.sample(range(n), 2)
         c = field.of(rng.choice([-2, -1, 1, 2]))
         d = rng.randint(0, 2)
@@ -336,9 +335,8 @@ def _pullback_trial(rng, cfg, coverage, mutation):
     expected = {}
     twist_total = 0
     for w, m in point.weights():
-        scaled = w * br.e
-        twist = scaled.numerator // scaled.denominator
-        expected[scaled - twist] = expected.get(scaled - twist, 0) + m
+        twist, frac = pullback_parabolic_line(w, br.e, br.r)
+        expected[frac] = expected.get(frac, 0) + m
         twist_total += twist * m
     if {k: v for k, v in expected.items() if v} != dict(pulled.weights()):
         return False, "weight law violated", instance
@@ -445,14 +443,7 @@ def gen_pairing_point(rng, field, r, c_l, g_l, kind, blocks, label):
         exps.extend(gs)
         form_blocks.append(fb)
     n = len(jumps)
-    phi = [[_Z] * n for _ in range(n)]
-    off = 0
-    for fb in form_blocks:
-        k = len(fb)
-        for i in range(k):
-            for j in range(k):
-                phi[off + i][off + j] = fb[i][j]
-        off += k
+    phi = block_diag(form_blocks)
     m, minv = gen_unimodular(rng, field, n)
     pt = _basis_chain(field, r, m, exps, jumps)
     minv_t = [[minv[j][i] for j in range(n)] for i in range(n)]

@@ -14,7 +14,7 @@ see, and the result is re-verified exactly by back-substitution.
 
 from __future__ import annotations
 
-from .errors import AmbientMismatch, NotContained, SingularBasis
+from .errors import AmbientMismatch, SingularBasis
 from .localring import LocalElement
 
 _Z = LocalElement.zero()
@@ -98,15 +98,17 @@ class Lattice:
             raise AmbientMismatch("ambient rank %d vs %d" % (self.n, other.n))
         return all(self.member(list(c)) for c in other.cols)
 
+    def basis_inverse(self):
+        """The inverse of the basis matrix, row-major; its rows pair the
+        basis columns to the standard basis under the standard pairing."""
+        n = self.n
+        inv_cols = [self.solve(_unit_vector(self.field, n, j)) for j in range(n)]
+        return [[inv_cols[j][i] for j in range(n)] for i in range(n)]
+
     def dual(self):
         """The dual lattice {v : <v, self> in R} w.r.t. the standard pairing."""
-        n = self.n
-        if n == 0:
-            return self
         # rows of basis^{-1} are the dual basis vectors
-        inv_cols = [self.solve(_unit_vector(self.field, n, j)) for j in range(n)]
-        duals = [[inv_cols[j][i] for j in range(n)] for i in range(n)]
-        return Lattice.from_columns(self.field, n, duals)
+        return Lattice.from_columns(self.field, self.n, self.basis_inverse())
 
     def det_valuation(self):
         return sum(self.diag)
@@ -208,48 +210,14 @@ def _canonicalize(field, n, columns):
 # -- module-level operations ----------------------------------------------
 
 
-def canonicalize(lattice):
-    """Recanonicalize (idempotent by construction; provided for the contract)."""
-    return Lattice.from_columns(lattice.field, lattice.n, lattice.basis_columns())
-
-
-def lattice_sum(a, b):
-    """Smallest lattice containing both."""
-    _check_ambient(a, b)
-    if a.n == 0:
-        return a
-    return Lattice.from_columns(a.field, a.n, a.basis_columns() + b.basis_columns())
-
-
-def lattice_intersect(a, b):
-    """Largest lattice contained in both, via duality: (a* + b*)*."""
-    _check_ambient(a, b)
-    if a.n == 0:
-        return a
-    return lattice_sum(a.dual(), b.dual()).dual()
-
-
-def quotient_dim(big, small):
-    """Length of big/small over k; requires small <= big."""
-    _check_ambient(big, small)
-    if not big.contains(small):
-        raise NotContained("second lattice is not inside the first")
-    return small.det_valuation() - big.det_valuation()
-
-
-def direct_sum(lattices, field=None, ns=None):
+def direct_sum(lattices):
     """Block direct sum; canonical blocks assemble to a canonical basis."""
-    lats = list(lattices)
-    if not lats:
-        if field is None:
-            raise ValueError("empty direct sum needs an explicit field")
-        return Lattice(field, 0, (), (), _trusted=True)
-    field = lats[0].field
-    n = sum(l.n for l in lats)
+    field = lattices[0].field
+    n = sum(l.n for l in lattices)
     cols = []
     diag = []
     off = 0
-    for l in lats:
+    for l in lattices:
         for j in range(l.n):
             col = [_Z] * n
             for i in range(l.n):
@@ -260,26 +228,38 @@ def direct_sum(lattices, field=None, ns=None):
     return Lattice(field, n, tuple(cols), tuple(diag), _trusted=True)
 
 
-def image_columns(rows, lattice, out_rank=None):
+def image_columns(rows, lattice):
     """A * (basis columns) as raw vectors; A given as a list of rows."""
-    m = out_rank if out_rank is not None else len(rows)
     gens = []
     for col in lattice.basis_columns():
         img = []
-        for i in range(m):
+        for row in rows:
             acc = _Z
-            for j, e in enumerate(col):
-                if not e.is_zero() and not rows[i][j].is_zero():
-                    acc = acc + rows[i][j] * e
+            for a, e in zip(row, col):
+                if not e.is_zero() and not a.is_zero():
+                    acc = acc + a * e
             img.append(acc)
         gens.append(img)
     return gens
 
 
-def apply_matrix(rows, lattice, out_rank=None):
+def apply_matrix(rows, lattice):
     """Lattice spanned by A * (basis columns); requires A injective."""
-    m = out_rank if out_rank is not None else len(rows)
-    return Lattice.from_columns(lattice.field, m, image_columns(rows, lattice, m))
+    return Lattice.from_columns(lattice.field, len(rows), image_columns(rows, lattice))
+
+
+def maps_into(rows, srcs, dsts):
+    """True iff rows * srcs[k] <= dsts[k] for every stage k.
+
+    A stage whose (source, target) pair repeats the previous stage's pair
+    is not tested again.
+    """
+    for k, (src, dst) in enumerate(zip(srcs, dsts)):
+        if k and src == srcs[k - 1] and dst == dsts[k - 1]:
+            continue
+        if not all(dst.member(col) for col in image_columns(rows, src)):
+            return False
+    return True
 
 
 def map_runs(fn, items):
@@ -292,8 +272,3 @@ def map_runs(fn, items):
     for k, x in enumerate(items):
         out.append(out[-1] if k and x == items[k - 1] else fn(x))
     return out
-
-
-def _check_ambient(a, b):
-    if a.n != b.n or a.field != b.field:
-        raise AmbientMismatch("ambient rank %d vs %d" % (a.n, b.n))

@@ -48,13 +48,20 @@ def mat_vec(a, v):
 
 
 def transpose(a):
-    if not a:
-        return []
     return [list(col) for col in zip(*a)]
 
 
-def mat_eq(a, b):
-    return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
+def block_diag(blocks):
+    """The K-matrix with the given (rectangular) blocks on its diagonal."""
+    width = sum(len(b[0]) for b in blocks)
+    out = []
+    off = 0
+    for b in blocks:
+        k = len(b[0])
+        for row in b:
+            out.append([_Z] * off + row + [_Z] * (width - off - k))
+        off += k
+    return out
 
 
 # -- k-matrices (field-element entries) -----------------------------------
@@ -104,9 +111,7 @@ def k_inverse(field, rows):
 class EchelonTracker:
     """Incremental independence test over k with deterministic reduction."""
 
-    def __init__(self, field, dim):
-        self.field = field
-        self.dim = dim
+    def __init__(self):
         self.rows = []    # reduced vectors, each with a distinct pivot
         self.pivots = []  # pivot index of each row
 
@@ -134,7 +139,3 @@ class EchelonTracker:
         self.rows.append(v)
         self.pivots.append(p)
         return v
-
-    @property
-    def rank(self):
-        return len(self.rows)

@@ -29,9 +29,9 @@ F^T * E^a <= t^v * (E^b)^*, and both sides have equal delta iff
     delta(E^a) + delta(E^b)  =  delta(E^0) + delta(E^{r+c}),
 
 which is an integer comparison; a full-rank lattice inside another of
-the same delta equals it.  `hom_chain` and `dual_point` build the
-right-hand side explicitly; they remain the definition and the
-reference the check is tested against.
+the same delta equals it.  `hom_chain` builds the right-hand side
+explicitly; it remains the definition and the reference the check is
+tested against.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 from .errors import NotAPairing, ProfileMismatch, ShapeMismatch, ValueLineMismatch
 from .lattice import image_columns
-from .linalg import mat_eq, mat_vec, rref, transpose
+from .linalg import block_diag, mat_vec, rref, transpose
 from .localring import LocalElement
 from .parabolic import ParabolicBundle, ParabolicPoint, parabolic_degree
 
@@ -83,11 +83,6 @@ def hom_chain(point, g, c):
     return ParabolicPoint(r, chain)
 
 
-def dual_point(point):
-    """Parabolic dual: the a-th member is t * (E^{r-a})^*."""
-    return hom_chain(point, 0, 0)
-
-
 @dataclass
 class ParabolicPairing:
     kind: str
@@ -106,8 +101,8 @@ class ParabolicPairing:
 def _symmetry_holds(kind, form):
     ft = transpose(form)
     if kind == SYMMETRIC:
-        return mat_eq(ft, form)
-    return mat_eq(ft, [[-e for e in row] for row in form])
+        return ft == form
+    return ft == [[-e for e in row] for row in form]
 
 
 def check_pairing(pairing, bundle):
@@ -190,7 +185,8 @@ def pullback_value_line(profile, line_bundle, target_label, branch_label):
 
 def pullback_pairing(profile, pairing, bundle, target_label):
     """Pullback of a pairing: single-branch profile, substituted form."""
-    from .functors import pullback_parabolic, substitute_matrix
+    from .functors import (pullback_parabolic, pullback_parabolic_line,
+                           substitute_matrix)
 
     if len(profile.branches) != 1:
         raise ProfileMismatch("pairing pullback works on a single-branch chart")
@@ -199,8 +195,7 @@ def pullback_pairing(profile, pairing, bundle, target_label):
         raise NotAPairing("input fails check_pairing")
     pt = bundle.points[target_label]
     pulled_pt = pullback_parabolic(profile, pt, br.label)
-    twists = sum((c // br.r) * m for c, m in
-                 ((w.numerator * pt.order // w.denominator, m) for w, m in pt.weights()))
+    twists = sum(pullback_parabolic_line(w, br.e, br.r)[0] * m for w, m in pt.weights())
     degree = br.e * bundle.underlying_degree + twists
     pulled_bundle = ParabolicBundle(bundle.rank, degree, {br.label: pulled_pt})
     # the relative ramification contributes a uniform t^{e-1} twist, the
@@ -268,14 +263,5 @@ def pushforward_pairing(profile, value_line, target_label, branch_pairs):
         raise NotAPairing("branch forms disagree in kind")
     kind = kinds.pop()
     pushed_pt = pushforward_parabolic(profile, points)
-    total = pushed_pt.n
-    big = [[_Z] * total for _ in range(total)]
-    off = 0
-    for block in blocks:
-        k = len(block)
-        for i in range(k):
-            for j in range(k):
-                big[off + i][off + j] = block[i][j]
-        off += k
-    bundle = ParabolicBundle(total, 0, {target_label: pushed_pt})
-    return ParabolicPairing(kind, big, value_line), bundle
+    bundle = ParabolicBundle(pushed_pt.n, 0, {target_label: pushed_pt})
+    return ParabolicPairing(kind, block_diag(blocks), value_line), bundle

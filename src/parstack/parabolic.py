@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidChain, ShapeMismatch
-from .lattice import Lattice, image_columns, map_runs
+from .lattice import Lattice, map_runs, maps_into
 from .linalg import EchelonTracker, k_inverse, mat_mul
 from .localring import LocalElement
 
@@ -114,33 +114,13 @@ def parabolic_degree(bundle):
 
 
 def is_point_morphism(rows, src, dst):
-    """True iff rows * src.chain[j] <= dst.chain[j] for every stage j.
-
-    A stage whose (source, target) pair repeats the previous stage's pair
-    is not tested again.
-    """
+    """True iff rows * src.chain[j] <= dst.chain[j] for every stage j."""
     if src.order != dst.order:
         raise ShapeMismatch("orders %d vs %d" % (src.order, dst.order))
     if len(rows) != dst.n or (rows and len(rows[0]) != src.n):
         raise ShapeMismatch("matrix is %dx%d, expected %dx%d"
                             % (len(rows), len(rows[0]) if rows else 0, dst.n, src.n))
-    for j in range(src.order):
-        if j and src.chain[j] == src.chain[j - 1] and dst.chain[j] == dst.chain[j - 1]:
-            continue
-        for col in image_columns(rows, src.chain[j], out_rank=dst.n):
-            if not dst.chain[j].member(col):
-                return False
-    return True
-
-
-def is_morphism(rows, src_bundle, dst_bundle):
-    """Filtration-preserving check at every marked point."""
-    if src_bundle.labels() != dst_bundle.labels():
-        raise ShapeMismatch("bundles are marked at different points")
-    for label in src_bundle.labels():
-        if not is_point_morphism(rows, src_bundle.points[label], dst_bundle.points[label]):
-            return False
-    return True
+    return maps_into(rows, src.chain[:src.order], dst.chain[:dst.order])
 
 
 @dataclass
@@ -174,7 +154,7 @@ def split_into_lines(point, rng=None):
 
     fiber = list(enumerate(map_runs(fiber_image, point.chain[1:r]), start=1))
 
-    tracker = EchelonTracker(field, n)
+    tracker = EchelonTracker()
     chosen = []  # (k-vector in B0 coordinates, jump)
     for j, vecs in reversed(fiber):
         stage = _stage_vectors(field, vecs, n, rng)
@@ -206,10 +186,8 @@ def split_into_lines(point, rng=None):
             mat[i][b] = acc
     # inverse = V^{-1} * B0^{-1}, both exact
     vinv = k_inverse(field, [[vmat_cols[b][c] for b in range(n)] for c in range(n)])
-    b0inv_cols = [top.solve(_unit_vec(field, n, j)) for j in range(n)]
-    b0inv = [[b0inv_cols[j][i] for j in range(n)] for i in range(n)]
     vinv_loc = [[LocalElement.const(e) for e in row] for row in vinv]
-    inv = mat_mul(vinv_loc, b0inv)
+    inv = mat_mul(vinv_loc, top.basis_inverse())
     return SplitLines(jumps, mat, inv)
 
 
@@ -234,9 +212,3 @@ def _stage_vectors(field, vecs, n, rng):
 
 def _k_unit(field, n, i):
     return [field.one if j == i else field.zero for j in range(n)]
-
-
-def _unit_vec(field, n, j):
-    v = [_Z] * n
-    v[j] = LocalElement(0, (field.one,))
-    return v

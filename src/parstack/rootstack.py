@@ -15,7 +15,7 @@ pieces themselves, and the graded pullback is base change (functors).
 from __future__ import annotations
 
 from .errors import InvalidGrading
-from .lattice import Lattice, image_columns
+from .lattice import Lattice, maps_into
 from .parabolic import ParabolicPoint
 
 
@@ -91,15 +91,5 @@ def from_parabolic(point):
 
 
 def is_graded_morphism(rows, src, dst):
-    """True iff rows * src.pieces[k] <= dst.pieces[k] for every grade;
-    a grade repeating the previous grade's pair of pieces is skipped."""
-    if src.order != dst.order:
-        return False
-    for k in range(src.order):
-        if k and src.pieces[k] == src.pieces[k - 1] and dst.pieces[k] == dst.pieces[k - 1]:
-            continue
-        for col in image_columns(rows, src.pieces[k], out_rank=dst.n):
-            if not dst.pieces[k].member(col):
-                return False
-    return True
-
+    """True iff rows * src.pieces[k] <= dst.pieces[k] for every grade k."""
+    return src.order == dst.order and maps_into(rows, src.pieces, dst.pieces)

@@ -160,8 +160,8 @@ def decode_module(obj, field, n, where=""):
 # -- bundles and covers ----------------------------------------------------
 
 
-def encode_bundle(bundle, field, kind="parabolic_bundle"):
-    return {"kind": kind,
+def encode_bundle(bundle, field):
+    return {"kind": "parabolic_bundle",
             "rank": bundle.rank,
             "underlying_degree": bundle.underlying_degree,
             "points": {label: encode_point(pt, field)
@@ -211,7 +211,10 @@ def decode_cover(obj, field):
                              "'e' and 'r' and a 'unit'" % (b,))
         specs.append((b["label"], b["e"], b["r"],
                       _scalar(field, b["unit"], "unit of branch %r", b["label"])))
-    return obj.get("target", "y"), make_profile(obj["s"], specs)
+    target = obj.get("target", "y")
+    if type(target) is not str:
+        raise ParseError("cover 'target' must be a string, not %r" % (target,))
+    return target, make_profile(obj["s"], specs)
 
 
 # -- whole scenarios -------------------------------------------------------

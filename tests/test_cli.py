@@ -11,7 +11,7 @@ import pytest
 import parstack
 from parstack import harness
 from parstack.cli import main
-from parstack.errors import NotContained
+from parstack.errors import SingularBasis
 from parstack.harness import run_mutation
 
 
@@ -19,6 +19,14 @@ def write(tmp_path, name, doc):
     p = tmp_path / name
     p.write_text(json.dumps(doc, indent=2) + "\n")
     return str(p)
+
+
+def child_env():
+    """The environment for running parstack.cli in a child process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        os.path.dirname(os.path.dirname(parstack.__file__)), env.get("PYTHONPATH")]))
+    return env
 
 
 def line_scenario(weight="1/2", order=2, at="y", degree=None, cover=None):
@@ -91,6 +99,46 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     assert main(["degree", src]) == 2
     assert main(["degree", str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("field", [
+    123,
+    "prime:" + "9" * 400,
+    "prime:1000000000000000000000000000057",
+], ids=["not-a-string", "prime-400-digits", "prime-above-2-31"])
+def test_bad_field_name_exits_2(tmp_path, field):
+    """Run in a child process: at most a bounded wait on a huge prime."""
+    src = write(tmp_path, "field.json", {"version": 1, "field": field, "objects": []})
+    proc = subprocess.run([sys.executable, "-m", "parstack.cli", "degree", src],
+                          env=child_env(), capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("input error: ") and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--field", "bogus", "--trials", "2"],
+    ["verify", "--trials", "0"],
+], ids=["verify-field", "verify-trials-0"])
+def test_bad_verify_options_exit_2(tmp_path, capsys, argv):
+    out = tmp_path / "r.json"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+    assert not out.exists()
+
+
+def test_replay_with_bad_config_exits_2(tmp_path, capsys):
+    record = run_mutation("pull", "wrong-twist", 2000).failures[0]
+    bad = dict(record, config=dict(record["config"], field="bogus"))
+    assert main(["replay", write(tmp_path, "cex.json", bad)]) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
+@pytest.mark.parametrize("command", ["push", "pull"])
+def test_cover_without_branches_is_inadmissible(tmp_path, capsys, command):
+    doc = line_scenario(cover={"target": "y", "s": 2, "branches": []})
+    assert main([command, write(tmp_path, "nobranch.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert "InadmissibleProfile" in err and "at least one branch" in err
 
 
 def test_inadmissible_cover_cites_the_relation(tmp_path, capsys):
@@ -203,11 +251,8 @@ def test_verify_reports_survive_optimize_flag(tmp_path, capsys):
     plain, optimized = str(tmp_path / "plain.json"), str(tmp_path / "opt.json")
     assert main(args + ["--out", plain]) == 0
     capsys.readouterr()
-    src = os.path.dirname(os.path.dirname(parstack.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-O", "-m", "parstack.cli"] + args
-                          + ["--out", optimized], env=env, capture_output=True,
+                          + ["--out", optimized], env=child_env(), capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
 
@@ -242,15 +287,15 @@ def test_rational_report_digests_are_pinned(tmp_path, capsys, suite, digest):
 
 def test_library_error_in_a_trial_fails_verify(tmp_path, capsys, monkeypatch):
     def raising_trial(rng, cfg, coverage, mutation):
-        raise NotContained("planted")
+        raise SingularBasis("planted")
 
     monkeypatch.setattr(harness, "_pullback_trial", raising_trial)
     out = str(tmp_path / "r.json")
     assert main(["verify", "--suite", "pull", "--trials", "2", "--out", out]) == 1
     assert "input error" not in capsys.readouterr().err
     rep = json.loads(open(out).read())["reports"][0]
-    assert rep["verdicts"] == [[0, False, "raised NotContained: planted"],
-                               [1, False, "raised NotContained: planted"]]
+    assert rep["verdicts"] == [[0, False, "raised SingularBasis: planted"],
+                               [1, False, "raised SingularBasis: planted"]]
     assert len(rep["failures"]) == 1
     assert rep["failures"][0]["trial_index"] == 0
     assert rep["failures"][0]["instance"] is None
@@ -375,9 +420,13 @@ def _cover_e2_with(**fields):
     ("pull", line_scenario(cover=_cover_e2_with(s="2")), "cover"),
     ("pull", line_scenario(cover=_cover_e2_with(branches=[
         dict(COVER_E2["branches"][0], e="2")])), "cover branch"),
+    ("push", line_scenario(weight="0", order=1, at=["x"], cover=COVER_E2), "object 0"),
+    ("pull", {"version": 1, "field": "rational", "cover": _cover_e2_with(target=["y"]),
+              "objects": [{"kind": "parabolic_bundle", "rank": 1, "points": {
+                  "y": {"order": 2, "weights": [["1/2", 1]]}}}]}, "cover"),
 ], ids=["order-str", "weight-str", "multiplicity-str", "chain-not-list",
         "points-list", "bundle-rank-bool", "point-rank-bool", "cover-s-str",
-        "branch-e-str"])
+        "branch-e-str", "at-list", "target-list"])
 def test_mistyped_scenario_fields_exit_2(tmp_path, capsys, command, doc, named):
     src = write(tmp_path, "mistyped.json", doc)
     assert main([command, src]) == 2
@@ -406,9 +455,7 @@ def test_consecutive_main_calls_match_separate_processes(tmp_path, capsys,
     calls = [["push", push_src, "--out", "pushed.json"], ["pull", pull_src],
              ["degree", str(junk)], ["push"], ["--version"]]
 
-    src = os.path.dirname(os.path.dirname(parstack.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = child_env()
     separate = []
     for argv in calls:
         proc = subprocess.run([sys.executable, "-m", "parstack.cli"] + argv,

@@ -34,7 +34,7 @@ def _diag_chain(order, jumps, twists=None):
 
 def test_profile_admissibility():
     p = make_profile(4, [("a", 2, 2, QQ.one), ("b", 4, 1, QQ.of(3))])
-    assert p.branch("a").e == 2 and p.ramified == p.branches
+    assert p.branch("a").e == 2
     with pytest.raises(ProfileMismatch):
         p.branch("c")
     with pytest.raises(InadmissibleProfile):
@@ -45,6 +45,8 @@ def test_profile_admissibility():
         make_profile(4, [("a", 2, 2, QQ.one), ("a", 4, 1, QQ.one)])
     with pytest.raises(InadmissibleProfile):
         make_profile(0, [])
+    with pytest.raises(InadmissibleProfile):
+        make_profile(4, [])
     with pytest.raises(InadmissibleProfile):
         CoverProfile(3, (Branch("a", 0, 3, QQ.one),))
 

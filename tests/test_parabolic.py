@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from parstack import (QQ, InvalidChain, Lattice, ParabolicBundle,
-                      ParabolicPoint, ShapeMismatch, direct_sum, is_morphism,
+                      ParabolicPoint, ShapeMismatch, direct_sum,
                       is_point_morphism, parabolic_degree, split_into_lines)
 from parstack.harness import gen_parabolic_point, gen_point_morphism
 from parstack.linalg import identity_matrix, mat_mul
@@ -62,16 +62,6 @@ def test_point_morphism_respects_filtration():
         is_point_morphism(ident, src, ParabolicPoint.trivial(QQ, 1, order=3))
     with pytest.raises(ShapeMismatch):
         is_point_morphism(identity_matrix(QQ, 2), src, dst)
-
-
-def test_bundle_morphism():
-    a = ParabolicBundle(1, 0, {"y": ParabolicPoint.line(QQ, 2, 1)})
-    b = ParabolicBundle(1, 0, {"y": ParabolicPoint.line(QQ, 2, 0)})
-    ident = identity_matrix(QQ, 1)
-    assert not is_morphism(ident, a, b)
-    assert is_morphism(ident, b, a)
-    with pytest.raises(ShapeMismatch):
-        is_morphism(ident, a, ParabolicBundle(1, 0, {"z": ParabolicPoint.line(QQ, 2, 0)}))
 
 
 def _sum_of_lines(field, order, sp):
