@@ -1,9 +1,10 @@
 """Exact coefficient fields: the rationals and prime fields GF(p).
 
 Field elements are plain objects supporting +, -, *, /, ==, bool.  Rational
-coefficients are gmpy2.mpq when available (much faster), falling back to
-fractions.Fraction.  Prime-field elements are small wrapper objects so the
-polynomial layer can stay field-agnostic.
+values are gmpy2.mpq when available, falling back to fractions.Fraction;
+prime-field values are FpElement wrappers.  They are the entries of
+k-matrices (fibres, rank tests) and the boundary values of Laurent
+elements, which store integers instead (localring).
 """
 
 from __future__ import annotations
@@ -69,13 +70,14 @@ class FpElement:
 
     def __eq__(self, other):
         if isinstance(other, int):
-            return self.v == other % self.p
+            # only the reduced residue, so that equal values hash alike
+            return self.v == other
         if isinstance(other, FpElement):
             return self.v == other.v and self.p == other.p
         return NotImplemented
 
     def __hash__(self):
-        # consistent with equality against small ints
+        # consistent with equality against the int residue
         return hash(self.v)
 
     def __bool__(self):
@@ -89,6 +91,7 @@ class RationalField:
     """The field of rational numbers."""
 
     name = "rational"
+    p = 0  # the characteristic; LocalElement stores it
 
     def __init__(self):
         self.zero = _mpq(0)
@@ -146,8 +149,7 @@ class PrimeField:
         return FpElement(rng.randint(1, self.p - 1), self.p)
 
     def to_str(self, a):
-        # interior zero coefficients may be stored as plain int 0
-        return str(a % self.p if isinstance(a, int) else a.v)
+        return str(a.v)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

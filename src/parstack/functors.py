@@ -19,11 +19,8 @@ from fractions import Fraction
 from .errors import InadmissibleProfile, InadmissibleWeight, ProfileMismatch
 from .lattice import Lattice, direct_sum, map_runs
 from .linalg import block_diag, transpose
-from .localring import LocalElement
 from .parabolic import ParabolicPoint, split_into_lines
 from .rootstack import GradedModule
-
-_Z = LocalElement.zero()
 
 
 @dataclass(frozen=True)
@@ -76,45 +73,15 @@ def make_profile(s, branch_specs):
 def decompose_element(x, e, u):
     """Components of x in K_Y * {1, t, ..., t^{e-1}} with w_y = u * t^e.
 
-    Returns a list of e LocalElements in the target uniformizer.
+    Returns a list of e LocalElements in the target uniformizer: component
+    rho collects the terms t^{q*e + rho} = t^rho * (w_y / u)^q.
     """
-    comps = [[] for _ in range(e)]  # (q, coeff) term lists
-    if not x.is_zero():
-        uinv = 1 / u
-        for i, c in enumerate(x.coeffs):
-            if c == 0:
-                continue
-            m = x.ord + i
-            q, rho = divmod(m, e)
-            # t^m = t^rho * (w_y / u)^q
-            comps[rho].append((q, c * (uinv ** q if q >= 0 else u ** (-q))))
-    out = []
-    for terms in comps:
-        if not terms:
-            out.append(_Z)
-            continue
-        lo = min(q for q, _ in terms)
-        hi = max(q for q, _ in terms)
-        cs = [0] * (hi - lo + 1)
-        for q, c in terms:
-            cs[q - lo] = cs[q - lo] + c
-        out.append(LocalElement.make(lo, cs))
-    return out
+    return [x.decimate(e, rho).twist(u, -1) for rho in range(e)]
 
 
 def substitute_element(x, e, u):
     """Substitute w_y = u * t^e: inverse direction of decompose_element."""
-    if x.is_zero():
-        return x
-    uinv = 1 / u
-    acc = _Z
-    for i, c in enumerate(x.coeffs):
-        if c == 0:
-            continue
-        q = x.ord + i
-        scaled = c * (u ** q if q >= 0 else uinv ** (-q))
-        acc = acc + LocalElement.make(e * q, [scaled])
-    return acc
+    return x.twist(u).spread(e)
 
 
 def _restrict_column(col, rho, e, u):
@@ -244,8 +211,13 @@ def pullback_parabolic_line(alpha, e, r):
     return twist, scaled - twist
 
 
-def pullback_parabolic(profile, point, label, rng=None):
-    """Pullback of an order-s chain to the branch chart, order r = s/e."""
+def pullback_parabolic(profile, point, label, rng=None, lines=None):
+    """Pullback of an order-s chain to the branch chart, order r = s/e.
+
+    For e > 1 the point is split into lines: ``lines`` when the caller
+    already holds a splitting of ``point``, else split_into_lines(point,
+    rng).
+    """
     br = profile.branch(label)
     if point.order != profile.target_order:
         raise ProfileMismatch("point order %d, profile s=%d"
@@ -258,7 +230,7 @@ def pullback_parabolic(profile, point, label, rng=None):
         return ParabolicPoint(r, map_runs(lambda lat: Lattice.from_columns(
             lat.field, lat.n, [[substitute_element(x, 1, br.unit) for x in col]
                                for col in lat.cols]), point.chain))
-    sp = split_into_lines(point, rng=rng)
+    sp = lines or split_into_lines(point, rng=rng)
     mat_x = substitute_matrix(sp.matrix, e, br.unit)
     n = point.n
     members = {}  # exponent vector of the lines -> canonical member

@@ -101,7 +101,7 @@ def gen_unimodular(rng, field, n):
         i, j = rng.sample(range(n), 2)
         c = field.of(rng.choice([-2, -1, 1, 2]))
         d = rng.randint(0, 2)
-        f = LocalElement.make(d, [c])
+        f = LocalElement.make(field, d, [c])
         for r in range(n):
             m[r][i] = m[r][i] + f * m[r][j]
         for cidx in range(n):
@@ -164,9 +164,13 @@ def gen_profile(rng, s, max_branches, field=QQ, rank_bound=None, max_rank=3):
     return make_profile(s, specs), [1]
 
 
-def gen_point_morphism(rng, src, dst):
-    """Random filtration-preserving matrix dst.n x src.n, via line coordinates."""
-    sps, spd = split_into_lines(src), split_into_lines(dst)
+def gen_point_morphism(rng, src, dst, lines=None):
+    """Random filtration-preserving matrix dst.n x src.n, via line coordinates.
+
+    ``lines`` is the pair (split_into_lines(src), split_into_lines(dst))
+    when the caller already holds it.
+    """
+    sps, spd = lines or (split_into_lines(src), split_into_lines(dst))
     field = src.field
     f = [[_Z] * src.n for _ in range(dst.n)]
     for bo in range(dst.n):
@@ -177,7 +181,7 @@ def gen_point_morphism(rng, src, dst):
             c = field.of(rng.randint(-3, 3))
             if c == field.zero:
                 continue
-            f[bo][bi] = LocalElement.make(vmin + rng.randint(0, 1), [c])
+            f[bo][bi] = LocalElement.make(field, vmin + rng.randint(0, 1), [c])
     return mat_mul(spd.matrix, mat_mul(f, sps.inverse))
 
 
@@ -314,7 +318,9 @@ def _pullback_trial(rng, cfg, coverage, mutation):
                          kind="parabolic_point")],
     }
 
-    pulled = pullback_parabolic(profile, point, br.label)
+    # the splittings without rng are shared by the pullbacks and the morphism
+    lines = split_into_lines(point)
+    pulled = pullback_parabolic(profile, point, br.label, lines=lines)
     module = from_parabolic(point)
     pulled_graded = pullback_graded(profile, module, br.label)
     if mutation == "wrong-twist":
@@ -346,9 +352,11 @@ def _pullback_trial(rng, cfg, coverage, mutation):
 
     # naturality: substituted morphisms stay morphisms
     dst = gen_parabolic_point(rng, n, s, field)
-    mat = gen_point_morphism(rng, point, dst)
+    dst_lines = split_into_lines(dst)
+    mat = gen_point_morphism(rng, point, dst, lines=(lines, dst_lines))
     if not is_point_morphism(pullback_matrix(profile, mat, br.label), pulled,
-                             pullback_parabolic(profile, dst, br.label)):
+                             pullback_parabolic(profile, dst, br.label,
+                                                lines=dst_lines)):
         return False, "pullback not natural", instance
     return True, "weights=%r" % (_weights_key(pulled),), instance
 

@@ -2,14 +2,19 @@
 
 A lattice is stored canonicalized: upper triangular column basis, pivot of
 column j at row j equal to a pure power t^{a_j}, and every off-diagonal
-entry in row i reduced modulo t^{a_i}.  This form is unique, so lattice
-equality is entrywise comparison.
+entry in row i reduced modulo t^{a_i}.  This form is unique, and so is the
+integer form of each entry (localring: integer coefficients over one
+positive denominator in lowest terms on Q, reduced residues on GF(p), no
+zero at either end).  Lattice equality and hashing are therefore
+comparisons of integer tuples.
 
-All algorithms run on Laurent-polynomial matrices.  Triangularization uses
-only exact column operations (scale by a polynomial unit of R, subtract an
+All algorithms run on Laurent-polynomial matrices, whose integer
+arithmetic reduces once per operation.  Triangularization uses only exact
+column operations (scale by a polynomial unit of R, subtract an
 R-multiple); normalization of the triangular form uses truncated power
 series at a precision that provably exceeds what the reduced entries can
-see, and the result is re-verified exactly by back-substitution.
+see, and the result is re-verified exactly by back-substitution.  Inner
+loops test an entry for zero by the truthiness of its ``coeffs``.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ class Lattice:
     __slots__ = ("field", "n", "cols", "diag")
 
     def __init__(self, field, n, cols, diag, _trusted=False):
-        """Internal constructor; use from_columns / identity / diagonal."""
+        """Internal constructor; use from_columns / diagonal."""
         if not _trusted:
             raise TypeError("use Lattice.from_columns")
         self.field = field
@@ -41,10 +46,6 @@ class Lattice:
             return cls(field, 0, (), (), _trusted=True)
         cols, diag = _canonicalize(field, n, columns)
         return cls(field, n, cols, diag, _trusted=True)
-
-    @classmethod
-    def identity(cls, field, n):
-        return cls.diagonal(field, [0] * n)
 
     @classmethod
     def diagonal(cls, field, exps):
@@ -77,18 +78,20 @@ class Lattice:
         of w in the lattice is equivalent to all coordinates having
         valuation >= 0.
         """
-        n = self.n
+        n, cols = self.n, self.cols
         x = [_Z] * n
         for j in range(n - 1, -1, -1):
             acc = w[j]
             for k in range(j + 1, n):
-                if not x[k].is_zero() and not self.cols[k][j].is_zero():
-                    acc = acc - self.cols[k][j] * x[k]
+                xk, c = x[k], cols[k][j]
+                if xk.coeffs and c.coeffs:
+                    acc = acc - c * xk
             x[j] = acc.shift(-self.diag[j])
         return x
 
     def member(self, w):
-        return all(e.is_zero() or e.ord >= 0 for e in self.solve(w))
+        # zero has ord 0
+        return all(e.ord >= 0 for e in self.solve(w))
 
     def contains(self, other):
         """True iff other is a sublattice of self."""
@@ -129,7 +132,7 @@ class Lattice:
 
 def _unit_vector(field, n, j):
     v = [_Z] * n
-    v[j] = LocalElement(0, (field.one,))
+    v[j] = LocalElement.t_power(field, 0)
     return v
 
 
@@ -143,7 +146,7 @@ def _canonicalize(field, n, columns):
         col = list(c)
         if len(col) != n:
             raise AmbientMismatch("column length %d != ambient %d" % (len(col), n))
-        if any(not e.is_zero() for e in col):
+        if any(e.coeffs for e in col):
             work.append(col)
     if len(work) < n:
         raise SingularBasis("%d independent generators needed, got %d" % (n, len(work)))
@@ -152,7 +155,7 @@ def _canonicalize(field, n, columns):
     avail = list(range(len(work)))
     pivot_col = [None] * n
     for i in range(n - 1, -1, -1):
-        cands = [(work[c][i].ord, c) for c in avail if not work[c][i].is_zero()]
+        cands = [(work[c][i].ord, c) for c in avail if work[c][i].coeffs]
         if not cands:
             raise SingularBasis("rank deficiency at row %d" % i)
         vp, cp = min(cands)
@@ -162,19 +165,19 @@ def _canonicalize(field, n, columns):
         ptilde = piv[i].unit_poly()
         for c in avail:
             q = work[c][i]
-            if q.is_zero():
+            if not q.coeffs:
                 continue
             f = q.shift(-vp)  # t^{vq-vp} * unit part of q
             col = work[c]
             for r in range(i + 1):
                 col[r] = ptilde * col[r] - f * piv[r]
-            if not col[i].is_zero():
+            if col[i].coeffs:
                 raise AssertionError("internal: elimination left row %d nonzero" % i)
     tri = [work[pivot_col[i]] for i in range(n)]
     diag = [tri[i][i].ord for i in range(n)]
 
     # precision for the unit-normalization phase
-    ords = [e.ord for col in tri for e in col if not e.is_zero()]
+    ords = [e.ord for col in tri for e in col if e.coeffs]
     m = min(0, min(ords))
     amax = max(0, max(diag))
     prec = amax + n * (amax - m) + abs(m) + 2
@@ -185,12 +188,12 @@ def _canonicalize(field, n, columns):
         w = [(tri[j][r] * uinv).truncate(prec) for r in range(j)]
         for i in range(j - 1, -1, -1):
             lam = w[i].high_div(diag[i])
-            if not lam.is_zero():
+            if lam.coeffs:
                 if lam.ord < 0:
                     raise AssertionError("internal: negative reduction quotient")
                 for r in range(i):
                     cir = canon[i][r]
-                    if not cir.is_zero():
+                    if cir.coeffs:
                         w[r] = (w[r] - lam * cir).truncate(prec)
                 w[i] = w[i].truncate(diag[i])
         col = canon[j]
@@ -236,7 +239,7 @@ def image_columns(rows, lattice):
         for row in rows:
             acc = _Z
             for a, e in zip(row, col):
-                if not e.is_zero() and not a.is_zero():
+                if e.coeffs and a.coeffs:
                     acc = acc + a * e
             img.append(acc)
         gens.append(img)

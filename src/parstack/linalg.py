@@ -15,7 +15,7 @@ _Z = LocalElement.zero()
 
 
 def identity_matrix(field, n):
-    one = LocalElement(0, (field.one,))
+    one = LocalElement.t_power(field, 0)
     return [[one if i == j else _Z for j in range(n)] for i in range(n)]
 
 
@@ -29,7 +29,7 @@ def mat_mul(a, b):
             acc = _Z
             for k in range(inner):
                 e, f = a[i][k], b[k][j]
-                if not e.is_zero() and not f.is_zero():
+                if e.coeffs and f.coeffs:
                     acc = acc + e * f
             row.append(acc)
         out.append(row)
@@ -41,7 +41,7 @@ def mat_vec(a, v):
     for row in a:
         acc = _Z
         for e, x in zip(row, v):
-            if not e.is_zero() and not x.is_zero():
+            if e.coeffs and x.coeffs:
                 acc = acc + e * x
         out.append(acc)
     return out
@@ -67,7 +67,7 @@ def block_diag(blocks):
 # -- k-matrices (field-element entries) -----------------------------------
 
 
-def rref(field, rows):
+def rref(rows):
     """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
     m = [list(r) for r in rows]
     if not m:
@@ -102,7 +102,7 @@ def k_inverse(field, rows):
     n = len(rows)
     aug = [list(r) + [field.one if i == j else field.zero for j in range(n)]
            for i, r in enumerate(rows)]
-    red, pivots = rref(field, aug)
+    red, pivots = rref(aug)
     if len(red) != n or pivots != list(range(n)):
         raise ZeroDivisionError("matrix not invertible over k")
     return [row[n:] for row in red]

@@ -1,22 +1,50 @@
-"""Laurent polynomials in the local uniformizer t over an exact field.
+"""Laurent polynomials in the local uniformizer t over Q or GF(p).
 
-A LocalElement is t**t_order * (c0 + c1*t + ...) with c0 nonzero; the zero
-element has empty coefficients and t_order 0.  Elements with t_order >= 0
-form the local ring R = k[t] localized at (t); general elements are a dense
-model of the fraction field K, sufficient because every lattice arising in
-the library is spanned by Laurent-polynomial vectors.
+A LocalElement is t**ord * (c0 + c1*t + ... + ck*t^k) / den with integer
+coefficients:
+
+* over Q (``p == 0``), ``coeffs`` are Python ints over the one shared
+  denominator ``den``;
+* over GF(p), ``coeffs`` are residues in [0, p) and ``den == 1``.
+
+The form is unique: ``den > 0``, ``gcd(den, *coeffs) == 1``, and the first
+and last coefficients are nonzero.  Equal values therefore have equal
+fields, which is what ``==`` and ``hash`` compare.  The zero element is one
+shared object with empty ``coeffs``, ``ord == 0`` and ``den == 1``; it
+belongs to every field, and no operation builds another.  Each operation
+adds or convolves integers and reduces once: one gcd over Q, one ``% p``
+per coefficient over GF(p).
+
+Field values (``Fraction`` or ``mpq``, ``FpElement``) appear only at the
+boundary: building an element from them (``make``, ``const``, ``t_power``,
+``scalar_mul``, ``twist``) and reading them back (``coefficient``,
+``values``).  The field is passed explicitly when an element is built from
+values, and stored as its characteristic ``p``.
+
+Elements with ord >= 0 form the local ring R = k[t] localized at (t);
+general elements are a dense model of the fraction field K, sufficient
+because every lattice arising in the library is spanned by
+Laurent-polynomial vectors.
 """
 
 from __future__ import annotations
 
+from math import gcd, lcm
+
+from .fields import QQ, FpElement
+
+_RATIONAL = type(QQ.one)  # the rational type of field values
+
 
 class LocalElement:
-    __slots__ = ("ord", "coeffs")
+    __slots__ = ("ord", "coeffs", "den", "p")
 
-    def __init__(self, t_order, coeffs):
-        """Internal: coeffs must already be normalized (c0 != 0 or empty)."""
+    def __init__(self, t_order, coeffs, den, p):
+        """Internal: the arguments must already be in normal form."""
         self.ord = t_order
         self.coeffs = coeffs
+        self.den = den
+        self.p = p
 
     # -- constructors ------------------------------------------------------
 
@@ -25,28 +53,22 @@ class LocalElement:
         return _ZERO
 
     @staticmethod
-    def make(t_order, coeffs):
-        """Build from a raw coefficient sequence, normalizing."""
-        cs = list(coeffs)
-        lead = 0
-        while lead < len(cs) and cs[lead] == 0:
-            lead += 1
-        tail = len(cs)
-        while tail > lead and cs[tail - 1] == 0:
-            tail -= 1
-        if lead == tail:
-            return _ZERO
-        return LocalElement(t_order + lead, tuple(cs[lead:tail]))
+    def make(field, t_order, values):
+        """t**t_order * sum(values[i] * t**i) for values in ``field``."""
+        p = field.p
+        if p:
+            return _normal(t_order, [_residue(v, p) for v in values], 1, p)
+        den = lcm(*[int(v.denominator) for v in values])
+        return _normal(t_order, [int(v.numerator) * (den // int(v.denominator))
+                                 for v in values], den, 0)
 
     @staticmethod
-    def const(c):
-        if c == 0:
-            return _ZERO
-        return LocalElement(0, (c,))
+    def const(field, c):
+        return LocalElement.make(field, 0, (c,))
 
     @staticmethod
     def t_power(field, d):
-        return LocalElement(d, (field.one,))
+        return LocalElement(d, (1,), 1, field.p)
 
     # -- predicates --------------------------------------------------------
 
@@ -60,51 +82,78 @@ class LocalElement:
             return None
         return self.ord + len(self.coeffs) - 1
 
+    # -- field values --------------------------------------------------------
+
+    def values(self):
+        """The coefficients as field values, lowest exponent first."""
+        return [_value(c, self.den, self.p) for c in self.coeffs]
+
+    def coefficient(self, exp):
+        """Coefficient of t**exp: a field value, or int 0 outside the support."""
+        i = exp - self.ord
+        if 0 <= i < len(self.coeffs):
+            return _value(self.coeffs[i], self.den, self.p)
+        return 0
+
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        if not self.coeffs:
-            return other
-        if not other.coeffs:
-            return self
-        lo = min(self.ord, other.ord)
-        hi = max(self.ord + len(self.coeffs), other.ord + len(other.coeffs))
-        cs = [0] * (hi - lo)
-        for i, c in enumerate(self.coeffs):
-            cs[self.ord - lo + i] = c
-        for i, c in enumerate(other.coeffs):
-            cs[other.ord - lo + i] = cs[other.ord - lo + i] + c
-        return LocalElement.make(lo, cs)
+        return _combine(self, other, False)
 
     def __sub__(self, other):
-        return self + (-other)
+        return _combine(self, other, True)
 
     def __neg__(self):
         if not self.coeffs:
             return self
-        return LocalElement(self.ord, tuple(-c for c in self.coeffs))
+        p = self.p
+        if p:
+            return LocalElement(self.ord, tuple([-c % p for c in self.coeffs]), 1, p)
+        return LocalElement(self.ord, tuple([-c for c in self.coeffs]), self.den, 0)
 
     def __mul__(self, other):
-        if not self.coeffs or not other.coeffs:
-            return _ZERO
         a, b = self.coeffs, other.coeffs
-        cs = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
+        if not a or not b:
+            return _ZERO
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) == 1:
+            b0 = b[0]
+            cs = [c * b0 for c in a]
+        else:
+            cs = [0] * (len(a) + len(b) - 1)
             for j, bj in enumerate(b):
-                cs[i + j] = cs[i + j] + ai * bj
-        # leading coefficient product can vanish only in characteristic p
-        return LocalElement.make(self.ord + other.ord, cs)
+                for i, ai in enumerate(a, j):
+                    cs[i] += ai * bj
+        # the end coefficients are products of nonzero field elements
+        t_order, p = self.ord + other.ord, self.p
+        if p:
+            return LocalElement(t_order, tuple([c % p for c in cs]), 1, p)
+        den = self.den * other.den
+        if den != 1:
+            g = gcd(den, *cs)
+            if g != 1:
+                cs = [c // g for c in cs]
+                den //= g
+        return LocalElement(t_order, tuple(cs), den, 0)
 
     def scalar_mul(self, c):
-        if c == 0 or not self.coeffs:
+        """The element times the field value c."""
+        if not self.coeffs or c == 0:
             return _ZERO
-        return LocalElement.make(self.ord, [c * x for x in self.coeffs])
+        p = self.p
+        if p:
+            k = _residue(c, p)
+            return LocalElement(self.ord, tuple([x * k % p for x in self.coeffs]), 1, p)
+        k = int(c.numerator)
+        return _normal(self.ord, [x * k for x in self.coeffs],
+                       self.den * int(c.denominator), 0)
 
     def shift(self, d):
         """Multiply by t**d."""
-        if not self.coeffs:
+        if not self.coeffs or not d:
             return self
-        return LocalElement(self.ord + d, self.coeffs)
+        return LocalElement(self.ord + d, self.coeffs, self.den, self.p)
 
     # -- exponent surgery --------------------------------------------------
 
@@ -114,7 +163,7 @@ class LocalElement:
             return self
         if self.ord >= exp:
             return _ZERO
-        return LocalElement.make(self.ord, self.coeffs[: exp - self.ord])
+        return _normal(self.ord, self.coeffs[: exp - self.ord], self.den, self.p)
 
     def high_div(self, exp):
         """Terms with exponent >= exp, divided by t**exp."""
@@ -125,52 +174,128 @@ class LocalElement:
         drop = exp - self.ord
         if drop >= len(self.coeffs):
             return _ZERO
-        return LocalElement.make(0, self.coeffs[drop:])
+        return _normal(0, self.coeffs[drop:], self.den, self.p)
 
-    def coefficient(self, exp):
-        """Coefficient of t**exp (field element or int 0)."""
-        i = exp - self.ord
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return 0
+    def spread(self, e):
+        """Substitute t**e for t."""
+        if not self.coeffs or e == 1:
+            return self
+        cs = [0] * ((len(self.coeffs) - 1) * e + 1)
+        cs[::e] = self.coeffs
+        return LocalElement(self.ord * e, tuple(cs), self.den, self.p)
+
+    def decimate(self, e, rho):
+        """sum over q of (coefficient of t**(q*e + rho)) * t**q."""
+        if not self.coeffs:
+            return self
+        start = (rho - self.ord) % e
+        return _normal((self.ord + start - rho) // e, self.coeffs[start::e],
+                       self.den, self.p)
+
+    def twist(self, u, sign=1):
+        """Multiply the coefficient of t**q by u**(sign*q), u a nonzero field
+        value and sign +1 or -1."""
+        cs = self.coeffs
+        if not cs:
+            return self
+        q0, p = self.ord, self.p
+        if p:
+            w = _residue(u, p)
+            if sign < 0:
+                w = pow(w, -1, p)
+            if w == 1:
+                return self
+            f = pow(w, q0, p)
+            out = []
+            for c in cs:
+                out.append(c * f % p)
+                f = f * w % p
+            return LocalElement(q0, tuple(out), 1, p)
+        un, ud = int(u.numerator), int(u.denominator)
+        if sign < 0:
+            un, ud = ud, un
+        if un == ud:
+            return self
+        # c_i * (un/ud)^(q0+i) = c_i * un^i * ud^(k-i) * (un/ud)^q0 / ud^k
+        k = len(cs) - 1
+        udpow = [1] * (k + 1)
+        for i in range(1, k + 1):
+            udpow[i] = udpow[i - 1] * ud
+        out, unpow = [], 1
+        for i, c in enumerate(cs):
+            out.append(c * unpow * udpow[k - i])
+            unpow *= un
+        scale_num, scale_den = (un ** q0, ud ** q0) if q0 >= 0 else (ud ** -q0, un ** -q0)
+        den = self.den * udpow[k] * scale_den
+        if den < 0:
+            den, scale_num = -den, -scale_num
+        return _normal(q0, [c * scale_num for c in out], den, 0)
 
     def unit_poly(self):
         """The unit factor: self * t**(-ord)."""
         if not self.coeffs:
             raise ZeroDivisionError("zero has no unit part")
-        return LocalElement(0, self.coeffs)
+        return LocalElement(0, self.coeffs, self.den, self.p)
 
     def inv_series(self, nterms):
         """Power-series inverse of a unit (ord == 0), truncated to nterms."""
         if self.ord != 0 or not self.coeffs:
             raise ZeroDivisionError("not a unit of R")
-        a = self.coeffs
-        if len(a) == 1:
-            return LocalElement(0, (1 / a[0],))
-        inv0 = 1 / a[0]
-        out = [inv0]
+        a, p = self.coeffs, self.p
+        k = len(a) - 1
+        if p:
+            inv0 = pow(a[0], -1, p)
+            if not k:
+                return LocalElement(0, (inv0,), 1, p)
+            out = [inv0]
+            for m in range(1, nterms):
+                acc = 0
+                for i in range(1, min(m, k) + 1):
+                    acc += a[i] * out[m - i]
+                out.append(-inv0 * acc % p)
+            return _normal(0, out, 1, p)
+        a0, d = a[0], self.den
+        if not k:
+            # the inverse of a0/d is d/a0, already in lowest terms
+            return LocalElement(0, (d if a0 > 0 else -d,), abs(a0), 0)
+        # 1/A = sum b_m t^m with b_m = b'_m / a0^(m+1), b'_0 = 1 and
+        # b'_m = -sum_{i>=1} a_i * b'_{m-i} * a0^(i-1); times d, over a0^nterms
+        w = [0] * (k + 1)
+        f = 1
+        for i in range(1, k + 1):
+            w[i] = a[i] * f
+            f *= a0
+        b = [1]
         for m in range(1, nterms):
             acc = 0
-            for i in range(1, min(m, len(a) - 1) + 1):
-                acc = acc + a[i] * out[m - i]
-            out.append(-inv0 * acc)
-        return LocalElement.make(0, out)
+            for i in range(1, min(m, k) + 1):
+                acc += w[i] * b[m - i]
+            b.append(-acc)
+        f = d
+        for m in range(nterms - 1, -1, -1):
+            b[m] *= f
+            f *= a0
+        den = f // d  # a0 ** nterms
+        if den < 0:
+            den, b = -den, [-c for c in b]
+        return _normal(0, b, den, 0)
 
     # -- comparisons -------------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, LocalElement):
             return NotImplemented
-        return self.ord == other.ord and self.coeffs == other.coeffs
+        return (self.ord == other.ord and self.coeffs == other.coeffs
+                and self.den == other.den and self.p == other.p)
 
     def __hash__(self):
-        return hash((self.ord, self.coeffs))
+        return hash((self.ord, self.coeffs, self.den))
 
     def __repr__(self):
         if not self.coeffs:
             return "0"
         parts = []
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(self.values()):
             if c == 0:
                 continue
             e = self.ord + i
@@ -183,4 +308,70 @@ class LocalElement:
         return " + ".join(parts)
 
 
-_ZERO = LocalElement(0, ())
+_ZERO = LocalElement(0, (), 1, 0)
+
+
+def _value(c, den, p):
+    """The field value of a stored coefficient."""
+    if p:
+        return FpElement(c, p)
+    # the one-argument form skips the gcd
+    return _RATIONAL(c) if den == 1 else _RATIONAL(c, den)
+
+
+def _residue(c, p):
+    """The residue in [0, p) of a GF(p) value (FpElement or int)."""
+    return c.v if type(c) is FpElement else c % p
+
+
+def _normal(t_order, cs, den, p):
+    """The element t**t_order * sum(cs[i] * t**i) / den in normal form;
+    cs are residues over GF(p), and den > 0 over Q."""
+    lo, hi = 0, len(cs)
+    while lo < hi and not cs[lo]:
+        lo += 1
+    if lo == hi:
+        return _ZERO
+    while not cs[hi - 1]:
+        hi -= 1
+    cs = cs[lo:hi]
+    if den != 1:
+        g = gcd(den, *cs)
+        if g != 1:
+            cs = [c // g for c in cs]
+            den //= g
+    return LocalElement(t_order + lo, tuple(cs), den, p)
+
+
+def _combine(x, y, subtract):
+    """x + y, or x - y when subtract is set."""
+    b = y.coeffs
+    if not b:
+        return x
+    a = x.coeffs
+    if not a:
+        return -y if subtract else y
+    p, da, db = x.p, x.den, y.den
+    if da == db:
+        den = da
+    else:
+        g = gcd(da, db)
+        fa, fb = db // g, da // g
+        a = [c * fa for c in a]
+        b = [c * fb for c in b]
+        den = da * fa
+    lo = min(x.ord, y.ord)
+    cs = [0] * (max(x.ord + len(a), y.ord + len(b)) - lo)
+    off = x.ord - lo
+    cs[off:off + len(a)] = a
+    off = y.ord - lo
+    if subtract:
+        for i, c in enumerate(b, off):
+            cs[i] -= c
+    else:
+        for i, c in enumerate(b, off):
+            cs[i] += c
+    if p:
+        for i in range(off, off + len(b)):
+            cs[i] %= p
+    return _normal(lo, cs, den, p)

@@ -132,7 +132,7 @@ def check_pairing(pairing, bundle):
         gram = _gram(pt.chain[0], form, top)
         if not _valuations_at_least(gram, v):
             return False
-        if len(rref(pt.field, [[x.coefficient(v) for x in col] for col in gram])[0]) != n:
+        if len(rref([[x.coefficient(v) for x in col] for col in gram])[0]) != n:
             return False
         index = pt.chain[0].det_valuation() + top.det_valuation()
         prev = (pt.chain[0], top)
@@ -223,7 +223,7 @@ def residue_push_form(form, e, u, n):
     for i in range(n):
         for i2 in range(n):
             entry = form[i][i2]
-            if entry.is_zero():
+            if not entry.coeffs:
                 continue
             for rho in range(e):
                 for sigma in range(e):

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .errors import InvalidChain, ShapeMismatch
 from .lattice import Lattice, map_runs, maps_into
-from .linalg import EchelonTracker, k_inverse, mat_mul
+from .linalg import EchelonTracker, k_inverse, mat_mul, rref
 from .localring import LocalElement
 
 _Z = LocalElement.zero()
@@ -43,11 +43,6 @@ class ParabolicPoint:
                 raise InvalidChain("chain member %d does not contain member %d" % (j, j + 1))
         if chain[order] != first.scale(1):
             raise InvalidChain("chain endpoint differs from t * E^0")
-
-    @classmethod
-    def trivial(cls, field, n, order=1):
-        top = Lattice.identity(field, n)
-        return cls(order, [top] + [top.scale(1)] * order)
 
     @classmethod
     def line(cls, field, order, jump, twist=0):
@@ -149,7 +144,7 @@ def split_into_lines(point, rng=None):
 
     # fiber images of the chain members, as k-row-vectors in B0-coordinates
     def fiber_image(lat):
-        return [[c.coefficient(0) if not c.is_zero() else field.zero
+        return [[c.coefficient(0) if c.coeffs else field.zero
                  for c in top.solve(col)] for col in lat.cols]
 
     fiber = list(enumerate(map_runs(fiber_image, point.chain[1:r]), start=1))
@@ -181,20 +176,18 @@ def split_into_lines(point, rng=None):
         for i in range(n):
             acc = _Z
             for c in range(n):
-                if v[c] != 0 and not b0[c][i].is_zero():
+                if v[c] != 0 and b0[c][i].coeffs:
                     acc = acc + b0[c][i].scalar_mul(v[c])
             mat[i][b] = acc
     # inverse = V^{-1} * B0^{-1}, both exact
     vinv = k_inverse(field, [[vmat_cols[b][c] for b in range(n)] for c in range(n)])
-    vinv_loc = [[LocalElement.const(e) for e in row] for row in vinv]
+    vinv_loc = [[LocalElement.const(field, e) for e in row] for row in vinv]
     inv = mat_mul(vinv_loc, top.basis_inverse())
     return SplitLines(jumps, mat, inv)
 
 
 def _stage_vectors(field, vecs, n, rng):
-    from .linalg import rref
-
-    basis, _ = rref(field, vecs)
+    basis, _ = rref(vecs)
     if rng is None or not basis:
         return basis
     # random invertible recombination of the stage basis

@@ -41,11 +41,6 @@ class GradedModule:
             raise InvalidGrading("wraparound piece escapes t^{-1} M_0")
 
     @classmethod
-    def trivial(cls, field, n, order=1):
-        m0 = Lattice.identity(field, n)
-        return cls(order, [m0] * order)
-
-    @classmethod
     def line(cls, field, order, jump, twist=0):
         """Rank-1 module matching ParabolicPoint.line(order, jump, twist):
         pieces t^twist*R below grade order-jump, t^{twist-1}*R from it on.

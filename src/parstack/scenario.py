@@ -27,7 +27,7 @@ FORMAT_VERSION = 1
 
 
 def encode_element(x, field):
-    return {"t_order": x.ord, "coeffs": [field.to_str(c) for c in x.coeffs]}
+    return {"t_order": x.ord, "coeffs": [field.to_str(c) for c in x.values()]}
 
 
 def decode_element(obj, field):
@@ -35,7 +35,7 @@ def decode_element(obj, field):
             or type(obj.get("coeffs")) is not list:
         raise ParseError("bad element %r: needs an integer t_order and a coeffs list"
                          % (obj,))
-    return LocalElement.make(obj["t_order"],
+    return LocalElement.make(field, obj["t_order"],
                              [_scalar(field, c, "bad element %r", obj) for c in obj["coeffs"]])
 
 

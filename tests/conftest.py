@@ -10,7 +10,8 @@ from fractions import Fraction
 
 import sympy
 
-from parstack import QQ, Lattice, LocalElement, PrimeField
+from parstack import (QQ, GradedModule, Lattice, LocalElement, ParabolicPoint,
+                      PrimeField)
 
 T = sympy.symbols("t")
 
@@ -19,7 +20,7 @@ GF101 = PrimeField(101)
 
 def el(t_order, *coeffs, field=QQ):
     """LocalElement t^t_order * (c0 + c1 t + ...) with exact coefficients."""
-    return LocalElement.make(t_order, [field.of(c) for c in coeffs])
+    return LocalElement.make(field, t_order, [field.of(c) for c in coeffs])
 
 
 def lat(cols, field=QQ):
@@ -43,6 +44,17 @@ def lat(cols, field=QQ):
     return Lattice.from_columns(field, n, out)
 
 
+def trivial_point(field, n, order=1):
+    """The point with E^0 = R^n and every later member t * R^n (weight 0)."""
+    top = Lattice.diagonal(field, [0] * n)
+    return ParabolicPoint(order, [top] + [top.scale(1)] * order)
+
+
+def trivial_module(field, n, order=1):
+    """The graded module with every piece R^n."""
+    return GradedModule(order, [Lattice.diagonal(field, [0] * n)] * order)
+
+
 def rng_for(seed):
     return random.Random(seed)
 
@@ -53,7 +65,7 @@ def rng_for(seed):
 def to_sym(x):
     """LocalElement over the rationals -> sympy expression in T."""
     acc = sympy.Integer(0)
-    for i, c in enumerate(x.coeffs):
+    for i, c in enumerate(x.values()):
         fr = Fraction(str(c))
         acc += sympy.Rational(fr.numerator, fr.denominator) * T ** (x.ord + i)
     return acc
@@ -98,7 +110,7 @@ def random_element(rng, field=QQ, zero_chance=0.3):
     coeffs = [field.of(rng.randint(-4, 4)) for _ in range(ncoef)]
     if all(c == field.zero for c in coeffs):
         coeffs[0] = field.one
-    return LocalElement.make(rng.randint(-2, 2), coeffs)
+    return LocalElement.make(field, rng.randint(-2, 2), coeffs)
 
 
 def random_columns(rng, n, field=QQ, extra=0):

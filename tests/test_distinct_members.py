@@ -27,7 +27,7 @@ from parstack.harness import (_find_line_pair, gen_pairing_point,
                               gen_profile, gen_unimodular)
 from parstack.parabolic import split_into_lines
 
-from conftest import GF101
+from conftest import GF101, trivial_module
 
 FIELDS = pytest.mark.parametrize("field", [QQ, GF101], ids=["rational", "prime101"])
 
@@ -233,7 +233,7 @@ def test_chain_checks_match_per_member_reference(field):
 
 
 def test_unequal_neighbours_are_still_checked():
-    top = Lattice.identity(QQ, 2)
+    top = Lattice.diagonal(QQ, [0, 0])
     mid = Lattice.diagonal(QQ, [1, 0])
     bad = Lattice.diagonal(QQ, [0, 1]).scale(-1)  # not inside mid
     ParabolicPoint(4, [top, top, mid, mid, top.scale(1)])
@@ -243,11 +243,11 @@ def test_unequal_neighbours_are_still_checked():
     with pytest.raises(InvalidGrading):
         GradedModule(4, [top, top, mid.scale(-1), top])
     # a stage repeating only one side of the previous pair is still tested
-    one = [[LocalElement.const(QQ.one)]]
+    one = [[LocalElement.const(QQ, QQ.one)]]
     assert not is_point_morphism(one, ParabolicPoint.line(QQ, 2, 1),
                                  ParabolicPoint.line(QQ, 2, 0))
     assert not is_graded_morphism(one, GradedModule.line(QQ, 2, 1),
-                                  GradedModule.trivial(QQ, 1, order=2))
+                                  trivial_module(QQ, 1, order=2))
 
 
 # -- call counts ------------------------------------------------------------

@@ -17,7 +17,7 @@ from parstack.functors import (Branch, decompose_element,
                                refine_branch_filtration, substitute_element)
 from parstack.harness import gen_graded_module, gen_parabolic_point, gen_profile
 
-from conftest import GF101, el, lat
+from conftest import GF101, el, lat, trivial_module, trivial_point
 
 
 def _diag_chain(order, jumps, twists=None):
@@ -69,9 +69,9 @@ def test_decompose_substitute_inverse():
 
 
 def test_restrict_scalars_examples():
-    r = Lattice.identity(QQ, 1)
+    r = Lattice.diagonal(QQ, [0])
     assert restrict_scalars(r, 1, QQ.one) == r
-    assert restrict_scalars(r, 2, QQ.one) == Lattice.identity(QQ, 2)
+    assert restrict_scalars(r, 2, QQ.one) == Lattice.diagonal(QQ, [0, 0])
     # t*R over e=2: spanned by (0,1) and (w_y, 0)
     assert restrict_scalars(r.scale(1), 2, QQ.one) == Lattice.diagonal(QQ, [1, 0])
 
@@ -92,9 +92,9 @@ def test_restrict_scalars_commutes_with_full_twists():
 
 
 def test_refine_branch_filtration_examples():
-    line = ParabolicPoint.trivial(QQ, 1)
+    line = trivial_point(QQ, 1)
     assert refine_branch_filtration(line, 1) == [line.chain[0]]
-    r = Lattice.identity(QQ, 1)
+    r = Lattice.diagonal(QQ, [0])
     assert refine_branch_filtration(line, 2) == [r, r.scale(1)]
     half = ParabolicPoint.line(QQ, 2, 1)
     assert [l.diag[0] for l in refine_branch_filtration(half, 2)] == [0, 0, 1, 1]
@@ -110,17 +110,17 @@ def test_pushforward_identity_cover():
 
 def test_pushforward_trivial_line_e2():
     profile = make_profile(2, [("x", 2, 1, QQ.one)])
-    pushed = pushforward_parabolic(profile, [ParabolicPoint.trivial(QQ, 1)])
+    pushed = pushforward_parabolic(profile, [trivial_point(QQ, 1)])
     assert pushed.n == 2
     assert pushed.weights() == ((Fraction(0), 1), (Fraction(1, 2), 1))
     # graded route: both grades carry the branch piece; same parabolic shadow
-    pushed_mod = pushforward_graded(profile, [GradedModule.trivial(QQ, 1)])
+    pushed_mod = pushforward_graded(profile, [trivial_module(QQ, 1)])
     assert to_parabolic(pushed_mod) == pushed
 
 
 def test_pushforward_two_branch_weight_multiset():
     profile = make_profile(4, [("x0", 2, 2, QQ.one), ("x1", 4, 1, QQ.of(2))])
-    branches = [ParabolicPoint.line(QQ, 2, 1), ParabolicPoint.trivial(QQ, 1)]
+    branches = [ParabolicPoint.line(QQ, 2, 1), trivial_point(QQ, 1)]
     pushed = pushforward_parabolic(profile, branches)
     assert pushed.n == 6
     assert pushed.weights() == (
@@ -133,9 +133,9 @@ def test_pushforward_input_checks():
     with pytest.raises(ProfileMismatch):
         pushforward_parabolic(profile, [])
     with pytest.raises(ProfileMismatch):
-        pushforward_parabolic(profile, [ParabolicPoint.trivial(QQ, 1, order=2)])
+        pushforward_parabolic(profile, [trivial_point(QQ, 1, order=2)])
     with pytest.raises(ProfileMismatch):
-        pushforward_graded(profile, [GradedModule.trivial(QQ, 1, order=2)])
+        pushforward_graded(profile, [trivial_module(QQ, 1, order=2)])
 
 
 # -- pullback --------------------------------------------------------------
@@ -156,9 +156,9 @@ def test_pullback_identity_cover_and_trivial():
     pt = gen_parabolic_point(random.Random(5), 2, 3)
     assert pullback_parabolic(profile, pt, "x") == pt
     profile2 = make_profile(4, [("x", 2, 2, QQ.one)])
-    triv = ParabolicPoint.trivial(QQ, 3, order=4)
+    triv = trivial_point(QQ, 3, order=4)
     assert pullback_parabolic(profile2, triv, "x") == \
-        ParabolicPoint.trivial(QQ, 3, order=2)
+        trivial_point(QQ, 3, order=2)
 
 
 def test_pullback_rank2_example():

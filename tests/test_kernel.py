@@ -23,9 +23,15 @@ from conftest import (GF101, T, el, lat, oracle_det_valuation, oracle_member,
 
 
 def test_make_normalizes_leading_and_trailing_zeros():
-    x = LocalElement.make(-1, [QQ.of(0), QQ.of(3), QQ.of(0)])
-    assert x.ord == 0 and x.coeffs == (QQ.of(3),)
-    assert LocalElement.make(5, [QQ.of(0), QQ.of(0)]).is_zero()
+    x = LocalElement.make(QQ, -1, [QQ.of(0), QQ.of(3), QQ.of(0)])
+    assert x.ord == 0 and x.coeffs == (3,) and x.den == 1
+    assert LocalElement.make(QQ, 5, [QQ.of(0), QQ.of(0)]).is_zero()
+    # integer numerators over one denominator in lowest terms
+    y = LocalElement.make(QQ, 0, [QQ.of("1/2"), QQ.of("1/3"), QQ.of("1/6")])
+    assert (y.coeffs, y.den) == ((3, 2, 1), 6)
+    assert y.values() == [QQ.of("1/2"), QQ.of("1/3"), QQ.of("1/6")]
+    z = LocalElement.make(GF101, 0, [GF101.of(-1), GF101.of("1/2")])
+    assert (z.coeffs, z.den, z.p) == ((100, 51), 1, 101)
 
 
 def test_element_arithmetic_matches_sympy():
@@ -101,6 +107,14 @@ def test_fp_element_int_interop():
     assert hash(a) == hash(100)
 
 
+def test_fp_element_equality_agrees_with_hash():
+    # an int equals an element only as its reduced residue, as hash(v) does
+    assert FpElement(1, 5) == 1 and hash(FpElement(1, 5)) == hash(1)
+    assert FpElement(1, 5) != 6 and FpElement(4, 5) != -1
+    assert FpElement(6, 5) == FpElement(1, 5)
+    assert len({FpElement(1, 5), 1}) == 1
+
+
 # -- lattice canonical form ------------------------------------------------
 
 
@@ -163,11 +177,11 @@ def test_singular_generators_rejected():
 
 
 def test_containment_needs_a_common_ambient():
-    r2 = Lattice.identity(QQ, 2)
+    r2 = Lattice.diagonal(QQ, [0, 0])
     assert r2.contains(lat([[1, 1], [0, (1, 1)]])) and r2.contains(r2.scale(1))
     assert not r2.scale(1).contains(r2)
     with pytest.raises(AmbientMismatch):
-        r2.contains(Lattice.identity(QQ, 3))
+        r2.contains(Lattice.diagonal(QQ, [0, 0, 0]))
 
 
 def test_dual_examples_and_involution():

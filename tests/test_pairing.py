@@ -17,7 +17,7 @@ from parstack.linalg import identity_matrix, transpose
 from parstack.localring import LocalElement
 from parstack.pairing import _symmetry_holds, hom_chain, line_local_data
 
-from conftest import GF101, el
+from conftest import GF101, el, trivial_point
 
 _Z = LocalElement.zero()
 
@@ -32,7 +32,7 @@ def _diag_point(order, jumps, twists=None):
 
 
 def _trivial_line(order=1):
-    return ParabolicBundle(1, 0, {"y": ParabolicPoint.trivial(QQ, 1, order)})
+    return ParabolicBundle(1, 0, {"y": trivial_point(QQ, 1, order)})
 
 
 J2 = [[_Z, el(0, 1)], [el(0, -1), _Z]]
@@ -46,7 +46,7 @@ I2 = identity_matrix(QQ, 2)
 def test_pairing_constructor_validation():
     with pytest.raises(NotAPairing):
         ParabolicPairing("hermitian", I2, _trivial_line())
-    rank2 = ParabolicBundle(2, 0, {"y": ParabolicPoint.trivial(QQ, 2)})
+    rank2 = ParabolicBundle(2, 0, {"y": trivial_point(QQ, 2)})
     with pytest.raises(NotAPairing):
         ParabolicPairing(SYMMETRIC, I2, rank2)  # value line must be rank 1
     unbalanced = ParabolicBundle(1, 0, {"y": ParabolicPoint.line(QQ, 2, 1)})
@@ -56,14 +56,14 @@ def test_pairing_constructor_validation():
 
 
 def test_check_pairing_trivial_examples():
-    bundle = ParabolicBundle(2, 0, {"y": ParabolicPoint.trivial(QQ, 2)})
+    bundle = ParabolicBundle(2, 0, {"y": trivial_point(QQ, 2)})
     assert check_pairing(ParabolicPairing(ANTISYMMETRIC, J2, _trivial_line()), bundle)
     assert check_pairing(ParabolicPairing(SYMMETRIC, I2, _trivial_line()), bundle)
     # wrong declared kind fails the symmetry test
     assert not check_pairing(ParabolicPairing(SYMMETRIC, J2, _trivial_line()), bundle)
     with pytest.raises(ShapeMismatch):
         check_pairing(ParabolicPairing(SYMMETRIC, I2, _trivial_line()),
-                      ParabolicBundle(3, 0, {"y": ParabolicPoint.trivial(QQ, 3)}))
+                      ParabolicBundle(3, 0, {"y": trivial_point(QQ, 3)}))
 
 
 def test_identity_form_fails_on_mixed_weights():
@@ -73,7 +73,7 @@ def test_identity_form_fails_on_mixed_weights():
 
 
 def test_singular_form_fails():
-    bundle = ParabolicBundle(2, 0, {"y": ParabolicPoint.trivial(QQ, 2)})
+    bundle = ParabolicBundle(2, 0, {"y": trivial_point(QQ, 2)})
     sing = [[el(0, 1), el(0, 1)], [el(0, 1), el(0, 1)]]
     assert not check_pairing(ParabolicPairing(SYMMETRIC, sing, _trivial_line()), bundle)
 
@@ -168,7 +168,7 @@ def test_check_pairing_matches_reference_definition(field):
 
 def test_pullback_identity_cover():
     profile = make_profile(1, [("x", 1, 1, QQ.one)])
-    bundle = ParabolicBundle(2, 0, {"y": ParabolicPoint.trivial(QQ, 2)})
+    bundle = ParabolicBundle(2, 0, {"y": trivial_point(QQ, 2)})
     pairing = ParabolicPairing(ANTISYMMETRIC, J2, _trivial_line())
     pulled, pulled_bundle = pullback_pairing(profile, pairing, bundle, "y")
     assert pulled.kind == ANTISYMMETRIC and pulled.form == J2
@@ -195,7 +195,7 @@ def test_pullback_rejects_bad_input():
     with pytest.raises(NotAPairing):
         pullback_pairing(profile, bad, bundle, "y")
     two = make_profile(2, [("x0", 2, 1, QQ.one), ("x1", 2, 1, QQ.one)])
-    good_bundle = ParabolicBundle(2, 0, {"y": ParabolicPoint.trivial(QQ, 2)})
+    good_bundle = ParabolicBundle(2, 0, {"y": trivial_point(QQ, 2)})
     good = ParabolicPairing(SYMMETRIC, I2, _trivial_line())
     with pytest.raises(ProfileMismatch):
         pullback_pairing(two, good, good_bundle, "y")
@@ -208,7 +208,7 @@ def test_pushforward_residue_example():
     # trivial line with form "1", e = 2: antidiagonal orthogonal rank 2
     profile = make_profile(2, [("x", 2, 1, QQ.one)])
     line = _trivial_line(order=2)
-    branch = (ParabolicPoint.trivial(QQ, 1), [[el(0, 1)]], (0, 0))
+    branch = (trivial_point(QQ, 1), [[el(0, 1)]], (0, 0))
     pushed, pushed_bundle = pushforward_pairing(profile, line, "y", [branch])
     assert pushed.kind == SYMMETRIC
     assert pushed.form == [[_Z, el(0, 1)], [el(0, 1), _Z]]
@@ -220,7 +220,7 @@ def test_pushforward_residue_example():
 def test_pushforward_antisymmetric_blocks():
     profile = make_profile(2, [("x", 2, 1, QQ.one)])
     line = _trivial_line(order=2)
-    branch = (ParabolicPoint.trivial(QQ, 2), J2, (0, 0))
+    branch = (trivial_point(QQ, 2), J2, (0, 0))
     pushed, pushed_bundle = pushforward_pairing(profile, line, "y", [branch])
     assert pushed.kind == ANTISYMMETRIC
     assert pushed_bundle.rank == 4
@@ -232,7 +232,7 @@ def test_pushforward_antisymmetric_blocks():
 def test_pushforward_unit_scaling():
     profile = make_profile(2, [("x", 2, 1, QQ.of(5))])
     line = _trivial_line(order=2)
-    branch = (ParabolicPoint.trivial(QQ, 1), [[el(0, 1)]], (0, 0))
+    branch = (trivial_point(QQ, 1), [[el(0, 1)]], (0, 0))
     pushed, pushed_bundle = pushforward_pairing(profile, line, "y", [branch])
     assert check_pairing(pushed, pushed_bundle)
     # off-diagonal residue entries are scaled by 1/u
@@ -242,12 +242,12 @@ def test_pushforward_unit_scaling():
 def test_pushforward_value_data_must_match():
     profile = make_profile(2, [("x", 2, 1, QQ.one)])
     line = _trivial_line(order=2)
-    branch = (ParabolicPoint.trivial(QQ, 1), [[el(0, 1)]], (1, 0))
+    branch = (trivial_point(QQ, 1), [[el(0, 1)]], (1, 0))
     with pytest.raises(ValueLineMismatch):
         pushforward_pairing(profile, line, "y", [branch])
     with pytest.raises(ProfileMismatch):
         pushforward_pairing(profile, line, "y", [])
-    asym = (ParabolicPoint.trivial(QQ, 2), [[el(0, 1), el(0, 2)],
+    asym = (trivial_point(QQ, 2), [[el(0, 1), el(0, 2)],
                                             [el(0, 3), el(0, 1)]], (0, 0))
     with pytest.raises(NotAPairing):
         pushforward_pairing(profile, line, "y", [asym])

@@ -11,7 +11,7 @@ from parstack import (QQ, InvalidChain, Lattice, ParabolicBundle,
 from parstack.harness import gen_parabolic_point, gen_point_morphism
 from parstack.linalg import identity_matrix, mat_mul
 
-from conftest import GF101, el, lat
+from conftest import GF101, el, lat, trivial_point
 
 
 def _chain_point(order, lattices):
@@ -22,7 +22,7 @@ L_MIXED = lat([[1, 1], [0, (1, 1)]])  # span{(1,1),(0,t)} inside R^2
 
 
 def test_chain_validation():
-    r2 = Lattice.identity(QQ, 2)
+    r2 = Lattice.diagonal(QQ, [0, 0])
     with pytest.raises(InvalidChain):
         ParabolicPoint(2, [r2, r2.scale(1)])  # wrong length
     with pytest.raises(InvalidChain):
@@ -34,32 +34,32 @@ def test_chain_validation():
 
 
 def test_weights_examples():
-    assert ParabolicPoint.trivial(QQ, 3, order=2).weights() == ((Fraction(0), 3),)
+    assert trivial_point(QQ, 3, order=2).weights() == ((Fraction(0), 3),)
     assert ParabolicPoint.line(QQ, 4, 3).weights() == ((Fraction(3, 4), 1),)
-    r2 = Lattice.identity(QQ, 2)
+    r2 = Lattice.diagonal(QQ, [0, 0])
     pt = _chain_point(2, [r2, L_MIXED, r2.scale(1)])
     assert pt.weights() == ((Fraction(0), 1), (Fraction(1, 2), 1))
     assert pt.weight_sum() == Fraction(1, 2)
 
 
 def test_parabolic_degree():
-    r2 = Lattice.identity(QQ, 2)
+    r2 = Lattice.diagonal(QQ, [0, 0])
     pt = _chain_point(2, [r2, L_MIXED, r2.scale(1)])
-    bundle = ParabolicBundle(2, -1, {"y": pt, "z": ParabolicPoint.trivial(QQ, 2)})
+    bundle = ParabolicBundle(2, -1, {"y": pt, "z": trivial_point(QQ, 2)})
     assert parabolic_degree(bundle) == Fraction(-1, 2)
     with pytest.raises(ShapeMismatch):
         ParabolicBundle(3, 0, {"y": pt})
 
 
 def test_point_morphism_respects_filtration():
-    r = Lattice.identity(QQ, 1)
+    r = Lattice.diagonal(QQ, [0])
     src = _chain_point(2, [r, r, r.scale(1)])           # weight 1/2
     dst = _chain_point(2, [r, r.scale(1), r.scale(1)])  # weight 0
     ident = identity_matrix(QQ, 1)
     assert not is_point_morphism(ident, src, dst)  # E^1 = R not inside F^1 = tR
     assert is_point_morphism(ident, dst, src)
     with pytest.raises(ShapeMismatch):
-        is_point_morphism(ident, src, ParabolicPoint.trivial(QQ, 1, order=3))
+        is_point_morphism(ident, src, trivial_point(QQ, 1, order=3))
     with pytest.raises(ShapeMismatch):
         is_point_morphism(identity_matrix(QQ, 2), src, dst)
 
@@ -72,7 +72,7 @@ def _sum_of_lines(field, order, sp):
 
 
 def test_split_into_lines_adapted_basis_example():
-    r2 = Lattice.identity(QQ, 2)
+    r2 = Lattice.diagonal(QQ, [0, 0])
     pt = _chain_point(2, [r2, L_MIXED, r2.scale(1)])
     sp = split_into_lines(pt)
     assert sorted(sp.jumps) == [0, 1]

@@ -12,11 +12,11 @@ from parstack.harness import (gen_graded_module, gen_parabolic_point,
                               gen_point_morphism)
 from parstack.linalg import identity_matrix
 
-from conftest import GF101
+from conftest import GF101, trivial_module
 
 
 def test_grading_validation():
-    r1 = Lattice.identity(QQ, 1)
+    r1 = Lattice.diagonal(QQ, [0])
     with pytest.raises(InvalidGrading):
         GradedModule(2, [r1])  # wrong length
     with pytest.raises(InvalidGrading):
@@ -29,7 +29,7 @@ def test_grading_validation():
 
 def test_weight_half_line_correspondence():
     # M_0 = R, M_1 = t^{-1} R  <->  chain R >= R >= tR (weight 1/2)
-    mod = GradedModule(2, [Lattice.identity(QQ, 1), Lattice.diagonal(QQ, [-1])])
+    mod = GradedModule(2, [Lattice.diagonal(QQ, [0]), Lattice.diagonal(QQ, [-1])])
     assert mod == GradedModule.line(QQ, 2, 1)
     pt = to_parabolic(mod)
     assert pt == ParabolicPoint.line(QQ, 2, 1)
@@ -70,8 +70,8 @@ def test_morphism_equivalence_across_the_correspondence():
         assert is_point_morphism(bad, src, dst) == \
             is_graded_morphism(bad, from_parabolic(src), from_parabolic(dst))
     assert not is_graded_morphism(identity_matrix(QQ, 1),
-                                  GradedModule.trivial(QQ, 1, 2),
-                                  GradedModule.trivial(QQ, 1, 3))
+                                  trivial_module(QQ, 1, 2),
+                                  trivial_module(QQ, 1, 3))
 
 
 def test_weight_dictionary_from_graded_pieces():
