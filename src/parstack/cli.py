@@ -263,8 +263,6 @@ def _run_verify(suites, cfg):
 
 
 def cmd_verify(args):
-    if args.replay:
-        return cmd_replay(args)
     suites = list(SUITES) if args.suite == "all" else [args.suite]
     try:
         cfg = TrialConfig(seed=args.seed, trials=args.trials,
@@ -290,9 +288,8 @@ def cmd_verify(args):
 
 
 def cmd_replay(args):
-    path = args.replay if args.replay else args.counterexample
     try:
-        with open(path) as fh:
+        with open(args.counterexample) as fh:
             record = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError("cannot read counterexample: %s" % exc)
@@ -362,12 +359,11 @@ def build_parser():
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--field", default="rational")
     c.add_argument("--out")
-    c.add_argument("--replay", help="replay a captured counterexample file")
     c.set_defaults(fn=cmd_verify)
 
     c = sub.add_parser("replay", help="replay a captured counterexample")
     c.add_argument("counterexample")
-    c.set_defaults(fn=cmd_replay, replay=None)
+    c.set_defaults(fn=cmd_replay)
 
     return p
 

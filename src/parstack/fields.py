@@ -1,22 +1,17 @@
 """Exact coefficient fields: the rationals and prime fields GF(p).
 
-Field elements are plain objects supporting +, -, *, /, ==, bool.  Rational
-values are gmpy2.mpq when available, falling back to fractions.Fraction;
-prime-field values are FpElement wrappers.  They are the entries of
-k-matrices (fibres, rank tests) and the boundary values of Laurent
-elements, which store integers instead (localring).
+Field elements are plain objects supporting +, -, *, /, ==, bool: rational
+values are fractions.Fraction, prime-field values are FpElement wrappers.
+They are boundary values only: they carry parsed numbers, generator
+constants and branch units into the Laurent elements, which store
+integers (localring).  Linear algebra over k runs on constant Laurent
+matrices, never on field values.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-try:
-    from gmpy2 import mpq as _mpq
-except ImportError:  # pragma: no cover
-    _mpq = Fraction
-
 
 class FpElement:
     """An element of GF(p), p prime."""
@@ -94,16 +89,12 @@ class RationalField:
     p = 0  # the characteristic; LocalElement stores it
 
     def __init__(self):
-        self.zero = _mpq(0)
-        self.one = _mpq(1)
+        self.zero = Fraction(0)
+        self.one = Fraction(1)
 
     def of(self, x):
         """Coerce an int, Fraction or 'a/b' string to a field element."""
-        if isinstance(x, str):
-            return _mpq(Fraction(x))
-        if isinstance(x, Fraction):
-            return _mpq(x.numerator, x.denominator)
-        return _mpq(x)
+        return Fraction(x)
 
     def random_nonzero(self, rng, bound=5):
         v = 0

@@ -22,7 +22,7 @@ from .functors import (make_profile, pullback_graded, pullback_matrix,
                        pushforward_graded, pushforward_matrix,
                        pushforward_parabolic)
 from .lattice import Lattice
-from .linalg import block_diag, mat_mul
+from .linalg import add_column_multiple, block_diag, identity_matrix, mat_mul
 from .localring import LocalElement
 from .pairing import (ANTISYMMETRIC, SYMMETRIC, ParabolicPairing, check_pairing,
                       expected_branch_value_data, pullback_pairing,
@@ -91,8 +91,6 @@ class TrialReport:
 
 def gen_unimodular(rng, field, n):
     """Random unimodular-over-R matrix with its exact inverse (row-major)."""
-    from .linalg import identity_matrix
-
     m = identity_matrix(field, n)
     minv = identity_matrix(field, n)
     if n < 2:
@@ -101,11 +99,7 @@ def gen_unimodular(rng, field, n):
         i, j = rng.sample(range(n), 2)
         c = field.of(rng.choice([-2, -1, 1, 2]))
         d = rng.randint(0, 2)
-        f = LocalElement.make(field, d, [c])
-        for r in range(n):
-            m[r][i] = m[r][i] + f * m[r][j]
-        for cidx in range(n):
-            minv[j][cidx] = minv[j][cidx] - f * minv[i][cidx]
+        add_column_multiple(m, minv, i, j, LocalElement.make(field, d, [c]))
     return m, minv
 
 

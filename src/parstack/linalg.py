@@ -1,7 +1,8 @@
-"""Small matrix helpers over the Laurent-polynomial model of K and over k.
+"""Small matrix helpers over the Laurent-polynomial model of K.
 
-Matrices are row-major lists of lists.  Entries are LocalElement for
-K-matrices and bare field elements for k-matrices (fiber computations).
+Matrices are row-major lists of lists of LocalElement entries.  Linear
+algebra over the residue field k runs on constant K-matrices through the
+lattice kernel, so there are no matrices of bare field values.
 """
 
 from __future__ import annotations
@@ -9,9 +10,6 @@ from __future__ import annotations
 from .localring import LocalElement
 
 _Z = LocalElement.zero()
-
-
-# -- K-matrices (LocalElement entries) ------------------------------------
 
 
 def identity_matrix(field, n):
@@ -64,78 +62,11 @@ def block_diag(blocks):
     return out
 
 
-# -- k-matrices (field-element entries) -----------------------------------
-
-
-def rref(rows):
-    """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
-    m = [list(r) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots = []
-    rank = 0
-    for c in range(ncols):
-        piv = None
-        for r in range(rank, len(m)):
-            if m[r][c] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][c]
-        m[rank] = [inv * e for e in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][c] != 0:
-                f = m[r][c]
-                m[r] = [e - f * g for e, g in zip(m[r], m[rank])]
-        pivots.append(c)
-        rank += 1
-        if rank == len(m):
-            break
-    return m[:rank], pivots
-
-
-def k_inverse(field, rows):
-    """Inverse of a square k-matrix via Gauss-Jordan."""
-    n = len(rows)
-    aug = [list(r) + [field.one if i == j else field.zero for j in range(n)]
-           for i, r in enumerate(rows)]
-    red, pivots = rref(aug)
-    if len(red) != n or pivots != list(range(n)):
-        raise ZeroDivisionError("matrix not invertible over k")
-    return [row[n:] for row in red]
-
-
-class EchelonTracker:
-    """Incremental independence test over k with deterministic reduction."""
-
-    def __init__(self):
-        self.rows = []    # reduced vectors, each with a distinct pivot
-        self.pivots = []  # pivot index of each row
-
-    def reduce(self, vec):
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            if v[p] != 0:
-                f = v[p]
-                v = [e - f * g for e, g in zip(v, row)]
-        return v
-
-    def try_add(self, vec):
-        """Reduce vec against the current rows; add and return the reduced
-        vector if independent, else None."""
-        v = self.reduce(vec)
-        p = None
-        for i, e in enumerate(v):
-            if e != 0:
-                p = i
-                break
-        if p is None:
-            return None
-        inv = 1 / v[p]
-        v = [inv * e for e in v]
-        self.rows.append(v)
-        self.pivots.append(p)
-        return v
+def add_column_multiple(m, minv, i, j, f):
+    """Add f times column j of m to column i, and subtract f times row i of
+    minv from row j, so that minv stays the inverse of m."""
+    for row in m:
+        row[i] = row[i] + f * row[j]
+    src, dst = minv[i], minv[j]
+    for c in range(len(dst)):
+        dst[c] = dst[c] - f * src[c]

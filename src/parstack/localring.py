@@ -15,11 +15,12 @@ belongs to every field, and no operation builds another.  Each operation
 adds or convolves integers and reduces once: one gcd over Q, one ``% p``
 per coefficient over GF(p).
 
-Field values (``Fraction`` or ``mpq``, ``FpElement``) appear only at the
-boundary: building an element from them (``make``, ``const``, ``t_power``,
-``scalar_mul``, ``twist``) and reading them back (``coefficient``,
-``values``).  The field is passed explicitly when an element is built from
-values, and stored as its characteristic ``p``.
+Field values (``Fraction``, ``FpElement`` or plain ints) appear only as
+inputs: building an element from them (``make``, ``const``) and scaling
+or twisting by one (``scalar_mul``, ``twist``).  No method returns a field
+value; ``coeff_texts`` prints the stored integers as exact text for
+scenario files and ``repr``.  The field is passed explicitly when an
+element is built from values, and stored as its characteristic ``p``.
 
 Elements with ord >= 0 form the local ring R = k[t] localized at (t);
 general elements are a dense model of the fraction field K, sufficient
@@ -31,9 +32,7 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from .fields import QQ, FpElement
-
-_RATIONAL = type(QQ.one)  # the rational type of field values
+from .fields import FpElement
 
 
 class LocalElement:
@@ -82,18 +81,18 @@ class LocalElement:
             return None
         return self.ord + len(self.coeffs) - 1
 
-    # -- field values --------------------------------------------------------
+    # -- text --------------------------------------------------------------
 
-    def values(self):
-        """The coefficients as field values, lowest exponent first."""
-        return [_value(c, self.den, self.p) for c in self.coeffs]
-
-    def coefficient(self, exp):
-        """Coefficient of t**exp: a field value, or int 0 outside the support."""
-        i = exp - self.ord
-        if 0 <= i < len(self.coeffs):
-            return _value(self.coeffs[i], self.den, self.p)
-        return 0
+    def coeff_texts(self):
+        """The coefficients as exact text, lowest exponent first: "c" or
+        "c/d" in lowest terms over Q, the residue over GF(p)."""
+        if self.p or self.den == 1:
+            return [str(c) for c in self.coeffs]
+        den, out = self.den, []
+        for c in self.coeffs:
+            g = gcd(c, den)
+            out.append(str(c // g) if g == den else "%d/%d" % (c // g, den // g))
+        return out
 
     # -- arithmetic --------------------------------------------------------
 
@@ -295,28 +294,20 @@ class LocalElement:
         if not self.coeffs:
             return "0"
         parts = []
-        for i, c in enumerate(self.values()):
-            if c == 0:
+        for i, c in enumerate(self.coeff_texts()):
+            if c == "0":
                 continue
             e = self.ord + i
             if e == 0:
-                parts.append("%s" % (c,))
+                parts.append(c)
             elif e == 1:
-                parts.append("%s*t" % (c,))
+                parts.append("%s*t" % c)
             else:
                 parts.append("%s*t^%d" % (c, e))
         return " + ".join(parts)
 
 
 _ZERO = LocalElement(0, (), 1, 0)
-
-
-def _value(c, den, p):
-    """The field value of a stored coefficient."""
-    if p:
-        return FpElement(c, p)
-    # the one-argument form skips the gcd
-    return _RATIONAL(c) if den == 1 else _RATIONAL(c, den)
 
 
 def _residue(c, p):

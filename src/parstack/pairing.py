@@ -21,8 +21,11 @@ t^v * B_b^{-T} span the right side; they are related by
 
 so level a holds iff t^{-v} * G_a lies in GL_n(R): every entry of G_a
 has valuation >= v and the t^v-coefficients of G_a form an invertible
-matrix over k.  A singular F fails this test.  The full test runs at
-level 0 only; it fixes delta(F) = n*v - delta(E^0) - delta(E^{r+c}).
+matrix over k.  That matrix has constant entries, so its rank over k is
+its rank over K: it is invertible iff its columns canonicalize to a
+lattice, and a rank deficiency raises SingularBasis.  A singular F fails
+this test.  The full test runs at level 0 only; it fixes
+delta(F) = n*v - delta(E^0) - delta(E^{r+c}).
 For a >= 1 the Gram valuations still give the containment
 F^T * E^a <= t^v * (E^b)^*, and both sides have equal delta iff
 
@@ -38,9 +41,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotAPairing, ProfileMismatch, ShapeMismatch, ValueLineMismatch
-from .lattice import image_columns
-from .linalg import block_diag, mat_vec, rref, transpose
+from .errors import (NotAPairing, ProfileMismatch, ShapeMismatch, SingularBasis,
+                     ValueLineMismatch)
+from .lattice import Lattice, image_columns
+from .linalg import block_diag, mat_vec, transpose
 from .localring import LocalElement
 from .parabolic import ParabolicBundle, ParabolicPoint, parabolic_degree
 
@@ -110,10 +114,11 @@ def check_pairing(pairing, bundle):
 
     With v = 1+g and b = r+c-a, level a holds iff t^{-v} times the Gram
     matrix B_a^T * F * B_b is invertible over R (module docstring).  Level
-    0 is tested that way: all entries of valuation >= v, and their
-    t^v-coefficients of full rank over k.  That pins delta(F), so each
-    level a >= 1 only needs the index equality delta(E^a) + delta(E^b) =
-    delta(E^0) + delta(E^{r+c}) and the entry valuations >= v.  A level
+    0 is tested that way: all entries of valuation >= v, and the constant
+    matrix of their t^v-coefficients canonicalizes without SingularBasis.
+    That pins delta(F), so each level a >= 1 only needs the index equality
+    delta(E^a) + delta(E^b) = delta(E^0) + delta(E^{r+c}) and the entry
+    valuations >= v.  A level
     whose pair (E^a, E^b) repeats the previous level's pair is skipped.
     """
     n = bundle.rank
@@ -132,7 +137,10 @@ def check_pairing(pairing, bundle):
         gram = _gram(pt.chain[0], form, top)
         if not _valuations_at_least(gram, v):
             return False
-        if len(rref([[x.coefficient(v) for x in col] for col in gram])[0]) != n:
+        try:
+            Lattice.from_columns(pt.field, n, [[x.shift(-v).truncate(1) for x in col]
+                                               for col in gram])
+        except SingularBasis:
             return False
         index = pt.chain[0].det_valuation() + top.det_valuation()
         prev = (pt.chain[0], top)

@@ -17,10 +17,8 @@ from fractions import Fraction
 
 from .errors import InvalidChain, ShapeMismatch
 from .lattice import Lattice, map_runs, maps_into
-from .linalg import EchelonTracker, k_inverse, mat_mul, rref
+from .linalg import add_column_multiple, identity_matrix, mat_mul
 from .localring import LocalElement
-
-_Z = LocalElement.zero()
 
 
 class ParabolicPoint:
@@ -131,77 +129,53 @@ class SplitLines:
 def split_into_lines(point, rng=None):
     """Adapted basis for the chain: the jump of each line plus change of basis.
 
-    Works in the fiber V = E^0 / tE^0: the chain members map to a flag of
-    subspaces; a basis adapted to the flag (echelon completion, pivots at
-    the lowest row index) lifts to a splitting of the chain into lines.
-    With rng given, the stagewise completion is randomized over valid
-    choices (used for splitting-independence checks).
+    The flag is read off canonical forms.  In the coordinates of the
+    canonical basis B0 of E^0, each member E^j (0 < j < r) is a lattice
+    L_j with t*R^n <= L_j <= R^n, so its pivots are 1 or t, and a column
+    with pivot 1 has constants only in rows whose pivot is t.  The pivot-1
+    columns are therefore an echelon basis of the flag subspace
+    E^j / tE^0 of the fibre E^0 / tE^0 = k^n, each with its last nonzero
+    entry at its own row.  That row set is an invariant of the subspace
+    and shrinks as the subspace does, so the pivot-1 rows nest as j grows.
+    Line i takes the largest j with pivot 1 in row i (0 if there is none)
+    and lifts to column i of that L_j (e_i for jump 0).  The change of
+    basis V is unitriangular with constant entries, built together with
+    its inverse by column operations; matrix = B0 * V and
+    inverse = V^{-1} * B0^{-1}.  With rng given, V is mixed by random
+    column operations that add c * v_k to v_i when jump(k) >= jump(i),
+    which keep it adapted (used for splitting-independence checks).
     """
     n, r, field = point.n, point.order, point.field
     top = point.chain[0]
     if n == 0:
         return SplitLines([], [], [])
 
-    # fiber images of the chain members, as k-row-vectors in B0-coordinates
-    def fiber_image(lat):
-        return [[c.coefficient(0) if c.coeffs else field.zero
-                 for c in top.solve(col)] for col in lat.cols]
+    def fibre_lattice(lat):
+        return Lattice.from_columns(field, n, [top.solve(col) for col in lat.cols])
 
-    fiber = list(enumerate(map_runs(fiber_image, point.chain[1:r]), start=1))
+    jumps = [0] * n
+    lifts = [None] * n
+    for j, lat in enumerate(map_runs(fibre_lattice, point.chain[1:r]), start=1):
+        for i in range(n):
+            if not lat.diag[i]:
+                jumps[i], lifts[i] = j, lat.cols[i]
 
-    tracker = EchelonTracker()
-    chosen = []  # (k-vector in B0 coordinates, jump)
-    for j, vecs in reversed(fiber):
-        stage = _stage_vectors(field, vecs, n, rng)
-        for v in stage:
-            red = tracker.try_add(v)
-            if red is not None:
-                chosen.append((red, j))
-    # complete with the standard basis of the fiber (weight 0 lines)
-    basis0 = _stage_vectors(field, [_k_unit(field, n, i) for i in range(n)], n, rng)
-    for v in basis0:
-        red = tracker.try_add(v)
-        if red is not None:
-            chosen.append((red, 0))
-    if len(chosen) != n:
-        raise AssertionError("internal: adapted basis has %d of %d vectors"
-                             % (len(chosen), n))
+    # columns right to left, so each column k < i added is still e_k
+    v, vinv = identity_matrix(field, n), identity_matrix(field, n)
+    for i in range(n - 1, -1, -1):
+        if lifts[i] is not None:
+            for k in range(i):
+                if lifts[i][k].coeffs:
+                    add_column_multiple(v, vinv, i, k, lifts[i][k])
+    if rng is not None and n > 1:
+        for _ in range(n + rng.randint(0, n)):
+            i, k = rng.sample(range(n), 2)
+            if jumps[k] < jumps[i]:
+                i, k = k, i
+            c = LocalElement.const(field, rng.choice([-2, -1, 1, 2]))
+            add_column_multiple(v, vinv, i, k, c)
 
     # lift through B0: column b of the change of basis is B0 * v_b
-    vmat_cols = [v for v, _ in chosen]
-    jumps = [j for _, j in chosen]
-    b0 = point.chain[0].basis_columns()
-    mat = [[_Z] * n for _ in range(n)]
-    for b, v in enumerate(vmat_cols):
-        for i in range(n):
-            acc = _Z
-            for c in range(n):
-                if v[c] != 0 and b0[c][i].coeffs:
-                    acc = acc + b0[c][i].scalar_mul(v[c])
-            mat[i][b] = acc
-    # inverse = V^{-1} * B0^{-1}, both exact
-    vinv = k_inverse(field, [[vmat_cols[b][c] for b in range(n)] for c in range(n)])
-    vinv_loc = [[LocalElement.const(field, e) for e in row] for row in vinv]
-    inv = mat_mul(vinv_loc, top.basis_inverse())
-    return SplitLines(jumps, mat, inv)
-
-
-def _stage_vectors(field, vecs, n, rng):
-    basis, _ = rref(vecs)
-    if rng is None or not basis:
-        return basis
-    # random invertible recombination of the stage basis
-    k = len(basis)
-    while True:
-        coeffs = [[field.of(rng.randint(-3, 3)) for _ in range(k)] for _ in range(k)]
-        try:
-            k_inverse(field, coeffs)
-        except ZeroDivisionError:
-            continue
-        break
-    return [[sum((coeffs[a][b] * basis[b][i] for b in range(k)), field.zero)
-             for i in range(n)] for a in range(k)]
-
-
-def _k_unit(field, n, i):
-    return [field.one if j == i else field.zero for j in range(n)]
+    b0 = top.basis_columns()
+    mat = mat_mul([[b0[c][i] for c in range(n)] for i in range(n)], v)
+    return SplitLines(jumps, mat, mat_mul(vinv, top.basis_inverse()))

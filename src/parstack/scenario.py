@@ -26,8 +26,8 @@ FORMAT_VERSION = 1
 # -- elements and matrices -------------------------------------------------
 
 
-def encode_element(x, field):
-    return {"t_order": x.ord, "coeffs": [field.to_str(c) for c in x.values()]}
+def encode_element(x):
+    return {"t_order": x.ord, "coeffs": x.coeff_texts()}
 
 
 def decode_element(obj, field):
@@ -51,15 +51,16 @@ def _scalar(field, x, what, arg):
 
 
 def encode_matrix_cols(rows, field):
-    """Row-major matrix -> column-major encoded form."""
+    """Row-major matrix -> column-major encoded form.  ``field`` is not
+    read: each element prints its own stored coefficients."""
     if not rows:
         return []
-    return [[encode_element(rows[i][j], field) for i in range(len(rows))]
+    return [[encode_element(rows[i][j]) for i in range(len(rows))]
             for j in range(len(rows[0]))]
 
 
-def encode_lattice(lat, field):
-    return {"columns": [[encode_element(e, field) for e in col]
+def encode_lattice(lat):
+    return {"columns": [[encode_element(e) for e in col]
                         for col in lat.basis_columns()]}
 
 
@@ -112,8 +113,10 @@ def _expand_weights(field, order, weights, n, what):
             raise ValidationError("weight %s outside [0,1)" % w)
         if order % frac.denominator != 0:
             raise ValidationError("weight %s incompatible with order %d" % (w, order))
+        if len(jumps) + m > n:
+            raise ValidationError("weight multiplicities sum to more than %d" % n)
         jumps.extend([int(frac * order)] * m)
-    if n is not None and len(jumps) != n:
+    if len(jumps) != n:
         raise ValidationError("weight multiplicities sum to %d, expected %d"
                               % (len(jumps), n))
     chain = [Lattice.diagonal(field, [1 if j > a else 0 for a in jumps])
@@ -123,7 +126,7 @@ def _expand_weights(field, order, weights, n, what):
 
 def encode_point(pt, field):
     return {"order": pt.order,
-            "chain": [encode_lattice(l, field) for l in pt.chain]}
+            "chain": [encode_lattice(l) for l in pt.chain]}
 
 
 def decode_point(obj, field, n, where=""):
@@ -144,7 +147,7 @@ def decode_point(obj, field, n, where=""):
 
 def encode_module(mod, field):
     return {"order": mod.order,
-            "pieces": [encode_lattice(l, field) for l in mod.pieces]}
+            "pieces": [encode_lattice(l) for l in mod.pieces]}
 
 
 def decode_module(obj, field, n, where=""):

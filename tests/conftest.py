@@ -10,8 +10,8 @@ from fractions import Fraction
 
 import sympy
 
-from parstack import (QQ, GradedModule, Lattice, LocalElement, ParabolicPoint,
-                      PrimeField)
+from parstack import (QQ, FpElement, GradedModule, Lattice, LocalElement,
+                      ParabolicPoint, PrimeField)
 
 T = sympy.symbols("t")
 
@@ -62,12 +62,19 @@ def rng_for(seed):
 # -- sympy oracle (rational coefficients only) ------------------------------
 
 
+def values(x):
+    """The coefficients of x as field values, lowest exponent first:
+    Fraction on Q, FpElement on GF(p)."""
+    if x.p:
+        return [FpElement(c, x.p) for c in x.coeffs]
+    return [Fraction(c, x.den) for c in x.coeffs]
+
+
 def to_sym(x):
     """LocalElement over the rationals -> sympy expression in T."""
     acc = sympy.Integer(0)
-    for i, c in enumerate(x.values()):
-        fr = Fraction(str(c))
-        acc += sympy.Rational(fr.numerator, fr.denominator) * T ** (x.ord + i)
+    for i, c in enumerate(values(x)):
+        acc += sympy.Rational(c.numerator, c.denominator) * T ** (x.ord + i)
     return acc
 
 

@@ -316,13 +316,6 @@ def test_replay_reproduces_counterexample(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_verify_replay_flag(tmp_path, capsys):
-    rep = run_mutation("pull", "wrong-twist", 2000)
-    path = write(tmp_path, "cex.json", rep.failures[0])
-    assert main(["verify", "--replay", path]) == 0
-    capsys.readouterr()
-
-
 DATA = os.path.join(os.path.dirname(__file__), "data", "cli")
 
 
@@ -432,6 +425,15 @@ def test_mistyped_scenario_fields_exit_2(tmp_path, capsys, command, doc, named):
     assert main([command, src]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and named in err
+    assert "Traceback" not in err
+
+
+def test_huge_weight_multiplicity_exits_2_without_allocating(tmp_path, capsys):
+    doc = line_scenario(weight="0", order=1, at="x", cover=COVER_E2)
+    doc["objects"][0]["weights"] = [["0", 2 ** 62]]
+    assert main(["push", write(tmp_path, "huge.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "multiplicities" in err
     assert "Traceback" not in err
 
 

@@ -310,7 +310,10 @@ def test_pullback_and_decoding_canonicalize_once_per_distinct_member(field, monk
     calls = _count(monkeypatch, Lattice, "from_columns")
     for profile, pt in cases:
         del calls[:]
-        pullback_parabolic(profile, pt, "x")
+        lines = split_into_lines(pt)
+        assert len(calls) <= len(set(pt.chain[1:pt.order]))
+        del calls[:]
+        pullback_parabolic(profile, pt, "x", lines=lines)
         assert len(calls) <= pt.n + 1
         del calls[:]
         pullback_graded(profile, from_parabolic(pt), "x")

@@ -1,7 +1,7 @@
 """Property test of the integer Laurent kernel against a plain reference.
 
 The reference keeps an element as a dict {exponent: field value} of its
-nonzero terms, with values in the field's own type (Fraction or mpq on Q,
+nonzero terms, with values in the field's own type (Fraction on Q,
 FpElement on GF(p)), and implements every operation by the textbook
 formula.  Each LocalElement operation must agree with it, leave its result
 in the normal form of localring, and give equal values equal ``==`` and
@@ -16,6 +16,8 @@ from hypothesis import given, settings, strategies as st
 from parstack import QQ, LocalElement, PrimeField, TrialConfig
 from parstack.harness import SUITES
 
+from conftest import values
+
 FIELDS = (QQ, PrimeField(101), PrimeField(3))
 
 
@@ -23,7 +25,7 @@ FIELDS = (QQ, PrimeField(101), PrimeField(3))
 
 
 def terms(x):
-    return {x.ord + i: v for i, v in enumerate(x.values()) if v != 0}
+    return {x.ord + i: v for i, v in enumerate(values(x)) if v != 0}
 
 
 def build(field, ts):
@@ -158,8 +160,19 @@ def test_exponent_surgery_matches_the_reference(data):
     x = build(field, a)
     check(field, x.truncate(exp), {e: v for e, v in a.items() if e < exp})
     check(field, x.high_div(exp), {e - exp: v for e, v in a.items() if e >= exp})
-    for k in range(exp - 2, exp + 3):
-        assert x.coefficient(k) == a.get(k, 0)
+
+
+@PROPS
+@given(field_and(1))
+def test_coefficient_text_prints_the_field_values(case):
+    field, a = case
+    x = build(field, a)
+    vals = [a.get(e, field.zero) for e in range(x.ord, x.ord + len(x.coeffs))]
+    assert x.coeff_texts() == [field.to_str(v) for v in vals]
+    terms_text = [(e, str(v)) for e, v in sorted(a.items())]
+    assert repr(x) == (" + ".join(
+        c if e == 0 else "%s*t" % c if e == 1 else "%s*t^%d" % (c, e)
+        for e, c in terms_text) or "0")
 
 
 @PROPS

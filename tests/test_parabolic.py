@@ -86,7 +86,7 @@ def test_split_into_lines_adapted_basis_example():
 def test_split_into_lines_random(field):
     rng = random.Random(41)
     for _ in range(12):
-        n, r = rng.randint(1, 3), rng.randint(1, 5)
+        n, r = rng.randint(1, 6), rng.randint(1, 12)
         pt = gen_parabolic_point(rng, n, r, field)
         for split_rng in (None, random.Random(rng.getrandbits(32))):
             sp = split_into_lines(pt, rng=split_rng)
