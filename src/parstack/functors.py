@@ -70,13 +70,16 @@ def make_profile(s, branch_specs):
 # -- scalar restriction ----------------------------------------------------
 
 
-def decompose_element(x, e, u):
-    """Components of x in K_Y * {1, t, ..., t^{e-1}} with w_y = u * t^e.
+def decompose_component(x, e, u, rho):
+    """Component rho of x in K_Y * {1, t, ..., t^{e-1}} with w_y = u * t^e:
+    the terms t^{q*e + rho} = t^rho * (w_y / u)^q, in the target
+    uniformizer."""
+    return x.decimate(e, rho).twist(u, -1)
 
-    Returns a list of e LocalElements in the target uniformizer: component
-    rho collects the terms t^{q*e + rho} = t^rho * (w_y / u)^q.
-    """
-    return [x.decimate(e, rho).twist(u, -1) for rho in range(e)]
+
+def decompose_element(x, e, u):
+    """The e components of x, rho = 0, ..., e-1 (decompose_component)."""
+    return [decompose_component(x, e, u, rho) for rho in range(e)]
 
 
 def substitute_element(x, e, u):
@@ -89,7 +92,10 @@ def _restrict_column(col, rho, e, u):
     (i, rho2) -> i*e + rho2 of the K_Y-basis 1, t, ..., t^{e-1}."""
     out = []
     for x in col:
-        out.extend(decompose_element(x.shift(rho), e, u))
+        if x.coeffs:
+            out.extend(decompose_element(x.shift(rho), e, u))
+        else:
+            out.extend([x] * e)
     return out
 
 

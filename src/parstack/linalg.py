@@ -2,7 +2,10 @@
 
 Matrices are row-major lists of lists of LocalElement entries.  Linear
 algebra over the residue field k runs on constant K-matrices through the
-lattice kernel, so there are no matrices of bare field values.
+lattice kernel, so there are no matrices of bare field values.  Products
+multiply only pairs of nonzero entries; ``mat_vec`` collects the support
+of its vector once and each row sums over that support alone, which is
+what ``lattice.image_columns`` and the pairing Gram matrices run on.
 """
 
 from __future__ import annotations
@@ -35,11 +38,14 @@ def mat_mul(a, b):
 
 
 def mat_vec(a, v):
+    """a * v, summing each row over the nonzero entries of v only."""
+    support = [(k, x) for k, x in enumerate(v) if x.coeffs]
     out = []
     for row in a:
         acc = _Z
-        for e, x in zip(row, v):
-            if e.coeffs and x.coeffs:
+        for k, x in support:
+            e = row[k]
+            if e.coeffs:
                 acc = acc + e * x
         out.append(acc)
     return out

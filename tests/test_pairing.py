@@ -7,17 +7,20 @@ import pytest
 
 from parstack import (ANTISYMMETRIC, SYMMETRIC, QQ, Lattice, NotAPairing,
                       ParabolicBundle, ParabolicPairing, ParabolicPoint,
-                      ProfileMismatch, ShapeMismatch, SingularBasis,
-                      ValueLineMismatch, apply_matrix, check_pairing,
+                      PrimeField, ProfileMismatch, ShapeMismatch,
+                      SingularBasis, ValueLineMismatch, apply_matrix,
+                      check_pairing,
                       make_profile, parabolic_degree,
                       pullback_pairing, pushforward_pairing)
+from parstack.functors import decompose_element
 from parstack.harness import (_value_line_bundle, gen_pairing_point,
                               gen_parabolic_point)
 from parstack.linalg import identity_matrix, transpose
 from parstack.localring import LocalElement
-from parstack.pairing import _symmetry_holds, hom_chain, line_local_data
+from parstack.pairing import (_symmetry_holds, hom_chain, line_local_data,
+                              residue_push_form)
 
-from conftest import GF101, el, trivial_point
+from conftest import GF101, el, random_element, trivial_point
 
 _Z = LocalElement.zero()
 
@@ -265,3 +268,28 @@ def test_generated_pairings_are_perfect():
             pt, form, value = made
             bundle = ParabolicBundle(pt.n, 0, {"p": pt})
             assert check_pairing(ParabolicPairing(kind, form, value), bundle)
+
+
+@pytest.mark.parametrize("field", [QQ, GF101, PrimeField(3)], ids=["Q", "GF101", "GF3"])
+def test_residue_push_form_is_the_top_component(field):
+    """Entry (i*e + rho, i2*e + sigma) of the pushed form is the t^{e-1}
+    component of t^{rho+sigma} * form[i][i2], scaled by 1/u."""
+    rng = random.Random(field.p + 17)
+    for e in range(1, 8):
+        for _ in range(4):
+            n = rng.randint(1, 2)
+            u = field.random_nonzero(rng)
+            # short entries and long ones spanning several multiples of e
+            form = [[random_element(rng, field) if rng.random() < 0.5 else
+                     LocalElement.make(field, rng.randint(-9, 3),
+                                       [field.of(rng.randint(-4, 4))
+                                        for _ in range(rng.randint(1, 16))])
+                     for _ in range(n)] for _ in range(n)]
+            out = residue_push_form(form, e, u, n)
+            for i in range(n):
+                for i2 in range(n):
+                    for rho in range(e):
+                        for sigma in range(e):
+                            top = decompose_element(form[i][i2].shift(rho + sigma), e, u)
+                            assert (out[i * e + rho][i2 * e + sigma]
+                                    == top[e - 1].scalar_mul(1 / u))

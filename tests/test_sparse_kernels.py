@@ -1,0 +1,275 @@
+"""Support-aware Laurent matrix kernels against dense references.
+
+The kernels in lattice, linalg and functors visit only the nonzero
+support of their sparse operand.  The references below walk every index
+and multiply zeros like any other entry, so they share no skipping logic
+with the library.  Inputs are sparse on purpose: the zero vector, vectors
+whose only nonzero entry is the first or the last row, vectors with
+negative valuations (non-members), and generators with zero rows and zero
+columns, on Q, GF(101) and GF(3).
+"""
+
+import random
+from functools import reduce
+from operator import add
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from parstack import QQ, Lattice, LocalElement, PrimeField, SingularBasis
+from parstack.functors import restrict_scalars
+from parstack.lattice import image_columns
+from parstack.linalg import mat_vec
+
+FIELDS = (QQ, PrimeField(101), PrimeField(3))
+ZERO = LocalElement.zero()
+
+
+# -- dense references --------------------------------------------------------
+
+
+def dense_dot(row, v):
+    return reduce(add, [a * x for a, x in zip(row, v)], ZERO)
+
+
+def dense_mat_vec(a, v):
+    return [dense_dot(row, v) for row in a]
+
+
+def dense_image_columns(rows, lattice):
+    return [dense_mat_vec(rows, list(col)) for col in lattice.cols]
+
+
+def dense_solve(lattice, w):
+    n, cols = lattice.n, lattice.cols
+    x = [ZERO] * n
+    for j in range(n - 1, -1, -1):
+        acc = w[j] - dense_dot([cols[k][j] for k in range(j + 1, n)], x[j + 1:])
+        x[j] = acc.shift(-lattice.diag[j])
+    return x
+
+
+def dense_member(lattice, w):
+    return all(x.ord >= 0 for x in dense_solve(lattice, w))
+
+
+def dense_contains(big, small):
+    return all(dense_member(big, list(col)) for col in small.cols)
+
+
+def dense_canonicalize(field, n, columns):
+    """(cols, diag) of the canonical basis: the kernel's two phases with
+    every row of every column updated, zeros included."""
+    work = [list(c) for c in columns if any(x.coeffs for x in c)]
+    avail = list(range(len(work)))
+    tri = [None] * n
+    for i in range(n - 1, -1, -1):
+        cands = [(work[c][i].ord, c) for c in avail if work[c][i].coeffs]
+        if not cands:
+            raise SingularBasis("rank deficiency at row %d" % i)
+        vp, cp = min(cands)
+        avail.remove(cp)
+        piv = tri[i] = work[cp]
+        ptilde = piv[i].unit_poly()
+        for c in avail:
+            f = work[c][i].shift(-vp)
+            work[c][:i + 1] = [ptilde * a - f * b for a, b in zip(work[c][:i + 1], piv)]
+    diag = [tri[i][i].ord for i in range(n)]
+    ords = [x.ord for col in tri for x in col if x.coeffs]
+    m, amax = min(0, min(ords)), max(0, max(diag))
+    prec = amax + n * (amax - m) + abs(m) + 2
+    canon = []
+    for j in range(n):
+        uinv = tri[j][j].unit_poly().inv_series(prec - m + 1)
+        w = [(tri[j][r] * uinv).truncate(prec) for r in range(j)]
+        for i in range(j - 1, -1, -1):
+            lam = w[i].high_div(diag[i])
+            for r in range(i):
+                w[r] = (w[r] - lam * canon[i][r]).truncate(prec)
+            w[i] = w[i].truncate(diag[i])
+        canon.append(tuple(w + [LocalElement.t_power(field, diag[j])] + [ZERO] * (n - j - 1)))
+    return tuple(canon), tuple(diag)
+
+
+def dense_restrict_scalars(lattice, e, u):
+    gens = [[x.shift(rho).decimate(e, rho2).twist(u, -1) for x in col for rho2 in range(e)]
+            for col in lattice.cols for rho in range(e)]
+    return dense_canonicalize(lattice.field, lattice.n * e, gens)
+
+
+# -- strategies ----------------------------------------------------------------
+
+
+@st.composite
+def elements(draw, field, zero_weight=3):
+    """A Laurent element, zero with probability zero_weight / 5."""
+    if draw(st.integers(0, 4)) < zero_weight:
+        return ZERO
+    lo, hi = (0, field.p - 1) if field.p else (-6, 6)
+    vals = draw(st.lists(st.integers(lo, hi), min_size=1, max_size=4))
+    return LocalElement.make(field, draw(st.integers(-3, 3)), [field.of(v) for v in vals])
+
+
+@st.composite
+def vectors(draw, field, n):
+    """The zero vector, a single nonzero entry in row 0 or row n-1, or a
+    sparse vector; entries may have negative valuation."""
+    kind = draw(st.sampled_from(("zero", "first", "last", "sparse")))
+    v = [ZERO] * n
+    if kind == "sparse":
+        return [draw(elements(field)) for _ in range(n)]
+    if kind != "zero":
+        v[0 if kind == "first" else n - 1] = draw(elements(field, zero_weight=0))
+    return v
+
+
+@st.composite
+def generators(draw, field, n):
+    """n + extra sparse columns, with a zero row and zero columns at times."""
+    cols = [[draw(elements(field)) for _ in range(n)]
+            for _ in range(n + draw(st.integers(0, 3)))]
+    if draw(st.integers(0, 3)) == 0:
+        dead = draw(st.integers(0, n - 1))
+        for col in cols:
+            col[dead] = ZERO
+    for _ in range(draw(st.integers(0, 2))):
+        cols.insert(draw(st.integers(0, len(cols))), [ZERO] * n)
+    return cols
+
+
+@st.composite
+def lattices(draw, field, n):
+    """A full-rank lattice: sparse generators plus t^{d_i} e_i for each i."""
+    cols = draw(generators(field, n))
+    for i in range(n):
+        cols.append([LocalElement.t_power(field, draw(st.integers(0, 3))) if r == i else ZERO
+                     for r in range(n)])
+    return Lattice.from_columns(field, n, cols)
+
+
+@st.composite
+def field_and_rank(draw, max_n=5):
+    return draw(st.sampled_from(FIELDS)), draw(st.integers(1, max_n))
+
+
+@st.composite
+def sublattices(draw, field, big):
+    """A sublattice of big: t^s times its basis plus R-combinations."""
+    n = big.n
+    cols = [[x.shift(draw(st.integers(0, 2))) for x in col] for col in big.cols]
+    rows = [list(r) for r in zip(*big.cols)]
+    for _ in range(draw(st.integers(0, 2))):
+        coeff = [x if x.ord >= 0 else x.shift(-x.ord) for x in draw(vectors(field, n))]
+        cols.append(mat_vec(rows, coeff))
+    return Lattice.from_columns(field, n, cols)
+
+
+PROPS = settings(max_examples=120, deadline=None)
+
+
+# -- the kernels against the references ----------------------------------------
+
+
+@PROPS
+@given(st.data(), field_and_rank())
+def test_from_columns_matches_dense(data, fn):
+    field, n = fn
+    cols = data.draw(generators(field, n))
+    try:
+        ref = dense_canonicalize(field, n, cols)
+    except SingularBasis:
+        with pytest.raises(SingularBasis):
+            Lattice.from_columns(field, n, cols)
+        return
+    lattice = Lattice.from_columns(field, n, cols)
+    assert (lattice.cols, lattice.diag) == ref
+
+
+@PROPS
+@given(st.data(), field_and_rank())
+def test_solve_and_member_match_dense(data, fn):
+    field, n = fn
+    lattice = data.draw(lattices(field, n))
+    w = data.draw(vectors(field, n))
+    assert lattice.solve(w) == dense_solve(lattice, w)
+    assert lattice.member(w) == dense_member(lattice, w)
+
+
+@PROPS
+@given(st.data(), field_and_rank())
+def test_contains_matches_dense(data, fn):
+    field, n = fn
+    big = data.draw(lattices(field, n))
+    small = data.draw(st.one_of(sublattices(field, big), lattices(field, n)))
+    assert big.contains(small) == dense_contains(big, small)
+
+
+@PROPS
+@given(st.data(), field_and_rank())
+def test_products_match_dense(data, fn):
+    field, n = fn
+    lattice = data.draw(lattices(field, n))
+    rows = data.draw(generators(field, n))  # zero rows and zero columns included
+    assert image_columns(rows, lattice) == dense_image_columns(rows, lattice)
+    v = data.draw(vectors(field, n))
+    assert mat_vec(rows, v) == dense_mat_vec(rows, v)
+
+
+@PROPS
+@given(st.data(), field_and_rank(max_n=3), st.integers(1, 4))
+def test_restrict_scalars_matches_dense(data, fn, e):
+    field, n = fn
+    lattice = data.draw(lattices(field, n))
+    u = field.of(data.draw(st.integers(-5, 5).filter(lambda c: c % (field.p or 7))))
+    out = restrict_scalars(lattice, e, u)
+    assert (out.cols, out.diag) == dense_restrict_scalars(lattice, e, u)
+
+
+# -- the invariant itself --------------------------------------------------------
+
+
+def _random_sparse(rng, field, shape):
+    """Random entries, about two in three zero, with negative valuations."""
+    def entry():
+        if rng.random() < 0.65:
+            return ZERO
+        return LocalElement.make(field, rng.randint(-3, 3),
+                                 [field.of(rng.randint(-6, 6)) for _ in range(rng.randint(1, 4))])
+    return [[entry() for _ in range(shape[1])] for _ in range(shape[0])]
+
+
+def test_no_kernel_multiplies_by_a_zero_entry(monkeypatch):
+    """Every product inside the kernels has two nonzero factors."""
+    mul = LocalElement.__mul__
+    products, zero_products = [0], []
+
+    def counted(a, b):
+        products[0] += 1
+        if not a.coeffs or not b.coeffs:
+            zero_products.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(LocalElement, "__mul__", counted)
+    rng = random.Random(10)
+    for field in FIELDS:
+        for _ in range(30):
+            n = rng.randint(1, 5)
+            cols = _random_sparse(rng, field, (n + rng.randint(0, 2), n))
+            try:
+                Lattice.from_columns(field, n, cols)
+            except SingularBasis:
+                pass
+            cols += [[LocalElement.t_power(field, rng.randint(0, 2)) if r == i else ZERO
+                      for r in range(n)] for i in range(n)]
+            lattice = Lattice.from_columns(field, n, cols)
+            other = Lattice.from_columns(field, n, cols[::-1] + _random_sparse(rng, field, (2, n)))
+            w = _random_sparse(rng, field, (1, n))[0]
+            rows = _random_sparse(rng, field, (rng.randint(1, n + 1), n))
+            lattice.solve(w)
+            lattice.contains(other)
+            other.contains(lattice.scale(1))
+            image_columns(rows, lattice)
+            mat_vec(rows, w)
+            restrict_scalars(lattice, rng.randint(2, 4), field.of(rng.choice((1, 2, -1))))
+    assert products[0] > 1000
+    assert zero_products == []
