@@ -9,7 +9,7 @@ from .errors import (AmbientMismatch, InadmissibleProfile, InadmissibleWeight,
                      InvalidChain, InvalidGrading, NotAPairing, ParseError,
                      ParstackError, ProfileMismatch, ShapeMismatch,
                      SingularBasis, ValidationError, ValueLineMismatch)
-from .fields import QQ, FpElement, PrimeField, RationalField, field_from_name
+from .fields import QQ, PrimeField, RationalField, field_from_name
 from .localring import LocalElement
 from .lattice import Lattice, apply_matrix, direct_sum
 from .parabolic import (ParabolicBundle, ParabolicPoint, SplitLines,

@@ -28,7 +28,7 @@ class Branch:
     label: str
     e: int
     r: int
-    unit: object  # nonzero field element
+    unit: object  # nonzero field value: Fraction on Q, int residue on GF(p)
 
 
 @dataclass(frozen=True)

@@ -15,12 +15,12 @@ belongs to every field, and no operation builds another.  Each operation
 adds or convolves integers and reduces once: one gcd over Q, one ``% p``
 per coefficient over GF(p).
 
-Field values (``Fraction``, ``FpElement`` or plain ints) appear only as
-inputs: building an element from them (``make``, ``const``) and scaling
-or twisting by one (``scalar_mul``, ``twist``).  No method returns a field
-value; ``coeff_texts`` prints the stored integers as exact text for
-scenario files and ``repr``.  The field is passed explicitly when an
-element is built from values, and stored as its characteristic ``p``.
+Field values (``Fraction`` over Q, int residues over GF(p)) appear only
+as inputs: building an element from them (``make``, ``const``) and
+twisting by one (``twist``).  No method returns a field value;
+``coeff_texts`` prints the stored integers as exact text for scenario
+files and ``repr``.  The field is passed explicitly when an element is
+built from values, and stored as its characteristic ``p``.
 
 Elements with ord >= 0 form the local ring R = k[t] localized at (t);
 general elements are a dense model of the fraction field K, sufficient
@@ -31,8 +31,7 @@ Laurent-polynomial vectors.
 from __future__ import annotations
 
 from math import gcd, lcm
-
-from .fields import FpElement
+from operator import index
 
 
 class LocalElement:
@@ -57,8 +56,8 @@ class LocalElement:
         p = field.p
         if p:
             return _normal(t_order, [_residue(v, p) for v in values], 1, p)
-        den = lcm(*[int(v.denominator) for v in values])
-        return _normal(t_order, [int(v.numerator) * (den // int(v.denominator))
+        den = lcm(*[v.denominator for v in values])
+        return _normal(t_order, [v.numerator * (den // v.denominator)
                                  for v in values], den, 0)
 
     @staticmethod
@@ -136,18 +135,6 @@ class LocalElement:
                 den //= g
         return LocalElement(t_order, tuple(cs), den, 0)
 
-    def scalar_mul(self, c):
-        """The element times the field value c."""
-        if not self.coeffs or c == 0:
-            return _ZERO
-        p = self.p
-        if p:
-            k = _residue(c, p)
-            return LocalElement(self.ord, tuple([x * k % p for x in self.coeffs]), 1, p)
-        k = int(c.numerator)
-        return _normal(self.ord, [x * k for x in self.coeffs],
-                       self.den * int(c.denominator), 0)
-
     def shift(self, d):
         """Multiply by t**d."""
         if not self.coeffs or not d:
@@ -210,7 +197,7 @@ class LocalElement:
                 out.append(c * f % p)
                 f = f * w % p
             return LocalElement(q0, tuple(out), 1, p)
-        un, ud = int(u.numerator), int(u.denominator)
+        un, ud = u.numerator, u.denominator
         if sign < 0:
             un, ud = ud, un
         if un == ud:
@@ -311,8 +298,9 @@ _ZERO = LocalElement(0, (), 1, 0)
 
 
 def _residue(c, p):
-    """The residue in [0, p) of a GF(p) value (FpElement or int)."""
-    return c.v if type(c) is FpElement else c % p
+    """The residue in [0, p) of a GF(p) value; anything but an int (a float
+    from a stray division, a Fraction) raises TypeError."""
+    return index(c) % p
 
 
 def _normal(t_order, cs, den, p):

@@ -224,17 +224,17 @@ def expected_branch_value_data(profile, branch, value_line, target_label):
 def residue_push_form(form, e, u, n):
     """Projection-formula pairing on restricted scalars: the component of
     t^{rho+sigma} * entry along t^{e-1}, scaled by 1/u.  It depends on
-    rho+sigma only, so each entry gives 2e-1 values for its e x e block."""
+    rho+sigma only, so each entry gives 2e-1 values for its e x e block.
+    Shifting by t^e = w_y/u and back by w_y^-1 supplies the 1/u."""
     from .functors import decompose_component
 
-    uinv = 1 / u
     out = [[_Z] * (n * e) for _ in range(n * e)]
     for i in range(n):
         for i2 in range(n):
             entry = form[i][i2]
             if not entry.coeffs:
                 continue
-            vals = [decompose_component(entry.shift(d), e, u, e - 1).scalar_mul(uinv)
+            vals = [decompose_component(entry.shift(d + e), e, u, e - 1).shift(-1)
                     for d in range(2 * e - 1)]
             for rho in range(e):
                 out[i * e + rho][i2 * e:(i2 + 1) * e] = vals[rho:rho + e]

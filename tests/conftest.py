@@ -10,8 +10,8 @@ from fractions import Fraction
 
 import sympy
 
-from parstack import (QQ, FpElement, GradedModule, Lattice, LocalElement,
-                      ParabolicPoint, PrimeField)
+from parstack import (QQ, GradedModule, Lattice, LocalElement, ParabolicPoint,
+                      PrimeField)
 
 T = sympy.symbols("t")
 
@@ -64,9 +64,9 @@ def rng_for(seed):
 
 def values(x):
     """The coefficients of x as field values, lowest exponent first:
-    Fraction on Q, FpElement on GF(p)."""
+    Fraction on Q, int residues on GF(p)."""
     if x.p:
-        return [FpElement(c, x.p) for c in x.coeffs]
+        return list(x.coeffs)
     return [Fraction(c, x.den) for c in x.coeffs]
 
 

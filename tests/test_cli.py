@@ -334,13 +334,44 @@ def data_file(name):
      "548433599e432055"),
     (["convert", data_file("degree"), "--direction", "to-graded"], "d99e291f22f3b797"),
     (["degree", data_file("degree")], "b5f1c8e4728548a0"),
+    (["push", data_file("push-parabolic-gf101")], "864f86fec7ccb49d"),
+    (["pull", data_file("pull-parabolic-gf101")], "ab4e7b7924743966"),
 ], ids=["push-parabolic", "push-graded", "pull-parabolic", "pull-graded",
-        "convert-to-graded", "convert-to-parabolic", "convert-bundle", "degree"])
+        "convert-to-graded", "convert-to-parabolic", "convert-bundle", "degree",
+        "push-parabolic-gf101", "pull-parabolic-gf101"])
 def test_command_stdout_bytes_are_pinned(capsys, argv, digest):
-    """Stdout bytes of the scenario commands on fixed scenario files over Q."""
+    """Stdout bytes of the scenario commands on fixed scenario files over Q
+    and GF(101); the GF(101) covers have e > 1 and branch units "1/2" and
+    "-3", and their coefficients mix residues, negatives and "a/b" text."""
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
+def _gf101_push_scenario():
+    return json.loads(open(data_file("push-parabolic-gf101")).read())
+
+
+def test_gf101_values_divisible_by_p_are_parse_errors(tmp_path, capsys):
+    doc = _gf101_push_scenario()
+    doc["cover"]["branches"][0]["unit"] = "1/101"
+    assert main(["push", write(tmp_path, "unit.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert "unit of branch 'x0'" in err and "is not an element of prime:101" in err
+
+    doc = _gf101_push_scenario()
+    doc["objects"][0]["chain"][0]["columns"][0][0]["coeffs"][0] = "1/101"
+    assert main(["push", write(tmp_path, "coeff.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert "bad element" in err and "is not an element of prime:101" in err
+
+
+def test_gf101_unit_divisible_by_p_is_inadmissible(tmp_path, capsys):
+    doc = _gf101_push_scenario()
+    doc["cover"]["branches"][1]["unit"] = "101"
+    assert main(["push", write(tmp_path, "unit.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert "InadmissibleProfile" in err and "zero unit" in err
 
 
 def test_verify_out_file_is_canonical_json(tmp_path, capsys):

@@ -6,11 +6,12 @@ independent sympy oracle in conftest.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
 
-from parstack import (QQ, AmbientMismatch, FpElement, Lattice, LocalElement,
+from parstack import (QQ, AmbientMismatch, Lattice, LocalElement,
                       PrimeField, SingularBasis, apply_matrix, direct_sum,
                       field_from_name)
 from parstack.lattice import image_columns
@@ -84,33 +85,33 @@ def test_rational_field_coercions():
     assert field_from_name("rational") == QQ
 
 
-def test_prime_field_arithmetic():
+def test_prime_field_codec():
     f = GF101
-    a = f.of(45)
-    assert a * a.inv() == f.one
-    assert a ** 3 == f.of(45 * 45 * 45)
-    assert f.of("1/2") * f.of(2) == f.one
-    assert 1 / f.of(3) * f.of(3) == f.one
+    assert f.zero == 0 and f.one == 1
+    assert f.of(45) == 45 and f.of(-1) == 100 and f.of(202) == 0
+    assert f.of("1/2") == f.of(Fraction(1, 2)) == 51
+    assert f.of("-3") == 98 and f.of("-2/3") == 2 * pow(-3, -1, 101) % 101
+    assert f.to_str(f.of("1/2")) == "51"
+    rng, again = random.Random(3), random.Random(3)
+    assert f.random_nonzero(rng) == again.randint(1, 100)
     assert field_from_name("prime:101") == f
     with pytest.raises(ValueError):
         PrimeField(10)
-    with pytest.raises(ZeroDivisionError):
-        f.zero.inv()
+    with pytest.raises(ValueError):
+        f.of("1/101")
+    with pytest.raises(TypeError):
+        f.of(0.5)
 
 
-def test_fp_element_int_interop():
-    a = FpElement(100, 101)
-    assert a + 1 == 0
-    assert 1 - a == 2
-    assert hash(a) == hash(100)
-
-
-def test_fp_element_equality_agrees_with_hash():
-    # an int equals an element only as its reduced residue, as hash(v) does
-    assert FpElement(1, 5) == 1 and hash(FpElement(1, 5)) == hash(1)
-    assert FpElement(1, 5) != 6 and FpElement(4, 5) != -1
-    assert FpElement(6, 5) == FpElement(1, 5)
-    assert len({FpElement(1, 5), 1}) == 1
+@pytest.mark.parametrize("value", [0.5, Fraction(1, 2)], ids=["float", "Fraction"])
+def test_prime_field_elements_reject_non_integer_values(value):
+    """A stray division yields a float (or a Fraction), never a residue."""
+    with pytest.raises(TypeError):
+        LocalElement.make(GF101, 0, [1, value])
+    with pytest.raises(TypeError):
+        LocalElement.const(GF101, value)
+    with pytest.raises(TypeError):
+        el(0, 1, 2, field=GF101).twist(value)
 
 
 # -- lattice canonical form ------------------------------------------------
