@@ -172,6 +172,26 @@ def test_push_requires_branch_objects(tmp_path, capsys):
     assert "no object at branch" in capsys.readouterr().err
 
 
+def test_pull_bundle_not_marked_at_the_target_exits_2(tmp_path, capsys):
+    doc = _data_doc("pull-bundle")
+    doc["cover"]["target"] = "elsewhere"
+    assert main(["pull", write(tmp_path, "unmarked.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ")
+    assert "bundle is not marked at target 'elsewhere'" in err
+
+
+@pytest.mark.parametrize("command,at", [("push", "x"), ("pull", "y")])
+def test_list_form_cover_exits_2(tmp_path, capsys, command, at):
+    """The cover block is one JSON object; a list of covers is not read."""
+    doc = line_scenario(weight="0", order=1, at=at)
+    doc["cover"] = [{"target": "y", "s": 2,
+                     "branches": [{"label": "x", "e": 2, "r": 1, "unit": "1"}]}]
+    assert main([command, write(tmp_path, "listcover.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "cover" in err
+
+
 def test_pull_weight_table(tmp_path, capsys):
     cover = {"target": "y", "s": 6,
              "branches": [{"label": "x", "e": 2, "r": 3, "unit": "1"}]}
@@ -323,29 +343,47 @@ def data_file(name):
     return os.path.join(DATA, name + ".json")
 
 
-@pytest.mark.parametrize("argv,digest", [
-    (["push", data_file("push-parabolic")], "fbc1bc56c459806e"),
-    (["push", data_file("push-graded")], "4cc950e2d140bd01"),
-    (["pull", data_file("pull-parabolic")], "71d59ab14f9f71d3"),
-    (["pull", data_file("pull-graded")], "7356f3096d062943"),
+NO_ERR = "e3b0c44298fc1c14"  # sha256 of empty output
+
+
+@pytest.mark.parametrize("argv,digest,err_digest", [
+    (["push", data_file("push-parabolic")], "fbc1bc56c459806e", "659194d2dee9fe4b"),
+    (["push", data_file("push-graded")], "4cc950e2d140bd01", "659194d2dee9fe4b"),
+    (["pull", data_file("pull-parabolic")], "71d59ab14f9f71d3", "4b16fa6b6cb81230"),
+    (["pull", data_file("pull-graded")], "7356f3096d062943", "4b16fa6b6cb81230"),
     (["convert", data_file("convert-to-graded"), "--direction", "to-graded"],
-     "77c11a8c1ca44eb4"),
+     "77c11a8c1ca44eb4", NO_ERR),
     (["convert", data_file("convert-to-parabolic"), "--direction", "to-parabolic"],
-     "548433599e432055"),
-    (["convert", data_file("degree"), "--direction", "to-graded"], "d99e291f22f3b797"),
-    (["degree", data_file("degree")], "b5f1c8e4728548a0"),
-    (["push", data_file("push-parabolic-gf101")], "864f86fec7ccb49d"),
-    (["pull", data_file("pull-parabolic-gf101")], "ab4e7b7924743966"),
+     "548433599e432055", NO_ERR),
+    (["convert", data_file("degree"), "--direction", "to-graded"], "d99e291f22f3b797",
+     NO_ERR),
+    (["degree", data_file("degree")], "b5f1c8e4728548a0", NO_ERR),
+    (["push", data_file("push-parabolic-gf101")], "864f86fec7ccb49d",
+     "8ca60794448da2a1"),
+    (["pull", data_file("pull-parabolic-gf101")], "ab4e7b7924743966",
+     "7a49a8895eede767"),
+    (["degree", data_file("degree-mixed")], "0753eacae8bbc35c", NO_ERR),
+    (["convert", data_file("degree-mixed"), "--direction", "to-graded"],
+     "32ac7950ea78f65f", NO_ERR),
+    (["convert", data_file("degree-mixed"), "--direction", "to-parabolic"],
+     "408aa8479b48d988", NO_ERR),
+    (["pull", data_file("pull-bundle")], "06b42c1aa42c113b", "d443e3cc1f0a7760"),
 ], ids=["push-parabolic", "push-graded", "pull-parabolic", "pull-graded",
         "convert-to-graded", "convert-to-parabolic", "convert-bundle", "degree",
-        "push-parabolic-gf101", "pull-parabolic-gf101"])
-def test_command_stdout_bytes_are_pinned(capsys, argv, digest):
-    """Stdout bytes of the scenario commands on fixed scenario files over Q
-    and GF(101); the GF(101) covers have e > 1 and branch units "1/2" and
-    "-3", and their coefficients mix residues, negatives and "a/b" text."""
+        "push-parabolic-gf101", "pull-parabolic-gf101", "degree-mixed",
+        "convert-mixed-to-graded", "convert-mixed-to-parabolic", "pull-bundle"])
+def test_command_stdout_bytes_are_pinned(capsys, argv, digest, err_digest):
+    """Stdout and stderr bytes of the scenario commands on fixed scenario
+    files over Q and GF(101); the GF(101) covers have e > 1 and branch
+    units "1/2" and "-3", and their coefficients mix residues, negatives and
+    "a/b" text.  Stderr carries the weight tables and the pulled degree
+    line.  ``degree-mixed`` holds a point, a module and a bundle, each with
+    an underlying degree; ``pull-bundle`` pulls a bundle marked at the
+    target, with ``deg_f``."""
     assert main(argv) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+    cap = capsys.readouterr()
+    assert hashlib.sha256(cap.out.encode()).hexdigest()[:16] == digest
+    assert hashlib.sha256(cap.err.encode()).hexdigest()[:16] == err_digest
 
 
 def _gf101_push_scenario():
