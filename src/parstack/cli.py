@@ -43,25 +43,25 @@ def _write_out(obj, out_path):
         sys.stdout.write(text)
 
 
-def _encoded(field, obj, at, rank):
+def _encoded(field, obj, at):
     """A point or a module as a scenario object at ``at``."""
     if isinstance(obj, GradedModule):
-        enc = sio.encode_module(obj, field)
-        enc["kind"] = "graded_module"
-    else:
-        enc = sio.encode_point(obj, field)
-        enc["kind"] = "parabolic_point"
-    enc.update(at=at, rank=rank)
-    return enc
+        return dict(sio.encode_module(obj, field), kind="graded_module", at=at, rank=obj.n)
+    return dict(sio.encode_point(obj, field), kind="parabolic_point", at=at, rank=obj.n)
+
+
+_DECODERS = {"parabolic_point": ("point", sio.decode_point),
+             "graded_module": ("module", sio.decode_module)}
 
 
 def _decode_objects(field, raw):
-    """Objects are per-point: (kind, at-label, decoded point or module, rank,
-    underlying_degree)."""
-    out = []
+    """The scenario's objects as (at-label, object, underlying_degree); each
+    object is a ParabolicBundle (at None), a ParabolicPoint or a
+    GradedModule."""
     objects = raw.get("objects", [])
     if not isinstance(objects, list):
         raise ParseError("'objects' must be a list")
+    out = []
     for idx, obj in enumerate(objects):
         where = " (object %d)" % idx
         if not isinstance(obj, dict):
@@ -71,30 +71,22 @@ def _decode_objects(field, raw):
         rank = obj.get("rank")
         if at is not None and type(at) is not str:
             raise ParseError("object%s: 'at' must be a string, not %r" % (where, at))
-        if kind in ("parabolic_point", "parabolic_bundle"):
-            if kind == "parabolic_bundle":
-                bundle = sio.decode_bundle(obj, field, where)
-                out.append(("parabolic_bundle", None, bundle, bundle.rank,
-                            bundle.underlying_degree))
-                continue
-            if type(rank) is not int or rank < 1:
-                raise ParseError("object%s needs an integer rank" % where)
-            deg = sio.underlying_degree(obj, "point" + where)
-            pt = sio.decode_point(obj, field, rank, where)
-            out.append(("parabolic_point", at, pt, rank, deg))
-        elif kind == "graded_module":
-            if type(rank) is not int or rank < 1:
-                raise ParseError("object%s needs an integer rank" % where)
-            deg = sio.underlying_degree(obj, "module" + where)
-            mod = sio.decode_module(obj, field, rank, where)
-            out.append(("graded_module", at, mod, rank, deg))
-        else:
+        if kind == "parabolic_bundle":
+            bundle = sio.decode_bundle(obj, field, where)
+            out.append((None, bundle, bundle.underlying_degree))
+            continue
+        if kind not in _DECODERS:
             raise ParseError("object%s has unknown kind %r" % (where, kind))
+        what, decode = _DECODERS[kind]
+        if type(rank) is not int or rank < 1:
+            raise ParseError("object%s needs an integer rank" % where)
+        deg = sio.underlying_degree(obj, what + where)
+        out.append((at, decode(obj, field, rank, where), deg))
     return out
 
 
-def _weight_table(point, rank, heading):
-    lines = ["%s  (rank %d, order %d)" % (heading, rank, point.order),
+def _weight_table(point, heading):
+    lines = ["%s  (rank %d, order %d)" % (heading, point.n, point.order),
              "  weight      multiplicity"]
     for w, m in point.weights():
         lines.append("  %-10s  %d" % (w, m))
@@ -109,27 +101,23 @@ def cmd_convert(args):
     to_graded = args.direction == "to-graded"
     converted = []
     touched = 0
-    for kind, at, obj, rank, deg in _decode_objects(field, raw):
-        if kind == "parabolic_bundle":
+    for at, obj, deg in _decode_objects(field, raw):
+        if isinstance(obj, ParabolicBundle):
             if not to_graded:
                 converted.append(sio.encode_bundle(obj, field))
                 continue
-            items = [(label, obj.points[label], obj.rank, obj.underlying_degree)
-                     for label in obj.labels()]
+            items = [(label, obj.points[label]) for label in obj.labels()]
         else:
-            items = [(at, obj, rank, deg)]
-        for at, obj, rank, deg in items:
-            if to_graded != isinstance(obj, GradedModule):  # on the source side
-                obj = from_parabolic(obj) if to_graded else to_parabolic(obj)
+            items = [(at, obj)]
+        for label, item in items:
+            if to_graded != isinstance(item, GradedModule):  # on the source side
+                item = from_parabolic(item) if to_graded else to_parabolic(item)
                 touched += 1
-            converted.append(dict(_encoded(field, obj, at, rank),
-                                  underlying_degree=deg))
+            converted.append(dict(_encoded(field, item, label), underlying_degree=deg))
     if not touched:
         raise ValidationError("no objects in the source representation "
                               "for direction %r" % args.direction)
-    out = dict(raw)
-    out["objects"] = converted
-    _write_out(out, args.out)
+    _write_out(dict(raw, objects=converted), args.out)
     return PASS
 
 
@@ -140,79 +128,58 @@ def _cover_of(field, raw):
     cover = raw.get("cover")
     if cover is None:
         raise ParseError("scenario needs a 'cover' block")
-    if isinstance(cover, list):
-        if len(cover) != 1:
-            raise ParseError("functor commands take exactly one cover entry")
-        cover = cover[0]
     return sio.decode_cover(cover, field)
 
 
 def cmd_push(args):
     field, raw = _read_scenario(args.scenario)
     target, profile = _cover_of(field, raw)
-    objects = _decode_objects(field, raw)
-    by_label = {at: (kind, obj, rank) for kind, at, obj, rank, _ in objects
-                if at is not None}
-    kinds = set()
+    by_label = {at: obj for at, obj, _ in _decode_objects(field, raw) if at is not None}
     per_branch = []
     for br in profile.branches:
         if br.label not in by_label:
             raise ValidationError("no object at branch %r" % br.label)
-        kind, obj, rank = by_label[br.label]
-        kinds.add(kind)
-        per_branch.append(obj)
-    if len(kinds) != 1:
+        per_branch.append(by_label[br.label])
+    if len({type(obj) for obj in per_branch}) != 1:
         raise ValidationError("all branch objects must be on the same side")
-    side = kinds.pop()
-    if side == "graded_module":
+    if isinstance(per_branch[0], GradedModule):
         result = pushforward_graded(profile, per_branch)
         pushed = to_parabolic(result)
     else:
         result = pushed = pushforward_parabolic(profile, per_branch)
-    out = dict(raw)
-    out["objects"] = [_encoded(field, result, target, pushed.n)]
-    _write_out(out, args.out)
-    print(_weight_table(pushed, pushed.n, "direct image at %r" % target),
-          file=sys.stderr)
+    _write_out(dict(raw, objects=[_encoded(field, result, target)]), args.out)
+    print(_weight_table(pushed, "direct image at %r" % target), file=sys.stderr)
     return PASS
 
 
 def cmd_pull(args):
     field, raw = _read_scenario(args.scenario)
     target, profile = _cover_of(field, raw)
-    objects = _decode_objects(field, raw)
-    sources = [(kind, obj, rank, deg) for kind, at, obj, rank, deg in objects
-               if at == target or kind == "parabolic_bundle"]
+    sources = [(obj, deg) for at, obj, deg in _decode_objects(field, raw)
+               if at == target or isinstance(obj, ParabolicBundle)]
     if len(sources) != 1:
         raise ValidationError("pull needs exactly one object at the target")
-    kind, obj, rank, deg = sources[0]
-    if kind == "parabolic_bundle":
-        if target not in obj.points:
+    source, deg = sources[0]
+    if isinstance(source, ParabolicBundle):
+        if target not in source.points:
             raise ValidationError("bundle is not marked at target %r" % target)
-        point, deg = obj.points[target], obj.underlying_degree
-        kind = "parabolic_point"
-    else:
-        point = obj
-    deg_f = raw.get("deg_f", sum(br.e for br in profile.branches))
+        source = source.points[target]
+    e_total = sum(br.e for br in profile.branches)
+    deg_f = raw.get("deg_f", e_total)
     if type(deg_f) is not int or deg_f < 1:
         raise ParseError("deg_f must be a positive integer, not %r" % (deg_f,))
-    results = []
-    tables = []
+    graded = isinstance(source, GradedModule)
+    pullback = pullback_graded if graded else pullback_parabolic
+    results, tables = [], []
     for br in profile.branches:
-        if kind == "graded_module":
-            result = pullback_graded(profile, point, br.label)
-            pulled = to_parabolic(result)
-        else:
-            result = pulled = pullback_parabolic(profile, point, br.label)
-        results.append(_encoded(field, result, br.label, pulled.n))
-        tables.append(_weight_table(pulled, pulled.n, "pullback at %r" % br.label))
+        result = pullback(profile, source, br.label)
+        pulled = to_parabolic(result) if graded else result
+        results.append(_encoded(field, result, br.label))
+        tables.append(_weight_table(pulled, "pullback at %r" % br.label))
     # each branch adds floor(e*w) + frac(e*w) = e*w per weight w
-    src_pt = point if kind != "graded_module" else to_parabolic(point)
-    pulled_degree_total = (deg_f * deg
-                           + sum(br.e for br in profile.branches) * src_pt.weight_sum())
-    out = dict(raw)
-    out["objects"] = results
-    _write_out(out, args.out)
+    src_pt = to_parabolic(source) if graded else source
+    pulled_degree_total = deg_f * deg + e_total * src_pt.weight_sum()
+    _write_out(dict(raw, objects=results), args.out)
     for tbl in tables:
         print(tbl, file=sys.stderr)
     if "deg_f" in raw or any("underlying_degree" in o for o in raw.get("objects", [])):
@@ -226,18 +193,17 @@ def cmd_pull(args):
 
 def cmd_degree(args):
     field, raw = _read_scenario(args.scenario)
-    objects = _decode_objects(field, raw)
     rows = []
-    for kind, at, obj, rank, deg in objects:
-        if kind == "parabolic_bundle":
-            rows.append(("bundle", rank, parabolic_degree(obj)))
-        elif kind == "parabolic_point":
-            bundle = ParabolicBundle(rank, deg, {at or "y": obj})
-            rows.append(("point %r" % (at or "y"), rank, parabolic_degree(bundle)))
+    for at, obj, deg in _decode_objects(field, raw):
+        if isinstance(obj, ParabolicBundle):
+            name, bundle = "bundle", obj
         else:
-            pt = to_parabolic(obj)
-            bundle = ParabolicBundle(rank, deg, {at or "y": pt})
-            rows.append(("module %r" % (at or "y"), rank, parabolic_degree(bundle)))
+            graded = isinstance(obj, GradedModule)
+            label = at or "y"
+            name = "%s %r" % ("module" if graded else "point", label)
+            bundle = ParabolicBundle(obj.n, deg,
+                                     {label: to_parabolic(obj) if graded else obj})
+        rows.append((name, bundle.rank, parabolic_degree(bundle)))
     print("object        rank  parabolic degree")
     for name, rank, pd in rows:
         print("%-12s  %-4d  %s" % (name, rank, pd))
@@ -252,16 +218,6 @@ def _config_hash(cfg):
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _run_verify(suites, cfg):
-    reports = []
-    all_pass = True
-    for name in suites:
-        rep = SUITES[name](cfg)
-        reports.append(rep)
-        all_pass = all_pass and rep.passed
-    return reports, all_pass
-
-
 def cmd_verify(args):
     suites = list(SUITES) if args.suite == "all" else [args.suite]
     try:
@@ -269,7 +225,8 @@ def cmd_verify(args):
                           field_name=args.field)
     except ValueError as exc:
         raise ParseError(str(exc))
-    reports, all_pass = _run_verify(suites, cfg)
+    reports = [SUITES[name](cfg) for name in suites]
+    all_pass = all(rep.passed for rep in reports)
     doc = {
         "tool_version": __version__,
         "seed": cfg.seed,

@@ -1,9 +1,9 @@
 """Exact coefficient fields: the rationals and prime fields GF(p).
 
 A field object is a codec for boundary values, not an arithmetic type:
-it parses (``of``), prints (``to_str``) and draws (``random_nonzero``)
-field values.  Rational values are fractions.Fraction; GF(p) values are
-plain int residues in [0, p).  They carry parsed numbers, generator
+it parses (``of``) and draws (``random_nonzero``) field values.  Rational
+values are fractions.Fraction; GF(p) values are plain int residues in
+[0, p); ``str`` prints either.  They carry parsed numbers, generator
 constants and branch units into the Laurent elements, which store
 integers (localring).  Linear algebra over k runs on constant Laurent
 matrices, never on field values.
@@ -33,9 +33,6 @@ class RationalField:
         while v == 0:
             v = rng.randint(-bound, bound)
         return self.of(v)
-
-    def to_str(self, a):
-        return str(a)
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -70,9 +67,6 @@ class PrimeField:
 
     def random_nonzero(self, rng, bound=None):
         return rng.randint(1, self.p - 1)
-
-    def to_str(self, a):
-        return str(a)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

@@ -13,6 +13,7 @@ import random
 import time
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from math import lcm
 
 from . import scenario as sio
 from .errors import NotAPairing
@@ -566,7 +567,7 @@ def verify_corollaries(cfg, mutation=None):
 # -- degree law ------------------------------------------------------------
 
 
-def degree_scenario_trial(rng, field=QQ):
+def degree_scenario_trial(rng):
     """One random global line scenario; returns (pulled degree, oracle)."""
     deg_f = rng.randint(1, 4)
     npts = rng.randint(1, 3)
@@ -581,7 +582,6 @@ def degree_scenario_trial(rng, field=QQ):
             e = rng.randint(1, left)
             parts.append(e)
             left -= e
-        from math import lcm
         s = lcm(*parts) * rng.randint(1, 3)
         c = rng.randint(0, s - 1)
         alpha = Fraction(c, s)

@@ -11,9 +11,9 @@ comparisons of integer tuples.
 All algorithms run on Laurent-polynomial matrices, whose integer
 arithmetic reduces once per operation.  Triangularization uses only exact
 column operations (scale by a polynomial unit of R, subtract an
-R-multiple); normalization of the triangular form uses truncated power
-series at a precision that provably exceeds what the reduced entries can
-see, and the result is re-verified exactly by back-substitution.
+R-multiple); normalization of the triangular form uses power series
+truncated at a precision P with t^P R^n inside the lattice (the proof is
+at the bound), and the result is re-verified exactly by back-substitution.
 
 Inner loops visit only the support of their sparse operand: the nonzero
 entries of a vector, of a column or of a pivot column, tested by the
@@ -196,11 +196,14 @@ def _canonicalize(field, n, columns):
     tri = [work[pivot_col[i]] for i in range(n)]
     diag = [tri[i][i].ord for i in range(n)]
 
-    # precision for the unit-normalization phase
-    ords = [e.ord for col in tri for e in col if e.coeffs]
-    m = min(0, min(ords))
-    amax = max(0, max(diag))
-    prec = amax + n * (amax - m) + abs(m) + 2
+    # Precision for the unit-normalization phase.  Every triangular entry
+    # has valuation >= m, so L lies in t^m R^n.  R^n / t^{-m}L has length
+    # delta - n*m (delta = sum(diag)), and t to that power kills it, so
+    # t^{delta-(n-1)m} R^n lies in L.  Truncating an entry at that precision
+    # changes its column by a vector of L.  Each column built below lies in L
+    # and has the canonical shape, so it is the unique canonical column.
+    m = min(0, min(e.ord for col in tri for e in col if e.coeffs))
+    prec = sum(diag) - (n - 1) * m
 
     canon = [[_Z] * n for _ in range(n)]
     for j in range(n):

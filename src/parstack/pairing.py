@@ -43,6 +43,8 @@ from dataclasses import dataclass
 
 from .errors import (NotAPairing, ProfileMismatch, ShapeMismatch, SingularBasis,
                      ValueLineMismatch)
+from .functors import (decompose_component, pullback_parabolic, pullback_parabolic_line,
+                       pushforward_parabolic, substitute_matrix)
 from .lattice import Lattice, image_columns
 from .linalg import block_diag, mat_vec, transpose
 from .localring import LocalElement
@@ -172,8 +174,6 @@ def pullback_value_line(profile, line_bundle, target_label, branch_label):
     """Pullback of a rank-1 value line along one branch, with aux points
     passed through (one copy per sheet of the cover) to keep the degree
     bookkeeping exact: pardeg(f^* L) = deg f * pardeg(L) = 0."""
-    from .functors import pullback_parabolic
-
     deg_f = sum(br.e for br in profile.branches)
     br = profile.branch(branch_label)
     pts = {}
@@ -193,9 +193,6 @@ def pullback_value_line(profile, line_bundle, target_label, branch_label):
 
 def pullback_pairing(profile, pairing, bundle, target_label):
     """Pullback of a pairing: single-branch profile, substituted form."""
-    from .functors import (pullback_parabolic, pullback_parabolic_line,
-                           substitute_matrix)
-
     if len(profile.branches) != 1:
         raise ProfileMismatch("pairing pullback works on a single-branch chart")
     br = profile.branches[0]
@@ -226,8 +223,6 @@ def residue_push_form(form, e, u, n):
     t^{rho+sigma} * entry along t^{e-1}, scaled by 1/u.  It depends on
     rho+sigma only, so each entry gives 2e-1 values for its e x e block.
     Shifting by t^e = w_y/u and back by w_y^-1 supplies the 1/u."""
-    from .functors import decompose_component
-
     out = [[_Z] * (n * e) for _ in range(n * e)]
     for i in range(n):
         for i2 in range(n):
@@ -248,8 +243,6 @@ def pushforward_pairing(profile, value_line, target_label, branch_pairs):
     aligned with profile.branches.  Returns (pairing, bundle) on the
     target chart.
     """
-    from .functors import pushforward_parabolic
-
     if len(branch_pairs) != len(profile.branches):
         raise ProfileMismatch("need one branch pairing per branch")
     kinds = set()

@@ -197,7 +197,7 @@ def encode_cover(profile, field, target="y"):
     return {"target": target,
             "s": profile.target_order,
             "branches": [{"label": br.label, "e": br.e, "r": br.r,
-                          "unit": field.to_str(br.unit)}
+                          "unit": str(br.unit)}
                          for br in profile.branches]}
 
 

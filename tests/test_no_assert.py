@@ -1,7 +1,9 @@
 """Library guards survive ``python -O``: src/parstack has no assert statement.
 
 ``python -O`` strips assert statements, so a guard written as one stops
-guarding there; the library raises its own errors instead.
+guarding there; the library raises its own errors instead.  Imports sit
+at module level too, so an import cycle shows when the package loads, not
+at the first call of some function.
 """
 
 import ast
@@ -14,9 +16,20 @@ PACKAGE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
 MODULES = sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py"))
 
 
+def _parse(module):
+    with open(os.path.join(PACKAGE, module)) as fh:
+        return ast.parse(fh.read(), module)
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_library_module_has_no_assert(module):
-    with open(os.path.join(PACKAGE, module)) as fh:
-        tree = ast.parse(fh.read(), module)
-    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    lines = [node.lineno for node in ast.walk(_parse(module)) if isinstance(node, ast.Assert)]
     assert not lines, "%s has assert statements on lines %s" % (module, lines)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_library_module_imports_at_module_level(module):
+    lines = [node.lineno for fn in ast.walk(_parse(module))
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not lines, "%s imports inside a function on lines %s" % (module, lines)

@@ -59,7 +59,8 @@ def dense_contains(big, small):
 
 def dense_canonicalize(field, n, columns):
     """(cols, diag) of the canonical basis: the kernel's two phases with
-    every row of every column updated, zeros included."""
+    every row of every column updated, zeros included, and normalized at
+    the kernel's earlier precision, which is never below its proven one."""
     work = [list(c) for c in columns if any(x.coeffs for x in c)]
     avail = list(range(len(work)))
     tri = [None] * n
@@ -183,6 +184,20 @@ def test_from_columns_matches_dense(data, fn):
         return
     lattice = Lattice.from_columns(field, n, cols)
     assert (lattice.cols, lattice.diag) == ref
+
+
+@PROPS
+@given(st.data(), field_and_rank())
+def test_normalization_precision_lies_in_the_lattice(data, fn):
+    """t^P e_i is in L for P = sum(diag) - (n-1)*m, where m <= 0 bounds the
+    valuations of a basis of L: the precision bound of _canonicalize."""
+    field, n = fn
+    lattice = data.draw(lattices(field, n))
+    m = min(0, min(x.ord for col in lattice.cols for x in col if x.coeffs))
+    prec = sum(lattice.diag) - (n - 1) * m
+    for i in range(n):
+        assert lattice.member([LocalElement.t_power(field, prec) if r == i else ZERO
+                               for r in range(n)])
 
 
 @PROPS
