@@ -217,12 +217,11 @@ def pullback_parabolic_line(alpha, e, r):
     return twist, scaled - twist
 
 
-def pullback_parabolic(profile, point, label, rng=None, lines=None):
+def pullback_parabolic(profile, point, label, lines=None):
     """Pullback of an order-s chain to the branch chart, order r = s/e.
 
     For e > 1 the point is split into lines: ``lines`` when the caller
-    already holds a splitting of ``point``, else split_into_lines(point,
-    rng).
+    already holds a splitting of ``point``, else split_into_lines(point).
     """
     br = profile.branch(label)
     if point.order != profile.target_order:
@@ -236,7 +235,7 @@ def pullback_parabolic(profile, point, label, rng=None, lines=None):
         return ParabolicPoint(r, map_runs(lambda lat: Lattice.from_columns(
             lat.field, lat.n, [[substitute_element(x, 1, br.unit) for x in col]
                                for col in lat.cols]), point.chain))
-    sp = lines or split_into_lines(point, rng=rng)
+    sp = lines or split_into_lines(point)
     mat_x = substitute_matrix(sp.matrix, e, br.unit)
     n = point.n
     members = {}  # exponent vector of the lines -> canonical member

@@ -173,7 +173,7 @@ def encode_bundle(bundle, field):
 
 def decode_bundle(obj, field, where=""):
     rank = obj.get("rank")
-    if type(rank) is not int or rank < 0:
+    if type(rank) is not int or rank < 1:
         raise ParseError("bundle needs an integer rank")
     degree = underlying_degree(obj, "bundle" + where)
     points = obj.get("points", {})
@@ -193,8 +193,8 @@ def underlying_degree(obj, what):
     return degree
 
 
-def encode_cover(profile, field, target="y"):
-    return {"target": target,
+def encode_cover(profile, field):
+    return {"target": "y",
             "s": profile.target_order,
             "branches": [{"label": br.label, "e": br.e, "r": br.r,
                           "unit": str(br.unit)}

@@ -156,7 +156,8 @@ def test_criterion_7_pairing_transport():
     ok = True
     while ok and min(counts.values()) < 100:
         trial_rng = random.Random(master.getrandbits(64))
-        passed, note, instance = _corollary_trial(trial_rng, cfg, {}, None)
+        instance = {}
+        passed, note = _corollary_trial(trial_rng, cfg, {}, None, instance)
         ok = ok and passed
         if "kind" in instance and not note.startswith("no "):
             kind = instance["kind"]

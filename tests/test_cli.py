@@ -306,7 +306,8 @@ def test_rational_report_digests_are_pinned(tmp_path, capsys, suite, digest):
 
 
 def test_library_error_in_a_trial_fails_verify(tmp_path, capsys, monkeypatch):
-    def raising_trial(rng, cfg, coverage, mutation):
+    # raises before it draws anything, so no instance is kept
+    def raising_trial(rng, cfg, coverage, mutation, instance):
         raise SingularBasis("planted")
 
     monkeypatch.setattr(harness, "_pullback_trial", raising_trial)
@@ -495,6 +496,21 @@ def test_mistyped_scenario_fields_exit_2(tmp_path, capsys, command, doc, named):
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and named in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,options", [("convert", ["--direction", "to-graded"]),
+                                             ("degree", [])],
+                         ids=["convert", "degree"])
+def test_rank_0_bundle_exits_2(tmp_path, capsys, command, options):
+    """Points and modules need rank >= 1, so bundles do too: a rank-0 bundle
+    would convert to a module that the reverse conversion rejects."""
+    src = write(tmp_path, "rank0.json", {"version": 1, "field": "rational", "objects": [{
+        "kind": "parabolic_bundle", "rank": 0,
+        "points": {"y": {"order": 2, "weights": []}}}]})
+    assert main([command, src] + options) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "input error: bundle needs an integer rank\n"
+    assert captured.out == ""
 
 
 def test_huge_weight_multiplicity_exits_2_without_allocating(tmp_path, capsys):

@@ -207,7 +207,8 @@ def test_pullback_matches_per_member_reference(field):
         seed = rng.getrandbits(32)
         assert pullback_parabolic(profile, pt, "x").chain == \
             ref_pullback_parabolic(profile, pt, "x")
-        assert pullback_parabolic(profile, pt, "x", rng=random.Random(seed)).chain == \
+        assert pullback_parabolic(profile, pt, "x", lines=split_into_lines(
+            pt, rng=random.Random(seed))).chain == \
             ref_pullback_parabolic(profile, pt, "x", rng=random.Random(seed))
         assert pullback_graded(profile, mod, "x").pieces == \
             ref_pullback_graded(profile, mod, "x")

@@ -9,14 +9,16 @@ from parstack import (ANTISYMMETRIC, MUTATIONS, QQ, SYMMETRIC, Lattice,
                       ParabolicBundle, ParabolicPairing, ParabolicPoint,
                       TrialConfig, check_pairing, gen_parabolic_point,
                       run_mutation)
-from parstack.harness import (SUITES, _find_line_pair, _line_pair_exponent,
-                              _value_line_bundle,
+from parstack import pairing
+from parstack.harness import (SUITES, _find_line_pair, _flip_off_diagonal,
+                              _line_pair_exponent, _value_line_bundle,
                               degree_scenario_trial, gen_point_morphism,
                               gen_profile, gen_unimodular, verify_corollaries,
                               verify_direct_image, verify_pullback)
 from parstack.linalg import identity_matrix, mat_mul
 from parstack.localring import LocalElement
 from parstack.parabolic import is_point_morphism
+from parstack.scenario import decode_element
 
 from conftest import GF101
 
@@ -114,6 +116,30 @@ def test_mutations_are_detected_with_counterexamples():
         assert failure["trial_index"] == 0 and failure["instance"]
     assert seen == {"broken-inclusion", "wrong-twist", "transposed-grading",
                     "flipped-symmetry"}
+
+
+FLIPPED = [(suite, mutation, seed) for suite, mutation, seed in MUTATIONS
+           if mutation == "flipped-symmetry"]
+
+
+def test_flipped_symmetry_is_caught_by_the_symmetry_check(monkeypatch):
+    """The mutation only corrupts the form, so with the symmetry test stubbed
+    out some flipped forms must go through the suite unnoticed."""
+    monkeypatch.setattr(pairing, "_symmetry_holds", lambda kind, form: True)
+    assert any(run_mutation(*entry).passed for entry in FLIPPED)
+
+
+def test_flipped_branch_form_is_recorded_when_the_trial_raises():
+    rep = run_mutation("corollaries", "flipped-symmetry", 4001)
+    failure = rep.failures[0]
+    assert not rep.passed and failure["note"].startswith("raised NotAPairing")
+    instance = failure["instance"]
+    cols = instance["branch_pairs"][0]["form"]
+    form = [[decode_element(col[i], QQ) for col in cols] for i in range(len(cols))]
+    # the recorded form is the corrupted one: flipping back restores its kind
+    assert not pairing._symmetry_holds(SYMMETRIC, form)
+    assert not pairing._symmetry_holds(ANTISYMMETRIC, form)
+    assert pairing._symmetry_holds(instance["kind"], _flip_off_diagonal(form))
 
 
 def test_degree_scenarios():
