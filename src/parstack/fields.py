@@ -28,10 +28,11 @@ class RationalField:
         """Coerce an int, Fraction or 'a/b' string to a field element."""
         return Fraction(x)
 
-    def random_nonzero(self, rng, bound=5):
+    def random_nonzero(self, rng):
+        """A nonzero integer in [-5, 5]."""
         v = 0
         while v == 0:
-            v = rng.randint(-bound, bound)
+            v = rng.randint(-5, 5)
         return self.of(v)
 
     def __eq__(self, other):
@@ -65,7 +66,7 @@ class PrimeField:
             return x.numerator * pow(x.denominator, -1, self.p) % self.p
         return operator.index(x) % self.p
 
-    def random_nonzero(self, rng, bound=None):
+    def random_nonzero(self, rng):
         return rng.randint(1, self.p - 1)
 
     def __eq__(self, other):

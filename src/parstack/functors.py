@@ -7,8 +7,9 @@ The parabolic direct image refines each branch chain to denominator
 r*e and restricts scalars; the graded direct image distributes the
 branch grades over grade m = r*l + k with a t^{-l} twist.  The parabolic
 pullback splits into lines and applies the floor/fractional-part line
-formula; the graded pullback is base change of the root-stack module and
-uses no splitting, so the two routes stay independent computations.
+formula at every e; the graded pullback is base change of the root-stack
+module and uses no splitting, so the two routes stay independent
+computations.
 """
 
 from __future__ import annotations
@@ -112,13 +113,12 @@ def restrict_scalars(lattice, e, u):
     return Lattice.from_columns(lattice.field, lattice.n * e, gens)
 
 
-def restrict_matrix(rows, e, u, n_out, n_in):
+def restrict_matrix(rows, e, u):
     """Restriction of scalars of a K_X-linear map, as an (n_out*e) x (n_in*e)
     matrix over K_Y with the same coordinate convention: column i*e + sigma
     is the restricted image of t^sigma times basis vector i."""
-    cols = [_restrict_column([rows[io][ii] for io in range(n_out)], sigma, e, u)
-            for ii in range(n_in) for sigma in range(e)]
-    return transpose(cols)
+    return transpose([_restrict_column(col, sigma, e, u)
+                      for col in transpose(rows) for sigma in range(e)])
 
 
 def substitute_matrix(rows, e, u):
@@ -141,14 +141,14 @@ def refine_branch_filtration(point, e):
 # -- direct image ----------------------------------------------------------
 
 
-def _check_branches(profile, branch_objects, order_of):
+def _check_branches(profile, branch_objects):
     if len(branch_objects) != len(profile.branches):
         raise ProfileMismatch("expected %d branch objects, got %d"
                               % (len(profile.branches), len(branch_objects)))
     for br, obj in zip(profile.branches, branch_objects):
-        if order_of(obj) != br.r:
+        if obj.order != br.r:
             raise ProfileMismatch("branch %r: object order %d, profile r=%d"
-                                  % (br.label, order_of(obj), br.r))
+                                  % (br.label, obj.order, br.r))
 
 
 def pushforward_parabolic(profile, branches):
@@ -158,7 +158,7 @@ def pushforward_parabolic(profile, branches):
     member by member; a refined member equal to its predecessor reuses
     the predecessor's restriction.
     """
-    _check_branches(profile, branches, lambda p: p.order)
+    _check_branches(profile, branches)
     restricted = [map_runs(lambda lat: restrict_scalars(lat, br.e, br.unit),
                            refine_branch_filtration(pt, br.e))
                   for br, pt in zip(profile.branches, branches)]
@@ -175,7 +175,7 @@ def pushforward_graded(profile, branches):
     separate from the parabolic route's, so that a fault in one shows up
     as a disagreement between the routes.
     """
-    _check_branches(profile, branches, lambda m: m.order)
+    _check_branches(profile, branches)
     s = profile.target_order
     restricted = []
     for br, mod in zip(profile.branches, branches):
@@ -194,11 +194,10 @@ def pushforward_graded(profile, branches):
     return GradedModule(s, [direct_sum(parts) for parts in zip(*restricted)])
 
 
-def pushforward_matrix(profile, branch_mats, n_outs, n_ins):
+def pushforward_matrix(profile, branch_mats):
     """Block direct sum of restricted branch matrices."""
-    return block_diag([restrict_matrix(mat, br.e, br.unit, no, ni)
-                       for br, mat, no, ni in zip(profile.branches, branch_mats,
-                                                  n_outs, n_ins)])
+    return block_diag([restrict_matrix(mat, br.e, br.unit)
+                       for br, mat in zip(profile.branches, branch_mats)])
 
 
 # -- pullback --------------------------------------------------------------
@@ -220,36 +219,27 @@ def pullback_parabolic_line(alpha, e, r):
 def pullback_parabolic(profile, point, label, lines=None):
     """Pullback of an order-s chain to the branch chart, order r = s/e.
 
-    For e > 1 the point is split into lines: ``lines`` when the caller
-    already holds a splitting of ``point``, else split_into_lines(point).
+    The line formula on a splitting of the point (``lines`` when the
+    caller already holds one, else split_into_lines(point)) at every e;
+    only the identity chart, e = 1 with unit 1, returns the point itself.
     """
     br = profile.branch(label)
     if point.order != profile.target_order:
         raise ProfileMismatch("point order %d, profile s=%d"
                               % (point.order, profile.target_order))
     e, r = br.e, br.r
-    if e == 1:
-        # the identification K_Y = K_X still rescales t by the unit
-        if br.unit == 1:
-            return point
-        return ParabolicPoint(r, map_runs(lambda lat: Lattice.from_columns(
-            lat.field, lat.n, [[substitute_element(x, 1, br.unit) for x in col]
-                               for col in lat.cols]), point.chain))
+    if e == 1 and br.unit == 1:
+        return point
     sp = lines or split_into_lines(point)
     mat_x = substitute_matrix(sp.matrix, e, br.unit)
-    n = point.n
-    members = {}  # exponent vector of the lines -> canonical member
-    chain = []
-    for j in range(r):
-        exps = []
-        for c in sp.jumps:
-            twist, k = c // r, c % r
-            exps.append(-twist + (1 if j > k else 0))
-        exps = tuple(exps)
-        if exps not in members:
-            gens = [[mat_x[i][b].shift(x) for i in range(n)] for b, x in enumerate(exps)]
-            members[exps] = Lattice.from_columns(point.field, n, gens)
-        chain.append(members[exps])
+
+    def member(exps):  # line b is t^{exps[b]} times substituted column b
+        return Lattice.from_columns(point.field, point.n, [
+            [row[b].shift(x) for row in mat_x] for b, x in enumerate(exps)])
+
+    # each exponent is monotone in j, so equal members are neighbours
+    chain = map_runs(member, [tuple(-(c // r) + (j > c % r) for c in sp.jumps)
+                              for j in range(r)])
     chain.append(chain[0].scale(1))
     return ParabolicPoint(r, chain)
 

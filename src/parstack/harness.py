@@ -29,8 +29,8 @@ from .localring import LocalElement
 from .pairing import (ANTISYMMETRIC, SYMMETRIC, ParabolicPairing, check_pairing,
                       expected_branch_value_data, pullback_pairing,
                       pushforward_pairing)
-from .parabolic import (ParabolicBundle, ParabolicPoint, is_point_morphism,
-                        split_into_lines)
+from .parabolic import (ParabolicBundle, ParabolicPoint, SplitLines,
+                        is_point_morphism, split_into_lines)
 from .rootstack import (GradedModule, from_parabolic, is_graded_morphism,
                         to_parabolic)
 
@@ -181,6 +181,23 @@ def gen_point_morphism(rng, src, dst, lines=None):
     return mat_mul(spd.matrix, mat_mul(f, sps.inverse))
 
 
+def mix_lines(point, lines, rng):
+    """Another adapted splitting of point: ``lines`` mixed by random column
+    operations adding c * v_k to v_i when jump(k) >= jump(i), which keep it
+    adapted (they compose on the right: (B0 * V) * E = B0 * (V * E))."""
+    n, jumps = point.n, lines.jumps
+    mat = [row[:] for row in lines.matrix]
+    inv = [row[:] for row in lines.inverse]
+    if n > 1:
+        for _ in range(n + rng.randint(0, n)):
+            i, k = rng.sample(range(n), 2)
+            if jumps[k] < jumps[i]:
+                i, k = k, i
+            c = LocalElement.const(point.field, rng.choice([-2, -1, 1, 2]))
+            add_column_multiple(mat, inv, i, k, c)
+    return SplitLines(jumps, mat, inv)
+
+
 # -- suite plumbing --------------------------------------------------------
 
 
@@ -278,7 +295,7 @@ def _direct_image_trial(rng, cfg, coverage, mutation, instance):
     for mat, msrc, mdst in zip(mats, mods, dst_mods):
         if not is_graded_morphism(mat, msrc, mdst):
             return False, "generated morphism not graded"
-    pushed_mat = pushforward_matrix(profile, mats, ranks, ranks)
+    pushed_mat = pushforward_matrix(profile, mats)
     if not is_point_morphism(pushed_mat, route_b,
                              pushforward_parabolic(profile, dst_pts)):
         return False, "pushforward not natural (parabolic)"
@@ -307,7 +324,7 @@ def _pullback_trial(rng, cfg, coverage, mutation, instance):
                     objects=[dict(sio.encode_point(point, field), at="y",
                                   kind="parabolic_point")])
 
-    # the splittings without rng are shared by the pullbacks and the morphism
+    # the splittings are shared by the pullbacks and the morphism
     lines = split_into_lines(point)
     pulled = pullback_parabolic(profile, point, br.label, lines=lines)
     module = from_parabolic(point)
@@ -320,8 +337,8 @@ def _pullback_trial(rng, cfg, coverage, mutation, instance):
 
     # splitting independence: two random adapted bases, identical result
     for _ in range(2):
-        alt = pullback_parabolic(profile, point, br.label, lines=split_into_lines(
-            point, rng=random.Random(rng.getrandbits(32))))
+        alt = pullback_parabolic(profile, point, br.label, lines=mix_lines(
+            point, lines, random.Random(rng.getrandbits(32))))
         if alt != pulled:
             return False, "splitting dependence"
 
@@ -459,6 +476,16 @@ def _flip_off_diagonal(form):
     return bad
 
 
+def _flip_symmetry(form, kind):
+    """The (form, kind) of the flipped-symmetry mutation: the form with an
+    off-diagonal sign flipped, or, when that leaves it unchanged (no nonzero
+    off-diagonal entry), the form with the other kind declared."""
+    bad = _flip_off_diagonal(form)
+    if bad != form:
+        return bad, kind
+    return form, ANTISYMMETRIC if kind == SYMMETRIC else SYMMETRIC
+
+
 def _corollary_trial(rng, cfg, coverage, mutation, instance):
     field = cfg.field
     kind = SYMMETRIC if rng.random() < 0.5 else ANTISYMMETRIC
@@ -478,7 +505,8 @@ def _corollary_trial(rng, cfg, coverage, mutation, instance):
             return True, "no instance at this size"
         pt, form, value = made
         if mutation == "flipped-symmetry":
-            form = _flip_off_diagonal(form)
+            form, kind = _flip_symmetry(form, kind)
+            instance["kind"] = kind
         bundle = ParabolicBundle(pt.n, 0, {"y": pt})
         instance["cover"] = sio.encode_cover(profile, field)
         instance["objects"] = [sio.encode_bundle(bundle, field)]
@@ -507,6 +535,7 @@ def _corollary_trial(rng, cfg, coverage, mutation, instance):
     value = _value_line_bundle(field, "y", s, c_l, g_l)
     branch_pairs = []
     branch_encoded = []
+    expected = kind
     for br in profile.branches:
         g_x, c_x = expected_branch_value_data(profile, br, value, "y")
         made = gen_pairing_point(rng, field, br.r, c_x, g_x, kind, 1, br.label)
@@ -514,7 +543,8 @@ def _corollary_trial(rng, cfg, coverage, mutation, instance):
             return True, "no branch instance at this size"
         pt, form, _ = made
         if mutation == "flipped-symmetry" and not branch_pairs:
-            form = _flip_off_diagonal(form)
+            form, expected = _flip_symmetry(form, kind)
+            instance["kind"] = expected
         branch_pairs.append((pt, form, (g_x, c_x)))
         branch_encoded.append({"at": br.label,
                                "point": sio.encode_point(pt, field),
@@ -524,7 +554,7 @@ def _corollary_trial(rng, cfg, coverage, mutation, instance):
     instance["value_line"] = sio.encode_bundle(value, field)
     pushed_pairing, pushed_bundle = pushforward_pairing(profile, value, "y",
                                                         branch_pairs)
-    if pushed_pairing.kind != kind:
+    if pushed_pairing.kind != expected:
         return False, "kind not preserved"
     if not check_pairing(pushed_pairing, pushed_bundle):
         return False, "pushed pairing imperfect"

@@ -25,7 +25,7 @@ is row k takes about k^2/2 steps, not n^2/2.
 
 from __future__ import annotations
 
-from .errors import AmbientMismatch, SingularBasis
+from .errors import AmbientMismatch, ShapeMismatch, SingularBasis
 from .linalg import mat_vec
 from .localring import LocalElement
 
@@ -268,8 +268,13 @@ def maps_into(rows, srcs, dsts):
     """True iff rows * srcs[k] <= dsts[k] for every stage k.
 
     A stage whose (source, target) pair repeats the previous stage's pair
-    is not tested again.
+    is not tested again.  A matrix that is not dsts.n x srcs.n raises
+    ShapeMismatch.
     """
+    n_out, n_in = dsts[0].n, srcs[0].n
+    if len(rows) != n_out or (rows and len(rows[0]) != n_in):
+        raise ShapeMismatch("matrix is %dx%d, expected %dx%d"
+                            % (len(rows), len(rows[0]) if rows else 0, n_out, n_in))
     for k, (src, dst) in enumerate(zip(srcs, dsts)):
         if k and src == srcs[k - 1] and dst == dsts[k - 1]:
             continue

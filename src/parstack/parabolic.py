@@ -18,7 +18,6 @@ from fractions import Fraction
 from .errors import InvalidChain, ShapeMismatch
 from .lattice import Lattice, map_runs, maps_into
 from .linalg import add_column_multiple, identity_matrix, mat_mul
-from .localring import LocalElement
 
 
 class ParabolicPoint:
@@ -110,9 +109,6 @@ def is_point_morphism(rows, src, dst):
     """True iff rows * src.chain[j] <= dst.chain[j] for every stage j."""
     if src.order != dst.order:
         raise ShapeMismatch("orders %d vs %d" % (src.order, dst.order))
-    if len(rows) != dst.n or (rows and len(rows[0]) != src.n):
-        raise ShapeMismatch("matrix is %dx%d, expected %dx%d"
-                            % (len(rows), len(rows[0]) if rows else 0, dst.n, src.n))
     return maps_into(rows, src.chain[:src.order], dst.chain[:dst.order])
 
 
@@ -126,7 +122,7 @@ class SplitLines:
     inverse: list        # exact inverse of matrix
 
 
-def split_into_lines(point, rng=None):
+def split_into_lines(point):
     """Adapted basis for the chain: the jump of each line plus change of basis.
 
     The flag is read off canonical forms.  In the coordinates of the
@@ -141,9 +137,7 @@ def split_into_lines(point, rng=None):
     and lifts to column i of that L_j (e_i for jump 0).  The change of
     basis V is unitriangular with constant entries, built together with
     its inverse by column operations; matrix = B0 * V and
-    inverse = V^{-1} * B0^{-1}.  With rng given, V is mixed by random
-    column operations that add c * v_k to v_i when jump(k) >= jump(i),
-    which keep it adapted (used for splitting-independence checks).
+    inverse = V^{-1} * B0^{-1}.
     """
     n, r, field = point.n, point.order, point.field
     top = point.chain[0]
@@ -167,13 +161,6 @@ def split_into_lines(point, rng=None):
             for k in range(i):
                 if lifts[i][k].coeffs:
                     add_column_multiple(v, vinv, i, k, lifts[i][k])
-    if rng is not None and n > 1:
-        for _ in range(n + rng.randint(0, n)):
-            i, k = rng.sample(range(n), 2)
-            if jumps[k] < jumps[i]:
-                i, k = k, i
-            c = LocalElement.const(field, rng.choice([-2, -1, 1, 2]))
-            add_column_multiple(v, vinv, i, k, c)
 
     # lift through B0: column b of the change of basis is B0 * v_b
     b0 = top.basis_columns()

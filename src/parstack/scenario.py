@@ -64,7 +64,7 @@ def encode_lattice(lat):
                         for col in lat.basis_columns()]}
 
 
-def decode_lattice(obj, field, n, what="lattice"):
+def decode_lattice(obj, field, n, what):
     if type(obj) is not dict or "columns" not in obj:
         raise ParseError("%s needs 'columns'" % what)
     cols = obj["columns"]

@@ -24,7 +24,7 @@ from parstack.lattice import image_columns
 from parstack.localring import LocalElement
 from parstack.harness import (_find_line_pair, gen_pairing_point,
                               gen_parabolic_point, gen_point_morphism,
-                              gen_profile, gen_unimodular)
+                              gen_profile, gen_unimodular, mix_lines)
 from parstack.parabolic import split_into_lines
 
 from conftest import GF101, trivial_module
@@ -100,7 +100,9 @@ def ref_pullback_parabolic(profile, point, label, rng=None):
     e, r = br.e, br.r
     if e == 1:
         return point.chain if br.unit == 1 else _ref_substitute(point.chain, br.unit)
-    sp = split_into_lines(point, rng=rng)
+    sp = split_into_lines(point)
+    if rng is not None:
+        sp = mix_lines(point, sp, rng)
     mat_x = substitute_matrix(sp.matrix, e, br.unit)
     n = point.n
     chain = []
@@ -121,7 +123,10 @@ def ref_pullback_graded(profile, module, label, rng=None):
     e, r = br.e, br.r
     if e == 1:
         return module.pieces if br.unit == 1 else _ref_substitute(module.pieces, br.unit)
-    sp = split_into_lines(to_parabolic(module), rng=rng)
+    point = to_parabolic(module)
+    sp = split_into_lines(point)
+    if rng is not None:
+        sp = mix_lines(point, sp, rng)
     mat_x = substitute_matrix(sp.matrix, e, br.unit)
     n = module.n
     pieces = []
@@ -207,8 +212,8 @@ def test_pullback_matches_per_member_reference(field):
         seed = rng.getrandbits(32)
         assert pullback_parabolic(profile, pt, "x").chain == \
             ref_pullback_parabolic(profile, pt, "x")
-        assert pullback_parabolic(profile, pt, "x", lines=split_into_lines(
-            pt, rng=random.Random(seed))).chain == \
+        assert pullback_parabolic(profile, pt, "x", lines=mix_lines(
+            pt, split_into_lines(pt), random.Random(seed))).chain == \
             ref_pullback_parabolic(profile, pt, "x", rng=random.Random(seed))
         assert pullback_graded(profile, mod, "x").pieces == \
             ref_pullback_graded(profile, mod, "x")

@@ -16,6 +16,7 @@ from parstack import (QQ, CoverProfile, GradedModule, InadmissibleProfile,
 from parstack.functors import (Branch, decompose_element,
                                refine_branch_filtration, substitute_element)
 from parstack.harness import gen_graded_module, gen_parabolic_point, gen_profile
+from parstack.parabolic import SplitLines, split_into_lines
 
 from conftest import GF101, el, lat, trivial_module, trivial_point
 
@@ -189,6 +190,17 @@ def test_nontrivial_unit_enters_both_routes():
     assert to_parabolic(pullback_graded(profile, from_parabolic(pt), "x")) == pulled
 
 
+def test_unramified_pullback_runs_the_line_formula():
+    """At e = 1 with a unit other than 1 the chain comes from the lines, so
+    a splitting with the wrong jumps changes it."""
+    profile = make_profile(3, [("x", 1, 3, QQ.of(2))])
+    pt = gen_parabolic_point(random.Random(53), 1, 3)
+    sp = split_into_lines(pt)
+    wrong = SplitLines([(c + 1) % 3 for c in sp.jumps], sp.matrix, sp.inverse)
+    assert pullback_parabolic(profile, pt, "x", lines=wrong) != \
+        pullback_parabolic(profile, pt, "x")
+
+
 # -- cross-route equalities and naturality ----------------------------------
 
 
@@ -211,7 +223,7 @@ def test_pushforward_matrix_naturality():
     dsts = [gen_parabolic_point(rng, 2, 2), gen_parabolic_point(rng, 1, 1)]
     from parstack.harness import gen_point_morphism
     mats = [gen_point_morphism(rng, s, d) for s, d in zip(srcs, dsts)]
-    big = pushforward_matrix(profile, mats, [2, 1], [2, 1])
+    big = pushforward_matrix(profile, mats)
     assert is_point_morphism(big, pushforward_parabolic(profile, srcs),
                              pushforward_parabolic(profile, dsts))
     assert is_graded_morphism(big,

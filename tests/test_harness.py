@@ -142,6 +142,17 @@ def test_flipped_branch_form_is_recorded_when_the_trial_raises():
     assert pairing._symmetry_holds(instance["kind"], _flip_off_diagonal(form))
 
 
+@pytest.mark.parametrize("field_name", ["rational", "prime:101"])
+def test_flipped_symmetry_fails_every_drawn_instance(field_name):
+    """A form with no nonzero off-diagonal entry is unchanged by the sign
+    flip; the mutation then declares the other kind, so no drawn instance
+    is an equivalent mutant."""
+    for seed in range(4000, 4200):
+        rep = run_mutation("corollaries", "flipped-symmetry", seed, field_name)
+        [(_, ok, note)] = rep.verdicts
+        assert not ok or note.startswith("no "), (seed, note)
+
+
 def test_degree_scenarios():
     rng = random.Random(23)
     for _ in range(25):

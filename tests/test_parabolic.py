@@ -8,7 +8,7 @@ import pytest
 from parstack import (QQ, InvalidChain, Lattice, ParabolicBundle,
                       ParabolicPoint, ShapeMismatch, direct_sum,
                       is_point_morphism, parabolic_degree, split_into_lines)
-from parstack.harness import gen_parabolic_point, gen_point_morphism
+from parstack.harness import gen_parabolic_point, gen_point_morphism, mix_lines
 from parstack.linalg import identity_matrix, mat_mul
 
 from conftest import GF101, el, lat, trivial_point
@@ -85,17 +85,21 @@ def test_split_into_lines_adapted_basis_example():
 @pytest.mark.parametrize("field", [QQ, GF101])
 def test_split_into_lines_random(field):
     rng = random.Random(41)
+    mixed_changed = 0
     for _ in range(12):
         n, r = rng.randint(1, 6), rng.randint(1, 12)
         pt = gen_parabolic_point(rng, n, r, field)
-        for split_rng in (None, random.Random(rng.getrandbits(32))):
-            sp = split_into_lines(pt, rng=split_rng)
+        first = split_into_lines(pt)
+        mixed = mix_lines(pt, first, random.Random(rng.getrandbits(32)))
+        mixed_changed += mixed.matrix != first.matrix
+        for sp in (first, mixed):
             assert sorted(Fraction(j, r) for j in sp.jumps) == \
                 sorted(w for w, m in pt.weights() for _ in range(m))
             assert mat_mul(sp.matrix, sp.inverse) == identity_matrix(field, n)
             lines = _sum_of_lines(field, r, sp)
             assert is_point_morphism(sp.matrix, lines, pt)
             assert is_point_morphism(sp.inverse, pt, lines)
+    assert mixed_changed  # mixing moves the basis of some rank >= 2 point
 
 
 def test_generated_morphisms_are_morphisms():

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from parstack import (QQ, GradedModule, InvalidGrading, Lattice,
-                      ParabolicPoint, from_parabolic, is_graded_morphism,
-                      is_point_morphism, to_parabolic)
+                      ParabolicPoint, ShapeMismatch, from_parabolic,
+                      is_graded_morphism, is_point_morphism, to_parabolic)
 from parstack.harness import (gen_graded_module, gen_parabolic_point,
                               gen_point_morphism)
 from parstack.linalg import identity_matrix
@@ -92,3 +92,14 @@ def test_weight_dictionary_from_graded_pieces():
             expected[Fraction(0)] = rest
         assert got == expected
 
+
+
+def test_both_morphism_checks_reject_a_matrix_of_the_wrong_shape():
+    pt = gen_parabolic_point(random.Random(1), 2, 3)
+    mod = from_parabolic(pt)
+    square = identity_matrix(QQ, 3)
+    for rows in (square, square[:2]):  # 3x3 and 2x3 on rank 2
+        with pytest.raises(ShapeMismatch):
+            is_point_morphism(rows, pt, pt)
+        with pytest.raises(ShapeMismatch):
+            is_graded_morphism(rows, mod, mod)

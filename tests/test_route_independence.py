@@ -65,6 +65,21 @@ def _transposed_lift():
     return namespace["split_into_lines"]
 
 
+@FIELDS
+def test_planted_splitting_fault_reaches_the_unramified_pullback(field, monkeypatch):
+    """At e = 1 with a unit other than 1 the parabolic pullback splits too."""
+    rng = random.Random(139)
+    cases = []
+    for _ in range(10):
+        s = rng.randint(1, 8)
+        profile = make_profile(s, [("x", 1, s, field.of(rng.choice([-1, 2, 3])))])
+        pt = gen_parabolic_point(rng, rng.randint(2, 3), s, field)
+        cases.append((profile, pt, pullback_parabolic(profile, pt, "x")))
+    _replace_everywhere(monkeypatch, parabolic.split_into_lines, _transposed_lift())
+    assert any(pullback_parabolic(profile, pt, "x") != expected
+               for profile, pt, expected in cases)
+
+
 @pytest.mark.parametrize("field_name", ["rational", "prime:101"])
 def test_planted_splitting_fault_is_a_pipeline_mismatch(field_name, monkeypatch):
     _replace_everywhere(monkeypatch, parabolic.split_into_lines, _transposed_lift())
