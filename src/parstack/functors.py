@@ -74,30 +74,28 @@ def make_profile(s, branch_specs):
 def decompose_component(x, e, u, rho):
     """Component rho of x in K_Y * {1, t, ..., t^{e-1}} with w_y = u * t^e:
     the terms t^{q*e + rho} = t^rho * (w_y / u)^q, in the target
-    uniformizer."""
+    uniformizer.  The offset rule holds for every integer rho: component
+    rho2 of t^d * x is decompose_component(x, e, u, rho2 - d)."""
     return x.decimate(e, rho).twist(u, -1)
 
 
-def decompose_element(x, e, u):
-    """The e components of x, rho = 0, ..., e-1 (decompose_component)."""
-    return [decompose_component(x, e, u, rho) for rho in range(e)]
-
-
 def substitute_element(x, e, u):
-    """Substitute w_y = u * t^e: inverse direction of decompose_element."""
+    """Substitute w_y = u * t^e: the inverse of taking the e components."""
     return x.twist(u).spread(e)
 
 
-def _restrict_column(col, rho, e, u):
-    """The K_X-column t^rho * col written over K_Y, in the coordinates
-    (i, rho2) -> i*e + rho2 of the K_Y-basis 1, t, ..., t^{e-1}."""
-    out = []
+def _restrict_columns(col, e, u):
+    """The K_X-columns t^rho * col, rho < e, written over K_Y in the
+    coordinates (i, rho2) -> i*e + rho2 of the K_Y-basis 1, t, ..., t^{e-1}.
+    Entry (i, rho2) of column rho is component rho2 - rho of col[i], so
+    each nonzero entry gives 2e-1 values, one per offset in (-e, e)."""
+    outs = [[] for _ in range(e)]
     for x in col:
-        if x.coeffs:
-            out.extend(decompose_element(x.shift(rho), e, u))
-        else:
-            out.extend([x] * e)
-    return out
+        vals = ([decompose_component(x, e, u, d) for d in range(1 - e, e)] if x.coeffs
+                else [x] * (2 * e - 1))
+        for rho, out in enumerate(outs):
+            out.extend(vals[e - 1 - rho:2 * e - 1 - rho])
+    return outs
 
 
 def restrict_scalars(lattice, e, u):
@@ -108,8 +106,7 @@ def restrict_scalars(lattice, e, u):
     """
     if e == 1 and u == 1:
         return lattice
-    gens = [_restrict_column(col, rho, e, u)
-            for col in lattice.basis_columns() for rho in range(e)]
+    gens = [out for col in lattice.basis_columns() for out in _restrict_columns(col, e, u)]
     return Lattice.from_columns(lattice.field, lattice.n * e, gens)
 
 
@@ -117,8 +114,7 @@ def restrict_matrix(rows, e, u):
     """Restriction of scalars of a K_X-linear map, as an (n_out*e) x (n_in*e)
     matrix over K_Y with the same coordinate convention: column i*e + sigma
     is the restricted image of t^sigma times basis vector i."""
-    return transpose([_restrict_column(col, sigma, e, u)
-                      for col in transpose(rows) for sigma in range(e)])
+    return transpose([out for col in transpose(rows) for out in _restrict_columns(col, e, u)])
 
 
 def substitute_matrix(rows, e, u):

@@ -13,7 +13,10 @@ fields, which is what ``==`` and ``hash`` compare.  The zero element is one
 shared object with empty ``coeffs``, ``ord == 0`` and ``den == 1``; it
 belongs to every field, and no operation builds another.  Each operation
 adds or convolves integers and reduces once: one gcd over Q, one ``% p``
-per coefficient over GF(p).
+per coefficient over GF(p).  The exception is a product with a factor
+t^d (``coeffs == (1,)``, ``den == 1``): it is re-indexing, so it moves the
+other factor's order by d and reuses its coefficient tuple and
+denominator, with no convolution and no reduction.
 
 Field values (``Fraction`` over Q, int residues over GF(p)) appear only
 as inputs: building an element from them (``make``, ``const``) and
@@ -113,6 +116,11 @@ class LocalElement:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return _ZERO
+        # a factor t^d moves the other's order and keeps its coefficients
+        if b == (1,) and other.den == 1:
+            return LocalElement(self.ord + other.ord, a, self.den, self.p)
+        if a == (1,) and self.den == 1:
+            return LocalElement(self.ord + other.ord, b, other.den, self.p)
         if len(a) < len(b):
             a, b = b, a
         if len(b) == 1:

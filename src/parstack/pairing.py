@@ -222,15 +222,16 @@ def residue_push_form(form, e, u, n):
     """Projection-formula pairing on restricted scalars: the component of
     t^{rho+sigma} * entry along t^{e-1}, scaled by 1/u.  It depends on
     rho+sigma only, so each entry gives 2e-1 values for its e x e block.
-    Shifting by t^e = w_y/u and back by w_y^-1 supplies the 1/u."""
+    Shifting by t^e = w_y/u and back by w_y^-1 supplies the 1/u: by the
+    offset rule of decompose_component, component e-1 of t^{d+e} * entry
+    is component -1-d of entry."""
     out = [[_Z] * (n * e) for _ in range(n * e)]
     for i in range(n):
         for i2 in range(n):
             entry = form[i][i2]
             if not entry.coeffs:
                 continue
-            vals = [decompose_component(entry.shift(d + e), e, u, e - 1).shift(-1)
-                    for d in range(2 * e - 1)]
+            vals = [decompose_component(entry, e, u, -1 - d).shift(-1) for d in range(2 * e - 1)]
             for rho in range(e):
                 out[i * e + rho][i2 * e:(i2 + 1) * e] = vals[rho:rho + e]
     return out

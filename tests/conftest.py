@@ -120,6 +120,12 @@ def random_element(rng, field=QQ, zero_chance=0.3):
     return LocalElement.make(field, rng.randint(-2, 2), coeffs)
 
 
+def decompose_element(x, e, u):
+    """The e components of x over K_Y with w_y = u * t^e, rho = 0, ..., e-1:
+    the reference that restriction of scalars reads 2e-1 offsets from."""
+    return [x.decimate(e, rho).twist(u, -1) for rho in range(e)]
+
+
 def random_columns(rng, n, field=QQ, extra=0):
     """n + extra random columns spanning a full lattice (retried on failure)."""
     from parstack import SingularBasis

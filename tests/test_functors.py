@@ -13,12 +13,11 @@ from parstack import (QQ, CoverProfile, GradedModule, InadmissibleProfile,
                       pullback_parabolic_line, pushforward_graded,
                       pushforward_matrix, pushforward_parabolic,
                       restrict_scalars, to_parabolic)
-from parstack.functors import (Branch, decompose_element,
-                               refine_branch_filtration, substitute_element)
+from parstack.functors import Branch, refine_branch_filtration, substitute_element
 from parstack.harness import gen_graded_module, gen_parabolic_point, gen_profile
 from parstack.parabolic import SplitLines, split_into_lines
 
-from conftest import GF101, el, lat, trivial_module, trivial_point
+from conftest import GF101, decompose_element, el, lat, trivial_module, trivial_point
 
 
 def _diag_chain(order, jumps, twists=None):

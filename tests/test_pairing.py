@@ -12,7 +12,6 @@ from parstack import (ANTISYMMETRIC, SYMMETRIC, QQ, Lattice, NotAPairing,
                       check_pairing,
                       make_profile, parabolic_degree,
                       pullback_pairing, pushforward_pairing)
-from parstack.functors import decompose_element
 from parstack.harness import (_value_line_bundle, gen_pairing_point,
                               gen_parabolic_point)
 from parstack.linalg import identity_matrix, transpose
@@ -20,7 +19,7 @@ from parstack.localring import LocalElement
 from parstack.pairing import (_symmetry_holds, hom_chain, line_local_data,
                               residue_push_form)
 
-from conftest import GF101, el, random_element, trivial_point
+from conftest import GF101, decompose_element, el, random_element, trivial_point
 
 _Z = LocalElement.zero()
 

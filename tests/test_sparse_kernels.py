@@ -10,6 +10,7 @@ columns, on Q, GF(101) and GF(3).
 """
 
 import random
+from fractions import Fraction
 from functools import reduce
 from operator import add
 
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from parstack import QQ, Lattice, LocalElement, PrimeField, SingularBasis
-from parstack.functors import restrict_scalars
+from parstack.functors import restrict_matrix, restrict_scalars
 from parstack.lattice import image_columns
 from parstack.linalg import mat_vec
 
@@ -90,6 +91,13 @@ def dense_canonicalize(field, n, columns):
             w[i] = w[i].truncate(diag[i])
         canon.append(tuple(w + [LocalElement.t_power(field, diag[j])] + [ZERO] * (n - j - 1)))
     return tuple(canon), tuple(diag)
+
+
+def dense_restrict_matrix(rows, e, u):
+    """Entry (i*e + rho2, j*e + sigma): component rho2 of t^sigma * rows[i][j]."""
+    return [[rows[i][j].shift(sigma).decimate(e, rho2).twist(u, -1)
+             for j in range(len(rows[0])) for sigma in range(e)]
+            for i in range(len(rows)) for rho2 in range(e)]
 
 
 def dense_restrict_scalars(lattice, e, u):
@@ -231,7 +239,7 @@ def test_products_match_dense(data, fn):
 
 
 @PROPS
-@given(st.data(), field_and_rank(max_n=3), st.integers(1, 4))
+@given(st.data(), field_and_rank(max_n=3), st.integers(1, 7))
 def test_restrict_scalars_matches_dense(data, fn, e):
     field, n = fn
     lattice = data.draw(lattices(field, n))
@@ -240,17 +248,29 @@ def test_restrict_scalars_matches_dense(data, fn, e):
     assert (out.cols, out.diag) == dense_restrict_scalars(lattice, e, u)
 
 
+@PROPS
+@given(st.data(), field_and_rank(max_n=3), st.integers(1, 7))
+def test_restrict_matrix_matches_dense(data, fn, e):
+    field, n = fn
+    rows = data.draw(generators(field, n))  # zero rows and zero columns included
+    u = field.of(data.draw(st.integers(-5, 5).filter(lambda c: c % (field.p or 7))))
+    assert restrict_matrix(rows, e, u) == dense_restrict_matrix(rows, e, u)
+
+
 # -- the invariant itself --------------------------------------------------------
+
+
+def _random_entry(rng, field):
+    """A random entry, zero with probability 0.65, of any valuation."""
+    if rng.random() < 0.65:
+        return ZERO
+    return LocalElement.make(field, rng.randint(-3, 3),
+                             [field.of(rng.randint(-6, 6)) for _ in range(rng.randint(1, 4))])
 
 
 def _random_sparse(rng, field, shape):
     """Random entries, about two in three zero, with negative valuations."""
-    def entry():
-        if rng.random() < 0.65:
-            return ZERO
-        return LocalElement.make(field, rng.randint(-3, 3),
-                                 [field.of(rng.randint(-6, 6)) for _ in range(rng.randint(1, 4))])
-    return [[entry() for _ in range(shape[1])] for _ in range(shape[0])]
+    return [[_random_entry(rng, field) for _ in range(shape[1])] for _ in range(shape[0])]
 
 
 def test_no_kernel_multiplies_by_a_zero_entry(monkeypatch):
@@ -288,3 +308,23 @@ def test_no_kernel_multiplies_by_a_zero_entry(monkeypatch):
             restrict_scalars(lattice, rng.randint(2, 4), field.of(rng.choice((1, 2, -1))))
     assert products[0] > 1000
     assert zero_products == []
+
+
+def test_t_power_products_are_shifts():
+    """A product with a factor t^d, in either order, is x.shift(d) and keeps
+    x's coefficient tuple; a constant other than 1 is no such factor."""
+    rng = random.Random(11)
+    near_misses = {0: (2, Fraction(1, 2)), 101: (2, 100), 3: (2,)}
+    for field in FIELDS:
+        for _ in range(200):
+            x = _random_entry(rng, field)
+            if x.coeffs == (1,) and x.den == 1:
+                continue  # x is a t-power too, and either tuple may be kept
+            d = rng.randint(-4, 4)
+            t = LocalElement.t_power(field, d)
+            for prod in (x * t, t * x):
+                assert prod == x.shift(d)
+                assert prod.coeffs is x.coeffs
+            if x.coeffs:
+                for c in near_misses[field.p]:
+                    assert x * LocalElement.make(field, d, [field.of(c)]) != x.shift(d)
