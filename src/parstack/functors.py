@@ -5,7 +5,11 @@ target point: branches (e, r, u) with the admissibility relation
 r * e = s and local uniformizer relation w_y = u * t^e on each branch.
 The parabolic direct image refines each branch chain to denominator
 r*e and restricts scalars; the graded direct image distributes the
-branch grades over grade m = r*l + k with a t^{-l} twist.  The parabolic
+branch grades over grade m = r*l + k with a t^{-l} twist.  Both routes
+restrict scalars with restrict_scalars, which writes down the canonical
+form of res(L) from L's canonical basis instead of canonicalizing a
+generating set, and checks it exactly (the derivation and the guards
+are in its docstring).  The parabolic
 pullback splits into lines and applies the floor/fractional-part line
 formula at every e; the graded pullback is base change of the root-stack
 module and uses no splitting, so the two routes stay independent
@@ -20,8 +24,11 @@ from fractions import Fraction
 from .errors import InadmissibleProfile, InadmissibleWeight, ProfileMismatch
 from .lattice import Lattice, direct_sum, map_runs
 from .linalg import block_diag, transpose
+from .localring import LocalElement
 from .parabolic import ParabolicPoint, split_into_lines
 from .rootstack import GradedModule
+
+_Z = LocalElement.zero()
 
 
 @dataclass(frozen=True)
@@ -99,15 +106,92 @@ def _restrict_columns(col, e, u):
 
 
 def restrict_scalars(lattice, e, u):
-    """View a branch lattice as a target-chart lattice of rank n*e.
+    """View a branch lattice L as a target-chart lattice res(L) of rank n*e,
+    built in canonical form from L's canonical basis, without
+    canonicalizing.
 
-    Each basis column c gives the generators t^rho * c, rho < e; t^{eq}
-    contributes u^{-q} w_y^q.
+    Write w for w_y, c_j for the canonical columns of L with pivots
+    t^{a_j}, and (q_j, s_j) = divmod(a_j, e).  As an R_Y-module res(L) is
+    spanned by the columns t^rho * c_j, rho < e (``_restrict_columns``).
+    Row i*e + k of the result holds component k of entry i, and
+    t^{a_i + rho}, the only entry of t^rho * c_i in block i, is a constant
+    times w^{b} at row i*e + k with k = (s_i + rho) mod e; over rho < e these
+    cover block i once, with b = q_i + 1 for k < s_i and b = q_i for
+    k >= s_i.  So the canonical pivots of block i are those w^b, and their
+    exponents sum to a_i.  Column by column:
+
+    * the seed u^{q_j} * res(c_j) has pivot exactly w^{q_j} at row
+      j*e + s_j, and in block i < j component k of c_j[i], whose terms lie
+      below t^{a_i}, has w-degree below b: it is already reduced;
+    * t times a column moves each e-block up one place, the last entry
+      wrapping to the first times t^e = w / u.  When the pivot wraps it
+      becomes w^{q+1} / u and the column is rescaled by u;
+    * after a move, a reduced entry at row i*e + k keeps its degree bound
+      except at k = s_i, where the bound drops from q_i + 1 to q_i (or the
+      wrap adds one at s_i = 0).  So only row i*e + s_i of block i can
+      exceed its pivot, and only by its w^{q_i} term; subtracting that
+      constant times block i's seed reduces it without touching the
+      w^{q_k} terms of the blocks k < i, whose rows in the seed are reduced.
+      The seed goes through the same step, which finds nothing to reduce
+      when L is canonical.
+
+    Every column lies in res(L), since L is a K_X-lattice and the seeds do.
+    Guards, each raising AssertionError("internal: ..."): every reduction
+    quotient is a constant; the pivot exponents sum to sum(a_j), the
+    colength of res(L); the result has canonical shape
+    (Lattice.from_canonical); and every generator t^rho * c_j is a member.
+    The generators then span a sublattice of the result of equal
+    colength, so they span the result.
     """
     if e == 1 and u == 1:
         return lattice
-    gens = [out for col in lattice.basis_columns() for out in _restrict_columns(col, e, u)]
-    return Lattice.from_columns(lattice.field, lattice.n * e, gens)
+    field, n = lattice.field, lattice.n
+    gens = [_restrict_columns(col, e, u) for col in lattice.cols]
+    w_over_u = LocalElement.t_power(field, 1).twist(u, -1)
+    unit = LocalElement.const(field, u)
+    cols, diag = [None] * (n * e), [None] * (n * e)
+    seeds = []  # per block: (pivot row, pivot exponent, nonzero (row, entry) of the seed)
+    for j, a in enumerate(lattice.diag):
+        q, s = divmod(a, e)
+        scale = LocalElement.t_power(field, q).twist(u).shift(-q)  # the constant u^q
+        col = [x * scale if x.coeffs else x for x in gens[j][0][:(j + 1) * e]]
+        for rho in range(e):
+            if rho:
+                wraps = s == e - 1
+                moved = []
+                for top in range(0, len(col), e):
+                    last, rest = col[top + e - 1], col[top:top + e - 1]
+                    if wraps:
+                        moved.append(last.shift(1))
+                        moved.extend(x * unit if x.coeffs else x for x in rest)
+                    else:
+                        moved.append(last * w_over_u if last.coeffs else last)
+                        moved.extend(rest)
+                col = moved
+                q, s = (q + 1, 0) if wraps else (q, s + 1)
+            for i in range(j - 1, -1, -1):
+                row, qi, seed = seeds[i]
+                x = col[row]
+                if x.coeffs and x.ord + len(x.coeffs) > qi:
+                    lam = x.high_div(qi)
+                    if lam.ord or len(lam.coeffs) != 1:
+                        raise AssertionError("internal: reduction quotient %r at row %d "
+                                             "is not a constant" % (lam, row))
+                    for k, y in seed:
+                        col[k] = col[k] - lam * y
+            if not rho:
+                seeds.append((j * e + s, q, [(k, x) for k, x in enumerate(col) if x.coeffs]))
+            cols[j * e + s] = tuple(col) + (_Z,) * ((n - j - 1) * e)
+            diag[j * e + s] = q
+    if sum(diag) != sum(lattice.diag):
+        raise AssertionError("internal: restricted colength %d, expected %d"
+                             % (sum(diag), sum(lattice.diag)))
+    out = Lattice.from_canonical(field, tuple(cols), tuple(diag))
+    for outs in gens:
+        for g in outs:
+            if not out.member(g):
+                raise AssertionError("internal: restriction misses a generator")
+    return out
 
 
 def restrict_matrix(rows, e, u):

@@ -15,6 +15,21 @@ R-multiple); normalization of the triangular form uses power series
 truncated at a precision P with t^P R^n inside the lattice (the proof is
 at the bound), and the result is re-verified exactly by back-substitution.
 
+Three constructors build canonical forms without canonicalizing:
+
+* ``scale`` shifts every entry by t^d.  Pivots stay pure powers and each
+  row's degree bound moves with its pivot, so the form is canonical by
+  construction and needs no guard.
+* ``direct_sum`` places canonical blocks on the diagonal.  Each column
+  keeps its pivot and its reduced entries, and the rows of the other
+  blocks are zero, so it needs no guard either.
+* restriction of scalars (``functors.restrict_scalars``) reads the
+  canonical basis of res(L) off L's, with one constant reduction per
+  block and step.  It is guarded: ``Lattice.from_canonical`` checks the
+  shape, and the restriction checks that every reduction quotient is a
+  constant, that the colength is L's, and that every generator is a
+  member.  Each failure raises AssertionError("internal: ...").
+
 Inner loops visit only the support of their sparse operand: the nonzero
 entries of a vector, of a column or of a pivot column, tested by the
 truthiness of ``coeffs``.  No kernel multiplies by a zero entry.  Bases
@@ -52,6 +67,24 @@ class Lattice:
         if n == 0:
             return cls(field, 0, (), (), _trusted=True)
         cols, diag = _canonicalize(field, n, columns)
+        return cls(field, n, cols, diag, _trusted=True)
+
+    @classmethod
+    def from_canonical(cls, field, cols, diag):
+        """Wrap a basis built in canonical form, after checking its shape:
+        column j is zero below row j, its pivot is exactly t^{diag[j]}, and
+        each entry above the pivot has lower degree than the pivot of its
+        row.  A basis that fails is a library bug."""
+        n = len(cols)
+        for j, col in enumerate(cols):
+            piv = col[j]
+            ok = piv.ord == diag[j] and piv.coeffs == (1,) and piv.den == 1
+            for i in range(n):
+                x = col[i]
+                if x.coeffs and i != j and (i > j or x.ord + len(x.coeffs) > diag[i]):
+                    ok = False
+            if not ok:
+                raise AssertionError("internal: column %d is not in canonical form" % j)
         return cls(field, n, cols, diag, _trusted=True)
 
     @classmethod
@@ -106,8 +139,10 @@ class Lattice:
         return x
 
     def member(self, w):
-        # zero has ord 0
-        return all(e.ord >= 0 for e in self.solve(w))
+        for x in self.solve(w):
+            if x.ord < 0:  # zero has ord 0
+                return False
+        return True
 
     def contains(self, other):
         """True iff other is a sublattice of self."""
@@ -238,6 +273,8 @@ def _canonicalize(field, n, columns):
 
 def direct_sum(lattices):
     """Block direct sum; canonical blocks assemble to a canonical basis."""
+    if len(lattices) == 1:
+        return lattices[0]
     field = lattices[0].field
     n = sum(l.n for l in lattices)
     cols = []

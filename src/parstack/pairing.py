@@ -122,6 +122,14 @@ def check_pairing(pairing, bundle):
     delta(E^a) + delta(E^b) = delta(E^0) + delta(E^{r+c}) and the entry
     valuations >= v.  A level
     whose pair (E^a, E^b) repeats the previous level's pair is skipped.
+
+    Levels mirror each other: level b = r+c-a tests the pair (E^b, E^a),
+    and G_b = B_b^T * F * B_a = (B_a^T * F^T * B_b)^T = +-G_a^T, because
+    F^T = +-F once the kind test has passed.  Transposing and negating
+    keep the valuations, and the index sum is symmetric in a and b, so the
+    two levels run the same test.  For a > c the mirror b = r+c-a lies in
+    [1, r), so the loop stops at the first a with a > c and 2a > r+c: each
+    later level mirrors one below it, which was already tested.
     """
     n = bundle.rank
     form = pairing.form
@@ -147,6 +155,8 @@ def check_pairing(pairing, bundle):
         index = pt.chain[0].det_valuation() + top.det_valuation()
         prev = (pt.chain[0], top)
         for a in range(1, r):
+            if a > c and 2 * a > r + c:
+                break  # from here on, level r+c-a < a mirrors level a
             pair = (pt.chain[a], _chain_ext(pt, r + c - a))
             if pair == prev:
                 continue  # the same test as the previous level

@@ -1,5 +1,6 @@
 """Direct image and pullback on both sides: worked examples and laws."""
 
+import inspect
 import random
 from fractions import Fraction
 
@@ -13,7 +14,9 @@ from parstack import (QQ, CoverProfile, GradedModule, InadmissibleProfile,
                       pullback_parabolic_line, pushforward_graded,
                       pushforward_matrix, pushforward_parabolic,
                       restrict_scalars, to_parabolic)
-from parstack.functors import Branch, refine_branch_filtration, substitute_element
+from parstack import functors
+from parstack.functors import (Branch, _restrict_columns, refine_branch_filtration,
+                               substitute_element)
 from parstack.harness import gen_graded_module, gen_parabolic_point, gen_profile
 from parstack.parabolic import SplitLines, split_into_lines
 
@@ -86,6 +89,43 @@ def test_restrict_scalars_commutes_with_full_twists():
         l = lat(random_columns(rng, n))
         assert restrict_scalars(l.scale(e), e, u) == \
             restrict_scalars(l, e, u).scale(1)
+
+
+def _planted_restriction(old, new):
+    """restrict_scalars with one line of its source replaced."""
+    source = inspect.getsource(functors.restrict_scalars)
+    assert source.count(old) == 1
+    namespace = dict(vars(functors))
+    exec(source.replace(old, new), namespace)
+    return namespace["restrict_scalars"]
+
+
+# planted fault -> (source edit, lattice columns, e, u, the guard that must
+# fire).  On the lattice spanned by (t^2, 0) and (1 + t, 1), row 0 holds the
+# pivot w of block 0, and t times the seed of block 1 wraps the entry 1 into
+# that row as w/u, so the reduction quotient there is 1/u.
+PLANTED_FAULTS = {
+    "wrap-by-t^2e": (("LocalElement.t_power(field, 1).twist(u, -1)",
+                      "LocalElement.t_power(field, 2).twist(u, -1)"),
+                     [[(2, 1), 0], [(0, 1, 1), 1]], 2, 1, "reduction quotient"),
+    "skipped-reduction": (("col[k] = col[k] - lam * y", "col[k] = col[k]"),
+                          [[(2, 1), 0], [(0, 1, 1), 1]], 2, 2, "not in canonical form"),
+    "wrong-colength": (("(q + 1, 0) if wraps", "(q + 2, 0) if wraps"),
+                       [[(1, 1)]], 2, 1, "restricted colength 2, expected 1"),
+    "wrap-factor-u-for-1/u": (("t_power(field, 1).twist(u, -1)", "t_power(field, 1).twist(u)"),
+                              [[(4, 1), 0], [(1, 1), 1]], 2, 2, "misses a generator"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(PLANTED_FAULTS))
+def test_each_restriction_guard_catches_its_planted_fault(fault):
+    (old, new), cols, e, u, message = PLANTED_FAULTS[fault]
+    lattice = lat(cols)
+    gens = [g for col in lattice.cols for g in _restrict_columns(col, e, QQ.of(u))]
+    assert restrict_scalars(lattice, e, QQ.of(u)) == \
+        Lattice.from_columns(QQ, lattice.n * e, gens)
+    with pytest.raises(AssertionError, match="internal: .*" + message):
+        _planted_restriction(old, new)(lattice, e, QQ.of(u))
 
 
 # -- refinement and parabolic direct image ---------------------------------

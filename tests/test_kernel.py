@@ -220,6 +220,18 @@ def test_direct_sum_blocks():
     assert d.n == 3 and d.diag == (1,) + b.diag
     assert d.member([el(1, 1), el(0, 0), el(0, 0)])
     assert not d.member([el(0, 1), el(0, 0), el(0, 0)])
+    assert direct_sum([b]) is b
+
+
+def test_from_canonical_checks_the_shape():
+    b = lat([[(2, 1), 0], [(0, 1, 1), 1]])
+    assert Lattice.from_canonical(QQ, b.cols, b.diag) == b
+    (p0, z), (x, p1) = b.cols
+    for cols in (((el(2, 2), z), (x, p1)),        # pivot 2*t^2
+                 ((p0, el(0, 1)), (x, p1)),       # nonzero below the pivot
+                 ((p0, z), (el(0, 1, 0, 1), p1))):  # 1 + t^2 above the pivot t^2
+        with pytest.raises(AssertionError, match="internal: column"):
+            Lattice.from_canonical(QQ, cols, b.diag)
 
 
 def test_apply_matrix_and_image_columns():

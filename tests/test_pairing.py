@@ -16,7 +16,8 @@ from parstack.harness import (_value_line_bundle, gen_pairing_point,
                               gen_parabolic_point)
 from parstack.linalg import identity_matrix, transpose
 from parstack.localring import LocalElement
-from parstack.pairing import (_symmetry_holds, hom_chain, line_local_data,
+from parstack import pairing
+from parstack.pairing import (_chain_ext, _symmetry_holds, hom_chain, line_local_data,
                               residue_push_form)
 
 from conftest import GF101, decompose_element, el, random_element, trivial_point
@@ -163,6 +164,49 @@ def test_check_pairing_matches_reference_definition(field):
             verdicts.append(verdict)
     assert True in verdicts and False in verdicts
     assert (True, True) in data
+
+
+@pytest.mark.parametrize("field", [QQ, GF101], ids=["rational", "prime101"])
+def test_check_pairing_tests_each_mirrored_level_once(field, monkeypatch):
+    """Level r+c-a mirrors level a (G_{r+c-a} = +-G_a^T), so on a pushed
+    pairing of order r >= 8 the Gram matrices are those of level 0 and of
+    each new level pair a with a <= c or 2a <= r+c; the verdicts still
+    match the reference definition.  The branch points are diagonal with
+    line 2k paired to line 2k+1; jumps j and order-1-j make the pair
+    perfect, and the last case is not."""
+    grams = []
+    gram = pairing._gram
+    monkeypatch.setattr(pairing, "_gram", lambda *args: grams.append(args) or gram(*args))
+    rng = random.Random(223)
+    verdicts, saved = [], 0
+    for order, e, jumps in ((1, 8, [0, 0]), (2, 4, [0, 1]), (2, 5, [1, 0, 0, 1]),
+                            (3, 3, [0, 2, 1, 1]), (3, 3, [0, 1])):
+        n = len(jumps)
+        pt = ParabolicPoint(order, [Lattice.diagonal(field, [int(j > x) for x in jumps])
+                                    for j in range(order + 1)])
+        kind = rng.choice([SYMMETRIC, ANTISYMMETRIC])
+        form = [[_Z] * n for _ in range(n)]
+        for k in range(0, n, 2):
+            form[k][k + 1] = el(0, 1, field=field)
+            form[k + 1][k] = el(0, 1 if kind == SYMMETRIC else -1, field=field)
+        s = order * e
+        profile = make_profile(s, [("x0", e, order, field.random_nonzero(rng))])
+        value = ParabolicBundle(1, 0, {"y": ParabolicPoint.line(field, s, 0)})
+        pushed, bundle = pushforward_pairing(profile, value, "y", [(pt, form, (0, 0))])
+        top = bundle.points["y"]
+        pairs = [(top.chain[a], _chain_ext(top, s - a)) for a in range(s)]
+        new = [a for a in range(1, s) if pairs[a] != pairs[a - 1]]
+        mirrored = [a for a in new if 2 * a <= s]
+        saved += len(new) - len(mirrored)
+        for f in (pushed.form, [[x.shift(1) for x in row] for row in pushed.form]):
+            candidate = ParabolicPairing(kind, f, value)
+            del grams[:]
+            verdict = check_pairing(candidate, bundle)
+            assert verdict == _reference_check(candidate, bundle)
+            verdicts.append(verdict)
+            if verdict:
+                assert len(grams) == 1 + len(mirrored)
+    assert verdicts == [True, False] * 4 + [False, False] and saved > 0
 
 
 # -- pullback --------------------------------------------------------------

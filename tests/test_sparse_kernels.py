@@ -6,7 +6,9 @@ and multiply zeros like any other entry, so they share no skipping logic
 with the library.  Inputs are sparse on purpose: the zero vector, vectors
 whose only nonzero entry is the first or the last row, vectors with
 negative valuations (non-members), and generators with zero rows and zero
-columns, on Q, GF(101) and GF(3).
+columns, on Q, GF(101) and GF(3).  Restriction of scalars, which builds
+its canonical form without canonicalizing, is checked against the dense
+canonicalization also on GF(2) and with non-integer units on Q.
 """
 
 import random
@@ -239,11 +241,16 @@ def test_products_match_dense(data, fn):
 
 
 @PROPS
-@given(st.data(), field_and_rank(max_n=3), st.integers(1, 7))
-def test_restrict_scalars_matches_dense(data, fn, e):
-    field, n = fn
+@given(st.data(), st.sampled_from(FIELDS + (PrimeField(2),)), st.integers(1, 3),
+       st.integers(1, 7))
+def test_restrict_scalars_matches_dense(data, field, n, e):
+    """On Q the units include non-integers, whose powers in the pivots and
+    the wrap factor w/u have denominators; GF(2) has the unit 1 only."""
     lattice = data.draw(lattices(field, n))
-    u = field.of(data.draw(st.integers(-5, 5).filter(lambda c: c % (field.p or 7))))
+    if field.p:
+        u = data.draw(st.integers(1, field.p - 1))
+    else:
+        u = Fraction(data.draw(st.sampled_from((1, -1, 2, -3, 5, "2/3", "-5/4", "7/2"))))
     out = restrict_scalars(lattice, e, u)
     assert (out.cols, out.diag) == dense_restrict_scalars(lattice, e, u)
 
