@@ -15,8 +15,13 @@ R-multiple); normalization of the triangular form uses power series
 truncated at a precision P with t^P R^n inside the lattice (the proof is
 at the bound), and the result is re-verified exactly by back-substitution.
 
-Three constructors build canonical forms without canonicalizing:
+Four constructors build canonical forms without canonicalizing:
 
+* ``from_columns`` keeps a generating set that is already a canonical
+  basis: exactly n columns of length n with the canonical shape (the
+  predicate ``_canonical_shape``, shared with ``from_canonical``).  This is
+  exact, because the canonical basis of a lattice is unique (the proof is
+  at ``from_columns``).  Any other input goes through ``_canonicalize``.
 * ``scale`` shifts every entry by t^d.  Pivots stay pure powers and each
   row's degree bound moves with its pivot, so the form is canonical by
   construction and needs no guard.
@@ -26,9 +31,10 @@ Three constructors build canonical forms without canonicalizing:
 * restriction of scalars (``functors.restrict_scalars``) reads the
   canonical basis of res(L) off L's, with one constant reduction per
   block and step.  It is guarded: ``Lattice.from_canonical`` checks the
-  shape, and the restriction checks that every reduction quotient is a
-  constant, that the colength is L's, and that every generator is a
-  member.  Each failure raises AssertionError("internal: ...").
+  shape with ``_canonical_shape``, and the restriction checks that every
+  reduction quotient is a constant, that the colength is L's, and that
+  every generator is a member.  Each failure raises
+  AssertionError("internal: ...").
 
 Inner loops visit only the support of their sparse operand: the nonzero
 entries of a vector, of a column or of a pivot column, tested by the
@@ -63,29 +69,36 @@ class Lattice:
 
     @classmethod
     def from_columns(cls, field, n, columns):
-        """Canonicalize a generating set (list of length-n entry lists)."""
+        """Canonicalize a generating set (list of length-n entry lists).
+
+        A set of exactly n columns that already has the canonical shape
+        (``_canonical_shape``) is kept as it is.  Such a basis B is the
+        canonical basis of its span L, because a canonical basis is unique.
+        Let B' be another one.  The pivots agree: t^{a_j} R is the row-j
+        projection of the vectors of L that vanish below row j, for B and B'
+        alike.  So column j of B minus column j of B' lies in L and vanishes
+        from row j on.  If it is nonzero, let i be its last nonzero row.  It
+        vanishes below row i, so its row-i entry lies in t^{a_i} R; yet that
+        entry is a difference of two entries of degree below a_i.  A nonzero
+        element cannot have both, so the columns are equal.
+        """
         if n == 0:
             return cls(field, 0, (), (), _trusted=True)
+        if len(columns) == n and all(len(c) == n for c in columns):
+            diag = tuple(columns[j][j].ord for j in range(n))
+            if _canonical_shape(field, columns, diag):
+                return cls(field, n, tuple(tuple(c) for c in columns), diag,
+                           _trusted=True)
         cols, diag = _canonicalize(field, n, columns)
         return cls(field, n, cols, diag, _trusted=True)
 
     @classmethod
     def from_canonical(cls, field, cols, diag):
-        """Wrap a basis built in canonical form, after checking its shape:
-        column j is zero below row j, its pivot is exactly t^{diag[j]}, and
-        each entry above the pivot has lower degree than the pivot of its
-        row.  A basis that fails is a library bug."""
-        n = len(cols)
-        for j, col in enumerate(cols):
-            piv = col[j]
-            ok = piv.ord == diag[j] and piv.coeffs == (1,) and piv.den == 1
-            for i in range(n):
-                x = col[i]
-                if x.coeffs and i != j and (i > j or x.ord + len(x.coeffs) > diag[i]):
-                    ok = False
-            if not ok:
-                raise AssertionError("internal: column %d is not in canonical form" % j)
-        return cls(field, n, cols, diag, _trusted=True)
+        """Wrap a basis built in canonical form, after checking its shape
+        (``_canonical_shape``).  A basis that fails is a library bug."""
+        if not _canonical_shape(field, cols, diag):
+            raise AssertionError("internal: columns not in canonical form")
+        return cls(field, len(cols), cols, diag, _trusted=True)
 
     @classmethod
     def diagonal(cls, field, exps):
@@ -179,6 +192,25 @@ class Lattice:
 
     def __repr__(self):
         return "Lattice(n=%d, diag=%r)" % (self.n, list(self.diag))
+
+
+def _canonical_shape(field, cols, diag):
+    """True iff the n x n column basis ``cols`` has the canonical shape:
+    the pivot of column j is exactly t^{diag[j]} over ``field``, column j is
+    zero below row j, and each entry above a pivot has lower degree than
+    the pivot of its row.  Every pivot is tested before any other entry,
+    so most bases that are not canonical are rejected after n tests."""
+    n, p = len(cols), field.p
+    for j in range(n):
+        piv = cols[j][j]
+        if piv.ord != diag[j] or piv.coeffs != (1,) or piv.den != 1 or piv.p != p:
+            return False
+    for j, col in enumerate(cols):
+        for i in range(n):
+            x = col[i]
+            if x.coeffs and i != j and (i > j or x.ord + len(x.coeffs) > diag[i]):
+                return False
+    return True
 
 
 def _unit_vector(field, n, j):

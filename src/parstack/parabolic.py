@@ -42,6 +42,18 @@ class ParabolicPoint:
             raise InvalidChain("chain endpoint differs from t * E^0")
 
     @classmethod
+    def _unchecked(cls, order, chain):
+        """The point of a chain that is valid by construction, built
+        without the containment tests.  Only the index maps of rootstack
+        call it; every other construction is checked."""
+        self = object.__new__(cls)
+        self.order = order
+        self.chain = chain = tuple(chain)
+        self.n = chain[0].n
+        self.field = chain[0].field
+        return self
+
+    @classmethod
     def line(cls, field, order, jump, twist=0):
         """Rank-1 chain with weight jump/order, base lattice t^twist * R."""
         if not 0 <= jump < order:

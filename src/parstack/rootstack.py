@@ -10,6 +10,15 @@ correspondence with parabolic chains is the index map E^0 = M_0,
 E^j = t * M_{s-j}, which is exact in both directions on canonical forms.
 Nothing here splits a module into lines: the graded functors work on the
 pieces themselves, and the graded pullback is base change (functors).
+
+The index maps build their result without testing it again, since they
+map a valid object to a valid one.  Scaling by t preserves inclusion, so
+for 0 < j < s, E^j >= E^{j+1} holds exactly when M_{s-j} >= M_{s-j-1};
+E^0 >= E^1 holds exactly when M_0 >= t * M_{s-1}, the wraparound; and
+E^s = t * E^0 holds by construction.  Read backwards, the same
+equivalences carry a valid chain to a valid module.  Every other
+construction of a point or a module (functor outputs, generated points,
+decoded objects, ``line``) is checked.
 """
 
 from __future__ import annotations
@@ -39,6 +48,18 @@ class GradedModule:
                 raise InvalidGrading("piece %d does not include into piece %d" % (k, k + 1))
         if not pieces[0].scale(-1).contains(pieces[order - 1]):
             raise InvalidGrading("wraparound piece escapes t^{-1} M_0")
+
+    @classmethod
+    def _unchecked(cls, order, pieces):
+        """The module of pieces that are valid by construction, built
+        without the inclusion tests.  Only the index maps below call it;
+        every other construction is checked."""
+        self = object.__new__(cls)
+        self.order = order
+        self.pieces = pieces = tuple(pieces)
+        self.n = pieces[0].n
+        self.field = pieces[0].field
+        return self
 
     @classmethod
     def line(cls, field, order, jump, twist=0):
@@ -73,7 +94,7 @@ def to_parabolic(module):
     for j in range(1, s):
         chain.append(module.pieces[s - j].scale(1))
     chain.append(module.pieces[0].scale(1))
-    return ParabolicPoint(s, chain)
+    return ParabolicPoint._unchecked(s, chain)
 
 
 def from_parabolic(point):
@@ -82,7 +103,7 @@ def from_parabolic(point):
     pieces = [point.chain[0]]
     for k in range(1, r):
         pieces.append(point.chain[r - k].scale(-1))
-    return GradedModule(r, pieces)
+    return GradedModule._unchecked(r, pieces)
 
 
 def is_graded_morphism(rows, src, dst):

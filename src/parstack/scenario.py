@@ -250,9 +250,19 @@ def dumps(obj):
     raises TypeError.  The stdlib falls back to its pure-Python encoder
     whenever ``indent`` is set; writing into one list and joining it once
     is several times faster.
+
+    Scenario output is mostly encoded elements, and mostly the same few
+    (the zero entry above all).  An encoded element, a dict with exactly
+    the keys ``coeffs`` (a list of str) and ``t_order`` (an int, not a
+    bool), is written from one template, and each call keeps the text of
+    every distinct element at every indent it met.  The text of such a dict
+    depends only on its indent, its ``t_order`` and its coefficient texts,
+    which make the memo key, and the template is the stdlib's layout for
+    that dict; so the output stays byte-identical.  Any other dict takes
+    the general path.
     """
     out = []
-    _write(obj, out, "\n")
+    _write(obj, out, "\n", {})
     out.append("\n")
     return "".join(out)
 
@@ -283,12 +293,42 @@ _SCALAR_TEXT = {str: _quoted, int: int.__repr__, float: _float_text,
                 bool: _bool_text, type(None): _null_text}
 
 
-def _write(obj, out, newline):
-    """Append the text of ``obj`` to ``out``; ``newline`` carries its indent."""
+def _element_text(obj, newline, memo):
+    """The text of the dict ``obj`` at indent ``newline`` when it is an
+    encoded element, through ``memo``; None when it is not one."""
+    if len(obj) != 2:
+        return None
+    t_order, coeffs = obj.get("t_order"), obj.get("coeffs")
+    if type(t_order) is not int or type(coeffs) is not list:
+        return None
+    for c in coeffs:
+        if type(c) is not str:
+            return None
+    key = (newline, t_order, *coeffs)
+    text = memo.get(key)
+    if text is None:
+        inner = newline + "  "
+        if coeffs:
+            entry = inner + "  "
+            listed = "[" + entry + ("," + entry).join(map(_quoted, coeffs)) + inner + "]"
+        else:
+            listed = "[]"
+        text = memo[key] = ("{" + inner + '"coeffs": ' + listed + "," + inner
+                            + '"t_order": ' + int.__repr__(t_order) + newline + "}")
+    return text
+
+
+def _write(obj, out, newline, memo):
+    """Append the text of ``obj`` to ``out``; ``newline`` carries its indent
+    and ``memo`` the element texts of this call (``_element_text``)."""
     kind = type(obj)
     if kind is dict:
         if not obj:
             out.append("{}")
+            return
+        text = _element_text(obj, newline, memo)
+        if text is not None:
+            out.append(text)
             return
         inner = newline + "  "
         sep = "{" + inner
@@ -301,7 +341,7 @@ def _write(obj, out, newline):
                 out.append(sep + _quoted(key) + ": " + text(item))
             else:
                 out.append(sep + _quoted(key) + ": ")
-                _write(item, out, inner)
+                _write(item, out, inner, memo)
             sep = "," + inner
         out.append(newline + "}")
     elif kind is list:
@@ -315,8 +355,12 @@ def _write(obj, out, newline):
             if text is not None:
                 out.append(sep + text(item))
             else:
-                out.append(sep)
-                _write(item, out, inner)
+                text = _element_text(item, inner, memo) if type(item) is dict else None
+                if text is not None:
+                    out.append(sep + text)
+                else:
+                    out.append(sep)
+                    _write(item, out, inner, memo)
             sep = "," + inner
         out.append(newline + "]")
     else:

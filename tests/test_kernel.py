@@ -14,6 +14,7 @@ import sympy
 from parstack import (QQ, AmbientMismatch, Lattice, LocalElement,
                       PrimeField, SingularBasis, apply_matrix, direct_sum,
                       field_from_name)
+from parstack import lattice as lattice_module
 from parstack.lattice import image_columns
 
 from conftest import (GF101, T, el, lat, oracle_det_valuation, oracle_member,
@@ -232,6 +233,53 @@ def test_from_canonical_checks_the_shape():
                  ((p0, z), (el(0, 1, 0, 1), p1))):  # 1 + t^2 above the pivot t^2
         with pytest.raises(AssertionError, match="internal: column"):
             Lattice.from_canonical(QQ, cols, b.diag)
+
+
+@pytest.mark.parametrize("field, factor", [(QQ, 2), (GF101, 3)])
+def test_from_columns_keeps_a_canonical_basis(monkeypatch, field, factor):
+    """A canonical basis comes back as it is, with no canonicalization; a
+    basis with one defect of shape falls through to _canonicalize."""
+    canonicalize = lattice_module._canonicalize
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return canonicalize(*args)
+
+    monkeypatch.setattr(lattice_module, "_canonicalize", counted)
+
+    def falls_through(columns):
+        del calls[:]
+        got = Lattice.from_columns(field, len(columns[0]), columns)
+        assert len(calls) == 1
+        assert (got.cols, got.diag) == canonicalize(field, len(columns[0]), columns)
+
+    rng = random.Random(37)
+    seen = set()
+    for _ in range(30):
+        n = rng.randint(1, 4)
+        l = lat(random_columns(rng, n, field=field, extra=rng.randint(0, 2)), field=field)
+        seen.update(l.diag)
+        del calls[:]
+        assert Lattice.from_columns(field, n, l.basis_columns()) == l
+        assert not calls
+        j = rng.randrange(n)
+        cols = l.basis_columns()
+        cols[j][j] = cols[j][j] * el(0, factor, field=field)  # pivot not t^a
+        falls_through(cols)
+        if n > 1:
+            i, j = sorted(rng.sample(range(n), 2))
+            cols = l.basis_columns()  # entry above a pivot not reduced
+            cols[j][i] = cols[j][i] + LocalElement.t_power(field, l.diag[i])
+            falls_through(cols)
+            cols = l.basis_columns()  # nonzero entry below a pivot
+            cols[i][j] = el(0, 1, field=field)
+            falls_through(cols)
+        cols = l.basis_columns()
+        cols[rng.randrange(n)].pop()
+        with pytest.raises(AmbientMismatch):
+            Lattice.from_columns(field, n, cols)
+    assert min(seen) < 0 < max(seen)
 
 
 def test_apply_matrix_and_image_columns():
