@@ -75,7 +75,7 @@ def _decode_objects(field, raw):
             bundle = sio.decode_bundle(obj, field, where)
             out.append((None, bundle, bundle.underlying_degree))
             continue
-        if kind not in _DECODERS:
+        if type(kind) is not str or kind not in _DECODERS:
             raise ParseError("object%s has unknown kind %r" % (where, kind))
         what, decode = _DECODERS[kind]
         if type(rank) is not int or rank < 1:

@@ -498,6 +498,16 @@ def test_mistyped_scenario_fields_exit_2(tmp_path, capsys, command, doc, named):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("kind", [[], {}, 3], ids=["list", "dict", "int"])
+def test_non_string_kind_exits_2(tmp_path, capsys, kind):
+    doc = _data_doc("degree")
+    doc["objects"][0]["kind"] = kind
+    src = write(tmp_path, "kind.json", doc)
+    assert main(["degree", src]) == 2
+    err = capsys.readouterr().err
+    assert err == "input error: object (object 0) has unknown kind %r\n" % (kind,)
+
+
 @pytest.mark.parametrize("command,options", [("convert", ["--direction", "to-graded"]),
                                              ("degree", [])],
                          ids=["convert", "degree"])

@@ -7,12 +7,13 @@ decoding compute each distinct member once; the reference functions below
 are the per-member versions they replaced and must give the same results.
 """
 
+import json
 import random
 
 import pytest
 
 from parstack import (ANTISYMMETRIC, QQ, SYMMETRIC, GradedModule, InvalidChain,
-                      InvalidGrading, Lattice, ParabolicPoint, from_parabolic,
+                      InvalidGrading, Lattice, ParabolicPoint, ParseError, from_parabolic,
                       is_graded_morphism, is_point_morphism, pullback_graded,
                       pullback_parabolic, pushforward_graded,
                       pushforward_parabolic, to_parabolic)
@@ -331,3 +332,58 @@ def test_pullback_and_decoding_canonicalize_once_per_distinct_member(field, monk
         del calls[:]
         assert sio.decode_module(sio.encode_module(mod, field), field, mod.n) == mod
         assert len(calls) == len(set(mod.pieces))
+
+
+def _element_keys(members):
+    return {(e["t_order"], *e["coeffs"]) for m in members for col in m["columns"]
+            for e in col}
+
+
+@FIELDS
+def test_decoding_parses_each_distinct_element_once(field, monkeypatch):
+    rng = random.Random(137)
+    cases = [gen_parabolic_point(rng, rng.randint(1, 4), rng.randint(1, 10), field)
+             for _ in range(10)]
+    calls = _count(monkeypatch, sio, "decode_element")
+    for pt in cases:
+        mod = from_parabolic(pt)
+        # through text, so that no two entries are one object
+        point = json.loads(sio.dumps(sio.encode_point(pt, field)))
+        module = json.loads(sio.dumps(sio.encode_module(mod, field)))
+        del calls[:]
+        assert sio.decode_point(point, field, pt.n) == pt
+        assert len(calls) == len(_element_keys(point["chain"]))
+        del calls[:]
+        assert sio.decode_module(module, field, mod.n) == mod
+        assert len(calls) == len(_element_keys(module["pieces"]))
+
+
+def _module_doc(last):
+    """A rank-2 module of order 1 whose one piece has the columns
+    [1, t] and [1, last], the first 1 written as "1", the second as 1."""
+    return {"order": 1, "pieces": [{"columns": [
+        [{"t_order": 0, "coeffs": ["1"]}, {"t_order": 1, "coeffs": ["1"]}],
+        [{"t_order": 0, "coeffs": [1]}, last]]}]}
+
+
+@FIELDS
+@pytest.mark.parametrize("last,message", [
+    ({"t_order": True, "coeffs": ["1"]},
+     "bad element {'t_order': True, 'coeffs': ['1']}: "
+     "needs an integer t_order and a coeffs list"),
+    ({"t_order": 0, "coeffs": [True]},
+     "bad element {'t_order': 0, 'coeffs': [True]}: True is not an element of %s"),
+], ids=["bool-t-order", "bool-coeff"])
+def test_decoding_memo_never_equates_bools_with_ints(field, last, message):
+    with pytest.raises(ParseError) as exc:
+        sio.decode_module(_module_doc(last), field, 2)
+    assert str(exc.value) == message.replace("%s", field.name)
+
+
+@FIELDS
+def test_int_and_text_coefficients_decode_alike(field):
+    # [1, t] and [1, 1 - t] span R^2, however each 1 is written
+    minus = {"t_order": 0, "coeffs": [1, -1]}
+    assert sio.decode_module(_module_doc(minus), field, 2) \
+        == sio.decode_module(_module_doc(dict(minus, coeffs=["1", "-1"])), field, 2) \
+        == trivial_module(field, 2, order=1)

@@ -2,13 +2,18 @@
 
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parstack import QQ, SYMMETRIC, from_parabolic
 from parstack import scenario as sio
+from parstack.harness import gen_pairing_point, gen_parabolic_point
+
+from conftest import GF101
 
 
 def reference(obj):
@@ -40,8 +45,29 @@ def test_dumps_matches_stdlib_indent_encoder(value):
     assert sio.dumps(value) == reference(value)
 
 
+@st.composite
+def shared_values(draw):
+    """A value holding one generated list or dict at several positions and
+    indents, as the same object each time."""
+    part = SCALARS | ELEMENTS | st.lists(SCALARS, max_size=2)
+    shared = draw(st.lists(part, min_size=1, max_size=3)
+                  | st.dictionaries(TEXT, part, min_size=1, max_size=3))
+    return draw(st.recursive(
+        st.just(shared) | SCALARS,
+        lambda inner: (st.lists(inner, min_size=1, max_size=4)
+                       | st.dictionaries(TEXT, inner, min_size=1, max_size=4)),
+        max_leaves=12))
+
+
+@settings(max_examples=100, deadline=None)
+@given(shared_values())
+def test_dumps_matches_stdlib_on_shared_sub_objects(value):
+    assert sio.dumps(value) == reference(value)
+
+
 ELEMENT = {"coeffs": ["1", "-2/3"], "t_order": -2}
-# encoded elements take a memoized template; near misses take the general path
+# encoded elements and near misses; the last two cases hold one dict at
+# several indents, and at one indent twice
 ELEMENT_CASES = [
     ELEMENT,
     {"coeffs": [], "t_order": 0},
@@ -51,6 +77,7 @@ ELEMENT_CASES = [
     [{"coeffs": ["1"]}, {"t_order": 0}],
     [{"coeffs": ["\xe9", "\u2603", "\U0001f600"], "t_order": 3}],
     {"a": ELEMENT, "b": [ELEMENT, [ELEMENT, {"c": [[ELEMENT]]}]]},
+    [ELEMENT, [ELEMENT], ELEMENT],
 ]
 
 
@@ -68,3 +95,62 @@ def test_dumps_matches_stdlib_on_edge_values(value):
 def test_dumps_rejects_non_json_values(value):
     with pytest.raises(TypeError):
         sio.dumps(value)
+
+
+FIELDS = pytest.mark.parametrize("field", [QQ, GF101], ids=["rational", "prime101"])
+
+
+def _assert_shared(members, encoded):
+    """Equal neighbouring members, and equal columns and elements anywhere
+    in ``members``, are encoded as one object; returns how many repeats
+    reused one."""
+    columns, elements, repeats = {}, {}, 0
+    for k, (lat, enc) in enumerate(zip(members, encoded)):
+        if k and lat == members[k - 1]:
+            assert enc is encoded[k - 1]
+        for col, enc_col in zip(lat.cols, enc["columns"]):
+            repeats += col in columns
+            assert columns.setdefault(col, enc_col) is enc_col
+            for x, enc_x in zip(col, enc_col):
+                repeats += x in elements
+                assert elements.setdefault(x, enc_x) is enc_x
+                assert enc_x == sio.encode_element(x)
+    assert len(encoded) == len(members)
+    return repeats
+
+
+@FIELDS
+def test_encoders_share_equal_sub_objects(field):
+    rng = random.Random(17)
+    repeats = 0
+    for _ in range(12):
+        pt = gen_parabolic_point(rng, rng.randint(1, 4), rng.randint(1, 10), field)
+        mod = from_parabolic(pt)
+        point, module = sio.encode_point(pt, field), sio.encode_module(mod, field)
+        repeats += _assert_shared(pt.chain, point["chain"])
+        repeats += _assert_shared(mod.pieces, module["pieces"])
+        for doc in (point, module, {"a": point, "b": [point, module]}):
+            assert sio.dumps(doc) == reference(doc)
+    assert repeats > 0
+
+
+@FIELDS
+def test_pairing_encoding_shares_equal_sub_objects(field):
+    rng = random.Random(19)
+    drawn = 0
+    while drawn < 6:
+        made = gen_pairing_point(rng, field, rng.randint(2, 6), 0, 0, SYMMETRIC, 2, "y")
+        if made is None:
+            continue
+        drawn += 1
+        pt, form, _ = made
+        point = sio.encode_point(pt, field)
+        assert _assert_shared(pt.chain, point["chain"]) > 0
+        cols = sio.encode_matrix_cols(form, field)
+        elements = {}
+        for j, enc_col in enumerate(cols):
+            for i, enc_x in enumerate(enc_col):
+                assert elements.setdefault(form[i][j], enc_x) is enc_x
+                assert enc_x == sio.encode_element(form[i][j])
+        doc = {"point": point, "form": cols}
+        assert sio.dumps(doc) == reference(doc)
