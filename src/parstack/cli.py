@@ -18,7 +18,7 @@ from .errors import ParstackError, ParseError, ValidationError
 from .fields import QQ
 from .functors import (pullback_parabolic, pullback_graded,
                        pushforward_graded, pushforward_parabolic)
-from .harness import SUITES, TrialConfig
+from .harness import MUTATIONS, SUITES, TrialConfig
 from .parabolic import ParabolicBundle, parabolic_degree
 from .rootstack import GradedModule, from_parabolic, to_parabolic
 
@@ -253,6 +253,8 @@ def cmd_replay(args):
     try:
         suite = record["suite"]
         index = record["trial_index"]
+        if type(index) is not int or index < 0:
+            raise ValueError("trial_index must be an integer >= 0, not %r" % (index,))
         cfg = TrialConfig(seed=record["config"]["seed"],
                           trials=index + 1,
                           max_rank=record["config"]["max_rank"],
@@ -263,9 +265,12 @@ def cmd_replay(args):
         raise ParseError("malformed counterexample: missing %s" % exc)
     except ValueError as exc:
         raise ParseError("malformed counterexample: %s" % exc)
-    if suite not in SUITES:
-        raise ParseError("unknown suite %r" % suite)
-    rep = SUITES[suite](cfg, mutation=record.get("mutation"))
+    if type(suite) is not str or suite not in SUITES:
+        raise ParseError("unknown suite %r" % (suite,))
+    mutation = record.get("mutation")
+    if mutation is not None and mutation not in [m for s, m, _ in MUTATIONS if s == suite]:
+        raise ParseError("unknown mutation %r for suite %r" % (mutation, suite))
+    rep = SUITES[suite](cfg, mutation=mutation)
     i, ok, note = rep.verdicts[index]
     reproduced = (not ok) and note == record.get("note")
     print("replay %s trial %d: %s (%r)" %

@@ -205,19 +205,6 @@ def substitute_matrix(rows, e, u):
     return [[substitute_element(x, e, u) for x in row] for row in rows]
 
 
-# -- refinement ------------------------------------------------------------
-
-
-def refine_branch_filtration(point, e):
-    """Refined chain of length r*e: index a = r*l + k maps to t^l * E^k."""
-    r = point.order
-    out = []
-    for a in range(r * e):
-        l, k = divmod(a, r)
-        out.append(point.chain[k].scale(l))
-    return out
-
-
 # -- direct image ----------------------------------------------------------
 
 
@@ -234,13 +221,14 @@ def _check_branches(profile, branch_objects):
 def pushforward_parabolic(profile, branches):
     """Parabolic direct image over one target point.
 
-    Each branch chain is refined to denominator s = r*e and restricted
-    member by member; a refined member equal to its predecessor reuses
-    the predecessor's restriction.
+    Each branch chain is refined to denominator s = r*e, member r*l + k
+    being t^l * E^k (ParabolicPoint.lattice), and restricted member by
+    member; a refined member equal to its predecessor reuses its restriction.
     """
     _check_branches(profile, branches)
+    s = profile.target_order
     restricted = [map_runs(lambda lat: restrict_scalars(lat, br.e, br.unit),
-                           refine_branch_filtration(pt, br.e))
+                           [pt.lattice(a) for a in range(s)])
                   for br, pt in zip(profile.branches, branches)]
     chain = [direct_sum(parts) for parts in zip(*restricted)]
     chain.append(chain[0].scale(1))
@@ -311,17 +299,8 @@ def pullback_parabolic(profile, point, label, lines=None):
     if e == 1 and br.unit == 1:
         return point
     sp = lines or split_into_lines(point)
-    mat_x = substitute_matrix(sp.matrix, e, br.unit)
-
-    def member(exps):  # line b is t^{exps[b]} times substituted column b
-        return Lattice.from_columns(point.field, point.n, [
-            [row[b].shift(x) for row in mat_x] for b, x in enumerate(exps)])
-
-    # each exponent is monotone in j, so equal members are neighbours
-    chain = map_runs(member, [tuple(-(c // r) + (j > c % r) for c in sp.jumps)
-                              for j in range(r)])
-    chain.append(chain[0].scale(1))
-    return ParabolicPoint(r, chain)
+    return ParabolicPoint.from_lines(point.field, r, substitute_matrix(sp.matrix, e, br.unit),
+                                     [-(c // r) for c in sp.jumps], [c % r for c in sp.jumps])
 
 
 def pullback_graded(profile, module, label):

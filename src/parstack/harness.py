@@ -23,8 +23,7 @@ from .functors import (make_profile, pullback_graded, pullback_matrix,
                        pullback_parabolic, pullback_parabolic_line,
                        pushforward_graded, pushforward_matrix,
                        pushforward_parabolic)
-from .lattice import Lattice
-from .linalg import add_column_multiple, block_diag, identity_matrix, mat_mul
+from .linalg import add_column_multiple, block_diag, identity_matrix, mat_mul, transpose
 from .localring import LocalElement
 from .pairing import (ANTISYMMETRIC, SYMMETRIC, ParabolicPairing, check_pairing,
                       expected_branch_value_data, pullback_pairing,
@@ -47,6 +46,9 @@ class TrialConfig:
     field_name: str = "rational"
 
     def __post_init__(self):
+        for name in ("seed", "trials", "max_rank", "max_order", "max_branches"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError("%s must be an integer, not %r" % (name, getattr(self, name)))
         if self.trials < 1 or self.max_rank < 1 or self.max_order < 1 \
                 or self.max_branches < 1:
             raise ValueError("all bounds must be >= 1")
@@ -110,29 +112,7 @@ def gen_parabolic_point(rng, n, r, field=QQ):
     jumps = [rng.randint(0, r - 1) for _ in range(n)]
     exps = [rng.randint(-2, 2) for _ in range(n)]
     m, _ = gen_unimodular(rng, field, n)
-    return _basis_chain(field, r, m, exps, jumps)
-
-
-def _basis_chain(field, r, m, exps, jumps):
-    """The point whose member E^j is spanned by the columns
-    t^{exps[b] + [j > jumps[b]]} * m[:, b], canonicalized once per jump
-    pattern: a chain of order r has at most n+1 distinct members, and the
-    all-jumped pattern is t * E^0."""
-    n = len(jumps)
-
-    def span(pattern):
-        return Lattice.from_columns(field, n, [
-            [m[i][b].shift(exps[b] + pattern[b]) for i in range(n)] for b in range(n)])
-
-    top = span((False,) * n)
-    members = {(False,) * n: top, (True,) * n: top.scale(1)}
-    chain = []
-    for j in range(r + 1):
-        pattern = tuple(j > jb for jb in jumps)
-        if pattern not in members:
-            members[pattern] = span(pattern)
-        chain.append(members[pattern])
-    return ParabolicPoint(r, chain)
+    return ParabolicPoint.from_lines(field, r, m, exps, jumps)
 
 
 def gen_graded_module(rng, n, s, field=QQ):
@@ -458,9 +438,8 @@ def gen_pairing_point(rng, field, r, c_l, g_l, kind, blocks, label):
     n = len(jumps)
     phi = block_diag(form_blocks)
     m, minv = gen_unimodular(rng, field, n)
-    pt = _basis_chain(field, r, m, exps, jumps)
-    minv_t = [[minv[j][i] for j in range(n)] for i in range(n)]
-    form = mat_mul(minv_t, mat_mul(phi, minv))
+    pt = ParabolicPoint.from_lines(field, r, m, exps, jumps)
+    form = mat_mul(transpose(minv), mat_mul(phi, minv))
     value = _value_line_bundle(field, label, r, c_l, g_l)
     return pt, form, value
 

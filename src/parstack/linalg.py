@@ -2,10 +2,10 @@
 
 Matrices are row-major lists of lists of LocalElement entries.  Linear
 algebra over the residue field k runs on constant K-matrices through the
-lattice kernel, so there are no matrices of bare field values.  Products
-multiply only pairs of nonzero entries; ``mat_vec`` collects the support
-of its vector once and each row sums over that support alone, which is
-what ``lattice.image_columns`` and the pairing Gram matrices run on.
+lattice kernel, so there are no matrices of bare field values.  All
+products run on ``mat_vec``, which multiplies only nonzero pairs: it
+collects the support of its vector once and sums each row over it alone.
+``mat_mul`` applies it to each row of a against the transpose of b.
 """
 
 from __future__ import annotations
@@ -21,20 +21,8 @@ def identity_matrix(field, n):
 
 
 def mat_mul(a, b):
-    n, m = len(a), len(b[0]) if b else 0
-    inner = len(b)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = _Z
-            for k in range(inner):
-                e, f = a[i][k], b[k][j]
-                if e.coeffs and f.coeffs:
-                    acc = acc + e * f
-            row.append(acc)
-        out.append(row)
-    return out
+    bt = transpose(b)
+    return [mat_vec(bt, row) for row in a]
 
 
 def mat_vec(a, v):

@@ -2,8 +2,9 @@
 
 A pairing on E valued in a parabolic line L is an (anti)symmetric matrix
 F over K.  Perfection is a finite list of lattice equalities: at each
-point, with L's local data (lattice exponent g, jump c) and chain
-extension E^{m} := t * E^{m-r} for m > r, the induced map must satisfy
+point, with L's local data (lattice exponent g, jump c) and the chain
+extended by E^{m} = t * E^{m-r} for m > r (ParabolicPoint.lattice), the
+induced map must satisfy
 
     F^T * E^a  =  t^{1+g} * (E^{r+c-a})^*        for all levels a.
 
@@ -35,6 +36,12 @@ which is an integer comparison; a full-rank lattice inside another of
 the same delta equals it.  `hom_chain` builds the right-hand side
 explicitly; it remains the definition and the reference the check is
 tested against.
+
+In characteristic 2 a symplectic form must be alternating (zero diagonal).
+The residue push of an alternating form is alternating: its diagonal
+entries are components of t^{2 rho} * F_ii (``residue_push_form``).
+Orthogonal structures in characteristic 2 need quadratic forms; they are
+out of scope.
 """
 
 from __future__ import annotations
@@ -54,13 +61,6 @@ _Z = LocalElement.zero()
 
 SYMMETRIC = "symmetric"
 ANTISYMMETRIC = "antisymmetric"
-
-
-def _chain_ext(point, m):
-    """E^m for 0 <= m <= 2r, with E^{m} = t * E^{m-r} beyond the chain."""
-    if m <= point.order:
-        return point.chain[m]
-    return point.chain[m - point.order].scale(1)
 
 
 def line_local_data(line_bundle, label, order):
@@ -85,7 +85,7 @@ def line_local_data(line_bundle, label, order):
 def hom_chain(point, g, c):
     """The target chain T^a = t^{1+g} * (E^{r+c-a})^* of the induced map."""
     r = point.order
-    chain = [_chain_ext(point, r + c - a).dual().scale(1 + g) for a in range(r + 1)]
+    chain = [point.lattice(r + c - a).dual().scale(1 + g) for a in range(r + 1)]
     return ParabolicPoint(r, chain)
 
 
@@ -143,7 +143,7 @@ def check_pairing(pairing, bundle):
         r = pt.order
         g, c = line_local_data(pairing.value_line, label, r)
         v = 1 + g
-        top = _chain_ext(pt, r + c)
+        top = pt.lattice(r + c)
         gram = _gram(pt.chain[0], form, top)
         if not _valuations_at_least(gram, v):
             return False
@@ -157,7 +157,7 @@ def check_pairing(pairing, bundle):
         for a in range(1, r):
             if a > c and 2 * a > r + c:
                 break  # from here on, level r+c-a < a mirrors level a
-            pair = (pt.chain[a], _chain_ext(pt, r + c - a))
+            pair = (pt.chain[a], pt.lattice(r + c - a))
             if pair == prev:
                 continue  # the same test as the previous level
             prev = src, tgt = pair

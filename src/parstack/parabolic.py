@@ -6,8 +6,8 @@ A parabolic point of order r is a decreasing chain
 
 of lattices in a common K^n.  The weight a/r carries multiplicity
 dim(E^a / E^{a+1}); multiplicities sum to n.  Chains are stored in full
-(length r+1) even when consecutive members coincide, so refinement for the
-direct image is a pure index computation.
+(length r+1) even when consecutive members coincide, so E^m for every
+m >= 0 (``ParabolicPoint.lattice``) is a pure index computation.
 """
 
 from __future__ import annotations
@@ -61,6 +61,36 @@ class ParabolicPoint:
         top = Lattice.diagonal(field, [twist])
         bot = top.scale(1)
         return cls(order, [top if j <= jump else bot for j in range(order + 1)])
+
+    @classmethod
+    def from_lines(cls, field, order, matrix, twists, jumps):
+        """The point of an adapted basis, the inverse of split_into_lines:
+        member E^j is spanned by the columns
+        t^{twists[b] + [j > jumps[b]]} * matrix[:, b], canonicalized once per
+        jump pattern.  A chain of order r has at most n+1 distinct members,
+        and the all-jumped pattern is t * E^0."""
+        n = len(jumps)
+
+        def span(pattern):
+            return Lattice.from_columns(field, n, [
+                [row[b].shift(twists[b] + pattern[b]) for row in matrix] for b in range(n)])
+
+        top = span((False,) * n)
+        members = {(False,) * n: top, (True,) * n: top.scale(1)}
+        chain = []
+        for j in range(order + 1):
+            pattern = tuple(j > jb for jb in jumps)
+            if pattern not in members:
+                members[pattern] = span(pattern)
+            chain.append(members[pattern])
+        return cls(order, chain)
+
+    def lattice(self, m):
+        """E^m for any m >= 0; past the chain, E^{r*l + k} = t^l * E^k."""
+        if m <= self.order:
+            return self.chain[m]
+        l, k = divmod(m, self.order)
+        return self.chain[k].scale(l)
 
     def weights(self):
         """Weight multiset as a sorted tuple of (Fraction, multiplicity).
@@ -127,7 +157,8 @@ def is_point_morphism(rows, src, dst):
 @dataclass
 class SplitLines:
     """Adapted-basis splitting of a parabolic point into rank-1 chains;
-    line b is ParabolicPoint.line(order, jumps[b])."""
+    line b is ParabolicPoint.line(order, jumps[b]).  The inverse is
+    ParabolicPoint.from_lines(field, order, matrix, [0] * n, jumps)."""
 
     jumps: list          # jump index of each line (weight jump/order)
     matrix: list         # n x n over K: direct sum of lines -> point

@@ -23,6 +23,7 @@ from .errors import InvalidChain, InvalidGrading, ParseError, ValidationError
 from .fields import field_from_name
 from .functors import make_profile
 from .lattice import Lattice, map_runs
+from .linalg import identity_matrix
 from .localring import LocalElement
 from .parabolic import ParabolicBundle, ParabolicPoint
 from .rootstack import GradedModule
@@ -157,7 +158,7 @@ def _order(obj, what):
 
 
 def _expand_weights(field, order, weights, n, what):
-    """Diagonal chain from weight shorthand [[weight, mult], ...]."""
+    """The diagonal point of weight shorthand [[weight, mult], ...]."""
     if type(weights) is not list:
         raise ParseError("%s: weights must be a list" % what)
     jumps = []
@@ -182,9 +183,7 @@ def _expand_weights(field, order, weights, n, what):
     if len(jumps) != n:
         raise ValidationError("weight multiplicities sum to %d, expected %d"
                               % (len(jumps), n))
-    chain = [Lattice.diagonal(field, [1 if j > a else 0 for a in jumps])
-             for j in range(order + 1)]
-    return chain
+    return ParabolicPoint.from_lines(field, order, identity_matrix(field, n), [0] * n, jumps)
 
 
 def encode_point(pt, field):
@@ -196,12 +195,11 @@ def decode_point(obj, field, n, where=""):
     what = "point" + where
     order = _order(obj, what)
     if "weights" in obj:
-        chain = _expand_weights(field, order, obj["weights"], n, what)
-    else:
-        chain = _decode_chain(obj.get("chain", []), field, n, what + ": chain")
-        if len(chain) != order + 1:
-            raise ValidationError("%s: chain has %d members, expected %d"
-                                  % (what, len(chain), order + 1))
+        return _expand_weights(field, order, obj["weights"], n, what)
+    chain = _decode_chain(obj.get("chain", []), field, n, what + ": chain")
+    if len(chain) != order + 1:
+        raise ValidationError("%s: chain has %d members, expected %d"
+                              % (what, len(chain), order + 1))
     try:
         return ParabolicPoint(order, chain)
     except InvalidChain as exc:
@@ -295,7 +293,7 @@ def loads(text):
     if not isinstance(obj, dict):
         raise ParseError("scenario must be an object")
     version = obj.get("version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise ParseError("unsupported scenario version %r" % version)
     try:
         field = field_from_name(obj.get("field", "rational"))
@@ -333,30 +331,9 @@ def dumps(obj):
     return "".join(out)
 
 
-_INF = float("inf")
-
-
-def _float_text(x):
-    if x != x:
-        return "NaN"
-    if x == _INF:
-        return "Infinity"
-    if x == -_INF:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _bool_text(b):
-    return "true" if b else "false"
-
-
-def _null_text(_):
-    return "null"
-
-
 # exact types only: json.loads makes no subclasses, and bool is not int here
-_SCALAR_TEXT = {str: _quoted, int: int.__repr__, float: _float_text,
-                bool: _bool_text, type(None): _null_text}
+_SCALAR_TEXT = {str: _quoted, int: int.__repr__, float: json.dumps,
+                bool: json.dumps, type(None): json.dumps}
 
 
 def _write(obj, out, newline, seen):

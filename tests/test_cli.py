@@ -133,6 +133,35 @@ def test_replay_with_bad_config_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("input error: ")
 
 
+@pytest.mark.parametrize("change", [
+    {"trial_index": 1.5},
+    {"trial_index": True},
+    {"trial_index": -1},
+    {"config": {"max_rank": 2.5}},
+    {"config": {"seed": "1000"}},
+    {"mutation": "nonsense"},
+    {"mutation": "wrong-twist"},
+    {"suite": []},
+], ids=["index-float", "index-bool", "index-negative", "max-rank-float", "seed-str",
+        "unknown-mutation", "mutation-of-another-suite", "suite-list"])
+def test_replay_of_a_malformed_counterexample_exits_2(tmp_path, capsys, change):
+    record = run_mutation("direct", "broken-inclusion", 1000).failures[0]
+    bad = dict(record, **change)
+    if "config" in change:
+        bad["config"] = dict(record["config"], **change["config"])
+    assert main(["replay", write(tmp_path, "cex.json", bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "reproduced" not in err
+
+
+@pytest.mark.parametrize("version", [True, 1.0, "1"])
+def test_scenario_version_must_be_the_integer_1(tmp_path, capsys, version):
+    src = write(tmp_path, "v.json", {"version": version, "objects": []})
+    assert main(["degree", src]) == 2
+    assert capsys.readouterr().err == \
+        "input error: unsupported scenario version %r\n" % (version,)
+
+
 @pytest.mark.parametrize("command", ["push", "pull"])
 def test_cover_without_branches_is_inadmissible(tmp_path, capsys, command):
     doc = line_scenario(cover={"target": "y", "s": 2, "branches": []})

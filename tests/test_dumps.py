@@ -81,9 +81,16 @@ ELEMENT_CASES = [
 ]
 
 
+# the scalars the stdlib writes, alone and at several positions and indents
+SCALAR_CASES = [math.inf, 1e16, None, False,
+                [math.nan, math.inf, -math.inf, -0.0, 1e16, True, None],
+                {"a": math.nan, "b": [None, {"c": 1e16, "d": [-0.0, -math.inf]}],
+                 "e": True, "f": math.inf}]
+
+
 @pytest.mark.parametrize("value", [{}, [], [[]], {"a": {}}, [{}, []], "",
                                    math.nan, -math.inf, -0.0, 10 ** 80, True]
-                         + ELEMENT_CASES)
+                         + ELEMENT_CASES + SCALAR_CASES)
 def test_dumps_matches_stdlib_on_edge_values(value):
     assert sio.dumps(value) == reference(value)
 

@@ -15,8 +15,7 @@ from parstack import (QQ, CoverProfile, GradedModule, InadmissibleProfile,
                       pushforward_matrix, pushforward_parabolic,
                       restrict_scalars, to_parabolic)
 from parstack import functors
-from parstack.functors import (Branch, _restrict_columns, refine_branch_filtration,
-                               substitute_element)
+from parstack.functors import Branch, _restrict_columns, substitute_element
 from parstack.harness import gen_graded_module, gen_parabolic_point, gen_profile
 from parstack.parabolic import SplitLines, split_into_lines
 
@@ -128,16 +127,7 @@ def test_each_restriction_guard_catches_its_planted_fault(fault):
         _planted_restriction(old, new)(lattice, e, QQ.of(u))
 
 
-# -- refinement and parabolic direct image ---------------------------------
-
-
-def test_refine_branch_filtration_examples():
-    line = trivial_point(QQ, 1)
-    assert refine_branch_filtration(line, 1) == [line.chain[0]]
-    r = Lattice.diagonal(QQ, [0])
-    assert refine_branch_filtration(line, 2) == [r, r.scale(1)]
-    half = ParabolicPoint.line(QQ, 2, 1)
-    assert [l.diag[0] for l in refine_branch_filtration(half, 2)] == [0, 0, 1, 1]
+# -- parabolic direct image -------------------------------------------------
 
 
 def test_pushforward_identity_cover():

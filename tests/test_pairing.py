@@ -17,7 +17,7 @@ from parstack.harness import (_value_line_bundle, gen_pairing_point,
 from parstack.linalg import identity_matrix, transpose
 from parstack.localring import LocalElement
 from parstack import pairing
-from parstack.pairing import (_chain_ext, _symmetry_holds, hom_chain, line_local_data,
+from parstack.pairing import (_symmetry_holds, hom_chain, line_local_data,
                               residue_push_form)
 
 from conftest import GF101, decompose_element, el, random_element, trivial_point
@@ -194,7 +194,7 @@ def test_check_pairing_tests_each_mirrored_level_once(field, monkeypatch):
         value = ParabolicBundle(1, 0, {"y": ParabolicPoint.line(field, s, 0)})
         pushed, bundle = pushforward_pairing(profile, value, "y", [(pt, form, (0, 0))])
         top = bundle.points["y"]
-        pairs = [(top.chain[a], _chain_ext(top, s - a)) for a in range(s)]
+        pairs = [(top.chain[a], top.lattice(s - a)) for a in range(s)]
         new = [a for a in range(1, s) if pairs[a] != pairs[a - 1]]
         mirrored = [a for a in new if 2 * a <= s]
         saved += len(new) - len(mirrored)
@@ -311,6 +311,26 @@ def test_generated_pairings_are_perfect():
             pt, form, value = made
             bundle = ParabolicBundle(pt.n, 0, {"p": pt})
             assert check_pairing(ParabolicPairing(kind, form, value), bundle)
+
+
+@pytest.mark.parametrize("field", [QQ, GF101, PrimeField(2)], ids=["Q", "GF101", "GF2"])
+def test_residue_push_of_an_alternating_form_is_alternating(field):
+    """Diagonal entry i*e + rho of the pushed form is a component of
+    t^{2 rho} * form[i][i], so a zero diagonal stays zero, in
+    characteristic 2 as well."""
+    rng = random.Random(field.p + 29)
+    for e in range(1, 5):
+        for _ in range(4):
+            n = rng.randint(2, 3)
+            form = [[_Z] * n for _ in range(n)]
+            for i in range(n):
+                for i2 in range(i + 1, n):
+                    x = random_element(rng, field, zero_chance=0)
+                    form[i][i2], form[i2][i] = x, -x
+            out = residue_push_form(form, e, field.random_nonzero(rng), n)
+            assert _symmetry_holds(ANTISYMMETRIC, out)
+            assert all(out[k][k].is_zero() for k in range(n * e))
+            assert any(not x.is_zero() for row in out for x in row)
 
 
 @pytest.mark.parametrize("field", [QQ, GF101, PrimeField(3)], ids=["Q", "GF101", "GF3"])

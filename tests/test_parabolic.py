@@ -64,6 +64,25 @@ def test_point_morphism_respects_filtration():
         is_point_morphism(identity_matrix(QQ, 2), src, dst)
 
 
+def test_lattice_extends_the_chain_examples():
+    line = trivial_point(QQ, 1)
+    r = Lattice.diagonal(QQ, [0])
+    assert [line.lattice(m) for m in range(4)] == [r, r.scale(1), r.scale(2), r.scale(3)]
+    half = ParabolicPoint.line(QQ, 2, 1)
+    assert [half.lattice(m).diag[0] for m in range(7)] == [0, 0, 1, 1, 2, 2, 3]
+
+
+@pytest.mark.parametrize("field", [QQ, GF101])
+def test_lattice_past_the_chain_is_a_t_power_shift(field):
+    rng = random.Random(47)
+    for _ in range(8):
+        r = rng.randint(1, 6)
+        pt = gen_parabolic_point(rng, rng.randint(1, 3), r, field)
+        assert [pt.lattice(m) for m in range(r + 1)] == list(pt.chain)
+        for m in range(2 * r + 1):
+            assert pt.lattice(m + r) == pt.lattice(m).scale(1)
+
+
 def _sum_of_lines(field, order, sp):
     """Direct sum of the rank-1 lines ParabolicPoint.line(order, jump)."""
     lines = [ParabolicPoint.line(field, order, j) for j in sp.jumps]
@@ -99,6 +118,7 @@ def test_split_into_lines_random(field):
             lines = _sum_of_lines(field, r, sp)
             assert is_point_morphism(sp.matrix, lines, pt)
             assert is_point_morphism(sp.inverse, pt, lines)
+            assert ParabolicPoint.from_lines(field, r, sp.matrix, [0] * n, sp.jumps) == pt
     assert mixed_changed  # mixing moves the basis of some rank >= 2 point
 
 
