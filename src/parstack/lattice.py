@@ -47,7 +47,7 @@ is row k takes about k^2/2 steps, not n^2/2.
 from __future__ import annotations
 
 from .errors import AmbientMismatch, ShapeMismatch, SingularBasis
-from .linalg import mat_vec
+from .linalg import identity_matrix, mat_vec, transpose
 from .localring import LocalElement
 
 _Z = LocalElement.zero()
@@ -109,11 +109,6 @@ class Lattice:
         )
         return cls(field, n, cols, tuple(exps), _trusted=True)
 
-    # -- basic views -------------------------------------------------------
-
-    def basis_columns(self):
-        return [list(c) for c in self.cols]
-
     # -- operations --------------------------------------------------------
 
     def scale(self, d):
@@ -125,31 +120,9 @@ class Lattice:
         return Lattice(self.field, self.n, cols, diag, _trusted=True)
 
     def solve(self, w):
-        """Coordinates x with basis * x = w, by exact back-substitution.
-
-        The substitution starts at the last nonzero row of w, since the
-        basis is upper triangular and every coordinate below it is zero, and
-        each row sums only over the coordinates already solved to nonzero
-        values.  Always solvable over K (divisions are only by t-powers);
-        membership of w in the lattice is equivalent to all coordinates
-        having valuation >= 0.
-        """
-        cols, diag = self.cols, self.diag
-        x = [_Z] * self.n
-        top = self.n - 1
-        while top >= 0 and not w[top].coeffs:
-            top -= 1
-        solved = []  # (k, x[k]) for the nonzero coordinates so far
-        for j in range(top, -1, -1):
-            acc = w[j]
-            for k, xk in solved:
-                c = cols[k][j]
-                if c.coeffs:
-                    acc = acc - c * xk
-            if acc.coeffs:
-                x[j] = xj = acc.shift(-diag[j])
-                solved.append((j, xj))
-        return x
+        """Coordinates x with basis * x = w (``back_substitute``); w is a
+        member iff every coordinate has valuation >= 0."""
+        return back_substitute(self.cols, self.diag, w)
 
     def member(self, w):
         for x in self.solve(w):
@@ -165,17 +138,11 @@ class Lattice:
             raise AmbientMismatch("ambient rank %d vs %d" % (self.n, other.n))
         return all(self.member(c) for c in other.cols)
 
-    def basis_inverse(self):
-        """The inverse of the basis matrix, row-major; its rows pair the
-        basis columns to the standard basis under the standard pairing."""
-        n = self.n
-        inv_cols = [self.solve(_unit_vector(self.field, n, j)) for j in range(n)]
-        return [[inv_cols[j][i] for j in range(n)] for i in range(n)]
-
     def dual(self):
         """The dual lattice {v : <v, self> in R} w.r.t. the standard pairing."""
         # rows of basis^{-1} are the dual basis vectors
-        return Lattice.from_columns(self.field, self.n, self.basis_inverse())
+        return Lattice.from_columns(self.field, self.n,
+                                    triangular_inverse(self.field, self.cols, self.diag))
 
     def det_valuation(self):
         return sum(self.diag)
@@ -213,10 +180,35 @@ def _canonical_shape(field, cols, diag):
     return True
 
 
-def _unit_vector(field, n, j):
-    v = [_Z] * n
-    v[j] = LocalElement.t_power(field, 0)
-    return v
+def back_substitute(cols, diag, w):
+    """Coordinates x with B * x = w for an upper-triangular basis B with
+    columns ``cols`` and pivots t^{diag[j]}; the entries above the pivots
+    need not be reduced.  The substitution starts at the last nonzero row
+    of w and each row sums only over the nonzero coordinates solved so
+    far.  It divides only by t-powers, so x always exists over K."""
+    n = len(cols)
+    x = [_Z] * n
+    top = n - 1
+    while top >= 0 and not w[top].coeffs:
+        top -= 1
+    solved = []  # (k, x[k]) for the nonzero coordinates so far
+    for j in range(top, -1, -1):
+        acc = w[j]
+        for k, xk in solved:
+            c = cols[k][j]
+            if c.coeffs:
+                acc = acc - c * xk
+        if acc.coeffs:
+            x[j] = xj = acc.shift(-diag[j])
+            solved.append((j, xj))
+    return x
+
+
+def triangular_inverse(field, cols, diag):
+    """The inverse of the basis of ``back_substitute``, row-major; its rows
+    pair the basis columns to the standard basis under the standard pairing."""
+    return transpose([back_substitute(cols, diag, e)
+                      for e in identity_matrix(field, len(cols))])
 
 
 # -- canonicalization -----------------------------------------------------

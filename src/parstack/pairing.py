@@ -213,9 +213,12 @@ def pullback_pairing(profile, pairing, bundle, target_label):
     twists = sum(pullback_parabolic_line(w, br.e, br.r)[0] * m for w, m in pt.weights())
     degree = br.e * bundle.underlying_degree + twists
     pulled_bundle = ParabolicBundle(bundle.rank, degree, {br.label: pulled_pt})
-    # the relative ramification contributes a uniform t^{e-1} twist, the
-    # exact counterpart of the residue functional used for direct image
-    pulled_form = [[x.shift(br.e - 1) for x in row]
+    # Twist by w_y / t_x = u * t^{e-1}, dual to the residue's 1/u.  A tower
+    # z -> x -> y (w_y = u1*t_x^{e1}, t_x = u2*t_z^{e2}) with constants c_1, c_2
+    # and the composite's C composes iff c_1 * c_2 * u2^{e1-1} = C; for
+    # c = u^k that reads u2^{k+e1-1} = u2^{k*e1}, so only k = 1 composes.
+    twist = LocalElement.make(pt.field, br.e - 1, [br.unit])
+    pulled_form = [[x * twist for x in row]
                    for row in substitute_matrix(pairing.form, br.e, br.unit)]
     pulled_line = pullback_value_line(profile, pairing.value_line, target_label, br.label)
     return ParabolicPairing(pairing.kind, pulled_form, pulled_line), pulled_bundle

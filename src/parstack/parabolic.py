@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidChain, ShapeMismatch
-from .lattice import Lattice, map_runs, maps_into
-from .linalg import add_column_multiple, identity_matrix, mat_mul
+from .lattice import Lattice, maps_into, triangular_inverse
+from .linalg import transpose
 
 
 class ParabolicPoint:
@@ -158,7 +158,9 @@ def is_point_morphism(rows, src, dst):
 class SplitLines:
     """Adapted-basis splitting of a parabolic point into rank-1 chains;
     line b is ParabolicPoint.line(order, jumps[b]).  The inverse is
-    ParabolicPoint.from_lines(field, order, matrix, [0] * n, jumps)."""
+    ParabolicPoint.from_lines(field, order, matrix, [0] * n, jumps).
+    The matrix of split_into_lines is upper triangular; a splitting mixed
+    by harness.mix_lines is not."""
 
     jumps: list          # jump index of each line (weight jump/order)
     matrix: list         # n x n over K: direct sum of lines -> point
@@ -168,44 +170,34 @@ class SplitLines:
 def split_into_lines(point):
     """Adapted basis for the chain: the jump of each line plus change of basis.
 
-    The flag is read off canonical forms.  In the coordinates of the
-    canonical basis B0 of E^0, each member E^j (0 < j < r) is a lattice
-    L_j with t*R^n <= L_j <= R^n, so its pivots are 1 or t, and a column
-    with pivot 1 has constants only in rows whose pivot is t.  The pivot-1
-    columns are therefore an echelon basis of the flag subspace
-    E^j / tE^0 of the fibre E^0 / tE^0 = k^n, each with its last nonzero
-    entry at its own row.  That row set is an invariant of the subspace
-    and shrinks as the subspace does, so the pivot-1 rows nest as j grows.
-    Line i takes the largest j with pivot 1 in row i (0 if there is none)
-    and lifts to column i of that L_j (e_i for jump 0).  The change of
-    basis V is unitriangular with constant entries, built together with
-    its inverse by column operations; matrix = B0 * V and
-    inverse = V^{-1} * B0^{-1}.
+    The splitting is read off the members' canonical bases.  Write a_i(L)
+    for the exponent of the pivot in row i of L's canonical basis.  Line i
+    jumps at the largest j < r with a_i(E^j) = a_i(E^0) and lifts to column
+    i of E^j's canonical basis; the matrix has these n lifts as columns,
+    and its inverse is back-substitution against them.
+
+    * a_i does not decrease as L shrinks: t^{a_i(L)} R is the row-i
+      projection of the vectors of L that vanish below row i.  Since
+      t*E^0 <= E^j <= E^0, a_i(E^j) is a_i(E^0) or a_i(E^0) + 1.
+    * The lifts are upper triangular with pivots t^{a_i(E^0)}.  In the
+      coordinates of E^0's canonical basis they are unitriangular over R,
+      so they are a basis of E^0.
+    * For each j, the lifts of the lines with jump >= j, together with t
+      times the other lifts, lie in E^j.  Their span has colength
+      sum_i (a_i(E^j) - a_i(E^0)) in E^0, which is E^j's colength, so
+      they span E^j.
+    * The jumps are those of the flag E^j / t*E^0 in the fibre
+      E^0 / t*E^0: the fibre lattice B0^{-1} * E^j has pivot exponents
+      a_i(E^j) - a_i(E^0).  The change of basis from B0 has entries in R,
+      not only constants; the pullback does not depend on the splitting.
     """
-    n, r, field = point.n, point.order, point.field
     top = point.chain[0]
-    if n == 0:
-        return SplitLines([], [], [])
-
-    def fibre_lattice(lat):
-        return Lattice.from_columns(field, n, [top.solve(col) for col in lat.cols])
-
-    jumps = [0] * n
-    lifts = [None] * n
-    for j, lat in enumerate(map_runs(fibre_lattice, point.chain[1:r]), start=1):
-        for i in range(n):
-            if not lat.diag[i]:
+    jumps = [0] * point.n
+    lifts = list(top.cols)
+    for j in range(1, point.order):
+        lat = point.chain[j]
+        for i, a in enumerate(top.diag):
+            if lat.diag[i] == a:
                 jumps[i], lifts[i] = j, lat.cols[i]
-
-    # columns right to left, so each column k < i added is still e_k
-    v, vinv = identity_matrix(field, n), identity_matrix(field, n)
-    for i in range(n - 1, -1, -1):
-        if lifts[i] is not None:
-            for k in range(i):
-                if lifts[i][k].coeffs:
-                    add_column_multiple(v, vinv, i, k, lifts[i][k])
-
-    # lift through B0: column b of the change of basis is B0 * v_b
-    b0 = top.basis_columns()
-    mat = mat_mul([[b0[c][i] for c in range(n)] for i in range(n)], v)
-    return SplitLines(jumps, mat, mat_mul(vinv, top.basis_inverse()))
+    return SplitLines(jumps, transpose(lifts),
+                      triangular_inverse(point.field, lifts, top.diag))

@@ -247,6 +247,35 @@ def test_pullback_rejects_bad_input():
         pullback_pairing(two, good, good_bundle, "y")
 
 
+@pytest.mark.parametrize("field", [QQ, GF101], ids=["Q", "GF101"])
+def test_pullback_pairing_composes_along_a_tower(field):
+    """Pulling along z -> x -> y (w_y = u1 * t_x^{e1}, t_x = u2 * t_z^{e2})
+    in two steps equals pulling along the composite cover
+    w_y = (u1 * u2^{e1}) * t_z^{e1 * e2}: the same point and the same form."""
+    rng = random.Random(field.p + 211)
+    towers = 0
+    while towers < 40:
+        e1, e2, r_z = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
+        u1 = field.of(rng.choice([1, 2, 3, -1]))
+        u2 = field.of(rng.choice([1, 2, -3, 5]))
+        r_x, s = r_z * e2, r_z * e2 * e1
+        kind = rng.choice([SYMMETRIC, ANTISYMMETRIC])
+        made = gen_pairing_point(rng, field, s, 0, 0, kind, rng.randint(1, 2), "y")
+        if made is None:
+            continue
+        towers += 1
+        pt, form, value = made
+        pairing = ParabolicPairing(kind, form, value)
+        bundle = ParabolicBundle(pt.n, 0, {"y": pt})
+        mid = pullback_pairing(make_profile(s, [("x", e1, r_x, u1)]), pairing, bundle, "y")
+        two_step = pullback_pairing(make_profile(r_x, [("z", e2, r_z, u2)]), *mid, "x")
+        u = field.of(u1 * u2 ** e1)
+        composite = pullback_pairing(make_profile(s, [("z", e1 * e2, r_z, u)]),
+                                     pairing, bundle, "y")
+        assert two_step[1].points["z"] == composite[1].points["z"]
+        assert two_step[0].form == composite[0].form
+
+
 # -- pushforward -----------------------------------------------------------
 
 

@@ -122,6 +122,30 @@ def test_split_into_lines_random(field):
     assert mixed_changed  # mixing moves the basis of some rank >= 2 point
 
 
+def _reference_jumps(pt):
+    """The jumps by way of fibre lattices: line i jumps at the largest
+    member E^j whose fibre lattice B0^{-1} * E^j has pivot 1 in row i."""
+    top = pt.chain[0]
+    jumps = [0] * pt.n
+    for j in range(1, pt.order):
+        fibre = Lattice.from_columns(pt.field, pt.n, [top.solve(c) for c in pt.chain[j].cols])
+        for i in range(pt.n):
+            if fibre.diag[i] == 0:
+                jumps[i] = j
+    return jumps
+
+
+@pytest.mark.parametrize("field", [QQ, GF101])
+def test_split_jumps_match_the_fibre_lattice_reference(field):
+    rng = random.Random(53)
+    for _ in range(30):
+        n, r = rng.randint(1, 6), rng.randint(1, 12)
+        pt = gen_parabolic_point(rng, n, r, field)
+        sp = split_into_lines(pt)
+        assert sp.jumps == _reference_jumps(pt)
+        assert all(not sp.matrix[i][b].coeffs for b in range(n) for i in range(b + 1, n))
+
+
 def test_generated_morphisms_are_morphisms():
     rng = random.Random(43)
     for _ in range(10):

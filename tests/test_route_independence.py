@@ -6,7 +6,6 @@ module).  That comparison can only catch a fault in the splitting if the
 graded route does not run it; these tests pin that.
 """
 
-import inspect
 import random
 import sys
 
@@ -17,6 +16,7 @@ from parstack import (QQ, TrialConfig, from_parabolic, pullback_graded,
 from parstack import parabolic
 from parstack.functors import make_profile
 from parstack.harness import gen_parabolic_point
+from parstack.linalg import transpose
 
 from conftest import GF101
 
@@ -57,12 +57,13 @@ def test_graded_pullback_runs_without_the_splitting(field, monkeypatch):
 
 
 def _transposed_lift():
-    """split_into_lines lifting the fiber basis through B0 transposed."""
-    source = inspect.getsource(parabolic.split_into_lines)
-    assert "b0[c][i]" in source
-    namespace = dict(vars(parabolic))
-    exec(source.replace("b0[c][i]", "b0[i][c]"), namespace)
-    return namespace["split_into_lines"]
+    """split_into_lines with its change of basis transposed."""
+    split = parabolic.split_into_lines
+
+    def transposed(point):
+        sp = split(point)
+        return parabolic.SplitLines(sp.jumps, transpose(sp.matrix), sp.inverse)
+    return transposed
 
 
 @FIELDS

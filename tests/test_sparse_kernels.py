@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from parstack import QQ, Lattice, LocalElement, PrimeField, SingularBasis
 from parstack.functors import restrict_matrix, restrict_scalars
-from parstack.lattice import image_columns
+from parstack.lattice import back_substitute, image_columns, triangular_inverse
 from parstack.linalg import mat_vec
 
 FIELDS = (QQ, PrimeField(101), PrimeField(3))
@@ -43,17 +43,17 @@ def dense_image_columns(rows, lattice):
     return [dense_mat_vec(rows, list(col)) for col in lattice.cols]
 
 
-def dense_solve(lattice, w):
-    n, cols = lattice.n, lattice.cols
+def dense_solve(cols, diag, w):
+    n = len(cols)
     x = [ZERO] * n
     for j in range(n - 1, -1, -1):
         acc = w[j] - dense_dot([cols[k][j] for k in range(j + 1, n)], x[j + 1:])
-        x[j] = acc.shift(-lattice.diag[j])
+        x[j] = acc.shift(-diag[j])
     return x
 
 
 def dense_member(lattice, w):
-    return all(x.ord >= 0 for x in dense_solve(lattice, w))
+    return all(x.ord >= 0 for x in dense_solve(lattice.cols, lattice.diag, w))
 
 
 def dense_contains(big, small):
@@ -159,6 +159,23 @@ def lattices(draw, field, n):
 
 
 @st.composite
+def triangular_bases(draw, field, n):
+    """(cols, diag) of an upper-triangular basis with pivots t^{diag[j]};
+    about half of the entries above the pivots get a term of degree at
+    least their row's pivot exponent, so the basis is not reduced."""
+    diag = [draw(st.integers(-2, 3)) for _ in range(n)]
+    cols = [[ZERO] * n for _ in range(n)]
+    for j in range(n):
+        cols[j][j] = LocalElement.t_power(field, diag[j])
+        for i in range(j):
+            x = draw(elements(field))
+            if draw(st.booleans()):
+                x = x + LocalElement.t_power(field, diag[i] + draw(st.integers(0, 2)))
+            cols[j][i] = x
+    return cols, diag
+
+
+@st.composite
 def field_and_rank(draw, max_n=5):
     return draw(st.sampled_from(FIELDS)), draw(st.integers(1, max_n))
 
@@ -216,8 +233,22 @@ def test_solve_and_member_match_dense(data, fn):
     field, n = fn
     lattice = data.draw(lattices(field, n))
     w = data.draw(vectors(field, n))
-    assert lattice.solve(w) == dense_solve(lattice, w)
+    assert lattice.solve(w) == dense_solve(lattice.cols, lattice.diag, w)
     assert lattice.member(w) == dense_member(lattice, w)
+
+
+@PROPS
+@given(st.data(), field_and_rank())
+def test_back_substitution_matches_dense_on_unreduced_bases(data, fn):
+    field, n = fn
+    cols, diag = data.draw(triangular_bases(field, n))
+    w = data.draw(vectors(field, n))
+    assert back_substitute(cols, diag, w) == dense_solve(cols, diag, w)
+    units = [[LocalElement.t_power(field, 0) if i == j else ZERO for i in range(n)]
+             for j in range(n)]
+    inv = triangular_inverse(field, cols, diag)
+    assert inv == [list(row) for row in zip(*[dense_solve(cols, diag, e) for e in units])]
+    assert [dense_mat_vec(inv, col) for col in cols] == units
 
 
 @PROPS
