@@ -24,5 +24,4 @@ from .functors import (Branch, CoverProfile, make_profile, pullback_graded,
 from .pairing import (ANTISYMMETRIC, SYMMETRIC, ParabolicPairing,
                       check_pairing, pullback_pairing, pushforward_pairing)
 from .harness import (MUTATIONS, TrialConfig, TrialReport, gen_parabolic_point,
-                      run_mutation, verify_corollaries, verify_direct_image,
-                      verify_pullback)
+                      verify_corollaries, verify_direct_image, verify_pullback)

@@ -43,17 +43,6 @@ def _write_out(obj, out_path):
         sys.stdout.write(text)
 
 
-def _encoded(field, obj, at):
-    """A point or a module as a scenario object at ``at``."""
-    if isinstance(obj, GradedModule):
-        return dict(sio.encode_module(obj, field), kind="graded_module", at=at, rank=obj.n)
-    return dict(sio.encode_point(obj, field), kind="parabolic_point", at=at, rank=obj.n)
-
-
-_DECODERS = {"parabolic_point": ("point", sio.decode_point),
-             "graded_module": ("module", sio.decode_module)}
-
-
 def _decode_objects(field, raw):
     """The scenario's objects as (at-label, object, underlying_degree); each
     object is a ParabolicBundle (at None), a ParabolicPoint or a
@@ -64,24 +53,15 @@ def _decode_objects(field, raw):
     out = []
     for idx, obj in enumerate(objects):
         where = " (object %d)" % idx
-        if not isinstance(obj, dict):
-            raise ParseError("object%s must be a JSON object" % where)
-        kind = obj.get("kind")
+        decoded = sio.decode_object(obj, field, where, sio.SCENARIO_KINDS)
         at = obj.get("at")
-        rank = obj.get("rank")
         if at is not None and type(at) is not str:
             raise ParseError("object%s: 'at' must be a string, not %r" % (where, at))
-        if kind == "parabolic_bundle":
-            bundle = sio.decode_bundle(obj, field, where)
-            out.append((None, bundle, bundle.underlying_degree))
-            continue
-        if type(kind) is not str or kind not in _DECODERS:
-            raise ParseError("object%s has unknown kind %r" % (where, kind))
-        what, decode = _DECODERS[kind]
-        if type(rank) is not int or rank < 1:
-            raise ParseError("object%s needs an integer rank" % where)
-        deg = sio.underlying_degree(obj, what + where)
-        out.append((at, decode(obj, field, rank, where), deg))
+        if isinstance(decoded, ParabolicBundle):
+            out.append((None, decoded, decoded.underlying_degree))
+        else:
+            # decoding checked the degree
+            out.append((at, decoded, obj.get("underlying_degree", 0)))
     return out
 
 
@@ -104,7 +84,7 @@ def cmd_convert(args):
     for at, obj, deg in _decode_objects(field, raw):
         if isinstance(obj, ParabolicBundle):
             if not to_graded:
-                converted.append(sio.encode_bundle(obj, field))
+                converted.append(sio.encode_object(obj))
                 continue
             items = [(label, obj.points[label]) for label in obj.labels()]
         else:
@@ -113,7 +93,7 @@ def cmd_convert(args):
             if to_graded != isinstance(item, GradedModule):  # on the source side
                 item = from_parabolic(item) if to_graded else to_parabolic(item)
                 touched += 1
-            converted.append(dict(_encoded(field, item, label), underlying_degree=deg))
+            converted.append(dict(sio.encode_object(item), at=label, underlying_degree=deg))
     if not touched:
         raise ValidationError("no objects in the source representation "
                               "for direction %r" % args.direction)
@@ -147,7 +127,7 @@ def cmd_push(args):
         pushed = to_parabolic(result)
     else:
         result = pushed = pushforward_parabolic(profile, per_branch)
-    _write_out(dict(raw, objects=[_encoded(field, result, target)]), args.out)
+    _write_out(dict(raw, objects=[dict(sio.encode_object(result), at=target)]), args.out)
     print(_weight_table(pushed, "direct image at %r" % target), file=sys.stderr)
     return PASS
 
@@ -174,7 +154,7 @@ def cmd_pull(args):
     for br in profile.branches:
         result = pullback(profile, source, br.label)
         pulled = to_parabolic(result) if graded else result
-        results.append(_encoded(field, result, br.label))
+        results.append(dict(sio.encode_object(result), at=br.label))
         tables.append(_weight_table(pulled, "pullback at %r" % br.label))
     # each branch adds floor(e*w) + frac(e*w) = e*w per weight w
     src_pt = to_parabolic(source) if graded else source
@@ -251,30 +231,35 @@ def cmd_replay(args):
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError("cannot read counterexample: %s" % exc)
     try:
-        suite = record["suite"]
+        name = record["suite"]
         index = record["trial_index"]
         if type(index) is not int or index < 0:
             raise ValueError("trial_index must be an integer >= 0, not %r" % (index,))
-        cfg = TrialConfig(seed=record["config"]["seed"],
-                          trials=index + 1,
-                          max_rank=record["config"]["max_rank"],
-                          max_order=record["config"]["max_order"],
-                          max_branches=record["config"]["max_branches"],
-                          field_name=record["config"]["field"])
+        config = record["config"]
+        cfg = TrialConfig(seed=config["seed"], trials=config["trials"],
+                          max_rank=config["max_rank"], max_order=config["max_order"],
+                          max_branches=config["max_branches"], field_name=config["field"])
     except (KeyError, TypeError) as exc:
         raise ParseError("malformed counterexample: missing %s" % exc)
     except ValueError as exc:
         raise ParseError("malformed counterexample: %s" % exc)
-    if type(suite) is not str or suite not in SUITES:
-        raise ParseError("unknown suite %r" % (suite,))
+    if type(name) is not str or name not in SUITES:
+        raise ParseError("unknown suite %r" % (name,))
+    suite = SUITES[name]
     mutation = record.get("mutation")
-    if mutation is not None and mutation not in [m for s, m, _ in MUTATIONS if s == suite]:
-        raise ParseError("unknown mutation %r for suite %r" % (mutation, suite))
-    rep = SUITES[suite](cfg, mutation=mutation)
-    i, ok, note = rep.verdicts[index]
+    if mutation is not None and mutation not in [m for s, m, _ in MUTATIONS if s == name]:
+        raise ParseError("unknown mutation %r for suite %r" % (mutation, name))
+    if record.get("instance") is not None:
+        ok, note = suite.verdict(sio.decode_instance(record["instance"], cfg.field), mutation)
+    else:
+        # the draw raised: draw this one trial again
+        seed = record.get("trial_seed")
+        if type(seed) is not int:
+            raise ParseError("malformed counterexample: no instance and no integer trial_seed")
+        ok, note, _ = suite.trial(seed, cfg, mutation)
     reproduced = (not ok) and note == record.get("note")
     print("replay %s trial %d: %s (%r)" %
-          (suite, index, "fail" if not ok else "pass", note), file=sys.stderr)
+          (name, index, "fail" if not ok else "pass", note), file=sys.stderr)
     print("verdict %s" % ("reproduced" if reproduced else "NOT reproduced"),
           file=sys.stderr)
     return PASS if reproduced else FAIL

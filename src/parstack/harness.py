@@ -1,21 +1,27 @@
 """Randomized differential verification of both functor pipelines.
 
-Every suite draws reproducible instances from a seeded stream, runs the
-parabolic and the graded pipeline, and compares canonical forms exactly.
-Failures are data, not exceptions: the report records the first failing
-trial with its serialized instance, and a trial that raises is recorded as
-a failure named after the exception, keeping whatever instance it had
-filled in before it raised.  A mutation only corrupts a value of its
-trial; the suite's ordinary checks must then reject it.
+A suite is a draw and a check behind one runner, ``Suite``.  The draw,
+``draw(rng, cfg, mutation)``, takes all a trial needs from the trial's
+seeded stream and returns the instance: a dict of domain objects (points,
+modules, bundles, matrices, tuples of them) and strings, with the cover
+profile under ``cover``.  The check, ``check(instance, mutation)``, runs
+the parabolic and the graded pipeline on it, compares canonical forms
+exactly and returns ``(ok, note)``.  It draws nothing, so a decoded
+instance checks as the drawn one did.
+
+Failures are data: a trial that raises fails with a note naming the
+exception.  The report keeps the first failing trial with its seed and
+its instance, encoded only then.  Replay checks that instance again, and
+draws the trial from its seed only if the draw raised.  A mutation only
+corrupts a value of its trial; the suite's checks must then reject it.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
-from math import lcm
 
 from . import scenario as sio
 from .fields import QQ, field_from_name
@@ -52,10 +58,11 @@ class TrialConfig:
         if self.trials < 1 or self.max_rank < 1 or self.max_order < 1 \
                 or self.max_branches < 1:
             raise ValueError("all bounds must be >= 1")
-        field_from_name(self.field_name)
+        self.field
 
-    @property
+    @functools.cached_property
     def field(self):
+        """The field of field_name, parsed once per config."""
         return field_from_name(self.field_name)
 
     def to_dict(self):
@@ -115,10 +122,6 @@ def gen_parabolic_point(rng, n, r, field=QQ):
     return ParabolicPoint.from_lines(field, r, m, exps, jumps)
 
 
-def gen_graded_module(rng, n, s, field=QQ):
-    return from_parabolic(gen_parabolic_point(rng, n, s, field))
-
-
 def gen_profile(rng, s, max_branches, field=QQ, rank_bound=None, max_rank=3):
     """Admissible profile plus branch ranks, total restricted rank bounded."""
     divisors = [e for e in range(1, s + 1) if s % e == 0]
@@ -174,48 +177,61 @@ def mix_lines(point, lines, rng):
     return SplitLines(jumps, mat, inv)
 
 
-# -- suite plumbing --------------------------------------------------------
+# -- the runner ------------------------------------------------------------
 
 
-def _run_suite(name, cfg, trial_fn, mutation=None):
-    """Run cfg.trials trials; each fills its instance dict before any check
-    and returns (ok, note)."""
-    rng = random.Random(cfg.seed)
-    report = TrialReport(name, cfg)
-    t0 = time.monotonic()
-    for i in range(cfg.trials):
-        trial_rng = random.Random(rng.getrandbits(64))
-        instance = {}
+def _raised(exc):
+    return False, "raised %s: %s" % (type(exc).__name__, exc)
+
+
+class Suite:
+    """A suite: its report name, its draw and its check (module docstring).
+    Calling it with a TrialConfig runs cfg.trials trials, the mutation on
+    the first, and returns the TrialReport."""
+
+    def __init__(self, name, draw, check):
+        self.name, self.draw, self.check = name, draw, check
+
+    def verdict(self, instance, mutation):
+        """(ok, note) of the check; a library error inside it fails."""
         try:
-            ok, note = trial_fn(trial_rng, cfg, report.coverage,
-                                mutation if i == 0 else None, instance)
+            return self.check(instance, mutation)
         except Exception as exc:
-            # a library error inside a trial is a verification failure
-            ok, note = False, "raised %s: %s" % (type(exc).__name__, exc)
-        report.verdicts.append((i, ok, note))
-        if not ok and not report.failures:
-            report.failures.append({
-                "suite": name,
-                "trial_index": i,
-                "mutation": mutation,
-                "note": note,
-                "config": cfg.to_dict(),
-                "instance": instance or None,
-            })
-    report.elapsed = time.monotonic() - t0
-    return report
+            return _raised(exc)
+
+    def trial(self, seed, cfg, mutation):
+        """Draw the instance of trial seed ``seed`` and check it: (ok, note,
+        instance), with instance None when the draw raised."""
+        try:
+            instance = self.draw(random.Random(seed), cfg, mutation)
+        except Exception as exc:
+            return (*_raised(exc), None)
+        return (*self.verdict(instance, mutation), instance)
+
+    def __call__(self, cfg, mutation=None):
+        rng = random.Random(cfg.seed)
+        report = TrialReport(self.name, cfg)
+        t0 = time.monotonic()
+        for i in range(cfg.trials):
+            seed = rng.getrandbits(64)
+            ok, note, instance = self.trial(seed, cfg, mutation if i == 0 else None)
+            if instance is not None:
+                _bump(report.coverage, instance["cover"])
+            report.verdicts.append((i, ok, note))
+            if not ok and not report.failures:
+                report.failures.append({
+                    "suite": self.name, "trial_index": i, "trial_seed": seed,
+                    "mutation": mutation, "note": note, "config": cfg.to_dict(),
+                    "instance": None if instance is None else sio.encode_instance(instance)})
+        report.elapsed = time.monotonic() - t0
+        return report
 
 
 def _bump(coverage, profile):
-    for br in profile.branches:
-        if br.e > 1:
-            coverage["e>1"] = coverage.get("e>1", 0) + 1
-        if br.r > 1:
-            coverage["r>1"] = coverage.get("r>1", 0) + 1
-        if br.unit != 1:
-            coverage["unit!=1"] = coverage.get("unit!=1", 0) + 1
-    if len(profile.branches) > 1:
-        coverage["multi-branch"] = coverage.get("multi-branch", 0) + 1
+    hits = [key for br in profile.branches for key, hit in
+            (("e>1", br.e > 1), ("r>1", br.r > 1), ("unit!=1", br.unit != 1)) if hit]
+    for key in hits + ["multi-branch"] * (len(profile.branches) > 1):
+        coverage[key] = coverage.get(key, 0) + 1
 
 
 def _weights_key(point):
@@ -225,19 +241,26 @@ def _weights_key(point):
 # -- direct image ----------------------------------------------------------
 
 
-def _direct_image_trial(rng, cfg, coverage, mutation, instance):
+def _draw_direct(rng, cfg, mutation):
+    """Source points over each branch, target points of the same ranks and
+    a point morphism from each source to its target."""
     field = cfg.field
     s = rng.randint(2 if mutation else 1, cfg.max_order)
     profile, ranks = gen_profile(rng, s, cfg.max_branches, field,
                                  rank_bound=10, max_rank=cfg.max_rank)
-    _bump(coverage, profile)
-    mods = [gen_graded_module(rng, n, br.r, field)
-            for br, n in zip(profile.branches, ranks)]
-    pts = [to_parabolic(m) for m in mods]
-    instance.update(field=field.name, cover=sio.encode_cover(profile, field),
-                    objects=[dict(sio.encode_module(m, field), at=br.label)
-                             for br, m in zip(profile.branches, mods)])
+    sources = tuple(gen_parabolic_point(rng, n, br.r, field)
+                    for br, n in zip(profile.branches, ranks))
+    targets = tuple(gen_parabolic_point(rng, n, br.r, field)
+                    for br, n in zip(profile.branches, ranks))
+    morphisms = tuple(gen_point_morphism(rng, p, q) for p, q in zip(sources, targets))
+    return {"cover": profile, "sources": sources, "targets": targets,
+            "morphisms": morphisms}
 
+
+def _check_direct(instance, mutation):
+    profile, pts = instance["cover"], instance["sources"]
+    s = profile.target_order
+    mods = [from_parabolic(pt) for pt in pts]
     pushed_graded = pushforward_graded(profile, mods)
     if mutation == "transposed-grading":
         # corrupt the index map of the correspondence: use grade j, not s-j
@@ -263,11 +286,9 @@ def _direct_image_trial(rng, cfg, coverage, mutation, instance):
     if {k: v for k, v in expected.items() if v} != got:
         return False, "weight law violated"
 
-    # naturality on a random morphism per trial
-    dst_mods = [gen_graded_module(rng, n, br.r, field)
-                for br, n in zip(profile.branches, ranks)]
-    dst_pts = [to_parabolic(m) for m in dst_mods]
-    mats = [gen_point_morphism(rng, p, q) for p, q in zip(pts, dst_pts)]
+    # naturality of the drawn morphisms
+    dst_pts, mats = instance["targets"], instance["morphisms"]
+    dst_mods = [from_parabolic(pt) for pt in dst_pts]
     for mat, msrc, mdst in zip(mats, mods, dst_mods):
         if not is_graded_morphism(mat, msrc, mdst):
             return False, "generated morphism not graded"
@@ -281,40 +302,42 @@ def _direct_image_trial(rng, cfg, coverage, mutation, instance):
     return True, "weights=%r" % (_weights_key(route_b),)
 
 
-def verify_direct_image(cfg, mutation=None):
-    return _run_suite("direct", cfg, _direct_image_trial, mutation)
-
-
 # -- pullback --------------------------------------------------------------
 
 
-def _pullback_trial(rng, cfg, coverage, mutation, instance):
+def _draw_pullback(rng, cfg, mutation):
+    """A point on a one-branch cover, the matrices of two other adapted
+    splittings mixed from its own, a target point and a morphism to it."""
     field = cfg.field
     s = rng.randint(1, cfg.max_order)
     profile, _ = gen_profile(rng, s, 1, field, max_rank=1)
-    br = profile.branches[0]
-    _bump(coverage, profile)
     n = rng.randint(1, cfg.max_rank)
     point = gen_parabolic_point(rng, n, s, field)
-    instance.update(field=field.name, cover=sio.encode_cover(profile, field),
-                    objects=[dict(sio.encode_point(point, field), at="y",
-                                  kind="parabolic_point")])
+    lines = split_into_lines(point)
+    splittings = tuple(mix_lines(point, lines, random.Random(rng.getrandbits(32))).matrix
+                       for _ in range(2))
+    target = gen_parabolic_point(rng, n, s, field)
+    return {"cover": profile, "point": point, "splittings": splittings,
+            "target": target, "morphism": gen_point_morphism(rng, point, target)}
 
-    # the splitting is shared by the pullback and its mixed alternatives
+
+def _check_pullback(instance, mutation):
+    profile, point = instance["cover"], instance["point"]
+    br = profile.branches[0]
     lines = split_into_lines(point)
     pulled = pullback_parabolic(profile, point, br.label, lines=lines)
-    module = from_parabolic(point)
-    pulled_graded = pullback_graded(profile, module, br.label)
+    pulled_graded = pullback_graded(profile, from_parabolic(point), br.label)
     if mutation == "wrong-twist":
         pulled_graded = GradedModule(
             br.r, [p.scale(1) for p in pulled_graded.pieces])
     if to_parabolic(pulled_graded) != pulled:
         return False, "pipeline mismatch"
 
-    # splitting independence: two random adapted bases, identical result
-    for _ in range(2):
-        alt = pullback_parabolic(profile, point, br.label, lines=mix_lines(
-            point, lines, random.Random(rng.getrandbits(32))))
+    # splitting independence: mixing keeps the jumps, and the pullback
+    # reads only the jumps and the matrix of a splitting
+    for mat in instance["splittings"]:
+        alt = pullback_parabolic(profile, point, br.label,
+                                 lines=SplitLines(lines.jumps, mat, None))
         if alt != pulled:
             return False, "splitting dependence"
 
@@ -332,16 +355,11 @@ def _pullback_trial(rng, cfg, coverage, mutation, instance):
         return False, "twist law violated"
 
     # naturality: substituted morphisms stay morphisms
-    dst = gen_parabolic_point(rng, n, s, field)
-    mat = gen_point_morphism(rng, point, dst)
-    if not is_point_morphism(pullback_matrix(profile, mat, br.label), pulled,
-                             pullback_parabolic(profile, dst, br.label)):
+    dst = instance["target"]
+    if not is_point_morphism(pullback_matrix(profile, instance["morphism"], br.label),
+                             pulled, pullback_parabolic(profile, dst, br.label)):
         return False, "pullback not natural"
     return True, "weights=%r" % (_weights_key(pulled),)
-
-
-def verify_pullback(cfg, mutation=None):
-    return _run_suite("pull", cfg, _pullback_trial, mutation)
 
 
 # -- pairings --------------------------------------------------------------
@@ -459,124 +477,88 @@ def _flip_symmetry(form, kind):
     return form, ANTISYMMETRIC if kind == SYMMETRIC else SYMMETRIC
 
 
-def _corollary_trial(rng, cfg, coverage, mutation, instance):
+def _draw_corollaries(rng, cfg, mutation):
+    """A perfect pairing to pull back along a one-branch cover, or one per
+    branch to push forward, valued in a drawn value line.  When no pairing
+    exists at the drawn size the instance is vacuous: its cover, kind and
+    direction, and the note under ``vacuous``."""
     field = cfg.field
     kind = SYMMETRIC if rng.random() < 0.5 else ANTISYMMETRIC
     s = rng.choice([m for m in range(1, min(cfg.max_order, 8) + 1)])
     direction = rng.choice(["push", "pull"])
-    instance.update(field=field.name, kind=kind, direction=direction)
+    instance = {"kind": kind, "direction": direction}
 
     if direction == "pull":
         divisors = [e for e in range(1, s + 1) if s % e == 0]
         e = rng.choice(divisors)
         unit = field.one if rng.random() < 0.3 else field.random_nonzero(rng)
-        profile = make_profile(s, [("x0", e, s // e, unit)])
-        _bump(coverage, profile)
+        instance["cover"] = make_profile(s, [("x0", e, s // e, unit)])
         c_l, g_l = rng.randint(0, s - 1), rng.randint(-1, 1)
         made = gen_pairing_point(rng, field, s, c_l, g_l, kind, rng.randint(1, 2), "y")
         if made is None:
-            return True, "no instance at this size"
+            return dict(instance, vacuous="no instance at this size")
         pt, form, value = made
         if mutation == "flipped-symmetry":
-            form, kind = _flip_symmetry(form, kind)
-            instance["kind"] = kind
-        bundle = ParabolicBundle(pt.n, 0, {"y": pt})
-        instance["cover"] = sio.encode_cover(profile, field)
-        instance["objects"] = [sio.encode_bundle(bundle, field)]
-        instance["pairing"] = {"kind": kind,
-                               "form": sio.encode_matrix_cols(form, field),
-                               "value_line": sio.encode_bundle(value, field)}
-        pairing = ParabolicPairing(kind, form, value)
-        # pullback_pairing checks its input
-        pulled_pairing, pulled_bundle = pullback_pairing(profile, pairing, bundle, "y")
-        if pulled_pairing.kind != kind:
-            return False, "kind not preserved"
-        if not check_pairing(pulled_pairing, pulled_bundle):
-            return False, "pulled pairing imperfect"
-        # stack-side transport of the underlying chain
-        stack = to_parabolic(pullback_graded(profile, from_parabolic(pt), "x0"))
-        if stack != pulled_bundle.points["x0"]:
-            return False, "stack-side pullback disagrees"
-        return True, "pull ok"
+            form, instance["kind"] = _flip_symmetry(form, kind)
+        return dict(instance, bundle=ParabolicBundle(pt.n, 0, {"y": pt}),
+                    form=form, value_line=value)
 
     # pushforward direction
-    profile, ranks = gen_profile(rng, s, cfg.max_branches, field,
-                                 rank_bound=8, max_rank=1)
-    _bump(coverage, profile)
+    profile, _ = gen_profile(rng, s, cfg.max_branches, field,
+                             rank_bound=8, max_rank=1)
+    instance["cover"] = profile
     c_l, g_l = rng.randint(0, s - 1), rng.randint(-1, 1)
     value = _value_line_bundle(field, "y", s, c_l, g_l)
-    branch_pairs = []
-    branch_encoded = []
-    expected = kind
+    points, forms = [], []
     for br in profile.branches:
         g_x, c_x = expected_branch_value_data(profile, br, value, "y")
         made = gen_pairing_point(rng, field, br.r, c_x, g_x, kind, 1, br.label)
         if made is None:
-            return True, "no branch instance at this size"
+            return dict(instance, vacuous="no branch instance at this size")
         pt, form, _ = made
-        if mutation == "flipped-symmetry" and not branch_pairs:
-            form, expected = _flip_symmetry(form, kind)
-            instance["kind"] = expected
-        branch_pairs.append((pt, form, (g_x, c_x)))
-        branch_encoded.append({"at": br.label,
-                               "point": sio.encode_point(pt, field),
-                               "form": sio.encode_matrix_cols(form, field)})
-    instance["cover"] = sio.encode_cover(profile, field)
-    instance["branch_pairs"] = branch_encoded
-    instance["value_line"] = sio.encode_bundle(value, field)
-    pushed_pairing, pushed_bundle = pushforward_pairing(profile, value, "y",
-                                                        branch_pairs)
-    if pushed_pairing.kind != expected:
+        if mutation == "flipped-symmetry" and not forms:
+            form, instance["kind"] = _flip_symmetry(form, kind)
+        points.append(pt)
+        forms.append(form)
+    return dict(instance, value_line=value, points=tuple(points), forms=tuple(forms))
+
+
+def _check_corollaries(instance, mutation):
+    if "vacuous" in instance:
+        return True, instance["vacuous"]
+    profile, kind, value = instance["cover"], instance["kind"], instance["value_line"]
+    if instance["direction"] == "pull":
+        done, functor, label = "pulled", "pullback", profile.branches[0].label
+        bundle = instance["bundle"]
+        # pullback_pairing checks its input
+        pairing, transported = pullback_pairing(
+            profile, ParabolicPairing(kind, instance["form"], value), bundle, "y")
+        stack = pullback_graded(profile, from_parabolic(bundle.points["y"]), label)
+    else:
+        done, functor, label = "pushed", "pushforward", "y"
+        points = instance["points"]
+        pairing, transported = pushforward_pairing(profile, value, "y", [
+            (pt, form, expected_branch_value_data(profile, br, value, "y"))
+            for br, pt, form in zip(profile.branches, points, instance["forms"])])
+        stack = pushforward_graded(profile, [from_parabolic(pt) for pt in points])
+    if pairing.kind != kind:
         return False, "kind not preserved"
-    if not check_pairing(pushed_pairing, pushed_bundle):
-        return False, "pushed pairing imperfect"
-    stack = to_parabolic(pushforward_graded(
-        profile, [from_parabolic(pt) for pt, _, _ in branch_pairs]))
-    if stack != pushed_bundle.points["y"]:
-        return False, "stack-side pushforward disagrees"
-    return True, "push ok"
-
-
-def verify_corollaries(cfg, mutation=None):
-    return _run_suite("corollaries", cfg, _corollary_trial, mutation)
-
-
-# -- degree law ------------------------------------------------------------
-
-
-def degree_scenario_trial(rng):
-    """One random global line scenario; returns (pulled degree, oracle)."""
-    deg_f = rng.randint(1, 4)
-    npts = rng.randint(1, 3)
-    degree = rng.randint(-2, 2)
-    pulled = Fraction(deg_f * degree)
-    pardeg = Fraction(degree)
-    for _ in range(npts):
-        # branch ramification indices at this target point summing to deg f
-        parts = []
-        left = deg_f
-        while left > 0:
-            e = rng.randint(1, left)
-            parts.append(e)
-            left -= e
-        s = lcm(*parts) * rng.randint(1, 3)
-        c = rng.randint(0, s - 1)
-        alpha = Fraction(c, s)
-        pardeg += alpha
-        for e in parts:
-            twist, frac = pullback_parabolic_line(alpha, e, s // e)
-            pulled += twist + frac
-    return pulled, deg_f * pardeg
+    if not check_pairing(pairing, transported):
+        return False, "%s pairing imperfect" % done
+    # stack-side transport of the underlying chain
+    if to_parabolic(stack) != transported.points[label]:
+        return False, "stack-side %s disagrees" % functor
+    return True, "%s ok" % instance["direction"]
 
 
 # -- suite dispatch --------------------------------------------------------
 
 
-SUITES = {
-    "direct": verify_direct_image,
-    "pull": verify_pullback,
-    "corollaries": verify_corollaries,
-}
+verify_direct_image = Suite("direct", _draw_direct, _check_direct)
+verify_pullback = Suite("pull", _draw_pullback, _check_pullback)
+verify_corollaries = Suite("corollaries", _draw_corollaries, _check_corollaries)
+SUITES = {suite.name: suite
+          for suite in (verify_direct_image, verify_pullback, verify_corollaries)}
 
 # seeds chosen so every corruption actually perturbs its instance
 MUTATIONS = []
@@ -585,10 +567,3 @@ for _i, _tg in zip(range(5), (3000, 3001, 3004, 3005, 3006)):
     MUTATIONS.append(("pull", "wrong-twist", 2000 + _i))
     MUTATIONS.append(("direct", "transposed-grading", _tg))
     MUTATIONS.append(("corollaries", "flipped-symmetry", 4000 + _i))
-
-
-def run_mutation(suite, mutation, seed, field_name="rational"):
-    """One corrupted trial; the verifier must flag it."""
-    cfg = TrialConfig(seed=seed, trials=1, field_name=field_name,
-                      max_order=8)
-    return SUITES[suite](cfg, mutation=mutation)

@@ -18,13 +18,13 @@ E^0 >= E^1 holds exactly when M_0 >= t * M_{s-1}, the wraparound; and
 E^s = t * E^0 holds by construction.  Read backwards, the same
 equivalences carry a valid chain to a valid module.  Every other
 construction of a point or a module (functor outputs, generated points,
-decoded objects, ``line``) is checked.
+decoded objects) is checked.
 """
 
 from __future__ import annotations
 
 from .errors import InvalidGrading
-from .lattice import Lattice, maps_into
+from .lattice import maps_into
 from .parabolic import ParabolicPoint
 
 
@@ -60,20 +60,6 @@ class GradedModule:
         self.n = pieces[0].n
         self.field = pieces[0].field
         return self
-
-    @classmethod
-    def line(cls, field, order, jump, twist=0):
-        """Rank-1 module matching ParabolicPoint.line(order, jump, twist):
-        pieces t^twist*R below grade order-jump, t^{twist-1}*R from it on.
-        jump = 0 gives the constant chain (weight 0)."""
-        if not 0 <= jump < order:
-            raise InvalidGrading("jump %d outside [0, %d)" % (jump, order))
-        top = Lattice.diagonal(field, [twist])
-        if jump == 0:
-            return cls(order, [top] * order)
-        big = top.scale(-1)
-        cut = order - jump
-        return cls(order, [top if k < cut else big for k in range(order)])
 
     def __eq__(self, other):
         if not isinstance(other, GradedModule):

@@ -21,7 +21,7 @@ from json.encoder import encode_basestring_ascii as _quoted
 
 from .errors import InvalidChain, InvalidGrading, ParseError, ValidationError
 from .fields import field_from_name
-from .functors import make_profile
+from .functors import CoverProfile, make_profile
 from .lattice import Lattice, map_runs
 from .linalg import identity_matrix
 from .localring import LocalElement
@@ -279,6 +279,83 @@ def decode_cover(obj, field):
     if type(target) is not str:
         raise ParseError("cover 'target' must be a string, not %r" % (target,))
     return target, make_profile(obj["s"], specs)
+
+
+# -- objects by kind ------------------------------------------------------
+
+
+def _decode_matrix(obj, field, where):
+    cols = obj.get("columns")
+    if type(cols) is not list or not cols or type(cols[0]) is not list or not cols[0] \
+            or any(type(c) is not list or len(c) != len(cols[0]) for c in cols):
+        raise ParseError("matrix%s needs a list of equal-length, non-empty columns" % where)
+    return [[decode_element(col[i], field) for col in cols] for i in range(len(cols[0]))]
+
+
+def _ranked(decode, what):
+    """The decoder of a point or a module: its positive integer ``rank``,
+    then its ``underlying_degree``, then the object."""
+    def decoder(obj, field, where):
+        rank = obj.get("rank")
+        if type(rank) is not int or rank < 1:
+            raise ParseError("object%s needs an integer rank" % where)
+        underlying_degree(obj, what + where)
+        return decode(obj, field, rank, where)
+    return decoder
+
+
+# kind -> (class, encoder, decoder(obj, field, where)); a matrix is a
+# row-major list of rows
+_KINDS = {
+    "parabolic_point": (ParabolicPoint, lambda pt: dict(encode_point(pt, None), rank=pt.n),
+                        _ranked(decode_point, "point")),
+    "graded_module": (GradedModule, lambda mod: dict(encode_module(mod, None), rank=mod.n),
+                      _ranked(decode_module, "module")),
+    "parabolic_bundle": (ParabolicBundle, lambda b: encode_bundle(b, None), decode_bundle),
+    "cover": (CoverProfile, lambda profile: encode_cover(profile, None),
+              lambda obj, field, where: decode_cover(obj, field)[1]),
+    "matrix": (list, lambda rows: {"columns": encode_matrix_cols(rows, None)}, _decode_matrix),
+}
+SCENARIO_KINDS = ("parabolic_point", "graded_module", "parabolic_bundle")
+
+
+def encode_object(obj):
+    """A point, module, bundle, cover profile or matrix as a JSON object
+    with its ``kind``."""
+    for kind, (cls, encode, _) in _KINDS.items():
+        if isinstance(obj, cls):
+            return dict(encode(obj), kind=kind)
+    raise TypeError("no scenario kind encodes %s" % type(obj).__name__)
+
+
+def decode_object(obj, field, where, kinds):
+    """The object that ``encode_object`` encoded, if its kind is one of
+    ``kinds``; ``where`` names it in errors."""
+    if type(obj) is not dict:
+        raise ParseError("object%s must be a JSON object" % where)
+    kind = obj.get("kind")
+    if type(kind) is not str or kind not in kinds:
+        raise ParseError("object%s has unknown kind %r" % (where, kind))
+    return _KINDS[kind][2](obj, field, where)
+
+
+def encode_instance(instance):
+    """A harness instance as JSON: a string stays, a tuple becomes a list
+    and every object goes through ``encode_object``."""
+    return {key: value if type(value) is str
+            else [encode_object(x) for x in value] if type(value) is tuple
+            else encode_object(value) for key, value in instance.items()}
+
+
+def decode_instance(obj, field):
+    """The instance that ``encode_instance`` encoded."""
+    if type(obj) is not dict:
+        raise ParseError("instance must be a JSON object, not %r" % (obj,))
+    return {key: value if type(value) is str
+            else tuple(decode_object(x, field, " (instance %r, item %d)" % (key, i), _KINDS)
+                       for i, x in enumerate(value)) if type(value) is list
+            else decode_object(value, field, " (instance %r)" % key, _KINDS)
+            for key, value in obj.items()}
 
 
 # -- whole scenarios -------------------------------------------------------

@@ -1,17 +1,21 @@
-"""Shared builders and an independent sympy-based oracle for lattice tests.
+"""Shared builders, test oracles and an independent sympy-based oracle for
+lattice tests.
 
-The oracle never goes through the library's back-substitution or
+The sympy oracle never goes through the library's back-substitution or
 canonicalization: membership and determinant valuations are recomputed
 with sympy rational-function arithmetic in a formal variable t.
 """
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import sympy
 
-from parstack import (QQ, GradedModule, Lattice, LocalElement, ParabolicPoint,
-                      PrimeField)
+from parstack import (QQ, GradedModule, InvalidGrading, Lattice, LocalElement,
+                      ParabolicPoint, PrimeField, TrialConfig, from_parabolic,
+                      gen_parabolic_point, pullback_parabolic_line)
+from parstack.harness import SUITES
 
 T = sympy.symbols("t")
 
@@ -53,6 +57,57 @@ def trivial_point(field, n, order=1):
 def trivial_module(field, n, order=1):
     """The graded module with every piece R^n."""
     return GradedModule(order, [Lattice.diagonal(field, [0] * n)] * order)
+
+
+def graded_line(field, order, jump, twist=0):
+    """Rank-1 module matching ParabolicPoint.line(order, jump, twist):
+    pieces t^twist*R below grade order-jump, t^{twist-1}*R from it on.
+    jump = 0 gives the constant chain (weight 0)."""
+    if not 0 <= jump < order:
+        raise InvalidGrading("jump %d outside [0, %d)" % (jump, order))
+    top = Lattice.diagonal(field, [twist])
+    if jump == 0:
+        return GradedModule(order, [top] * order)
+    big = top.scale(-1)
+    cut = order - jump
+    return GradedModule(order, [top if k < cut else big for k in range(order)])
+
+
+def gen_graded_module(rng, n, s, field=QQ):
+    return from_parabolic(gen_parabolic_point(rng, n, s, field))
+
+
+def run_mutation(suite, mutation, seed, field_name="rational"):
+    """One corrupted trial; the verifier must flag it."""
+    cfg = TrialConfig(seed=seed, trials=1, field_name=field_name, max_order=8)
+    return SUITES[suite](cfg, mutation=mutation)
+
+
+def degree_scenario_trial(rng):
+    """One random global line scenario; returns (pulled degree, oracle):
+    the degree of the pullback of a parabolic line, summed line by line
+    with the pullback line formula, against deg f times its degree."""
+    deg_f = rng.randint(1, 4)
+    npts = rng.randint(1, 3)
+    degree = rng.randint(-2, 2)
+    pulled = Fraction(deg_f * degree)
+    pardeg = Fraction(degree)
+    for _ in range(npts):
+        # branch ramification indices at this target point summing to deg f
+        parts = []
+        left = deg_f
+        while left > 0:
+            e = rng.randint(1, left)
+            parts.append(e)
+            left -= e
+        s = lcm(*parts) * rng.randint(1, 3)
+        c = rng.randint(0, s - 1)
+        alpha = Fraction(c, s)
+        pardeg += alpha
+        for e in parts:
+            twist, frac = pullback_parabolic_line(alpha, e, s // e)
+            pulled += twist + frac
+    return pulled, deg_f * pardeg
 
 
 def rng_for(seed):

@@ -16,13 +16,12 @@ from fractions import Fraction
 import pytest
 
 from parstack import (MUTATIONS, QQ, InadmissibleProfile, PrimeField,
-                      TrialConfig, from_parabolic, make_profile,
-                      run_mutation, to_parabolic)
+                      TrialConfig, from_parabolic, make_profile, to_parabolic)
 from parstack.cli import main as cli_main
-from parstack.harness import (SUITES, _corollary_trial, degree_scenario_trial,
-                              gen_graded_module, gen_parabolic_point,
-                              gen_profile, verify_direct_image,
-                              verify_pullback)
+from parstack.harness import (SUITES, gen_parabolic_point, gen_profile,
+                              verify_direct_image, verify_pullback)
+
+from conftest import degree_scenario_trial, gen_graded_module, run_mutation
 
 GF101 = PrimeField(101)
 
@@ -155,11 +154,10 @@ def test_criterion_7_pairing_transport():
     counts = {"symmetric": 0, "antisymmetric": 0}
     ok = True
     while ok and min(counts.values()) < 100:
-        trial_rng = random.Random(master.getrandbits(64))
-        instance = {}
-        passed, note = _corollary_trial(trial_rng, cfg, {}, None, instance)
+        passed, note, instance = SUITES["corollaries"].trial(
+            master.getrandbits(64), cfg, None)
         ok = ok and passed
-        if "kind" in instance and not note.startswith("no "):
+        if instance is not None and not note.startswith("no "):
             kind = instance["kind"]
             if counts[kind] < 100:
                 counts[kind] += 1

@@ -12,7 +12,8 @@ import parstack
 from parstack import harness
 from parstack.cli import main
 from parstack.errors import SingularBasis
-from parstack.harness import run_mutation
+
+from conftest import run_mutation
 
 
 def write(tmp_path, name, doc):
@@ -133,6 +134,9 @@ def test_replay_with_bad_config_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("input error: ")
 
 
+_ONE = {"t_order": 0, "coeffs": ["1"]}
+
+
 @pytest.mark.parametrize("change", [
     {"trial_index": 1.5},
     {"trial_index": True},
@@ -142,11 +146,20 @@ def test_replay_with_bad_config_exits_2(tmp_path, capsys):
     {"mutation": "nonsense"},
     {"mutation": "wrong-twist"},
     {"suite": []},
+    {"instance": lambda inst: [inst]},
+    {"instance": lambda inst: dict(inst, cover=dict(inst["cover"], kind="profile"))},
+    {"instance": lambda inst: dict(inst, sources=[dict(inst["sources"][0], rank=0)])},
+    {"instance": lambda inst: dict(inst, morphisms=[
+        {"kind": "matrix", "columns": [[_ONE, _ONE], [_ONE]]}])},
 ], ids=["index-float", "index-bool", "index-negative", "max-rank-float", "seed-str",
-        "unknown-mutation", "mutation-of-another-suite", "suite-list"])
+        "unknown-mutation", "mutation-of-another-suite", "suite-list", "instance-list",
+        "instance-unknown-kind", "instance-rank-0", "instance-ragged-matrix"])
 def test_replay_of_a_malformed_counterexample_exits_2(tmp_path, capsys, change):
+    """A change is a value for a key of the record, or a function of the
+    record's value there."""
     record = run_mutation("direct", "broken-inclusion", 1000).failures[0]
-    bad = dict(record, **change)
+    bad = dict(record, **{key: value(record[key]) if callable(value) else value
+                          for key, value in change.items()})
     if "config" in change:
         bad["config"] = dict(record["config"], **change["config"])
     assert main(["replay", write(tmp_path, "cex.json", bad)]) == 2
@@ -335,11 +348,11 @@ def test_rational_report_digests_are_pinned(tmp_path, capsys, suite, digest):
 
 
 def test_library_error_in_a_trial_fails_verify(tmp_path, capsys, monkeypatch):
-    # raises before it draws anything, so no instance is kept
-    def raising_trial(rng, cfg, coverage, mutation, instance):
+    # the draw raises, so no instance is kept
+    def raising_draw(rng, cfg, mutation):
         raise SingularBasis("planted")
 
-    monkeypatch.setattr(harness, "_pullback_trial", raising_trial)
+    monkeypatch.setattr(harness.SUITES["pull"], "draw", raising_draw)
     out = str(tmp_path / "r.json")
     assert main(["verify", "--suite", "pull", "--trials", "2", "--out", out]) == 1
     assert "input error" not in capsys.readouterr().err
@@ -527,8 +540,11 @@ def test_mistyped_scenario_fields_exit_2(tmp_path, capsys, command, doc, named):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("kind", [[], {}, 3], ids=["list", "dict", "int"])
+@pytest.mark.parametrize("kind", [[], {}, 3, "cover", "matrix"],
+                         ids=["list", "dict", "int", "cover", "matrix"])
 def test_non_string_kind_exits_2(tmp_path, capsys, kind):
+    """Scenario objects are points, modules and bundles; other kinds of the
+    object codec (covers, matrices) are unknown here too."""
     doc = _data_doc("degree")
     doc["objects"][0]["kind"] = kind
     src = write(tmp_path, "kind.json", doc)

@@ -28,7 +28,7 @@ from parstack.harness import (_find_line_pair, gen_pairing_point,
                               gen_profile, gen_unimodular, mix_lines)
 from parstack.parabolic import split_into_lines
 
-from conftest import GF101, trivial_module
+from conftest import GF101, graded_line, trivial_module
 
 FIELDS = pytest.mark.parametrize("field", [QQ, GF101], ids=["rational", "prime101"])
 
@@ -253,7 +253,7 @@ def test_unequal_neighbours_are_still_checked():
     one = [[LocalElement.const(QQ, QQ.one)]]
     assert not is_point_morphism(one, ParabolicPoint.line(QQ, 2, 1),
                                  ParabolicPoint.line(QQ, 2, 0))
-    assert not is_graded_morphism(one, GradedModule.line(QQ, 2, 1),
+    assert not is_graded_morphism(one, graded_line(QQ, 2, 1),
                                   trivial_module(QQ, 1, order=2))
 
 

@@ -16,10 +16,11 @@ from parstack import (QQ, CoverProfile, GradedModule, InadmissibleProfile,
                       restrict_scalars, to_parabolic)
 from parstack import functors
 from parstack.functors import Branch, _restrict_columns, substitute_element
-from parstack.harness import gen_graded_module, gen_parabolic_point, gen_profile
+from parstack.harness import gen_parabolic_point, gen_profile
 from parstack.parabolic import SplitLines, split_into_lines
 
-from conftest import GF101, decompose_element, el, lat, trivial_module, trivial_point
+from conftest import (GF101, decompose_element, el, gen_graded_module, graded_line, lat,
+                      trivial_module, trivial_point)
 
 
 def _diag_chain(order, jumps, twists=None):
@@ -203,12 +204,12 @@ def test_pullback_rank2_example():
 
 def test_pullback_graded_line_examples():
     profile = make_profile(6, [("x", 2, 3, QQ.one)])
-    assert pullback_graded(profile, GradedModule.line(QQ, 6, 2), "x") == \
-        GradedModule.line(QQ, 3, 2)
-    assert pullback_graded(profile, GradedModule.line(QQ, 6, 4), "x") == \
-        GradedModule.line(QQ, 3, 1, twist=-1)
+    assert pullback_graded(profile, graded_line(QQ, 6, 2), "x") == \
+        graded_line(QQ, 3, 2)
+    assert pullback_graded(profile, graded_line(QQ, 6, 4), "x") == \
+        graded_line(QQ, 3, 1, twist=-1)
     with pytest.raises(ProfileMismatch):
-        pullback_graded(profile, GradedModule.line(QQ, 3, 1), "x")
+        pullback_graded(profile, graded_line(QQ, 3, 1), "x")
 
 
 def test_nontrivial_unit_enters_both_routes():

@@ -7,12 +7,11 @@ import pytest
 
 from parstack import (ANTISYMMETRIC, MUTATIONS, QQ, SYMMETRIC, Lattice,
                       ParabolicBundle, ParabolicPairing, ParabolicPoint,
-                      TrialConfig, check_pairing, gen_parabolic_point,
-                      run_mutation)
+                      TrialConfig, check_pairing, gen_parabolic_point)
 from parstack import pairing
 from parstack.harness import (SUITES, _find_line_pair, _flip_off_diagonal,
                               _line_pair_exponent, _value_line_bundle,
-                              degree_scenario_trial, gen_point_morphism,
+                              gen_point_morphism,
                               gen_profile, gen_unimodular, verify_corollaries,
                               verify_direct_image, verify_pullback)
 from parstack.linalg import identity_matrix, mat_mul
@@ -20,7 +19,7 @@ from parstack.localring import LocalElement
 from parstack.parabolic import is_point_morphism
 from parstack.scenario import decode_element
 
-from conftest import GF101
+from conftest import GF101, degree_scenario_trial, run_mutation
 
 
 def test_trial_config_bounds():
@@ -134,7 +133,7 @@ def test_flipped_branch_form_is_recorded_when_the_trial_raises():
     failure = rep.failures[0]
     assert not rep.passed and failure["note"].startswith("raised NotAPairing")
     instance = failure["instance"]
-    cols = instance["branch_pairs"][0]["form"]
+    cols = instance["forms"][0]["columns"]
     form = [[decode_element(col[i], QQ) for col in cols] for i in range(len(cols))]
     # the recorded form is the corrupted one: flipping back restores its kind
     assert not pairing._symmetry_holds(SYMMETRIC, form)

@@ -8,11 +8,10 @@ import pytest
 from parstack import (QQ, GradedModule, InvalidGrading, Lattice,
                       ParabolicPoint, ShapeMismatch, from_parabolic,
                       is_graded_morphism, is_point_morphism, to_parabolic)
-from parstack.harness import (gen_graded_module, gen_parabolic_point,
-                              gen_point_morphism)
+from parstack.harness import gen_parabolic_point, gen_point_morphism
 from parstack.linalg import identity_matrix
 
-from conftest import GF101, trivial_module
+from conftest import GF101, gen_graded_module, graded_line, trivial_module
 
 
 def test_grading_validation():
@@ -24,13 +23,13 @@ def test_grading_validation():
     with pytest.raises(InvalidGrading):
         GradedModule(2, [r1, r1.scale(-2)])  # escapes t^{-1} M_0
     with pytest.raises(InvalidGrading):
-        GradedModule.line(QQ, 2, 2)
+        graded_line(QQ, 2, 2)
 
 
 def test_weight_half_line_correspondence():
     # M_0 = R, M_1 = t^{-1} R  <->  chain R >= R >= tR (weight 1/2)
     mod = GradedModule(2, [Lattice.diagonal(QQ, [0]), Lattice.diagonal(QQ, [-1])])
-    assert mod == GradedModule.line(QQ, 2, 1)
+    assert mod == graded_line(QQ, 2, 1)
     pt = to_parabolic(mod)
     assert pt == ParabolicPoint.line(QQ, 2, 1)
     assert pt.weights() == ((Fraction(1, 2), 1),)
@@ -42,8 +41,8 @@ def test_line_constructors_match_across_the_correspondence():
         for jump in range(order):
             for twist in (-1, 0, 2):
                 pt = ParabolicPoint.line(QQ, order, jump, twist)
-                assert from_parabolic(pt) == GradedModule.line(QQ, order, jump, twist)
-                assert to_parabolic(GradedModule.line(QQ, order, jump, twist)) == pt
+                assert from_parabolic(pt) == graded_line(QQ, order, jump, twist)
+                assert to_parabolic(graded_line(QQ, order, jump, twist)) == pt
 
 
 def _same(a, b):

@@ -1,0 +1,94 @@
+"""Suites as draw/check pairs: replay checks the recorded instance.
+
+The check of a suite draws nothing, so a failure replays from its
+encoded instance alone, whatever the generators do by then.
+"""
+
+import ast
+import inspect
+import json
+import textwrap
+
+import pytest
+
+from parstack import MUTATIONS, TrialConfig, verify_pullback
+from parstack import harness
+from parstack import scenario as sio
+from parstack.cli import main
+
+from conftest import run_mutation
+
+
+def _refuse(rng, cfg, mutation):
+    raise RuntimeError("replay drew an instance")
+
+
+def test_replay_never_draws(tmp_path, capsys, monkeypatch):
+    records = [run_mutation(*entry).failures[0] for entry in MUTATIONS]
+    for suite in harness.SUITES.values():
+        monkeypatch.setattr(suite, "draw", _refuse)
+    for k, record in enumerate(records):
+        path = tmp_path / ("cex%d.json" % k)
+        path.write_text(json.dumps(record))
+        assert main(["replay", str(path)]) == 0, record["note"]
+        assert capsys.readouterr().err.endswith("verdict reproduced\n")
+
+
+def test_a_record_without_an_instance_replays_from_its_trial_seed(tmp_path, capsys,
+                                                                  monkeypatch):
+    def raising_draw(rng, cfg, mutation):
+        raise ValueError("planted %d" % rng.getrandbits(16))
+
+    monkeypatch.setattr(harness.SUITES["pull"], "draw", raising_draw)
+    record = verify_pullback(TrialConfig(seed=3, trials=2)).failures[0]
+    assert record["instance"] is None and record["note"].startswith("raised ValueError")
+    path = tmp_path / "cex.json"
+    path.write_text(json.dumps(record))
+    assert main(["replay", str(path)]) == 0
+    path.write_text(json.dumps(dict(record, trial_seed=record["trial_seed"] + 1)))
+    assert main(["replay", str(path)]) == 1
+    path.write_text(json.dumps(dict(record, trial_seed="1")))
+    assert main(["replay", str(path)]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("field_name", ["rational", "prime:101"])
+@pytest.mark.parametrize("name", sorted(harness.SUITES))
+def test_encoded_instances_check_as_drawn(name, field_name):
+    suite = harness.SUITES[name]
+    cfg = TrialConfig(trials=30, max_order=8, field_name=field_name)
+    failed = 0
+    for mutation in [None] + [m for s, m, _ in MUTATIONS if s == name]:
+        for seed in range(30):
+            ok, note, instance = suite.trial(seed, cfg, mutation)
+            text = sio.dumps(sio.encode_instance(instance))
+            decoded = sio.decode_instance(json.loads(text), cfg.field)
+            assert suite.verdict(decoded, mutation) == (ok, note), (mutation, seed)
+            failed += not ok
+    assert failed  # the mutations make some of the checks fail
+
+
+def _mentions(fn, names):
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    return sorted({n.id if isinstance(n, ast.Name) else n.arg if isinstance(n, ast.arg)
+                   else n.attr for n in ast.walk(tree)
+                   if isinstance(n, (ast.Name, ast.arg, ast.Attribute))} & names)
+
+
+def test_checks_draw_nothing():
+    for name, suite in harness.SUITES.items():
+        assert inspect.getmodule(suite.check) is harness
+        assert not _mentions(suite.check, {"rng", "random"}), name
+
+
+def test_trial_config_parses_its_field_once(monkeypatch):
+    calls = []
+
+    def counting(name):
+        calls.append(name)
+        return field_from_name(name)
+
+    field_from_name = harness.field_from_name
+    monkeypatch.setattr(harness, "field_from_name", counting)
+    assert verify_pullback(TrialConfig(trials=20, field_name="prime:101")).passed
+    assert calls == ["prime:101"]
