@@ -12,8 +12,8 @@ from .errors import (AmbientMismatch, InadmissibleProfile, InadmissibleWeight,
 from .fields import QQ, PrimeField, RationalField, field_from_name
 from .localring import LocalElement
 from .lattice import Lattice, apply_matrix, direct_sum
-from .parabolic import (ParabolicBundle, ParabolicPoint, SplitLines,
-                        is_point_morphism, parabolic_degree, split_into_lines)
+from .parabolic import (ParabolicBundle, ParabolicPoint, is_point_morphism,
+                        parabolic_degree, split_into_lines)
 from .rootstack import (GradedModule, from_parabolic, is_graded_morphism,
                         to_parabolic)
 from .functors import (Branch, CoverProfile, make_profile, pullback_graded,
@@ -23,5 +23,5 @@ from .functors import (Branch, CoverProfile, make_profile, pullback_graded,
                        restrict_scalars)
 from .pairing import (ANTISYMMETRIC, SYMMETRIC, ParabolicPairing,
                       check_pairing, pullback_pairing, pushforward_pairing)
-from .harness import (MUTATIONS, TrialConfig, TrialReport, gen_parabolic_point,
+from .harness import (TrialConfig, TrialReport, gen_parabolic_point,
                       verify_corollaries, verify_direct_image, verify_pullback)

@@ -18,7 +18,7 @@ from .errors import ParstackError, ParseError, ValidationError
 from .fields import QQ
 from .functors import (pullback_parabolic, pullback_graded,
                        pushforward_graded, pushforward_parabolic)
-from .harness import MUTATIONS, SUITES, TrialConfig
+from .harness import SUITES, TrialConfig
 from .parabolic import ParabolicBundle, parabolic_degree
 from .rootstack import GradedModule, from_parabolic, to_parabolic
 
@@ -114,12 +114,14 @@ def _cover_of(field, raw):
 def cmd_push(args):
     field, raw = _read_scenario(args.scenario)
     target, profile = _cover_of(field, raw)
-    by_label = {at: obj for at, obj, _ in _decode_objects(field, raw) if at is not None}
+    objects = _decode_objects(field, raw)
     per_branch = []
     for br in profile.branches:
-        if br.label not in by_label:
-            raise ValidationError("no object at branch %r" % br.label)
-        per_branch.append(by_label[br.label])
+        found = [obj for at, obj, _ in objects if at == br.label]
+        if len(found) != 1:
+            raise ValidationError("%s object at branch %r"
+                                  % ("no" if not found else "more than one", br.label))
+        per_branch.append(found[0])
     if len({type(obj) for obj in per_branch}) != 1:
         raise ValidationError("all branch objects must be on the same side")
     if isinstance(per_branch[0], GradedModule):
@@ -247,7 +249,7 @@ def cmd_replay(args):
         raise ParseError("unknown suite %r" % (name,))
     suite = SUITES[name]
     mutation = record.get("mutation")
-    if mutation is not None and mutation not in [m for s, m, _ in MUTATIONS if s == name]:
+    if mutation is not None and mutation not in suite.mutations:
         raise ParseError("unknown mutation %r for suite %r" % (mutation, name))
     if record.get("instance") is not None:
         ok, note = suite.verdict(sio.decode_instance(record["instance"], cfg.field), mutation)

@@ -10,10 +10,11 @@ exactly and returns ``(ok, note)``.  It draws nothing, so a decoded
 instance checks as the drawn one did.
 
 Failures are data: a trial that raises fails with a note naming the
-exception.  The report keeps the first failing trial with its seed and
-its instance, encoded only then.  Replay checks that instance again, and
+exception.  The report keeps every failing trial with its seed and its
+instance, encoded only then.  Replay checks such an instance again, and
 draws the trial from its seed only if the draw raised.  A mutation only
 corrupts a value of its trial; the suite's checks must then reject it.
+Each suite registers its mutations, and a run refuses any other.
 """
 
 from __future__ import annotations
@@ -34,8 +35,9 @@ from .localring import LocalElement
 from .pairing import (ANTISYMMETRIC, SYMMETRIC, ParabolicPairing, check_pairing,
                       expected_branch_value_data, pullback_pairing,
                       pushforward_pairing)
-from .parabolic import (ParabolicBundle, ParabolicPoint, SplitLines,
-                        is_point_morphism, split_into_lines)
+from .lattice import triangular_inverse
+from .parabolic import (ParabolicBundle, ParabolicPoint, is_point_morphism,
+                        split_into_lines)
 from .rootstack import (GradedModule, from_parabolic, is_graded_morphism,
                         to_parabolic)
 
@@ -145,36 +147,39 @@ def gen_profile(rng, s, max_branches, field=QQ, rank_bound=None, max_rank=3):
 
 def gen_point_morphism(rng, src, dst):
     """Random filtration-preserving matrix dst.n x src.n, via line coordinates."""
-    sps, spd = split_into_lines(src), split_into_lines(dst)
+    src_jumps, src_mat = split_into_lines(src)
+    dst_jumps, dst_mat = split_into_lines(dst)
     field = src.field
     f = [[_Z] * src.n for _ in range(dst.n)]
     for bo in range(dst.n):
         for bi in range(src.n):
             if rng.random() < 0.35:
                 continue
-            vmin = 1 if sps.jumps[bi] > spd.jumps[bo] else 0
+            vmin = 1 if src_jumps[bi] > dst_jumps[bo] else 0
             c = field.of(rng.randint(-3, 3))
             if c == field.zero:
                 continue
             f[bo][bi] = LocalElement.make(field, vmin + rng.randint(0, 1), [c])
-    return mat_mul(spd.matrix, mat_mul(f, sps.inverse))
+    src_inv = triangular_inverse(field, transpose(src_mat), src.chain[0].diag)
+    return mat_mul(dst_mat, mat_mul(f, src_inv))
 
 
 def mix_lines(point, lines, rng):
-    """Another adapted splitting of point: ``lines`` mixed by random column
-    operations adding c * v_k to v_i when jump(k) >= jump(i), which keep it
-    adapted (they compose on the right: (B0 * V) * E = B0 * (V * E))."""
-    n, jumps = point.n, lines.jumps
-    mat = [row[:] for row in lines.matrix]
-    inv = [row[:] for row in lines.inverse]
+    """The matrix of another adapted splitting of point: the matrix of
+    ``lines = (jumps, matrix)`` mixed by random column operations adding
+    c * v_k to v_i when jump(k) >= jump(i), which keep it adapted (they
+    compose on the right: (B0 * V) * E = B0 * (V * E))."""
+    n, (jumps, mat) = point.n, lines
+    mat = [row[:] for row in mat]
     if n > 1:
         for _ in range(n + rng.randint(0, n)):
             i, k = rng.sample(range(n), 2)
             if jumps[k] < jumps[i]:
                 i, k = k, i
             c = LocalElement.const(point.field, rng.choice([-2, -1, 1, 2]))
-            add_column_multiple(mat, inv, i, k, c)
-    return SplitLines(jumps, mat, inv)
+            for row in mat:
+                row[i] = row[i] + c * row[k]
+    return mat
 
 
 # -- the runner ------------------------------------------------------------
@@ -185,12 +190,13 @@ def _raised(exc):
 
 
 class Suite:
-    """A suite: its report name, its draw and its check (module docstring).
+    """A suite: its report name, its draw, its check (module docstring) and
+    its mutations, each name mapped to the run seeds it is tested at.
     Calling it with a TrialConfig runs cfg.trials trials, the mutation on
     the first, and returns the TrialReport."""
 
-    def __init__(self, name, draw, check):
-        self.name, self.draw, self.check = name, draw, check
+    def __init__(self, name, draw, check, mutations):
+        self.name, self.draw, self.check, self.mutations = name, draw, check, mutations
 
     def verdict(self, instance, mutation):
         """(ok, note) of the check; a library error inside it fails."""
@@ -209,6 +215,8 @@ class Suite:
         return (*self.verdict(instance, mutation), instance)
 
     def __call__(self, cfg, mutation=None):
+        if mutation is not None and mutation not in self.mutations:
+            raise ValueError("unknown mutation %r for suite %r" % (mutation, self.name))
         rng = random.Random(cfg.seed)
         report = TrialReport(self.name, cfg)
         t0 = time.monotonic()
@@ -218,7 +226,7 @@ class Suite:
             if instance is not None:
                 _bump(report.coverage, instance["cover"])
             report.verdicts.append((i, ok, note))
-            if not ok and not report.failures:
+            if not ok:
                 report.failures.append({
                     "suite": self.name, "trial_index": i, "trial_seed": seed,
                     "mutation": mutation, "note": note, "config": cfg.to_dict(),
@@ -314,7 +322,7 @@ def _draw_pullback(rng, cfg, mutation):
     n = rng.randint(1, cfg.max_rank)
     point = gen_parabolic_point(rng, n, s, field)
     lines = split_into_lines(point)
-    splittings = tuple(mix_lines(point, lines, random.Random(rng.getrandbits(32))).matrix
+    splittings = tuple(mix_lines(point, lines, random.Random(rng.getrandbits(32)))
                        for _ in range(2))
     target = gen_parabolic_point(rng, n, s, field)
     return {"cover": profile, "point": point, "splittings": splittings,
@@ -324,8 +332,8 @@ def _draw_pullback(rng, cfg, mutation):
 def _check_pullback(instance, mutation):
     profile, point = instance["cover"], instance["point"]
     br = profile.branches[0]
-    lines = split_into_lines(point)
-    pulled = pullback_parabolic(profile, point, br.label, lines=lines)
+    jumps, matrix = split_into_lines(point)
+    pulled = pullback_parabolic(profile, point, br.label, lines=(jumps, matrix))
     pulled_graded = pullback_graded(profile, from_parabolic(point), br.label)
     if mutation == "wrong-twist":
         pulled_graded = GradedModule(
@@ -333,12 +341,9 @@ def _check_pullback(instance, mutation):
     if to_parabolic(pulled_graded) != pulled:
         return False, "pipeline mismatch"
 
-    # splitting independence: mixing keeps the jumps, and the pullback
-    # reads only the jumps and the matrix of a splitting
+    # splitting independence: mixing keeps the jumps
     for mat in instance["splittings"]:
-        alt = pullback_parabolic(profile, point, br.label,
-                                 lines=SplitLines(lines.jumps, mat, None))
-        if alt != pulled:
+        if pullback_parabolic(profile, point, br.label, lines=(jumps, mat)) != pulled:
             return False, "splitting dependence"
 
     # weight and twist law
@@ -554,16 +559,13 @@ def _check_corollaries(instance, mutation):
 # -- suite dispatch --------------------------------------------------------
 
 
-verify_direct_image = Suite("direct", _draw_direct, _check_direct)
-verify_pullback = Suite("pull", _draw_pullback, _check_pullback)
-verify_corollaries = Suite("corollaries", _draw_corollaries, _check_corollaries)
+# seeds chosen so every corruption actually perturbs its instance
+verify_direct_image = Suite("direct", _draw_direct, _check_direct, {
+    "broken-inclusion": range(1000, 1005),
+    "transposed-grading": (3000, 3001, 3004, 3005, 3006)})
+verify_pullback = Suite("pull", _draw_pullback, _check_pullback,
+                        {"wrong-twist": range(2000, 2005)})
+verify_corollaries = Suite("corollaries", _draw_corollaries, _check_corollaries,
+                           {"flipped-symmetry": range(4000, 4005)})
 SUITES = {suite.name: suite
           for suite in (verify_direct_image, verify_pullback, verify_corollaries)}
-
-# seeds chosen so every corruption actually perturbs its instance
-MUTATIONS = []
-for _i, _tg in zip(range(5), (3000, 3001, 3004, 3005, 3006)):
-    MUTATIONS.append(("direct", "broken-inclusion", 1000 + _i))
-    MUTATIONS.append(("pull", "wrong-twist", 2000 + _i))
-    MUTATIONS.append(("direct", "transposed-grading", _tg))
-    MUTATIONS.append(("corollaries", "flipped-symmetry", 4000 + _i))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidChain, ShapeMismatch
-from .lattice import Lattice, maps_into, triangular_inverse
+from .lattice import Lattice, maps_into
 from .linalg import transpose
 
 
@@ -154,27 +154,17 @@ def is_point_morphism(rows, src, dst):
     return maps_into(rows, src.chain[:src.order], dst.chain[:dst.order])
 
 
-@dataclass
-class SplitLines:
-    """Adapted-basis splitting of a parabolic point into rank-1 chains;
-    line b is ParabolicPoint.line(order, jumps[b]).  The inverse is
-    ParabolicPoint.from_lines(field, order, matrix, [0] * n, jumps).
-    The matrix of split_into_lines is upper triangular; a splitting mixed
-    by harness.mix_lines is not."""
-
-    jumps: list          # jump index of each line (weight jump/order)
-    matrix: list         # n x n over K: direct sum of lines -> point
-    inverse: list        # exact inverse of matrix
-
-
 def split_into_lines(point):
-    """Adapted basis for the chain: the jump of each line plus change of basis.
+    """Adapted basis for the chain: ``(jumps, matrix)``.  Column b of the
+    matrix lifts line b, ParabolicPoint.line(order, jumps[b]), and
+    ParabolicPoint.from_lines(field, order, matrix, [0] * n, jumps) is the
+    inverse operation.  The matrix is upper triangular with the pivots of
+    E^0; a mixed one (harness.mix_lines) is not.
 
     The splitting is read off the members' canonical bases.  Write a_i(L)
     for the exponent of the pivot in row i of L's canonical basis.  Line i
     jumps at the largest j < r with a_i(E^j) = a_i(E^0) and lifts to column
-    i of E^j's canonical basis; the matrix has these n lifts as columns,
-    and its inverse is back-substitution against them.
+    i of E^j's canonical basis; the matrix has these n lifts as columns.
 
     * a_i does not decrease as L shrinks: t^{a_i(L)} R is the row-i
       projection of the vectors of L that vanish below row i.  Since
@@ -199,5 +189,4 @@ def split_into_lines(point):
         for i, a in enumerate(top.diag):
             if lat.diag[i] == a:
                 jumps[i], lifts[i] = j, lat.cols[i]
-    return SplitLines(jumps, transpose(lifts),
-                      triangular_inverse(point.field, lifts, top.diag))
+    return jumps, transpose(lifts)

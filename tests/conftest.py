@@ -77,6 +77,14 @@ def gen_graded_module(rng, n, s, field=QQ):
     return from_parabolic(gen_parabolic_point(rng, n, s, field))
 
 
+# every (suite, mutation, seed) the suites register, the first seed of each
+# mutation first, so MUTATIONS[:4] holds one record per mutation
+_REGISTERED = [(name, mutation, seeds) for name, suite in SUITES.items()
+               for mutation, seeds in suite.mutations.items()]
+MUTATIONS = [(name, mutation, seeds[0]) for name, mutation, seeds in _REGISTERED] + [
+    (name, mutation, seed) for name, mutation, seeds in _REGISTERED for seed in seeds[1:]]
+
+
 def run_mutation(suite, mutation, seed, field_name="rational"):
     """One corrupted trial; the verifier must flag it."""
     cfg = TrialConfig(seed=seed, trials=1, field_name=field_name, max_order=8)

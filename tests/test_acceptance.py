@@ -15,13 +15,14 @@ from fractions import Fraction
 
 import pytest
 
-from parstack import (MUTATIONS, QQ, InadmissibleProfile, PrimeField,
+from parstack import (QQ, InadmissibleProfile, PrimeField,
                       TrialConfig, from_parabolic, make_profile, to_parabolic)
 from parstack.cli import main as cli_main
 from parstack.harness import (SUITES, gen_parabolic_point, gen_profile,
                               verify_direct_image, verify_pullback)
 
-from conftest import degree_scenario_trial, gen_graded_module, run_mutation
+from conftest import (MUTATIONS, degree_scenario_trial, gen_graded_module,
+                      run_mutation)
 
 GF101 = PrimeField(101)
 

@@ -214,6 +214,19 @@ def test_push_requires_branch_objects(tmp_path, capsys):
     assert "no object at branch" in capsys.readouterr().err
 
 
+def test_push_refuses_two_objects_at_one_branch(tmp_path, capsys):
+    cover = {"target": "y", "s": 2,
+             "branches": [{"label": "x", "e": 2, "r": 1, "unit": "1"}]}
+    doc = line_scenario(weight="0", order=1, at="x", cover=cover)
+    doc["objects"].append({"kind": "parabolic_point", "at": "x", "rank": 2,
+                           "order": 1, "weights": [["0", 2]]})
+    out = tmp_path / "pushed.json"
+    assert main(["push", write(tmp_path, "two.json", doc), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "input error: more than one object at branch 'x'\n"
+    assert not out.exists()
+
+
 def test_pull_bundle_not_marked_at_the_target_exits_2(tmp_path, capsys):
     doc = _data_doc("pull-bundle")
     doc["cover"]["target"] = "elsewhere"
@@ -359,9 +372,8 @@ def test_library_error_in_a_trial_fails_verify(tmp_path, capsys, monkeypatch):
     rep = json.loads(open(out).read())["reports"][0]
     assert rep["verdicts"] == [[0, False, "raised SingularBasis: planted"],
                                [1, False, "raised SingularBasis: planted"]]
-    assert len(rep["failures"]) == 1
-    assert rep["failures"][0]["trial_index"] == 0
-    assert rep["failures"][0]["instance"] is None
+    assert [(f["trial_index"], f["instance"]) for f in rep["failures"]] == \
+        [(0, None), (1, None)]
 
 
 def test_replay_reproduces_counterexample(tmp_path, capsys):

@@ -101,15 +101,15 @@ def ref_pullback_parabolic(profile, point, label, rng=None):
     e, r = br.e, br.r
     if e == 1:
         return point.chain if br.unit == 1 else _ref_substitute(point.chain, br.unit)
-    sp = split_into_lines(point)
+    jumps, mat = split_into_lines(point)
     if rng is not None:
-        sp = mix_lines(point, sp, rng)
-    mat_x = substitute_matrix(sp.matrix, e, br.unit)
+        mat = mix_lines(point, (jumps, mat), rng)
+    mat_x = substitute_matrix(mat, e, br.unit)
     n = point.n
     chain = []
     for j in range(r):
         gens = []
-        for b, c in enumerate(sp.jumps):
+        for b, c in enumerate(jumps):
             exp = -(c // r) + (1 if j > c % r else 0)
             gens.append([mat_x[i][b].shift(exp) for i in range(n)])
         chain.append(Lattice.from_columns(point.field, n, gens))
@@ -125,15 +125,15 @@ def ref_pullback_graded(profile, module, label, rng=None):
     if e == 1:
         return module.pieces if br.unit == 1 else _ref_substitute(module.pieces, br.unit)
     point = to_parabolic(module)
-    sp = split_into_lines(point)
+    jumps, mat = split_into_lines(point)
     if rng is not None:
-        sp = mix_lines(point, sp, rng)
-    mat_x = substitute_matrix(sp.matrix, e, br.unit)
+        mat = mix_lines(point, (jumps, mat), rng)
+    mat_x = substitute_matrix(mat, e, br.unit)
     n = module.n
     pieces = []
     for k in range(r):
         gens = []
-        for b, c in enumerate(sp.jumps):
+        for b, c in enumerate(jumps):
             twist, jump = c // r, c % r
             exp = -twist - (1 if jump >= 1 and k >= r - jump else 0)
             gens.append([mat_x[i][b].shift(exp) for i in range(n)])
@@ -213,8 +213,9 @@ def test_pullback_matches_per_member_reference(field):
         seed = rng.getrandbits(32)
         assert pullback_parabolic(profile, pt, "x").chain == \
             ref_pullback_parabolic(profile, pt, "x")
-        assert pullback_parabolic(profile, pt, "x", lines=mix_lines(
-            pt, split_into_lines(pt), random.Random(seed))).chain == \
+        jumps, mat = split_into_lines(pt)
+        mixed = mix_lines(pt, (jumps, mat), random.Random(seed))
+        assert pullback_parabolic(profile, pt, "x", lines=(jumps, mixed)).chain == \
             ref_pullback_parabolic(profile, pt, "x", rng=random.Random(seed))
         assert pullback_graded(profile, mod, "x").pieces == \
             ref_pullback_graded(profile, mod, "x")

@@ -17,7 +17,7 @@ from parstack import (QQ, CoverProfile, GradedModule, InadmissibleProfile,
 from parstack import functors
 from parstack.functors import Branch, _restrict_columns, substitute_element
 from parstack.harness import gen_parabolic_point, gen_profile
-from parstack.parabolic import SplitLines, split_into_lines
+from parstack.parabolic import split_into_lines
 
 from conftest import (GF101, decompose_element, el, gen_graded_module, graded_line, lat,
                       trivial_module, trivial_point)
@@ -225,8 +225,8 @@ def test_unramified_pullback_runs_the_line_formula():
     a splitting with the wrong jumps changes it."""
     profile = make_profile(3, [("x", 1, 3, QQ.of(2))])
     pt = gen_parabolic_point(random.Random(53), 1, 3)
-    sp = split_into_lines(pt)
-    wrong = SplitLines([(c + 1) % 3 for c in sp.jumps], sp.matrix, sp.inverse)
+    jumps, mat = split_into_lines(pt)
+    wrong = ([(c + 1) % 3 for c in jumps], mat)
     assert pullback_parabolic(profile, pt, "x", lines=wrong) != \
         pullback_parabolic(profile, pt, "x")
 

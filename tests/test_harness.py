@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from parstack import (ANTISYMMETRIC, MUTATIONS, QQ, SYMMETRIC, Lattice,
+from parstack import (ANTISYMMETRIC, QQ, SYMMETRIC, Lattice,
                       ParabolicBundle, ParabolicPairing, ParabolicPoint,
                       TrialConfig, check_pairing, gen_parabolic_point)
 from parstack import pairing
@@ -19,7 +19,7 @@ from parstack.localring import LocalElement
 from parstack.parabolic import is_point_morphism
 from parstack.scenario import decode_element
 
-from conftest import GF101, degree_scenario_trial, run_mutation
+from conftest import GF101, MUTATIONS, degree_scenario_trial, run_mutation
 
 
 def test_trial_config_bounds():

@@ -8,8 +8,10 @@ import pytest
 from parstack import (QQ, InvalidChain, Lattice, ParabolicBundle,
                       ParabolicPoint, ShapeMismatch, direct_sum,
                       is_point_morphism, parabolic_degree, split_into_lines)
+from parstack import lattice
 from parstack.harness import gen_parabolic_point, gen_point_morphism, mix_lines
-from parstack.linalg import identity_matrix, mat_mul
+from parstack.lattice import triangular_inverse
+from parstack.linalg import identity_matrix, mat_mul, transpose
 
 from conftest import GF101, el, lat, trivial_point
 
@@ -83,9 +85,9 @@ def test_lattice_past_the_chain_is_a_t_power_shift(field):
             assert pt.lattice(m + r) == pt.lattice(m).scale(1)
 
 
-def _sum_of_lines(field, order, sp):
+def _sum_of_lines(field, order, jumps):
     """Direct sum of the rank-1 lines ParabolicPoint.line(order, jump)."""
-    lines = [ParabolicPoint.line(field, order, j) for j in sp.jumps]
+    lines = [ParabolicPoint.line(field, order, j) for j in jumps]
     return ParabolicPoint(order, [direct_sum([l.chain[j] for l in lines])
                                   for j in range(order + 1)])
 
@@ -93,12 +95,31 @@ def _sum_of_lines(field, order, sp):
 def test_split_into_lines_adapted_basis_example():
     r2 = Lattice.diagonal(QQ, [0, 0])
     pt = _chain_point(2, [r2, L_MIXED, r2.scale(1)])
-    sp = split_into_lines(pt)
-    assert sorted(sp.jumps) == [0, 1]
-    assert mat_mul(sp.matrix, sp.inverse) == identity_matrix(QQ, 2)
-    lines = _sum_of_lines(QQ, 2, sp)
-    assert is_point_morphism(sp.matrix, lines, pt)
-    assert is_point_morphism(sp.inverse, pt, lines)
+    jumps, mat = split_into_lines(pt)
+    assert sorted(jumps) == [0, 1]
+    inverse = triangular_inverse(QQ, transpose(mat), pt.chain[0].diag)
+    assert mat_mul(mat, inverse) == identity_matrix(QQ, 2)
+    lines = _sum_of_lines(QQ, 2, jumps)
+    assert is_point_morphism(mat, lines, pt)
+    assert is_point_morphism(inverse, pt, lines)
+
+
+def test_split_into_lines_runs_no_back_substitution(monkeypatch):
+    """The splitting is its jumps and its matrix; no inverse is computed."""
+    calls = []
+    back_substitute = lattice.back_substitute
+
+    def counting(*args):
+        calls.append(args)
+        return back_substitute(*args)
+
+    monkeypatch.setattr(lattice, "back_substitute", counting)
+    rng = random.Random(47)
+    for _ in range(10):
+        pt = gen_parabolic_point(rng, rng.randint(1, 4), rng.randint(1, 6))
+        del calls[:]
+        jumps, mat = split_into_lines(pt)
+        assert not calls and len(jumps) == len(mat) == pt.n
 
 
 @pytest.mark.parametrize("field", [QQ, GF101])
@@ -108,17 +129,18 @@ def test_split_into_lines_random(field):
     for _ in range(12):
         n, r = rng.randint(1, 6), rng.randint(1, 12)
         pt = gen_parabolic_point(rng, n, r, field)
-        first = split_into_lines(pt)
-        mixed = mix_lines(pt, first, random.Random(rng.getrandbits(32)))
-        mixed_changed += mixed.matrix != first.matrix
-        for sp in (first, mixed):
-            assert sorted(Fraction(j, r) for j in sp.jumps) == \
-                sorted(w for w, m in pt.weights() for _ in range(m))
-            assert mat_mul(sp.matrix, sp.inverse) == identity_matrix(field, n)
-            lines = _sum_of_lines(field, r, sp)
-            assert is_point_morphism(sp.matrix, lines, pt)
-            assert is_point_morphism(sp.inverse, pt, lines)
-            assert ParabolicPoint.from_lines(field, r, sp.matrix, [0] * n, sp.jumps) == pt
+        jumps, first = split_into_lines(pt)
+        mixed = mix_lines(pt, (jumps, first), random.Random(rng.getrandbits(32)))
+        mixed_changed += mixed != first
+        assert sorted(Fraction(j, r) for j in jumps) == \
+            sorted(w for w, m in pt.weights() for _ in range(m))
+        lines = _sum_of_lines(field, r, jumps)
+        for mat in (first, mixed):
+            assert is_point_morphism(mat, lines, pt)
+            assert ParabolicPoint.from_lines(field, r, mat, [0] * n, jumps) == pt
+        inverse = triangular_inverse(field, transpose(first), pt.chain[0].diag)
+        assert mat_mul(first, inverse) == identity_matrix(field, n)
+        assert is_point_morphism(inverse, pt, lines)
     assert mixed_changed  # mixing moves the basis of some rank >= 2 point
 
 
@@ -141,9 +163,9 @@ def test_split_jumps_match_the_fibre_lattice_reference(field):
     for _ in range(30):
         n, r = rng.randint(1, 6), rng.randint(1, 12)
         pt = gen_parabolic_point(rng, n, r, field)
-        sp = split_into_lines(pt)
-        assert sp.jumps == _reference_jumps(pt)
-        assert all(not sp.matrix[i][b].coeffs for b in range(n) for i in range(b + 1, n))
+        jumps, mat = split_into_lines(pt)
+        assert jumps == _reference_jumps(pt)
+        assert all(not mat[i][b].coeffs for b in range(n) for i in range(b + 1, n))
 
 
 def test_generated_morphisms_are_morphisms():

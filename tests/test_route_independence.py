@@ -61,8 +61,8 @@ def _transposed_lift():
     split = parabolic.split_into_lines
 
     def transposed(point):
-        sp = split(point)
-        return parabolic.SplitLines(sp.jumps, transpose(sp.matrix), sp.inverse)
+        jumps, mat = split(point)
+        return jumps, transpose(mat)
     return transposed
 
 

@@ -11,12 +11,12 @@ import textwrap
 
 import pytest
 
-from parstack import MUTATIONS, TrialConfig, verify_pullback
+from parstack import TrialConfig, verify_direct_image, verify_pullback
 from parstack import harness
 from parstack import scenario as sio
 from parstack.cli import main
 
-from conftest import run_mutation
+from conftest import MUTATIONS, run_mutation
 
 
 def _refuse(rng, cfg, mutation):
@@ -58,7 +58,7 @@ def test_encoded_instances_check_as_drawn(name, field_name):
     suite = harness.SUITES[name]
     cfg = TrialConfig(trials=30, max_order=8, field_name=field_name)
     failed = 0
-    for mutation in [None] + [m for s, m, _ in MUTATIONS if s == name]:
+    for mutation in [None, *suite.mutations]:
         for seed in range(30):
             ok, note, instance = suite.trial(seed, cfg, mutation)
             text = sio.dumps(sio.encode_instance(instance))
@@ -79,6 +79,30 @@ def test_checks_draw_nothing():
     for name, suite in harness.SUITES.items():
         assert inspect.getmodule(suite.check) is harness
         assert not _mentions(suite.check, {"rng", "random"}), name
+
+
+def _compared_to_mutation(fn):
+    """The strings that fn compares ``mutation`` against."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    return {side.value for node in ast.walk(tree) if isinstance(node, ast.Compare)
+            and any(isinstance(side, ast.Name) and side.id == "mutation"
+                    for side in [node.left, *node.comparators])
+            for side in [node.left, *node.comparators]
+            if isinstance(side, ast.Constant) and isinstance(side.value, str)}
+
+
+def test_suites_register_the_mutations_they_test_for():
+    for name, suite in harness.SUITES.items():
+        compared = _compared_to_mutation(suite.draw) | _compared_to_mutation(suite.check)
+        assert compared == set(suite.mutations), name
+
+
+@pytest.mark.parametrize("suite,mutation", [
+    (verify_direct_image, "broken-inclusoin"), (verify_pullback, "broken-inclusion")],
+    ids=["misspelt", "of-another-suite"])
+def test_a_run_refuses_a_mutation_its_suite_does_not_register(suite, mutation):
+    with pytest.raises(ValueError, match="unknown mutation"):
+        suite(TrialConfig(seed=1000, trials=1, max_order=8), mutation=mutation)
 
 
 def test_trial_config_parses_its_field_once(monkeypatch):
