@@ -249,8 +249,10 @@ def cmd_replay(args):
         raise ParseError("unknown suite %r" % (name,))
     suite = SUITES[name]
     mutation = record.get("mutation")
-    if mutation is not None and mutation not in suite.mutations:
-        raise ParseError("unknown mutation %r for suite %r" % (mutation, name))
+    try:
+        suite.require(mutation)
+    except ValueError as exc:
+        raise ParseError(str(exc))
     if record.get("instance") is not None:
         ok, note = suite.verdict(sio.decode_instance(record["instance"], cfg.field), mutation)
     else:

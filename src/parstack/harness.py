@@ -198,8 +198,14 @@ class Suite:
     def __init__(self, name, draw, check, mutations):
         self.name, self.draw, self.check, self.mutations = name, draw, check, mutations
 
+    def require(self, mutation):
+        """Refuse a mutation this suite does not register: ValueError."""
+        if mutation is not None and mutation not in self.mutations:
+            raise ValueError("unknown mutation %r for suite %r" % (mutation, self.name))
+
     def verdict(self, instance, mutation):
         """(ok, note) of the check; a library error inside it fails."""
+        self.require(mutation)
         try:
             return self.check(instance, mutation)
         except Exception as exc:
@@ -208,6 +214,7 @@ class Suite:
     def trial(self, seed, cfg, mutation):
         """Draw the instance of trial seed ``seed`` and check it: (ok, note,
         instance), with instance None when the draw raised."""
+        self.require(mutation)
         try:
             instance = self.draw(random.Random(seed), cfg, mutation)
         except Exception as exc:
@@ -215,8 +222,7 @@ class Suite:
         return (*self.verdict(instance, mutation), instance)
 
     def __call__(self, cfg, mutation=None):
-        if mutation is not None and mutation not in self.mutations:
-            raise ValueError("unknown mutation %r for suite %r" % (mutation, self.name))
+        self.require(mutation)
         rng = random.Random(cfg.seed)
         report = TrialReport(self.name, cfg)
         t0 = time.monotonic()
@@ -291,7 +297,7 @@ def _check_direct(instance, mutation):
                 key = (w + l) / br.e
                 expected[key] = expected.get(key, 0) + m
     got = dict(route_b.weights())
-    if {k: v for k, v in expected.items() if v} != got:
+    if expected != got:
         return False, "weight law violated"
 
     # naturality of the drawn morphisms
@@ -353,7 +359,7 @@ def _check_pullback(instance, mutation):
         twist, frac = pullback_parabolic_line(w, br.e, br.r)
         expected[frac] = expected.get(frac, 0) + m
         twist_total += twist * m
-    if {k: v for k, v in expected.items() if v} != dict(pulled.weights()):
+    if expected != dict(pulled.weights()):
         return False, "weight law violated"
     if pulled.chain[0].det_valuation() != \
             br.e * point.chain[0].det_valuation() - twist_total:

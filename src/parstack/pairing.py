@@ -37,6 +37,13 @@ the same delta equals it.  `hom_chain` builds the right-hand side
 explicitly; it remains the definition and the reference the check is
 tested against.
 
+Transport reads the functors.  `pullback_bundle` pulls back every
+bundle, the pairing's own and its value line, through
+pullback_parabolic; the pulled form is pullback_matrix of F twisted by
+u * t^{e-1}.  The pushed form is restrict_matrix of F/u with the rows of
+each e-block reversed (``residue_push_form``), so the direct image of a
+pairing shares its component kernel with the direct image of a map.
+
 In characteristic 2 a symplectic form must be alternating (zero diagonal).
 The residue push of an alternating form is alternating: its diagonal
 entries are components of t^{2 rho} * F_ii (``residue_push_form``).
@@ -50,14 +57,12 @@ from dataclasses import dataclass
 
 from .errors import (NotAPairing, ProfileMismatch, ShapeMismatch, SingularBasis,
                      ValueLineMismatch)
-from .functors import (decompose_component, pullback_parabolic, pullback_parabolic_line,
-                       pushforward_parabolic, substitute_matrix)
+from .functors import (pullback_matrix, pullback_parabolic, pushforward_parabolic,
+                       restrict_matrix)
 from .lattice import Lattice, image_columns
 from .linalg import block_diag, mat_vec, transpose
 from .localring import LocalElement
 from .parabolic import ParabolicBundle, ParabolicPoint, parabolic_degree
-
-_Z = LocalElement.zero()
 
 SYMMETRIC = "symmetric"
 ANTISYMMETRIC = "antisymmetric"
@@ -75,11 +80,8 @@ def line_local_data(line_bundle, label, order):
     if pt.order != order:
         raise ShapeMismatch("value line has order %d at %r, expected %d"
                             % (pt.order, label, order))
-    g = pt.chain[0].diag[0]
-    c = 0
-    while c + 1 < pt.order and pt.chain[c + 1] == pt.chain[0]:
-        c += 1
-    return g, c
+    # a rank-1 chain is E^0 up to its jump and t * E^0 after it
+    return pt.chain[0].diag[0], pt.chain.index(pt.chain[pt.order]) - 1
 
 
 def hom_chain(point, g, c):
@@ -180,48 +182,46 @@ def _valuations_at_least(gram, v):
 # -- transport -------------------------------------------------------------
 
 
-def pullback_value_line(profile, line_bundle, target_label, branch_label):
-    """Pullback of a rank-1 value line along one branch, with aux points
-    passed through (one copy per sheet of the cover) to keep the degree
-    bookkeeping exact: pardeg(f^* L) = deg f * pardeg(L) = 0."""
+def pullback_bundle(profile, bundle, target_label, branch_label):
+    """Pullback of a bundle of any rank along one branch.  The point at
+    target_label goes through pullback_parabolic; every other point passes
+    through once per sheet of the cover, as label@i for i < deg f.  With
+    delta the determinant valuation, the degree is
+    deg f * deg(E) + e * delta(E^0) - delta(f^* E^0), and by the twist law
+    that difference is sum floor(e * alpha) * m over the target weights."""
     deg_f = sum(br.e for br in profile.branches)
-    br = profile.branch(branch_label)
+    e = profile.branch(branch_label).e
+    degree = deg_f * bundle.underlying_degree
     pts = {}
-    twist_sum = 0
-    for label, pt in line_bundle.points.items():
+    for label, pt in bundle.points.items():
         if label == target_label:
-            pulled = pullback_parabolic(profile, pt, branch_label)
-            pts[branch_label] = pulled
-            g, c = line_local_data(line_bundle, label, pt.order)
-            twist_sum += c // br.r
+            pulled = pts[branch_label] = pullback_parabolic(profile, pt, branch_label)
+            degree += e * pt.chain[0].det_valuation() - pulled.chain[0].det_valuation()
         else:
             for i in range(deg_f):
                 pts["%s@%d" % (label, i)] = pt
-    degree = deg_f * line_bundle.underlying_degree + twist_sum
-    return ParabolicBundle(1, degree, pts)
+    return ParabolicBundle(bundle.rank, degree, pts)
 
 
 def pullback_pairing(profile, pairing, bundle, target_label):
     """Pullback of a pairing: single-branch profile, substituted form."""
+    if target_label not in bundle.points:
+        raise ProfileMismatch("bundle is not marked at %r" % target_label)
     if len(profile.branches) != 1:
         raise ProfileMismatch("pairing pullback works on a single-branch chart")
     br = profile.branches[0]
     if not check_pairing(pairing, bundle):
         raise NotAPairing("input fails check_pairing")
-    pt = bundle.points[target_label]
-    pulled_pt = pullback_parabolic(profile, pt, br.label)
-    twists = sum(pullback_parabolic_line(w, br.e, br.r)[0] * m for w, m in pt.weights())
-    degree = br.e * bundle.underlying_degree + twists
-    pulled_bundle = ParabolicBundle(bundle.rank, degree, {br.label: pulled_pt})
     # Twist by w_y / t_x = u * t^{e-1}, dual to the residue's 1/u.  A tower
     # z -> x -> y (w_y = u1*t_x^{e1}, t_x = u2*t_z^{e2}) with constants c_1, c_2
     # and the composite's C composes iff c_1 * c_2 * u2^{e1-1} = C; for
     # c = u^k that reads u2^{k+e1-1} = u2^{k*e1}, so only k = 1 composes.
-    twist = LocalElement.make(pt.field, br.e - 1, [br.unit])
+    twist = LocalElement.make(bundle.points[target_label].field, br.e - 1, [br.unit])
     pulled_form = [[x * twist for x in row]
-                   for row in substitute_matrix(pairing.form, br.e, br.unit)]
-    pulled_line = pullback_value_line(profile, pairing.value_line, target_label, br.label)
-    return ParabolicPairing(pairing.kind, pulled_form, pulled_line), pulled_bundle
+                   for row in pullback_matrix(profile, pairing.form, br.label)]
+    pulled_line = pullback_bundle(profile, pairing.value_line, target_label, br.label)
+    return (ParabolicPairing(pairing.kind, pulled_form, pulled_line),
+            pullback_bundle(profile, bundle, target_label, br.label))
 
 
 def expected_branch_value_data(profile, branch, value_line, target_label):
@@ -231,23 +231,16 @@ def expected_branch_value_data(profile, branch, value_line, target_label):
     return branch.e * g - c // branch.r, c % branch.r
 
 
-def residue_push_form(form, e, u, n):
-    """Projection-formula pairing on restricted scalars: the component of
-    t^{rho+sigma} * entry along t^{e-1}, scaled by 1/u.  It depends on
-    rho+sigma only, so each entry gives 2e-1 values for its e x e block.
-    Shifting by t^e = w_y/u and back by w_y^-1 supplies the 1/u: by the
-    offset rule of decompose_component, component e-1 of t^{d+e} * entry
-    is component -1-d of entry."""
-    out = [[_Z] * (n * e) for _ in range(n * e)]
-    for i in range(n):
-        for i2 in range(n):
-            entry = form[i][i2]
-            if not entry.coeffs:
-                continue
-            vals = [decompose_component(entry, e, u, -1 - d).shift(-1) for d in range(2 * e - 1)]
-            for rho in range(e):
-                out[i * e + rho][i2 * e:(i2 + 1) * e] = vals[rho:rho + e]
-    return out
+def residue_push_form(form, e, u, field):
+    """Projection-formula pairing on restricted scalars: entry
+    (i*e + rho, i2*e + sigma) is the component of t^{rho+sigma} * form[i][i2]
+    along t^{e-1}, scaled by 1/u.  By the offset rule of
+    decompose_component that is component e-1-rho of t^sigma * form[i][i2]/u,
+    which is row i*e + e-1-rho of restrict_matrix(form/u): the restriction
+    with the rows of each e-block reversed."""
+    uinv = LocalElement.t_power(field, 1).twist(u, -1).shift(-1)
+    rows = restrict_matrix([[x * uinv for x in row] for row in form], e, u)
+    return [rows[k + e - 1 - 2 * (k % e)] for k in range(len(rows))]
 
 
 def pushforward_pairing(profile, value_line, target_label, branch_pairs):
@@ -267,14 +260,12 @@ def pushforward_pairing(profile, value_line, target_label, branch_pairs):
         if declared != expected:
             raise ValueLineMismatch("branch %r pairing valued in %r, expected the "
                                     "pullback datum %r" % (br.label, declared, expected))
-        if not _symmetry_holds(SYMMETRIC, form):
-            if not _symmetry_holds(ANTISYMMETRIC, form):
-                raise NotAPairing("branch form is neither symmetric nor antisymmetric")
-            kinds.add(ANTISYMMETRIC)
-        else:
-            kinds.add(SYMMETRIC)
+        kind = next((k for k in (SYMMETRIC, ANTISYMMETRIC) if _symmetry_holds(k, form)), None)
+        if kind is None:
+            raise NotAPairing("branch form is neither symmetric nor antisymmetric")
+        kinds.add(kind)
         points.append(pt)
-        blocks.append(residue_push_form(form, br.e, br.unit, pt.n))
+        blocks.append(residue_push_form(form, br.e, br.unit, pt.field))
     if len(kinds) != 1:
         raise NotAPairing("branch forms disagree in kind")
     kind = kinds.pop()

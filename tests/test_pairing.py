@@ -13,12 +13,12 @@ from parstack import (ANTISYMMETRIC, SYMMETRIC, QQ, Lattice, NotAPairing,
                       make_profile, parabolic_degree,
                       pullback_pairing, pushforward_pairing)
 from parstack.harness import (_value_line_bundle, gen_pairing_point,
-                              gen_parabolic_point)
+                              gen_parabolic_point, gen_profile)
 from parstack.linalg import identity_matrix, transpose
 from parstack.localring import LocalElement
 from parstack import pairing
-from parstack.pairing import (_symmetry_holds, hom_chain, line_local_data,
-                              residue_push_form)
+from parstack.pairing import (_symmetry_holds, expected_branch_value_data, hom_chain,
+                              line_local_data, pullback_bundle, residue_push_form)
 
 from conftest import GF101, decompose_element, el, random_element, trivial_point
 
@@ -276,6 +276,68 @@ def test_pullback_pairing_composes_along_a_tower(field):
         assert two_step[0].form == composite[0].form
 
 
+@pytest.mark.parametrize("field", [QQ, GF101], ids=["Q", "GF101"])
+def test_pullback_pairing_pulls_its_bundle_with_pullback_bundle(field):
+    rng = random.Random(field.p + 53)
+    pulled = 0
+    while pulled < 20:
+        s = rng.randint(1, 6)
+        profile, _ = gen_profile(rng, s, 1, field)
+        kind = rng.choice([SYMMETRIC, ANTISYMMETRIC])
+        made = gen_pairing_point(rng, field, s, rng.randint(0, s - 1), rng.randint(-1, 1),
+                                 kind, rng.randint(1, 2), "y")
+        if made is None:
+            continue
+        pulled += 1
+        pt, form, value = made
+        bundle = ParabolicBundle(pt.n, 0, {"y": pt})
+        label = profile.branches[0].label
+        got = pullback_pairing(profile, ParabolicPairing(kind, form, value), bundle, "y")
+        assert got[1] == pullback_bundle(profile, bundle, "y", label)
+        assert got[0].value_line == pullback_bundle(profile, value, "y", label)
+
+
+def test_pullback_pairing_refuses_a_bundle_unmarked_at_the_target():
+    profile = make_profile(2, [("x", 2, 1, QQ.one)])
+    pairing = ParabolicPairing(SYMMETRIC, [[el(0, 1)]], _value_line_bundle(QQ, "y", 2, 0, 0))
+    with pytest.raises(ProfileMismatch, match="'y'"):
+        pullback_pairing(profile, pairing, ParabolicBundle(1, 0, {}), "y")
+
+
+@pytest.mark.parametrize("field", [QQ, GF101], ids=["Q", "GF101"])
+def test_pullback_bundle_multiplies_the_parabolic_degree(field):
+    """Along a single-branch cover of degree e the pulled bundle has e times
+    the parabolic degree; the target point becomes the branch point and each
+    other point passes through once per sheet."""
+    rng = random.Random(field.p + 43)
+    for _ in range(30):
+        s = rng.randint(1, 6)
+        profile, _ = gen_profile(rng, s, 1, field)
+        br = profile.branches[0]
+        n = rng.randint(1, 3)
+        bundle = ParabolicBundle(n, rng.randint(-3, 3), {
+            "y": gen_parabolic_point(rng, n, s, field),
+            "z": gen_parabolic_point(rng, n, rng.randint(1, 4), field)})
+        pulled = pullback_bundle(profile, bundle, "y", br.label)
+        assert parabolic_degree(pulled) == br.e * parabolic_degree(bundle)
+        assert pulled.labels() == sorted([br.label] + ["z@%d" % i for i in range(br.e)])
+
+
+@pytest.mark.parametrize("field", [QQ, GF101], ids=["Q", "GF101"])
+def test_pulled_value_line_has_the_declared_branch_data(field):
+    """expected_branch_value_data is the local datum of the value line
+    pulled back along each branch."""
+    rng = random.Random(field.p + 47)
+    for _ in range(30):
+        s = rng.randint(1, 8)
+        profile, _ = gen_profile(rng, s, 3, field)
+        value = _value_line_bundle(field, "y", s, rng.randint(0, s - 1), rng.randint(-1, 1))
+        for br in profile.branches:
+            pulled = pullback_bundle(profile, value, "y", br.label)
+            assert line_local_data(pulled, br.label, br.r) == \
+                expected_branch_value_data(profile, br, value, "y")
+
+
 # -- pushforward -----------------------------------------------------------
 
 
@@ -356,7 +418,7 @@ def test_residue_push_of_an_alternating_form_is_alternating(field):
                 for i2 in range(i + 1, n):
                     x = random_element(rng, field, zero_chance=0)
                     form[i][i2], form[i2][i] = x, -x
-            out = residue_push_form(form, e, field.random_nonzero(rng), n)
+            out = residue_push_form(form, e, field.random_nonzero(rng), field)
             assert _symmetry_holds(ANTISYMMETRIC, out)
             assert all(out[k][k].is_zero() for k in range(n * e))
             assert any(not x.is_zero() for row in out for x in row)
@@ -378,7 +440,7 @@ def test_residue_push_form_is_the_top_component(field):
                                        [field.of(rng.randint(-4, 4))
                                         for _ in range(rng.randint(1, 16))])
                      for _ in range(n)] for _ in range(n)]
-            out = residue_push_form(form, e, u, n)
+            out = residue_push_form(form, e, u, field)
             for i in range(n):
                 for i2 in range(n):
                     for rho in range(e):

@@ -105,6 +105,20 @@ def test_a_run_refuses_a_mutation_its_suite_does_not_register(suite, mutation):
         suite(TrialConfig(seed=1000, trials=1, max_order=8), mutation=mutation)
 
 
+@pytest.mark.parametrize("suite,mutation", [
+    (verify_pullback, "wrong-twsit"), (verify_pullback, "broken-inclusion")],
+    ids=["misspelt", "of-another-suite"])
+def test_a_trial_or_verdict_refuses_a_mutation_its_suite_does_not_register(suite,
+                                                                          mutation):
+    cfg = TrialConfig(max_order=8)
+    ok, _, instance = suite.trial(1000, cfg, None)
+    assert ok
+    with pytest.raises(ValueError, match="unknown mutation"):
+        suite.trial(1000, cfg, mutation)
+    with pytest.raises(ValueError, match="unknown mutation"):
+        suite.verdict(instance, mutation)
+
+
 def test_trial_config_parses_its_field_once(monkeypatch):
     calls = []
 
