@@ -9,7 +9,13 @@ branch grades over grade m = r*l + k with a t^{-l} twist.  Both routes
 restrict scalars with restrict_scalars, which writes down the canonical
 form of res(L) from L's canonical basis instead of canonicalizing a
 generating set, and checks it exactly (the derivation and the guards
-are in its docstring).  The parabolic
+are in its docstring).  Each route restricts each distinct member once
+and reads its twists t^l * L off res(L) with twist_restricted.  With
+T = multiplication by t on restricted coordinates, T^l * B spans
+res(t^l * L) for a basis B of res(L), because T is K_Y-linear (span);
+and T moves each entry together with its row's pivot, so the row bounds
+move with the rows and no entry needs reducing (shape).  The two routes
+keep separate memos and never read each other's restrictions.  The parabolic
 pullback splits into lines and applies the floor/fractional-part line
 formula at every e; the graded pullback is base change of the root-stack
 module and uses no splitting, so the two routes stay independent
@@ -194,6 +200,55 @@ def restrict_scalars(lattice, e, u):
     return out
 
 
+def twist_restricted(res_lattice, e, u, l):
+    """res(t^l * L) from the canonical basis of res_lattice = res(L), with no
+    canonicalization and no member guard.
+
+    Write w for w_y and l = q*e + l0 with 0 <= l0 < e.  In restricted
+    coordinates t acts as T: each e-block moves down one row, the entry
+    leaving the block wrapping to its first row times t^e = w / u.  So
+    T^{l0} moves every entry of an e-block down l0 rows, and the l0 entries
+    that leave the block wrap times w / u.  Then t^l * L restricts to
+    w^q * T^{l0} * res(L), the remaining (w / u)^q being w^q up to a unit:
+
+    * span: T is K_Y-linear, so T^{l0} applied to a basis of res(L) is a
+      basis of T^{l0} * res(L) = res(t^{l0} * L);
+    * shape: each column's own block holds only its pivot, a pure power of
+      w.  A column whose pivot wraps is rescaled by u, which makes that
+      pivot w^{b+1} again; its wrapped entries become x * w (a shift) and
+      its other entries x * u.  The entries above the pivots move with the
+      rows they sit in, and so do those rows' pivots, gaining one degree
+      exactly when they wrap, so every entry stays reduced.  The columns,
+      reordered by pivot row, are canonical, and ``Lattice.from_canonical``
+      checks that shape.
+
+    ``.scale(q)`` then applies w^q.
+    """
+    q, l0 = divmod(l, e)
+    if not l0:
+        return res_lattice.scale(q)
+    field, n = res_lattice.field, res_lattice.n
+    w_over_u = LocalElement.t_power(field, 1).twist(u, -1)
+    unit = LocalElement.const(field, u)
+    cut = e - l0  # rows k >= cut of each block wrap
+    cols, diag = [None] * n, [None] * n
+    for j, (col, b) in enumerate(zip(res_lattice.cols, res_lattice.diag)):
+        wraps = j % e >= cut
+        moved = []
+        for top in range(0, j - j % e + e, e):  # the blocks up to the pivot's
+            wrapped, kept = col[top + cut:top + e], col[top:top + cut]
+            if wraps:
+                moved.extend([x.shift(1) for x in wrapped])
+                moved.extend([x * unit if x.coeffs else x for x in kept])
+            else:
+                moved.extend([x * w_over_u if x.coeffs else x for x in wrapped])
+                moved.extend(kept)
+        row = j + l0 - e if wraps else j + l0
+        cols[row] = tuple(moved) + col[len(moved):]
+        diag[row] = b + 1 if wraps else b
+    return Lattice.from_canonical(field, tuple(cols), tuple(diag)).scale(q)
+
+
 def restrict_matrix(rows, e, u):
     """Restriction of scalars of a K_X-linear map, as an (n_out*e) x (n_in*e)
     matrix over K_Y with the same coordinate convention: column i*e + sigma
@@ -222,14 +277,25 @@ def pushforward_parabolic(profile, branches):
     """Parabolic direct image over one target point.
 
     Each branch chain is refined to denominator s = r*e, member r*l + k
-    being t^l * E^k (ParabolicPoint.lattice), and restricted member by
-    member; a refined member equal to its predecessor reuses its restriction.
+    being t^l * E^k (ParabolicPoint.lattice) for l < e.  Each run of equal
+    members of chain[:r] is restricted once (restrict_scalars), and member
+    r*l + k is read off res(E^k) by twist_restricted: T^l on restricted
+    coordinates spans res(t^l * E^k) because T is K_Y-linear, and keeps the
+    canonical shape because the row bounds move with the rows.  A refined
+    member equal to its predecessor reuses its restriction.
     """
     _check_branches(profile, branches)
     s = profile.target_order
-    restricted = [map_runs(lambda lat: restrict_scalars(lat, br.e, br.unit),
-                           [pt.lattice(a) for a in range(s)])
-                  for br, pt in zip(profile.branches, branches)]
+    restricted = []
+    for br, pt in zip(profile.branches, branches):
+        e, r, u = br.e, br.r, br.unit
+        res = map_runs(lambda lat: restrict_scalars(lat, e, u), pt.chain[:r])
+        members = []
+        for m in range(s):
+            l, k = divmod(m, r)
+            members.append(members[-1] if k and res[k] is res[k - 1]
+                           else twist_restricted(res[k], e, u, l))
+        restricted.append(members)
     chain = [direct_sum(parts) for parts in zip(*restricted)]
     chain.append(chain[0].scale(1))
     return ParabolicPoint(profile.target_order, chain)
@@ -238,10 +304,14 @@ def pushforward_parabolic(profile, branches):
 def pushforward_graded(profile, branches):
     """Invariant direct image on the graded side, grade m = r*l + k.
 
-    The twisted piece t^{-l} * M_k is restricted once per twist l and run
-    of equal pieces, keyed by the run's first grade.  This bookkeeping is
-    separate from the parabolic route's, so that a fault in one shows up
-    as a disagreement between the routes.
+    Each run of equal pieces M_k is restricted once, keyed by the run's
+    first grade, and grade m reads t^{-l} * M_k off it with
+    twist_restricted(res(M_k), e, u, -l): T^{-l} on restricted coordinates
+    spans res(t^{-l} * M_k) because T is K_Y-linear, and keeps the
+    canonical shape because the row bounds move with the rows.  This
+    bookkeeping is separate from the parabolic route's, and neither route
+    reads the other's restrictions, so that a fault in one, or one that
+    depends on the twist, shows up as a disagreement between the routes.
     """
     _check_branches(profile, branches)
     s = profile.target_order
@@ -250,15 +320,17 @@ def pushforward_graded(profile, branches):
         run_start = [0] * br.r
         for k in range(1, br.r):
             run_start[k] = run_start[k - 1] if mod.pieces[k] == mod.pieces[k - 1] else k
+        res = {k: restrict_scalars(mod.pieces[k], br.e, br.unit)
+               for k in dict.fromkeys(run_start)}
         memo = {}
-        res = []
+        pieces = []
         for m in range(s):
             l, k = divmod(m, br.r)
             key = (run_start[k], l)
             if key not in memo:
-                memo[key] = restrict_scalars(mod.pieces[k].scale(-l), br.e, br.unit)
-            res.append(memo[key])
-        restricted.append(res)
+                memo[key] = twist_restricted(res[run_start[k]], br.e, br.unit, -l)
+            pieces.append(memo[key])
+        restricted.append(pieces)
     return GradedModule(s, [direct_sum(parts) for parts in zip(*restricted)])
 
 

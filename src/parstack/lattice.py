@@ -15,7 +15,7 @@ R-multiple); normalization of the triangular form uses power series
 truncated at a precision P with t^P R^n inside the lattice (the proof is
 at the bound), and the result is re-verified exactly by back-substitution.
 
-Four constructors build canonical forms without canonicalizing:
+Five constructors build canonical forms without canonicalizing:
 
 * ``from_columns`` keeps a generating set that is already a canonical
   basis: exactly n columns of length n with the canonical shape (the
@@ -35,6 +35,11 @@ Four constructors build canonical forms without canonicalizing:
   reduction quotient is a constant, that the colength is L's, and that
   every generator is a member.  Each failure raises
   AssertionError("internal: ...").
+* the twist of a restriction (``functors.twist_restricted``) reads
+  res(t^l * L) off the canonical basis of res(L): t acts on restricted
+  coordinates by moving each e-block down one row, and the rows' degree
+  bounds move with their pivots.  Its guard is the shape check of
+  ``Lattice.from_canonical``; it runs no member test.
 
 Inner loops visit only the support of their sparse operand: the nonzero
 entries of a vector, of a column or of a pivot column, tested by the

@@ -239,7 +239,7 @@ def residue_push_form(form, e, u, field):
     which is row i*e + e-1-rho of restrict_matrix(form/u): the restriction
     with the rows of each e-block reversed."""
     uinv = LocalElement.t_power(field, 1).twist(u, -1).shift(-1)
-    rows = restrict_matrix([[x * uinv for x in row] for row in form], e, u)
+    rows = restrict_matrix([[x * uinv if x.coeffs else x for x in row] for row in form], e, u)
     return [rows[k + e - 1 - 2 * (k % e)] for k in range(len(rows))]
 
 

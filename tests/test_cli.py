@@ -56,6 +56,15 @@ def test_version_names_the_coefficient_backend(capsys):
         parstack.__version__, backend.__module__, backend.__qualname__)
 
 
+def test_python_m_parstack_runs_the_cli():
+    proc = subprocess.run([sys.executable, "-m", "parstack", "--version"],
+                          env=child_env(), capture_output=True, text=True, timeout=30)
+    backend = type(parstack.QQ.one)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "%s (coefficients: %s.%s)\n" % (
+        parstack.__version__, backend.__module__, backend.__qualname__)
+
+
 def test_convert_weight_half_round_trip(tmp_path, capsys):
     src = write(tmp_path, "line.json", line_scenario())
     g1 = str(tmp_path / "graded.json")

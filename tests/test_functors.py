@@ -7,20 +7,21 @@ from fractions import Fraction
 import pytest
 
 from parstack import (QQ, CoverProfile, GradedModule, InadmissibleProfile,
-                      InadmissibleWeight, Lattice, ParabolicPoint,
-                      ProfileMismatch, from_parabolic, is_graded_morphism,
+                      InadmissibleWeight, Lattice, ParabolicPoint, PrimeField,
+                      ProfileMismatch, TrialConfig, from_parabolic, is_graded_morphism,
                       is_point_morphism, make_profile, pullback_graded,
                       pullback_matrix, pullback_parabolic,
                       pullback_parabolic_line, pushforward_graded,
                       pushforward_matrix, pushforward_parabolic,
-                      restrict_scalars, to_parabolic)
+                      restrict_scalars, to_parabolic, verify_direct_image)
 from parstack import functors
-from parstack.functors import Branch, _restrict_columns, substitute_element
+from parstack.functors import (Branch, _restrict_columns, substitute_element,
+                               twist_restricted)
 from parstack.harness import gen_parabolic_point, gen_profile
 from parstack.parabolic import split_into_lines
 
 from conftest import (GF101, decompose_element, el, gen_graded_module, graded_line, lat,
-                      trivial_module, trivial_point)
+                      random_columns, trivial_module, trivial_point)
 
 
 def _diag_chain(order, jumps, twists=None):
@@ -91,13 +92,15 @@ def test_restrict_scalars_commutes_with_full_twists():
             restrict_scalars(l, e, u).scale(1)
 
 
-def _planted_restriction(old, new):
-    """restrict_scalars with one line of its source replaced."""
-    source = inspect.getsource(functors.restrict_scalars)
-    assert source.count(old) == 1
+def _planted(fn, *edits):
+    """The functor ``fn`` with each (old, new) edit made once in its source."""
+    source = inspect.getsource(fn)
+    for old, new in edits:
+        assert source.count(old) == 1
+        source = source.replace(old, new)
     namespace = dict(vars(functors))
-    exec(source.replace(old, new), namespace)
-    return namespace["restrict_scalars"]
+    exec(source, namespace)
+    return namespace[fn.__name__]
 
 
 # planted fault -> (source edit, lattice columns, e, u, the guard that must
@@ -125,7 +128,57 @@ def test_each_restriction_guard_catches_its_planted_fault(fault):
     assert restrict_scalars(lattice, e, QQ.of(u)) == \
         Lattice.from_columns(QQ, lattice.n * e, gens)
     with pytest.raises(AssertionError, match="internal: .*" + message):
-        _planted_restriction(old, new)(lattice, e, QQ.of(u))
+        _planted(functors.restrict_scalars, (old, new))(lattice, e, QQ.of(u))
+
+
+# the grid of twisted restrictions: each field with its units
+TWIST_GRID = [(QQ, [QQ.one, QQ.of("2/3"), QQ.of("-5/4"), QQ.of(3), QQ.of(-1)]),
+              (GF101, [1, 2, 100]), (PrimeField(2), [1]), (PrimeField(3), [1, 2])]
+
+
+@pytest.mark.parametrize("field,units", TWIST_GRID, ids=["Q", "GF101", "GF2", "GF3"])
+def test_twist_restricted_is_the_restriction_of_the_twist(field, units):
+    """Over e in {1, 2, 3, 4, 7} and every l in [-2e, 2e], on lattices
+    whose entries have negative valuations too."""
+    rng = random.Random(149)
+    for u in units:
+        for e in (1, 2, 3, 4, 7):
+            for n in (1, 2, 3):
+                lattice = lat(random_columns(rng, n, field), field)
+                res = restrict_scalars(lattice, e, u)
+                for l in range(-2 * e, 2 * e + 1):
+                    assert twist_restricted(res, e, u, l) == \
+                        restrict_scalars(lattice.scale(l), e, u)
+
+
+# planted fault -> source edits of twist_restricted, and the note every
+# failing trial of the direct-image suite must carry (None: any failure)
+TWIST_FAULTS = {
+    "wrap-factor-u-for-1/u": ([("t_power(field, 1).twist(u, -1)", "t_power(field, 1).twist(u)")],
+                              None),
+    "wrapped-column-unscaled": (
+        [("[x.shift(1) for x in wrapped]", "[x * w_over_u if x.coeffs else x for x in wrapped]"),
+         ("moved.extend([x * unit if x.coeffs else x for x in kept])", "moved.extend(kept)")],
+        "raised AssertionError: internal: columns not in canonical form"),
+    "pivot-only-rescaled": (
+        [("if wraps:\n", "if False:\n"),
+         ("cols[row] = ", "moved[row] = col[j].shift(1) if wraps else moved[row]\n"
+                          "        cols[row] = ")],
+        None),
+}
+
+
+@pytest.mark.parametrize("field_name", ["rational", "prime:101"])
+@pytest.mark.parametrize("fault", sorted(TWIST_FAULTS))
+def test_direct_image_suite_catches_each_planted_twist_fault(fault, field_name, monkeypatch):
+    edits, note = TWIST_FAULTS[fault]
+    monkeypatch.setattr(functors, "twist_restricted",
+                        _planted(functors.twist_restricted, *edits))
+    report = verify_direct_image(TrialConfig(seed=0, trials=100, field_name=field_name))
+    failed = [n for _, ok, n in report.verdicts if not ok]
+    assert failed
+    if note is not None:
+        assert set(failed) == {note}
 
 
 # -- parabolic direct image -------------------------------------------------

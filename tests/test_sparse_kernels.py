@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from parstack import QQ, Lattice, LocalElement, PrimeField, SingularBasis
-from parstack.functors import restrict_matrix, restrict_scalars
+from parstack.functors import restrict_matrix, restrict_scalars, twist_restricted
 from parstack.lattice import back_substitute, image_columns, triangular_inverse
 from parstack.linalg import mat_vec
 
@@ -343,7 +343,8 @@ def test_no_kernel_multiplies_by_a_zero_entry(monkeypatch):
             other.contains(lattice.scale(1))
             image_columns(rows, lattice)
             mat_vec(rows, w)
-            restrict_scalars(lattice, rng.randint(2, 4), field.of(rng.choice((1, 2, -1))))
+            e, u = rng.randint(2, 4), field.of(rng.choice((1, 2, -1)))
+            twist_restricted(restrict_scalars(lattice, e, u), e, u, rng.randint(1 - 2 * e, 2 * e))
     assert products[0] > 1000
     assert zero_products == []
 
