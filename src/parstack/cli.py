@@ -137,17 +137,16 @@ def cmd_push(args):
 def cmd_pull(args):
     field, raw = _read_scenario(args.scenario)
     target, profile = _cover_of(field, raw)
-    sources = [(obj, deg) for at, obj, deg in _decode_objects(field, raw)
+    sources = [(at, obj, deg) for at, obj, deg in _decode_objects(field, raw)
                if at == target or isinstance(obj, ParabolicBundle)]
     if len(sources) != 1:
         raise ValidationError("pull needs exactly one object at the target")
-    source, deg = sources[0]
+    source = sources[0][1]
     if isinstance(source, ParabolicBundle):
         if target not in source.points:
             raise ValidationError("bundle is not marked at target %r" % target)
         source = source.points[target]
-    e_total = sum(br.e for br in profile.branches)
-    deg_f = raw.get("deg_f", e_total)
+    deg_f = raw.get("deg_f", sum(br.e for br in profile.branches))
     if type(deg_f) is not int or deg_f < 1:
         raise ParseError("deg_f must be a positive integer, not %r" % (deg_f,))
     graded = isinstance(source, GradedModule)
@@ -158,37 +157,36 @@ def cmd_pull(args):
         pulled = to_parabolic(result) if graded else result
         results.append(dict(sio.encode_object(result), at=br.label))
         tables.append(_weight_table(pulled, "pullback at %r" % br.label))
-    # each branch adds floor(e*w) + frac(e*w) = e*w per weight w
-    src_pt = to_parabolic(source) if graded else source
-    pulled_degree_total = deg_f * deg + e_total * src_pt.weight_sum()
     _write_out(dict(raw, objects=results), args.out)
     for tbl in tables:
         print(tbl, file=sys.stderr)
     if "deg_f" in raw or any("underlying_degree" in o for o in raw.get("objects", [])):
         print("pulled parabolic degree: %s  (= deg f %s x source degree data)"
-              % (pulled_degree_total, deg_f), file=sys.stderr)
+              % (deg_f * parabolic_degree(_as_bundle(*sources[0])[1]), deg_f),
+              file=sys.stderr)
     return PASS
 
 
 # -- degree ----------------------------------------------------------------
 
 
+def _as_bundle(at, obj, deg):
+    """(row name, bundle) of a decoded object: a bundle as it is, a point or
+    module as the bundle marked only at its label, of its underlying degree."""
+    if isinstance(obj, ParabolicBundle):
+        return "bundle", obj
+    graded = isinstance(obj, GradedModule)
+    label = at or "y"
+    return ("%s %r" % ("module" if graded else "point", label),
+            ParabolicBundle(obj.n, deg, {label: to_parabolic(obj) if graded else obj}))
+
+
 def cmd_degree(args):
     field, raw = _read_scenario(args.scenario)
-    rows = []
-    for at, obj, deg in _decode_objects(field, raw):
-        if isinstance(obj, ParabolicBundle):
-            name, bundle = "bundle", obj
-        else:
-            graded = isinstance(obj, GradedModule)
-            label = at or "y"
-            name = "%s %r" % ("module" if graded else "point", label)
-            bundle = ParabolicBundle(obj.n, deg,
-                                     {label: to_parabolic(obj) if graded else obj})
-        rows.append((name, bundle.rank, parabolic_degree(bundle)))
+    rows = [_as_bundle(*item) for item in _decode_objects(field, raw)]
     print("object        rank  parabolic degree")
-    for name, rank, pd in rows:
-        print("%-12s  %-4d  %s" % (name, rank, pd))
+    for name, bundle in rows:
+        print("%-12s  %-4d  %s" % (name, bundle.rank, parabolic_degree(bundle)))
     return PASS
 
 

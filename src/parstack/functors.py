@@ -15,7 +15,7 @@ T = multiplication by t on restricted coordinates, T^l * B spans
 res(t^l * L) for a basis B of res(L), because T is K_Y-linear (span);
 and T moves each entry together with its row's pivot, so the row bounds
 move with the rows and no entry needs reducing (shape).  The two routes
-keep separate memos and never read each other's restrictions.  The parabolic
+share this run rule but never read each other's restrictions.  The parabolic
 pullback splits into lines and applies the floor/fractional-part line
 formula at every e; the graded pullback is base change of the root-stack
 module and uses no splitting, so the two routes stay independent
@@ -304,32 +304,28 @@ def pushforward_parabolic(profile, branches):
 def pushforward_graded(profile, branches):
     """Invariant direct image on the graded side, grade m = r*l + k.
 
-    Each run of equal pieces M_k is restricted once, keyed by the run's
-    first grade, and grade m reads t^{-l} * M_k off it with
+    Each run of equal pieces M_k is restricted once (restrict_scalars), and
+    grade m reads t^{-l} * M_k off res(M_k) by
     twist_restricted(res(M_k), e, u, -l): T^{-l} on restricted coordinates
     spans res(t^{-l} * M_k) because T is K_Y-linear, and keeps the
-    canonical shape because the row bounds move with the rows.  This
-    bookkeeping is separate from the parabolic route's, and neither route
-    reads the other's restrictions, so that a fault in one, or one that
-    depends on the twist, shows up as a disagreement between the routes.
+    canonical shape because the row bounds move with the rows.  A grade
+    whose piece repeats its predecessor's restriction reuses its twist.
+    The rule is the parabolic route's, but each route restricts only its
+    own lattices and neither reads the other's restrictions, so that a
+    fault in one, or one that depends on the twist, shows up as a
+    disagreement between the routes.
     """
     _check_branches(profile, branches)
     s = profile.target_order
     restricted = []
     for br, mod in zip(profile.branches, branches):
-        run_start = [0] * br.r
-        for k in range(1, br.r):
-            run_start[k] = run_start[k - 1] if mod.pieces[k] == mod.pieces[k - 1] else k
-        res = {k: restrict_scalars(mod.pieces[k], br.e, br.unit)
-               for k in dict.fromkeys(run_start)}
-        memo = {}
+        e, r, u = br.e, br.r, br.unit
+        res = map_runs(lambda lat: restrict_scalars(lat, e, u), mod.pieces)
         pieces = []
         for m in range(s):
-            l, k = divmod(m, br.r)
-            key = (run_start[k], l)
-            if key not in memo:
-                memo[key] = twist_restricted(res[run_start[k]], br.e, br.unit, -l)
-            pieces.append(memo[key])
+            l, k = divmod(m, r)
+            pieces.append(pieces[-1] if k and res[k] is res[k - 1]
+                          else twist_restricted(res[k], e, u, -l))
         restricted.append(pieces)
     return GradedModule(s, [direct_sum(parts) for parts in zip(*restricted)])
 
@@ -404,8 +400,7 @@ def pullback_graded(profile, module, label):
                               % (module.order, profile.target_order))
     r, pieces = br.r, module.pieces
     firsts = [m for m in range(module.order) if m == 0 or pieces[m] != pieces[m - 1]]
-    bc = {m: [[substitute_element(x, br.e, br.unit) for x in col] for col in pieces[m].cols]
-          for m in firsts}
+    bc = {m: substitute_matrix(pieces[m].cols, br.e, br.unit) for m in firsts}
     members = {}  # exponents of the runs' first grades -> canonical piece
     out = []
     for k in range(r):

@@ -140,7 +140,8 @@ class Lattice:
         if not isinstance(other, Lattice):
             raise TypeError(other)
         if other.n != self.n or other.field != self.field:
-            raise AmbientMismatch("ambient rank %d vs %d" % (self.n, other.n))
+            raise AmbientMismatch("ambient rank %d over %s vs %d over %s"
+                                  % (self.n, self.field.name, other.n, other.field.name))
         return all(self.member(c) for c in other.cols)
 
     def dual(self):

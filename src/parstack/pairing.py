@@ -38,8 +38,10 @@ explicitly; it remains the definition and the reference the check is
 tested against.
 
 Transport reads the functors.  `pullback_bundle` pulls back every
-bundle, the pairing's own and its value line, through
-pullback_parabolic; the pulled form is pullback_matrix of F twisted by
+bundle, the pairing's own and its value line, along the whole cover: the
+target point through pullback_parabolic on each branch, so the parabolic
+degree is multiplied by deg f.  `pullback_pairing` takes single-branch
+profiles; the pulled form is pullback_matrix of F twisted by
 u * t^{e-1}.  The pushed form is restrict_matrix of F/u with the rows of
 each e-block reversed (``residue_push_form``), so the direct image of a
 pairing shares its component kernel with the direct image of a map.
@@ -182,21 +184,22 @@ def _valuations_at_least(gram, v):
 # -- transport -------------------------------------------------------------
 
 
-def pullback_bundle(profile, bundle, target_label, branch_label):
-    """Pullback of a bundle of any rank along one branch.  The point at
-    target_label goes through pullback_parabolic; every other point passes
-    through once per sheet of the cover, as label@i for i < deg f.  With
-    delta the determinant valuation, the degree is
-    deg f * deg(E) + e * delta(E^0) - delta(f^* E^0), and by the twist law
-    that difference is sum floor(e * alpha) * m over the target weights."""
+def pullback_bundle(profile, bundle, target_label):
+    """Pullback of a bundle of any rank along the whole cover.  The point at
+    target_label goes through pullback_parabolic on every branch, labelled
+    by the branch; every other point passes through once per sheet, as
+    label@i for i < deg f.  With delta the determinant valuation, the degree
+    is deg f * deg(E) + sum_b (e_b * delta(E^0) - delta(f_b^* E^0)); by the
+    twist law each term is sum floor(e_b * alpha) * m over the target
+    weights, so the parabolic degree is deg f times the input's."""
     deg_f = sum(br.e for br in profile.branches)
-    e = profile.branch(branch_label).e
     degree = deg_f * bundle.underlying_degree
     pts = {}
     for label, pt in bundle.points.items():
         if label == target_label:
-            pulled = pts[branch_label] = pullback_parabolic(profile, pt, branch_label)
-            degree += e * pt.chain[0].det_valuation() - pulled.chain[0].det_valuation()
+            for br in profile.branches:
+                pulled = pts[br.label] = pullback_parabolic(profile, pt, br.label)
+                degree += br.e * pt.chain[0].det_valuation() - pulled.chain[0].det_valuation()
         else:
             for i in range(deg_f):
                 pts["%s@%d" % (label, i)] = pt
@@ -219,9 +222,9 @@ def pullback_pairing(profile, pairing, bundle, target_label):
     twist = LocalElement.make(bundle.points[target_label].field, br.e - 1, [br.unit])
     pulled_form = [[x * twist for x in row]
                    for row in pullback_matrix(profile, pairing.form, br.label)]
-    pulled_line = pullback_bundle(profile, pairing.value_line, target_label, br.label)
+    pulled_line = pullback_bundle(profile, pairing.value_line, target_label)
     return (ParabolicPairing(pairing.kind, pulled_form, pulled_line),
-            pullback_bundle(profile, bundle, target_label, br.label))
+            pullback_bundle(profile, bundle, target_label))
 
 
 def expected_branch_value_data(profile, branch, value_line, target_label):

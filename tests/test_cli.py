@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -294,6 +295,23 @@ def test_pull_degree_line_needs_the_key(tmp_path, capsys):
     assert "pulled parabolic degree" not in capsys.readouterr().err
 
 
+def test_pull_degree_line_is_deg_f_times_the_degree_row(tmp_path, capsys):
+    """The pulled degree is deg f = 3 + 2 times the ``degree`` row of the same
+    source: the point and the module of ``degree-mixed`` (order 6, each with
+    an underlying degree) placed at the target of ``pull-bundle``, and that
+    file's bundle, which is also marked away from the target."""
+    bundle_doc = _data_doc("pull-bundle")
+    docs = [bundle_doc] + [dict(bundle_doc, objects=[dict(obj, at="p0")])
+                           for obj in _data_doc("degree-mixed")["objects"][:2]]
+    for doc in docs:
+        src = write(tmp_path, "one.json", doc)
+        assert main(["degree", src]) == 0
+        row = Fraction(capsys.readouterr().out.splitlines()[1].split()[-1])
+        assert main(["pull", src, "--out", str(tmp_path / "o.json")]) == 0
+        line = capsys.readouterr().err.splitlines()[-1]
+        assert line == "pulled parabolic degree: %s  (= deg f 5 x source degree data)" % (5 * row)
+
+
 def test_non_object_entry_is_a_parse_error(tmp_path, capsys):
     for objects in ([1], ["y"], 7):
         src = write(tmp_path, "bad.json",
@@ -369,6 +387,22 @@ def test_rational_report_digests_are_pinned(tmp_path, capsys, suite, digest):
     assert hashlib.sha256(blob.encode()).hexdigest()[:16] == digest
 
 
+@pytest.mark.parametrize("field,digest", [("rational", "0155037bf2fe4f94"),
+                                          ("prime:101", "f93e9ad7eef6fc31")])
+def test_verify_200_trial_report_digests_are_pinned(tmp_path, capsys, field, digest):
+    """The whole default run, 200 trials of every suite at seed 0: the digest
+    of the report without its timing block, the byte-identity rule that
+    optimizations and refactors are held to."""
+    out = str(tmp_path / "r.json")
+    assert main(["verify", "--suite", "all", "--seed", "0", "--field", field,
+                 "--out", out]) == 0
+    capsys.readouterr()
+    doc = json.loads(open(out).read())
+    del doc["timing"]
+    blob = json.dumps(doc, sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest()[:16] == digest
+
+
 def test_library_error_in_a_trial_fails_verify(tmp_path, capsys, monkeypatch):
     # the draw raises, so no instance is kept
     def raising_draw(rng, cfg, mutation):
@@ -431,7 +465,7 @@ NO_ERR = "e3b0c44298fc1c14"  # sha256 of empty output
      "32ac7950ea78f65f", NO_ERR),
     (["convert", data_file("degree-mixed"), "--direction", "to-parabolic"],
      "408aa8479b48d988", NO_ERR),
-    (["pull", data_file("pull-bundle")], "06b42c1aa42c113b", "d443e3cc1f0a7760"),
+    (["pull", data_file("pull-bundle")], "06b42c1aa42c113b", "1b72a8f8d6227be2"),
 ], ids=["push-parabolic", "push-graded", "pull-parabolic", "pull-graded",
         "convert-to-graded", "convert-to-parabolic", "convert-bundle", "degree",
         "push-parabolic-gf101", "pull-parabolic-gf101", "degree-mixed",

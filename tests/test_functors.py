@@ -15,13 +15,14 @@ from parstack import (QQ, CoverProfile, GradedModule, InadmissibleProfile,
                       pushforward_matrix, pushforward_parabolic,
                       restrict_scalars, to_parabolic, verify_direct_image)
 from parstack import functors
-from parstack.functors import (Branch, _restrict_columns, substitute_element,
-                               twist_restricted)
+from parstack.functors import (Branch, _restrict_columns, restrict_matrix,
+                               substitute_element, twist_restricted)
 from parstack.harness import gen_parabolic_point, gen_profile
+from parstack.localring import LocalElement
 from parstack.parabolic import split_into_lines
 
 from conftest import (GF101, decompose_element, el, gen_graded_module, graded_line, lat,
-                      random_columns, trivial_module, trivial_point)
+                      random_columns, random_element, trivial_module, trivial_point)
 
 
 def _diag_chain(order, jumps, twists=None):
@@ -149,6 +150,62 @@ def test_twist_restricted_is_the_restriction_of_the_twist(field, units):
                 for l in range(-2 * e, 2 * e + 1):
                     assert twist_restricted(res, e, u, l) == \
                         restrict_scalars(lattice.scale(l), e, u)
+
+
+@pytest.mark.parametrize("field,u", [(QQ, QQ.of(2)), (QQ, QQ.of("2/3")), (GF101, 2)],
+                         ids=["Q-2", "Q-2/3", "GF101-2"])
+@pytest.mark.parametrize("e", [2, 3, 4])
+def test_restrict_scalars_checks_the_component_kernel(field, u, e, monkeypatch):
+    """The closed form checks decompose_component, which it shares with
+    restrict_matrix and so with the residue push.  With twist(u, 1) planted
+    for twist(u, -1), the seed of the column (t, t^4), pivot exponent 4 and
+    q = 4 // e >= 1, comes out with pivot u^{2q} * w^q instead of w^q, and
+    the shape check refuses it.  Canonicalizing the restricted generators
+    instead would accept the planted components without complaint."""
+    lattice = lat([[(0, 1), 0], [(1, 1), (4, 1)]], field)
+    gens = [g for col in lattice.cols for g in _restrict_columns(col, e, u)]
+    assert restrict_scalars(lattice, e, u) == Lattice.from_columns(field, 2 * e, gens)
+    monkeypatch.setattr(functors, "decompose_component",
+                        lambda x, e, u, rho: x.decimate(e, rho).twist(u, 1))
+    with pytest.raises(AssertionError, match="internal: columns not in canonical form"):
+        restrict_scalars(lattice, e, u)
+
+
+def _tensor_identity(rows, e):
+    """rows (x) I_e: entry (i*e + rho, j*e + sigma) is rows[i][j] if rho == sigma."""
+    return [[x if rho == sigma else LocalElement.zero() for x in row for sigma in range(e)]
+            for row in rows for rho in range(e)]
+
+
+@pytest.mark.parametrize("field,units", TWIST_GRID, ids=["Q", "GF101", "GF2", "GF3"])
+def test_restriction_undoes_base_change(field, units, monkeypatch):
+    """restrict_matrix(pullback_matrix(A)) = A (x) I_e: t^sigma * bc(a) for an
+    entry a(w) of A has its only K_Y-component at rho = sigma, and that
+    component is a(w) again.  Base change along w = t^e / u instead (the
+    planted substitute_element below) gives a(w / u^2) there, which differs
+    exactly when u^2 != 1 and a is not a constant."""
+    rng = random.Random(151)
+    cases = []
+    for u in units:
+        for e in (1, 2, 3, 4, 7):
+            profile = make_profile(e, [("x", e, 1, u)])
+            for shape in ((1, 1), (2, 3), (3, 2)):
+                rows = [[random_element(rng, field) for _ in range(shape[1])]
+                        for _ in range(shape[0])]
+                cases.append((profile, rows, e, u))
+                assert restrict_matrix(pullback_matrix(profile, rows, "x"), e, u) == \
+                    _tensor_identity(rows, e)
+    monkeypatch.setattr(functors, "substitute_element",
+                        lambda x, e, u: x.twist(u, -1).spread(e))
+    broken = 0
+    for profile, rows, e, u in cases:
+        held = restrict_matrix(pullback_matrix(profile, rows, "x"), e, u) == \
+            _tensor_identity(rows, e)
+        constant = all(x.is_zero() or (x.ord == 0 and len(x.coeffs) == 1)
+                       for row in rows for x in row)
+        assert held == (field.of(u * u) == field.one or constant)
+        broken += not held
+    assert broken or all(field.of(u * u) == field.one for u in units)
 
 
 # planted fault -> source edits of twist_restricted, and the note every

@@ -182,6 +182,9 @@ def test_containment_needs_a_common_ambient():
     assert not r2.scale(1).contains(r2)
     with pytest.raises(AmbientMismatch):
         r2.contains(Lattice.diagonal(QQ, [0, 0, 0]))
+    # equal ranks over different fields: the message names the fields
+    with pytest.raises(AmbientMismatch, match="rank 2 over rational vs 2 over prime:101"):
+        Lattice.diagonal(QQ, [0, 1]).contains(Lattice.diagonal(GF101, [0, 1]))
 
 
 def test_dual_examples_and_involution():

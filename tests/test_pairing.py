@@ -10,7 +10,7 @@ from parstack import (ANTISYMMETRIC, SYMMETRIC, QQ, Lattice, NotAPairing,
                       PrimeField, ProfileMismatch, ShapeMismatch,
                       SingularBasis, ValueLineMismatch, apply_matrix,
                       check_pairing,
-                      make_profile, parabolic_degree,
+                      make_profile, parabolic_degree, pullback_parabolic,
                       pullback_pairing, pushforward_pairing)
 from parstack.harness import (_value_line_bundle, gen_pairing_point,
                               gen_parabolic_point, gen_profile)
@@ -291,10 +291,9 @@ def test_pullback_pairing_pulls_its_bundle_with_pullback_bundle(field):
         pulled += 1
         pt, form, value = made
         bundle = ParabolicBundle(pt.n, 0, {"y": pt})
-        label = profile.branches[0].label
         got = pullback_pairing(profile, ParabolicPairing(kind, form, value), bundle, "y")
-        assert got[1] == pullback_bundle(profile, bundle, "y", label)
-        assert got[0].value_line == pullback_bundle(profile, value, "y", label)
+        assert got[1] == pullback_bundle(profile, bundle, "y")
+        assert got[0].value_line == pullback_bundle(profile, value, "y")
 
 
 def test_pullback_pairing_refuses_a_bundle_unmarked_at_the_target():
@@ -306,21 +305,36 @@ def test_pullback_pairing_refuses_a_bundle_unmarked_at_the_target():
 
 @pytest.mark.parametrize("field", [QQ, GF101], ids=["Q", "GF101"])
 def test_pullback_bundle_multiplies_the_parabolic_degree(field):
-    """Along a single-branch cover of degree e the pulled bundle has e times
-    the parabolic degree; the target point becomes the branch point and each
-    other point passes through once per sheet."""
+    """Along a cover of degree deg f = sum of the e_b, with up to three
+    branches, the pulled bundle has deg f times the parabolic degree; the
+    target point becomes one point per branch and each other point passes
+    through once per sheet."""
     rng = random.Random(field.p + 43)
     for _ in range(30):
         s = rng.randint(1, 6)
-        profile, _ = gen_profile(rng, s, 1, field)
-        br = profile.branches[0]
+        profile, _ = gen_profile(rng, s, 3, field)
+        deg_f = sum(br.e for br in profile.branches)
         n = rng.randint(1, 3)
         bundle = ParabolicBundle(n, rng.randint(-3, 3), {
             "y": gen_parabolic_point(rng, n, s, field),
             "z": gen_parabolic_point(rng, n, rng.randint(1, 4), field)})
-        pulled = pullback_bundle(profile, bundle, "y", br.label)
-        assert parabolic_degree(pulled) == br.e * parabolic_degree(bundle)
-        assert pulled.labels() == sorted([br.label] + ["z@%d" % i for i in range(br.e)])
+        pulled = pullback_bundle(profile, bundle, "y")
+        assert parabolic_degree(pulled) == deg_f * parabolic_degree(bundle)
+        assert pulled.labels() == sorted([br.label for br in profile.branches]
+                                         + ["z@%d" % i for i in range(deg_f)])
+
+
+@pytest.mark.parametrize("field", [QQ, GF101], ids=["Q", "GF101"])
+def test_pullback_bundle_keeps_a_degree_zero_value_line_at_zero(field):
+    """Branches (e, r) = (2, 2) and (4, 1) over s = 4: pulled along one
+    branch only, this degree-0 value line read -1 and -1/2."""
+    profile = make_profile(4, [("x0", 2, 2, field.one), ("x1", 4, 1, field.of(3))])
+    value = _value_line_bundle(field, "y", 4, 1, 0)
+    pulled = pullback_bundle(profile, value, "y")
+    assert parabolic_degree(pulled) == 0
+    assert pulled.labels() == ["aux@%d" % i for i in range(6)] + ["x0", "x1"]
+    for br in profile.branches:
+        assert pulled.points[br.label] == pullback_parabolic(profile, value.points["y"], br.label)
 
 
 @pytest.mark.parametrize("field", [QQ, GF101], ids=["Q", "GF101"])
@@ -332,8 +346,8 @@ def test_pulled_value_line_has_the_declared_branch_data(field):
         s = rng.randint(1, 8)
         profile, _ = gen_profile(rng, s, 3, field)
         value = _value_line_bundle(field, "y", s, rng.randint(0, s - 1), rng.randint(-1, 1))
+        pulled = pullback_bundle(profile, value, "y")
         for br in profile.branches:
-            pulled = pullback_bundle(profile, value, "y", br.label)
             assert line_local_data(pulled, br.label, br.r) == \
                 expected_branch_value_data(profile, br, value, "y")
 
