@@ -281,24 +281,18 @@ def pushforward_parabolic(profile, branches):
     members of chain[:r] is restricted once (restrict_scalars), and member
     r*l + k is read off res(E^k) by twist_restricted: T^l on restricted
     coordinates spans res(t^l * E^k) because T is K_Y-linear, and keeps the
-    canonical shape because the row bounds move with the rows.  A refined
-    member equal to its predecessor reuses its restriction.
+    canonical shape because the row bounds move with the rows.  A run of
+    equal members or of equal direct sums is built once (map_runs).
     """
     _check_branches(profile, branches)
-    s = profile.target_order
     restricted = []
     for br, pt in zip(profile.branches, branches):
         e, r, u = br.e, br.r, br.unit
         res = map_runs(lambda lat: restrict_scalars(lat, e, u), pt.chain[:r])
-        members = []
-        for m in range(s):
-            l, k = divmod(m, r)
-            members.append(members[-1] if k and res[k] is res[k - 1]
-                           else twist_restricted(res[k], e, u, l))
-        restricted.append(members)
-    chain = [direct_sum(parts) for parts in zip(*restricted)]
-    chain.append(chain[0].scale(1))
-    return ParabolicPoint(profile.target_order, chain)
+        restricted.append(map_runs(lambda p: twist_restricted(p[0], e, u, p[1]),
+                                   [(res[k], l) for l in range(e) for k in range(r)]))
+    chain = map_runs(direct_sum, list(zip(*restricted)))
+    return ParabolicPoint(profile.target_order, chain + [chain[0].scale(1)])
 
 
 def pushforward_graded(profile, branches):
@@ -308,26 +302,21 @@ def pushforward_graded(profile, branches):
     grade m reads t^{-l} * M_k off res(M_k) by
     twist_restricted(res(M_k), e, u, -l): T^{-l} on restricted coordinates
     spans res(t^{-l} * M_k) because T is K_Y-linear, and keeps the
-    canonical shape because the row bounds move with the rows.  A grade
-    whose piece repeats its predecessor's restriction reuses its twist.
+    canonical shape because the row bounds move with the rows.  A run of
+    equal twists or of equal direct sums is built once (map_runs).
     The rule is the parabolic route's, but each route restricts only its
     own lattices and neither reads the other's restrictions, so that a
     fault in one, or one that depends on the twist, shows up as a
     disagreement between the routes.
     """
     _check_branches(profile, branches)
-    s = profile.target_order
     restricted = []
     for br, mod in zip(profile.branches, branches):
         e, r, u = br.e, br.r, br.unit
         res = map_runs(lambda lat: restrict_scalars(lat, e, u), mod.pieces)
-        pieces = []
-        for m in range(s):
-            l, k = divmod(m, r)
-            pieces.append(pieces[-1] if k and res[k] is res[k - 1]
-                          else twist_restricted(res[k], e, u, -l))
-        restricted.append(pieces)
-    return GradedModule(s, [direct_sum(parts) for parts in zip(*restricted)])
+        restricted.append(map_runs(lambda p: twist_restricted(p[0], e, u, -p[1]),
+                                   [(res[k], l) for l in range(e) for k in range(r)]))
+    return GradedModule(profile.target_order, map_runs(direct_sum, list(zip(*restricted))))
 
 
 def pushforward_matrix(profile, branch_mats):
@@ -388,6 +377,8 @@ def pullback_graded(profile, module, label):
     the grades outside [0, s) repeating these terms.  Within a run of equal
     pieces M_m = M_{m0} the exponent ceil((m-k)/r) does not decrease with m,
     so the run's first grade m0 gives the largest term and alone is kept.
+    The exponents of the first grades do not increase with k, so equal keys
+    are neighbours and each distinct piece is built once (map_runs).
     For e = 1 (r = s) the exponent is 0 for m <= k and 1 for m > k: the
     first terms sum to bc(M_k) because the chain ascends, and each later
     term t_x * bc(M_m) lies in t_x * bc(t_y^{-1} M_0) = bc(M_0), so
@@ -401,17 +392,15 @@ def pullback_graded(profile, module, label):
     r, pieces = br.r, module.pieces
     firsts = [m for m in range(module.order) if m == 0 or pieces[m] != pieces[m - 1]]
     bc = {m: substitute_matrix(pieces[m].cols, br.e, br.unit) for m in firsts}
-    members = {}  # exponents of the runs' first grades -> canonical piece
-    out = []
-    for k in range(r):
-        key = tuple(-((k - m) // r) for m in firsts)
-        if key not in members:
-            # of the grades sharing an exponent, the largest holds the others
-            gens = [[x.shift(d) for x in col]
-                    for d, m in dict(zip(key, firsts)).items() for col in bc[m]]
-            members[key] = Lattice.from_columns(module.field, module.n, gens)
-        out.append(members[key])
-    return GradedModule(r, out)
+
+    def piece(key):
+        # of the grades sharing an exponent, the largest holds the others
+        return Lattice.from_columns(module.field, module.n, [
+            [x.shift(d) for x in col] for d, m in dict(zip(key, firsts)).items()
+            for col in bc[m]])
+
+    return GradedModule(r, map_runs(piece, [tuple(-((k - m) // r) for m in firsts)
+                                            for k in range(r)]))
 
 
 def pullback_matrix(profile, rows, label):

@@ -24,12 +24,13 @@ import random
 import time
 from dataclasses import dataclass, field as dc_field
 
+from . import pairing as _pairing
 from . import scenario as sio
 from .fields import QQ, field_from_name
 from .functors import (make_profile, pullback_graded, pullback_matrix,
                        pullback_parabolic, pullback_parabolic_line,
                        pushforward_graded, pushforward_matrix,
-                       pushforward_parabolic)
+                       pushforward_parabolic, restrict_matrix)
 from .linalg import add_column_multiple, block_diag, identity_matrix, mat_mul, transpose
 from .localring import LocalElement
 from .pairing import (ANTISYMMETRIC, SYMMETRIC, ParabolicPairing, check_pairing,
@@ -366,10 +367,15 @@ def _check_pullback(instance, mutation):
         return False, "twist law violated"
 
     # naturality: substituted morphisms stay morphisms
-    dst = instance["target"]
-    if not is_point_morphism(pullback_matrix(profile, instance["morphism"], br.label),
-                             pulled, pullback_parabolic(profile, dst, br.label)):
+    dst, rows = instance["target"], instance["morphism"]
+    pulled_rows = pullback_matrix(profile, rows, br.label)
+    if not is_point_morphism(pulled_rows, pulled, pullback_parabolic(profile, dst, br.label)):
         return False, "pullback not natural"
+    # restriction undoes base change: res(bc(A)) = A (x) I_e
+    if restrict_matrix(pulled_rows, br.e, br.unit) != [
+            [x if rho == sigma else _Z for x in row for sigma in range(br.e)]
+            for row in rows for rho in range(br.e)]:
+        return False, "restriction does not undo base change"
     return True, "weights=%r" % (_weights_key(pulled),)
 
 
@@ -552,7 +558,10 @@ def _check_corollaries(instance, mutation):
             (pt, form, expected_branch_value_data(profile, br, value, "y"))
             for br, pt, form in zip(profile.branches, points, instance["forms"])])
         stack = pushforward_graded(profile, [from_parabolic(pt) for pt in points])
-    if pairing.kind != kind:
+    # the drawn kind must hold on the transported form; check_pairing tests
+    # an agreeing label.  Over GF(2) an alternating form is symmetric too, so
+    # a label that differs may still be right
+    if pairing.kind != kind and not _pairing._symmetry_holds(kind, pairing.form):
         return False, "kind not preserved"
     if not check_pairing(pairing, transported):
         return False, "%s pairing imperfect" % done

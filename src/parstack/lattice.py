@@ -158,7 +158,9 @@ class Lattice:
     def __eq__(self, other):
         if not isinstance(other, Lattice):
             return NotImplemented
-        return self.n == other.n and self.field == other.field and self.cols == other.cols
+        # distinct nested lattices differ in colength, so diag decides first
+        return (self.n == other.n and self.field == other.field
+                and self.diag == other.diag and self.cols == other.cols)
 
     def __hash__(self):
         return hash((self.n, self.cols))

@@ -46,7 +46,9 @@ u * t^{e-1}.  The pushed form is restrict_matrix of F/u with the rows of
 each e-block reversed (``residue_push_form``), so the direct image of a
 pairing shares its component kernel with the direct image of a map.
 
-In characteristic 2 a symplectic form must be alternating (zero diagonal).
+In characteristic 2 a symplectic form must be alternating (zero diagonal),
+so the ANTISYMMETRIC kind requires a zero diagonal; elsewhere F^T = -F
+implies it.
 The residue push of an alternating form is alternating: its diagonal
 entries are components of t^{2 rho} * F_ii (``residue_push_form``).
 Orthogonal structures in characteristic 2 need quadratic forms; they are
@@ -112,7 +114,8 @@ def _symmetry_holds(kind, form):
     ft = transpose(form)
     if kind == SYMMETRIC:
         return ft == form
-    return ft == [[-e for e in row] for row in form]
+    return ft == [[-e for e in row] for row in form] and \
+        all(row[i].is_zero() for i, row in enumerate(form))
 
 
 def check_pairing(pairing, bundle):
@@ -207,9 +210,11 @@ def pullback_bundle(profile, bundle, target_label):
 
 
 def pullback_pairing(profile, pairing, bundle, target_label):
-    """Pullback of a pairing: single-branch profile, substituted form."""
-    if target_label not in bundle.points:
-        raise ProfileMismatch("bundle is not marked at %r" % target_label)
+    """Pullback of a pairing: single-branch profile, substituted form.  The
+    bundle must be marked at the target only, because the one form cannot
+    serve the copies label@i that pullback_bundle makes of other points."""
+    if list(bundle.points) != [target_label]:
+        raise ProfileMismatch("bundle must be marked at %r only" % target_label)
     if len(profile.branches) != 1:
         raise ProfileMismatch("pairing pullback works on a single-branch chart")
     br = profile.branches[0]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidChain, ShapeMismatch
-from .lattice import Lattice, maps_into
+from .lattice import Lattice, map_runs, maps_into
 from .linalg import transpose
 
 
@@ -67,8 +67,8 @@ class ParabolicPoint:
         """The point of an adapted basis, the inverse of split_into_lines:
         member E^j is spanned by the columns
         t^{twists[b] + [j > jumps[b]]} * matrix[:, b], canonicalized once per
-        jump pattern.  A chain of order r has at most n+1 distinct members,
-        and the all-jumped pattern is t * E^0."""
+        jump pattern.  The patterns grow with j, so equal ones are neighbours
+        (map_runs); the all-jumped pattern is t * E^0."""
         n = len(jumps)
 
         def span(pattern):
@@ -76,14 +76,9 @@ class ParabolicPoint:
                 [row[b].shift(twists[b] + pattern[b]) for row in matrix] for b in range(n)])
 
         top = span((False,) * n)
-        members = {(False,) * n: top, (True,) * n: top.scale(1)}
-        chain = []
-        for j in range(order + 1):
-            pattern = tuple(j > jb for jb in jumps)
-            if pattern not in members:
-                members[pattern] = span(pattern)
-            chain.append(members[pattern])
-        return cls(order, chain)
+        return cls(order, map_runs(
+            lambda p: top.scale(1) if all(p) else span(p) if any(p) else top,
+            [tuple(j > jb for jb in jumps) for j in range(order + 1)]))
 
     def lattice(self, m):
         """E^m for any m >= 0; past the chain, E^{r*l + k} = t^l * E^k."""

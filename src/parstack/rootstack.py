@@ -12,7 +12,8 @@ Nothing here splits a module into lines: the graded functors work on the
 pieces themselves, and the graded pullback is base change (functors).
 
 The index maps build their result without testing it again, since they
-map a valid object to a valid one.  Scaling by t preserves inclusion, so
+map a valid object to a valid one, and scale each run of equal members
+once (lattice.map_runs).  Scaling by t preserves inclusion, so
 for 0 < j < s, E^j >= E^{j+1} holds exactly when M_{s-j} >= M_{s-j-1};
 E^0 >= E^1 holds exactly when M_0 >= t * M_{s-1}, the wraparound; and
 E^s = t * E^0 holds by construction.  Read backwards, the same
@@ -24,7 +25,7 @@ decoded objects) is checked.
 from __future__ import annotations
 
 from .errors import InvalidGrading
-from .lattice import maps_into
+from .lattice import map_runs, maps_into
 from .parabolic import ParabolicPoint
 
 
@@ -74,22 +75,17 @@ class GradedModule:
 
 
 def to_parabolic(module):
-    """Index map M -> E: E^0 = M_0 and E^j = t * M_{s-j}."""
-    s = module.order
-    chain = [module.pieces[0]]
-    for j in range(1, s):
-        chain.append(module.pieces[s - j].scale(1))
-    chain.append(module.pieces[0].scale(1))
-    return ParabolicPoint._unchecked(s, chain)
+    """Index map M -> E: E^0 = M_0 and E^j = t * M_{s-j}; E^s = t * M_0."""
+    pieces = module.pieces
+    chain = map_runs(lambda lat: lat.scale(1), pieces[:0:-1] + pieces[:1])
+    return ParabolicPoint._unchecked(module.order, [pieces[0], *chain])
 
 
 def from_parabolic(point):
     """Inverse index map E -> M: M_0 = E^0 and M_k = t^{-1} E^{s-k}."""
-    r = point.order
-    pieces = [point.chain[0]]
-    for k in range(1, r):
-        pieces.append(point.chain[r - k].scale(-1))
-    return GradedModule._unchecked(r, pieces)
+    chain = point.chain
+    pieces = map_runs(lambda lat: lat.scale(-1), chain[point.order - 1:0:-1])
+    return GradedModule._unchecked(point.order, [chain[0], *pieces])
 
 
 def is_graded_morphism(rows, src, dst):

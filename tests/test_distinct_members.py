@@ -285,6 +285,26 @@ def test_generator_canonicalizes_once_per_distinct_member(field, monkeypatch):
             assert len(set(pt.chain)) <= n + 1
 
 
+@FIELDS
+def test_index_maps_scale_once_per_run_of_equal_members(field, monkeypatch):
+    rng = random.Random(139)
+    cases = [gen_parabolic_point(rng, rng.randint(1, 3), rng.randint(1, 12), field)
+             for _ in range(12)]
+    calls = _count(monkeypatch, Lattice, "scale")
+    repeated = 0
+    for pt in cases:
+        del calls[:]
+        mod = from_parabolic(pt)
+        # M_k = t^{-1} E^{r-k} for 0 < k < r; equal members are neighbours
+        assert len(calls) == len(set(pt.chain[1:pt.order]))
+        del calls[:]
+        assert to_parabolic(mod) == pt
+        # E^j = t * M_{s-j} for 0 < j <= s, with M_s = M_0
+        assert len(calls) == len(set(mod.pieces))
+        repeated += len(set(mod.pieces)) < mod.order
+    assert repeated
+
+
 def _one_restriction_per_distinct_member(calls, profile, members):
     """Exactly one restrict_scalars call per distinct branch member over
     each branch with (e, u) != (1, 1), at most one over the others."""

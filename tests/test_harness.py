@@ -8,7 +8,7 @@ import pytest
 from parstack import (ANTISYMMETRIC, QQ, SYMMETRIC, Lattice,
                       ParabolicBundle, ParabolicPairing, ParabolicPoint,
                       TrialConfig, check_pairing, gen_parabolic_point)
-from parstack import pairing
+from parstack import functors, pairing
 from parstack.harness import (SUITES, _find_line_pair, _flip_off_diagonal,
                               _line_pair_exponent, _value_line_bundle,
                               gen_point_morphism,
@@ -85,6 +85,28 @@ def test_suites_pass_over_prime_field():
     cfg = TrialConfig(seed=6, trials=6, max_order=6, field_name="prime:101")
     for suite in SUITES.values():
         assert suite(cfg).passed
+
+
+@pytest.mark.parametrize("field_name", ["prime:2", "prime:3", "prime:5"])
+def test_suites_pass_over_small_prime_fields(field_name):
+    """In characteristic 2 a symmetric hyperbolic form with a zero diagonal
+    is alternating too, so the corollaries check tests the drawn kind on
+    the transported form when the kind labels differ."""
+    cfg = TrialConfig(seed=0, trials=8, field_name=field_name)
+    for suite in SUITES.values():
+        assert suite(cfg).passed, suite.name
+
+
+@pytest.mark.parametrize("field_name", ["rational", "prime:101"])
+def test_pull_suite_catches_base_change_along_the_inverse_unit(field_name, monkeypatch):
+    """Base change along w = t^e / u (substitute_element twisting by 1/u) is
+    a consistent pullback, so both routes and the laws agree on it; only
+    restricting the pulled morphism back, which must give A (x) I_e, tells."""
+    monkeypatch.setattr(functors, "substitute_element",
+                        lambda x, e, u: x.twist(u, -1).spread(e))
+    rep = verify_pullback(TrialConfig(seed=0, trials=20, field_name=field_name))
+    assert not rep.passed
+    assert {f["note"] for f in rep.failures} == {"restriction does not undo base change"}
 
 
 def test_coverage_floor():

@@ -304,6 +304,35 @@ def test_pullback_pairing_refuses_a_bundle_unmarked_at_the_target():
 
 
 @pytest.mark.parametrize("field", [QQ, GF101], ids=["Q", "GF101"])
+def test_pullback_pairing_refuses_a_bundle_with_another_marked_point(field):
+    """A pairing has one form for all its points.  The pulled form is
+    substituted at the branch only, so it cannot serve the copies z@i of a
+    second point, which keep their lattices; such a bundle is refused."""
+    rng = random.Random(field.p + 59)
+    profile = make_profile(4, [("x", 2, 2, field.of(3))])
+    made = None
+    while made is None:
+        made = gen_pairing_point(rng, field, 4, 0, 0, SYMMETRIC, 2, "y")
+    pt, form, value = made
+    pairing = ParabolicPairing(SYMMETRIC, form, value)
+    pulled = pullback_pairing(profile, pairing, ParabolicBundle(pt.n, 0, {"y": pt}), "y")
+    assert check_pairing(*pulled)
+    with pytest.raises(ProfileMismatch, match="'y' only"):
+        pullback_pairing(profile, pairing, ParabolicBundle(pt.n, 0, {"y": pt, "z": pt}), "y")
+
+
+def test_antisymmetric_means_alternating_in_characteristic_2():
+    """Over GF(2), -x = x, so F^T = -F holds for every symmetric form; the
+    antisymmetric kind also requires a zero diagonal."""
+    one = LocalElement.const(PrimeField(2), 1)
+    assert _symmetry_holds(SYMMETRIC, [[one]])
+    assert not _symmetry_holds(ANTISYMMETRIC, [[one]])
+    hyperbolic = [[_Z, one], [one, _Z]]
+    assert _symmetry_holds(SYMMETRIC, hyperbolic)
+    assert _symmetry_holds(ANTISYMMETRIC, hyperbolic)
+
+
+@pytest.mark.parametrize("field", [QQ, GF101], ids=["Q", "GF101"])
 def test_pullback_bundle_multiplies_the_parabolic_degree(field):
     """Along a cover of degree deg f = sum of the e_b, with up to three
     branches, the pulled bundle has deg f times the parabolic degree; the
