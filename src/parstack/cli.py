@@ -146,9 +146,6 @@ def cmd_pull(args):
         if target not in source.points:
             raise ValidationError("bundle is not marked at target %r" % target)
         source = source.points[target]
-    deg_f = raw.get("deg_f", sum(br.e for br in profile.branches))
-    if type(deg_f) is not int or deg_f < 1:
-        raise ParseError("deg_f must be a positive integer, not %r" % (deg_f,))
     graded = isinstance(source, GradedModule)
     pullback = pullback_graded if graded else pullback_parabolic
     results, tables = [], []
@@ -160,7 +157,8 @@ def cmd_pull(args):
     _write_out(dict(raw, objects=results), args.out)
     for tbl in tables:
         print(tbl, file=sys.stderr)
-    if "deg_f" in raw or any("underlying_degree" in o for o in raw.get("objects", [])):
+    if any("underlying_degree" in o for o in raw.get("objects", [])):
+        deg_f = sum(br.e for br in profile.branches)
         print("pulled parabolic degree: %s  (= deg f %s x source degree data)"
               % (deg_f * parabolic_degree(_as_bundle(*sources[0])[1]), deg_f),
               file=sys.stderr)

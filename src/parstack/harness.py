@@ -147,7 +147,9 @@ def gen_profile(rng, s, max_branches, field=QQ, rank_bound=None, max_rank=3):
 
 
 def gen_point_morphism(rng, src, dst):
-    """Random filtration-preserving matrix dst.n x src.n, via line coordinates."""
+    """Random filtration-preserving matrix dst.n x src.n, via line coordinates:
+    W * M * V^{-1} for the lifts V of src and W of dst, with M drawn by the
+    criterion of ``is_point_morphism``, val(M_ik) >= [js_k > jd_i]."""
     src_jumps, src_mat = split_into_lines(src)
     dst_jumps, dst_mat = split_into_lines(dst)
     field = src.field

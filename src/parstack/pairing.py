@@ -12,30 +12,24 @@ For the trivial value line this couples the level-a subspace perfectly
 against level r-a, which is exactly what the residue functional
 (coefficient of t^{e-1}, scaled by 1/u) produces under direct image.
 
-`check_pairing` tests each equality without building either side.  Write
-v = 1+g, b = r+c-a, B_a and B_b for the canonical bases of E^a and E^b,
-G_a = B_a^T * F * B_b for the Gram matrix, and delta for the determinant
-valuation.  The columns of F^T * B_a span the left side, and those of
-t^v * B_b^{-T} span the right side; they are related by
+`check_pairing` tests each equality in the line coordinates of
+``split_into_lines``, without building either side.  Write v = 1+g,
+b = r+c-a, V for the lifts v_i and j_i for the jumps.  E^m has the basis
+V * D_m, D_m = diag(t^{nu(m)}) with nu_i(q*r + k) = q + [k > j_i] for
+0 <= k < r.  With H = V^T * F * V, once per point, the Gram matrix of
+level a is G_a = D_a * H * D_b, and
 
-    F^T * B_a  =  t^v * B_b^{-T} * (t^{-v} * G_a^T),
+    F^T * V * D_a  =  t^v * (V * D_b)^{-T} * (t^{-v} * G_a^T)
 
-so level a holds iff t^{-v} * G_a lies in GL_n(R): every entry of G_a
-has valuation >= v and the t^v-coefficients of G_a form an invertible
-matrix over k.  That matrix has constant entries, so its rank over k is
-its rank over K: it is invertible iff its columns canonicalize to a
-lattice, and a rank deficiency raises SingularBasis.  A singular F fails
-this test.  The full test runs at level 0 only; it fixes
-delta(F) = n*v - delta(E^0) - delta(E^{r+c}).
-For a >= 1 the Gram valuations still give the containment
-F^T * E^a <= t^v * (E^b)^*, and both sides have equal delta iff
-
-    delta(E^a) + delta(E^b)  =  delta(E^0) + delta(E^{r+c}),
-
-which is an integer comparison; a full-rank lattice inside another of
-the same delta equals it.  `hom_chain` builds the right-hand side
-explicitly; it remains the definition and the reference the check is
-tested against.
+relates bases of the two sides, so level a holds iff t^{-v} * G_a lies
+in GL_n(R).  Level 0 is tested in full: every entry of H * D_{r+c} has
+valuation >= v, and the constant matrix of t^v-coefficients, whose rank
+over k is its rank over K, canonicalizes without SingularBasis; a
+singular F fails.  That fixes val det H = n*v - sum(nu(r+c)), so a level
+a >= 1 holds iff sum(nu(a)) + sum(nu(b)) = sum(nu(r+c)) and
+val(H_ik) + nu_i(a) + nu_k(b) >= v for every nonzero H_ik: integer
+arithmetic.  `hom_chain` builds the right-hand side explicitly; it
+remains the definition and the reference the check is tested against.
 
 Transport reads the functors.  `pullback_bundle` pulls back every
 bundle, the pairing's own and its value line, along the whole cover: the
@@ -63,10 +57,10 @@ from .errors import (NotAPairing, ProfileMismatch, ShapeMismatch, SingularBasis,
                      ValueLineMismatch)
 from .functors import (pullback_matrix, pullback_parabolic, pushforward_parabolic,
                        restrict_matrix)
-from .lattice import Lattice, image_columns
-from .linalg import block_diag, mat_vec, transpose
+from .lattice import Lattice
+from .linalg import block_diag, mat_mul, transpose
 from .localring import LocalElement
-from .parabolic import ParabolicBundle, ParabolicPoint, parabolic_degree
+from .parabolic import ParabolicBundle, ParabolicPoint, parabolic_degree, split_into_lines
 
 SYMMETRIC = "symmetric"
 ANTISYMMETRIC = "antisymmetric"
@@ -111,33 +105,20 @@ class ParabolicPairing:
 
 
 def _symmetry_holds(kind, form):
-    ft = transpose(form)
+    """F^T = +-F entry by entry; a form that is not square holds neither."""
+    n = len(form)
+    if any(len(row) != n for row in form):
+        return False
     if kind == SYMMETRIC:
-        return ft == form
-    return ft == [[-e for e in row] for row in form] and \
-        all(row[i].is_zero() for i, row in enumerate(form))
+        return all(form[j][i] == form[i][j] for i in range(n) for j in range(i + 1, n))
+    return all(form[i][i].is_zero() for i in range(n)) and \
+        all(form[j][i] == -form[i][j] for i in range(n) for j in range(i + 1, n))
 
 
 def check_pairing(pairing, bundle):
-    """Kind, K-nondegeneracy and levelwise perfection at every point.
-
-    With v = 1+g and b = r+c-a, level a holds iff t^{-v} times the Gram
-    matrix B_a^T * F * B_b is invertible over R (module docstring).  Level
-    0 is tested that way: all entries of valuation >= v, and the constant
-    matrix of their t^v-coefficients canonicalizes without SingularBasis.
-    That pins delta(F), so each level a >= 1 only needs the index equality
-    delta(E^a) + delta(E^b) = delta(E^0) + delta(E^{r+c}) and the entry
-    valuations >= v.  A level
-    whose pair (E^a, E^b) repeats the previous level's pair is skipped.
-
-    Levels mirror each other: level b = r+c-a tests the pair (E^b, E^a),
-    and G_b = B_b^T * F * B_a = (B_a^T * F^T * B_b)^T = +-G_a^T, because
-    F^T = +-F once the kind test has passed.  Transposing and negating
-    keep the valuations, and the index sum is symmetric in a and b, so the
-    two levels run the same test.  For a > c the mirror b = r+c-a lies in
-    [1, r), so the loop stops at the first a with a > c and 2a > r+c: each
-    later level mirrors one below it, which was already tested.
-    """
+    """Kind, K-nondegeneracy and levelwise perfection at every point, each
+    level read off the one Gram matrix H = V^T * F * V of the point in line
+    coordinates (module docstring)."""
     n = bundle.rank
     form = pairing.form
     if len(form) != n or (form and len(form[0]) != n):
@@ -150,38 +131,30 @@ def check_pairing(pairing, bundle):
         r = pt.order
         g, c = line_local_data(pairing.value_line, label, r)
         v = 1 + g
-        top = pt.lattice(r + c)
-        gram = _gram(pt.chain[0], form, top)
-        if not _valuations_at_least(gram, v):
-            return False
+        jumps, lifts = split_into_lines(pt)
+        gram = mat_mul(transpose(lifts), mat_mul(form, lifts))
+        support = [(i, k, x.ord) for i, row in enumerate(gram)
+                   for k, x in enumerate(row) if x.coeffs]
+        top = _line_exponents(jumps, r, r + c)
+        index = sum(top)
+        for a in range(r):
+            src, tgt = _line_exponents(jumps, r, a), _line_exponents(jumps, r, r + c - a)
+            if sum(src) + sum(tgt) != index or \
+                    not all(o + src[i] + tgt[k] >= v for i, k, o in support):
+                return False
         try:
-            Lattice.from_columns(pt.field, n, [[x.shift(-v).truncate(1) for x in col]
-                                               for col in gram])
+            Lattice.from_columns(pt.field, n, [
+                [row[k].shift(top[k] - v).truncate(1) for row in gram] for k in range(n)])
         except SingularBasis:
             return False
-        index = pt.chain[0].det_valuation() + top.det_valuation()
-        prev = (pt.chain[0], top)
-        for a in range(1, r):
-            if a > c and 2 * a > r + c:
-                break  # from here on, level r+c-a < a mirrors level a
-            pair = (pt.chain[a], pt.lattice(r + c - a))
-            if pair == prev:
-                continue  # the same test as the previous level
-            prev = src, tgt = pair
-            if src.det_valuation() + tgt.det_valuation() != index:
-                return False
-            if not _valuations_at_least(_gram(src, form, tgt), v):
-                return False
     return True
 
 
-def _gram(src, form, tgt):
-    """Columns of the Gram matrix B_src^T * form * B_tgt."""
-    return [mat_vec(src.cols, w) for w in image_columns(form, tgt)]
-
-
-def _valuations_at_least(gram, v):
-    return all(x.is_zero() or x.ord >= v for col in gram for x in col)
+def _line_exponents(jumps, r, m):
+    """nu(m): E^m is spanned by t^{nu_i(m)} times the lifts of the lines
+    with these jumps, where nu_i(q*r + k) = q + [k > jumps[i]]."""
+    q, k = divmod(m, r)
+    return [q + (k > j) for j in jumps]
 
 
 # -- transport -------------------------------------------------------------

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidChain, ShapeMismatch
-from .lattice import Lattice, map_runs, maps_into
-from .linalg import transpose
+from .lattice import Lattice, back_substitute, map_runs
+from .linalg import mat_vec, transpose
 
 
 class ParabolicPoint:
@@ -143,10 +143,27 @@ def parabolic_degree(bundle):
 
 
 def is_point_morphism(rows, src, dst):
-    """True iff rows * src.chain[j] <= dst.chain[j] for every stage j."""
+    """True iff rows * src.chain[j] <= dst.chain[j] for every stage j, in
+    line coordinates.  With the splittings (js, V) of src and (jd, W) of
+    dst, stage j holds iff M = W^{-1} * rows * V has val(M_ik) >=
+    [j > jd_i] - [j > js_k].  Over j < r that bound is 1 only if
+    jd_i < j <= js_k, which j = js_k attains when js_k > jd_i.  So rows is
+    a morphism iff val(M_ik) >= [js_k > jd_i], the rule that
+    harness.gen_point_morphism draws by.  W is upper triangular with the
+    pivots of dst's E^0, so each column of M is one back-substitution."""
     if src.order != dst.order:
         raise ShapeMismatch("orders %d vs %d" % (src.order, dst.order))
-    return maps_into(rows, src.chain[:src.order], dst.chain[:dst.order])
+    if len(rows) != dst.n or (rows and len(rows[0]) != src.n):
+        raise ShapeMismatch("matrix is %dx%d, expected %dx%d"
+                            % (len(rows), len(rows[0]) if rows else 0, dst.n, src.n))
+    src_jumps, src_lifts = split_into_lines(src)
+    dst_jumps, dst_lifts = split_into_lines(dst)
+    dst_cols, diag = transpose(dst_lifts), dst.chain[0].diag
+    for js, v in zip(src_jumps, transpose(src_lifts)):
+        m = back_substitute(dst_cols, diag, mat_vec(rows, v))
+        if not all(x.ord >= (js > jd) for x, jd in zip(m, dst_jumps) if x.coeffs):
+            return False
+    return True
 
 
 def split_into_lines(point):

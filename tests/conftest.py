@@ -6,6 +6,8 @@ canonicalization: membership and determinant valuations are recomputed
 with sympy rational-function arithmetic in a formal variable t.
 """
 
+import ast
+import os
 import random
 from fractions import Fraction
 from math import lcm
@@ -201,3 +203,29 @@ def random_columns(rng, n, field=QQ, extra=0):
         except SingularBasis:
             continue
         return cols
+
+
+PACKAGE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src", "parstack")
+
+
+def callers_of(name):
+    """(module file, enclosing function, line) of every call of ``name``,
+    by bare name or attribute, in the package source."""
+    found = set()
+
+    def visit(module, node, fn):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef,
+                                                     ast.AsyncFunctionDef)) else fn
+            if isinstance(child, ast.Call):
+                func = child.func
+                if (getattr(func, "id", None) or getattr(func, "attr", None)) == name:
+                    found.add((module, fn, child.lineno))
+            visit(module, child, inner)
+
+    for module in sorted(os.listdir(PACKAGE)):
+        if module.endswith(".py"):
+            with open(os.path.join(PACKAGE, module)) as fh:
+                visit(module, ast.parse(fh.read(), module), None)
+    return found

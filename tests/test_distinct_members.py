@@ -17,7 +17,7 @@ from parstack import (ANTISYMMETRIC, QQ, SYMMETRIC, GradedModule, InvalidChain,
                       is_graded_morphism, is_point_morphism, pullback_graded,
                       pullback_parabolic, pushforward_graded,
                       pushforward_parabolic, to_parabolic)
-from parstack import functors
+from parstack import functors, parabolic
 from parstack import scenario as sio
 from parstack.functors import (direct_sum, make_profile, restrict_scalars,
                                substitute_element, substitute_matrix)
@@ -28,7 +28,7 @@ from parstack.harness import (_find_line_pair, gen_pairing_point,
                               gen_profile, gen_unimodular, mix_lines)
 from parstack.parabolic import split_into_lines
 
-from conftest import GF101, graded_line, trivial_module
+from conftest import GF101, graded_line, random_element, trivial_module
 
 FIELDS = pytest.mark.parametrize("field", [QQ, GF101], ids=["rational", "prime101"])
 
@@ -224,20 +224,30 @@ def test_pullback_matches_per_member_reference(field):
 
 @FIELDS
 def test_chain_checks_match_per_member_reference(field):
+    """Generated morphisms, their t^{-1} twists, and random matrices with
+    their t and t^2 twists, between points of equal and of unequal rank."""
     rng = random.Random(109)
-    for _ in range(12):
+    verdicts = set()
+    for k in range(24):
         n, r = rng.randint(1, 3), rng.randint(1, 8)
-        src, dst = gen_parabolic_point(rng, n, r, field), gen_parabolic_point(rng, n, r, field)
+        n_dst = n if k % 2 else rng.choice([m for m in (1, 2, 3) if m != n])
+        src = gen_parabolic_point(rng, n, r, field)
+        dst = gen_parabolic_point(rng, n_dst, r, field)
         assert [(w.numerator * r // w.denominator, m) for w, m in src.weights()] == \
             ref_weights(src)
         good = gen_point_morphism(rng, src, dst)
+        rand = [[random_element(rng, field) for _ in range(n)] for _ in range(n_dst)]
         # t^{-1} * good is a morphism only for some chains; the reference decides
-        for rows in (good, [[x.shift(-1) for x in row] for row in good]):
-            gsrc, gdst = from_parabolic(src), from_parabolic(dst)
-            assert is_point_morphism(rows, src, dst) == \
-                ref_is_morphism(rows, src.chain[:r], dst.chain[:r])
+        cases = [good, [[x.shift(-1) for x in row] for row in good]] + \
+            [[[x.shift(d) for x in row] for row in rand] for d in (0, 1, 2)]
+        gsrc, gdst = from_parabolic(src), from_parabolic(dst)
+        for rows in cases:
+            verdict = is_point_morphism(rows, src, dst)
+            assert verdict == ref_is_morphism(rows, src.chain[:r], dst.chain[:r])
             assert is_graded_morphism(rows, gsrc, gdst) == \
                 ref_is_morphism(rows, gsrc.pieces, gdst.pieces)
+            verdicts.add((n == n_dst, verdict))
+    assert len(verdicts) == 4
 
 
 def test_unequal_neighbours_are_still_checked():
@@ -283,6 +293,22 @@ def test_generator_canonicalizes_once_per_distinct_member(field, monkeypatch):
             pt = gen_parabolic_point(rng, n, 12, field)
             assert len(calls) == len(set(pt.chain)) - 1  # t * E^0 is a shift
             assert len(set(pt.chain)) <= n + 1
+
+
+@FIELDS
+def test_point_morphism_test_back_substitutes_once_per_source_line(field, monkeypatch):
+    """is_point_morphism solves against the target's lifts once per lift of
+    the source, at every order; it runs no member test."""
+    rng = random.Random(149)
+    subs = _count(monkeypatch, parabolic, "back_substitute")
+    solves = _count(monkeypatch, Lattice, "solve")
+    for r in range(1, 13):
+        src = gen_parabolic_point(rng, rng.randint(1, 3), r, field)
+        dst = gen_parabolic_point(rng, rng.randint(1, 3), r, field)
+        rows = gen_point_morphism(rng, src, dst)
+        del subs[:], solves[:]
+        assert is_point_morphism(rows, src, dst)
+        assert len(subs) == src.n and not solves
 
 
 @FIELDS

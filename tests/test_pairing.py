@@ -126,7 +126,8 @@ def _reference_check(pairing, bundle):
     return True
 
 
-@pytest.mark.parametrize("field", [QQ, GF101], ids=["rational", "prime101"])
+@pytest.mark.parametrize("field", [QQ, GF101, PrimeField(2), PrimeField(3)],
+                         ids=["rational", "prime101", "prime2", "prime3"])
 def test_check_pairing_matches_reference_definition(field):
     rng = random.Random(211)
     verdicts, data = [], set()
@@ -168,17 +169,18 @@ def test_check_pairing_matches_reference_definition(field):
 
 @pytest.mark.parametrize("field", [QQ, GF101], ids=["rational", "prime101"])
 def test_check_pairing_tests_each_mirrored_level_once(field, monkeypatch):
-    """Level r+c-a mirrors level a (G_{r+c-a} = +-G_a^T), so on a pushed
-    pairing of order r >= 8 the Gram matrices are those of level 0 and of
-    each new level pair a with a <= c or 2a <= r+c; the verdicts still
-    match the reference definition.  The branch points are diagonal with
-    line 2k paired to line 2k+1; jumps j and order-1-j make the pair
-    perfect, and the last case is not."""
-    grams = []
-    gram = pairing._gram
-    monkeypatch.setattr(pairing, "_gram", lambda *args: grams.append(args) or gram(*args))
+    """Every level, the mirrored ones r+c-a included, is read off one Gram
+    matrix H = V^T * F * V per marked point, whatever the order: on pushed
+    pairings of order 8 to 10 check_pairing splits the point once, and the
+    verdicts match the reference definition.  The branch points are
+    diagonal with line 2k paired to line 2k+1; jumps j and order-1-j make
+    the pair perfect, and the last case is not."""
+    splits = []
+    split = pairing.split_into_lines
+    monkeypatch.setattr(pairing, "split_into_lines",
+                        lambda pt: splits.append(pt) or split(pt))
     rng = random.Random(223)
-    verdicts, saved = [], 0
+    verdicts = []
     for order, e, jumps in ((1, 8, [0, 0]), (2, 4, [0, 1]), (2, 5, [1, 0, 0, 1]),
                             (3, 3, [0, 2, 1, 1]), (3, 3, [0, 1])):
         n = len(jumps)
@@ -193,20 +195,14 @@ def test_check_pairing_tests_each_mirrored_level_once(field, monkeypatch):
         profile = make_profile(s, [("x0", e, order, field.random_nonzero(rng))])
         value = ParabolicBundle(1, 0, {"y": ParabolicPoint.line(field, s, 0)})
         pushed, bundle = pushforward_pairing(profile, value, "y", [(pt, form, (0, 0))])
-        top = bundle.points["y"]
-        pairs = [(top.chain[a], top.lattice(s - a)) for a in range(s)]
-        new = [a for a in range(1, s) if pairs[a] != pairs[a - 1]]
-        mirrored = [a for a in new if 2 * a <= s]
-        saved += len(new) - len(mirrored)
         for f in (pushed.form, [[x.shift(1) for x in row] for row in pushed.form]):
             candidate = ParabolicPairing(kind, f, value)
-            del grams[:]
+            del splits[:]
             verdict = check_pairing(candidate, bundle)
             assert verdict == _reference_check(candidate, bundle)
             verdicts.append(verdict)
-            if verdict:
-                assert len(grams) == 1 + len(mirrored)
-    assert verdicts == [True, False] * 4 + [False, False] and saved > 0
+            assert splits == [bundle.points["y"]]
+    assert verdicts == [True, False] * 4 + [False, False]
 
 
 # -- pullback --------------------------------------------------------------
@@ -330,6 +326,9 @@ def test_antisymmetric_means_alternating_in_characteristic_2():
     hyperbolic = [[_Z, one], [one, _Z]]
     assert _symmetry_holds(SYMMETRIC, hyperbolic)
     assert _symmetry_holds(ANTISYMMETRIC, hyperbolic)
+    # a form that is not square holds neither kind
+    assert not _symmetry_holds(SYMMETRIC, [[_Z, one]])
+    assert not _symmetry_holds(ANTISYMMETRIC, [[_Z, one]])
 
 
 @pytest.mark.parametrize("field", [QQ, GF101], ids=["Q", "GF101"])

@@ -1,9 +1,12 @@
-"""The graded pullback is computed without the line splitting.
+"""The graded route is computed without the line splitting.
 
 The pull suite compares the parabolic pullback (adapted-basis line
 splitting) with the graded pullback (base change of the root-stack
 module).  That comparison can only catch a fault in the splitting if the
-graded route does not run it; these tests pin that.
+graded route does not run it; these tests pin that.  The splitting is
+called only by the parabolic pullback, the two chain checks in line
+coordinates and the harness, never by the root stack or the graded
+functors.
 """
 
 import random
@@ -18,9 +21,19 @@ from parstack.functors import make_profile
 from parstack.harness import gen_parabolic_point
 from parstack.linalg import transpose
 
-from conftest import GF101
+from conftest import GF101, callers_of
 
 FIELDS = pytest.mark.parametrize("field", [QQ, GF101], ids=["rational", "prime101"])
+
+SPLITTING_CALLERS = {
+    ("functors.py", "pullback_parabolic"), ("parabolic.py", "is_point_morphism"),
+    ("pairing.py", "check_pairing"), ("harness.py", "gen_point_morphism"),
+    ("harness.py", "_draw_pullback"), ("harness.py", "_check_pullback")}
+
+
+def test_only_the_parabolic_side_calls_the_splitting():
+    calls = {(m, fn) for m, fn, _ in callers_of("split_into_lines")}
+    assert calls == SPLITTING_CALLERS
 
 
 def _replace_everywhere(monkeypatch, original, replacement):
