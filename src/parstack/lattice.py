@@ -51,7 +51,7 @@ is row k takes about k^2/2 steps, not n^2/2.
 
 from __future__ import annotations
 
-from .errors import AmbientMismatch, ShapeMismatch, SingularBasis
+from .errors import AmbientMismatch, SingularBasis
 from .linalg import identity_matrix, mat_vec, transpose
 from .localring import LocalElement
 
@@ -62,7 +62,7 @@ class Lattice:
     __slots__ = ("field", "n", "cols", "diag")
 
     def __init__(self, field, n, cols, diag, _trusted=False):
-        """Internal constructor; use from_columns / diagonal."""
+        """Internal constructor; use from_columns or from_canonical."""
         if not _trusted:
             raise TypeError("use Lattice.from_columns")
         self.field = field
@@ -104,15 +104,6 @@ class Lattice:
         if not _canonical_shape(field, cols, diag):
             raise AssertionError("internal: columns not in canonical form")
         return cls(field, len(cols), cols, diag, _trusted=True)
-
-    @classmethod
-    def diagonal(cls, field, exps):
-        n = len(exps)
-        cols = tuple(
-            tuple(LocalElement.t_power(field, exps[j]) if i == j else _Z for i in range(n))
-            for j in range(n)
-        )
-        return cls(field, n, cols, tuple(exps), _trusted=True)
 
     # -- operations --------------------------------------------------------
 
@@ -331,25 +322,6 @@ def image_columns(rows, lattice):
 def apply_matrix(rows, lattice):
     """Lattice spanned by A * (basis columns); requires A injective."""
     return Lattice.from_columns(lattice.field, len(rows), image_columns(rows, lattice))
-
-
-def maps_into(rows, srcs, dsts):
-    """True iff rows * srcs[k] <= dsts[k] for every stage k.
-
-    A stage whose (source, target) pair repeats the previous stage's pair
-    is not tested again.  A matrix that is not dsts.n x srcs.n raises
-    ShapeMismatch.
-    """
-    n_out, n_in = dsts[0].n, srcs[0].n
-    if len(rows) != n_out or (rows and len(rows[0]) != n_in):
-        raise ShapeMismatch("matrix is %dx%d, expected %dx%d"
-                            % (len(rows), len(rows[0]) if rows else 0, n_out, n_in))
-    for k, (src, dst) in enumerate(zip(srcs, dsts)):
-        if k and src == srcs[k - 1] and dst == dsts[k - 1]:
-            continue
-        if not all(dst.member(col) for col in image_columns(rows, src)):
-            return False
-    return True
 
 
 def map_runs(fn, items):

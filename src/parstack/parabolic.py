@@ -18,6 +18,7 @@ from fractions import Fraction
 from .errors import InvalidChain, ShapeMismatch
 from .lattice import Lattice, back_substitute, map_runs
 from .linalg import mat_vec, transpose
+from .localring import LocalElement
 
 
 class ParabolicPoint:
@@ -58,7 +59,7 @@ class ParabolicPoint:
         """Rank-1 chain with weight jump/order, base lattice t^twist * R."""
         if not 0 <= jump < order:
             raise InvalidChain("jump %d outside [0, %d)" % (jump, order))
-        top = Lattice.diagonal(field, [twist])
+        top = Lattice.from_columns(field, 1, [[LocalElement.t_power(field, twist)]])
         bot = top.scale(1)
         return cls(order, [top if j <= jump else bot for j in range(order + 1)])
 

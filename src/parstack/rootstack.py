@@ -24,8 +24,8 @@ decoded objects) is checked.
 
 from __future__ import annotations
 
-from .errors import InvalidGrading
-from .lattice import map_runs, maps_into
+from .errors import InvalidGrading, ShapeMismatch
+from .lattice import image_columns, map_runs
 from .parabolic import ParabolicPoint
 
 
@@ -89,5 +89,21 @@ def from_parabolic(point):
 
 
 def is_graded_morphism(rows, src, dst):
-    """True iff rows * src.pieces[k] <= dst.pieces[k] for every grade k."""
-    return src.order == dst.order and maps_into(rows, src.pieces, dst.pieces)
+    """True iff rows * src.pieces[k] <= dst.pieces[k] for every grade k.
+
+    Modules of different orders are never related.  A grade whose (source,
+    target) pair repeats the previous grade's pair is not tested again.  A
+    matrix that is not dst.n x src.n raises ShapeMismatch.
+    """
+    if src.order != dst.order:
+        return False
+    if len(rows) != dst.n or (rows and len(rows[0]) != src.n):
+        raise ShapeMismatch("matrix is %dx%d, expected %dx%d"
+                            % (len(rows), len(rows[0]) if rows else 0, dst.n, src.n))
+    srcs, dsts = src.pieces, dst.pieces
+    for k in range(src.order):
+        if k and srcs[k] == srcs[k - 1] and dsts[k] == dsts[k - 1]:
+            continue
+        if not all(dsts[k].member(col) for col in image_columns(rows, srcs[k])):
+            return False
+    return True

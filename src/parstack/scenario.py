@@ -362,7 +362,8 @@ def decode_instance(obj, field):
 
 
 def loads(text):
-    """Parse a scenario file into (field, raw dict)."""
+    """Parse a scenario file into (field, raw dict).  A scenario has only
+    the keys version, field, cover and objects; any other is refused."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -372,6 +373,9 @@ def loads(text):
     version = obj.get("version")
     if type(version) is not int or version != FORMAT_VERSION:
         raise ParseError("unsupported scenario version %r" % version)
+    for key in obj:
+        if key not in ("version", "field", "cover", "objects"):
+            raise ParseError("unknown scenario key %r" % key)
     try:
         field = field_from_name(obj.get("field", "rational"))
     except ValueError as exc:

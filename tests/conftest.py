@@ -50,15 +50,21 @@ def lat(cols, field=QQ):
     return Lattice.from_columns(field, n, out)
 
 
+def diagonal_lattice(field, exps):
+    """The lattice spanned by t^exps[j] * e_j, through ``lat``."""
+    return lat([[(a, 1) if i == j else 0 for i in range(len(exps))]
+                for j, a in enumerate(exps)], field)
+
+
 def trivial_point(field, n, order=1):
     """The point with E^0 = R^n and every later member t * R^n (weight 0)."""
-    top = Lattice.diagonal(field, [0] * n)
+    top = diagonal_lattice(field, [0] * n)
     return ParabolicPoint(order, [top] + [top.scale(1)] * order)
 
 
 def trivial_module(field, n, order=1):
     """The graded module with every piece R^n."""
-    return GradedModule(order, [Lattice.diagonal(field, [0] * n)] * order)
+    return GradedModule(order, [diagonal_lattice(field, [0] * n)] * order)
 
 
 def graded_line(field, order, jump, twist=0):
@@ -67,7 +73,7 @@ def graded_line(field, order, jump, twist=0):
     jump = 0 gives the constant chain (weight 0)."""
     if not 0 <= jump < order:
         raise InvalidGrading("jump %d outside [0, %d)" % (jump, order))
-    top = Lattice.diagonal(field, [twist])
+    top = diagonal_lattice(field, [twist])
     if jump == 0:
         return GradedModule(order, [top] * order)
     big = top.scale(-1)

@@ -177,6 +177,15 @@ def test_replay_of_a_malformed_counterexample_exits_2(tmp_path, capsys, change):
     assert err.startswith("input error: ") and "reproduced" not in err
 
 
+@pytest.mark.parametrize("text", [None, "{ not json"], ids=["missing", "not-json"])
+def test_unreadable_counterexample_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "cex.json"
+    if text is not None:
+        path.write_text(text)
+    assert main(["replay", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("input error: cannot read counterexample: ")
+
+
 @pytest.mark.parametrize("version", [True, 1.0, "1"])
 def test_scenario_version_must_be_the_integer_1(tmp_path, capsys, version):
     src = write(tmp_path, "v.json", {"version": version, "objects": []})
@@ -273,12 +282,10 @@ def test_pull_weight_table(tmp_path, capsys):
 
 
 def test_pull_degree_line(tmp_path, capsys):
-    """deg f is the sum of the branches' e, read off the cover; a ``deg_f``
-    key in the file is not read."""
+    """deg f is the sum of the branches' e, read off the cover."""
     cover = {"target": "y", "s": 2,
              "branches": [{"label": "x", "e": 2, "r": 1, "unit": "1"}]}
     doc = line_scenario(weight="1/2", order=2, at="y", degree=1, cover=cover)
-    doc["deg_f"] = 7
     src = write(tmp_path, "deg.json", doc)
     assert main(["pull", src, "--out", str(tmp_path / "o.json")]) == 0
     err = capsys.readouterr().err
@@ -467,7 +474,7 @@ NO_ERR = "e3b0c44298fc1c14"  # sha256 of empty output
      "32ac7950ea78f65f", NO_ERR),
     (["convert", data_file("degree-mixed"), "--direction", "to-parabolic"],
      "408aa8479b48d988", NO_ERR),
-    (["pull", data_file("pull-bundle")], "06b42c1aa42c113b", "1b72a8f8d6227be2"),
+    (["pull", data_file("pull-bundle")], "53e1fbff9ef55870", "1b72a8f8d6227be2"),
 ], ids=["push-parabolic", "push-graded", "pull-parabolic", "pull-graded",
         "convert-to-graded", "convert-to-parabolic", "convert-bundle", "degree",
         "push-parabolic-gf101", "pull-parabolic-gf101", "degree-mixed",
@@ -559,6 +566,20 @@ def _cover_e2_with(**fields):
     return dict(COVER_E2, **fields)
 
 
+def _point_object(**fields):
+    return dict({"kind": "parabolic_point", "at": "y", "rank": 1, "order": 1}, **fields)
+
+
+def _objects(*objects):
+    return {"version": 1, "field": "rational", "objects": list(objects)}
+
+
+_R = {"columns": [[_ONE]]}
+_TR = {"columns": [[{"t_order": 1, "coeffs": ["1"]}]]}
+_TWO_BRANCHES = {"target": "y", "s": 1, "branches": [
+    {"label": "x0", "e": 1, "r": 1, "unit": "1"}, {"label": "x1", "e": 1, "r": 1, "unit": "2"}]}
+
+
 @pytest.mark.parametrize("command,doc,named", [
     ("degree", line_scenario(order="2"), "point (object 0)"),
     ("degree", line_scenario(weight="x"), "point (object 0)"),
@@ -580,10 +601,40 @@ def _cover_e2_with(**fields):
     ("pull", {"version": 1, "field": "rational", "cover": _cover_e2_with(target=["y"]),
               "objects": [{"kind": "parabolic_bundle", "rank": 1, "points": {
                   "y": {"order": 2, "weights": [["1/2", 1]]}}}]}, "cover"),
+    ("pull", dict(_data_doc("pull-bundle"), deg_f=5), "unknown scenario key 'deg_f'"),
+    ("pull", dict(_data_doc("pull-bundle"), objets=[]), "unknown scenario key 'objets'"),
+    ("degree", [1], "scenario must be an object"),
+    ("push", line_scenario(weight="0", order=1, at="x"), "scenario needs a 'cover' block"),
+    ("push", dict(_objects(_point_object(at="x0", weights=[["0", 1]]),
+                           {"kind": "graded_module", "at": "x1", "rank": 1, "order": 1,
+                            "pieces": [_R]}), cover=_TWO_BRANCHES),
+     "all branch objects must be on the same side"),
+    ("pull", line_scenario(at="x", cover=COVER_E2), "pull needs exactly one object at the target"),
+    ("pull", dict(line_scenario(cover=COVER_E2), objects=line_scenario()["objects"] * 2),
+     "pull needs exactly one object at the target"),
+    ("degree", _objects(_point_object(chain=[{}, _TR])), "point (object 0): chain member needs"),
+    ("degree", _objects(_point_object(chain=[{"columns": [[_ONE], [_ONE]]}, _TR])),
+     "columns must form an 1x1 matrix"),
+    ("degree", _objects(_point_object(weights="1/2")), "weights must be a list"),
+    ("degree", _objects(_point_object(order=2, weights=[["1", 1]])), "weight 1 outside [0,1)"),
+    ("degree", _objects(_point_object(order=2, weights=[["1/3", 1]])),
+     "weight 1/3 incompatible with order 2"),
+    ("degree", _objects(_point_object(rank=2, weights=[["0", 1]])),
+     "weight multiplicities sum to 1, expected 2"),
+    ("degree", _objects(_point_object(chain=[_R])), "chain has 1 members, expected 2"),
+    ("degree", _objects({"kind": "graded_module", "at": "y", "rank": 1, "order": 2,
+                         "pieces": [_R, _TR]}), "piece 0 does not include into piece 1"),
 ], ids=["order-str", "weight-str", "multiplicity-str", "chain-not-list",
         "points-list", "bundle-rank-bool", "point-rank-bool", "cover-s-str",
-        "branch-e-str", "at-list", "target-list"])
+        "branch-e-str", "at-list", "target-list", "stale-deg_f", "misspelt-objets",
+        "scenario-list", "no-cover", "mixed-sides", "pull-no-source", "pull-two-sources",
+        "member-without-columns", "member-not-nxn", "weights-not-list", "weight-outside",
+        "weight-order", "multiplicities-short", "chain-length", "pieces-not-including"])
 def test_mistyped_scenario_fields_exit_2(tmp_path, capsys, command, doc, named):
+    """Each input error exits 2 and names its object or its rule.  A
+    scenario has only version, field, cover and objects: push, pull and
+    convert would echo a stale key such as deg_f unread, and a misspelt one
+    would drop what it names."""
     src = write(tmp_path, "mistyped.json", doc)
     assert main([command, src]) == 2
     err = capsys.readouterr().err

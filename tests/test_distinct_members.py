@@ -28,7 +28,7 @@ from parstack.harness import (_find_line_pair, gen_pairing_point,
                               gen_profile, gen_unimodular, mix_lines)
 from parstack.parabolic import split_into_lines
 
-from conftest import GF101, graded_line, random_element, trivial_module
+from conftest import GF101, diagonal_lattice, graded_line, random_element, trivial_module
 
 FIELDS = pytest.mark.parametrize("field", [QQ, GF101], ids=["rational", "prime101"])
 
@@ -251,9 +251,9 @@ def test_chain_checks_match_per_member_reference(field):
 
 
 def test_unequal_neighbours_are_still_checked():
-    top = Lattice.diagonal(QQ, [0, 0])
-    mid = Lattice.diagonal(QQ, [1, 0])
-    bad = Lattice.diagonal(QQ, [0, 1]).scale(-1)  # not inside mid
+    top = diagonal_lattice(QQ, [0, 0])
+    mid = diagonal_lattice(QQ, [1, 0])
+    bad = diagonal_lattice(QQ, [0, 1]).scale(-1)  # not inside mid
     ParabolicPoint(4, [top, top, mid, mid, top.scale(1)])
     with pytest.raises(InvalidChain):
         ParabolicPoint(4, [top, top, mid, bad, top.scale(1)])

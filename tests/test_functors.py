@@ -21,14 +21,15 @@ from parstack.harness import gen_parabolic_point, gen_profile
 from parstack.localring import LocalElement
 from parstack.parabolic import split_into_lines
 
-from conftest import (GF101, decompose_element, el, gen_graded_module, graded_line, lat,
-                      random_columns, random_element, trivial_module, trivial_point)
+from conftest import (GF101, decompose_element, diagonal_lattice, el, gen_graded_module,
+                      graded_line, lat, random_columns, random_element, trivial_module,
+                      trivial_point)
 
 
 def _diag_chain(order, jumps, twists=None):
     n = len(jumps)
     tw = twists or [0] * n
-    chain = [Lattice.diagonal(QQ, [tw[b] + (1 if j > jumps[b] else 0)
+    chain = [diagonal_lattice(QQ, [tw[b] + (1 if j > jumps[b] else 0)
                                    for b in range(n)])
              for j in range(order + 1)]
     return ParabolicPoint(order, chain)
@@ -74,11 +75,11 @@ def test_decompose_substitute_inverse():
 
 
 def test_restrict_scalars_examples():
-    r = Lattice.diagonal(QQ, [0])
+    r = diagonal_lattice(QQ, [0])
     assert restrict_scalars(r, 1, QQ.one) == r
-    assert restrict_scalars(r, 2, QQ.one) == Lattice.diagonal(QQ, [0, 0])
+    assert restrict_scalars(r, 2, QQ.one) == diagonal_lattice(QQ, [0, 0])
     # t*R over e=2: spanned by (0,1) and (w_y, 0)
-    assert restrict_scalars(r.scale(1), 2, QQ.one) == Lattice.diagonal(QQ, [1, 0])
+    assert restrict_scalars(r.scale(1), 2, QQ.one) == diagonal_lattice(QQ, [1, 0])
 
 
 def test_restrict_scalars_commutes_with_full_twists():
@@ -94,10 +95,14 @@ def test_restrict_scalars_commutes_with_full_twists():
 
 
 def _planted(fn, *edits):
-    """The functor ``fn`` with each (old, new) edit made once in its source."""
+    """The functor ``fn`` with each (old, new) edit made once in its source.
+    An ``old`` text that is missing or repeated raises LookupError, so a
+    stale plant cannot pass as the fault it names."""
     source = inspect.getsource(fn)
     for old, new in edits:
-        assert source.count(old) == 1
+        found = source.count(old)
+        if found != 1:
+            raise LookupError("%r occurs %d times in %s" % (old, found, fn.__name__))
         source = source.replace(old, new)
     namespace = dict(vars(functors))
     exec(source, namespace)
@@ -128,8 +133,15 @@ def test_each_restriction_guard_catches_its_planted_fault(fault):
     gens = [g for col in lattice.cols for g in _restrict_columns(col, e, QQ.of(u))]
     assert restrict_scalars(lattice, e, QQ.of(u)) == \
         Lattice.from_columns(QQ, lattice.n * e, gens)
+    planted = _planted(functors.restrict_scalars, (old, new))
     with pytest.raises(AssertionError, match="internal: .*" + message):
-        _planted(functors.restrict_scalars, (old, new))(lattice, e, QQ.of(u))
+        planted(lattice, e, QQ.of(u))
+
+
+@pytest.mark.parametrize("old", ["no such text", "field"], ids=["missing", "repeated"])
+def test_a_plant_needs_its_text_exactly_once(old):
+    with pytest.raises(LookupError, match="occurs"):
+        _planted(functors.restrict_scalars, (old, old))
 
 
 # the grid of twisted restrictions: each field with its units
@@ -320,6 +332,8 @@ def test_pullback_graded_line_examples():
         graded_line(QQ, 3, 1, twist=-1)
     with pytest.raises(ProfileMismatch):
         pullback_graded(profile, graded_line(QQ, 3, 1), "x")
+    with pytest.raises(ProfileMismatch, match="point order 3, profile s=6"):
+        pullback_parabolic(profile, ParabolicPoint.line(QQ, 3, 1), "x")
 
 
 def test_nontrivial_unit_enters_both_routes():

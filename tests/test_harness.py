@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from parstack import (ANTISYMMETRIC, QQ, SYMMETRIC, Lattice,
+from parstack import (ANTISYMMETRIC, QQ, SYMMETRIC,
                       ParabolicBundle, ParabolicPairing, ParabolicPoint,
                       TrialConfig, check_pairing, gen_parabolic_point)
 from parstack import functors, pairing
@@ -19,7 +19,7 @@ from parstack.localring import LocalElement
 from parstack.parabolic import is_point_morphism
 from parstack.scenario import decode_element
 
-from conftest import GF101, MUTATIONS, degree_scenario_trial, run_mutation
+from conftest import GF101, MUTATIONS, degree_scenario_trial, diagonal_lattice, run_mutation
 
 
 def test_trial_config_bounds():
@@ -188,7 +188,7 @@ _Z = LocalElement.zero()
 
 def _search_exponent(field, r, c_l, g_l, kind, jumps, twists):
     """First h in -4..4 for which check_pairing accepts the line block."""
-    pt = ParabolicPoint(r, [Lattice.diagonal(
+    pt = ParabolicPoint(r, [diagonal_lattice(
         field, [g + (1 if j > a else 0) for a, g in zip(jumps, twists)])
         for j in range(r + 1)])
     bundle = ParabolicBundle(len(jumps), 0, {"p": pt})

@@ -17,7 +17,7 @@ from parstack import (QQ, AmbientMismatch, Lattice, LocalElement,
 from parstack import lattice as lattice_module
 from parstack.lattice import image_columns
 
-from conftest import (GF101, T, el, lat, oracle_det_valuation, oracle_member,
+from conftest import (GF101, T, diagonal_lattice, el, lat, oracle_det_valuation, oracle_member,
                       random_columns, random_element, sym_valuation, to_sym,
                       values)
 
@@ -84,6 +84,8 @@ def test_rational_field_coercions():
     assert QQ.of("2/3") * QQ.of(3) == QQ.of(2)
     assert str(QQ.of("2/3")) == "2/3"
     assert field_from_name("rational") == QQ
+    with pytest.raises(ValueError, match="too large"):
+        field_from_name("prime:2147483659")  # the first prime above 2^31
 
 
 def test_prime_field_codec():
@@ -150,7 +152,7 @@ def test_canonical_invariants():
 
 def test_scale_shifts_diagonal():
     l = lat([[(2, 1), 0], [0, 1]])
-    assert l.scale(-1) == Lattice.diagonal(QQ, [1, -1])
+    assert l.scale(-1) == diagonal_lattice(QQ, [1, -1])
     assert l.scale(-1).scale(1) == l
 
 
@@ -177,18 +179,20 @@ def test_singular_generators_rejected():
 
 
 def test_containment_needs_a_common_ambient():
-    r2 = Lattice.diagonal(QQ, [0, 0])
+    r2 = diagonal_lattice(QQ, [0, 0])
     assert r2.contains(lat([[1, 1], [0, (1, 1)]])) and r2.contains(r2.scale(1))
     assert not r2.scale(1).contains(r2)
     with pytest.raises(AmbientMismatch):
-        r2.contains(Lattice.diagonal(QQ, [0, 0, 0]))
+        r2.contains(diagonal_lattice(QQ, [0, 0, 0]))
     # equal ranks over different fields: the message names the fields
     with pytest.raises(AmbientMismatch, match="rank 2 over rational vs 2 over prime:101"):
-        Lattice.diagonal(QQ, [0, 1]).contains(Lattice.diagonal(GF101, [0, 1]))
+        diagonal_lattice(QQ, [0, 1]).contains(diagonal_lattice(GF101, [0, 1]))
+    with pytest.raises(TypeError):
+        r2.contains(r2.cols)
 
 
 def test_dual_examples_and_involution():
-    assert Lattice.diagonal(QQ, [2, -1]).dual() == Lattice.diagonal(QQ, [-2, 1])
+    assert diagonal_lattice(QQ, [2, -1]).dual() == diagonal_lattice(QQ, [-2, 1])
     rng = random.Random(23)
     for _ in range(12):
         n = rng.randint(1, 3)
@@ -218,7 +222,7 @@ def test_operations_over_prime_field():
 
 
 def test_direct_sum_blocks():
-    a = Lattice.diagonal(QQ, [1])
+    a = diagonal_lattice(QQ, [1])
     b = lat([[1, 1], [0, (1, 1)]])
     d = direct_sum([a, b])
     assert d.n == 3 and d.diag == (1,) + b.diag
@@ -286,10 +290,10 @@ def test_from_columns_keeps_a_canonical_basis(monkeypatch, field, factor):
 
 
 def test_apply_matrix_and_image_columns():
-    l = Lattice.diagonal(QQ, [0, 1])
+    l = diagonal_lattice(QQ, [0, 1])
     rows = [[el(0, 0), el(0, 1)], [el(1, 1), el(0, 0)]]  # swap, t on one slot
     img = apply_matrix(rows, l)
-    assert img == Lattice.diagonal(QQ, [1, 1])
+    assert img == diagonal_lattice(QQ, [1, 1])
     gens = image_columns(rows, l)
     assert gens == [[el(0, 0), el(1, 1)], [el(1, 1), el(0, 0)]]
     singular = [[el(0, 1), el(0, 1)], [el(0, 1), el(0, 1)]]

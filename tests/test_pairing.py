@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from parstack import (ANTISYMMETRIC, SYMMETRIC, QQ, Lattice, NotAPairing,
+from parstack import (ANTISYMMETRIC, SYMMETRIC, QQ, NotAPairing,
                       ParabolicBundle, ParabolicPairing, ParabolicPoint,
                       PrimeField, ProfileMismatch, ShapeMismatch,
                       SingularBasis, ValueLineMismatch, apply_matrix,
@@ -20,7 +20,8 @@ from parstack import pairing
 from parstack.pairing import (_symmetry_holds, expected_branch_value_data, hom_chain,
                               line_local_data, pullback_bundle, residue_push_form)
 
-from conftest import GF101, decompose_element, el, random_element, trivial_point
+from conftest import (GF101, decompose_element, diagonal_lattice, el, random_element,
+                      trivial_point)
 
 _Z = LocalElement.zero()
 
@@ -28,7 +29,7 @@ _Z = LocalElement.zero()
 def _diag_point(order, jumps, twists=None):
     n = len(jumps)
     tw = twists or [0] * n
-    chain = [Lattice.diagonal(QQ, [tw[b] + (1 if j > jumps[b] else 0)
+    chain = [diagonal_lattice(QQ, [tw[b] + (1 if j > jumps[b] else 0)
                                    for b in range(n)])
              for j in range(order + 1)]
     return ParabolicPoint(order, chain)
@@ -67,6 +68,31 @@ def test_check_pairing_trivial_examples():
     with pytest.raises(ShapeMismatch):
         check_pairing(ParabolicPairing(SYMMETRIC, I2, _trivial_line()),
                       ParabolicBundle(3, 0, {"y": trivial_point(QQ, 3)}))
+
+
+def test_line_local_data_needs_the_stated_order():
+    value = _value_line_bundle(QQ, "y", 4, 1, 0)
+    assert line_local_data(value, "y", 4) == (0, 1)
+    assert line_local_data(value, "z", 2) == (0, 0)  # unmarked: any order
+    with pytest.raises(ShapeMismatch, match="order 4 at 'y', expected 2"):
+        line_local_data(value, "y", 2)
+
+
+@pytest.mark.parametrize("field", [QQ, GF101], ids=["Q", "GF101"])
+def test_check_pairing_reads_the_trivial_datum_where_the_value_line_is_unmarked(field):
+    """With the value line marked only at y, the point z is tested against
+    the datum (0, 0): the pairing perfect on P at y is perfect on P at z
+    and not on t * P there."""
+    rng = random.Random(field.p + 61)
+    made = None
+    while made is None:
+        made = gen_pairing_point(rng, field, 3, 0, 0, SYMMETRIC, 2, "y")
+    pt, form, value = made
+    assert set(value.points) == {"y"}
+    pairing = ParabolicPairing(SYMMETRIC, form, value)
+    assert check_pairing(pairing, ParabolicBundle(pt.n, 0, {"y": pt, "z": pt}))
+    shifted = ParabolicPoint(pt.order, [l.scale(1) for l in pt.chain])
+    assert not check_pairing(pairing, ParabolicBundle(pt.n, 0, {"y": pt, "z": shifted}))
 
 
 def test_identity_form_fails_on_mixed_weights():
@@ -184,7 +210,7 @@ def test_check_pairing_tests_each_mirrored_level_once(field, monkeypatch):
     for order, e, jumps in ((1, 8, [0, 0]), (2, 4, [0, 1]), (2, 5, [1, 0, 0, 1]),
                             (3, 3, [0, 2, 1, 1]), (3, 3, [0, 1])):
         n = len(jumps)
-        pt = ParabolicPoint(order, [Lattice.diagonal(field, [int(j > x) for x in jumps])
+        pt = ParabolicPoint(order, [diagonal_lattice(field, [int(j > x) for x in jumps])
                                     for j in range(order + 1)])
         kind = rng.choice([SYMMETRIC, ANTISYMMETRIC])
         form = [[_Z] * n for _ in range(n)]

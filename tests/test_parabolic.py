@@ -13,7 +13,7 @@ from parstack.harness import gen_parabolic_point, gen_point_morphism, mix_lines
 from parstack.lattice import triangular_inverse
 from parstack.linalg import identity_matrix, mat_mul, transpose
 
-from conftest import GF101, el, lat, trivial_point
+from conftest import GF101, diagonal_lattice, el, lat, trivial_point
 
 
 def _chain_point(order, lattices):
@@ -24,7 +24,7 @@ L_MIXED = lat([[1, 1], [0, (1, 1)]])  # span{(1,1),(0,t)} inside R^2
 
 
 def test_chain_validation():
-    r2 = Lattice.diagonal(QQ, [0, 0])
+    r2 = diagonal_lattice(QQ, [0, 0])
     with pytest.raises(InvalidChain):
         ParabolicPoint(2, [r2, r2.scale(1)])  # wrong length
     with pytest.raises(InvalidChain):
@@ -38,14 +38,14 @@ def test_chain_validation():
 def test_weights_examples():
     assert trivial_point(QQ, 3, order=2).weights() == ((Fraction(0), 3),)
     assert ParabolicPoint.line(QQ, 4, 3).weights() == ((Fraction(3, 4), 1),)
-    r2 = Lattice.diagonal(QQ, [0, 0])
+    r2 = diagonal_lattice(QQ, [0, 0])
     pt = _chain_point(2, [r2, L_MIXED, r2.scale(1)])
     assert pt.weights() == ((Fraction(0), 1), (Fraction(1, 2), 1))
     assert pt.weight_sum() == Fraction(1, 2)
 
 
 def test_parabolic_degree():
-    r2 = Lattice.diagonal(QQ, [0, 0])
+    r2 = diagonal_lattice(QQ, [0, 0])
     pt = _chain_point(2, [r2, L_MIXED, r2.scale(1)])
     bundle = ParabolicBundle(2, -1, {"y": pt, "z": trivial_point(QQ, 2)})
     assert parabolic_degree(bundle) == Fraction(-1, 2)
@@ -54,7 +54,7 @@ def test_parabolic_degree():
 
 
 def test_point_morphism_respects_filtration():
-    r = Lattice.diagonal(QQ, [0])
+    r = diagonal_lattice(QQ, [0])
     src = _chain_point(2, [r, r, r.scale(1)])           # weight 1/2
     dst = _chain_point(2, [r, r.scale(1), r.scale(1)])  # weight 0
     ident = identity_matrix(QQ, 1)
@@ -68,7 +68,7 @@ def test_point_morphism_respects_filtration():
 
 def test_lattice_extends_the_chain_examples():
     line = trivial_point(QQ, 1)
-    r = Lattice.diagonal(QQ, [0])
+    r = diagonal_lattice(QQ, [0])
     assert [line.lattice(m) for m in range(4)] == [r, r.scale(1), r.scale(2), r.scale(3)]
     half = ParabolicPoint.line(QQ, 2, 1)
     assert [half.lattice(m).diag[0] for m in range(7)] == [0, 0, 1, 1, 2, 2, 3]
@@ -93,7 +93,7 @@ def _sum_of_lines(field, order, jumps):
 
 
 def test_split_into_lines_adapted_basis_example():
-    r2 = Lattice.diagonal(QQ, [0, 0])
+    r2 = diagonal_lattice(QQ, [0, 0])
     pt = _chain_point(2, [r2, L_MIXED, r2.scale(1)])
     jumps, mat = split_into_lines(pt)
     assert sorted(jumps) == [0, 1]

@@ -5,17 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from parstack import (QQ, GradedModule, InvalidGrading, Lattice,
+from parstack import (QQ, GradedModule, InvalidGrading,
                       ParabolicPoint, ShapeMismatch, from_parabolic,
                       is_graded_morphism, is_point_morphism, to_parabolic)
 from parstack.harness import gen_parabolic_point, gen_point_morphism
 from parstack.linalg import identity_matrix
 
-from conftest import GF101, gen_graded_module, graded_line, trivial_module
+from conftest import GF101, diagonal_lattice, gen_graded_module, graded_line, trivial_module
 
 
 def test_grading_validation():
-    r1 = Lattice.diagonal(QQ, [0])
+    r1 = diagonal_lattice(QQ, [0])
     with pytest.raises(InvalidGrading):
         GradedModule(2, [r1])  # wrong length
     with pytest.raises(InvalidGrading):
@@ -28,7 +28,7 @@ def test_grading_validation():
 
 def test_weight_half_line_correspondence():
     # M_0 = R, M_1 = t^{-1} R  <->  chain R >= R >= tR (weight 1/2)
-    mod = GradedModule(2, [Lattice.diagonal(QQ, [0]), Lattice.diagonal(QQ, [-1])])
+    mod = GradedModule(2, [diagonal_lattice(QQ, [0]), diagonal_lattice(QQ, [-1])])
     assert mod == graded_line(QQ, 2, 1)
     pt = to_parabolic(mod)
     assert pt == ParabolicPoint.line(QQ, 2, 1)
