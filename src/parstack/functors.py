@@ -222,6 +222,12 @@ def twist_restricted(res_lattice, e, u, l):
       reordered by pivot row, are canonical, and ``Lattice.from_canonical``
       checks that shape.
 
+    A pivot-only column (its pivot w^b is its one nonzero entry) moves in
+    one step: the zero tuple with w^{b+1} = u * (w / u) * w^b at the new row
+    when its pivot wraps, or with w^b itself when it does not.  That is the
+    column the entry-by-entry move builds, since zeros stay zero under
+    every factor.
+
     ``.scale(q)`` then applies w^q.
     """
     q, l0 = divmod(l, e)
@@ -234,6 +240,12 @@ def twist_restricted(res_lattice, e, u, l):
     cols, diag = [None] * n, [None] * n
     for j, (col, b) in enumerate(zip(res_lattice.cols, res_lattice.diag)):
         wraps = j % e >= cut
+        row = j + l0 - e if wraps else j + l0
+        diag[row] = b + 1 if wraps else b
+        if col.count(_Z) == n - 1:
+            pivot = col[j].shift(1) if wraps else col[j]
+            cols[row] = (_Z,) * row + (pivot,) + (_Z,) * (n - row - 1)
+            continue
         moved = []
         for top in range(0, j - j % e + e, e):  # the blocks up to the pivot's
             wrapped, kept = col[top + cut:top + e], col[top:top + cut]
@@ -243,9 +255,7 @@ def twist_restricted(res_lattice, e, u, l):
             else:
                 moved.extend([x * w_over_u if x.coeffs else x for x in wrapped])
                 moved.extend(kept)
-        row = j + l0 - e if wraps else j + l0
         cols[row] = tuple(moved) + col[len(moved):]
-        diag[row] = b + 1 if wraps else b
     return Lattice.from_canonical(field, tuple(cols), tuple(diag)).scale(q)
 
 

@@ -47,6 +47,16 @@ truthiness of ``coeffs``.  No kernel multiplies by a zero entry.  Bases
 here are triangular and restricted scalars are mostly zero, so this
 decides the cost: back-substitution for a vector whose last nonzero entry
 is row k takes about k^2/2 steps, not n^2/2.
+
+Most columns of a restricted basis are pivot-only: their one nonzero
+entry is the pivot.  Zero is one shared object, so ``col.count(_Z) == n -
+1`` tells such a column in C, with one element comparison, and the kernels
+handle it with tuple operations instead of a loop over its n entries:
+``_canonical_shape`` checks only its pivot, ``contains`` decides it from
+the pivot exponents alone, and ``functors.twist_restricted`` moves only
+its pivot.  Neighbouring chain members share most of their columns, so
+``contains`` also accepts a column equal to the container's own column j
+without solving for it.
 """
 
 from __future__ import annotations
@@ -111,7 +121,7 @@ class Lattice:
         """The lattice t^d * self; canonical form shifts entrywise."""
         if d == 0 or self.n == 0:
             return self
-        cols = tuple(tuple(e.shift(d) for e in col) for col in self.cols)
+        cols = tuple(tuple([e.shift(d) if e.coeffs else e for e in col]) for col in self.cols)
         diag = tuple(a + d for a in self.diag)
         return Lattice(self.field, self.n, cols, diag, _trusted=True)
 
@@ -127,13 +137,32 @@ class Lattice:
         return True
 
     def contains(self, other):
-        """True iff other is a sublattice of self."""
+        """True iff other is a sublattice of self, that is, iff every basis
+        column c' of other is a member.  Let c be column j of self, with
+        pivots t^a and t^{a'}.  Column j is decided without solving when:
+
+        * a' < a: reject.  c' is zero below row j, so back-substitution
+          starts at row j and returns x_j = t^{a'-a}, of negative valuation;
+        * c' == c: accept;
+        * both columns are pivot-only: accept, since a' >= a and so
+          c' = t^{a'-a} * c.
+
+        Every other column goes through ``member``.
+        """
         if not isinstance(other, Lattice):
             raise TypeError(other)
         if other.n != self.n or other.field != self.field:
             raise AmbientMismatch("ambient rank %d over %s vs %d over %s"
                                   % (self.n, self.field.name, other.n, other.field.name))
-        return all(self.member(c) for c in other.cols)
+        zeros = self.n - 1
+        for c, b, a, own in zip(other.cols, other.diag, self.diag, self.cols):
+            if b < a:
+                return False
+            if c == own or (c.count(_Z) == zeros and own.count(_Z) == zeros):
+                continue
+            if not self.member(c):
+                return False
+        return True
 
     def dual(self):
         """The dual lattice {v : <v, self> in R} w.r.t. the standard pairing."""
@@ -165,13 +194,16 @@ def _canonical_shape(field, cols, diag):
     the pivot of column j is exactly t^{diag[j]} over ``field``, column j is
     zero below row j, and each entry above a pivot has lower degree than
     the pivot of its row.  Every pivot is tested before any other entry,
-    so most bases that are not canonical are rejected after n tests."""
+    so most bases that are not canonical are rejected after n tests, and a
+    pivot-only column needs no test beyond its pivot's."""
     n, p = len(cols), field.p
     for j in range(n):
         piv = cols[j][j]
         if piv.ord != diag[j] or piv.coeffs != (1,) or piv.den != 1 or piv.p != p:
             return False
     for j, col in enumerate(cols):
+        if col.count(_Z) == n - 1:  # pivot-only: its pivot is checked
+            continue
         for i in range(n):
             x = col[i]
             if x.coeffs and i != j and (i > j or x.ord + len(x.coeffs) > diag[i]):
@@ -304,10 +336,9 @@ def direct_sum(lattices):
     diag = []
     off = 0
     for l in lattices:
-        for j in range(l.n):
+        for c in l.cols:
             col = [_Z] * n
-            for i in range(l.n):
-                col[off + i] = l.cols[j][i]
+            col[off:off + l.n] = c
             cols.append(tuple(col))
         diag.extend(l.diag)
         off += l.n

@@ -3,7 +3,9 @@
 All numbers in files are exact: integers, or integer fractions as "a/b"
 strings.  Matrices are stored column-major; each entry is a coefficient
 list with an explicit t_order.  Chains may be given explicitly or by
-weight shorthand (weights + multiplicities, expanded to diagonal chains).
+weight shorthand (weights + multiplicities, expanded to diagonal chains),
+not both.  An object may carry only the keys its kind defines (``_KINDS``);
+the decoders refuse any other, so a misspelt key cannot drop what it names.
 
 The encoders share equal sub-objects: within one encoded point, module or
 matrix, equal neighbouring chain members are one dict, and equal columns
@@ -195,6 +197,8 @@ def decode_point(obj, field, n, where=""):
     what = "point" + where
     order = _order(obj, what)
     if "weights" in obj:
+        if "chain" in obj:
+            raise ParseError("%s has both 'weights' and 'chain'" % what)
         return _expand_weights(field, order, obj["weights"], n, what)
     chain = _decode_chain(obj.get("chain", []), field, n, what + ": chain")
     if len(chain) != order + 1:
@@ -240,8 +244,11 @@ def decode_bundle(obj, field, where=""):
     points = obj.get("points", {})
     if type(points) is not dict:
         raise ParseError("bundle%s: 'points' must be an object keyed by label" % where)
-    pts = {label: decode_point(p, field, rank, " at %r" % label)
-           for label, p in points.items()}
+    pts = {}
+    for label, p in points.items():
+        at = " at %r" % label
+        pts[label] = decode_point(p, field, rank, at)
+        _known_keys(p, _POINT_KEYS, "bundle%s: point%s" % (where, at))
     return ParabolicBundle(rank, degree, pts)
 
 
@@ -304,17 +311,33 @@ def _ranked(decode, what):
     return decoder
 
 
-# kind -> (class, encoder, decoder(obj, field, where)); a matrix is a
-# row-major list of rows
+def _known_keys(obj, keys, what):
+    """Refuse a key of ``obj`` that is not in ``keys``: a misspelt key would
+    drop what it names, and a stale one would pass through unread."""
+    for key in obj:
+        if key not in keys:
+            raise ParseError("%s has unknown key %r" % (what, key))
+
+
+# the keys of a point in a bundle: a chain or weight shorthand, not both
+_POINT_KEYS = ("order", "chain", "weights")
+# the keys the CLI writes beside a point or module it places at a label
+_PLACED = ("at", "underlying_degree")
+
+# kind -> (class, encoder, decoder(obj, field, where), keys); a matrix is a
+# row-major list of rows, and the keys are every key an object of the kind
+# may carry besides ``kind``
 _KINDS = {
     "parabolic_point": (ParabolicPoint, lambda pt: dict(encode_point(pt, None), rank=pt.n),
-                        _ranked(decode_point, "point")),
+                        _ranked(decode_point, "point"), ("rank",) + _POINT_KEYS + _PLACED),
     "graded_module": (GradedModule, lambda mod: dict(encode_module(mod, None), rank=mod.n),
-                      _ranked(decode_module, "module")),
-    "parabolic_bundle": (ParabolicBundle, lambda b: encode_bundle(b, None), decode_bundle),
+                      _ranked(decode_module, "module"), ("rank", "order", "pieces") + _PLACED),
+    "parabolic_bundle": (ParabolicBundle, lambda b: encode_bundle(b, None), decode_bundle,
+                         ("rank", "underlying_degree", "points")),
     "cover": (CoverProfile, lambda profile: encode_cover(profile, None),
-              lambda obj, field, where: decode_cover(obj, field)[1]),
-    "matrix": (list, lambda rows: {"columns": encode_matrix_cols(rows, None)}, _decode_matrix),
+              lambda obj, field, where: decode_cover(obj, field)[1], ("target", "s", "branches")),
+    "matrix": (list, lambda rows: {"columns": encode_matrix_cols(rows, None)}, _decode_matrix,
+               ("columns",)),
 }
 SCENARIO_KINDS = ("parabolic_point", "graded_module", "parabolic_bundle")
 
@@ -322,7 +345,7 @@ SCENARIO_KINDS = ("parabolic_point", "graded_module", "parabolic_bundle")
 def encode_object(obj):
     """A point, module, bundle, cover profile or matrix as a JSON object
     with its ``kind``."""
-    for kind, (cls, encode, _) in _KINDS.items():
+    for kind, (cls, encode, _, _) in _KINDS.items():
         if isinstance(obj, cls):
             return dict(encode(obj), kind=kind)
     raise TypeError("no scenario kind encodes %s" % type(obj).__name__)
@@ -330,13 +353,16 @@ def encode_object(obj):
 
 def decode_object(obj, field, where, kinds):
     """The object that ``encode_object`` encoded, if its kind is one of
-    ``kinds``; ``where`` names it in errors."""
+    ``kinds`` and it has no key its kind does not define; ``where`` names
+    it in errors."""
     if type(obj) is not dict:
         raise ParseError("object%s must be a JSON object" % where)
     kind = obj.get("kind")
     if type(kind) is not str or kind not in kinds:
         raise ParseError("object%s has unknown kind %r" % (where, kind))
-    return _KINDS[kind][2](obj, field, where)
+    _, _, decode, keys = _KINDS[kind]
+    _known_keys(obj, ("kind",) + keys, "%s object%s" % (kind, where))
+    return decode(obj, field, where)
 
 
 def encode_instance(instance):

@@ -7,8 +7,11 @@ with sympy rational-function arithmetic in a formal variable t.
 """
 
 import ast
+import inspect
 import os
 import random
+import sys
+import textwrap
 from fractions import Fraction
 from math import lcm
 
@@ -22,6 +25,22 @@ from parstack.harness import SUITES
 T = sympy.symbols("t")
 
 GF101 = PrimeField(101)
+
+
+def planted(fn, *edits):
+    """The function or method ``fn`` with each (old, new) edit made once in
+    its source, run in a copy of its module's namespace.  An ``old`` text
+    that is missing or repeated raises LookupError, so a stale plant cannot
+    pass as the fault it names."""
+    source = textwrap.dedent(inspect.getsource(fn))
+    for old, new in edits:
+        found = source.count(old)
+        if found != 1:
+            raise LookupError("%r occurs %d times in %s" % (old, found, fn.__name__))
+        source = source.replace(old, new)
+    namespace = dict(vars(sys.modules[fn.__module__]))
+    exec(source, namespace)
+    return namespace[fn.__name__]
 
 
 def el(t_order, *coeffs, field=QQ):

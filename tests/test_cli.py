@@ -642,6 +642,43 @@ def test_mistyped_scenario_fields_exit_2(tmp_path, capsys, command, doc, named):
     assert "Traceback" not in err
 
 
+_LINE_BUNDLE = {"kind": "parabolic_bundle", "rank": 1, "underlying_degree": 0,
+                "points": {"y": {"order": 2, "weights": [["1/2", 1]]}}}
+
+
+@pytest.mark.parametrize("command,obj,message", [
+    ("degree", _point_object(order=2, weights=[["1/2", 1]], chain="nonsense"),
+     "point (object 0) has both 'weights' and 'chain'"),
+    ("convert", _point_object(order=2, weights=[["1/2", 1]], colour="blue"),
+     "parabolic_point object (object 0) has unknown key 'colour'"),
+    ("convert", {"kind": "graded_module", "at": "y", "rank": 1, "order": 1,
+                 "pieces": [_R, _TR], "chain": []},
+     "graded_module object (object 0) has unknown key 'chain'"),
+    ("degree", dict(_LINE_BUNDLE, at="y"),
+     "parabolic_bundle object (object 0) has unknown key 'at'"),
+    ("degree", dict(_LINE_BUNDLE, points={"y": {"order": 2, "weights": [["1/2", 1]],
+                                                "rank": 1}}),
+     "bundle (object 0): point at 'y' has unknown key 'rank'"),
+    ("degree", dict(_LINE_BUNDLE, points={"y": {"order": 1, "weights": [["0", 1]],
+                                                "chain": [_R, _TR]}}),
+     "point at 'y' has both 'weights' and 'chain'"),
+    ("degree", dict(_LINE_BUNDLE, points={"y": 5}),
+     "point at 'y' needs a positive integer 'order', not None"),
+], ids=["weights-and-chain", "point-key", "module-key", "bundle-key", "bundle-point-key",
+        "bundle-point-weights-and-chain", "bundle-point-not-an-object"])
+def test_unknown_object_keys_exit_2(tmp_path, capsys, command, obj, message):
+    """An object carries the keys its kind's encoder writes, ``at`` and
+    ``underlying_degree`` beside a point or module, and nothing else; a
+    point has a chain or weights, not both.  Any other key would be read
+    past, and the one that is not read would drop what it names."""
+    src = write(tmp_path, "keys.json", _objects(obj))
+    options = ["--direction", "to-graded"] if command == "convert" else []
+    assert main([command, src] + options) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "input error: %s\n" % message
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("kind", [[], {}, 3, "cover", "matrix"],
                          ids=["list", "dict", "int", "cover", "matrix"])
 def test_non_string_kind_exits_2(tmp_path, capsys, kind):

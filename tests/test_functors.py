@@ -1,6 +1,5 @@
 """Direct image and pullback on both sides: worked examples and laws."""
 
-import inspect
 import random
 from fractions import Fraction
 
@@ -22,8 +21,8 @@ from parstack.localring import LocalElement
 from parstack.parabolic import split_into_lines
 
 from conftest import (GF101, decompose_element, diagonal_lattice, el, gen_graded_module,
-                      graded_line, lat, random_columns, random_element, trivial_module,
-                      trivial_point)
+                      graded_line, lat, planted, random_columns, random_element,
+                      trivial_module, trivial_point)
 
 
 def _diag_chain(order, jumps, twists=None):
@@ -94,21 +93,6 @@ def test_restrict_scalars_commutes_with_full_twists():
             restrict_scalars(l, e, u).scale(1)
 
 
-def _planted(fn, *edits):
-    """The functor ``fn`` with each (old, new) edit made once in its source.
-    An ``old`` text that is missing or repeated raises LookupError, so a
-    stale plant cannot pass as the fault it names."""
-    source = inspect.getsource(fn)
-    for old, new in edits:
-        found = source.count(old)
-        if found != 1:
-            raise LookupError("%r occurs %d times in %s" % (old, found, fn.__name__))
-        source = source.replace(old, new)
-    namespace = dict(vars(functors))
-    exec(source, namespace)
-    return namespace[fn.__name__]
-
-
 # planted fault -> (source edit, lattice columns, e, u, the guard that must
 # fire).  On the lattice spanned by (t^2, 0) and (1 + t, 1), row 0 holds the
 # pivot w of block 0, and t times the seed of block 1 wraps the entry 1 into
@@ -133,15 +117,15 @@ def test_each_restriction_guard_catches_its_planted_fault(fault):
     gens = [g for col in lattice.cols for g in _restrict_columns(col, e, QQ.of(u))]
     assert restrict_scalars(lattice, e, QQ.of(u)) == \
         Lattice.from_columns(QQ, lattice.n * e, gens)
-    planted = _planted(functors.restrict_scalars, (old, new))
+    broken = planted(functors.restrict_scalars, (old, new))
     with pytest.raises(AssertionError, match="internal: .*" + message):
-        planted(lattice, e, QQ.of(u))
+        broken(lattice, e, QQ.of(u))
 
 
 @pytest.mark.parametrize("old", ["no such text", "field"], ids=["missing", "repeated"])
 def test_a_plant_needs_its_text_exactly_once(old):
     with pytest.raises(LookupError, match="occurs"):
-        _planted(functors.restrict_scalars, (old, old))
+        planted(functors.restrict_scalars, (old, old))
 
 
 # the grid of twisted restrictions: each field with its units
@@ -231,9 +215,11 @@ TWIST_FAULTS = {
         "raised AssertionError: internal: columns not in canonical form"),
     "pivot-only-rescaled": (
         [("if wraps:\n", "if False:\n"),
-         ("cols[row] = ", "moved[row] = col[j].shift(1) if wraps else moved[row]\n"
-                          "        cols[row] = ")],
+         ("cols[row] = tuple(moved)", "moved[row] = col[j].shift(1) if wraps else moved[row]\n"
+                                      "        cols[row] = tuple(moved)")],
         None),
+    "wrapping-pivot-unshifted": ([("col[j].shift(1) if wraps else col[j]", "col[j]")],
+                                 "raised AssertionError: internal: columns not in canonical form"),
 }
 
 
@@ -242,7 +228,7 @@ TWIST_FAULTS = {
 def test_direct_image_suite_catches_each_planted_twist_fault(fault, field_name, monkeypatch):
     edits, note = TWIST_FAULTS[fault]
     monkeypatch.setattr(functors, "twist_restricted",
-                        _planted(functors.twist_restricted, *edits))
+                        planted(functors.twist_restricted, *edits))
     report = verify_direct_image(TrialConfig(seed=0, trials=100, field_name=field_name))
     failed = [n for _, ok, n in report.verdicts if not ok]
     assert failed

@@ -9,6 +9,15 @@ negative valuations (non-members), and generators with zero rows and zero
 columns, on Q, GF(101) and GF(3).  Restriction of scalars, which builds
 its canonical form without canonicalizing, is checked against the dense
 canonicalization also on GF(2) and with non-integer units on Q.
+
+The pivot-only and shared-column fast paths (containment, the shape check
+of ``from_canonical``, twists of restrictions, ``scale`` and
+``direct_sum``) are checked on Q, GF(101), GF(3) and GF(2) against
+references that treat every column alike.  Their inputs are restricted and
+twisted lattices, whose columns are mostly pivot-only; sublattices that
+keep the container's columns; and lattices t^{a'_j} e_j against containers
+whose column j has entries above its pivot (where the pivot-only shortcut
+must not fire) or whose pivot exponent a_j is above a'_j.
 """
 
 import random
@@ -17,14 +26,17 @@ from functools import reduce
 from operator import add
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, find, given, settings, strategies as st
 
 from parstack import QQ, Lattice, LocalElement, PrimeField, SingularBasis
 from parstack.functors import restrict_matrix, restrict_scalars, twist_restricted
-from parstack.lattice import back_substitute, image_columns, triangular_inverse
+from parstack.lattice import back_substitute, direct_sum, image_columns, triangular_inverse
 from parstack.linalg import mat_vec
 
+from conftest import planted
+
 FIELDS = (QQ, PrimeField(101), PrimeField(3))
+ALL_FIELDS = FIELDS + (PrimeField(2),)
 ZERO = LocalElement.zero()
 
 
@@ -102,10 +114,44 @@ def dense_restrict_matrix(rows, e, u):
             for i in range(len(rows)) for rho2 in range(e)]
 
 
-def dense_restrict_scalars(lattice, e, u):
-    gens = [[x.shift(rho).decimate(e, rho2).twist(u, -1) for x in col for rho2 in range(e)]
+def dense_restrict_scalars(lattice, e, u, l=0):
+    """The canonical basis of res(t^l * lattice)."""
+    gens = [[x.shift(rho + l).decimate(e, rho2).twist(u, -1) for x in col for rho2 in range(e)]
             for col in lattice.cols for rho in range(e)]
     return dense_canonicalize(lattice.field, lattice.n * e, gens)
+
+
+def dense_canonical_shape(field, cols, diag):
+    n = len(cols)
+    for j in range(n):
+        for i in range(n):
+            x = cols[j][i]
+            if i == j:
+                ok = x == LocalElement.t_power(field, diag[j])
+            elif i > j:
+                ok = not x.coeffs
+            else:
+                ok = not x.coeffs or x.degree < diag[i]
+            if not ok:
+                return False
+    return True
+
+
+def dense_scale(lattice, d):
+    return (tuple(tuple(x.shift(d) for x in col) for col in lattice.cols),
+            tuple(a + d for a in lattice.diag))
+
+
+def dense_direct_sum(blocks):
+    n = sum(b.n for b in blocks)
+    cols, diag, off = [], [], 0
+    for b in blocks:
+        for j in range(b.n):
+            cols.append(tuple(b.cols[j][i - off] if off <= i < off + b.n else ZERO
+                              for i in range(n)))
+        diag.extend(b.diag)
+        off += b.n
+    return tuple(cols), tuple(diag)
 
 
 # -- strategies ----------------------------------------------------------------
@@ -192,6 +238,97 @@ def sublattices(draw, field, big):
     return Lattice.from_columns(field, n, cols)
 
 
+@st.composite
+def units(draw, field):
+    """A unit of the field; on Q some have denominators."""
+    if field.p:
+        return draw(st.integers(1, field.p - 1))
+    return Fraction(draw(st.sampled_from((1, -1, 2, -3, 5, "2/3", "-5/4", "7/2"))))
+
+
+@st.composite
+def twisted_restrictions(draw, field):
+    """(lattice, e, u, l, res(t^l * lattice)) built by restrict_scalars and
+    twist_restricted: bases whose columns are mostly pivot-only."""
+    lattice = draw(lattices(field, draw(st.integers(1, 3))))
+    e, u = draw(st.integers(1, 4)), draw(units(field))
+    l = draw(st.integers(-2 * e, 2 * e))
+    return lattice, e, u, l, twist_restricted(restrict_scalars(lattice, e, u), e, u, l)
+
+
+@st.composite
+def containers(draw, field):
+    """A restricted, twisted or general lattice."""
+    if draw(st.booleans()):
+        return draw(twisted_restrictions(field))[-1]
+    return draw(lattices(field, draw(st.integers(1, 5))))
+
+
+@st.composite
+def raised_pivots(draw, field, big):
+    """A sublattice of big that keeps its columns: the pivot of some
+    pivot-only columns is raised, which keeps the shape, and every other
+    column is big's own tuple or an equal copy of it."""
+    n = big.n
+    cols, diag = list(big.cols), list(big.diag)
+    for j, col in enumerate(cols):
+        if col.count(ZERO) == n - 1 and draw(st.booleans()):
+            diag[j] += draw(st.integers(1, 2))
+            cols[j] = col[:j] + (LocalElement.t_power(field, diag[j]),) + col[j + 1:]
+        elif draw(st.booleans()):
+            cols[j] = tuple(list(col))
+    return Lattice.from_canonical(field, tuple(cols), tuple(diag))
+
+
+@st.composite
+def pivot_probes(draw, field, big):
+    """The lattice spanned by t^{a_j + d_j} e_j, with d_j in [-1, 2]: each
+    column is pivot-only, some with an exponent below big's pivot, and
+    where big's column has entries above its pivot it may not be a member."""
+    n = big.n
+    exps = [a + draw(st.integers(-1, 2)) for a in big.diag]
+    return Lattice.from_canonical(
+        field, tuple(tuple(LocalElement.t_power(field, a) if i == j else ZERO for i in range(n))
+                     for j, a in enumerate(exps)), tuple(exps))
+
+
+@st.composite
+def containment_pairs(draw, field):
+    """A container and a lattice of its rank: one that keeps its columns, a
+    pivot probe, a sublattice, or any lattice."""
+    big = draw(containers(field))
+    kind = draw(st.sampled_from(("raised", "probe", "sub", "any")))
+    if kind == "raised":
+        return big, draw(raised_pivots(field, big))
+    if kind == "probe":
+        return big, draw(pivot_probes(field, big))
+    if kind == "sub":
+        return big, draw(sublattices(field, big))
+    return big, draw(lattices(field, big.n))
+
+
+@st.composite
+def near_canonical_bases(draw, field):
+    """(cols, diag) of a twisted restriction, as it is or with one fault:
+    an entry below a pivot, a pivot that is not monic or not t^{diag[j]},
+    or an entry above a pivot at or past its row's pivot degree."""
+    lattice = draw(twisted_restrictions(field))[-1]
+    n = lattice.n
+    cols, diag = [list(c) for c in lattice.cols], list(lattice.diag)
+    j = draw(st.integers(0, n - 1))
+    fault = draw(st.sampled_from(("none", "below", "pivot", "exponent", "above")))
+    if fault == "below" and j < n - 1:
+        cols[j][draw(st.integers(j + 1, n - 1))] = draw(elements(field, zero_weight=0))
+    elif fault == "pivot":
+        cols[j][j] = draw(elements(field, zero_weight=0))
+    elif fault == "exponent":
+        diag[j] += draw(st.sampled_from((-1, 1)))
+    elif fault == "above" and j:
+        i = draw(st.integers(0, j - 1))
+        cols[j][i] = cols[j][i] + LocalElement.t_power(field, diag[i] + draw(st.integers(0, 2)))
+    return tuple(tuple(c) for c in cols), tuple(diag)
+
+
 PROPS = settings(max_examples=120, deadline=None)
 
 
@@ -252,11 +389,9 @@ def test_back_substitution_matches_dense_on_unreduced_bases(data, fn):
 
 
 @PROPS
-@given(st.data(), field_and_rank())
-def test_contains_matches_dense(data, fn):
-    field, n = fn
-    big = data.draw(lattices(field, n))
-    small = data.draw(st.one_of(sublattices(field, big), lattices(field, n)))
+@given(st.data(), st.sampled_from(ALL_FIELDS))
+def test_contains_matches_dense(data, field):
+    big, small = data.draw(containment_pairs(field))
     assert big.contains(small) == dense_contains(big, small)
 
 
@@ -278,10 +413,7 @@ def test_restrict_scalars_matches_dense(data, field, n, e):
     """On Q the units include non-integers, whose powers in the pivots and
     the wrap factor w/u have denominators; GF(2) has the unit 1 only."""
     lattice = data.draw(lattices(field, n))
-    if field.p:
-        u = data.draw(st.integers(1, field.p - 1))
-    else:
-        u = Fraction(data.draw(st.sampled_from((1, -1, 2, -3, 5, "2/3", "-5/4", "7/2"))))
+    u = data.draw(units(field))
     out = restrict_scalars(lattice, e, u)
     assert (out.cols, out.diag) == dense_restrict_scalars(lattice, e, u)
 
@@ -367,3 +499,58 @@ def test_t_power_products_are_shifts():
             if x.coeffs:
                 for c in near_misses[field.p]:
                     assert x * LocalElement.make(field, d, [field.of(c)]) != x.shift(d)
+
+
+# -- pivot-only and shared columns against the references ------------------------
+
+
+@PROPS
+@given(st.data(), st.sampled_from(ALL_FIELDS))
+def test_from_canonical_matches_the_dense_shape(data, field):
+    cols, diag = data.draw(near_canonical_bases(field))
+    if dense_canonical_shape(field, cols, diag):
+        lattice = Lattice.from_canonical(field, cols, diag)
+        assert (lattice.cols, lattice.diag) == (cols, diag)
+    else:
+        with pytest.raises(AssertionError, match="internal: columns not in canonical form"):
+            Lattice.from_canonical(field, cols, diag)
+
+
+@PROPS
+@given(st.data(), st.sampled_from(ALL_FIELDS))
+def test_twist_restricted_matches_dense(data, field):
+    lattice, e, u, l, twisted = data.draw(twisted_restrictions(field))
+    assert (twisted.cols, twisted.diag) == dense_restrict_scalars(lattice, e, u, l)
+
+
+@PROPS
+@given(st.data(), st.sampled_from(ALL_FIELDS), st.integers(-3, 3))
+def test_scale_matches_dense(data, field, d):
+    lattice = data.draw(containers(field))
+    scaled = lattice.scale(d)
+    assert (scaled.cols, scaled.diag) == dense_scale(lattice, d)
+
+
+@PROPS
+@given(st.data(), st.sampled_from(ALL_FIELDS))
+def test_direct_sum_matches_dense(data, field):
+    blocks = data.draw(st.lists(containers(field), min_size=1, max_size=3))
+    out = direct_sum(blocks)
+    assert (out.cols, out.diag) == dense_direct_sum(blocks)
+
+
+# planted fault -> source edit of Lattice.contains
+CONTAINS_FAULTS = {
+    "no-exponent-test": ("if b < a:", "if False:"),
+    "pivot-only-on-one-side": (" and own.count(_Z) == zeros", ""),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(CONTAINS_FAULTS))
+def test_each_planted_containment_fault_disagrees_with_dense(fault, monkeypatch):
+    """The pairs of ``test_contains_matches_dense`` find each planted shortcut."""
+    monkeypatch.setattr(Lattice, "contains", planted(Lattice.contains, CONTAINS_FAULTS[fault]))
+    pairs = st.sampled_from(ALL_FIELDS).flatmap(containment_pairs)
+    find(pairs, lambda pair: pair[0].contains(pair[1]) != dense_contains(*pair),
+         settings=settings(max_examples=2000, derandomize=True, database=None,
+                           phases=[Phase.generate]))

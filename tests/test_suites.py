@@ -7,11 +7,14 @@ encoded instance alone, whatever the generators do by then.
 import ast
 import inspect
 import json
+import random
 import textwrap
 
 import pytest
 
-from parstack import TrialConfig, verify_direct_image, verify_pullback
+from parstack import (QQ, LocalElement, ParabolicBundle, ParseError, TrialConfig,
+                      from_parabolic, gen_parabolic_point, make_profile, verify_direct_image,
+                      verify_pullback)
 from parstack import harness
 from parstack import scenario as sio
 from parstack.cli import main
@@ -130,3 +133,21 @@ def test_trial_config_parses_its_field_once(monkeypatch):
     monkeypatch.setattr(harness, "field_from_name", counting)
     assert verify_pullback(TrialConfig(trials=20, field_name="prime:101")).passed
     assert calls == ["prime:101"]
+
+
+@pytest.mark.parametrize("kind", ["parabolic_point", "graded_module", "parabolic_bundle",
+                                  "cover", "matrix"])
+def test_an_instance_object_refuses_a_key_its_kind_does_not_define(kind):
+    """Every kind of the object codec decodes what its encoder wrote and
+    refuses one more key, naming it."""
+    field = QQ
+    point = gen_parabolic_point(random.Random(5), 2, 3, field)
+    value = {"parabolic_point": point, "graded_module": from_parabolic(point),
+             "parabolic_bundle": ParabolicBundle(2, 1, {"y": point}),
+             "cover": make_profile(2, [("x", 2, 1, field.one)]),
+             "matrix": [[LocalElement.t_power(field, 1)]]}[kind]
+    encoded = sio.encode_object(value)
+    assert sio.decode_instance({"x": encoded}, field)["x"] == value
+    with pytest.raises(ParseError, match="%s object \\(instance 'x'\\) has unknown key 'extra'"
+                       % kind):
+        sio.decode_instance({"x": dict(encoded, extra=1)}, field)
