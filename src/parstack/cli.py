@@ -18,7 +18,7 @@ from .errors import ParstackError, ParseError, ValidationError
 from .fields import QQ
 from .functors import (pullback_parabolic, pullback_graded,
                        pushforward_graded, pushforward_parabolic)
-from .harness import SUITES, TrialConfig
+from .harness import SUITES, TrialConfig, replay
 from .parabolic import ParabolicBundle, parabolic_degree
 from .rootstack import GradedModule, from_parabolic, to_parabolic
 
@@ -43,28 +43,6 @@ def _write_out(obj, out_path):
         sys.stdout.write(text)
 
 
-def _decode_objects(field, raw):
-    """The scenario's objects as (at-label, object, underlying_degree); each
-    object is a ParabolicBundle (at None), a ParabolicPoint or a
-    GradedModule."""
-    objects = raw.get("objects", [])
-    if not isinstance(objects, list):
-        raise ParseError("'objects' must be a list")
-    out = []
-    for idx, obj in enumerate(objects):
-        where = " (object %d)" % idx
-        decoded = sio.decode_object(obj, field, where, sio.SCENARIO_KINDS)
-        at = obj.get("at")
-        if at is not None and type(at) is not str:
-            raise ParseError("object%s: 'at' must be a string, not %r" % (where, at))
-        if isinstance(decoded, ParabolicBundle):
-            out.append((None, decoded, decoded.underlying_degree))
-        else:
-            # decoding checked the degree
-            out.append((at, decoded, obj.get("underlying_degree", 0)))
-    return out
-
-
 def _weight_table(point, heading):
     lines = ["%s  (rank %d, order %d)" % (heading, point.n, point.order),
              "  weight      multiplicity"]
@@ -77,11 +55,11 @@ def _weight_table(point, heading):
 
 
 def cmd_convert(args):
-    field, raw = _read_scenario(args.scenario)
+    scenario = _read_scenario(args.scenario)
     to_graded = args.direction == "to-graded"
     converted = []
     touched = 0
-    for at, obj, deg in _decode_objects(field, raw):
+    for at, obj, deg in scenario.objects:
         if isinstance(obj, ParabolicBundle):
             if not to_graded:
                 converted.append(sio.encode_object(obj))
@@ -93,31 +71,30 @@ def cmd_convert(args):
             if to_graded != isinstance(item, GradedModule):  # on the source side
                 item = from_parabolic(item) if to_graded else to_parabolic(item)
                 touched += 1
-            converted.append(dict(sio.encode_object(item), at=label, underlying_degree=deg))
+            converted.append(sio.encode_placed(item, label, deg or 0))
     if not touched:
         raise ValidationError("no objects in the source representation "
                               "for direction %r" % args.direction)
-    _write_out(dict(raw, objects=converted), args.out)
+    _write_out(dict(scenario.raw, objects=converted), args.out)
     return PASS
 
 
 # -- push / pull -----------------------------------------------------------
 
 
-def _cover_of(field, raw):
-    cover = raw.get("cover")
-    if cover is None:
+def _read_covered(path):
+    """The scenario of a file, its cover's target and profile."""
+    scenario = _read_scenario(path)
+    if scenario.cover is None:
         raise ParseError("scenario needs a 'cover' block")
-    return sio.decode_cover(cover, field)
+    return (scenario, *scenario.cover)
 
 
 def cmd_push(args):
-    field, raw = _read_scenario(args.scenario)
-    target, profile = _cover_of(field, raw)
-    objects = _decode_objects(field, raw)
+    scenario, target, profile = _read_covered(args.scenario)
     per_branch = []
     for br in profile.branches:
-        found = [obj for at, obj, _ in objects if at == br.label]
+        found = [obj for at, obj, _ in scenario.objects if at == br.label]
         if len(found) != 1:
             raise ValidationError("%s object at branch %r"
                                   % ("no" if not found else "more than one", br.label))
@@ -129,15 +106,15 @@ def cmd_push(args):
         pushed = to_parabolic(result)
     else:
         result = pushed = pushforward_parabolic(profile, per_branch)
-    _write_out(dict(raw, objects=[dict(sio.encode_object(result), at=target)]), args.out)
+    _write_out(dict(scenario.raw, objects=[sio.encode_placed(result, target, None)]),
+               args.out)
     print(_weight_table(pushed, "direct image at %r" % target), file=sys.stderr)
     return PASS
 
 
 def cmd_pull(args):
-    field, raw = _read_scenario(args.scenario)
-    target, profile = _cover_of(field, raw)
-    sources = [(at, obj, deg) for at, obj, deg in _decode_objects(field, raw)
+    scenario, target, profile = _read_covered(args.scenario)
+    sources = [(at, obj, deg) for at, obj, deg in scenario.objects
                if at == target or isinstance(obj, ParabolicBundle)]
     if len(sources) != 1:
         raise ValidationError("pull needs exactly one object at the target")
@@ -152,12 +129,12 @@ def cmd_pull(args):
     for br in profile.branches:
         result = pullback(profile, source, br.label)
         pulled = to_parabolic(result) if graded else result
-        results.append(dict(sio.encode_object(result), at=br.label))
+        results.append(sio.encode_placed(result, br.label, None))
         tables.append(_weight_table(pulled, "pullback at %r" % br.label))
-    _write_out(dict(raw, objects=results), args.out)
+    _write_out(dict(scenario.raw, objects=results), args.out)
     for tbl in tables:
         print(tbl, file=sys.stderr)
-    if any("underlying_degree" in o for o in raw.get("objects", [])):
+    if any(deg is not None for _, _, deg in scenario.objects):
         deg_f = sum(br.e for br in profile.branches)
         print("pulled parabolic degree: %s  (= deg f %s x source degree data)"
               % (deg_f * parabolic_degree(_as_bundle(*sources[0])[1]), deg_f),
@@ -176,12 +153,11 @@ def _as_bundle(at, obj, deg):
     graded = isinstance(obj, GradedModule)
     label = at or "y"
     return ("%s %r" % ("module" if graded else "point", label),
-            ParabolicBundle(obj.n, deg, {label: to_parabolic(obj) if graded else obj}))
+            ParabolicBundle(obj.n, deg or 0, {label: to_parabolic(obj) if graded else obj}))
 
 
 def cmd_degree(args):
-    field, raw = _read_scenario(args.scenario)
-    rows = [_as_bundle(*item) for item in _decode_objects(field, raw)]
+    rows = [_as_bundle(*item) for item in _read_scenario(args.scenario).objects]
     print("object        rank  parabolic degree")
     for name, bundle in rows:
         print("%-12s  %-4d  %s" % (name, bundle.rank, parabolic_degree(bundle)))
@@ -229,39 +205,12 @@ def cmd_replay(args):
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError("cannot read counterexample: %s" % exc)
     try:
-        name = record["suite"]
-        index = record["trial_index"]
-        if type(index) is not int or index < 0:
-            raise ValueError("trial_index must be an integer >= 0, not %r" % (index,))
-        config = record["config"]
-        cfg = TrialConfig(seed=config["seed"], trials=config["trials"],
-                          max_rank=config["max_rank"], max_order=config["max_order"],
-                          max_branches=config["max_branches"], field_name=config["field"])
-    except (KeyError, TypeError) as exc:
-        raise ParseError("malformed counterexample: missing %s" % exc)
+        name, index, ok, note, reproduced = replay(record)
     except ValueError as exc:
         raise ParseError("malformed counterexample: %s" % exc)
-    if type(name) is not str or name not in SUITES:
-        raise ParseError("unknown suite %r" % (name,))
-    suite = SUITES[name]
-    mutation = record.get("mutation")
-    try:
-        suite.require(mutation)
-    except ValueError as exc:
-        raise ParseError(str(exc))
-    if record.get("instance") is not None:
-        ok, note = suite.verdict(sio.decode_instance(record["instance"], cfg.field), mutation)
-    else:
-        # the draw raised: draw this one trial again
-        seed = record.get("trial_seed")
-        if type(seed) is not int:
-            raise ParseError("malformed counterexample: no instance and no integer trial_seed")
-        ok, note, _ = suite.trial(seed, cfg, mutation)
-    reproduced = (not ok) and note == record.get("note")
     print("replay %s trial %d: %s (%r)" %
           (name, index, "fail" if not ok else "pass", note), file=sys.stderr)
-    print("verdict %s" % ("reproduced" if reproduced else "NOT reproduced"),
-          file=sys.stderr)
+    print("verdict %s" % ("reproduced" if reproduced else "NOT reproduced"), file=sys.stderr)
     return PASS if reproduced else FAIL
 
 
@@ -279,26 +228,17 @@ def build_parser():
                    % (__version__, backend.__module__, backend.__qualname__))
     sub = p.add_subparsers(dest="command", required=True)
 
-    c = sub.add_parser("convert", help="convert between the two representations")
-    c.add_argument("scenario")
-    c.add_argument("--direction", choices=["to-graded", "to-parabolic"],
-                   required=True)
-    c.add_argument("--out")
-    c.set_defaults(fn=cmd_convert)
-
-    c = sub.add_parser("push", help="direct image over the cover")
-    c.add_argument("scenario")
-    c.add_argument("--out")
-    c.set_defaults(fn=cmd_push)
-
-    c = sub.add_parser("pull", help="pullback along each branch")
-    c.add_argument("scenario")
-    c.add_argument("--out")
-    c.set_defaults(fn=cmd_pull)
-
-    c = sub.add_parser("degree", help="parabolic degree table")
-    c.add_argument("scenario")
-    c.set_defaults(fn=cmd_degree)
+    for name, fn, text in (("convert", cmd_convert, "convert between the two representations"),
+                           ("push", cmd_push, "direct image over the cover"),
+                           ("pull", cmd_pull, "pullback along each branch"),
+                           ("degree", cmd_degree, "parabolic degree table")):
+        c = sub.add_parser(name, help=text)
+        c.add_argument("scenario")
+        if fn is cmd_convert:
+            c.add_argument("--direction", choices=["to-graded", "to-parabolic"], required=True)
+        if fn is not cmd_degree:
+            c.add_argument("--out")
+        c.set_defaults(fn=fn)
 
     c = sub.add_parser("verify", help="run the randomized differential checks")
     c.add_argument("--suite", choices=list(SUITES) + ["all"], default="all")

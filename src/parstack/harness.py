@@ -10,11 +10,11 @@ exactly and returns ``(ok, note)``.  It draws nothing, so a decoded
 instance checks as the drawn one did.
 
 Failures are data: a trial that raises fails with a note naming the
-exception.  The report keeps every failing trial with its seed and its
-instance, encoded only then.  Replay checks such an instance again, and
-draws the trial from its seed only if the draw raised.  A mutation only
-corrupts a value of its trial; the suite's checks must then reject it.
-Each suite registers its mutations, and a run refuses any other.
+exception.  The report keeps every failing trial as a record with its
+seed and instance, encoded only then; ``replay`` checks a record's
+instance again, or draws the trial from its seed if the draw raised.  A
+mutation only corrupts a value of its trial; the suite's checks must then
+reject it.  Each suite registers its mutations, and a run refuses any other.
 """
 
 from __future__ import annotations
@@ -72,6 +72,14 @@ class TrialConfig:
         return {"seed": self.seed, "trials": self.trials,
                 "max_rank": self.max_rank, "max_order": self.max_order,
                 "max_branches": self.max_branches, "field": self.field_name}
+
+    @classmethod
+    def from_dict(cls, d):
+        """The config that ``to_dict`` wrote; ValueError for any other dict."""
+        keys = sorted(cls().to_dict())
+        if sorted(d) != keys:
+            raise ValueError("config needs the keys %s, not %s" % (keys, sorted(d)))
+        return cls(**{"field_name" if key == "field" else key: d[key] for key in keys})
 
 
 @dataclass
@@ -203,7 +211,8 @@ class Suite:
 
     def require(self, mutation):
         """Refuse a mutation this suite does not register: ValueError."""
-        if mutation is not None and mutation not in self.mutations:
+        if mutation is not None and (type(mutation) is not str
+                                     or mutation not in self.mutations):
             raise ValueError("unknown mutation %r for suite %r" % (mutation, self.name))
 
     def verdict(self, instance, mutation):
@@ -225,7 +234,6 @@ class Suite:
         return (*self.verdict(instance, mutation), instance)
 
     def __call__(self, cfg, mutation=None):
-        self.require(mutation)
         rng = random.Random(cfg.seed)
         report = TrialReport(self.name, cfg)
         t0 = time.monotonic()
@@ -586,3 +594,25 @@ verify_corollaries = Suite("corollaries", _draw_corollaries, _check_corollaries,
                            {"flipped-symmetry": range(4000, 4005)})
 SUITES = {suite.name: suite
           for suite in (verify_direct_image, verify_pullback, verify_corollaries)}
+
+
+def replay(record):
+    """(suite, index, ok, note, reproduced) of a failure record of a run,
+    reproduced if it fails with the recorded note.  A malformed record
+    raises ValueError, an undecodable instance the decoder's input error."""
+    if type(record) is not dict or type(record.get("config")) is not dict:
+        raise ValueError("the record and its config must be JSON objects")
+    name, index = record.get("suite"), record.get("trial_index")
+    if type(name) is not str or name not in SUITES:
+        raise ValueError("unknown suite %r" % (name,))
+    if type(index) is not int or index < 0:
+        raise ValueError("trial_index must be an integer >= 0, not %r" % (index,))
+    cfg, suite = TrialConfig.from_dict(record["config"]), SUITES[name]
+    mutation = record.get("mutation")
+    if record.get("instance") is not None:
+        ok, note = suite.verdict(sio.decode_instance(record["instance"], cfg.field), mutation)
+    elif type(record.get("trial_seed")) is int:  # the draw raised: draw it again
+        ok, note, _ = suite.trial(record["trial_seed"], cfg, mutation)
+    else:
+        raise ValueError("no instance and no integer trial_seed")
+    return name, index, ok, note, not ok and note == record.get("note")

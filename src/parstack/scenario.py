@@ -4,8 +4,9 @@ All numbers in files are exact: integers, or integer fractions as "a/b"
 strings.  Matrices are stored column-major; each entry is a coefficient
 list with an explicit t_order.  Chains may be given explicitly or by
 weight shorthand (weights + multiplicities, expanded to diagonal chains),
-not both.  An object may carry only the keys its kind defines (``_KINDS``);
-the decoders refuse any other, so a misspelt key cannot drop what it names.
+not both.  Each object, cover, branch and bundle point has a key table,
+checked before any value is read, so a misspelt key cannot drop what it
+names.  ``loads`` reads a scenario; ``encode_placed`` writes what it reads.
 
 The encoders share equal sub-objects: within one encoded point, module or
 matrix, equal neighbouring chain members are one dict, and equal columns
@@ -18,6 +19,7 @@ decoding parses each distinct element of a chain once.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quoted
 
@@ -237,28 +239,27 @@ def encode_bundle(bundle, field):
 
 
 def decode_bundle(obj, field, where=""):
-    rank = obj.get("rank")
-    if type(rank) is not int or rank < 1:
-        raise ParseError("bundle needs an integer rank")
-    degree = underlying_degree(obj, "bundle" + where)
+    rank = _rank(obj, "bundle" + where)
     points = obj.get("points", {})
     if type(points) is not dict:
         raise ParseError("bundle%s: 'points' must be an object keyed by label" % where)
     pts = {}
     for label, p in points.items():
         at = " at %r" % label
-        pts[label] = decode_point(p, field, rank, at)
         _known_keys(p, _POINT_KEYS, "bundle%s: point%s" % (where, at))
-    return ParabolicBundle(rank, degree, pts)
+        pts[label] = decode_point(p, field, rank, at)
+    return ParabolicBundle(rank, obj.get("underlying_degree", 0), pts)
 
 
-def underlying_degree(obj, what):
-    """The object's ``underlying_degree``: a JSON integer, 0 when absent."""
-    degree = obj.get("underlying_degree", 0)
+def _rank(obj, what):
+    """The ``rank`` of a point, module or bundle object, a positive JSON
+    integer, once its ``underlying_degree``, if any, is a JSON integer."""
+    rank, degree = obj.get("rank"), obj.get("underlying_degree", 0)
+    if type(rank) is not int or rank < 1:
+        raise ParseError("%s needs an integer rank" % what)
     if type(degree) is not int:
-        raise ParseError("%s: underlying_degree must be an integer, not %r"
-                         % (what, degree))
-    return degree
+        raise ParseError("%s: underlying_degree must be an integer, not %r" % (what, degree))
+    return rank
 
 
 def encode_cover(profile, field):
@@ -274,7 +275,8 @@ def decode_cover(obj, field):
             or type(obj.get("branches")) is not list:
         raise ParseError("cover needs an integer 's' and a 'branches' list")
     specs = []
-    for b in obj["branches"]:
+    for i, b in enumerate(obj["branches"]):
+        _known_keys(b, _BRANCH_KEYS, "cover branch %d" % i)
         if type(b) is not dict or type(b.get("label")) is not str \
                 or type(b.get("e")) is not int or type(b.get("r")) is not int \
                 or "unit" not in b:
@@ -300,28 +302,24 @@ def _decode_matrix(obj, field, where):
 
 
 def _ranked(decode, what):
-    """The decoder of a point or a module: its positive integer ``rank``,
-    then its ``underlying_degree``, then the object."""
-    def decoder(obj, field, where):
-        rank = obj.get("rank")
-        if type(rank) is not int or rank < 1:
-            raise ParseError("object%s needs an integer rank" % where)
-        underlying_degree(obj, what + where)
-        return decode(obj, field, rank, where)
-    return decoder
+    """The decoder of a point or a module object: ``decode`` at its rank."""
+    return lambda obj, field, where: decode(obj, field, _rank(obj, what + where), where)
 
 
 def _known_keys(obj, keys, what):
-    """Refuse a key of ``obj`` that is not in ``keys``: a misspelt key would
-    drop what it names, and a stale one would pass through unread."""
-    for key in obj:
+    """Refuse a key of a dict ``obj`` that is not in ``keys``: a misspelt key
+    would drop what it names, and a stale one would pass through unread."""
+    for key in obj if type(obj) is dict else ():
         if key not in keys:
             raise ParseError("%s has unknown key %r" % (what, key))
 
 
 # the keys of a point in a bundle: a chain or weight shorthand, not both
 _POINT_KEYS = ("order", "chain", "weights")
-# the keys the CLI writes beside a point or module it places at a label
+# the keys of a cover and of each of its branches
+_COVER_KEYS = ("target", "s", "branches")
+_BRANCH_KEYS = ("label", "e", "r", "unit")
+# the keys beside a point or module placed at a label (``encode_placed``)
 _PLACED = ("at", "underlying_degree")
 
 # kind -> (class, encoder, decoder(obj, field, where), keys); a matrix is a
@@ -335,11 +333,10 @@ _KINDS = {
     "parabolic_bundle": (ParabolicBundle, lambda b: encode_bundle(b, None), decode_bundle,
                          ("rank", "underlying_degree", "points")),
     "cover": (CoverProfile, lambda profile: encode_cover(profile, None),
-              lambda obj, field, where: decode_cover(obj, field)[1], ("target", "s", "branches")),
+              lambda obj, field, where: decode_cover(obj, field)[1], _COVER_KEYS),
     "matrix": (list, lambda rows: {"columns": encode_matrix_cols(rows, None)}, _decode_matrix,
                ("columns",)),
 }
-SCENARIO_KINDS = ("parabolic_point", "graded_module", "parabolic_bundle")
 
 
 def encode_object(obj):
@@ -365,6 +362,15 @@ def decode_object(obj, field, where, kinds):
     return decode(obj, field, where)
 
 
+def encode_placed(obj, at, degree):
+    """A point or module placed at ``at``, with its ``underlying_degree``
+    unless ``degree`` is None: ``loads`` reads back (at, obj, degree)."""
+    placed = dict(encode_object(obj), at=at)
+    if degree is not None:
+        placed["underlying_degree"] = degree
+    return placed
+
+
 def encode_instance(instance):
     """A harness instance as JSON: a string stays, a tuple becomes a list
     and every object goes through ``encode_object``."""
@@ -387,26 +393,47 @@ def decode_instance(obj, field):
 # -- whole scenarios -------------------------------------------------------
 
 
+Scenario = namedtuple("Scenario", "field raw cover objects")
+_SCENARIO_KINDS = ("parabolic_point", "graded_module", "parabolic_bundle")
+
+
 def loads(text):
-    """Parse a scenario file into (field, raw dict).  A scenario has only
-    the keys version, field, cover and objects; any other is refused."""
+    """The ``Scenario`` of a file: field, parsed dict, cover as (target,
+    profile) or None, and objects as (at, object, underlying_degree), at or
+    degree None when absent.  Only the keys version, field, cover, objects."""
     try:
-        obj = json.loads(text)
+        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError("not valid JSON: %s" % exc)
-    if not isinstance(obj, dict):
+    if not isinstance(raw, dict):
         raise ParseError("scenario must be an object")
-    version = obj.get("version")
+    version = raw.get("version")
     if type(version) is not int or version != FORMAT_VERSION:
         raise ParseError("unsupported scenario version %r" % version)
-    for key in obj:
+    for key in raw:
         if key not in ("version", "field", "cover", "objects"):
             raise ParseError("unknown scenario key %r" % key)
     try:
-        field = field_from_name(obj.get("field", "rational"))
+        field = field_from_name(raw.get("field", "rational"))
     except ValueError as exc:
         raise ParseError(str(exc))
-    return field, obj
+    cover = raw.get("cover")
+    if cover is not None:
+        _known_keys(cover, _COVER_KEYS, "cover")
+        cover = decode_cover(cover, field)
+    objects = raw.get("objects", [])
+    if type(objects) is not list:
+        raise ParseError("'objects' must be a list")
+    placed = []
+    for idx, obj in enumerate(objects):
+        where = " (object %d)" % idx
+        # decoding checks the keys and the degree; a bundle has no ``at``
+        decoded = decode_object(obj, field, where, _SCENARIO_KINDS)
+        at = obj.get("at")
+        if at is not None and type(at) is not str:
+            raise ParseError("object%s: 'at' must be a string, not %r" % (where, at))
+        placed.append((at, decoded, obj.get("underlying_degree")))
+    return Scenario(field, raw, cover, placed)
 
 
 def dumps(obj):

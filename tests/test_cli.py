@@ -161,9 +161,12 @@ _ONE = {"t_order": 0, "coeffs": ["1"]}
     {"instance": lambda inst: dict(inst, sources=[dict(inst["sources"][0], rank=0)])},
     {"instance": lambda inst: dict(inst, morphisms=[
         {"kind": "matrix", "columns": [[_ONE, _ONE], [_ONE]]}])},
+    {"mutation": ["broken-inclusion"]},
+    {"config": {"extra": 1}},
 ], ids=["index-float", "index-bool", "index-negative", "max-rank-float", "seed-str",
         "unknown-mutation", "mutation-of-another-suite", "suite-list", "instance-list",
-        "instance-unknown-kind", "instance-rank-0", "instance-ragged-matrix"])
+        "instance-unknown-kind", "instance-rank-0", "instance-ragged-matrix",
+        "mutation-list", "config-key"])
 def test_replay_of_a_malformed_counterexample_exits_2(tmp_path, capsys, change):
     """A change is a value for a key of the record, or a function of the
     record's value there."""
@@ -175,6 +178,33 @@ def test_replay_of_a_malformed_counterexample_exits_2(tmp_path, capsys, change):
     assert main(["replay", write(tmp_path, "cex.json", bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and "reproduced" not in err
+
+
+_NOT_OBJECTS = "malformed counterexample: the record and its config must be JSON objects"
+
+
+@pytest.mark.parametrize("record,message", [
+    (lambda record: [record], _NOT_OBJECTS),
+    (lambda record: dict(record, config=[record["config"]]), _NOT_OBJECTS),
+    (lambda record: dict(record, config={"seed": 0}),
+     "malformed counterexample: config needs the keys ['field', 'max_branches', "
+     "'max_order', 'max_rank', 'seed', 'trials'], not ['seed']"),
+    (lambda record: dict(record, instance=dict(record["instance"], cover=dict(
+        record["instance"]["cover"], tagret="y"))),
+     "cover object (instance 'cover') has unknown key 'tagret'"),
+    (lambda record: dict(record, instance=dict(record["instance"], cover=dict(
+        record["instance"]["cover"], branches=[{"label": "x0", "e": 1, "r": 1, "unit": "1",
+                                                "colour": "blue"}]))),
+     "cover branch 0 has unknown key 'colour'"),
+], ids=["record-list", "config-list", "config-keys", "instance-cover-key",
+        "instance-branch-key"])
+def test_replay_names_what_is_wrong_with_a_record(tmp_path, capsys, record, message):
+    """A malformed record's error says what is wrong with it, not which
+    lookup failed; an instance's cover and branches refuse unknown keys as
+    a scenario's do."""
+    bad = record(run_mutation("direct", "broken-inclusion", 1000).failures[0])
+    assert main(["replay", write(tmp_path, "cex.json", bad)]) == 2
+    assert capsys.readouterr().err == "input error: %s\n" % message
 
 
 @pytest.mark.parametrize("text", [None, "{ not json"], ids=["missing", "not-json"])
@@ -264,6 +294,24 @@ def test_list_form_cover_exits_2(tmp_path, capsys, command, at):
     assert main([command, write(tmp_path, "listcover.json", doc)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and "cover" in err
+
+
+@pytest.mark.parametrize("command,options", [("convert", ["--direction", "to-graded"]),
+                                             ("degree", [])], ids=["convert", "degree"])
+def test_every_command_decodes_the_cover(tmp_path, capsys, command, options):
+    """convert echoes the cover and degree does not use it, but both decode
+    it, so a malformed cover is an input error for every command."""
+    good = line_scenario(cover=COVER_E2)
+    assert main([command, write(tmp_path, "good.json", good)] + options) == 0
+    capsys.readouterr()
+    for cover, message in [(_cover_e2_with(s="2"),
+                            "cover needs an integer 's' and a 'branches' list"),
+                           (_cover_e2_with(colour="blue"), "cover has unknown key 'colour'")]:
+        bad = line_scenario(cover=cover)
+        assert main([command, write(tmp_path, "bad.json", bad)] + options) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "input error: %s\n" % message
+        assert captured.out == ""
 
 
 def test_pull_weight_table(tmp_path, capsys):
@@ -646,32 +694,55 @@ _LINE_BUNDLE = {"kind": "parabolic_bundle", "rank": 1, "underlying_degree": 0,
                 "points": {"y": {"order": 2, "weights": [["1/2", 1]]}}}
 
 
-@pytest.mark.parametrize("command,obj,message", [
-    ("degree", _point_object(order=2, weights=[["1/2", 1]], chain="nonsense"),
+def _renamed(doc, path, old, new):
+    """A copy of ``doc`` whose object at ``path`` has key ``old`` renamed ``new``."""
+    doc = json.loads(json.dumps(doc))
+    obj = doc
+    for key in path:
+        obj = obj[key]
+    obj[new] = obj.pop(old)
+    return doc
+
+
+_PULL_COVER_BRANCH = _data_doc("pull-parabolic")
+_PULL_COVER_BRANCH["cover"]["branches"][0]["colour"] = "blue"
+
+
+@pytest.mark.parametrize("command,doc,message", [
+    ("degree", _objects(_point_object(order=2, weights=[["1/2", 1]], chain="nonsense")),
      "point (object 0) has both 'weights' and 'chain'"),
-    ("convert", _point_object(order=2, weights=[["1/2", 1]], colour="blue"),
+    ("convert", _objects(_point_object(order=2, weights=[["1/2", 1]], colour="blue")),
      "parabolic_point object (object 0) has unknown key 'colour'"),
-    ("convert", {"kind": "graded_module", "at": "y", "rank": 1, "order": 1,
-                 "pieces": [_R, _TR], "chain": []},
+    ("convert", _objects({"kind": "graded_module", "at": "y", "rank": 1, "order": 1,
+                          "pieces": [_R, _TR], "chain": []}),
      "graded_module object (object 0) has unknown key 'chain'"),
-    ("degree", dict(_LINE_BUNDLE, at="y"),
+    ("degree", _objects(dict(_LINE_BUNDLE, at="y")),
      "parabolic_bundle object (object 0) has unknown key 'at'"),
-    ("degree", dict(_LINE_BUNDLE, points={"y": {"order": 2, "weights": [["1/2", 1]],
-                                                "rank": 1}}),
+    ("degree", _objects(dict(_LINE_BUNDLE, points={"y": {"order": 2, "weights": [["1/2", 1]],
+                                                         "rank": 1}})),
      "bundle (object 0): point at 'y' has unknown key 'rank'"),
-    ("degree", dict(_LINE_BUNDLE, points={"y": {"order": 1, "weights": [["0", 1]],
-                                                "chain": [_R, _TR]}}),
+    ("degree", _objects(dict(_LINE_BUNDLE, points={"y": {"order": 1, "weights": [["0", 1]],
+                                                         "chain": [_R, _TR]}})),
      "point at 'y' has both 'weights' and 'chain'"),
-    ("degree", dict(_LINE_BUNDLE, points={"y": 5}),
+    ("degree", _objects(dict(_LINE_BUNDLE, points={"y": 5})),
      "point at 'y' needs a positive integer 'order', not None"),
+    ("pull", _renamed(_data_doc("pull-bundle"), ["objects", 0, "points", "p0"], "chain", "chian"),
+     "bundle (object 0): point at 'p0' has unknown key 'chian'"),
+    ("pull", _renamed(_data_doc("pull-parabolic"), ["cover"], "target", "tagret"),
+     "cover has unknown key 'tagret'"),
+    ("pull", _PULL_COVER_BRANCH, "cover branch 0 has unknown key 'colour'"),
 ], ids=["weights-and-chain", "point-key", "module-key", "bundle-key", "bundle-point-key",
-        "bundle-point-weights-and-chain", "bundle-point-not-an-object"])
-def test_unknown_object_keys_exit_2(tmp_path, capsys, command, obj, message):
+        "bundle-point-weights-and-chain", "bundle-point-not-an-object",
+        "bundle-point-misspelt-chain", "cover-key", "branch-key"])
+def test_unknown_object_keys_exit_2(tmp_path, capsys, command, doc, message):
     """An object carries the keys its kind's encoder writes, ``at`` and
     ``underlying_degree`` beside a point or module, and nothing else; a
-    point has a chain or weights, not both.  Any other key would be read
-    past, and the one that is not read would drop what it names."""
-    src = write(tmp_path, "keys.json", _objects(obj))
+    point has a chain or weights, not both.  A cover carries ``target``,
+    ``s`` and ``branches``, and a branch ``label``, ``e``, ``r`` and
+    ``unit``.  Any other key would be read past, and the one that is not
+    read would drop what it names; keys are checked before values, so the
+    error names the key rather than what its absence breaks."""
+    src = write(tmp_path, "keys.json", doc)
     options = ["--direction", "to-graded"] if command == "convert" else []
     assert main([command, src] + options) == 2
     captured = capsys.readouterr()
@@ -703,7 +774,7 @@ def test_rank_0_bundle_exits_2(tmp_path, capsys, command, options):
         "points": {"y": {"order": 2, "weights": []}}}]})
     assert main([command, src] + options) == 2
     captured = capsys.readouterr()
-    assert captured.err == "input error: bundle needs an integer rank\n"
+    assert captured.err == "input error: bundle (object 0) needs an integer rank\n"
     assert captured.out == ""
 
 

@@ -30,6 +30,17 @@ def test_trial_config_bounds():
     assert TrialConfig(field_name="prime:101").field == GF101
 
 
+@pytest.mark.parametrize("field_name", ["rational", "prime:101"])
+def test_trial_config_from_dict_inverts_to_dict(field_name):
+    cfg = TrialConfig(seed=17, trials=9, max_rank=2, max_order=5, max_branches=4,
+                      field_name=field_name)
+    assert TrialConfig.from_dict(cfg.to_dict()) == cfg
+    for bad in ({k: v for k, v in cfg.to_dict().items() if k != "seed"},
+                dict(cfg.to_dict(), colour="blue"), dict(cfg.to_dict(), trials="9")):
+        with pytest.raises(ValueError):
+            TrialConfig.from_dict(bad)
+
+
 def test_gen_unimodular_inverse():
     rng = random.Random(7)
     for field in (QQ, GF101):
