@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import sys
 
@@ -18,7 +17,7 @@ from .errors import ParstackError, ParseError, ValidationError
 from .fields import QQ
 from .functors import (pullback_parabolic, pullback_graded,
                        pushforward_graded, pushforward_parabolic)
-from .harness import SUITES, TrialConfig, replay
+from .harness import SUITES, TrialConfig, replay, verify_document
 from .parabolic import ParabolicBundle, parabolic_degree
 from .rootstack import GradedModule, from_parabolic, to_parabolic
 
@@ -75,7 +74,7 @@ def cmd_convert(args):
     if not touched:
         raise ValidationError("no objects in the source representation "
                               "for direction %r" % args.direction)
-    _write_out(dict(scenario.raw, objects=converted), args.out)
+    _write_out(sio.echo(scenario, converted), args.out)
     return PASS
 
 
@@ -106,8 +105,7 @@ def cmd_push(args):
         pushed = to_parabolic(result)
     else:
         result = pushed = pushforward_parabolic(profile, per_branch)
-    _write_out(dict(scenario.raw, objects=[sio.encode_placed(result, target, None)]),
-               args.out)
+    _write_out(sio.echo(scenario, [sio.encode_placed(result, target, None)]), args.out)
     print(_weight_table(pushed, "direct image at %r" % target), file=sys.stderr)
     return PASS
 
@@ -131,7 +129,7 @@ def cmd_pull(args):
         pulled = to_parabolic(result) if graded else result
         results.append(sio.encode_placed(result, br.label, None))
         tables.append(_weight_table(pulled, "pullback at %r" % br.label))
-    _write_out(dict(scenario.raw, objects=results), args.out)
+    _write_out(sio.echo(scenario, results), args.out)
     for tbl in tables:
         print(tbl, file=sys.stderr)
     if any(deg is not None for _, _, deg in scenario.objects):
@@ -167,11 +165,6 @@ def cmd_degree(args):
 # -- verify / replay -------------------------------------------------------
 
 
-def _config_hash(cfg):
-    blob = json.dumps(cfg.to_dict(), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
-
-
 def cmd_verify(args):
     suites = list(SUITES) if args.suite == "all" else [args.suite]
     try:
@@ -180,22 +173,12 @@ def cmd_verify(args):
     except ValueError as exc:
         raise ParseError(str(exc))
     reports = [SUITES[name](cfg) for name in suites]
-    all_pass = all(rep.passed for rep in reports)
-    doc = {
-        "tool_version": __version__,
-        "seed": cfg.seed,
-        "config": cfg.to_dict(),
-        "config_hash": _config_hash(cfg),
-        "passed": all_pass,
-        "reports": [rep.to_dict(with_timing=False) for rep in reports],
-        "timing": {rep.suite: rep.elapsed for rep in reports},
-    }
-    _write_out(doc, args.out)
+    _write_out(verify_document(cfg, reports), args.out)
     for rep in reports:
         print("suite %-12s %s (%d trials)" %
               (rep.suite, "pass" if rep.passed else "FAIL", len(rep.verdicts)),
               file=sys.stderr)
-    return PASS if all_pass else FAIL
+    return PASS if all(rep.passed for rep in reports) else FAIL
 
 
 def cmd_replay(args):

@@ -20,10 +20,13 @@ reject it.  Each suite registers its mutations, and a run refuses any other.
 from __future__ import annotations
 
 import functools
+import hashlib
+import json
 import random
 import time
 from dataclasses import dataclass, field as dc_field
 
+from . import __version__
 from . import pairing as _pairing
 from . import scenario as sio
 from .fields import QQ, field_from_name
@@ -594,6 +597,20 @@ verify_corollaries = Suite("corollaries", _draw_corollaries, _check_corollaries,
                            {"flipped-symmetry": range(4000, 4005)})
 SUITES = {suite.name: suite
           for suite in (verify_direct_image, verify_pullback, verify_corollaries)}
+
+
+def verify_document(cfg, reports):
+    """The document of a verify run over the suites' ``reports``: the tool
+    version, the config and its hash, whether every suite passed, each
+    suite's report and, apart from them, their timing."""
+    blob = json.dumps(cfg.to_dict(), sort_keys=True).encode()
+    return {"tool_version": __version__,
+            "seed": cfg.seed,
+            "config": cfg.to_dict(),
+            "config_hash": hashlib.sha256(blob).hexdigest()[:16],
+            "passed": all(rep.passed for rep in reports),
+            "reports": [rep.to_dict(with_timing=False) for rep in reports],
+            "timing": {rep.suite: rep.elapsed for rep in reports}}
 
 
 def replay(record):

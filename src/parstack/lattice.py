@@ -9,13 +9,17 @@ zero at either end).  Lattice equality and hashing are therefore
 comparisons of integer tuples.
 
 All algorithms run on Laurent-polynomial matrices, whose integer
-arithmetic reduces once per operation.  Triangularization uses only exact
-column operations (scale by a polynomial unit of R, subtract an
-R-multiple); normalization of the triangular form uses power series
-truncated at a precision P with t^P R^n inside the lattice (the proof is
-at the bound), and the result is re-verified exactly by back-substitution.
+arithmetic reduces once per operation.  Canonicalization is
+``triangularize`` followed by normalization.  Triangularization uses only
+exact column operations (scale by a polynomial unit of R, subtract an
+R-multiple) and raises SingularBasis on a span of rank below n, so a
+caller that needs only the rank test (``pairing.check_pairing`` at level
+0) calls it alone.  Normalization of the triangular form uses power
+series truncated at a precision P with t^P R^n inside the lattice (the
+proof is at the bound), and the result is re-verified exactly by
+back-substitution.
 
-Five constructors build canonical forms without canonicalizing:
+Six constructors build canonical forms without canonicalizing:
 
 * ``from_columns`` keeps a generating set that is already a canonical
   basis: exactly n columns of length n with the canonical shape (the
@@ -24,7 +28,8 @@ Five constructors build canonical forms without canonicalizing:
   at ``from_columns``).  Any other input goes through ``_canonicalize``.
 * ``scale`` shifts every entry by t^d.  Pivots stay pure powers and each
   row's degree bound moves with its pivot, so the form is canonical by
-  construction and needs no guard.
+  construction and needs no guard.  A lattice keeps t * L once built, so
+  ``scale(1)`` builds it once per lattice and undoes ``scale(-1)``.
 * ``direct_sum`` places canonical blocks on the diagonal.  Each column
   keeps its pivot and its reduced entries, and the rows of the other
   blocks are zero, so it needs no guard either.
@@ -40,6 +45,11 @@ Five constructors build canonical forms without canonicalizing:
   coordinates by moving each e-block down one row, and the rows' degree
   bounds move with their pivots.  Its guard is the shape check of
   ``Lattice.from_canonical``; it runs no member test.
+* a member of a parabolic chain (``parabolic._flag_member``) is read off
+  the canonical basis of E^0 and a reduced echelon basis of its flag in
+  the fibre E^0 / t * E^0.  It is guarded: the shape check of
+  ``Lattice.from_canonical``, the colength, and a member test of each
+  line that spans it modulo t * E^0.
 
 Inner loops visit only the support of their sparse operand: the nonzero
 entries of a vector, of a column or of a pivot column, tested by the
@@ -69,7 +79,7 @@ _Z = LocalElement.zero()
 
 
 class Lattice:
-    __slots__ = ("field", "n", "cols", "diag")
+    __slots__ = ("field", "n", "cols", "diag", "_up")
 
     def __init__(self, field, n, cols, diag, _trusted=False):
         """Internal constructor; use from_columns or from_canonical."""
@@ -79,6 +89,7 @@ class Lattice:
         self.n = n
         self.cols = cols
         self.diag = diag
+        self._up = None  # t * self, once scale has built it
 
     # -- constructors ------------------------------------------------------
 
@@ -118,12 +129,27 @@ class Lattice:
     # -- operations --------------------------------------------------------
 
     def scale(self, d):
-        """The lattice t^d * self; canonical form shifts entrywise."""
+        """The lattice t^d * self; canonical form shifts entrywise.
+
+        t * self is built once per lattice: ``scale(1)`` keeps it in the
+        slot ``_up`` and returns it from then on, and ``scale(-1)`` stores
+        self in its result's slot, since t * (t^{-1} * L) = L.  A link runs
+        from L to t * L, whose determinant valuation is n more than L's, so
+        no chain of links returns to its start: the slots make no reference
+        cycle, and a lattice lives no longer than the lattices below it.
+        """
         if d == 0 or self.n == 0:
             return self
+        if d == 1 and self._up is not None:
+            return self._up
         cols = tuple(tuple([e.shift(d) if e.coeffs else e for e in col]) for col in self.cols)
         diag = tuple(a + d for a in self.diag)
-        return Lattice(self.field, self.n, cols, diag, _trusted=True)
+        out = Lattice(self.field, self.n, cols, diag, _trusted=True)
+        if d == 1:
+            self._up = out
+        elif d == -1:
+            out._up = self
+        return out
 
     def solve(self, w):
         """Coordinates x with basis * x = w (``back_substitute``); w is a
@@ -245,8 +271,13 @@ def triangular_inverse(field, cols, diag):
 # -- canonicalization -----------------------------------------------------
 
 
-def _canonicalize(field, n, columns):
-    """Return (cols, diag) of the canonical basis of the R-span."""
+def triangularize(n, columns):
+    """An upper-triangular basis of the R-span of ``columns`` (length-n
+    entry lists), as its list of columns, by exact column operations only:
+    scale by a polynomial unit of R, subtract an R-multiple.  Rows are
+    eliminated bottom-up, and row i takes the remaining column of least
+    valuation there as its pivot.  Raises SingularBasis when the span has
+    rank below n, so the call alone is a rank test."""
     work = []
     for c in columns:
         col = list(c)
@@ -256,8 +287,6 @@ def _canonicalize(field, n, columns):
             work.append(col)
     if len(work) < n:
         raise SingularBasis("%d independent generators needed, got %d" % (n, len(work)))
-
-    # triangularize: rows bottom-up, exact column operations only
     avail = list(range(len(work)))
     pivot_col = [None] * n
     for i in range(n - 1, -1, -1):
@@ -283,7 +312,13 @@ def _canonicalize(field, n, columns):
                     col[r] = -(f * b)
             if col[i].coeffs:
                 raise AssertionError("internal: elimination left row %d nonzero" % i)
-    tri = [work[pivot_col[i]] for i in range(n)]
+    return [work[pivot_col[i]] for i in range(n)]
+
+
+def _canonicalize(field, n, columns):
+    """Return (cols, diag) of the canonical basis of the R-span: the
+    triangular basis of ``triangularize``, normalized and verified."""
+    tri = triangularize(n, columns)
     diag = [tri[i][i].ord for i in range(n)]
 
     # Precision for the unit-normalization phase.  Every triangular entry

@@ -24,11 +24,12 @@ level a is G_a = D_a * H * D_b, and
 relates bases of the two sides, so level a holds iff t^{-v} * G_a lies
 in GL_n(R).  Level 0 is tested in full: every entry of H * D_{r+c} has
 valuation >= v, and the constant matrix of t^v-coefficients, whose rank
-over k is its rank over K, canonicalizes without SingularBasis; a
-singular F fails.  That fixes val det H = n*v - sum(nu(r+c)), so a level
-a >= 1 holds iff sum(nu(a)) + sum(nu(b)) = sum(nu(r+c)) and
-val(H_ik) + nu_i(a) + nu_k(b) >= v for every nonzero H_ik: integer
-arithmetic.  `hom_chain` builds the right-hand side explicitly; it
+over k is its rank over K, has full rank: ``lattice.triangularize``
+raises no SingularBasis on it.  That is the rank test alone; no
+canonical form is built.  A singular F fails.  That fixes
+val det H = n*v - sum(nu(r+c)), so a level a >= 1 holds iff
+sum(nu(a)) + sum(nu(b)) = sum(nu(r+c)) and val(H_ik) + nu_i(a) + nu_k(b)
+>= v for every nonzero H_ik: integer arithmetic.  `hom_chain` builds the right-hand side explicitly; it
 remains the definition and the reference the check is tested against.
 
 Transport reads the functors.  `pullback_bundle` pulls back every
@@ -57,7 +58,7 @@ from .errors import (NotAPairing, ProfileMismatch, ShapeMismatch, SingularBasis,
                      ValueLineMismatch)
 from .functors import (pullback_matrix, pullback_parabolic, pushforward_parabolic,
                        restrict_matrix)
-from .lattice import Lattice
+from .lattice import triangularize
 from .linalg import block_diag, mat_mul, transpose
 from .localring import LocalElement
 from .parabolic import ParabolicBundle, ParabolicPoint, parabolic_degree, split_into_lines
@@ -118,7 +119,8 @@ def _symmetry_holds(kind, form):
 def check_pairing(pairing, bundle):
     """Kind, K-nondegeneracy and levelwise perfection at every point, each
     level read off the one Gram matrix H = V^T * F * V of the point in line
-    coordinates (module docstring)."""
+    coordinates (module docstring).  Level 0's constant matrix goes through
+    ``triangularize`` only, as a rank test: no lattice is built."""
     n = bundle.rank
     form = pairing.form
     if len(form) != n or (form and len(form[0]) != n):
@@ -143,8 +145,8 @@ def check_pairing(pairing, bundle):
                     not all(o + src[i] + tgt[k] >= v for i, k, o in support):
                 return False
         try:
-            Lattice.from_columns(pt.field, n, [
-                [row[k].shift(top[k] - v).truncate(1) for row in gram] for k in range(n)])
+            triangularize(n, [[row[k].shift(top[k] - v).truncate(1) for row in gram]
+                              for k in range(n)])
         except SingularBasis:
             return False
     return True

@@ -20,6 +20,8 @@ from .lattice import Lattice, back_substitute, map_runs
 from .linalg import mat_vec, transpose
 from .localring import LocalElement
 
+_Z = LocalElement.zero()
+
 
 class ParabolicPoint:
     """A lattice chain at one marked point."""
@@ -66,20 +68,32 @@ class ParabolicPoint:
     @classmethod
     def from_lines(cls, field, order, matrix, twists, jumps):
         """The point of an adapted basis, the inverse of split_into_lines:
-        member E^j is spanned by the columns
-        t^{twists[b] + [j > jumps[b]]} * matrix[:, b], canonicalized once per
-        jump pattern.  The patterns grow with j, so equal ones are neighbours
-        (map_runs); the all-jumped pattern is t * E^0."""
+        member E^j is spanned by the lines t^{twists[b] + [j > jumps[b]]} *
+        matrix[:, b].  Only E^0 is canonicalized.  Every member lies between
+        E^0 and t * E^0, so it is E^0's canonical basis B0 applied to
+        t * R^n plus the span of the unjumped lines' fibre vectors, the
+        constant terms of their coordinates in B0 (``_flag_member``).  One
+        member is built per run of equal jump patterns (map_runs): the
+        patterns grow with j, the unjumped one is E^0 and the all-jumped
+        one t * E^0."""
         n = len(jumps)
+        lines = [[row[b].shift(twists[b]) for row in matrix] for b in range(n)]
+        top = Lattice.from_columns(field, n, lines)
+        # a line of least jump is jumped in every member strictly inside E^0
+        lo = min(jumps, default=0)
+        fibre = {b: [x.truncate(1) for x in back_substitute(top.cols, top.diag, v)]
+                 for b, v in enumerate(lines) if jumps[b] > lo}
 
-        def span(pattern):
-            return Lattice.from_columns(field, n, [
-                [row[b].shift(twists[b] + pattern[b]) for row in matrix] for b in range(n)])
+        def member(pattern):
+            if not any(pattern):
+                return top
+            if all(pattern):
+                return top.scale(1)
+            return _flag_member(top, [(lines[b], fibre[b]) for b, jumped in enumerate(pattern)
+                                      if not jumped])
 
-        top = span((False,) * n)
-        return cls(order, map_runs(
-            lambda p: top.scale(1) if all(p) else span(p) if any(p) else top,
-            [tuple(j > jb for jb in jumps) for j in range(order + 1)]))
+        return cls(order, map_runs(member, [tuple(j > jb for jb in jumps)
+                                            for j in range(order + 1)]))
 
     def lattice(self, m):
         """E^m for any m >= 0; past the chain, E^{r*l + k} = t^l * E^k."""
@@ -165,6 +179,85 @@ def is_point_morphism(rows, src, dst):
         if not all(x.ord >= (js > jd) for x, jd in zip(m, dst_jumps) if x.coeffs):
             return False
     return True
+
+
+def _flag_member(top, unjumped):
+    """The lattice B0 * (t * R^n + U) between E^0 = ``top`` and t * E^0,
+    with B0 the canonical basis of E^0 (pivots t^{a_i}) and U the span over
+    k of the fibre vectors of ``unjumped``, a list of (line, fibre vector).
+
+    U gets a reduced echelon basis, each pivot the last nonzero row of its
+    vector: u_p is 1 at row p, zero below it and at the other pivot rows.
+    Then t * R^n + U has the canonical basis u_p on the pivot rows p and
+    t * e_i on the others, and B0 times it is triangular with pivot
+    exponents a_p on the pivot rows and a_i + 1 on the others.  On a pivot
+    row the column is B0 * u_p, already reduced, since u_p vanishes at the
+    other pivot rows and its constants keep every entry below its row's
+    bound.  On another row i the column is t * B0[:, i], whose entries have
+    degree at most their row's a_h; on the pivot rows h < i, bottom-up, its
+    t^{a_h} term is removed with a constant multiple of the column of h.
+
+    t * E^0 lies in the result by construction: t * B0[:, i] is column i
+    plus multiples of pivot columns on a row that is not a pivot row, and
+    t * B0 * u_p minus t times the columns of the rows below p on a pivot
+    row p, by induction on p.  The guards make the result E^j:
+    ``Lattice.from_canonical`` checks the shape, the colength must be
+    sum(a) + the number of jumped lines, and every unjumped line must be a
+    member.  The lines span E^j, so E^j lies in the result, and a
+    sublattice of equal colength is the whole lattice.  Each failure
+    raises AssertionError("internal: ...").
+    """
+    n, field, cols, diag = top.n, top.field, top.cols, top.diag
+    echelon = {}  # pivot row p -> u_p
+    for _, f in unjumped:
+        for p, u in echelon.items():
+            c = f[p]
+            if c.coeffs:
+                f = [x - c * y if y.coeffs else x for x, y in zip(f, u)]
+        q = n - 1
+        while q >= 0 and not f[q].coeffs:
+            q -= 1
+        if q < 0:
+            continue  # dependent: the colength guard below fails
+        inv = f[q].inv_series(1)
+        f = [x * inv if x.coeffs else x for x in f]
+        for p, u in echelon.items():
+            c = u[q]
+            if c.coeffs:
+                echelon[p] = [x - c * y if y.coeffs else x for x, y in zip(u, f)]
+        echelon[q] = f
+    out, out_diag = [None] * n, list(diag)
+    for p, u in echelon.items():
+        if u.count(_Z) == n - 1:  # u_p = e_p: column p of B0 itself
+            out[p] = cols[p]
+            continue
+        col = [_Z] * n
+        for k, c in enumerate(u):
+            if c.coeffs:
+                for i, x in enumerate(cols[k][:k + 1]):
+                    if x.coeffs:
+                        col[i] = col[i] + c * x
+        out[p] = tuple(col)
+    up = top.scale(1).cols
+    for i in range(n):
+        if i in echelon:
+            continue
+        out_diag[i] += 1
+        col = up[i]
+        for h in range(i - 1, -1, -1):
+            c = col[h].high_div(diag[h]) if h in echelon else _Z
+            if c.coeffs:
+                col = list(col) if type(col) is tuple else col
+                for g, y in enumerate(out[h][:h + 1]):
+                    if y.coeffs:
+                        col[g] = col[g] - c * y
+        out[i] = tuple(col)
+    lat = Lattice.from_canonical(field, tuple(out), tuple(out_diag))
+    if sum(out_diag) != sum(diag) + n - len(unjumped):
+        raise AssertionError("internal: flag member has the wrong colength")
+    if not all(lat.member(v) for v, _ in unjumped):
+        raise AssertionError("internal: an unjumped line is not in its flag member")
+    return lat
 
 
 def split_into_lines(point):

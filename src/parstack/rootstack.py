@@ -25,7 +25,8 @@ decoded objects) is checked.
 from __future__ import annotations
 
 from .errors import InvalidGrading, ShapeMismatch
-from .lattice import image_columns, map_runs
+from .lattice import map_runs
+from .linalg import mat_vec
 from .parabolic import ParabolicPoint
 
 
@@ -91,19 +92,22 @@ def from_parabolic(point):
 def is_graded_morphism(rows, src, dst):
     """True iff rows * src.pieces[k] <= dst.pieces[k] for every grade k.
 
-    Modules of different orders are never related.  A grade whose (source,
-    target) pair repeats the previous grade's pair is not tested again.  A
-    matrix that is not dst.n x src.n raises ShapeMismatch.
+    Modules of different orders are never related.  A matrix that is not
+    dst.n x src.n raises ShapeMismatch.  Column j of M_k is tested only
+    when k = 0 or it differs from column j of M_{k-1}: an equal column was
+    proven, at grade k-1 or by this rule below it, to map into N_{k-1},
+    which lies in N_k because the target's pieces ascend.  So a grade that
+    repeats the previous source piece tests nothing.
     """
     if src.order != dst.order:
         return False
     if len(rows) != dst.n or (rows and len(rows[0]) != src.n):
         raise ShapeMismatch("matrix is %dx%d, expected %dx%d"
                             % (len(rows), len(rows[0]) if rows else 0, dst.n, src.n))
-    srcs, dsts = src.pieces, dst.pieces
-    for k in range(src.order):
-        if k and srcs[k] == srcs[k - 1] and dsts[k] == dsts[k - 1]:
-            continue
-        if not all(dsts[k].member(col) for col in image_columns(rows, srcs[k])):
-            return False
+    prev = ()
+    for piece, tgt in zip(src.pieces, dst.pieces):
+        for j, col in enumerate(piece.cols):
+            if not (prev and col == prev[j]) and not tgt.member(mat_vec(rows, col)):
+                return False
+        prev = piece.cols
     return True

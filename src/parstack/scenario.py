@@ -436,6 +436,13 @@ def loads(text):
     return Scenario(field, raw, cover, placed)
 
 
+def echo(scenario, objects):
+    """The scenario as read, with its objects replaced by ``objects`` (from
+    ``encode_object`` or ``encode_placed``): what convert, push and pull
+    write."""
+    return dict(scenario.raw, objects=objects)
+
+
 def dumps(obj):
     """Canonical serialization: sorted keys, 2-space indent, ASCII escapes.
 

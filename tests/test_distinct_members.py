@@ -2,9 +2,11 @@
 reference code and call counts.
 
 A chain of order r has r+1 members but at most n+1 distinct ones.  The
-generators, the direct image, the pullback, the chain checks and scenario
-decoding compute each distinct member once; the reference functions below
-are the per-member versions they replaced and must give the same results.
+direct image, the chain checks and scenario decoding compute each distinct
+member once; the generators and the pullback build points with
+``ParabolicPoint.from_lines``, which canonicalizes E^0 alone.  The
+reference functions below are the per-member versions they replaced and
+must give the same results.
 """
 
 import json
@@ -17,7 +19,7 @@ from parstack import (ANTISYMMETRIC, QQ, SYMMETRIC, GradedModule, InvalidChain,
                       is_graded_morphism, is_point_morphism, pullback_graded,
                       pullback_parabolic, pushforward_graded,
                       pushforward_parabolic, to_parabolic)
-from parstack import functors, parabolic
+from parstack import functors, lattice, parabolic
 from parstack import scenario as sio
 from parstack.functors import (direct_sum, make_profile, restrict_scalars,
                                substitute_element, substitute_matrix)
@@ -284,15 +286,21 @@ def _count(monkeypatch, owner, name):
 
 
 @FIELDS
-def test_generator_canonicalizes_once_per_distinct_member(field, monkeypatch):
+def test_generator_canonicalizes_once_per_point(field, monkeypatch):
+    """from_lines canonicalizes E^0 only, and reads every other member off
+    its fibre flag: one from_columns and one _canonicalize per point."""
     calls = _count(monkeypatch, Lattice, "from_columns")
+    canon = _count(monkeypatch, lattice, "_canonicalize")
     rng = random.Random(113)
+    flags = 0
     for n in (1, 2, 3):
         for _ in range(5):
-            del calls[:]
+            del calls[:], canon[:]
             pt = gen_parabolic_point(rng, n, 12, field)
-            assert len(calls) == len(set(pt.chain)) - 1  # t * E^0 is a shift
+            assert len(calls) == 1 and len(canon) <= 1  # E^0 may be canonical as drawn
             assert len(set(pt.chain)) <= n + 1
+            flags += len(set(pt.chain)) > 2  # a member strictly between E^0 and t * E^0
+    assert flags
 
 
 @FIELDS
@@ -369,7 +377,7 @@ def test_direct_image_restricts_once_per_distinct_member(field, monkeypatch):
 
 
 @FIELDS
-def test_pullback_and_decoding_canonicalize_once_per_distinct_member(field, monkeypatch):
+def test_pullback_once_per_point_decoding_once_per_member(field, monkeypatch):
     rng = random.Random(131)
     cases = []
     for i in range(12):
@@ -387,8 +395,9 @@ def test_pullback_and_decoding_canonicalize_once_per_distinct_member(field, monk
         assert len(calls) == 0 and len(solves) == 0
         del calls[:]
         pulled = pullback_parabolic(profile, pt, "x", lines=lines)
-        # the identity chart returns the point itself and builds nothing
-        assert len(calls) == (0 if pulled is pt else len(set(pulled.chain)) - 1)
+        # the identity chart returns the point itself and builds nothing;
+        # any other chart canonicalizes the pulled E^0 only (from_lines)
+        assert len(calls) == (0 if pulled is pt else 1)
         del calls[:]
         pullback_graded(profile, from_parabolic(pt), "x")
         assert len(calls) <= pt.n + 1

@@ -28,7 +28,7 @@ from operator import add
 import pytest
 from hypothesis import Phase, find, given, settings, strategies as st
 
-from parstack import QQ, Lattice, LocalElement, PrimeField, SingularBasis
+from parstack import QQ, Lattice, LocalElement, ParabolicPoint, PrimeField, SingularBasis
 from parstack.functors import restrict_matrix, restrict_scalars, twist_restricted
 from parstack.lattice import back_substitute, direct_sum, image_columns, triangular_inverse
 from parstack.linalg import mat_vec
@@ -293,11 +293,39 @@ def pivot_probes(draw, field, big):
 
 
 @st.composite
+def unshared_probes(draw, field):
+    """A container whose column j is not pivot-only, against the pivot
+    probe that is t^{a_j + d} e_j, d in {0, 1}, in column j.  Column j of
+    the container is t^{a_j} e_j + c * t^k e_i for some i < j, with c a
+    nonzero constant and k < a_i, so the probe's column j is a member only
+    if k + d >= a_i: most draws are not containments, and the pivot
+    exponents alone cannot tell."""
+    n = draw(st.integers(2, 4))
+    j = draw(st.integers(1, n - 1))
+    i = draw(st.integers(0, j - 1))
+    diag = [draw(st.integers(-1, 2)) for _ in range(n)]
+    cols = [[LocalElement.t_power(field, a) if r == c else ZERO for r in range(n)]
+            for c, a in enumerate(diag)]
+    lo, hi = (1, field.p - 1) if field.p else (-6, 6)
+    value = draw(st.integers(lo, hi).filter(bool))
+    cols[j][i] = LocalElement.make(field, diag[i] - draw(st.integers(1, 2)), [field.of(value)])
+    big = Lattice.from_columns(field, n, cols)
+    exps = [a + draw(st.integers(0, 1)) if c == j else a + draw(st.integers(-1, 2))
+            for c, a in enumerate(big.diag)]
+    return big, Lattice.from_canonical(
+        field, tuple(tuple(LocalElement.t_power(field, a) if r == c else ZERO for r in range(n))
+                     for c, a in enumerate(exps)), tuple(exps))
+
+
+@st.composite
 def containment_pairs(draw, field):
     """A container and a lattice of its rank: one that keeps its columns, a
-    pivot probe, a sublattice, or any lattice."""
+    pivot probe against any container or against a column that is not
+    pivot-only, a sublattice, or any lattice."""
+    kind = draw(st.sampled_from(("raised", "probe", "unshared", "sub", "any")))
+    if kind == "unshared":
+        return draw(unshared_probes(field))
     big = draw(containers(field))
-    kind = draw(st.sampled_from(("raised", "probe", "sub", "any")))
     if kind == "raised":
         return big, draw(raised_pivots(field, big))
     if kind == "probe":
@@ -477,6 +505,12 @@ def test_no_kernel_multiplies_by_a_zero_entry(monkeypatch):
             mat_vec(rows, w)
             e, u = rng.randint(2, 4), field.of(rng.choice((1, 2, -1)))
             twist_restricted(restrict_scalars(lattice, e, u), e, u, rng.randint(1 - 2 * e, 2 * e))
+            twists, jumps = [rng.randint(-1, 1) for _ in range(n)], [rng.randint(0, 3) for _ in range(n)]
+            for matrix in ([list(row) for row in zip(*other.cols)], _random_sparse(rng, field, (n, n))):
+                try:
+                    ParabolicPoint.from_lines(field, 4, matrix, twists, jumps)
+                except SingularBasis:
+                    pass
     assert products[0] > 1000
     assert zero_products == []
 
