@@ -405,60 +405,47 @@ def _value_line_bundle(field, label, order, jump, g):
     return ParabolicBundle(1, -1, pts)
 
 
-def _line_pair_exponent(r, c_l, g_l, a_v, g_v, a_w, g_w):
-    """The exponent h that makes the diagonal block perfect, or None.
+def _line_pair(r, c_l, g_l, a_v, g_v, g_w):
+    """(a_w, h): the one partner jump and exponent that make the block of
+    lines v, w (twists g_v, g_w) perfect for value datum (g_l, c_l); a
+    self-pair is the case a_w = a_v, g_w = g_v.
 
-    The block lives on E^m = diag(t^{nu_v(m)}, t^{nu_w(m)}) with
-    nu_x(m) = g_x + [m > a_x] for m <= r and nu_x(m) = 1 + nu_x(m - r)
-    beyond the chain; a self-pair is the case w = v (rank 1, form t^h).
-    The form swaps the two lines (up to sign), so F^T * E^a is
-    diag(t^{h + nu_w(a)}, t^{h + nu_v(a)}), while the target
-    t^{1+g_l} * (E^b)^*, b = r + c_l - a, is
-    diag(t^{1 + g_l - nu_v(b)}, t^{1 + g_l - nu_w(b)}).  Level a therefore
-    holds iff
-
-        h = 1 + g_l - nu_v(a) - nu_w(b) = 1 + g_l - nu_w(a) - nu_v(b),
-
-    and the block is perfect iff these values agree over all a < r.
+    With nu_x(q*r + k) = q + g_x + [k > a_x], the form t^h swapping the
+    lines (up to sign) satisfies level a, b = r + c_l - a, iff
+    h = 1 + g_l - nu_v(a) - nu_w(b) = 1 + g_l - nu_w(a) - nu_v(b).  From a
+    to a + 1 < r the first value moves by [a = (c_l-1-a_w) mod r] - [a = a_v],
+    so it is constant iff a_w = (c_l - 1 - a_v) mod r, and so is the second.
+    At a = 0 both read g_l - g_v - g_w - [a_v + a_w < c_l], since a_v + a_w
+    is c_l - 1 if a_v < c_l and r + c_l - 1 otherwise.  For g_l, g_v, g_w
+    in {-1, 0, 1}, h lies in [-4, 3].
     """
-    def nu(m, a_x, g_x):
-        return g_x + (m > a_x) if m <= r else 1 + g_x + (m - r > a_x)
-
-    hs = set()
-    for a in range(r):
-        b = r + c_l - a
-        hs.add(1 + g_l - nu(a, a_v, g_v) - nu(b, a_w, g_w))
-        hs.add(1 + g_l - nu(a, a_w, g_w) - nu(b, a_v, g_v))
-    return hs.pop() if len(hs) == 1 else None
+    a_w = (c_l - 1 - a_v) % r
+    return a_w, g_l - g_v - g_w - (a_v + a_w < c_l)
 
 
 def _find_line_pair(rng, field, r, c_l, g_l, kind, self_pair):
     """A perfect line block for value datum (g_l, c_l), or None.
 
-    Candidates come in the order of a search over jumps a_v (shuffled),
-    a_w (ascending) and exponents h = -4..4: the first candidate whose
-    closed-form exponent (`_line_pair_exponent`) lies in that range wins.
-    Each jump pair admits at most one h, so this is the block a full
-    `check_pairing` search would find, with the same draws from rng.
+    The jumps a_v are tried in shuffled order, drawing g_v (and g_w, unless
+    self_pair) for each; the partner and exponent come from `_line_pair`.
+    The first candidate with h in -4..4, and for a self-pair a_w = a_v,
+    wins: the block a `check_pairing` search over a_w ascending and
+    h = -4..4 would find, with the same draws from rng.
     """
     cands = list(range(r))
     rng.shuffle(cands)
+    if self_pair and kind == ANTISYMMETRIC:  # no alternating 1x1 form; the shuffle is drawn
+        return None
     for a_v in cands:
-        if self_pair:
-            if kind == ANTISYMMETRIC:
-                return None
-            g_v = rng.randint(-1, 1)
-            h = _line_pair_exponent(r, c_l, g_l, a_v, g_v, a_v, g_v)
-            if h is not None and -4 <= h <= 4:
-                return ([a_v], [g_v], [[LocalElement.t_power(field, h)]])
-        else:
-            g_v, g_w = rng.randint(-1, 1), rng.randint(-1, 1)
-            for a_w in range(r):
-                h = _line_pair_exponent(r, c_l, g_l, a_v, g_v, a_w, g_w)
-                if h is not None and -4 <= h <= 4:
-                    th = LocalElement.t_power(field, h)
-                    form = [[_Z, th], [-th if kind == ANTISYMMETRIC else th, _Z]]
-                    return ([a_v, a_w], [g_v, g_w], form)
+        g_v = rng.randint(-1, 1)
+        g_w = g_v if self_pair else rng.randint(-1, 1)
+        a_w, h = _line_pair(r, c_l, g_l, a_v, g_v, g_w)
+        if -4 <= h <= 4 and (a_w == a_v or not self_pair):
+            th = LocalElement.t_power(field, h)
+            if self_pair:
+                return ([a_v], [g_v], [[th]])
+            form = [[_Z, th], [-th if kind == ANTISYMMETRIC else th, _Z]]
+            return ([a_v, a_w], [g_v, g_w], form)
     return None
 
 
@@ -509,9 +496,12 @@ def _flip_symmetry(form, kind):
 
 def _draw_corollaries(rng, cfg, mutation):
     """A perfect pairing to pull back along a one-branch cover, or one per
-    branch to push forward, valued in a drawn value line.  When no pairing
-    exists at the drawn size the instance is vacuous: its cover, kind and
-    direction, and the note under ``vacuous``."""
+    branch to push forward, valued in a drawn value line.  A pull draw
+    always finds its pairing: its value datum has g_l in {-1, 0, 1}, so
+    every line pair has h in [-4, 3] (``_line_pair``).  A branch datum
+    g_x = e * g_l - c_l // r can lie further out; when a branch finds no
+    pair in -4..4 the instance is vacuous: its cover, kind and direction,
+    and the note under ``vacuous``."""
     field = cfg.field
     kind = SYMMETRIC if rng.random() < 0.5 else ANTISYMMETRIC
     s = rng.choice([m for m in range(1, min(cfg.max_order, 8) + 1)])
@@ -524,10 +514,8 @@ def _draw_corollaries(rng, cfg, mutation):
         unit = field.one if rng.random() < 0.3 else field.random_nonzero(rng)
         instance["cover"] = make_profile(s, [("x0", e, s // e, unit)])
         c_l, g_l = rng.randint(0, s - 1), rng.randint(-1, 1)
-        made = gen_pairing_point(rng, field, s, c_l, g_l, kind, rng.randint(1, 2), "y")
-        if made is None:
-            return dict(instance, vacuous="no instance at this size")
-        pt, form, value = made
+        pt, form, value = gen_pairing_point(rng, field, s, c_l, g_l, kind,
+                                            rng.randint(1, 2), "y")
         if mutation == "flipped-symmetry":
             form, instance["kind"] = _flip_symmetry(form, kind)
         return dict(instance, bundle=ParabolicBundle(pt.n, 0, {"y": pt}),

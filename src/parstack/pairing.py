@@ -22,15 +22,23 @@ level a is G_a = D_a * H * D_b, and
     F^T * V * D_a  =  t^v * (V * D_b)^{-T} * (t^{-v} * G_a^T)
 
 relates bases of the two sides, so level a holds iff t^{-v} * G_a lies
-in GL_n(R).  Level 0 is tested in full: every entry of H * D_{r+c} has
-valuation >= v, and the constant matrix of t^v-coefficients, whose rank
-over k is its rank over K, has full rank: ``lattice.triangularize``
-raises no SingularBasis on it.  That is the rank test alone; no
-canonical form is built.  A singular F fails.  That fixes
-val det H = n*v - sum(nu(r+c)), so a level a >= 1 holds iff
-sum(nu(a)) + sum(nu(b)) = sum(nu(r+c)) and val(H_ik) + nu_i(a) + nu_k(b)
->= v for every nonzero H_ik: integer arithmetic.  `hom_chain` builds the right-hand side explicitly; it
-remains the definition and the reference the check is tested against.
+in GL_n(R): val(H_ik) + nu_i(a) + nu_k(b) >= v for every nonzero H_ik,
+and val det G_a = n*v.  Over all a < r both are closed-form integer
+facts; no level is visited.  With x = a + r - 1 - j_i and
+d = 3r + c - 2 - j_i - j_k, nu_i(a) + nu_k(b) = floor(x/r) +
+floor((d-x)/r) = floor(d/r) - [x mod r > d mod r], and x meets every
+residue mod r, so entry (i, k) holds at every level iff
+val(H_ik) + floor(d/r) - [d mod r < r-1] >= v.  Given the entries, level
+0's determinant is a rank test: the constant matrix of t^v-coefficients
+of H * D_{r+c}, nu_k(r+c) = 1 + [c > j_k], has full rank over k, its
+rank over K (``lattice.triangularize`` raises no SingularBasis; no
+canonical form is built, and a singular F fails).  That fixes val det H,
+so level a >= 1 holds iff f(a) = sum(nu(a)) + sum(nu(b)) equals f(0).
+As f(a+1) - f(a) = cnt(a) - cnt((c-1-a) mod r), cnt counting the jumps,
+and the involution j -> (c-1-j) mod r maps r-1 to c (fixed or tested),
+that is: the jump multiset is invariant under the involution.
+`hom_chain` builds the right-hand side explicitly; it remains the
+definition and the reference the check is tested against.
 
 Transport reads the functors.  `pullback_bundle` pulls back every
 bundle, the pairing's own and its value line, along the whole cover: the
@@ -45,7 +53,9 @@ In characteristic 2 a symplectic form must be alternating (zero diagonal),
 so the ANTISYMMETRIC kind requires a zero diagonal; elsewhere F^T = -F
 implies it.
 The residue push of an alternating form is alternating: its diagonal
-entries are components of t^{2 rho} * F_ii (``residue_push_form``).
+entries are components of t^{2 rho} * F_ii (``residue_push_form``), so
+`pushforward_pairing` labels the pushed pairing with the strongest kind
+that every branch form has, antisymmetric first.
 Orthogonal structures in characteristic 2 need quadratic forms; they are
 out of scope.
 """
@@ -117,9 +127,10 @@ def _symmetry_holds(kind, form):
 
 
 def check_pairing(pairing, bundle):
-    """Kind, K-nondegeneracy and levelwise perfection at every point, each
-    level read off the one Gram matrix H = V^T * F * V of the point in line
-    coordinates (module docstring).  Level 0's constant matrix goes through
+    """Kind, K-nondegeneracy and levelwise perfection at every point, all
+    levels at once from the one Gram matrix H = V^T * F * V of the point in
+    line coordinates (module docstring): the jump symmetry, one closed-form
+    bound per nonzero entry, and level 0's constant matrix through
     ``triangularize`` only, as a rank test: no lattice is built."""
     n = bundle.rank
     form = pairing.form
@@ -134,29 +145,21 @@ def check_pairing(pairing, bundle):
         g, c = line_local_data(pairing.value_line, label, r)
         v = 1 + g
         jumps, lifts = split_into_lines(pt)
+        if sorted(jumps) != sorted((c - 1 - j) % r for j in jumps):
+            return False
         gram = mat_mul(transpose(lifts), mat_mul(form, lifts))
-        support = [(i, k, x.ord) for i, row in enumerate(gram)
-                   for k, x in enumerate(row) if x.coeffs]
-        top = _line_exponents(jumps, r, r + c)
-        index = sum(top)
-        for a in range(r):
-            src, tgt = _line_exponents(jumps, r, a), _line_exponents(jumps, r, r + c - a)
-            if sum(src) + sum(tgt) != index or \
-                    not all(o + src[i] + tgt[k] >= v for i, k, o in support):
-                return False
+        for i, row in enumerate(gram):
+            for k, x in enumerate(row):
+                if x.coeffs:
+                    q, m = divmod(3 * r + c - 2 - jumps[i] - jumps[k], r)
+                    if x.ord + q - (m < r - 1) < v:
+                        return False
         try:
-            triangularize(n, [[row[k].shift(top[k] - v).truncate(1) for row in gram]
-                              for k in range(n)])
+            triangularize(n, [[row[k].shift(1 + (c > jumps[k]) - v).truncate(1)
+                               for row in gram] for k in range(n)])
         except SingularBasis:
             return False
     return True
-
-
-def _line_exponents(jumps, r, m):
-    """nu(m): E^m is spanned by t^{nu_i(m)} times the lifts of the lines
-    with these jumps, where nu_i(q*r + k) = q + [k > jumps[i]]."""
-    q, k = divmod(m, r)
-    return [q + (k > j) for j in jumps]
 
 
 # -- transport -------------------------------------------------------------
@@ -235,23 +238,18 @@ def pushforward_pairing(profile, value_line, target_label, branch_pairs):
     """
     if len(branch_pairs) != len(profile.branches):
         raise ProfileMismatch("need one branch pairing per branch")
-    kinds = set()
-    blocks = []
-    points = []
-    for br, (pt, form, declared) in zip(profile.branches, branch_pairs):
+    for br, (_, _, declared) in zip(profile.branches, branch_pairs):
         expected = expected_branch_value_data(profile, br, value_line, target_label)
         if declared != expected:
             raise ValueLineMismatch("branch %r pairing valued in %r, expected the "
                                     "pullback datum %r" % (br.label, declared, expected))
-        kind = next((k for k in (SYMMETRIC, ANTISYMMETRIC) if _symmetry_holds(k, form)), None)
-        if kind is None:
-            raise NotAPairing("branch form is neither symmetric nor antisymmetric")
-        kinds.add(kind)
-        points.append(pt)
-        blocks.append(residue_push_form(form, br.e, br.unit, pt.field))
-    if len(kinds) != 1:
-        raise NotAPairing("branch forms disagree in kind")
-    kind = kinds.pop()
+    kind = next((k for k in (ANTISYMMETRIC, SYMMETRIC)
+                 if all(_symmetry_holds(k, form) for _, form, _ in branch_pairs)), None)
+    if kind is None:
+        raise NotAPairing("branch forms are neither all symmetric nor all antisymmetric")
+    points = [pt for pt, _, _ in branch_pairs]
+    blocks = [residue_push_form(form, br.e, br.unit, pt.field)
+              for br, (pt, form, _) in zip(profile.branches, branch_pairs)]
     pushed_pt = pushforward_parabolic(profile, points)
     bundle = ParabolicBundle(pushed_pt.n, 0, {target_label: pushed_pt})
     return ParabolicPairing(kind, block_diag(blocks), value_line), bundle

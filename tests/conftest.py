@@ -18,9 +18,12 @@ from math import lcm
 import sympy
 
 from parstack import (QQ, GradedModule, InvalidGrading, Lattice, LocalElement,
-                      ParabolicPoint, PrimeField, TrialConfig, from_parabolic,
-                      gen_parabolic_point, pullback_parabolic_line)
+                      ParabolicPoint, PrimeField, SingularBasis, TrialConfig,
+                      apply_matrix, from_parabolic, gen_parabolic_point,
+                      pullback_parabolic_line)
 from parstack.harness import SUITES
+from parstack.linalg import transpose
+from parstack.pairing import _symmetry_holds, hom_chain, line_local_data
 
 T = sympy.symbols("t")
 
@@ -116,6 +119,24 @@ def run_mutation(suite, mutation, seed, field_name="rational"):
     """One corrupted trial; the verifier must flag it."""
     cfg = TrialConfig(seed=seed, trials=1, field_name=field_name, max_order=8)
     return SUITES[suite](cfg, mutation=mutation)
+
+
+def reference_check(pairing, bundle):
+    """check_pairing by its definition: F^T * E^a equals the hom chain."""
+    if not _symmetry_holds(pairing.kind, pairing.form):
+        return False
+    ft = transpose(pairing.form)
+    for label in bundle.labels():
+        pt = bundle.points[label]
+        g, c = line_local_data(pairing.value_line, label, pt.order)
+        target = hom_chain(pt, g, c)
+        try:
+            if not all(apply_matrix(ft, pt.chain[a])
+                       == target.chain[a] for a in range(pt.order)):
+                return False
+        except SingularBasis:
+            return False
+    return True
 
 
 def degree_scenario_trial(rng):
@@ -218,8 +239,6 @@ def decompose_element(x, e, u):
 
 def random_columns(rng, n, field=QQ, extra=0):
     """n + extra random columns spanning a full lattice (retried on failure)."""
-    from parstack import SingularBasis
-
     while True:
         cols = [[random_element(rng, field) for _ in range(n)]
                 for _ in range(n + extra)]

@@ -9,9 +9,9 @@ from parstack import (ANTISYMMETRIC, QQ, SYMMETRIC,
                       ParabolicBundle, ParabolicPairing, ParabolicPoint,
                       TrialConfig, check_pairing, gen_parabolic_point)
 from parstack import functors, pairing
-from parstack.harness import (SUITES, _find_line_pair, _flip_off_diagonal,
-                              _line_pair_exponent, _value_line_bundle,
-                              gen_point_morphism,
+from parstack import harness
+from parstack.harness import (SUITES, _find_line_pair, _flip_off_diagonal, _line_pair,
+                              _value_line_bundle, gen_point_morphism,
                               gen_profile, gen_unimodular, verify_corollaries,
                               verify_direct_image, verify_pullback)
 from parstack.linalg import identity_matrix, mat_mul
@@ -19,7 +19,8 @@ from parstack.localring import LocalElement
 from parstack.parabolic import is_point_morphism
 from parstack.scenario import decode_element
 
-from conftest import GF101, MUTATIONS, degree_scenario_trial, diagonal_lattice, run_mutation
+from conftest import (GF101, MUTATIONS, degree_scenario_trial, diagonal_lattice, planted,
+                      reference_check, run_mutation)
 
 
 def test_trial_config_bounds():
@@ -197,8 +198,8 @@ def test_degree_scenarios():
 _Z = LocalElement.zero()
 
 
-def _search_exponent(field, r, c_l, g_l, kind, jumps, twists):
-    """First h in -4..4 for which check_pairing accepts the line block."""
+def _search_exponent(field, r, c_l, g_l, kind, jumps, twists, check=check_pairing):
+    """First h in -4..4 for which ``check`` accepts the line block."""
     pt = ParabolicPoint(r, [diagonal_lattice(
         field, [g + (1 if j > a else 0) for a, g in zip(jumps, twists)])
         for j in range(r + 1)])
@@ -210,7 +211,7 @@ def _search_exponent(field, r, c_l, g_l, kind, jumps, twists):
             form = [[th]]
         else:
             form = [[_Z, th], [-th if kind == ANTISYMMETRIC else th, _Z]]
-        if check_pairing(ParabolicPairing(kind, form, value), bundle):
+        if check(ParabolicPairing(kind, form, value), bundle):
             return h
     return None
 
@@ -236,30 +237,67 @@ def _brute_force_line_pair(rng, field, r, c_l, g_l, kind, self_pair):
     return None
 
 
-@pytest.mark.parametrize("field", [QQ, GF101], ids=["rational", "prime101"])
-def test_line_pair_exponent_matches_search_on_grid(field):
-    found = set()
+def _closed_form_exponent(line_pair, r, c_l, g_l, jumps, twists):
+    """The exponent ``line_pair`` gives for the block of these lines (one
+    line: a self-pair), or None when the last jump is not its partner or
+    the exponent lies outside -4..4."""
+    partner, h = line_pair(r, c_l, g_l, jumps[0], twists[0], twists[-1])
+    return h if partner == jumps[-1] and -4 <= h <= 4 else None
+
+
+def _grid_cases():
+    """(r, c_l, g_l, kind, jumps, twists) of every self-pair and pair of
+    lines with r <= 3 and all exponents in {-1, 0, 1}."""
     for r in range(1, 4):
         for c_l in range(r):
             for g_l in (-1, 0, 1):
                 for a_v in range(r):
                     for g_v in (-1, 0, 1):
-                        h = _line_pair_exponent(r, c_l, g_l, a_v, g_v, a_v, g_v)
-                        h = h if h is not None and -4 <= h <= 4 else None
-                        assert h == _search_exponent(field, r, c_l, g_l, SYMMETRIC,
-                                                     [a_v], [g_v])
-                        found.add(("self", h is not None))
+                        yield r, c_l, g_l, SYMMETRIC, [a_v], [g_v]
                         for a_w in range(r):
                             for g_w in (-1, 0, 1):
-                                h = _line_pair_exponent(
-                                    r, c_l, g_l, a_v, g_v, a_w, g_w)
-                                h = h if h is not None and -4 <= h <= 4 else None
                                 for kind in (SYMMETRIC, ANTISYMMETRIC):
-                                    assert h == _search_exponent(
-                                        field, r, c_l, g_l, kind,
-                                        [a_v, a_w], [g_v, g_w])
-                                found.add(("pair", h is not None))
-    assert found == {("self", True), ("self", False), ("pair", True), ("pair", False)}
+                                    yield r, c_l, g_l, kind, [a_v, a_w], [g_v, g_w]
+
+
+@pytest.mark.parametrize("field", [QQ, GF101], ids=["rational", "prime101"])
+def test_line_pair_matches_search_on_grid(field):
+    """The closed form against the first h that check_pairing accepts and,
+    for the symmetric blocks, the first h that the definition accepts
+    (``reference_check``: F^T * E^a against the hom chain)."""
+    found = set()
+    for r, c_l, g_l, kind, jumps, twists in _grid_cases():
+        h = _closed_form_exponent(_line_pair, r, c_l, g_l, jumps, twists)
+        assert h == _search_exponent(field, r, c_l, g_l, kind, jumps, twists)
+        if kind == SYMMETRIC:
+            assert h == _search_exponent(field, r, c_l, g_l, kind, jumps, twists,
+                                         reference_check)
+        found.add((len(jumps), h is not None))
+    assert found == {(1, True), (1, False), (2, True), (2, False)}
+
+
+# planted off-by-one in a closed form -> (module, function name, source edit)
+CLOSED_FORM_FAULTS = {
+    "entry-bound": (pairing, "check_pairing", ("3 * r + c - 2", "3 * r + c - 1")),
+    "entry-floor": (pairing, "check_pairing", ("(m < r - 1)", "(m < r - 2)")),
+    "jump-symmetry": (pairing, "check_pairing", ("(c - 1 - j) % r", "(c - j) % r")),
+    "top-exponent": (pairing, "check_pairing", ("(c > jumps[k])", "(c >= jumps[k])")),
+    "partner-jump": (harness, "_line_pair", ("(c_l - 1 - a_v) % r", "(c_l - a_v) % r")),
+    "pair-exponent": (harness, "_line_pair", ("(a_v + a_w < c_l)", "(a_v + a_w <= c_l)")),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(CLOSED_FORM_FAULTS))
+def test_each_closed_form_off_by_one_is_caught(fault):
+    """Each off-by-one planted in the closed form of check_pairing or of
+    _line_pair makes the two disagree on the grid of line blocks."""
+    module, name, edit = CLOSED_FORM_FAULTS[fault]
+    broken = planted(getattr(module, name), edit)
+    line_pair = broken if name == "_line_pair" else _line_pair
+    check = broken if name == "check_pairing" else check_pairing
+    assert any(_closed_form_exponent(line_pair, r, c_l, g_l, jumps, twists)
+               != _search_exponent(QQ, r, c_l, g_l, kind, jumps, twists, check)
+               for r, c_l, g_l, kind, jumps, twists in _grid_cases())
 
 
 @pytest.mark.parametrize("field", [QQ, GF101], ids=["rational", "prime101"])

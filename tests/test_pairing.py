@@ -7,21 +7,21 @@ import pytest
 
 from parstack import (ANTISYMMETRIC, SYMMETRIC, QQ, NotAPairing,
                       ParabolicBundle, ParabolicPairing, ParabolicPoint,
-                      PrimeField, ProfileMismatch, ShapeMismatch,
-                      SingularBasis, ValueLineMismatch, apply_matrix,
-                      check_pairing,
-                      make_profile, parabolic_degree, pullback_parabolic,
+                      PrimeField, ProfileMismatch, ShapeMismatch, TrialConfig,
+                      ValueLineMismatch, check_pairing, make_profile,
+                      parabolic_degree, pullback_parabolic,
                       pullback_pairing, pushforward_pairing)
+from parstack import harness
 from parstack.harness import (_value_line_bundle, gen_pairing_point,
                               gen_parabolic_point, gen_profile)
-from parstack.linalg import identity_matrix, transpose
+from parstack.linalg import identity_matrix
 from parstack.localring import LocalElement
 from parstack import pairing
 from parstack.pairing import (_symmetry_holds, expected_branch_value_data, hom_chain,
                               line_local_data, pullback_bundle, residue_push_form)
 
 from conftest import (GF101, decompose_element, diagonal_lattice, el, random_element,
-                      trivial_point)
+                      reference_check, trivial_point)
 
 _Z = LocalElement.zero()
 
@@ -134,40 +134,25 @@ def test_dual_point_involution_and_weights():
         assert dict(d.weights()) == expected
 
 
-def _reference_check(pairing, bundle):
-    """check_pairing by its definition: F^T * E^a equals the hom chain."""
-    if not _symmetry_holds(pairing.kind, pairing.form):
-        return False
-    ft = transpose(pairing.form)
-    for label in bundle.labels():
-        pt = bundle.points[label]
-        g, c = line_local_data(pairing.value_line, label, pt.order)
-        target = hom_chain(pt, g, c)
-        try:
-            if not all(apply_matrix(ft, pt.chain[a])
-                       == target.chain[a] for a in range(pt.order)):
-                return False
-        except SingularBasis:
-            return False
-    return True
-
-
 @pytest.mark.parametrize("field", [QQ, GF101, PrimeField(2), PrimeField(3)],
                          ids=["rational", "prime101", "prime2", "prime3"])
 def test_check_pairing_matches_reference_definition(field):
+    """Drawn pairings, perturbed, t^{+-1}-shifted and rank-1 forms, each
+    checked against every value datum (c, g), c < r, g in {-1, 0, 1}, of
+    its point: the drawn datum and every other one."""
     rng = random.Random(211)
     verdicts, data = [], set()
     made_count = 0
     while made_count < 30:
         kind = rng.choice([SYMMETRIC, ANTISYMMETRIC])
-        r = rng.randint(1, 4)
+        r = rng.randint(1, 6)
         c_l, g_l = rng.randint(0, r - 1), rng.randint(-1, 1)
         made = gen_pairing_point(rng, field, r, c_l, g_l, kind, rng.randint(1, 2), "p")
         if made is None:
             continue
         made_count += 1
         data.add((c_l > 0, g_l != 0))
-        pt, form, value = made
+        pt, form, _ = made
         n = pt.n
         bundle = ParabolicBundle(n, 0, {"p": pt})
         # one entry perturbed, keeping the declared kind
@@ -184,12 +169,15 @@ def test_check_pairing_matches_reference_definition(field):
         if n >= 2 and kind == SYMMETRIC:
             # symmetric rank-1 form v v^T
             forms.append([[x * y for y in form[0]] for x in form[0]])
-        for f in forms:
-            pairing = ParabolicPairing(kind, f, value)
-            verdict = check_pairing(pairing, bundle)
-            assert verdict == _reference_check(pairing, bundle)
-            verdicts.append(verdict)
-    assert True in verdicts and False in verdicts
+        for c in range(r):
+            for g in (-1, 0, 1):
+                value = _value_line_bundle(field, "p", r, c, g)
+                for f in forms:
+                    pairing = ParabolicPairing(kind, f, value)
+                    verdict = check_pairing(pairing, bundle)
+                    assert verdict == reference_check(pairing, bundle)
+                    verdicts.append((verdict, (c, g) == (c_l, g_l)))
+    assert {(True, True), (True, False), (False, True), (False, False)} <= set(verdicts)
     assert (True, True) in data
 
 
@@ -225,7 +213,7 @@ def test_check_pairing_tests_each_mirrored_level_once(field, monkeypatch):
             candidate = ParabolicPairing(kind, f, value)
             del splits[:]
             verdict = check_pairing(candidate, bundle)
-            assert verdict == _reference_check(candidate, bundle)
+            assert verdict == reference_check(candidate, bundle)
             verdicts.append(verdict)
             assert splits == [bundle.points["y"]]
     assert verdicts == [True, False] * 4 + [False, False]
@@ -456,6 +444,43 @@ def test_pushforward_value_data_must_match():
                                             [el(0, 3), el(0, 1)]], (0, 0))
     with pytest.raises(NotAPairing):
         pushforward_pairing(profile, line, "y", [asym])
+
+
+def test_pushed_pairing_carries_the_strongest_kind_of_its_branch_forms(monkeypatch):
+    """Over GF(2) an alternating form is symmetric too.  The pushed pairing
+    is labelled antisymmetric when every branch form is alternating and
+    symmetric when one is not; so every antisymmetric push draw of the
+    corollaries suite comes back labelled antisymmetric."""
+    f2 = PrimeField(2)
+    one = LocalElement.const(f2, 1)
+    profile = make_profile(2, [("x0", 2, 1, f2.one), ("x1", 2, 1, f2.one)])
+    line = ParabolicBundle(1, 0, {"y": trivial_point(f2, 1, 2)})
+    alternating = (trivial_point(f2, 2), [[_Z, one], [one, _Z]], (0, 0))
+    diagonal = (trivial_point(f2, 1), [[one]], (0, 0))
+    for branches, kind in (([alternating, alternating], ANTISYMMETRIC),
+                           ([alternating, diagonal], SYMMETRIC)):
+        pushed, bundle = pushforward_pairing(profile, line, "y", branches)
+        assert pushed.kind == kind and check_pairing(pushed, bundle)
+
+    labels = []
+
+    def push(*args):
+        pushed, bundle = pushforward_pairing(*args)
+        labels.append(pushed.kind)
+        return pushed, bundle
+
+    monkeypatch.setattr(harness, "pushforward_pairing", push)
+    cfg = TrialConfig(field_name="prime:2")
+    drawn = 0
+    for seed in range(300):
+        instance = harness._draw_corollaries(random.Random(seed), cfg, None)
+        if instance["kind"] != ANTISYMMETRIC or instance["direction"] != "push" \
+                or "vacuous" in instance:
+            continue
+        drawn += 1
+        assert harness._check_corollaries(instance, None) == (True, "push ok")
+        assert labels.pop() == ANTISYMMETRIC
+    assert drawn >= 30
 
 
 def test_generated_pairings_are_perfect():

@@ -30,6 +30,7 @@ from hypothesis import Phase, find, given, settings, strategies as st
 
 from parstack import QQ, Lattice, LocalElement, ParabolicPoint, PrimeField, SingularBasis
 from parstack.functors import restrict_matrix, restrict_scalars, twist_restricted
+from parstack.harness import gen_unimodular
 from parstack.lattice import back_substitute, direct_sum, image_columns, triangular_inverse
 from parstack.linalg import mat_vec
 
@@ -483,10 +484,11 @@ def test_no_kernel_multiplies_by_a_zero_entry(monkeypatch):
         return mul(a, b)
 
     monkeypatch.setattr(LocalElement, "__mul__", counted)
-    rng = random.Random(10)
+    rng, unimodular_rng = random.Random(10), random.Random(11)
     for field in FIELDS:
         for _ in range(30):
             n = rng.randint(1, 5)
+            gen_unimodular(unimodular_rng, field, n)
             cols = _random_sparse(rng, field, (n + rng.randint(0, 2), n))
             try:
                 Lattice.from_columns(field, n, cols)
@@ -511,6 +513,8 @@ def test_no_kernel_multiplies_by_a_zero_entry(monkeypatch):
                     ParabolicPoint.from_lines(field, 4, matrix, twists, jumps)
                 except SingularBasis:
                     pass
+    for n in range(1, 6):
+        gen_unimodular(unimodular_rng, PrimeField(2), n)  # draws f = 2 = 0 too
     assert products[0] > 1000
     assert zero_products == []
 
