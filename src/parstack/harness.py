@@ -34,7 +34,7 @@ from .functors import (make_profile, pullback_graded, pullback_matrix,
                        pullback_parabolic, pullback_parabolic_line,
                        pushforward_graded, pushforward_matrix,
                        pushforward_parabolic, restrict_matrix)
-from .linalg import add_column_multiple, block_diag, identity_matrix, mat_mul, transpose
+from .linalg import block_diag, identity_matrix, mat_mul, transpose
 from .localring import LocalElement
 from .pairing import (ANTISYMMETRIC, SYMMETRIC, ParabolicPairing, check_pairing,
                       expected_branch_value_data, pullback_pairing,
@@ -114,18 +114,28 @@ class TrialReport:
 # -- generators ------------------------------------------------------------
 
 
+def _add_columns(mat, ops):
+    """A copy of mat with f times column j added to column i for each
+    operation (i, j, f) of ops in turn; zero products are skipped."""
+    mat = [row[:] for row in mat]
+    for i, j, f in ops:
+        if f.coeffs:
+            for row in mat:
+                if row[j].coeffs:
+                    row[i] = row[i] + f * row[j]
+    return mat
+
+
 def gen_unimodular(rng, field, n):
-    """Random unimodular-over-R matrix with its exact inverse (row-major)."""
-    m = identity_matrix(field, n)
-    minv = identity_matrix(field, n)
-    if n < 2:
-        return m, minv
-    for _ in range(n + rng.randint(0, n)):
-        i, j = rng.sample(range(n), 2)
-        c = field.of(rng.choice([-2, -1, 1, 2]))
-        d = rng.randint(0, 2)
-        add_column_multiple(m, minv, i, j, LocalElement.make(field, d, [c]))
-    return m, minv
+    """(m, ops): a random unimodular-over-R matrix m and the column
+    operations (i, j, f) that build it from the identity (``_add_columns``)."""
+    ops = []
+    if n > 1:
+        for _ in range(n + rng.randint(0, n)):
+            i, j = rng.sample(range(n), 2)
+            c = field.of(rng.choice([-2, -1, 1, 2]))
+            ops.append((i, j, LocalElement.make(field, rng.randint(0, 2), [c])))
+    return _add_columns(identity_matrix(field, n), ops), ops
 
 
 def gen_parabolic_point(rng, n, r, field=QQ):
@@ -184,16 +194,14 @@ def mix_lines(point, lines, rng):
     c * v_k to v_i when jump(k) >= jump(i), which keep it adapted (they
     compose on the right: (B0 * V) * E = B0 * (V * E))."""
     n, (jumps, mat) = point.n, lines
-    mat = [row[:] for row in mat]
+    ops = []
     if n > 1:
         for _ in range(n + rng.randint(0, n)):
             i, k = rng.sample(range(n), 2)
             if jumps[k] < jumps[i]:
                 i, k = k, i
-            c = LocalElement.const(point.field, rng.choice([-2, -1, 1, 2]))
-            for row in mat:
-                row[i] = row[i] + c * row[k]
-    return mat
+            ops.append((i, k, LocalElement.const(point.field, rng.choice([-2, -1, 1, 2]))))
+    return _add_columns(mat, ops)
 
 
 # -- the runner ------------------------------------------------------------
@@ -466,9 +474,11 @@ def gen_pairing_point(rng, field, r, c_l, g_l, kind, blocks, label):
         form_blocks.append(fb)
     n = len(jumps)
     phi = block_diag(form_blocks)
-    m, minv = gen_unimodular(rng, field, n)
+    m, ops = gen_unimodular(rng, field, n)
     pt = ParabolicPoint.from_lines(field, r, m, exps, jumps)
-    form = mat_mul(transpose(minv), mat_mul(phi, minv))
+    # m^{-1} undoes ops last first, so F = m^{-T} * phi * m^{-1} does so on both sides
+    undo = [(i, j, -f) for i, j, f in reversed(ops)]
+    form = transpose(_add_columns(transpose(_add_columns(phi, undo)), undo))
     value = _value_line_bundle(field, label, r, c_l, g_l)
     return pt, form, value
 

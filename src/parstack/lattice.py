@@ -108,8 +108,6 @@ class Lattice:
         entry is a difference of two entries of degree below a_i.  A nonzero
         element cannot have both, so the columns are equal.
         """
-        if n == 0:
-            return cls(field, 0, (), (), _trusted=True)
         if len(columns) == n and all(len(c) == n for c in columns):
             diag = tuple(columns[j][j].ord for j in range(n))
             if _canonical_shape(field, columns, diag):
@@ -138,7 +136,7 @@ class Lattice:
         no chain of links returns to its start: the slots make no reference
         cycle, and a lattice lives no longer than the lattices below it.
         """
-        if d == 0 or self.n == 0:
+        if d == 0:
             return self
         if d == 1 and self._up is not None:
             return self._up

@@ -55,16 +55,3 @@ def block_diag(blocks):
         off += k
     return out
 
-
-def add_column_multiple(m, minv, i, j, f):
-    """Add f times column j of m to column i, and subtract f times row i of
-    minv from row j, so that minv stays the inverse of m; zeros are skipped."""
-    if not f.coeffs:
-        return
-    for row in m:
-        if row[j].coeffs:
-            row[i] = row[i] + f * row[j]
-    dst = minv[j]
-    for c, x in enumerate(minv[i]):
-        if x.coeffs:
-            dst[c] = dst[c] - f * x

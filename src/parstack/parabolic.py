@@ -61,9 +61,7 @@ class ParabolicPoint:
         """Rank-1 chain with weight jump/order, base lattice t^twist * R."""
         if not 0 <= jump < order:
             raise InvalidChain("jump %d outside [0, %d)" % (jump, order))
-        top = Lattice.from_columns(field, 1, [[LocalElement.t_power(field, twist)]])
-        bot = top.scale(1)
-        return cls(order, [top if j <= jump else bot for j in range(order + 1)])
+        return cls.from_lines(field, order, [[LocalElement.t_power(field, 0)]], [twist], [jump])
 
     @classmethod
     def from_lines(cls, field, order, matrix, twists, jumps):

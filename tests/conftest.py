@@ -84,6 +84,15 @@ def trivial_point(field, n, order=1):
     return ParabolicPoint(order, [top] + [top.scale(1)] * order)
 
 
+def ref_from_lines(field, order, matrix, twists, jumps):
+    """The chain of ``ParabolicPoint.from_lines`` member by member: each
+    jump pattern's lines canonicalized on their own."""
+    n = len(jumps)
+    return tuple(Lattice.from_columns(field, n, [
+        [row[b].shift(twists[b] + (j > jumps[b])) for row in matrix] for b in range(n)])
+        for j in range(order + 1))
+
+
 def trivial_module(field, n, order=1):
     """The graded module with every piece R^n."""
     return GradedModule(order, [diagonal_lattice(field, [0] * n)] * order)

@@ -5,8 +5,8 @@ A chain of order r has r+1 members but at most n+1 distinct ones.  The
 direct image, the chain checks and scenario decoding compute each distinct
 member once; the generators and the pullback build points with
 ``ParabolicPoint.from_lines``, which canonicalizes E^0 alone.  The
-reference functions below are the per-member versions they replaced and
-must give the same results.
+reference functions below, and ``conftest.ref_from_lines``, are the
+per-member versions they replaced and must give the same results.
 """
 
 import json
@@ -30,7 +30,8 @@ from parstack.harness import (_find_line_pair, gen_pairing_point,
                               gen_profile, gen_unimodular, mix_lines)
 from parstack.parabolic import split_into_lines
 
-from conftest import GF101, diagonal_lattice, graded_line, random_element, trivial_module
+from conftest import (GF101, diagonal_lattice, graded_line, random_element, ref_from_lines,
+                      trivial_module)
 
 FIELDS = pytest.mark.parametrize("field", [QQ, GF101], ids=["rational", "prime101"])
 
@@ -38,18 +39,11 @@ FIELDS = pytest.mark.parametrize("field", [QQ, GF101], ids=["rational", "prime10
 # -- per-member reference code ----------------------------------------------
 
 
-def ref_chain(field, r, m, exps, jumps):
-    n = len(jumps)
-    return tuple(Lattice.from_columns(field, n, [
-        [m[i][b].shift(exps[b] + (1 if j > jumps[b] else 0)) for i in range(n)]
-        for b in range(n)]) for j in range(r + 1))
-
-
 def ref_gen_parabolic_point(rng, n, r, field):
     jumps = [rng.randint(0, r - 1) for _ in range(n)]
     exps = [rng.randint(-2, 2) for _ in range(n)]
     m, _ = gen_unimodular(rng, field, n)
-    return ref_chain(field, r, m, exps, jumps)
+    return ref_from_lines(field, r, m, exps, jumps)
 
 
 def ref_gen_pairing_chain(rng, field, r, c_l, g_l, kind, blocks):
@@ -64,7 +58,7 @@ def ref_gen_pairing_chain(rng, field, r, c_l, g_l, kind, blocks):
         jumps.extend(found[0])
         exps.extend(found[1])
     m, _ = gen_unimodular(rng, field, len(jumps))
-    return ref_chain(field, r, m, exps, jumps)
+    return ref_from_lines(field, r, m, exps, jumps)
 
 
 def ref_pushforward_parabolic(profile, branches):

@@ -3,8 +3,9 @@ once per lattice, the level-0 rank test and shared graded columns.
 
 ``ParabolicPoint.from_lines`` canonicalizes E^0 only and reads every other
 member off the fibre flag of the lines (``parabolic._flag_member``); the
-reference below is the per-pattern canonicalization it replaced.  Each new
-shortcut has a planted fault that its guard or its test must catch.
+reference ``conftest.ref_from_lines`` is the per-pattern canonicalization
+it replaced.  Each new shortcut has a planted fault that its guard or its
+test must catch.
 """
 
 import random
@@ -19,19 +20,11 @@ from parstack.harness import gen_parabolic_point, gen_unimodular
 from parstack.lattice import triangularize
 from parstack.localring import LocalElement
 
-from conftest import diagonal_lattice, el, planted, trivial_point
+from conftest import diagonal_lattice, el, planted, ref_from_lines, trivial_point
 
 FIELDS = pytest.mark.parametrize("field", [QQ, PrimeField(101), PrimeField(2), PrimeField(3)],
                                  ids=["rational", "prime101", "prime2", "prime3"])
 _Z = LocalElement.zero()
-
-
-def ref_from_lines(field, order, matrix, twists, jumps):
-    """Each jump pattern's lines canonicalized on their own."""
-    n = len(jumps)
-    return tuple(Lattice.from_columns(field, n, [
-        [row[b].shift(twists[b] + (j > jumps[b])) for row in matrix] for b in range(n)])
-        for j in range(order + 1))
 
 
 def _entry(rng, field):

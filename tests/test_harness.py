@@ -1,5 +1,6 @@
 """Instance generators, suite determinism, and mutation detection."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -7,16 +8,16 @@ import pytest
 
 from parstack import (ANTISYMMETRIC, QQ, SYMMETRIC,
                       ParabolicBundle, ParabolicPairing, ParabolicPoint,
-                      TrialConfig, check_pairing, gen_parabolic_point)
+                      PrimeField, TrialConfig, check_pairing, gen_parabolic_point)
 from parstack import functors, pairing
 from parstack import harness
 from parstack.harness import (SUITES, _find_line_pair, _flip_off_diagonal, _line_pair,
                               _value_line_bundle, gen_point_morphism,
-                              gen_profile, gen_unimodular, verify_corollaries,
+                              gen_profile, mix_lines, verify_corollaries,
                               verify_direct_image, verify_pullback)
-from parstack.linalg import identity_matrix, mat_mul
+from parstack.linalg import mat_mul, transpose
 from parstack.localring import LocalElement
-from parstack.parabolic import is_point_morphism
+from parstack.parabolic import is_point_morphism, split_into_lines
 from parstack.scenario import decode_element
 
 from conftest import (GF101, MUTATIONS, degree_scenario_trial, diagonal_lattice, planted,
@@ -42,12 +43,81 @@ def test_trial_config_from_dict_inverts_to_dict(field_name):
             TrialConfig.from_dict(bad)
 
 
-def test_gen_unimodular_inverse():
-    rng = random.Random(7)
-    for field in (QQ, GF101):
-        for n in (1, 2, 4):
-            m, minv = gen_unimodular(rng, field, n)
-            assert mat_mul(m, minv) == identity_matrix(field, n)
+FOUR_FIELDS = pytest.mark.parametrize("field", [QQ, GF101, PrimeField(2), PrimeField(3)],
+                                      ids=["rational", "prime101", "prime2", "prime3"])
+
+
+def _capture_change_of_basis(monkeypatch):
+    """The latest results of ``harness.gen_unimodular``, (m, ops), and
+    ``harness.block_diag``, phi, under those names."""
+    captured = {}
+    for name in ("gen_unimodular", "block_diag"):
+        def wrapped(*args, name=name, orig=getattr(harness, name)):
+            captured[name] = orig(*args)
+            return captured[name]
+        monkeypatch.setattr(harness, name, wrapped)
+    return captured
+
+
+def _conjugation_failures(gen, captured, field):
+    """(draws, failures): the pairing draws of ``gen`` in a basis of rank
+    >= 2, and those whose form F breaks m^T * F * m = phi."""
+    rng = random.Random(33)
+    draws = failures = 0
+    for _ in range(60):
+        r = rng.randint(1, 6)
+        kind = SYMMETRIC if rng.random() < 0.5 else ANTISYMMETRIC
+        made = gen(rng, field, r, rng.randint(0, r - 1), rng.randint(-1, 1), kind,
+                   rng.randint(1, 2), "y")
+        if made is None:
+            continue
+        (m, _), phi = captured["gen_unimodular"], captured["block_diag"]
+        draws += len(m) > 1
+        failures += mat_mul(transpose(m), mat_mul(made[1], m)) != phi
+    return draws, failures
+
+
+@FOUR_FIELDS
+def test_pairing_form_is_phi_in_the_drawn_basis(field, monkeypatch):
+    """gen_pairing_point's form F is phi moved to the basis m of the point:
+    m^T * F * m = phi, with no inverse of m built."""
+    captured = _capture_change_of_basis(monkeypatch)
+    draws, failures = _conjugation_failures(harness.gen_pairing_point, captured, field)
+    assert draws > 30 and failures == 0
+
+
+@FOUR_FIELDS
+def test_undoing_the_operations_first_to_last_is_caught(field, monkeypatch):
+    captured = _capture_change_of_basis(monkeypatch)
+    fault = planted(harness.gen_pairing_point, ("reversed(ops)", "ops"))
+    assert _conjugation_failures(fault, captured, field)[1] > 0
+
+
+def _entries(rows):
+    return [[(x.ord, x.coeffs, x.den, x.p) for x in row] for row in rows]
+
+
+def test_generator_draws_are_pinned():
+    """Fixed gen_parabolic_point, mix_lines and gen_pairing_point draws on
+    Q, GF(101), GF(2) and GF(3), and the rng state after them.  The verify
+    digests cover Q and GF(101) only; a change to the draws moves this pin
+    on purpose."""
+    blob = hashlib.sha256()
+    for field in (QQ, GF101, PrimeField(2), PrimeField(3)):
+        rng = random.Random(33)
+        for _ in range(40):
+            n, r = rng.randint(1, 4), rng.randint(1, 6)
+            pt = gen_parabolic_point(rng, n, r, field)
+            mixed = mix_lines(pt, split_into_lines(pt), random.Random(rng.getrandbits(32)))
+            kind = SYMMETRIC if rng.random() < 0.5 else ANTISYMMETRIC
+            made = harness.gen_pairing_point(rng, field, r, rng.randint(0, r - 1),
+                                             rng.randint(-1, 1), kind, rng.randint(1, 2), "y")
+            drawn = [[_entries(lat.cols) for lat in pt.chain], _entries(mixed)]
+            if made is not None:
+                drawn += [[_entries(lat.cols) for lat in made[0].chain], _entries(made[1])]
+            blob.update(repr(drawn).encode())
+        blob.update(repr(rng.getstate()).encode())
+    assert blob.hexdigest()[:16] == "0dcf8bbd1c6507e8"
 
 
 def test_gen_parabolic_point_small_cases():
