@@ -28,13 +28,15 @@ facts; no level is visited.  With x = a + r - 1 - j_i and
 d = 3r + c - 2 - j_i - j_k, nu_i(a) + nu_k(b) = floor(x/r) +
 floor((d-x)/r) = floor(d/r) - [x mod r > d mod r], and x meets every
 residue mod r, so entry (i, k) holds at every level iff
-val(H_ik) + floor(d/r) - [d mod r < r-1] >= v.  Given the entries, level
-0's determinant is a rank test: the constant matrix of t^v-coefficients
-of H * D_{r+c}, nu_k(r+c) = 1 + [c > j_k], has full rank over k, its
-rank over K (``lattice.triangularize`` raises no SingularBasis; no
-canonical form is built, and a singular F fails).  That fixes val det H,
-so level a >= 1 holds iff f(a) = sum(nu(a)) + sum(nu(b)) equals f(0).
-As f(a+1) - f(a) = cnt(a) - cnt((c-1-a) mod r), cnt counting the jumps,
+val(H_ik) + floor(d/r) - [d mod r < r-1] >= v.  As F^T = +-F, H^T = +-H:
+H is summed on the triangle i <= k and mirrored (``_gram``), and since d
+is symmetric in i and k, the bound is tested once per unordered pair.
+Given the entries, level 0's determinant is a rank test: the constant
+matrix of t^v-coefficients of H * D_{r+c}, nu_k(r+c) = 1 + [c > j_k],
+has full rank over k, its rank over K (``lattice.triangularize`` raises
+no SingularBasis; no canonical form is built, and a singular F fails).
+That fixes val det H, so level a >= 1 holds iff f(a) = sum(nu(a)) +
+sum(nu(b)) equals f(0).  As f(a+1) - f(a) = cnt(a) - cnt((c-1-a) mod r), cnt counting the jumps,
 and the involution j -> (c-1-j) mod r maps r-1 to c (fixed or tested),
 that is: the jump multiset is invariant under the involution.
 `hom_chain` builds the right-hand side explicitly; it remains the
@@ -69,12 +71,14 @@ from .errors import (NotAPairing, ProfileMismatch, ShapeMismatch, SingularBasis,
 from .functors import (pullback_matrix, pullback_parabolic, pushforward_parabolic,
                        restrict_matrix)
 from .lattice import triangularize
-from .linalg import block_diag, mat_mul, transpose
+from .linalg import block_diag, mat_vec, transpose
 from .localring import LocalElement
 from .parabolic import ParabolicBundle, ParabolicPoint, parabolic_degree, split_into_lines
 
 SYMMETRIC = "symmetric"
 ANTISYMMETRIC = "antisymmetric"
+
+_Z = LocalElement.zero()
 
 
 def line_local_data(line_bundle, label, order):
@@ -126,12 +130,32 @@ def _symmetry_holds(kind, form):
         all(form[j][i] == -form[i][j] for i in range(n) for j in range(i + 1, n))
 
 
+def _gram(form, lifts, kind):
+    """H = V^T * F * V for a form F of the given kind, with V = ``lifts``.
+    As F^T = -F or F, H^T = -H or H, so row i of H is summed for k >= i
+    only, from column i of V against the columns F * v_k (``mat_vec``),
+    and H_ki is its mirror, -H_ik for the antisymmetric kind (over GF(2),
+    -x = x)."""
+    neg = kind == ANTISYMMETRIC
+    cols = transpose(lifts)
+    fv = [mat_vec(form, v) for v in cols]
+    n = len(cols)
+    gram = [[_Z] * n for _ in range(n)]
+    for i, v in enumerate(cols):
+        for k, x in enumerate(mat_vec(fv[i:], v), i):
+            gram[i][k] = x
+            if k > i:
+                gram[k][i] = -x if neg else x
+    return gram
+
+
 def check_pairing(pairing, bundle):
     """Kind, K-nondegeneracy and levelwise perfection at every point, all
     levels at once from the one Gram matrix H = V^T * F * V of the point in
-    line coordinates (module docstring): the jump symmetry, one closed-form
-    bound per nonzero entry, and level 0's constant matrix through
-    ``triangularize`` only, as a rank test: no lattice is built."""
+    line coordinates (module docstring), computed on one triangle: the jump
+    symmetry, one closed-form bound per unordered pair of lines with a
+    nonzero entry, and level 0's constant matrix through ``triangularize``
+    only, as a rank test: no lattice is built."""
     n = bundle.rank
     form = pairing.form
     if len(form) != n or (form and len(form[0]) != n):
@@ -147,9 +171,10 @@ def check_pairing(pairing, bundle):
         jumps, lifts = split_into_lines(pt)
         if sorted(jumps) != sorted((c - 1 - j) % r for j in jumps):
             return False
-        gram = mat_mul(transpose(lifts), mat_mul(form, lifts))
+        gram = _gram(form, lifts, pairing.kind)
         for i, row in enumerate(gram):
-            for k, x in enumerate(row):
+            for k in range(i, n):
+                x = row[k]
                 if x.coeffs:
                     q, m = divmod(3 * r + c - 2 - jumps[i] - jumps[k], r)
                     if x.ord + q - (m < r - 1) < v:

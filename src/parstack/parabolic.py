@@ -12,6 +12,7 @@ m >= 0 (``ParabolicPoint.lattice``) is a pure index computation.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -57,8 +58,19 @@ class ParabolicPoint:
         return self
 
     @classmethod
+    @functools.lru_cache(maxsize=256)
     def line(cls, field, order, jump, twist=0):
-        """Rank-1 chain with weight jump/order, base lattice t^twist * R."""
+        """Rank-1 chain with weight jump/order, base lattice t^twist * R.
+
+        Each line is built once per process and shared: points and their
+        lattices are immutable, fields compare and hash by value, and the
+        only slot a lattice fills in later is ``_up``, which holds t * L.
+        The key is (field, order, jump, twist).  The corollaries suite asks
+        for at most 136 keys per field: order <= 8, every jump and twist in
+        {-1, 0, 1}, and the balancing line of each.  The bound keeps a
+        caller that asks for lines of ever new orders or twists from
+        growing the cache for the life of the process.  An InvalidChain is
+        raised, not cached."""
         if not 0 <= jump < order:
             raise InvalidChain("jump %d outside [0, %d)" % (jump, order))
         return cls.from_lines(field, order, [[LocalElement.t_power(field, 0)]], [twist], [jump])
@@ -114,7 +126,12 @@ class ParabolicPoint:
         return tuple(out)
 
     def weight_sum(self):
-        return sum((w * m for w, m in self.weights()), Fraction(0))
+        """Sum of the weights with multiplicity, Fraction(sum_a a * m_a, r),
+        from the integer jump counts m_a = delta(E^{a+1}) - delta(E^a) with
+        delta the determinant valuation; weight 0 adds nothing."""
+        delta = [lat.det_valuation() for lat in self.chain]
+        return Fraction(sum(a * (delta[a + 1] - delta[a]) for a in range(1, self.order)),
+                        self.order)
 
     def __eq__(self, other):
         if not isinstance(other, ParabolicPoint):
@@ -260,7 +277,7 @@ def _flag_member(top, unjumped):
 
 def split_into_lines(point):
     """Adapted basis for the chain: ``(jumps, matrix)``.  Column b of the
-    matrix lifts line b, ParabolicPoint.line(order, jumps[b]), and
+    matrix lifts line b, ParabolicPoint.line(field, order, jumps[b]), and
     ParabolicPoint.from_lines(field, order, matrix, [0] * n, jumps) is the
     inverse operation.  The matrix is upper triangular with the pivots of
     E^0; a mixed one (harness.mix_lines) is not.

@@ -34,7 +34,13 @@ def planted(fn, *edits):
     """The function or method ``fn`` with each (old, new) edit made once in
     its source, run in a copy of its module's namespace.  An ``old`` text
     that is missing or repeated raises LookupError, so a stale plant cannot
-    pass as the fault it names."""
+    pass as the fault it names.
+
+    A cache hides a fault planted below it: ``ParabolicPoint.line`` returns
+    the lines it built before the plant.  A plant under line construction
+    (``ParabolicPoint.from_lines``, ``Lattice.from_columns``) must call
+    ``ParabolicPoint.line.cache_clear()`` first (tests/test_caches.py lists
+    every cache)."""
     source = textwrap.dedent(inspect.getsource(fn))
     for old, new in edits:
         found = source.count(old)

@@ -460,6 +460,27 @@ def test_verify_200_trial_report_digests_are_pinned(tmp_path, capsys, field, dig
     assert hashlib.sha256(blob.encode()).hexdigest()[:16] == digest
 
 
+def test_corollaries_report_is_the_same_with_a_cold_and_a_warm_line_cache(tmp_path, capsys):
+    """ParabolicPoint.line shares its value lines across trials and runs:
+    a run after cache_clear() and a second run in the same process write
+    the same report."""
+    line = parstack.ParabolicPoint.line
+    docs, infos = [], []
+    line.cache_clear()
+    for run in ("cold", "warm"):
+        out = str(tmp_path / (run + ".json"))
+        assert main(["verify", "--suite", "corollaries", "--trials", "200", "--seed", "0",
+                     "--field", "prime:101", "--out", out]) == 0
+        doc = json.loads(open(out).read())
+        del doc["timing"]
+        docs.append(json.dumps(doc, sort_keys=True))
+        infos.append(line.cache_info())
+    capsys.readouterr()
+    assert docs[0] == docs[1]
+    # the warm run built no line and read every one from the cache
+    assert infos[1].misses == infos[0].misses and infos[1].hits > infos[0].hits
+
+
 def test_library_error_in_a_trial_fails_verify(tmp_path, capsys, monkeypatch):
     # the draw raises, so no instance is kept
     def raising_draw(rng, cfg, mutation):

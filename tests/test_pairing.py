@@ -10,18 +10,19 @@ from parstack import (ANTISYMMETRIC, SYMMETRIC, QQ, NotAPairing,
                       PrimeField, ProfileMismatch, ShapeMismatch, TrialConfig,
                       ValueLineMismatch, check_pairing, make_profile,
                       parabolic_degree, pullback_parabolic,
-                      pullback_pairing, pushforward_pairing)
+                      pullback_pairing, pushforward_pairing, split_into_lines)
 from parstack import harness
 from parstack.harness import (_value_line_bundle, gen_pairing_point,
-                              gen_parabolic_point, gen_profile)
-from parstack.linalg import identity_matrix
+                              gen_parabolic_point, gen_profile, mix_lines)
+from parstack.linalg import identity_matrix, mat_mul, transpose
 from parstack.localring import LocalElement
 from parstack import pairing
-from parstack.pairing import (_symmetry_holds, expected_branch_value_data, hom_chain,
-                              line_local_data, pullback_bundle, residue_push_form)
+from parstack.pairing import (_gram, _symmetry_holds, expected_branch_value_data,
+                              hom_chain, line_local_data, pullback_bundle,
+                              residue_push_form)
 
-from conftest import (GF101, decompose_element, diagonal_lattice, el, random_element,
-                      reference_check, trivial_point)
+from conftest import (GF101, decompose_element, diagonal_lattice, el, planted,
+                      random_columns, random_element, reference_check, trivial_point)
 
 _Z = LocalElement.zero()
 
@@ -217,6 +218,56 @@ def test_check_pairing_tests_each_mirrored_level_once(field, monkeypatch):
             verdicts.append(verdict)
             assert splits == [bundle.points["y"]]
     assert verdicts == [True, False] * 4 + [False, False]
+
+
+def _gram_cases(field):
+    """(kind, form, lifts): drawn pairings with their point's lifts and with
+    mixed lifts (``mix_lines``, not triangular), and random symmetric and
+    alternating forms against random bases."""
+    rng = random.Random(227)
+    cases = []
+    while len(cases) < 40:
+        kind = rng.choice([SYMMETRIC, ANTISYMMETRIC])
+        r = rng.randint(1, 6)
+        made = gen_pairing_point(rng, field, r, rng.randint(0, r - 1), rng.randint(-1, 1),
+                                 kind, rng.randint(1, 2), "y")
+        if made is not None:
+            pt, form, _ = made
+            lines = split_into_lines(pt)
+            cases += [(kind, form, lines[1]),
+                      (kind, form, mix_lines(pt, lines, random.Random(rng.getrandbits(32))))]
+    for _ in range(40):
+        kind, n = rng.choice([SYMMETRIC, ANTISYMMETRIC]), rng.randint(1, 4)
+        form = [[_Z] * n for _ in range(n)]
+        for i in range(n):
+            if kind == SYMMETRIC:
+                form[i][i] = random_element(rng, field)
+            for k in range(i + 1, n):
+                x = random_element(rng, field)
+                form[i][k], form[k][i] = x, x if kind == SYMMETRIC else -x
+        assert _symmetry_holds(kind, form)
+        cases.append((kind, form, transpose(random_columns(rng, n, field))))
+    return cases
+
+
+def _gram_mismatches(gram, field):
+    return sum(gram(form, lifts, kind) != mat_mul(transpose(lifts), mat_mul(form, lifts))
+               for kind, form, lifts in _gram_cases(field))
+
+
+@pytest.mark.parametrize("field", [QQ, GF101, PrimeField(2), PrimeField(3)],
+                         ids=["rational", "prime101", "prime2", "prime3"])
+def test_gram_on_one_triangle_is_the_dense_product(field):
+    assert _gram_mismatches(_gram, field) == 0
+
+
+@pytest.mark.parametrize("field", [QQ, GF101, PrimeField(3)],
+                         ids=["rational", "prime101", "prime3"])
+def test_a_wrong_mirror_sign_is_caught(field):
+    """Mirroring antisymmetric entries without the sign breaks the product;
+    over GF(2), -x = x, so no field of characteristic 2 is listed."""
+    unsigned = planted(_gram, ("neg = kind == ANTISYMMETRIC", "neg = False"))
+    assert _gram_mismatches(unsigned, field) > 0
 
 
 # -- pullback --------------------------------------------------------------

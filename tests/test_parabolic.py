@@ -6,14 +6,22 @@ from fractions import Fraction
 import pytest
 
 from parstack import (QQ, InvalidChain, Lattice, ParabolicBundle,
-                      ParabolicPoint, ShapeMismatch, direct_sum,
-                      is_point_morphism, parabolic_degree, split_into_lines)
+                      ParabolicPoint, PrimeField, ShapeMismatch, direct_sum,
+                      from_parabolic, is_point_morphism, make_profile,
+                      parabolic_degree, pullback_parabolic, pushforward_graded,
+                      pushforward_parabolic, split_into_lines, to_parabolic)
 from parstack import lattice
-from parstack.harness import gen_parabolic_point, gen_point_morphism, mix_lines
+from parstack.harness import (gen_parabolic_point, gen_point_morphism, gen_profile,
+                              mix_lines)
 from parstack.lattice import triangular_inverse
 from parstack.linalg import identity_matrix, mat_mul, transpose
 
-from conftest import GF101, diagonal_lattice, el, lat, trivial_point
+from conftest import GF101, diagonal_lattice, el, lat, planted, trivial_point
+
+FOUR_FIELDS = pytest.mark.parametrize("field", [QQ, GF101, PrimeField(2), PrimeField(3)],
+                                      ids=["rational", "prime101", "prime2", "prime3"])
+THREE_FIELDS = pytest.mark.parametrize("field", [QQ, GF101, PrimeField(2)],
+                                       ids=["rational", "prime101", "prime2"])
 
 
 def _chain_point(order, lattices):
@@ -42,6 +50,92 @@ def test_weights_examples():
     pt = _chain_point(2, [r2, L_MIXED, r2.scale(1)])
     assert pt.weights() == ((Fraction(0), 1), (Fraction(1, 2), 1))
     assert pt.weight_sum() == Fraction(1, 2)
+
+
+# -- the line cache ----------------------------------------------------------
+
+
+def test_line_returns_one_object_per_key():
+    """Equal arguments give the identical point; fields are keys by value."""
+    a = ParabolicPoint.line(PrimeField(101), 5, 2, 1)
+    assert ParabolicPoint.line(PrimeField(101), 5, 2, 1) is a
+    assert ParabolicPoint.line(GF101, 5, 2, 1) is a
+    assert ParabolicPoint.line(QQ, 5, 2, 1) is not a
+    assert ParabolicPoint.line(PrimeField(103), 5, 2, 1) is not a
+
+
+@FOUR_FIELDS
+def test_cached_line_equals_a_fresh_build(field):
+    build = ParabolicPoint.line.__wrapped__
+    for order in range(1, 9):
+        for jump in range(order):
+            for twist in range(-2, 3):
+                fresh = build(ParabolicPoint, field, order, jump, twist)
+                cached = ParabolicPoint.line(field, order, jump, twist)
+                assert cached == fresh and cached.chain == fresh.chain
+                assert cached.weights() == fresh.weights() == \
+                    ((Fraction(jump, order), 1),)
+                assert cached.chain[0].diag == (twist,)
+
+
+def test_a_bad_jump_raises_on_every_call():
+    """InvalidChain is raised, not cached: the second call raises too."""
+    for order, jump in ((3, 3), (3, -1), (1, 1)):
+        for _ in range(2):
+            with pytest.raises(InvalidChain):
+                ParabolicPoint.line(QQ, order, jump)
+
+
+# -- weight sums -------------------------------------------------------------
+
+
+def _weight_sum_points(field):
+    """Generated, pulled and pushed points, and index-map points built by
+    ``ParabolicPoint._unchecked``."""
+    rng = random.Random(307)
+    pts = []
+    for _ in range(12):
+        s = rng.randint(1, 8)
+        pt = gen_parabolic_point(rng, rng.randint(1, 3), s, field)
+        e = rng.choice([d for d in range(1, s + 1) if s % d == 0])
+        profile = make_profile(s, [("x", e, s // e, field.one)])
+        pts += [pt, pullback_parabolic(profile, pt, "x"), to_parabolic(from_parabolic(pt))]
+        profile, ranks = gen_profile(rng, s, 2, field, rank_bound=6, max_rank=2)
+        branch_pts = [gen_parabolic_point(rng, n, br.r, field)
+                      for br, n in zip(profile.branches, ranks)]
+        pts += [pushforward_parabolic(profile, branch_pts),
+                to_parabolic(pushforward_graded(profile, [from_parabolic(p)
+                                                          for p in branch_pts]))]
+    return pts
+
+
+def _weight_sum_mismatches(weight_sum, field):
+    return sum(weight_sum(pt) != sum(w * m for w, m in pt.weights())
+               for pt in _weight_sum_points(field))
+
+
+@THREE_FIELDS
+def test_weight_sum_reads_the_jump_counts(field):
+    """The integer form equals the sum over the weights() tuple, and the
+    parabolic degree of bundles of those points is the reference sum."""
+    assert _weight_sum_mismatches(ParabolicPoint.weight_sum, field) == 0
+    pts = _weight_sum_points(field)
+    rng = random.Random(311)
+    for _ in range(20):
+        n = rng.choice([pt.n for pt in pts])
+        same_rank = [pt for pt in pts if pt.n == n]
+        chosen = rng.sample(same_rank, min(len(same_rank), rng.randint(1, 2)))
+        bundle = ParabolicBundle(n, rng.randint(-3, 3),
+                                 {"p%d" % i: pt for i, pt in enumerate(chosen)})
+        assert parabolic_degree(bundle) == bundle.underlying_degree + sum(
+            w * m for pt in chosen for w, m in pt.weights())
+
+
+@THREE_FIELDS
+def test_an_off_by_one_jump_index_is_caught(field):
+    shifted = planted(ParabolicPoint.weight_sum,
+                      ("delta[a + 1] - delta[a]", "delta[a] - delta[a - 1]"))
+    assert _weight_sum_mismatches(shifted, field) > 0
 
 
 def test_parabolic_degree():
