@@ -124,7 +124,16 @@ def restrict_scalars(lattice, e, u):
     times w^{b} at row i*e + k with k = (s_i + rho) mod e; over rho < e these
     cover block i once, with b = q_i + 1 for k < s_i and b = q_i for
     k >= s_i.  So the canonical pivots of block i are those w^b, and their
-    exponents sum to a_i.  Column by column:
+    exponents sum to a_i.
+
+    A pivot-only column c_j = t^{a_j} * e_j is written down in closed form.
+    With (b, k) = divmod(s_j + rho, e) and b raised by q_j, the power
+    t^{a_j + rho} = t^k * t^{e*b} = t^k * (w / u)^b, so t^rho * c_j
+    restricts to the one entry u^{-b} * w^b at row j*e + k.  Its monic
+    multiple w^b at that row has nothing above it to reduce, so it is the
+    canonical column there, and as a seed (below) it holds only its pivot.
+    At e = 1 that column is c_j itself, and its tuple is reused.  Every
+    other column is built step by step:
 
     * the seed u^{q_j} * res(c_j) has pivot exactly w^{q_j} at row
       j*e + s_j, and in block i < j component k of c_j[i], whose terms lie
@@ -142,27 +151,53 @@ def restrict_scalars(lattice, e, u):
       when L is canonical.
 
     Every column lies in res(L), since L is a K_X-lattice and the seeds do.
-    Guards, each raising AssertionError("internal: ..."): every reduction
-    quotient is a constant; the pivot exponents sum to sum(a_j), the
-    colength of res(L); the result has canonical shape
-    (Lattice.from_canonical); and every generator t^rho * c_j is a member.
-    The generators then span a sublattice of the result of equal
-    colength, so they span the result.
+    Guards, each raising AssertionError("internal: ..."): for a pivot-only
+    column, each component decompose_component(t^{a_j}, e, u, k - rho)
+    equals u^{-b} * w^b exactly; for every other column, every reduction
+    quotient is a constant and every generator t^rho * c_j is a member;
+    the pivot exponents sum to sum(a_j), the colength of res(L); and the
+    result has canonical shape (Lattice.from_canonical).  The generators
+    then span a sublattice of the result of equal colength, so they span
+    the result.  Equality is the stronger guard on a pivot-only column:
+    any unit multiple of its restricted generator is a member, so a member
+    test cannot see a component kernel that returns the wrong unit, while
+    the equality refuses it whenever the unit differs at some b.
     """
     if e == 1 and u == 1:
         return lattice
     field, n = lattice.field, lattice.n
-    gens = [_restrict_columns(col, e, u) for col in lattice.cols]
-    w_over_u = LocalElement.t_power(field, 1).twist(u, -1)
-    unit = LocalElement.const(field, u)
     cols, diag = [None] * (n * e), [None] * (n * e)
     seeds = []  # per block: (pivot row, pivot exponent, nonzero (row, entry) of the seed)
-    for j, a in enumerate(lattice.diag):
+    gens = []  # the restricted generators of the columns that are not pivot-only
+    scales = {}  # q -> the constant u^q
+    w_over_u = unit = None
+    for j, (c, a) in enumerate(zip(lattice.cols, lattice.diag)):
         q, s = divmod(a, e)
-        scale = LocalElement.t_power(field, q).twist(u).shift(-q)  # the constant u^q
-        col = [x * scale if x.coeffs else x for x in gens[j][0][:(j + 1) * e]]
+        if c.count(_Z) == n - 1:
+            for rho in range(e):
+                b, k = divmod(s + rho, e)
+                b += q
+                pivot = LocalElement.t_power(field, b)
+                if decompose_component(c[j], e, u, k - rho).twist(u) != pivot:
+                    raise AssertionError("internal: component %d of t^%d is not "
+                                         "u^-%d * w^%d" % (k, a + rho, b, b))
+                row = j * e + k
+                cols[row] = c if e == 1 else (_Z,) * row + (pivot,) + (_Z,) * (n * e - row - 1)
+                diag[row] = b
+                if not rho:
+                    seeds.append((row, b, [(row, pivot)]))
+            continue
+        outs = _restrict_columns(c, e, u)
+        gens.append(outs)
+        if q not in scales:
+            scales[q] = LocalElement.t_power(field, q).twist(u).shift(-q)
+        scale = scales[q]
+        col = [x * scale if x.coeffs else x for x in outs[0][:(j + 1) * e]]
         for rho in range(e):
             if rho:
+                if unit is None:
+                    w_over_u = LocalElement.t_power(field, 1).twist(u, -1)
+                    unit = LocalElement.const(field, u)
                 wraps = s == e - 1
                 moved = []
                 for top in range(0, len(col), e):
@@ -222,41 +257,44 @@ def twist_restricted(res_lattice, e, u, l):
       reordered by pivot row, are canonical, and ``Lattice.from_canonical``
       checks that shape.
 
-    A pivot-only column (its pivot w^b is its one nonzero entry) moves in
-    one step: the zero tuple with w^{b+1} = u * (w / u) * w^b at the new row
-    when its pivot wraps, or with w^b itself when it does not.  That is the
+    The factor w^q is applied in the same pass: every moved entry is
+    shifted by q as well, and so is every pivot exponent, which keeps the
+    shape (``Lattice.scale``).  A pivot-only column (its pivot w^b is its
+    one nonzero entry) moves in one step: the zero tuple with the pivot
+    shifted by q + 1 at the new row when it wraps, or by q when it does
+    not, which keeps the pivot object itself when q = 0.  That is the
     column the entry-by-entry move builds, since zeros stay zero under
     every factor.
-
-    ``.scale(q)`` then applies w^q.
     """
     q, l0 = divmod(l, e)
     if not l0:
         return res_lattice.scale(q)
     field, n = res_lattice.field, res_lattice.n
-    w_over_u = LocalElement.t_power(field, 1).twist(u, -1)
-    unit = LocalElement.const(field, u)
+    wrap_factor = unit_factor = None  # (w / u) * w^q and u * w^q, built when first needed
     cut = e - l0  # rows k >= cut of each block wrap
     cols, diag = [None] * n, [None] * n
     for j, (col, b) in enumerate(zip(res_lattice.cols, res_lattice.diag)):
         wraps = j % e >= cut
         row = j + l0 - e if wraps else j + l0
-        diag[row] = b + 1 if wraps else b
+        d = q + 1 if wraps else q  # the pivot's gain in degree
+        diag[row] = b + d
         if col.count(_Z) == n - 1:
-            pivot = col[j].shift(1) if wraps else col[j]
-            cols[row] = (_Z,) * row + (pivot,) + (_Z,) * (n - row - 1)
+            cols[row] = (_Z,) * row + (col[j].shift(d),) + (_Z,) * (n - row - 1)
             continue
+        if unit_factor is None:
+            wrap_factor = LocalElement.t_power(field, 1).twist(u, -1).shift(q)
+            unit_factor = LocalElement.const(field, u).shift(q)
         moved = []
         for top in range(0, j - j % e + e, e):  # the blocks up to the pivot's
             wrapped, kept = col[top + cut:top + e], col[top:top + cut]
             if wraps:
-                moved.extend([x.shift(1) for x in wrapped])
-                moved.extend([x * unit if x.coeffs else x for x in kept])
+                moved.extend([x.shift(d) for x in wrapped])
+                moved.extend([x * unit_factor if x.coeffs else x for x in kept])
             else:
-                moved.extend([x * w_over_u if x.coeffs else x for x in wrapped])
-                moved.extend(kept)
+                moved.extend([x * wrap_factor if x.coeffs else x for x in wrapped])
+                moved.extend([x.shift(q) for x in kept] if q else kept)
         cols[row] = tuple(moved) + col[len(moved):]
-    return Lattice.from_canonical(field, tuple(cols), tuple(diag)).scale(q)
+    return Lattice.from_canonical(field, tuple(cols), tuple(diag))
 
 
 def restrict_matrix(rows, e, u):

@@ -409,7 +409,7 @@ def _value_line_bundle(field, label, order, jump, g):
     pts = {label: ParabolicPoint.line(field, order, jump, g)}
     if jump == 0:
         return ParabolicBundle(1, 0, pts)
-    pts["aux"] = ParabolicPoint.line(field, order, order - jump)
+    pts["aux"] = ParabolicPoint.line(field, order, order - jump, 0)
     return ParabolicBundle(1, -1, pts)
 
 

@@ -34,16 +34,21 @@ Six constructors build canonical forms without canonicalizing:
   keeps its pivot and its reduced entries, and the rows of the other
   blocks are zero, so it needs no guard either.
 * restriction of scalars (``functors.restrict_scalars``) reads the
-  canonical basis of res(L) off L's, with one constant reduction per
-  block and step.  It is guarded: ``Lattice.from_canonical`` checks the
-  shape with ``_canonical_shape``, and the restriction checks that every
-  reduction quotient is a constant, that the colength is L's, and that
-  every generator is a member.  Each failure raises
-  AssertionError("internal: ...").
+  canonical basis of res(L) off L's.  A pivot-only column t^a * e_j
+  restricts in closed form to e columns that hold one power of w each;
+  every other column takes one constant reduction per block and step.
+  It is guarded: ``Lattice.from_canonical`` checks the shape with
+  ``_canonical_shape``, and the restriction checks that the colength is
+  L's; that each component of a pivot-only column is exactly the unit
+  times the power of w it claims (an equality, which sees a wrong unit
+  where a member test cannot); and, for every other column, that every
+  reduction quotient is a constant and every generator is a member.
+  Each failure raises AssertionError("internal: ...").
 * the twist of a restriction (``functors.twist_restricted``) reads
   res(t^l * L) off the canonical basis of res(L): t acts on restricted
   coordinates by moving each e-block down one row, and the rows' degree
-  bounds move with their pivots.  Its guard is the shape check of
+  bounds move with their pivots; the factor w^q of l = q*e + l0 shifts
+  the moved entries in the same pass.  Its guard is the shape check of
   ``Lattice.from_canonical``; it runs no member test.
 * a member of a parabolic chain (``parabolic._flag_member``) is read off
   the canonical basis of E^0 and a reduced echelon basis of its flag in
@@ -63,8 +68,9 @@ entry is the pivot.  Zero is one shared object, so ``col.count(_Z) == n -
 1`` tells such a column in C, with one element comparison, and the kernels
 handle it with tuple operations instead of a loop over its n entries:
 ``_canonical_shape`` checks only its pivot, ``contains`` decides it from
-the pivot exponents alone, and ``functors.twist_restricted`` moves only
-its pivot.  Neighbouring chain members share most of their columns, so
+the pivot exponents alone, ``functors.twist_restricted`` moves only
+its pivot, and ``functors.restrict_scalars`` writes its restriction down
+in closed form.  Neighbouring chain members share most of their columns, so
 ``contains`` also accepts a column equal to the container's own column j
 without solving for it.
 """

@@ -182,6 +182,8 @@ class LocalElement:
         """sum over q of (coefficient of t**(q*e + rho)) * t**q."""
         if not self.coeffs:
             return self
+        if e == 1:
+            return self.shift(-rho)
         start = (rho - self.ord) % e
         return _normal((self.ord + start - rho) // e, self.coeffs[start::e],
                        self.den, self.p)

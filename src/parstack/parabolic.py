@@ -65,9 +65,13 @@ class ParabolicPoint:
         Each line is built once per process and shared: points and their
         lattices are immutable, fields compare and hash by value, and the
         only slot a lattice fills in later is ``_up``, which holds t * L.
-        The key is (field, order, jump, twist).  The corollaries suite asks
-        for at most 136 keys per field: order <= 8, every jump and twist in
-        {-1, 0, 1}, and the balancing line of each.  The bound keeps a
+        The key is the arguments as given, so a caller passes all four of
+        (field, order, jump, twist), the twist 0 too, and one line has one
+        key.  The corollaries suite asks for at most 168 keys per field:
+        order r <= 8, every jump, and the twists of the value data, which
+        lie in [1 - 2e, e] for e = 8 // r (a target twist g in {-1, 0, 1},
+        and a branch twist e * g - c // r with c < r * e); the balancing
+        line (r, r - jump, 0) of each is one of them.  The bound keeps a
         caller that asks for lines of ever new orders or twists from
         growing the cache for the life of the process.  An InvalidChain is
         raised, not cached."""

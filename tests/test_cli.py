@@ -481,6 +481,34 @@ def test_corollaries_report_is_the_same_with_a_cold_and_a_warm_line_cache(tmp_pa
     assert infos[1].misses == infos[0].misses and infos[1].hits > infos[0].hits
 
 
+@pytest.mark.parametrize("field,digest", [("rational", "cffed3abd9fabc9f"),
+                                          ("prime:101", "923a9b9e439d68e4")])
+def test_the_line_cache_builds_each_requested_line_once(tmp_path, capsys, monkeypatch,
+                                                         field, digest):
+    """The line cache keys the arguments as given, so a line asked for with
+    and without its twist 0 would be built twice.  After cache_clear() the
+    misses of a corollaries run equal the distinct (field, order, jump,
+    twist) lines it asks for, and the report, without its timing block,
+    keeps its digest."""
+    line = parstack.ParabolicPoint.line
+    keys = set()
+
+    def recording(cls, *args):
+        keys.add(args + (0,) * (4 - len(args)))  # (field, order, jump, twist)
+        return line(*args)  # as given, so the cache keys what the caller passed
+
+    monkeypatch.setattr(parstack.ParabolicPoint, "line", classmethod(recording))
+    line.cache_clear()
+    out = str(tmp_path / "r.json")
+    assert main(["verify", "--suite", "corollaries", "--trials", "200", "--seed", "0",
+                 "--field", field, "--out", out]) == 0
+    capsys.readouterr()
+    assert line.cache_info().misses == len(keys) <= 168
+    doc = json.loads(open(out).read())
+    del doc["timing"]
+    assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16] == digest
+
+
 def test_library_error_in_a_trial_fails_verify(tmp_path, capsys, monkeypatch):
     # the draw raises, so no instance is kept
     def raising_draw(rng, cfg, mutation):

@@ -17,6 +17,7 @@ from parstack import functors
 from parstack.functors import (Branch, _restrict_columns, restrict_matrix,
                                substitute_element, twist_restricted)
 from parstack.harness import gen_parabolic_point, gen_profile
+from parstack.lattice import direct_sum
 from parstack.localring import LocalElement
 from parstack.parabolic import split_into_lines
 
@@ -96,7 +97,9 @@ def test_restrict_scalars_commutes_with_full_twists():
 # planted fault -> (source edit, lattice columns, e, u, the guard that must
 # fire).  On the lattice spanned by (t^2, 0) and (1 + t, 1), row 0 holds the
 # pivot w of block 0, and t times the seed of block 1 wraps the entry 1 into
-# that row as w/u, so the reduction quotient there is 1/u.
+# that row as w/u, so the reduction quotient there is 1/u.  The lattice of
+# (t, 0) and (1, t) has a column that is not pivot-only and whose pivot
+# wraps; the one of t alone takes the closed form.
 PLANTED_FAULTS = {
     "wrap-by-t^2e": (("LocalElement.t_power(field, 1).twist(u, -1)",
                       "LocalElement.t_power(field, 2).twist(u, -1)"),
@@ -104,7 +107,9 @@ PLANTED_FAULTS = {
     "skipped-reduction": (("col[k] = col[k] - lam * y", "col[k] = col[k]"),
                           [[(2, 1), 0], [(0, 1, 1), 1]], 2, 2, "not in canonical form"),
     "wrong-colength": (("(q + 1, 0) if wraps", "(q + 2, 0) if wraps"),
-                       [[(1, 1)]], 2, 1, "restricted colength 2, expected 1"),
+                       [[(1, 1), 0], [1, (1, 1)]], 2, 1, "restricted colength 3, expected 2"),
+    "wrong-colength-closed-form": (("diag[row] = b", "diag[row] = b + 1"),
+                                   [[(1, 1)]], 2, 1, "restricted colength 3, expected 1"),
     "wrap-factor-u-for-1/u": (("t_power(field, 1).twist(u, -1)", "t_power(field, 1).twist(u)"),
                               [[(4, 1), 0], [(1, 1), 1]], 2, 2, "misses a generator"),
 }
@@ -148,23 +153,118 @@ def test_twist_restricted_is_the_restriction_of_the_twist(field, units):
                         restrict_scalars(lattice.scale(l), e, u)
 
 
+def _restricted_span(lattice, e, u):
+    """res(L) by canonicalizing the restricted generators t^rho * c_j."""
+    gens = [g for col in lattice.cols for g in _restrict_columns(col, e, u)]
+    return Lattice.from_columns(lattice.field, lattice.n * e, gens)
+
+
+def _pivot_only(col):
+    return sum(1 for x in col if x.coeffs) == 1
+
+
+@pytest.mark.parametrize("field,units", TWIST_GRID, ids=["Q", "GF101", "GF2", "GF3"])
+def test_restrict_scalars_is_the_span_of_the_restricted_generators(field, units):
+    """The closed form of the pivot-only columns and the step-by-step
+    columns against canonicalization: on diagonal lattices, on lattices
+    with entries above their pivots, and on direct sums of the two in both
+    orders, so that pivot-only columns come before and after the others."""
+    rng = random.Random(157)
+    for u in units:
+        for e in (1, 2, 3, 4, 7):
+            diagonal = diagonal_lattice(field, [rng.randint(-2, 2 * e) for _ in range(2)])
+            full = lat(random_columns(rng, 2, field), field)
+            lattices = [diagonal, full, direct_sum([full, diagonal]),
+                        direct_sum([diagonal, lat(random_columns(rng, 1, field), field)])]
+            assert any(_pivot_only(c) for c in lattices[2].cols)
+            for lattice in lattices:
+                assert restrict_scalars(lattice, e, u) == _restricted_span(lattice, e, u)
+
+
+def test_a_diagonal_lattice_reaches_neither_the_general_path_nor_a_member_test(monkeypatch):
+    """Every column of a diagonal lattice is pivot-only, so its restriction
+    is written down in closed form and guarded by equality alone."""
+    lattice = diagonal_lattice(QQ, [5, -1, 0, 2])
+    expected = _restricted_span(lattice, 3, QQ.of("2/3"))
+    calls = []
+    monkeypatch.setattr(functors, "_restrict_columns", lambda *a: calls.append("general"))
+    monkeypatch.setattr(Lattice, "member", lambda *a: calls.append("member"))
+    assert restrict_scalars(lattice, 3, QQ.of("2/3")) == expected
+    assert not calls
+
+
+@pytest.mark.parametrize("field,units", TWIST_GRID, ids=["Q", "GF101", "GF2", "GF3"])
+def test_at_e_1_pivot_only_columns_are_the_input_tuples(field, units):
+    """At e = 1 the restriction of t^a * e_j is t^a * e_j read in w, so the
+    result holds the input's own column tuple; the other columns are
+    rescaled by the unit and are new."""
+    rng = random.Random(163)
+    lattice = direct_sum([diagonal_lattice(field, [3, -2]), lat(random_columns(rng, 2, field),
+                                                                 field)])
+    for u in units:
+        res = restrict_scalars(lattice, 1, u)
+        assert res == _restricted_span(lattice, 1, u)
+        for col, out in zip(lattice.cols, res.cols):
+            if _pivot_only(col):
+                assert out is col
+
+
 @pytest.mark.parametrize("field,u", [(QQ, QQ.of(2)), (QQ, QQ.of("2/3")), (GF101, 2)],
                          ids=["Q-2", "Q-2/3", "GF101-2"])
 @pytest.mark.parametrize("e", [2, 3, 4])
 def test_restrict_scalars_checks_the_component_kernel(field, u, e, monkeypatch):
-    """The closed form checks decompose_component, which it shares with
+    """The restriction checks decompose_component, which it shares with
     restrict_matrix and so with the residue push.  With twist(u, 1) planted
-    for twist(u, -1), the seed of the column (t, t^4), pivot exponent 4 and
-    q = 4 // e >= 1, comes out with pivot u^{2q} * w^q instead of w^q, and
-    the shape check refuses it.  Canonicalizing the restricted generators
-    instead would accept the planted components without complaint."""
-    lattice = lat([[(0, 1), 0], [(1, 1), (4, 1)]], field)
-    gens = [g for col in lattice.cols for g in _restrict_columns(col, e, u)]
-    assert restrict_scalars(lattice, e, u) == Lattice.from_columns(field, 2 * e, gens)
-    monkeypatch.setattr(functors, "decompose_component",
-                        lambda x, e, u, rho: x.decimate(e, rho).twist(u, 1))
+    for twist(u, -1):
+
+    * the lattice spanned by (1, 0) and (t, t^4) canonicalizes to the
+      diagonal one of 1 and t^4, so both columns take the closed form.  The
+      component of t^rho * t^4 at its pivot row comes out as u^b * w^b,
+      b = (4 + rho) // e >= 1, not u^{-b} * w^b, and the exact pivot check
+      refuses it;
+    * in the lattice spanned by (t^2, 0) and (t, t^4) the second column is
+      not pivot-only.  With the fault planted in ``_restrict_columns``
+      alone, the pivot check of the first column reads the true kernel, and
+      the seed of the second, pivot exponent 4 and q = 4 // e >= 1, comes
+      out with pivot u^{2q} * w^q instead of w^q: the shape check refuses it.
+
+    Canonicalizing the restricted generators instead would accept the
+    planted components without complaint."""
+    diagonal = lat([[(0, 1), 0], [(1, 1), (4, 1)]], field)
+    mixed = lat([[(2, 1), 0], [(1, 1), (4, 1)]], field)
+    assert all(_pivot_only(c) for c in diagonal.cols) and not _pivot_only(mixed.cols[1])
+    for lattice in (diagonal, mixed):
+        assert restrict_scalars(lattice, e, u) == _restricted_span(lattice, e, u)
+    with monkeypatch.context() as m:
+        m.setattr(functors, "decompose_component",
+                  lambda x, e, u, rho: x.decimate(e, rho).twist(u, 1))
+        with pytest.raises(AssertionError, match=r"internal: component \d+ of t\^\d+ is not"):
+            restrict_scalars(diagonal, e, u)
+    monkeypatch.setattr(functors, "_restrict_columns", planted(
+        functors._restrict_columns,
+        ("decompose_component(x, e, u, d)", "x.decimate(e, d).twist(u, 1)")))
     with pytest.raises(AssertionError, match="internal: columns not in canonical form"):
-        restrict_scalars(lattice, e, u)
+        restrict_scalars(mixed, e, u)
+
+
+@pytest.mark.parametrize("field,u", [(QQ, QQ.of(2)), (QQ, QQ.of("-2/3")), (GF101, 2)],
+                         ids=["Q-2", "Q-(-2/3)", "GF101-2"])
+def test_a_unit_fault_on_a_diagonal_lattice_is_refused(field, u, monkeypatch):
+    """A component kernel that multiplies by u^q instead of u^{-q} gives
+    every pivot-only generator the right support and a wrong unit, so each
+    is still a member of the right lattice.  When every q is 0 no seed
+    pivot shows it either; the exact pivot check refuses it at the first
+    pivot w^b with b >= 1, since u^2 != 1.  At b = 0 everywhere the planted
+    kernel agrees with the true one and nothing is refused."""
+    lattice = diagonal_lattice(field, [1, 0, 2])  # q = 0 at e = 3
+    assert restrict_scalars(lattice, 3, u) == \
+        diagonal_lattice(field, [1, 0, 0, 0, 0, 0, 1, 1, 0]) == _restricted_span(lattice, 3, u)
+    monkeypatch.setattr(functors, "decompose_component",
+                        planted(functors.decompose_component, ("twist(u, -1)", "twist(u)")))
+    with pytest.raises(AssertionError, match=r"internal: component 0 of t\^3 is not u\^-1 \* w\^1"):
+        restrict_scalars(lattice, 3, u)
+    assert restrict_scalars(diagonal_lattice(field, [0, 0]), 3, u) == \
+        diagonal_lattice(field, [0] * 6)
 
 
 def _tensor_identity(rows, e):
@@ -210,15 +310,16 @@ TWIST_FAULTS = {
     "wrap-factor-u-for-1/u": ([("t_power(field, 1).twist(u, -1)", "t_power(field, 1).twist(u)")],
                               None),
     "wrapped-column-unscaled": (
-        [("[x.shift(1) for x in wrapped]", "[x * w_over_u if x.coeffs else x for x in wrapped]"),
-         ("moved.extend([x * unit if x.coeffs else x for x in kept])", "moved.extend(kept)")],
+        [("[x.shift(d) for x in wrapped]", "[x * wrap_factor if x.coeffs else x for x in wrapped]"),
+         ("moved.extend([x * unit_factor if x.coeffs else x for x in kept])",
+          "moved.extend([x.shift(q) for x in kept] if q else kept)")],
         "raised AssertionError: internal: columns not in canonical form"),
     "pivot-only-rescaled": (
         [("if wraps:\n", "if False:\n"),
-         ("cols[row] = tuple(moved)", "moved[row] = col[j].shift(1) if wraps else moved[row]\n"
+         ("cols[row] = tuple(moved)", "moved[row] = col[j].shift(d) if wraps else moved[row]\n"
                                       "        cols[row] = tuple(moved)")],
         None),
-    "wrapping-pivot-unshifted": ([("col[j].shift(1) if wraps else col[j]", "col[j]")],
+    "wrapping-pivot-unshifted": ([("(col[j].shift(d),)", "(col[j].shift(q),)")],
                                  "raised AssertionError: internal: columns not in canonical form"),
 }
 

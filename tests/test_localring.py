@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from parstack import QQ, LocalElement, PrimeField, TrialConfig
 from parstack.harness import SUITES
 
-from conftest import values
+from conftest import planted, values
 
 FIELDS = (QQ, PrimeField(101), PrimeField(3))
 
@@ -205,6 +205,21 @@ def test_twist_spread_decimate_match_the_reference(data):
     check(field, x.spread(e), {q * e: v for q, v in a.items()})
     check(field, x.decimate(e, rho),
           {(m - rho) // e: v for m, v in a.items() if (m - rho) % e == 0})
+
+
+@PROPS
+@given(field_and(1), st.integers(-6, 6))
+def test_decimate_at_e_1_is_the_general_path(case, rho):
+    """decimate(1, rho) is the shift by -rho: the same element as the
+    general path (its e == 1 branch planted away) gives, and it keeps the
+    coefficient tuple instead of copying it."""
+    field, a = case
+    x = build(field, a)
+    general = planted(LocalElement.decimate, ("if e == 1:", "if False:"))
+    y = x.decimate(1, rho)
+    check(field, y, {m - rho: v for m, v in a.items()})
+    assert y == general(x, 1, rho)
+    assert y.coeffs is x.coeffs
 
 
 @pytest.mark.parametrize("field_name", ["rational", "prime:101"])
