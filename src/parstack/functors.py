@@ -6,20 +6,20 @@ r * e = s and local uniformizer relation w_y = u * t^e on each branch.
 The parabolic direct image refines each branch chain to denominator
 r*e and restricts scalars; the graded direct image distributes the
 branch grades over grade m = r*l + k with a t^{-l} twist.  Both routes
-restrict scalars with restrict_scalars, which writes down the canonical
-form of res(L) from L's canonical basis instead of canonicalizing a
-generating set, and checks it exactly (the derivation and the guards
-are in its docstring).  Each route restricts each distinct member once
-and reads its twists t^l * L off res(L) with twist_restricted.  With
-T = multiplication by t on restricted coordinates, T^l * B spans
-res(t^l * L) for a basis B of res(L), because T is K_Y-linear (span);
-and T moves each entry together with its row's pivot, so the row bounds
-move with the rows and no entry needs reducing (shape).  The two routes
-share this run rule but never read each other's restrictions.  The parabolic
-pullback splits into lines and applies the floor/fractional-part line
-formula at every e; the graded pullback is base change of the root-stack
-module and uses no splitting, so the two routes stay independent
-computations.
+restrict scalars with restrict_scalars, which writes down the stored
+canonical form of res(L) (lattice) from that of L instead of
+canonicalizing a generating set, and checks it exactly (the derivation
+and the guards are in its docstring).  Each route restricts each
+distinct member once and reads its twists t^l * L off res(L) with
+twist_restricted.  With T = multiplication by t on restricted
+coordinates, T^l * B spans res(t^l * L) for a basis B of res(L), because
+T is K_Y-linear (span); and T moves each stored entry together with its
+row's pivot, so the row bounds move with the rows and no entry needs
+reducing (shape).  The two routes share this run rule but never read
+each other's restrictions.  The parabolic pullback splits into lines and
+applies the floor/fractional-part line formula at every e; the graded
+pullback is base change of the root-stack module and uses no splitting,
+so the two routes stay independent computations.
 """
 
 from __future__ import annotations
@@ -28,13 +28,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InadmissibleProfile, InadmissibleWeight, ProfileMismatch
-from .lattice import Lattice, direct_sum, map_runs
+from .lattice import Lattice, direct_sum, map_runs, stored_column
 from .linalg import block_diag, transpose
 from .localring import LocalElement
 from .parabolic import ParabolicPoint, split_into_lines
 from .rootstack import GradedModule
-
-_Z = LocalElement.zero()
 
 
 @dataclass(frozen=True)
@@ -113,8 +111,7 @@ def _restrict_columns(col, e, u):
 
 def restrict_scalars(lattice, e, u):
     """View a branch lattice L as a target-chart lattice res(L) of rank n*e,
-    built in canonical form from L's canonical basis, without
-    canonicalizing.
+    built in canonical form from L's stored form, without canonicalizing.
 
     Write w for w_y, c_j for the canonical columns of L with pivots
     t^{a_j}, and (q_j, s_j) = divmod(a_j, e).  As an R_Y-module res(L) is
@@ -126,14 +123,14 @@ def restrict_scalars(lattice, e, u):
     k >= s_i.  So the canonical pivots of block i are those w^b, and their
     exponents sum to a_i.
 
-    A pivot-only column c_j = t^{a_j} * e_j is written down in closed form.
-    With (b, k) = divmod(s_j + rho, e) and b raised by q_j, the power
-    t^{a_j + rho} = t^k * t^{e*b} = t^k * (w / u)^b, so t^rho * c_j
-    restricts to the one entry u^{-b} * w^b at row j*e + k.  Its monic
-    multiple w^b at that row has nothing above it to reduce, so it is the
-    canonical column there, and as a seed (below) it holds only its pivot.
-    At e = 1 that column is c_j itself, and its tuple is reused.  Every
-    other column is built step by step:
+    A pivot-only column c_j = t^{a_j} * e_j, stored as ``()``, is written
+    down in closed form.  With (b, k) = divmod(s_j + rho, e) and b raised by
+    q_j, the power t^{a_j + rho} = t^k * t^{e*b} = t^k * (w / u)^b, so
+    t^rho * c_j restricts to the one entry u^{-b} * w^b at row j*e + k.
+    Its monic multiple w^b at that row has nothing above it to reduce, so
+    it is the canonical column there: the ``diag`` entry b with no stored
+    entries, and as a seed (below) it holds only its pivot.  Every other
+    column is built step by step on its dense rows up to block j:
 
     * the seed u^{q_j} * res(c_j) has pivot exactly w^{q_j} at row
       j*e + s_j, and in block i < j component k of c_j[i], whose terms lie
@@ -150,44 +147,48 @@ def restrict_scalars(lattice, e, u):
       The seed goes through the same step, which finds nothing to reduce
       when L is canonical.
 
+    Each step's column is stored by ``lattice.stored_column``, which
+    requires its computed pivot to be exactly w^q with zeros below it.
     Every column lies in res(L), since L is a K_X-lattice and the seeds do.
     Guards, each raising AssertionError("internal: ..."): for a pivot-only
     column, each component decompose_component(t^{a_j}, e, u, k - rho)
-    equals u^{-b} * w^b exactly; for every other column, every reduction
-    quotient is a constant and every generator t^rho * c_j is a member;
-    the pivot exponents sum to sum(a_j), the colength of res(L); and the
-    result has canonical shape (Lattice.from_canonical).  The generators
-    then span a sublattice of the result of equal colength, so they span
-    the result.  Equality is the stronger guard on a pivot-only column:
-    any unit multiple of its restricted generator is a member, so a member
-    test cannot see a component kernel that returns the wrong unit, while
-    the equality refuses it whenever the unit differs at some b.
+    equals u^{-b} * w^b exactly; for every other column, each computed
+    pivot is exact, every reduction quotient is a constant and every
+    generator t^rho * c_j is a member; the pivot exponents sum to sum(a_j),
+    the colength of res(L); and the result has canonical shape
+    (Lattice.from_canonical).  The generators then span a sublattice of the
+    result of equal colength, so they span the result.  Equality is the
+    stronger guard on a pivot-only column: any unit multiple of its
+    restricted generator is a member, so a member test cannot see a
+    component kernel that returns the wrong unit, while the equality
+    refuses it whenever the unit differs at some b.
     """
     if e == 1 and u == 1:
         return lattice
     field, n = lattice.field, lattice.n
-    cols, diag = [None] * (n * e), [None] * (n * e)
+    entries, diag = [None] * (n * e), [None] * (n * e)
     seeds = []  # per block: (pivot row, pivot exponent, nonzero (row, entry) of the seed)
     gens = []  # the restricted generators of the columns that are not pivot-only
     scales = {}  # q -> the constant u^q
     w_over_u = unit = None
-    for j, (c, a) in enumerate(zip(lattice.cols, lattice.diag)):
+    for j, (ent, a) in enumerate(zip(lattice.entries, lattice.diag)):
         q, s = divmod(a, e)
-        if c.count(_Z) == n - 1:
+        if not ent:
+            power = LocalElement.t_power(field, a)
             for rho in range(e):
                 b, k = divmod(s + rho, e)
                 b += q
                 pivot = LocalElement.t_power(field, b)
-                if decompose_component(c[j], e, u, k - rho).twist(u) != pivot:
+                if decompose_component(power, e, u, k - rho).twist(u) != pivot:
                     raise AssertionError("internal: component %d of t^%d is not "
                                          "u^-%d * w^%d" % (k, a + rho, b, b))
                 row = j * e + k
-                cols[row] = c if e == 1 else (_Z,) * row + (pivot,) + (_Z,) * (n * e - row - 1)
+                entries[row] = ent
                 diag[row] = b
                 if not rho:
                     seeds.append((row, b, [(row, pivot)]))
             continue
-        outs = _restrict_columns(c, e, u)
+        outs = _restrict_columns(lattice.column(j), e, u)
         gens.append(outs)
         if q not in scales:
             scales[q] = LocalElement.t_power(field, q).twist(u).shift(-q)
@@ -220,14 +221,17 @@ def restrict_scalars(lattice, e, u):
                                              "is not a constant" % (lam, row))
                     for k, y in seed:
                         col[k] = col[k] - lam * y
+            row = j * e + s
             if not rho:
-                seeds.append((j * e + s, q, [(k, x) for k, x in enumerate(col) if x.coeffs]))
-            cols[j * e + s] = tuple(col) + (_Z,) * ((n - j - 1) * e)
-            diag[j * e + s] = q
+                seeds.append((row, q, [(k, x) for k, x in enumerate(col) if x.coeffs]))
+            entries[row] = stored_column(field, col, row, q)
+            if entries[row] is None:
+                raise AssertionError("internal: columns not in canonical form")
+            diag[row] = q
     if sum(diag) != sum(lattice.diag):
         raise AssertionError("internal: restricted colength %d, expected %d"
                              % (sum(diag), sum(lattice.diag)))
-    out = Lattice.from_canonical(field, tuple(cols), tuple(diag))
+    out = Lattice.from_canonical(field, tuple(entries), tuple(diag))
     for outs in gens:
         for g in outs:
             if not out.member(g):
@@ -236,7 +240,7 @@ def restrict_scalars(lattice, e, u):
 
 
 def twist_restricted(res_lattice, e, u, l):
-    """res(t^l * L) from the canonical basis of res_lattice = res(L), with no
+    """res(t^l * L) from the stored form of res_lattice = res(L), with no
     canonicalization and no member guard.
 
     Write w for w_y and l = q*e + l0 with 0 <= l0 < e.  In restricted
@@ -259,12 +263,12 @@ def twist_restricted(res_lattice, e, u, l):
 
     The factor w^q is applied in the same pass: every moved entry is
     shifted by q as well, and so is every pivot exponent, which keeps the
-    shape (``Lattice.scale``).  A pivot-only column (its pivot w^b is its
-    one nonzero entry) moves in one step: the zero tuple with the pivot
-    shifted by q + 1 at the new row when it wraps, or by q when it does
-    not, which keeps the pivot object itself when q = 0.  That is the
-    column the entry-by-entry move builds, since zeros stay zero under
-    every factor.
+    shape (``Lattice.scale``).  Pivots are implied, so a column's pivot
+    moves as its ``diag`` entry alone: to the new row, with exponent b + q
+    + 1 when it wraps and b + q when it does not.  Only the stored entries
+    move one by one, and a pivot-only column, which stores none, moves with
+    no arithmetic.  Within a block the wrapped entries land above the kept
+    ones, so each column's moved entries are sorted back into row order.
     """
     q, l0 = divmod(l, e)
     if not l0:
@@ -272,29 +276,23 @@ def twist_restricted(res_lattice, e, u, l):
     field, n = res_lattice.field, res_lattice.n
     wrap_factor = unit_factor = None  # (w / u) * w^q and u * w^q, built when first needed
     cut = e - l0  # rows k >= cut of each block wrap
-    cols, diag = [None] * n, [None] * n
-    for j, (col, b) in enumerate(zip(res_lattice.cols, res_lattice.diag)):
+    entries, diag = [None] * n, [None] * n
+    for j, (ent, b) in enumerate(zip(res_lattice.entries, res_lattice.diag)):
         wraps = j % e >= cut
         row = j + l0 - e if wraps else j + l0
         d = q + 1 if wraps else q  # the pivot's gain in degree
         diag[row] = b + d
-        if col.count(_Z) == n - 1:
-            cols[row] = (_Z,) * row + (col[j].shift(d),) + (_Z,) * (n - row - 1)
+        if not ent:
+            entries[row] = ent
             continue
         if unit_factor is None:
             wrap_factor = LocalElement.t_power(field, 1).twist(u, -1).shift(q)
             unit_factor = LocalElement.const(field, u).shift(q)
-        moved = []
-        for top in range(0, j - j % e + e, e):  # the blocks up to the pivot's
-            wrapped, kept = col[top + cut:top + e], col[top:top + cut]
-            if wraps:
-                moved.extend([x.shift(d) for x in wrapped])
-                moved.extend([x * unit_factor if x.coeffs else x for x in kept])
-            else:
-                moved.extend([x * wrap_factor if x.coeffs else x for x in wrapped])
-                moved.extend([x.shift(q) for x in kept] if q else kept)
-        cols[row] = tuple(moved) + col[len(moved):]
-    return Lattice.from_canonical(field, tuple(cols), tuple(diag))
+        # rows are distinct, so sorting compares no two entries
+        entries[row] = tuple(sorted(
+            (i + l0 - e, x.shift(d) if wraps else x * wrap_factor) if i % e >= cut
+            else (i + l0, x * unit_factor if wraps else x.shift(q)) for i, x in ent))
+    return Lattice.from_canonical(field, tuple(entries), tuple(diag))
 
 
 def restrict_matrix(rows, e, u):

@@ -39,7 +39,7 @@ from .localring import LocalElement
 from .pairing import (ANTISYMMETRIC, SYMMETRIC, ParabolicPairing, check_pairing,
                       expected_branch_value_data, pullback_pairing,
                       pushforward_pairing)
-from .lattice import triangular_inverse
+from .lattice import entries_above, triangular_inverse
 from .parabolic import (ParabolicBundle, ParabolicPoint, is_point_morphism,
                         split_into_lines)
 from .rootstack import (GradedModule, from_parabolic, is_graded_morphism,
@@ -184,7 +184,8 @@ def gen_point_morphism(rng, src, dst):
             if c == field.zero:
                 continue
             f[bo][bi] = LocalElement.make(field, vmin + rng.randint(0, 1), [c])
-    src_inv = triangular_inverse(field, transpose(src_mat), src.chain[0].diag)
+    src_inv = triangular_inverse(field, entries_above(transpose(src_mat)),
+                                 src.chain[0].diag)
     return mat_mul(dst_mat, mat_mul(f, src_inv))
 
 

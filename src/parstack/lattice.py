@@ -5,8 +5,22 @@ column j at row j equal to a pure power t^{a_j}, and every off-diagonal
 entry in row i reduced modulo t^{a_i}.  This form is unique, and so is the
 integer form of each entry (localring: integer coefficients over one
 positive denominator in lowest terms on Q, reduced residues on GF(p), no
-zero at either end).  Lattice equality and hashing are therefore
-comparisons of integer tuples.
+zero at either end).
+
+Storage.  A lattice keeps the pivot exponents ``diag`` = (a_0, ..., a_{n-1})
+and, for each column j, ``entries[j]``: the pairs (i, x) of its nonzero
+entries above the pivot.  The pivot t^{a_j} is implied, never stored, so a
+pivot-only column t^{a_j} * e_j is ``()`` and a diagonal lattice is its
+``diag`` alone.  The stored form satisfies, and ``_canonical_shape``
+checks:
+
+* the entries of a column are nonzero, in increasing row order, and above
+  its pivot (i < j);
+* an entry in row i has degree below its row's pivot exponent a_i.
+
+Equality and hashing compare (n, diag, entries): integer tuples and pairs
+of a row index and an entry.  The dense columns (``column``, ``cols``) are
+built on demand for readers off the hot paths and never stored.
 
 All algorithms run on Laurent-polynomial matrices, whose integer
 arithmetic reduces once per operation.  Canonicalization is
@@ -22,56 +36,54 @@ back-substitution.
 Six constructors build canonical forms without canonicalizing:
 
 * ``from_columns`` keeps a generating set that is already a canonical
-  basis: exactly n columns of length n with the canonical shape (the
-  predicate ``_canonical_shape``, shared with ``from_canonical``).  This is
-  exact, because the canonical basis of a lattice is unique (the proof is
-  at ``from_columns``).  Any other input goes through ``_canonicalize``.
-* ``scale`` shifts every entry by t^d.  Pivots stay pure powers and each
-  row's degree bound moves with its pivot, so the form is canonical by
-  construction and needs no guard.  A lattice keeps t * L once built, so
-  ``scale(1)`` builds it once per lattice and undoes ``scale(-1)``.
-* ``direct_sum`` places canonical blocks on the diagonal.  Each column
-  keeps its pivot and its reduced entries, and the rows of the other
-  blocks are zero, so it needs no guard either.
+  basis: exactly n dense columns of length n whose pivots are exactly
+  t^{a_j}, with zeros below them (``stored_column``) and reduced entries
+  above them (``_canonical_shape``, shared with ``from_canonical``).  This
+  is exact, because the canonical basis of a lattice is unique (the proof
+  is at ``from_columns``).  Any other input goes through ``_canonicalize``.
+* ``scale`` shifts ``diag`` and every stored entry by d.  Each row's
+  degree bound moves with its pivot, so the form is canonical by
+  construction and needs no guard; a diagonal lattice keeps its entries
+  tuple.  A lattice keeps t * L once built, so ``scale(1)`` builds it once
+  per lattice and undoes ``scale(-1)``.
+* ``direct_sum`` concatenates the blocks' ``diag`` and moves their stored
+  entries down by the block offsets, so it needs no guard either.
 * restriction of scalars (``functors.restrict_scalars``) reads the
   canonical basis of res(L) off L's.  A pivot-only column t^a * e_j
-  restricts in closed form to e columns that hold one power of w each;
+  restricts in closed form to e pivot-only columns, a ``diag`` entry each;
   every other column takes one constant reduction per block and step.
   It is guarded: ``Lattice.from_canonical`` checks the shape with
   ``_canonical_shape``, and the restriction checks that the colength is
   L's; that each component of a pivot-only column is exactly the unit
   times the power of w it claims (an equality, which sees a wrong unit
-  where a member test cannot); and, for every other column, that every
-  reduction quotient is a constant and every generator is a member.
-  Each failure raises AssertionError("internal: ...").
+  where a member test cannot); and, for every other column, that each
+  computed pivot is exactly its power of w with zeros below it
+  (``stored_column``), that every reduction quotient is a constant and
+  that every generator is a member.  Each failure raises
+  AssertionError("internal: ...").
 * the twist of a restriction (``functors.twist_restricted``) reads
-  res(t^l * L) off the canonical basis of res(L): t acts on restricted
+  res(t^l * L) off the stored form of res(L): t acts on restricted
   coordinates by moving each e-block down one row, and the rows' degree
   bounds move with their pivots; the factor w^q of l = q*e + l0 shifts
-  the moved entries in the same pass.  Its guard is the shape check of
-  ``Lattice.from_canonical``; it runs no member test.
+  the moved entries in the same pass.  Only stored entries move.  Its
+  guard is the shape check of ``Lattice.from_canonical``; it runs no
+  member test.
 * a member of a parabolic chain (``parabolic._flag_member``) is read off
   the canonical basis of E^0 and a reduced echelon basis of its flag in
-  the fibre E^0 / t * E^0.  It is guarded: the shape check of
-  ``Lattice.from_canonical``, the colength, and a member test of each
-  line that spans it modulo t * E^0.
+  the fibre E^0 / t * E^0.  It is guarded: each computed pivot is checked
+  by ``stored_column``, the shape by ``Lattice.from_canonical``, and the
+  colength and a member test of each line that spans it modulo t * E^0
+  by the member itself.
 
-Inner loops visit only the support of their sparse operand: the nonzero
-entries of a vector, of a column or of a pivot column, tested by the
-truthiness of ``coeffs``.  No kernel multiplies by a zero entry.  Bases
-here are triangular and restricted scalars are mostly zero, so this
-decides the cost: back-substitution for a vector whose last nonzero entry
-is row k takes about k^2/2 steps, not n^2/2.
-
-Most columns of a restricted basis are pivot-only: their one nonzero
-entry is the pivot.  Zero is one shared object, so ``col.count(_Z) == n -
-1`` tells such a column in C, with one element comparison, and the kernels
-handle it with tuple operations instead of a loop over its n entries:
-``_canonical_shape`` checks only its pivot, ``contains`` decides it from
-the pivot exponents alone, ``functors.twist_restricted`` moves only
-its pivot, and ``functors.restrict_scalars`` writes its restriction down
-in closed form.  Neighbouring chain members share most of their columns, so
-``contains`` also accepts a column equal to the container's own column j
+Inner loops visit only the support of their sparse operand: the stored
+entries of a column and the nonzero coordinates of a vector, tested by
+the truthiness of ``coeffs``.  No kernel multiplies by a zero entry.
+Back-substitution is right-looking: once x_j is known, x_j times column
+j's stored entries is subtracted from the rows above, so it costs one
+product per stored entry of a column with a nonzero coordinate.
+``contains`` decides a column from the pivot exponents alone when both
+columns are pivot-only, and accepts a column equal to the container's
+own column j (neighbouring chain members share most of their columns)
 without solving for it.
 """
 
@@ -85,15 +97,15 @@ _Z = LocalElement.zero()
 
 
 class Lattice:
-    __slots__ = ("field", "n", "cols", "diag", "_up")
+    __slots__ = ("field", "n", "entries", "diag", "_up")
 
-    def __init__(self, field, n, cols, diag, _trusted=False):
+    def __init__(self, field, n, entries, diag, _trusted=False):
         """Internal constructor; use from_columns or from_canonical."""
         if not _trusted:
             raise TypeError("use Lattice.from_columns")
         self.field = field
         self.n = n
-        self.cols = cols
+        self.entries = entries
         self.diag = diag
         self._up = None  # t * self, once scale has built it
 
@@ -104,36 +116,52 @@ class Lattice:
         """Canonicalize a generating set (list of length-n entry lists).
 
         A set of exactly n columns that already has the canonical shape
-        (``_canonical_shape``) is kept as it is.  Such a basis B is the
-        canonical basis of its span L, because a canonical basis is unique.
-        Let B' be another one.  The pivots agree: t^{a_j} R is the row-j
-        projection of the vectors of L that vanish below row j, for B and B'
-        alike.  So column j of B minus column j of B' lies in L and vanishes
-        from row j on.  If it is nonzero, let i be its last nonzero row.  It
-        vanishes below row i, so its row-i entry lies in t^{a_i} R; yet that
-        entry is a difference of two entries of degree below a_i.  A nonzero
-        element cannot have both, so the columns are equal.
+        (``stored_column`` and ``_canonical_shape``) is kept, in the stored
+        form.  Such a basis B is the canonical basis of its span L, because
+        a canonical basis is unique.  Let B' be another one.  The pivots
+        agree: t^{a_j} R is the row-j projection of the vectors of L that
+        vanish below row j, for B and B' alike.  So column j of B minus
+        column j of B' lies in L and vanishes from row j on.  If it is
+        nonzero, let i be its last nonzero row.  It vanishes below row i, so
+        its row-i entry lies in t^{a_i} R; yet that entry is a difference of
+        two entries of degree below a_i.  A nonzero element cannot have
+        both, so the columns are equal.
         """
         if len(columns) == n and all(len(c) == n for c in columns):
-            diag = tuple(columns[j][j].ord for j in range(n))
-            if _canonical_shape(field, columns, diag):
-                return cls(field, n, tuple(tuple(c) for c in columns), diag,
-                           _trusted=True)
-        cols, diag = _canonicalize(field, n, columns)
-        return cls(field, n, cols, diag, _trusted=True)
+            diag = tuple(c[j].ord for j, c in enumerate(columns))
+            entries = tuple(stored_column(field, c, j, a)
+                            for j, (c, a) in enumerate(zip(columns, diag)))
+            if None not in entries and _canonical_shape(entries, diag):
+                return cls(field, n, entries, diag, _trusted=True)
+        return _canonicalize(field, n, columns)
 
     @classmethod
-    def from_canonical(cls, field, cols, diag):
-        """Wrap a basis built in canonical form, after checking its shape
-        (``_canonical_shape``).  A basis that fails is a library bug."""
-        if not _canonical_shape(field, cols, diag):
+    def from_canonical(cls, field, entries, diag):
+        """Wrap a stored form built canonical, after checking its shape
+        (``_canonical_shape``).  A form that fails is a library bug."""
+        if not _canonical_shape(entries, diag):
             raise AssertionError("internal: columns not in canonical form")
-        return cls(field, len(cols), cols, diag, _trusted=True)
+        return cls(field, len(diag), entries, diag, _trusted=True)
+
+    # -- dense views -------------------------------------------------------
+
+    def column(self, j):
+        """Basis column j as a dense tuple of n entries."""
+        col = [_Z] * self.n
+        for i, x in self.entries[j]:
+            col[i] = x
+        col[j] = LocalElement.t_power(self.field, self.diag[j])
+        return tuple(col)
+
+    @property
+    def cols(self):
+        """The basis columns as dense tuples, built on each access."""
+        return tuple(self.column(j) for j in range(self.n))
 
     # -- operations --------------------------------------------------------
 
     def scale(self, d):
-        """The lattice t^d * self; canonical form shifts entrywise.
+        """The lattice t^d * self; ``diag`` and the stored entries shift.
 
         t * self is built once per lattice: ``scale(1)`` keeps it in the
         slot ``_up`` and returns it from then on, and ``scale(-1)`` stores
@@ -146,9 +174,12 @@ class Lattice:
             return self
         if d == 1 and self._up is not None:
             return self._up
-        cols = tuple(tuple([e.shift(d) if e.coeffs else e for e in col]) for col in self.cols)
-        diag = tuple(a + d for a in self.diag)
-        out = Lattice(self.field, self.n, cols, diag, _trusted=True)
+        entries = self.entries
+        if any(entries):
+            entries = tuple(tuple([(i, x.shift(d)) for i, x in ent]) if ent else ent
+                            for ent in entries)
+        out = Lattice(self.field, self.n, entries, tuple(a + d for a in self.diag),
+                      _trusted=True)
         if d == 1:
             self._up = out
         elif d == -1:
@@ -158,7 +189,7 @@ class Lattice:
     def solve(self, w):
         """Coordinates x with basis * x = w (``back_substitute``); w is a
         member iff every coordinate has valuation >= 0."""
-        return back_substitute(self.cols, self.diag, w)
+        return back_substitute(self.entries, self.diag, w)
 
     def member(self, w):
         for x in self.solve(w):
@@ -173,9 +204,9 @@ class Lattice:
 
         * a' < a: reject.  c' is zero below row j, so back-substitution
           starts at row j and returns x_j = t^{a'-a}, of negative valuation;
-        * c' == c: accept;
         * both columns are pivot-only: accept, since a' >= a and so
-          c' = t^{a'-a} * c.
+          c' = t^{a'-a} * c;
+        * c' == c: accept.
 
         Every other column goes through ``member``.
         """
@@ -184,13 +215,13 @@ class Lattice:
         if other.n != self.n or other.field != self.field:
             raise AmbientMismatch("ambient rank %d over %s vs %d over %s"
                                   % (self.n, self.field.name, other.n, other.field.name))
-        zeros = self.n - 1
-        for c, b, a, own in zip(other.cols, other.diag, self.diag, self.cols):
+        for j, (b, a, ent, own) in enumerate(zip(other.diag, self.diag, other.entries,
+                                                 self.entries)):
             if b < a:
                 return False
-            if c == own or (c.count(_Z) == zeros and own.count(_Z) == zeros):
+            if (not ent and not own) or (b == a and ent == own):
                 continue
-            if not self.member(c):
+            if not self.member(other.column(j)):
                 return False
         return True
 
@@ -198,7 +229,7 @@ class Lattice:
         """The dual lattice {v : <v, self> in R} w.r.t. the standard pairing."""
         # rows of basis^{-1} are the dual basis vectors
         return Lattice.from_columns(self.field, self.n,
-                                    triangular_inverse(self.field, self.cols, self.diag))
+                                    triangular_inverse(self.field, self.entries, self.diag))
 
     def det_valuation(self):
         return sum(self.diag)
@@ -210,66 +241,71 @@ class Lattice:
             return NotImplemented
         # distinct nested lattices differ in colength, so diag decides first
         return (self.n == other.n and self.field == other.field
-                and self.diag == other.diag and self.cols == other.cols)
+                and self.diag == other.diag and self.entries == other.entries)
 
     def __hash__(self):
-        return hash((self.n, self.cols))
+        return hash((self.n, self.diag, self.entries))
 
     def __repr__(self):
         return "Lattice(n=%d, diag=%r)" % (self.n, list(self.diag))
 
 
-def _canonical_shape(field, cols, diag):
-    """True iff the n x n column basis ``cols`` has the canonical shape:
-    the pivot of column j is exactly t^{diag[j]} over ``field``, column j is
-    zero below row j, and each entry above a pivot has lower degree than
-    the pivot of its row.  Every pivot is tested before any other entry,
-    so most bases that are not canonical are rejected after n tests, and a
-    pivot-only column needs no test beyond its pivot's."""
-    n, p = len(cols), field.p
-    for j in range(n):
-        piv = cols[j][j]
-        if piv.ord != diag[j] or piv.coeffs != (1,) or piv.den != 1 or piv.p != p:
-            return False
-    for j, col in enumerate(cols):
-        if col.count(_Z) == n - 1:  # pivot-only: its pivot is checked
-            continue
-        for i in range(n):
-            x = col[i]
-            if x.coeffs and i != j and (i > j or x.ord + len(x.coeffs) > diag[i]):
+def stored_column(field, col, j, a):
+    """The stored entries of the dense column ``col`` with its pivot at row
+    j: the pairs (i, x) of its nonzero entries above row j.  None unless
+    that pivot is exactly t^a over ``field`` and every entry below it is
+    zero.  The entries above are checked by ``_canonical_shape``."""
+    piv = col[j]
+    if piv.ord != a or piv.coeffs != (1,) or piv.den != 1 or piv.p != field.p:
+        return None
+    for x in col[j + 1:]:
+        if x.coeffs:
+            return None
+    return tuple([(i, x) for i, x in enumerate(col[:j]) if x.coeffs])
+
+
+def entries_above(cols):
+    """The nonzero entries above the diagonal of a square upper-triangular
+    column basis, per column, in the form ``back_substitute`` reads."""
+    return [tuple([(i, x) for i, x in enumerate(col[:j]) if x.coeffs])
+            for j, col in enumerate(cols)]
+
+
+def _canonical_shape(entries, diag):
+    """True iff ``entries`` is a stored form over the pivot exponents
+    ``diag``: in each column, nonzero entries in increasing row order above
+    the pivot, each of degree below the pivot exponent of its row."""
+    for j, ent in enumerate(entries):
+        last = -1
+        for i, x in ent:
+            if not last < i < j or not x.coeffs or x.ord + len(x.coeffs) > diag[i]:
                 return False
+            last = i
     return True
 
 
-def back_substitute(cols, diag, w):
+def back_substitute(entries, diag, w):
     """Coordinates x with B * x = w for an upper-triangular basis B with
-    columns ``cols`` and pivots t^{diag[j]}; the entries above the pivots
-    need not be reduced.  The substitution starts at the last nonzero row
-    of w and each row sums only over the nonzero coordinates solved so
-    far.  It divides only by t-powers, so x always exists over K."""
-    n = len(cols)
-    x = [_Z] * n
-    top = n - 1
-    while top >= 0 and not w[top].coeffs:
-        top -= 1
-    solved = []  # (k, x[k]) for the nonzero coordinates so far
-    for j in range(top, -1, -1):
-        acc = w[j]
-        for k, xk in solved:
-            c = cols[k][j]
-            if c.coeffs:
-                acc = acc - c * xk
-        if acc.coeffs:
-            x[j] = xj = acc.shift(-diag[j])
-            solved.append((j, xj))
+    pivots t^{diag[j]} and, above them, the entries ``entries[j]`` of column
+    j as (row, entry) pairs, which need not be reduced.  Right-looking:
+    from the last row up, x_j is what is left of row j over t^{diag[j]},
+    and x_j times column j's entries is subtracted from the rows above.
+    It divides only by t-powers, so x always exists over K."""
+    x = list(w)
+    for j in range(len(x) - 1, -1, -1):
+        r = x[j]
+        if r.coeffs:
+            x[j] = xj = r.shift(-diag[j])
+            for i, c in entries[j]:
+                x[i] = x[i] - c * xj
     return x
 
 
-def triangular_inverse(field, cols, diag):
+def triangular_inverse(field, entries, diag):
     """The inverse of the basis of ``back_substitute``, row-major; its rows
     pair the basis columns to the standard basis under the standard pairing."""
-    return transpose([back_substitute(cols, diag, e)
-                      for e in identity_matrix(field, len(cols))])
+    return transpose([back_substitute(entries, diag, e)
+                      for e in identity_matrix(field, len(diag))])
 
 
 # -- canonicalization -----------------------------------------------------
@@ -320,10 +356,10 @@ def triangularize(n, columns):
 
 
 def _canonicalize(field, n, columns):
-    """Return (cols, diag) of the canonical basis of the R-span: the
-    triangular basis of ``triangularize``, normalized and verified."""
+    """The canonical lattice of the R-span: the triangular basis of
+    ``triangularize``, normalized and verified."""
     tri = triangularize(n, columns)
-    diag = [tri[i][i].ord for i in range(n)]
+    diag = tuple(tri[i][i].ord for i in range(n))
 
     # Precision for the unit-normalization phase.  Every triangular entry
     # has valuation >= m, so L lies in t^m R^n.  R^n / t^{-m}L has length
@@ -334,7 +370,7 @@ def _canonicalize(field, n, columns):
     m = min(0, min(e.ord for col in tri for e in col if e.coeffs))
     prec = sum(diag) - (n - 1) * m
 
-    canon = [[_Z] * n for _ in range(n)]
+    entries = []
     for j in range(n):
         uinv = tri[j][j].unit_poly().inv_series(prec - m + 1)
         w = [(x * uinv).truncate(prec) if x.coeffs else _Z for x in tri[j][:j]]
@@ -343,45 +379,34 @@ def _canonicalize(field, n, columns):
             if lam.coeffs:
                 if lam.ord < 0:
                     raise AssertionError("internal: negative reduction quotient")
-                for r in range(i):
-                    cir = canon[i][r]
-                    if cir.coeffs:
-                        w[r] = (w[r] - lam * cir).truncate(prec)
+                for r, cir in entries[i]:
+                    w[r] = (w[r] - lam * cir).truncate(prec)
                 w[i] = w[i].truncate(diag[i])
-        col = canon[j]
-        for i in range(j):
-            col[i] = w[i]
-        col[j] = LocalElement.t_power(field, diag[j])
+        entries.append(tuple([(i, x) for i, x in enumerate(w) if x.coeffs]))
 
-    out = Lattice(field, n, tuple(tuple(c) for c in canon), tuple(diag), _trusted=True)
+    out = Lattice(field, n, tuple(entries), diag, _trusted=True)
     # exact a-posteriori check: the triangular basis lies in the canonical
     # span; with equal determinant valuations this forces span equality.
     for col in tri:
         if not out.member(col):
             raise AssertionError("internal: canonical form verification failed")
-    return out.cols, out.diag
+    return out
 
 
 # -- module-level operations ----------------------------------------------
 
 
 def direct_sum(lattices):
-    """Block direct sum; canonical blocks assemble to a canonical basis."""
+    """Block direct sum; canonical blocks assemble to a canonical form."""
     if len(lattices) == 1:
         return lattices[0]
-    field = lattices[0].field
-    n = sum(l.n for l in lattices)
-    cols = []
-    diag = []
-    off = 0
+    entries, diag, off = [], [], 0
     for l in lattices:
-        for c in l.cols:
-            col = [_Z] * n
-            col[off:off + l.n] = c
-            cols.append(tuple(col))
+        entries.extend(tuple([(i + off, x) for i, x in ent]) if ent and off else ent
+                       for ent in l.entries)
         diag.extend(l.diag)
         off += l.n
-    return Lattice(field, n, tuple(cols), tuple(diag), _trusted=True)
+    return Lattice(lattices[0].field, off, tuple(entries), tuple(diag), _trusted=True)
 
 
 def image_columns(rows, lattice):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidChain, ShapeMismatch
-from .lattice import Lattice, back_substitute, map_runs
+from .lattice import Lattice, back_substitute, entries_above, map_runs, stored_column
 from .linalg import mat_vec, transpose
 from .localring import LocalElement
 
@@ -95,7 +95,7 @@ class ParabolicPoint:
         top = Lattice.from_columns(field, n, lines)
         # a line of least jump is jumped in every member strictly inside E^0
         lo = min(jumps, default=0)
-        fibre = {b: [x.truncate(1) for x in back_substitute(top.cols, top.diag, v)]
+        fibre = {b: [x.truncate(1) for x in back_substitute(top.entries, top.diag, v)]
                  for b, v in enumerate(lines) if jumps[b] > lo}
 
         def member(pattern):
@@ -192,9 +192,9 @@ def is_point_morphism(rows, src, dst):
                             % (len(rows), len(rows[0]) if rows else 0, dst.n, src.n))
     src_jumps, src_lifts = split_into_lines(src)
     dst_jumps, dst_lifts = split_into_lines(dst)
-    dst_cols, diag = transpose(dst_lifts), dst.chain[0].diag
+    dst_entries, diag = entries_above(transpose(dst_lifts)), dst.chain[0].diag
     for js, v in zip(src_jumps, transpose(src_lifts)):
-        m = back_substitute(dst_cols, diag, mat_vec(rows, v))
+        m = back_substitute(dst_entries, diag, mat_vec(rows, v))
         if not all(x.ord >= (js > jd) for x, jd in zip(m, dst_jumps) if x.coeffs):
             return False
     return True
@@ -219,14 +219,18 @@ def _flag_member(top, unjumped):
     t * E^0 lies in the result by construction: t * B0[:, i] is column i
     plus multiples of pivot columns on a row that is not a pivot row, and
     t * B0 * u_p minus t times the columns of the rows below p on a pivot
-    row p, by induction on p.  The guards make the result E^j:
-    ``Lattice.from_canonical`` checks the shape, the colength must be
-    sum(a) + the number of jumped lines, and every unjumped line must be a
-    member.  The lines span E^j, so E^j lies in the result, and a
+    row p, by induction on p.  The columns are built as stored entries
+    above implied pivots: B0 * u_p densely up to row p, where its computed
+    pivot must be exactly t^{a_p} with zeros below (``stored_column``), and
+    t * B0[:, i] from the stored entries of t * E^0, reduced only when one
+    of them lies on a pivot row.  The guards make the result E^j: the
+    pivot check, the shape check of ``Lattice.from_canonical``, the
+    colength, which must be sum(a) + the number of jumped lines, and a
+    member test of every unjumped line.  The lines span E^j, so E^j lies in the result, and a
     sublattice of equal colength is the whole lattice.  Each failure
     raises AssertionError("internal: ...").
     """
-    n, field, cols, diag = top.n, top.field, top.cols, top.diag
+    n, field, entries, diag = top.n, top.field, top.entries, top.diag
     echelon = {}  # pivot row p -> u_p
     for _, f in unjumped:
         for p, u in echelon.items():
@@ -247,30 +251,36 @@ def _flag_member(top, unjumped):
         echelon[q] = f
     out, out_diag = [None] * n, list(diag)
     for p, u in echelon.items():
-        if u.count(_Z) == n - 1:  # u_p = e_p: column p of B0 itself
-            out[p] = cols[p]
+        if not any(c.coeffs for c in u[:p]):  # u_p = e_p: column p of B0 itself
+            out[p] = entries[p]
             continue
-        col = [_Z] * n
-        for k, c in enumerate(u):
+        col = [_Z] * (p + 1)
+        for k, c in enumerate(u[:p + 1]):
             if c.coeffs:
-                for i, x in enumerate(cols[k][:k + 1]):
-                    if x.coeffs:
-                        col[i] = col[i] + c * x
-        out[p] = tuple(col)
-    up = top.scale(1).cols
+                col[k] = col[k] + c.shift(diag[k])
+                for i, x in entries[k]:
+                    col[i] = col[i] + c * x
+        out[p] = stored_column(field, col, p, diag[p])
+        if out[p] is None:
+            raise AssertionError("internal: columns not in canonical form")
+    up = top.scale(1).entries
     for i in range(n):
         if i in echelon:
             continue
         out_diag[i] += 1
-        col = up[i]
+        out[i] = up[i]
+        if not any(h in echelon for h, _ in up[i]):
+            continue
+        col = [_Z] * i
+        for h, x in up[i]:
+            col[h] = x
         for h in range(i - 1, -1, -1):
             c = col[h].high_div(diag[h]) if h in echelon else _Z
             if c.coeffs:
-                col = list(col) if type(col) is tuple else col
-                for g, y in enumerate(out[h][:h + 1]):
-                    if y.coeffs:
-                        col[g] = col[g] - c * y
-        out[i] = tuple(col)
+                col[h] = col[h] - c.shift(diag[h])
+                for g, y in out[h]:
+                    col[g] = col[g] - c * y
+        out[i] = tuple([(h, x) for h, x in enumerate(col) if x.coeffs])
     lat = Lattice.from_canonical(field, tuple(out), tuple(out_diag))
     if sum(out_diag) != sum(diag) + n - len(unjumped):
         raise AssertionError("internal: flag member has the wrong colength")
@@ -308,10 +318,10 @@ def split_into_lines(point):
     """
     top = point.chain[0]
     jumps = [0] * point.n
-    lifts = list(top.cols)
+    owners = [top] * point.n
     for j in range(1, point.order):
         lat = point.chain[j]
         for i, a in enumerate(top.diag):
             if lat.diag[i] == a:
-                jumps[i], lifts[i] = j, lat.cols[i]
-    return jumps, transpose(lifts)
+                jumps[i], owners[i] = j, lat
+    return jumps, transpose([lat.column(i) for i, lat in enumerate(owners)])

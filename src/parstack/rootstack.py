@@ -104,10 +104,12 @@ def is_graded_morphism(rows, src, dst):
     if len(rows) != dst.n or (rows and len(rows[0]) != src.n):
         raise ShapeMismatch("matrix is %dx%d, expected %dx%d"
                             % (len(rows), len(rows[0]) if rows else 0, dst.n, src.n))
-    prev = ()
+    prev = None
     for piece, tgt in zip(src.pieces, dst.pieces):
-        for j, col in enumerate(piece.cols):
-            if not (prev and col == prev[j]) and not tgt.member(mat_vec(rows, col)):
+        for j, (a, ent) in enumerate(zip(piece.diag, piece.entries)):
+            if prev is not None and a == prev.diag[j] and ent == prev.entries[j]:
+                continue
+            if not tgt.member(mat_vec(rows, piece.column(j))):
                 return False
-        prev = piece.cols
+        prev = piece
     return True

@@ -93,18 +93,29 @@ def _element_encoder():
 
 
 def _encode_chain(lattices):
-    """Encoded chain members.  A member equal to its neighbour gets the same
-    dict; across the chain, equal columns share one list and equal
-    elements one dict."""
+    """Encoded chain members, written from the stored form.  A member equal
+    to its neighbour gets the same dict; across the chain, equal columns
+    share one list and equal elements one dict.  A pivot-only column is
+    one list per (row, exponent), built from those two alone."""
     element = _element_encoder()
-    memo = {}
+    zero = element(LocalElement.zero())
+    memo, pivots = {}, {}
 
-    def column(col):
+    def column(lat, j):
+        a, ent = lat.diag[j], lat.entries[j]
+        if not ent and (j, a) in pivots:
+            return pivots[j, a]
+        encs = [zero] * lat.n
+        for i, x in ent:
+            encs[i] = element(x)
+        encs[j] = element(LocalElement.t_power(lat.field, a))
+        if not ent:
+            pivots[j, a] = encs
+            return encs
         # equal columns have the same element dicts, which the element
         # memo keeps alive for the whole call, so their ids are a key
-        encs = [element(x) for x in col]
         return memo.setdefault(tuple(map(id, encs)), encs)
-    return map_runs(lambda lat: {"columns": [column(col) for col in lat.cols]}, lattices)
+    return map_runs(lambda lat: {"columns": [column(lat, j) for j in range(lat.n)]}, lattices)
 
 
 def _element_key(obj):

@@ -101,8 +101,8 @@ def test_a_wrong_fibre_vector_is_caught_by_the_member_guard(field, monkeypatch):
     unjumped line."""
     monkeypatch.setattr(ParabolicPoint, "from_lines", classmethod(planted(
         ParabolicPoint.from_lines.__func__,
-        ("[x.truncate(1) for x in back_substitute(top.cols, top.diag, v)]",
-         "[x.truncate(1) for x in back_substitute(top.cols, top.diag, v)][::-1]"))))
+        ("[x.truncate(1) for x in back_substitute(top.entries, top.diag, v)]",
+         "[x.truncate(1) for x in back_substitute(top.entries, top.diag, v)][::-1]"))))
     caught = wrong = 0
     for r, matrix, twists, jumps in _draws(field, 150, 229):
         try:
@@ -172,7 +172,7 @@ def test_a_column_skip_where_the_target_does_not_ascend_is_caught(monkeypatch):
     dst = GradedModule(2, [diagonal_lattice(QQ, [0]), diagonal_lattice(QQ, [-1])])
     assert not is_graded_morphism(rows, src, dst)
     monkeypatch.setattr(rootstack, "is_graded_morphism", planted(
-        rootstack.is_graded_morphism, ("prev = ()", "prev = src.pieces[-1].cols")))
+        rootstack.is_graded_morphism, ("prev = None", "prev = src.pieces[-1]")))
     assert rootstack.is_graded_morphism(rows, src, dst)
 
 

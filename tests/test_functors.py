@@ -99,7 +99,9 @@ def test_restrict_scalars_commutes_with_full_twists():
 # pivot w of block 0, and t times the seed of block 1 wraps the entry 1 into
 # that row as w/u, so the reduction quotient there is 1/u.  The lattice of
 # (t, 0) and (1, t) has a column that is not pivot-only and whose pivot
-# wraps; the one of t alone takes the closed form.
+# wraps: claimed as w^2 there, it is computed as w, and the exact pivot
+# check of the step refuses it before the colength sum is taken.  The
+# lattice of t alone takes the closed form.
 PLANTED_FAULTS = {
     "wrap-by-t^2e": (("LocalElement.t_power(field, 1).twist(u, -1)",
                       "LocalElement.t_power(field, 2).twist(u, -1)"),
@@ -107,7 +109,7 @@ PLANTED_FAULTS = {
     "skipped-reduction": (("col[k] = col[k] - lam * y", "col[k] = col[k]"),
                           [[(2, 1), 0], [(0, 1, 1), 1]], 2, 2, "not in canonical form"),
     "wrong-colength": (("(q + 1, 0) if wraps", "(q + 2, 0) if wraps"),
-                       [[(1, 1), 0], [1, (1, 1)]], 2, 1, "restricted colength 3, expected 2"),
+                       [[(1, 1), 0], [1, (1, 1)]], 2, 1, "columns not in canonical form"),
     "wrong-colength-closed-form": (("diag[row] = b", "diag[row] = b + 1"),
                                    [[(1, 1)]], 2, 1, "restricted colength 3, expected 1"),
     "wrap-factor-u-for-1/u": (("t_power(field, 1).twist(u, -1)", "t_power(field, 1).twist(u)"),
@@ -196,17 +198,19 @@ def test_a_diagonal_lattice_reaches_neither_the_general_path_nor_a_member_test(m
 @pytest.mark.parametrize("field,units", TWIST_GRID, ids=["Q", "GF101", "GF2", "GF3"])
 def test_at_e_1_pivot_only_columns_are_the_input_tuples(field, units):
     """At e = 1 the restriction of t^a * e_j is t^a * e_j read in w, so the
-    result holds the input's own column tuple; the other columns are
-    rescaled by the unit and are new."""
+    result stores the input's own empty entries tuple and exponent a for
+    it; the other columns are rescaled by the unit and are new."""
     rng = random.Random(163)
     lattice = direct_sum([diagonal_lattice(field, [3, -2]), lat(random_columns(rng, 2, field),
                                                                  field)])
+    assert lattice.entries[:2] == ((), ())
     for u in units:
         res = restrict_scalars(lattice, 1, u)
         assert res == _restricted_span(lattice, 1, u)
-        for col, out in zip(lattice.cols, res.cols):
+        for j, (col, out) in enumerate(zip(lattice.cols, res.cols)):
             if _pivot_only(col):
-                assert out is col
+                assert res.entries[j] is lattice.entries[j]
+                assert out == col and res.diag[j] == lattice.diag[j]
 
 
 @pytest.mark.parametrize("field,u", [(QQ, QQ.of(2)), (QQ, QQ.of("2/3")), (GF101, 2)],
@@ -305,22 +309,23 @@ def test_restriction_undoes_base_change(field, units, monkeypatch):
 
 
 # planted fault -> source edits of twist_restricted, and the note every
-# failing trial of the direct-image suite must carry (None: any failure)
+# failing trial of the direct-image suite must carry (None: any failure).
+# Pivots are implied by their exponents, so no fault can give a pivot the
+# wrong unit: in a column whose pivot wraps, "wrapped-column-unscaled"
+# leaves the wrapped entries unscaled by u, "pivot-only-rescaled" all its
+# entries, which move as if the pivot did not wrap while the pivot itself
+# moves right, and "wrapping-pivot-unshifted" gives a wrapping pivot-only
+# column the exponent b + q instead of b + q + 1.
 TWIST_FAULTS = {
     "wrap-factor-u-for-1/u": ([("t_power(field, 1).twist(u, -1)", "t_power(field, 1).twist(u)")],
                               None),
     "wrapped-column-unscaled": (
-        [("[x.shift(d) for x in wrapped]", "[x * wrap_factor if x.coeffs else x for x in wrapped]"),
-         ("moved.extend([x * unit_factor if x.coeffs else x for x in kept])",
-          "moved.extend([x.shift(q) for x in kept] if q else kept)")],
-        "raised AssertionError: internal: columns not in canonical form"),
+        [("x.shift(d) if wraps else x * wrap_factor", "x * wrap_factor")], None),
     "pivot-only-rescaled": (
-        [("if wraps:\n", "if False:\n"),
-         ("cols[row] = tuple(moved)", "moved[row] = col[j].shift(d) if wraps else moved[row]\n"
-                                      "        cols[row] = tuple(moved)")],
-        None),
-    "wrapping-pivot-unshifted": ([("(col[j].shift(d),)", "(col[j].shift(q),)")],
-                                 "raised AssertionError: internal: columns not in canonical form"),
+        [("x.shift(d) if wraps else x * wrap_factor", "x * wrap_factor"),
+         ("x * unit_factor if wraps else x.shift(q)", "x.shift(q)")], None),
+    "wrapping-pivot-unshifted": ([("entries[row] = ent\n",
+                                   "entries[row] = ent\n            diag[row] = b + q\n")], None),
 }
 
 

@@ -233,13 +233,19 @@ def test_direct_sum_blocks():
 
 def test_from_canonical_checks_the_shape():
     b = lat([[(2, 1), 0], [(0, 1, 1), 1]])
-    assert Lattice.from_canonical(QQ, b.cols, b.diag) == b
-    (p0, z), (x, p1) = b.cols
-    for cols in (((el(2, 2), z), (x, p1)),        # pivot 2*t^2
-                 ((p0, el(0, 1)), (x, p1)),       # nonzero below the pivot
-                 ((p0, z), (el(0, 1, 0, 1), p1))):  # 1 + t^2 above the pivot t^2
+    assert (b.entries, b.diag) == (((), ((0, el(0, 1, 1)),)), (2, 0))
+    assert Lattice.from_canonical(QQ, b.entries, b.diag) == b
+    x = b.entries[1]
+    for entries in ((((0, el(2, 2)),), x),       # an entry at the pivot row
+                    (((1, el(0, 1)),), x),       # nonzero below the pivot
+                    ((), ((0, el(0, 1, 0, 1)),)),  # 1 + t^2 above the pivot t^2
+                    ((), ((0, el(0, 0)),))):     # a stored zero
         with pytest.raises(AssertionError, match="internal: column"):
-            Lattice.from_canonical(QQ, cols, b.diag)
+            Lattice.from_canonical(QQ, entries, b.diag)
+    c = lat([[(1, 1), 0, 0], [0, (1, 1), 0], [1, 1, 1]])
+    assert c.entries[2] == ((0, el(0, 1)), (1, el(0, 1)))
+    with pytest.raises(AssertionError, match="internal: column"):  # rows out of order
+        Lattice.from_canonical(QQ, c.entries[:2] + (c.entries[2][::-1],), c.diag)
 
 
 @pytest.mark.parametrize("field, factor", [(QQ, 2), (GF101, 3)])
@@ -259,7 +265,7 @@ def test_from_columns_keeps_a_canonical_basis(monkeypatch, field, factor):
         del calls[:]
         got = Lattice.from_columns(field, len(columns[0]), columns)
         assert len(calls) == 1
-        assert (got.cols, got.diag) == canonicalize(field, len(columns[0]), columns)
+        assert got == canonicalize(field, len(columns[0]), columns)
 
     rng = random.Random(37)
     seen = set()

@@ -13,7 +13,7 @@ from parstack import (QQ, InvalidChain, Lattice, ParabolicBundle,
 from parstack import lattice
 from parstack.harness import (gen_parabolic_point, gen_point_morphism, gen_profile,
                               mix_lines)
-from parstack.lattice import triangular_inverse
+from parstack.lattice import entries_above, triangular_inverse
 from parstack.linalg import identity_matrix, mat_mul, transpose
 
 from conftest import GF101, diagonal_lattice, el, lat, planted, trivial_point
@@ -191,7 +191,7 @@ def test_split_into_lines_adapted_basis_example():
     pt = _chain_point(2, [r2, L_MIXED, r2.scale(1)])
     jumps, mat = split_into_lines(pt)
     assert sorted(jumps) == [0, 1]
-    inverse = triangular_inverse(QQ, transpose(mat), pt.chain[0].diag)
+    inverse = triangular_inverse(QQ, entries_above(transpose(mat)), pt.chain[0].diag)
     assert mat_mul(mat, inverse) == identity_matrix(QQ, 2)
     lines = _sum_of_lines(QQ, 2, jumps)
     assert is_point_morphism(mat, lines, pt)
@@ -232,7 +232,8 @@ def test_split_into_lines_random(field):
         for mat in (first, mixed):
             assert is_point_morphism(mat, lines, pt)
             assert ParabolicPoint.from_lines(field, r, mat, [0] * n, jumps) == pt
-        inverse = triangular_inverse(field, transpose(first), pt.chain[0].diag)
+        inverse = triangular_inverse(field, entries_above(transpose(first)),
+                                     pt.chain[0].diag)
         assert mat_mul(first, inverse) == identity_matrix(field, n)
         assert is_point_morphism(inverse, pt, lines)
     assert mixed_changed  # mixing moves the basis of some rank >= 2 point

@@ -10,14 +10,20 @@ columns, on Q, GF(101) and GF(3).  Restriction of scalars, which builds
 its canonical form without canonicalizing, is checked against the dense
 canonicalization also on GF(2) and with non-integer units on Q.
 
-The pivot-only and shared-column fast paths (containment, the shape check
-of ``from_canonical``, twists of restrictions, ``scale`` and
-``direct_sum``) are checked on Q, GF(101), GF(3) and GF(2) against
-references that treat every column alike.  Their inputs are restricted and
-twisted lattices, whose columns are mostly pivot-only; sublattices that
-keep the container's columns; and lattices t^{a'_j} e_j against containers
-whose column j has entries above its pivot (where the pivot-only shortcut
-must not fire) or whose pivot exponent a_j is above a'_j.
+A lattice stores its pivot exponents and, per column, only the nonzero
+entries above the pivot; a pivot-only column stores none.  The kernels on
+that stored form (back-substitution, containment, the shape check of
+``from_canonical``, twists of restrictions, ``scale`` and ``direct_sum``)
+are checked on Q, GF(101), GF(3) and GF(2) against references that treat
+every column alike and read the dense view ``cols``.  Their inputs are
+restricted and twisted lattices, whose columns are mostly pivot-only;
+sublattices that keep the container's columns; and lattices t^{a'_j} e_j
+against containers whose column j has entries above its pivot (where the
+pivot-only shortcut must not fire) or whose pivot exponent a_j is above
+a'_j.  The shape check is compared with the dense one on stored forms
+with one fault each: an entry at or below its column's pivot row, a
+stored zero, two entries out of row order, a pivot exponent off by one,
+or an entry at or past its row's pivot degree.
 """
 
 import random
@@ -31,7 +37,8 @@ from hypothesis import Phase, find, given, settings, strategies as st
 from parstack import QQ, Lattice, LocalElement, ParabolicPoint, PrimeField, SingularBasis
 from parstack.functors import restrict_matrix, restrict_scalars, twist_restricted
 from parstack.harness import gen_unimodular
-from parstack.lattice import back_substitute, direct_sum, image_columns, triangular_inverse
+from parstack.lattice import (back_substitute, direct_sum, entries_above, image_columns,
+                              triangular_inverse)
 from parstack.linalg import mat_vec
 
 from conftest import planted
@@ -269,16 +276,14 @@ def containers(draw, field):
 def raised_pivots(draw, field, big):
     """A sublattice of big that keeps its columns: the pivot of some
     pivot-only columns is raised, which keeps the shape, and every other
-    column is big's own tuple or an equal copy of it."""
-    n = big.n
-    cols, diag = list(big.cols), list(big.diag)
-    for j, col in enumerate(cols):
-        if col.count(ZERO) == n - 1 and draw(st.booleans()):
+    column stores big's own entries tuple or an equal copy of it."""
+    entries, diag = list(big.entries), list(big.diag)
+    for j, ent in enumerate(entries):
+        if not ent and draw(st.booleans()):
             diag[j] += draw(st.integers(1, 2))
-            cols[j] = col[:j] + (LocalElement.t_power(field, diag[j]),) + col[j + 1:]
         elif draw(st.booleans()):
-            cols[j] = tuple(list(col))
-    return Lattice.from_canonical(field, tuple(cols), tuple(diag))
+            entries[j] = tuple(list(ent))
+    return Lattice.from_canonical(field, tuple(entries), tuple(diag))
 
 
 @st.composite
@@ -288,9 +293,7 @@ def pivot_probes(draw, field, big):
     where big's column has entries above its pivot it may not be a member."""
     n = big.n
     exps = [a + draw(st.integers(-1, 2)) for a in big.diag]
-    return Lattice.from_canonical(
-        field, tuple(tuple(LocalElement.t_power(field, a) if i == j else ZERO for i in range(n))
-                     for j, a in enumerate(exps)), tuple(exps))
+    return Lattice.from_canonical(field, ((),) * n, tuple(exps))
 
 
 @st.composite
@@ -313,9 +316,7 @@ def unshared_probes(draw, field):
     big = Lattice.from_columns(field, n, cols)
     exps = [a + draw(st.integers(0, 1)) if c == j else a + draw(st.integers(-1, 2))
             for c, a in enumerate(big.diag)]
-    return big, Lattice.from_canonical(
-        field, tuple(tuple(LocalElement.t_power(field, a) if r == c else ZERO for r in range(n))
-                     for c, a in enumerate(exps)), tuple(exps))
+    return big, Lattice.from_canonical(field, ((),) * n, tuple(exps))
 
 
 @st.composite
@@ -338,24 +339,51 @@ def containment_pairs(draw, field):
 
 @st.composite
 def near_canonical_bases(draw, field):
-    """(cols, diag) of a twisted restriction, as it is or with one fault:
-    an entry below a pivot, a pivot that is not monic or not t^{diag[j]},
-    or an entry above a pivot at or past its row's pivot degree."""
+    """(entries, diag), the stored form of a twisted restriction, as it is
+    or with one fault: an entry below its column's pivot row or at it, a
+    stored zero, two entries out of row order, a pivot exponent off by
+    one, or an entry above a pivot at or past its row's pivot degree."""
     lattice = draw(twisted_restrictions(field))[-1]
     n = lattice.n
-    cols, diag = [list(c) for c in lattice.cols], list(lattice.diag)
+    entries, diag = [list(c) for c in lattice.entries], list(lattice.diag)
     j = draw(st.integers(0, n - 1))
-    fault = draw(st.sampled_from(("none", "below", "pivot", "exponent", "above")))
+    ent = entries[j]
+    fault = draw(st.sampled_from(("none", "below", "pivot", "zero", "order", "exponent",
+                                  "above")))
     if fault == "below" and j < n - 1:
-        cols[j][draw(st.integers(j + 1, n - 1))] = draw(elements(field, zero_weight=0))
+        ent.append((draw(st.integers(j + 1, n - 1)), draw(elements(field, zero_weight=0))))
     elif fault == "pivot":
-        cols[j][j] = draw(elements(field, zero_weight=0))
+        ent.append((j, draw(elements(field, zero_weight=0))))
+    elif fault == "zero" and ent:
+        k = draw(st.integers(0, len(ent) - 1))
+        ent[k] = (ent[k][0], ZERO)
+    elif fault == "order" and len(ent) > 1:
+        k = draw(st.integers(1, len(ent) - 1))
+        ent[k - 1], ent[k] = ent[k], ent[k - 1]
     elif fault == "exponent":
         diag[j] += draw(st.sampled_from((-1, 1)))
     elif fault == "above" and j:
         i = draw(st.integers(0, j - 1))
-        cols[j][i] = cols[j][i] + LocalElement.t_power(field, diag[i] + draw(st.integers(0, 2)))
-    return tuple(tuple(c) for c in cols), tuple(diag)
+        col = dict(ent)
+        col[i] = col.get(i, ZERO) + LocalElement.t_power(field, diag[i] + draw(st.integers(0, 2)))
+        entries[j] = sorted(col.items(), key=lambda pair: pair[0])
+    return tuple(tuple(c) for c in entries), tuple(diag)
+
+
+def dense_stored_shape(field, entries, diag):
+    """The shape check of a stored form through the dense one: place the
+    pairs in dense columns, the pivot t^{diag[j]} where row j stores
+    nothing, and require a canonical dense basis whose nonzero entries off
+    the pivots, read back in row order, are the stored pairs."""
+    n = len(diag)
+    cols = [[ZERO] * n for _ in range(n)]
+    for j, ent in enumerate(entries):
+        cols[j][j] = LocalElement.t_power(field, diag[j])
+        for i, x in ent:
+            cols[j][i] = x
+    return dense_canonical_shape(field, cols, diag) and all(
+        tuple((i, x) for i, x in enumerate(col) if i != j and x.coeffs) == ent
+        for j, (col, ent) in enumerate(zip(cols, entries)))
 
 
 PROPS = settings(max_examples=120, deadline=None)
@@ -409,10 +437,10 @@ def test_back_substitution_matches_dense_on_unreduced_bases(data, fn):
     field, n = fn
     cols, diag = data.draw(triangular_bases(field, n))
     w = data.draw(vectors(field, n))
-    assert back_substitute(cols, diag, w) == dense_solve(cols, diag, w)
+    assert back_substitute(entries_above(cols), diag, w) == dense_solve(cols, diag, w)
     units = [[LocalElement.t_power(field, 0) if i == j else ZERO for i in range(n)]
              for j in range(n)]
-    inv = triangular_inverse(field, cols, diag)
+    inv = triangular_inverse(field, entries_above(cols), diag)
     assert inv == [list(row) for row in zip(*[dense_solve(cols, diag, e) for e in units])]
     assert [dense_mat_vec(inv, col) for col in cols] == units
 
@@ -545,13 +573,13 @@ def test_t_power_products_are_shifts():
 @PROPS
 @given(st.data(), st.sampled_from(ALL_FIELDS))
 def test_from_canonical_matches_the_dense_shape(data, field):
-    cols, diag = data.draw(near_canonical_bases(field))
-    if dense_canonical_shape(field, cols, diag):
-        lattice = Lattice.from_canonical(field, cols, diag)
-        assert (lattice.cols, lattice.diag) == (cols, diag)
+    entries, diag = data.draw(near_canonical_bases(field))
+    if dense_stored_shape(field, entries, diag):
+        lattice = Lattice.from_canonical(field, entries, diag)
+        assert (lattice.entries, lattice.diag) == (entries, diag)
     else:
         with pytest.raises(AssertionError, match="internal: columns not in canonical form"):
-            Lattice.from_canonical(field, cols, diag)
+            Lattice.from_canonical(field, entries, diag)
 
 
 @PROPS
@@ -580,7 +608,7 @@ def test_direct_sum_matches_dense(data, field):
 # planted fault -> source edit of Lattice.contains
 CONTAINS_FAULTS = {
     "no-exponent-test": ("if b < a:", "if False:"),
-    "pivot-only-on-one-side": (" and own.count(_Z) == zeros", ""),
+    "pivot-only-on-one-side": (" and not own", ""),
 }
 
 

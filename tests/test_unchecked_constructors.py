@@ -6,8 +6,8 @@ use them, because they carry a valid object to a valid one (the proof is
 in the rootstack docstring).  Every other construction in src/parstack
 goes through the checked constructors.
 
-The trusted ``Lattice(...)`` constructor wraps columns as a canonical
-form without a check.  Only lattice.py calls it, and there only on the
+The trusted ``Lattice(...)`` constructor wraps a stored form (pivot
+exponents and the entries above the pivots) as canonical without a check.  Only lattice.py calls it, and there only on the
 routes its module docstring lists (``from_columns``, ``from_canonical``,
 ``scale``, ``direct_sum``) and on the verified output of
 ``_canonicalize``.  ``Lattice`` has exactly two classmethod constructors,
