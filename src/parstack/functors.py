@@ -28,11 +28,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InadmissibleProfile, InadmissibleWeight, ProfileMismatch
-from .lattice import Lattice, direct_sum, map_runs, stored_column
+from .lattice import Lattice, direct_sum, map_runs
 from .linalg import block_diag, transpose
 from .localring import LocalElement
 from .parabolic import ParabolicPoint, split_into_lines
 from .rootstack import GradedModule
+
+_Z = LocalElement.zero()
 
 
 @dataclass(frozen=True)
@@ -115,127 +117,115 @@ def restrict_scalars(lattice, e, u):
 
     Write w for w_y, c_j for the canonical columns of L with pivots
     t^{a_j}, and (q_j, s_j) = divmod(a_j, e).  As an R_Y-module res(L) is
-    spanned by the columns t^rho * c_j, rho < e (``_restrict_columns``).
-    Row i*e + k of the result holds component k of entry i, and
-    t^{a_i + rho}, the only entry of t^rho * c_i in block i, is a constant
-    times w^{b} at row i*e + k with k = (s_i + rho) mod e; over rho < e these
-    cover block i once, with b = q_i + 1 for k < s_i and b = q_i for
-    k >= s_i.  So the canonical pivots of block i are those w^b, and their
-    exponents sum to a_i.
+    spanned by the columns t^rho * c_j, rho < e (``_restrict_columns``):
+    row i*e + k holds component k of entry i.  The only entry of
+    t^rho * c_j in block j is t^{a_j + rho} = t^s * (w / u)^q with
+    (q, s) = divmod(a_j + rho, e), so its pivot is u^{-q} * w^q at row
+    j*e + s.  Over rho < e these rows cover block j once, with exponent
+    b = q_j + 1 at k < s_j and b = q_j at k >= s_j; so the canonical pivots
+    of block j are those w^b, and their exponents sum to a_j.  Each column
+    j gives the canonical columns at rows j*e + s, rho = 0, ..., e - 1, in
+    one pass over its stored entries:
 
-    A pivot-only column c_j = t^{a_j} * e_j, stored as ``()``, is written
-    down in closed form.  With (b, k) = divmod(s_j + rho, e) and b raised by
-    q_j, the power t^{a_j + rho} = t^k * t^{e*b} = t^k * (w / u)^b, so
-    t^rho * c_j restricts to the one entry u^{-b} * w^b at row j*e + k.
-    Its monic multiple w^b at that row has nothing above it to reduce, so
-    it is the canonical column there: the ``diag`` entry b with no stored
-    entries, and as a seed (below) it holds only its pivot.  Every other
-    column is built step by step on its dense rows up to block j:
-
-    * the seed u^{q_j} * res(c_j) has pivot exactly w^{q_j} at row
-      j*e + s_j, and in block i < j component k of c_j[i], whose terms lie
-      below t^{a_i}, has w-degree below b: it is already reduced;
-    * t times a column moves each e-block up one place, the last entry
-      wrapping to the first times t^e = w / u.  When the pivot wraps it
-      becomes w^{q+1} / u and the column is rescaled by u;
+    * the seed u^{q_j} * res(c_j) has pivot w^{q_j} at row j*e + s_j, and
+      in a block i < j component k of c_j[i], whose terms lie below
+      t^{a_i}, has w-degree below the pivot exponent of block i at row k:
+      it is already reduced.  Its stored entries, a dict row -> entry, are
+      these components times u^{q_j}, read as w^{q_j} times the components
+      of t^{-e*q_j} * c_j[i] (since t^e = w / u); a pivot-only column's
+      dict is empty;
+    * t times a column moves each stored entry one row down its e-block,
+      an entry leaving the block wrapping to the block's first row times
+      t^e = w / u.  When the pivot wraps (s = e - 1) it becomes
+      w^{q+1} / u, and the column is rescaled by u;
     * after a move, a reduced entry at row i*e + k keeps its degree bound
       except at k = s_i, where the bound drops from q_i + 1 to q_i (or the
       wrap adds one at s_i = 0).  So only row i*e + s_i of block i can
-      exceed its pivot, and only by its w^{q_i} term; subtracting that
-      constant times block i's seed reduces it without touching the
-      w^{q_k} terms of the blocks k < i, whose rows in the seed are reduced.
-      The seed goes through the same step, which finds nothing to reduce
-      when L is canonical.
+      exceed its pivot, and only by its w^{q_i} term.  Bottom-up over the
+      blocks i < j, that term is removed with a constant multiple of block
+      i's seed (its stored entries plus its pivot), which leaves the
+      w^{q_k} terms of the blocks k < i alone, because the seed's rows are
+      reduced.  An empty column stays empty: it neither moves nor reduces.
 
-    Each step's column is stored by ``lattice.stored_column``, which
-    requires its computed pivot to be exactly w^q with zeros below it.
     Every column lies in res(L), since L is a K_X-lattice and the seeds do.
-    Guards, each raising AssertionError("internal: ..."): for a pivot-only
-    column, each component decompose_component(t^{a_j}, e, u, k - rho)
-    equals u^{-b} * w^b exactly; for every other column, each computed
-    pivot is exact, every reduction quotient is a constant and every
-    generator t^rho * c_j is a member; the pivot exponents sum to sum(a_j),
-    the colength of res(L); and the result has canonical shape
-    (Lattice.from_canonical).  The generators then span a sublattice of the
-    result of equal colength, so they span the result.  Equality is the
-    stronger guard on a pivot-only column: any unit multiple of its
-    restricted generator is a member, so a member test cannot see a
-    component kernel that returns the wrong unit, while the equality
-    refuses it whenever the unit differs at some b.
+    Guards, each raising AssertionError("internal: ..."): the pivot is
+    implied, never computed, so the component kernel must give it exactly:
+    decompose_component(t^{a_j}, e, u, s - rho), twisted by u, is w^q for
+    every rho; every reduction quotient is a
+    constant; the pivot exponents sum to sum(a_j), the colength of res(L);
+    the result has canonical shape (``Lattice.from_canonical``); and every
+    generator t^rho * c_j of a column with entries is a member.  The
+    generators then span a sublattice of the result of equal colength, so
+    they span the result.  The pivot state (q, s) and the checked component
+    depend on (a_j, rho) alone, so the component check runs once per
+    distinct exponent.  It is an equality, and it is the guard of the
+    pivot-only columns: any unit multiple of a pivot-only generator is a
+    member, so a member test cannot see a component kernel that returns
+    the wrong unit, while the equality refuses it whenever the unit
+    differs at some q.
     """
     if e == 1 and u == 1:
         return lattice
     field, n = lattice.field, lattice.n
     entries, diag = [None] * (n * e), [None] * (n * e)
-    seeds = []  # per block: (pivot row, pivot exponent, nonzero (row, entry) of the seed)
-    gens = []  # the restricted generators of the columns that are not pivot-only
-    scales = {}  # q -> the constant u^q
-    w_over_u = unit = None
+    seeds = []  # per block: (pivot row, pivot exponent, stored entries of the seed)
+    gens = []  # the restricted generators of the columns with entries
+    checked = set()  # the pivot exponents whose components are checked
+    w_over_u = unit = None  # built when a column with entries first moves
     for j, (ent, a) in enumerate(zip(lattice.entries, lattice.diag)):
         q, s = divmod(a, e)
-        if not ent:
-            power = LocalElement.t_power(field, a)
-            for rho in range(e):
-                b, k = divmod(s + rho, e)
-                b += q
-                pivot = LocalElement.t_power(field, b)
-                if decompose_component(power, e, u, k - rho).twist(u) != pivot:
-                    raise AssertionError("internal: component %d of t^%d is not "
-                                         "u^-%d * w^%d" % (k, a + rho, b, b))
-                row = j * e + k
-                entries[row] = ent
-                diag[row] = b
-                if not rho:
-                    seeds.append((row, b, [(row, pivot)]))
-            continue
-        outs = _restrict_columns(lattice.column(j), e, u)
-        gens.append(outs)
-        if q not in scales:
-            scales[q] = LocalElement.t_power(field, q).twist(u).shift(-q)
-        scale = scales[q]
-        col = [x * scale if x.coeffs else x for x in outs[0][:(j + 1) * e]]
+        power = None if a in checked else LocalElement.t_power(field, a)
+        checked.add(a)
+        col = {}
+        if ent:
+            gens.extend(_restrict_columns(lattice.column(j), e, u))
+            for i, x in ent:
+                x = x.shift(-q * e)  # u^q times component k is w^q times this one's
+                for d in range(min(e, len(x.coeffs))):  # the components x has terms in
+                    k = (x.ord + d) % e
+                    y = decompose_component(x, e, u, k)
+                    if y.coeffs:
+                        col[i * e + k] = y.shift(q)
         for rho in range(e):
             if rho:
-                if unit is None:
+                wraps = s == e - 1
+                if stored and unit is None:
                     w_over_u = LocalElement.t_power(field, 1).twist(u, -1)
                     unit = LocalElement.const(field, u)
-                wraps = s == e - 1
-                moved = []
-                for top in range(0, len(col), e):
-                    last, rest = col[top + e - 1], col[top:top + e - 1]
-                    if wraps:
-                        moved.append(last.shift(1))
-                        moved.extend(x * unit if x.coeffs else x for x in rest)
+                col = {}
+                for row, x in stored:
+                    if row % e == e - 1:
+                        col[row + 1 - e] = x.shift(1) if wraps else x * w_over_u
                     else:
-                        moved.append(last * w_over_u if last.coeffs else last)
-                        moved.extend(rest)
-                col = moved
+                        col[row + 1] = x * unit if wraps else x
                 q, s = (q + 1, 0) if wraps else (q, s + 1)
-            for i in range(j - 1, -1, -1):
-                row, qi, seed = seeds[i]
-                x = col[row]
-                if x.coeffs and x.ord + len(x.coeffs) > qi:
+            if power is not None and (decompose_component(power, e, u, s - rho).twist(u)
+                                      != LocalElement.t_power(field, q)):
+                raise AssertionError("internal: component %d of t^%d is not u^-%d * w^%d"
+                                     % (s, a + rho, q, q))
+            for i in range(max(col) // e if col else -1, -1, -1):
+                prow, qi, seed = seeds[i]
+                x = col.get(prow)
+                if x is not None and x.ord + len(x.coeffs) > qi:
                     lam = x.high_div(qi)
                     if lam.ord or len(lam.coeffs) != 1:
                         raise AssertionError("internal: reduction quotient %r at row %d "
-                                             "is not a constant" % (lam, row))
-                    for k, y in seed:
-                        col[k] = col[k] - lam * y
+                                             "is not a constant" % (lam, prow))
+                    for k, y in seed + ((prow, LocalElement.t_power(field, qi)),):
+                        col[k] = col.get(k, _Z) - lam * y
+            stored = tuple(sorted([(k, x) for k, x in col.items() if x.coeffs])) if col else ()
             row = j * e + s
-            if not rho:
-                seeds.append((row, q, [(k, x) for k, x in enumerate(col) if x.coeffs]))
-            entries[row] = stored_column(field, col, row, q)
-            if entries[row] is None:
-                raise AssertionError("internal: columns not in canonical form")
+            entries[row] = stored
             diag[row] = q
+            if not rho:
+                seeds.append((row, q, stored))
     if sum(diag) != sum(lattice.diag):
         raise AssertionError("internal: restricted colength %d, expected %d"
                              % (sum(diag), sum(lattice.diag)))
     out = Lattice.from_canonical(field, tuple(entries), tuple(diag))
-    for outs in gens:
-        for g in outs:
-            if not out.member(g):
-                raise AssertionError("internal: restriction misses a generator")
+    for g in gens:
+        if not out.member(g):
+            raise AssertionError("internal: restriction misses a generator")
     return out
 
 

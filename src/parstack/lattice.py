@@ -49,18 +49,19 @@ Six constructors build canonical forms without canonicalizing:
 * ``direct_sum`` concatenates the blocks' ``diag`` and moves their stored
   entries down by the block offsets, so it needs no guard either.
 * restriction of scalars (``functors.restrict_scalars``) reads the
-  canonical basis of res(L) off L's.  A pivot-only column t^a * e_j
-  restricts in closed form to e pivot-only columns, a ``diag`` entry each;
-  every other column takes one constant reduction per block and step.
-  It is guarded: ``Lattice.from_canonical`` checks the shape with
-  ``_canonical_shape``, and the restriction checks that the colength is
-  L's; that each component of a pivot-only column is exactly the unit
-  times the power of w it claims (an equality, which sees a wrong unit
-  where a member test cannot); and, for every other column, that each
-  computed pivot is exactly its power of w with zeros below it
-  (``stored_column``), that every reduction quotient is a constant and
-  that every generator is a member.  Each failure raises
-  AssertionError("internal: ...").
+  canonical basis of res(L) off L's in one pass over the columns j and
+  steps rho < e.  The working column is its stored entries, and its pivot
+  is implied by (q, s) = divmod(a_j + rho, e); a step moves the entries
+  down their e-blocks and reduces them by constant multiples of the lower
+  blocks' seeds, so a pivot-only column stays empty and becomes e
+  ``diag`` entries.  It is guarded: ``Lattice.from_canonical`` checks the
+  shape with ``_canonical_shape``, and the restriction checks that the
+  component of t^{a_j} at each implied pivot is exactly the unit times
+  the power of w it claims, once per distinct exponent (an equality,
+  which sees a wrong unit where a member test cannot); that every
+  reduction quotient is a constant; that the colength is L's; and that
+  every generator of a column with entries is a member.  Each failure
+  raises AssertionError("internal: ...").
 * the twist of a restriction (``functors.twist_restricted``) reads
   res(t^l * L) off the stored form of res(L): t acts on restricted
   coordinates by moving each e-block down one row, and the rows' degree

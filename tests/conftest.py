@@ -1,9 +1,7 @@
-"""Shared builders, test oracles and an independent sympy-based oracle for
-lattice tests.
+"""Shared builders and test oracles for the lattice tests.
 
-The sympy oracle never goes through the library's back-substitution or
-canonicalization: membership and determinant valuations are recomputed
-with sympy rational-function arithmetic in a formal variable t.
+The independent lattice oracle is the jet-space one of tests/jetspace.py:
+linear algebra over the residue field, with no library kernel in it.
 """
 
 import ast
@@ -15,8 +13,6 @@ import textwrap
 from fractions import Fraction
 from math import lcm
 
-import sympy
-
 from parstack import (QQ, GradedModule, InvalidGrading, Lattice, LocalElement,
                       ParabolicPoint, PrimeField, SingularBasis, TrialConfig,
                       apply_matrix, from_parabolic, gen_parabolic_point,
@@ -24,8 +20,6 @@ from parstack import (QQ, GradedModule, InvalidGrading, Lattice, LocalElement,
 from parstack.harness import SUITES
 from parstack.linalg import transpose
 from parstack.pairing import _symmetry_holds, hom_chain, line_local_data
-
-T = sympy.symbols("t")
 
 GF101 = PrimeField(101)
 
@@ -185,55 +179,12 @@ def rng_for(seed):
     return random.Random(seed)
 
 
-# -- sympy oracle (rational coefficients only) ------------------------------
-
-
 def values(x):
     """The coefficients of x as field values, lowest exponent first:
     Fraction on Q, int residues on GF(p)."""
     if x.p:
         return list(x.coeffs)
     return [Fraction(c, x.den) for c in x.coeffs]
-
-
-def to_sym(x):
-    """LocalElement over the rationals -> sympy expression in T."""
-    acc = sympy.Integer(0)
-    for i, c in enumerate(values(x)):
-        acc += sympy.Rational(c.numerator, c.denominator) * T ** (x.ord + i)
-    return acc
-
-
-def sym_valuation(expr):
-    """t-adic valuation of a rational function; None for zero."""
-    expr = sympy.cancel(sympy.together(expr))
-    if expr == 0:
-        return None
-    num, den = sympy.fraction(expr)
-    num = sympy.Poly(sympy.expand(num), T)
-    den = sympy.Poly(sympy.expand(den), T)
-    vnum = min(m[0] for m in num.monoms())
-    vden = min(m[0] for m in den.monoms())
-    return vnum - vden
-
-
-def oracle_member(lattice, vec):
-    """Solve basis * x = vec over QQ(t); member iff all valuations >= 0."""
-    basis = sympy.Matrix([[to_sym(lattice.cols[j][i]) for j in range(lattice.n)]
-                          for i in range(lattice.n)])
-    target = sympy.Matrix([to_sym(x) for x in vec])
-    sol = basis.LUsolve(target)
-    for x in sol:
-        v = sym_valuation(x)
-        if v is not None and v < 0:
-            return False
-    return True
-
-
-def oracle_det_valuation(lattice):
-    basis = sympy.Matrix([[to_sym(lattice.cols[j][i]) for j in range(lattice.n)]
-                          for i in range(lattice.n)])
-    return sym_valuation(basis.det())
 
 
 def random_element(rng, field=QQ, zero_chance=0.3):

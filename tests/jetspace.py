@@ -22,7 +22,8 @@ with X_i = sum over rho of t^rho * Y_(i*e + rho)(u * t^e), so a term
 c * w^b at row i*e + rho is c * u^b * t^(e*b + rho) at row i
 (``unrestricted``).  The R_Y-span of vectors is the k-span of their
 multiples by w^s, that is, up to the units u^s, of t^(e*s) * X: a span of
-step e.
+step e.  Pullback is base change along the same relation, read the other
+way: t_y = u * t_x^e substituted in every entry (``substituted``).
 """
 
 from fractions import Fraction
@@ -51,14 +52,27 @@ def padded(vec, before, after):
     return [{} for _ in range(before)] + vec + [{} for _ in range(after)]
 
 
-def unrestricted(p, v, e, u):
-    """The K_X-vector of rank n of a K_Y-vector v of rank n * e, w = u * t^e."""
-    out = [{} for _ in range(len(v) // e)]
-    for r, x in enumerate(v):
-        i, rho = divmod(r, e)
+def substituted(p, v, e, u):
+    """Base change of a vector along t_y = u * t_x^e: each term c * t^b of
+    an entry becomes c * u^b * t^(e*b)."""
+    out = []
+    for x in v:
+        row = {}
         for b, c in terms(x, p).items():
             ub = pow(u, b, p) if p else Fraction(u) ** b
-            out[i][e * b + rho] = c * ub % p if p else c * ub
+            row[e * b] = c * ub % p if p else c * ub
+        out.append(row)
+    return out
+
+
+def unrestricted(p, v, e, u):
+    """The K_X-vector of rank n of a K_Y-vector v of rank n * e, w = u * t^e:
+    row i*e + rho substituted and multiplied by t^rho, summed into row i (the
+    rows of one block land on distinct residues mod e)."""
+    out = [{} for _ in range(len(v) // e)]
+    for r, row in enumerate(substituted(p, v, e, u)):
+        i, rho = divmod(r, e)
+        out[i].update((d + rho, c) for d, c in row.items())
     return out
 
 

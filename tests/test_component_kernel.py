@@ -5,7 +5,9 @@ The e components of an element over a ramified branch are read by
 for restriction of scalars of lattices and of maps, and for the residue
 push of pairings (``restrict_matrix`` of the form): all of them go through
 that one kernel.  The only other caller is ``functors.restrict_scalars``,
-whose pivot check reads one component of each pivot-only generator.
+which reads the seed of each column with entries from its stored entries,
+and whose component check reads the pivot component of each distinct pivot
+exponent.
 """
 
 from conftest import callers_of
@@ -13,7 +15,7 @@ from conftest import callers_of
 ALLOWED = {
     ("functors.py", "_restrict_columns"): "the kernel of every restriction",
     ("functors.py", "restrict_scalars"):
-        "the pivot check reads one component of each pivot-only generator",
+        "the seeds of the columns with entries and the component check of each exponent",
 }
 
 

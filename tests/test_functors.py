@@ -97,20 +97,21 @@ def test_restrict_scalars_commutes_with_full_twists():
 # planted fault -> (source edit, lattice columns, e, u, the guard that must
 # fire).  On the lattice spanned by (t^2, 0) and (1 + t, 1), row 0 holds the
 # pivot w of block 0, and t times the seed of block 1 wraps the entry 1 into
-# that row as w/u, so the reduction quotient there is 1/u.  The lattice of
-# (t, 0) and (1, t) has a column that is not pivot-only and whose pivot
-# wraps: claimed as w^2 there, it is computed as w, and the exact pivot
-# check of the step refuses it before the colength sum is taken.  The
-# lattice of t alone takes the closed form.
+# that row as w/u, so the reduction quotient there is 1/u.  In the lattice
+# of (t, 0) and (1, t) the pivot of column 0 wraps at rho = 1: claimed as
+# w^2 there, it is w, and the component check refuses it before the
+# colength sum is taken.  The lattice of t alone has no stored entries, so
+# only the colength sees its raised pivots.
 PLANTED_FAULTS = {
     "wrap-by-t^2e": (("LocalElement.t_power(field, 1).twist(u, -1)",
                       "LocalElement.t_power(field, 2).twist(u, -1)"),
                      [[(2, 1), 0], [(0, 1, 1), 1]], 2, 1, "reduction quotient"),
-    "skipped-reduction": (("col[k] = col[k] - lam * y", "col[k] = col[k]"),
+    "skipped-reduction": (("col[k] = col.get(k, _Z) - lam * y", "col[k] = col.get(k, _Z)"),
                           [[(2, 1), 0], [(0, 1, 1), 1]], 2, 2, "not in canonical form"),
     "wrong-colength": (("(q + 1, 0) if wraps", "(q + 2, 0) if wraps"),
-                       [[(1, 1), 0], [1, (1, 1)]], 2, 1, "columns not in canonical form"),
-    "wrong-colength-closed-form": (("diag[row] = b", "diag[row] = b + 1"),
+                       [[(1, 1), 0], [1, (1, 1)]], 2, 1,
+                       r"component 0 of t\^2 is not u\^-2 \* w\^2"),
+    "wrong-colength-closed-form": (("diag[row] = q", "diag[row] = q + 1"),
                                    [[(1, 1)]], 2, 1, "restricted colength 3, expected 1"),
     "wrap-factor-u-for-1/u": (("t_power(field, 1).twist(u, -1)", "t_power(field, 1).twist(u)"),
                               [[(4, 1), 0], [(1, 1), 1]], 2, 2, "misses a generator"),
@@ -167,10 +168,10 @@ def _pivot_only(col):
 
 @pytest.mark.parametrize("field,units", TWIST_GRID, ids=["Q", "GF101", "GF2", "GF3"])
 def test_restrict_scalars_is_the_span_of_the_restricted_generators(field, units):
-    """The closed form of the pivot-only columns and the step-by-step
-    columns against canonicalization: on diagonal lattices, on lattices
-    with entries above their pivots, and on direct sums of the two in both
-    orders, so that pivot-only columns come before and after the others."""
+    """The one pass against canonicalization: on diagonal lattices, on
+    lattices with entries above their pivots, and on direct sums of the two
+    in both orders, so that pivot-only columns come before and after the
+    others."""
     rng = random.Random(157)
     for u in units:
         for e in (1, 2, 3, 4, 7):
@@ -184,8 +185,9 @@ def test_restrict_scalars_is_the_span_of_the_restricted_generators(field, units)
 
 
 def test_a_diagonal_lattice_reaches_neither_the_general_path_nor_a_member_test(monkeypatch):
-    """Every column of a diagonal lattice is pivot-only, so its restriction
-    is written down in closed form and guarded by equality alone."""
+    """Every column of a diagonal lattice is pivot-only, so its working
+    columns stay empty: no generator is built, no member test runs, and the
+    component check is its guard."""
     lattice = diagonal_lattice(QQ, [5, -1, 0, 2])
     expected = _restricted_span(lattice, 3, QQ.of("2/3"))
     calls = []
@@ -222,15 +224,18 @@ def test_restrict_scalars_checks_the_component_kernel(field, u, e, monkeypatch):
     for twist(u, -1):
 
     * the lattice spanned by (1, 0) and (t, t^4) canonicalizes to the
-      diagonal one of 1 and t^4, so both columns take the closed form.  The
-      component of t^rho * t^4 at its pivot row comes out as u^b * w^b,
-      b = (4 + rho) // e >= 1, not u^{-b} * w^b, and the exact pivot check
+      diagonal one of 1 and t^4, so neither column has stored entries.  The
+      component of t^rho * t^4 at its pivot row comes out as u^q * w^q,
+      q = (4 + rho) // e >= 1, not u^{-q} * w^q, and the component check
       refuses it;
-    * in the lattice spanned by (t^2, 0) and (t, t^4) the second column is
-      not pivot-only.  With the fault planted in ``_restrict_columns``
-      alone, the pivot check of the first column reads the true kernel, and
-      the seed of the second, pivot exponent 4 and q = 4 // e >= 1, comes
-      out with pivot u^{2q} * w^q instead of w^q: the shape check refuses it.
+    * in the lattice spanned by (t^2, 0) and (t, t^4) the second column has
+      an entry above its pivot.  With the fault planted in
+      ``_restrict_columns`` alone, the restriction itself reads the true
+      kernel and comes out right.  The generator c_1 keeps its block-0
+      entry, the component of t, but its pivot comes out u^{2q} times too
+      large, q = 4 // e >= 1.  It differs from u^{2q} times the true
+      generator by (1 - u^{2q}) * t * e_0, which is not in L, so it is no
+      member, and the member test refuses it.
 
     Canonicalizing the restricted generators instead would accept the
     planted components without complaint."""
@@ -247,7 +252,7 @@ def test_restrict_scalars_checks_the_component_kernel(field, u, e, monkeypatch):
     monkeypatch.setattr(functors, "_restrict_columns", planted(
         functors._restrict_columns,
         ("decompose_component(x, e, u, d)", "x.decimate(e, d).twist(u, 1)")))
-    with pytest.raises(AssertionError, match="internal: columns not in canonical form"):
+    with pytest.raises(AssertionError, match="internal: restriction misses a generator"):
         restrict_scalars(mixed, e, u)
 
 

@@ -3,9 +3,13 @@
 Each kernel's answer is checked by rank tests over k: ``from_columns``
 spans its generators, ``member`` and ``contains`` are memberships of jet
 vectors, ``==`` is equality of spans, ``scale`` and ``direct_sum`` are
-shifts and blocks, and ``restrict_scalars`` and ``twist_restricted`` are
-the identity on sets, read in restricted coordinates.  Every lattice's
-pivot exponents are also checked to be its colength.
+shifts and blocks, ``restrict_scalars`` and ``twist_restricted`` are the
+identity on sets, read in restricted coordinates, the pulled chains of
+``pullback_parabolic`` are spans of substituted members, and each member
+of ``ParabolicPoint.from_lines`` (``parabolic._flag_member``) is the span
+of t * E^0 and its unjumped lines.  Every lattice's pivot exponents are
+also checked to be its colength, and every planted kernel fault of the
+restriction, twist and containment tests makes an oracle check fail.
 
 The inputs are those of tests/test_sparse_kernels.py: diagonal and mixed
 lattices and their direct sums, restrictions and twists, whose columns are
@@ -14,7 +18,8 @@ vector, vectors whose one entry is the first or last row, vectors of
 negative valuation; and containment probes t^(a_j + d_j) * e_j against
 containers with and without entries above their pivots, sublattices that
 keep the container's columns, and sublattices by R-combinations.  The
-fields are Q (units with denominators among them), GF(101) and GF(2).
+fields are Q (units with denominators among them), GF(101), GF(2) and
+GF(3).
 """
 
 import random
@@ -22,18 +27,24 @@ from fractions import Fraction
 
 import pytest
 
-from parstack import QQ, Lattice, LocalElement, PrimeField, SingularBasis
+from parstack import (QQ, Lattice, LocalElement, ParabolicPoint, PrimeField, SingularBasis,
+                      make_profile, pullback_parabolic)
+from parstack import functors
 from parstack.functors import restrict_scalars, twist_restricted
+from parstack.harness import gen_parabolic_point, gen_unimodular
 from parstack.lattice import direct_sum
 
-from conftest import GF101, diagonal_lattice, lat, random_columns, random_element
+from conftest import GF101, diagonal_lattice, lat, planted, random_columns, random_element
 from jetspace import (bound, colength_holds, jets, lattice_gens, member, padded, same,
-                      shifted, unrestricted)
+                      shifted, substituted, unrestricted)
+from test_functors import PLANTED_FAULTS, TWIST_FAULTS
+from test_sparse_kernels import CONTAINS_FAULTS
 
-GF2 = PrimeField(2)
-FIELDS = pytest.mark.parametrize("field", [QQ, GF101, GF2], ids=["Q", "GF101", "GF2"])
+GF2, GF3 = PrimeField(2), PrimeField(3)
+FIELDS = pytest.mark.parametrize("field", [QQ, GF101, GF2, GF3],
+                                 ids=["Q", "GF101", "GF2", "GF3"])
 UNITS = {0: [Fraction(1), Fraction(-1), Fraction(2, 3), Fraction(-5, 4)], 101: [1, 2, 100],
-         2: [1]}
+         2: [1], 3: [1, 2]}
 ZERO = LocalElement.zero()
 
 
@@ -45,16 +56,34 @@ def _pivot_only(col):
     return sum(1 for x in col if x.coeffs) == 1
 
 
+def _entries_above(rng, field, n):
+    """A canonical basis with entries above its pivots by construction: in
+    column j, row i < j holds zero or an element of degree below a_i, its
+    lowest term down to three below that (random generating sets mostly
+    canonicalize to diagonal lattices)."""
+    diag = [rng.randint(-1, 3) for _ in range(n)]
+    cols = [_unit_vector(field, n, j, a) for j, a in enumerate(diag)]
+    for j in range(1, n):
+        for i in range(j):
+            size = rng.randint(1, 2)
+            cols[j][i] = LocalElement.make(field, diag[i] - size - rng.randint(0, 2),
+                                           [field.of(rng.randint(-3, 3)) for _ in range(size)])
+    return Lattice.from_columns(field, n, cols)
+
+
 def _lattices(rng, field):
-    """Diagonal and mixed lattices of rank 1 to 3, their direct sums in both
-    orders, and restrictions and twists of them."""
+    """Diagonal and mixed lattices of rank 1 to 3, a lattice with entries
+    above its pivots, direct sums in both orders, and restrictions and
+    twists of them."""
     out = []
     for n in (1, 2, 3):
         out.append(diagonal_lattice(field, [rng.randint(-2, 3) for _ in range(n)]))
         out.append(lat(random_columns(rng, n, field, extra=rng.randint(0, 1)), field))
-    out.append(direct_sum([out[1], out[2]]))
+    full = _entries_above(rng, field, 3)
+    out.append(full)
+    out.append(direct_sum([full, out[2]]))
     out.append(direct_sum([out[2], out[1]]))
-    for base in (out[0], out[3]):
+    for base in (out[0], out[3], full):
         e, u = rng.randint(2, 3), rng.choice(UNITS[field.p])
         res = restrict_scalars(base, e, u)
         out.extend([res, twist_restricted(res, e, u, rng.randint(1 - e, 2 * e))])
@@ -192,6 +221,10 @@ def test_scale_and_direct_sum_are_shifts_and_blocks(field):
         assert same(p, total, (gens, 1), _gens(out), max(bound(b) for b in blocks))
 
 
+def _inverse(p, u):
+    return pow(u, -1, p) if p else 1 / u
+
+
 def _restricted(p, lattice, e, u):
     return [unrestricted(p, c, e, u) for c in lattice.cols], e
 
@@ -228,9 +261,143 @@ def test_the_oracle_tells_wrong_answers(field):
         v = [x.shift(-1) for x in lattice.cols[-1]]
         assert not member(p, n, lattice_gens(lattice), N, jets(p, v))
         for u in UNITS[p]:
-            inv = pow(u, -1, p) if p else 1 / u
-            wrong = restrict_scalars(lattice, 3, inv)
+            wrong = restrict_scalars(lattice, 3, _inverse(p, u))
             if wrong != restrict_scalars(lattice, 3, u):
                 flagged += 1
                 assert not same(p, n, _restricted(p, wrong, 3, u), _gens(lattice), N)
-    assert flagged or field.p == 2
+    # over GF(2) and GF(3) every unit is its own inverse
+    assert flagged or field.p in (2, 3)
+
+
+@FIELDS
+def test_pulled_chains_are_spans_of_substituted_members(field):
+    """Member k of the pullback along t_y = u * t_x^e, of order r = s / e,
+    is the R-span of t_x^ceil((k - a) / r) * bc(E^a) over 0 <= a < s, bc
+    substituting t_y = u * t_x^e: the filtered pullback
+    (f^*E)_b = sum over c of t_x^ceil(b - e*c) * f^*(E_c), at b = k / r,
+    with E_c = E^a on the weights c in ((a - 1) / s, a / s].  Where the
+    pullback along 1 / u is another chain, the oracle refuses it."""
+    rng = random.Random(439)
+    p = field.p
+    flagged = 0
+    for _ in range(12):
+        e, r = rng.randint(1, 3), rng.randint(1, 3)
+        s, n, u = e * r, rng.randint(1, 3), rng.choice(UNITS[p])
+        pt = gen_parabolic_point(rng, n, s, field)
+        pulled = pullback_parabolic(make_profile(s, [("x", e, r, u)]), pt, "x")
+        wrong = pullback_parabolic(make_profile(s, [("x", e, r, _inverse(p, u))]), pt, "x")
+        assert pulled.order == r and len(pulled.chain) == r + 1
+        for k, lattice in enumerate(pulled.chain):
+            gens = [shifted(substituted(p, col, e, u), -((a - k) // r))
+                    for a in range(s) for col in pt.chain[a].cols]
+            assert colength_holds(lattice)
+            assert same(p, n, (gens, 1), _gens(lattice), bound(lattice))
+            if wrong.chain[k] != lattice:
+                flagged += 1
+                assert not same(p, n, (gens, 1), _gens(wrong.chain[k]), bound(lattice))
+    assert flagged or field.p in (2, 3)
+
+
+@FIELDS
+def test_from_lines_members_are_spans_of_their_unjumped_lines(field):
+    """Member j of ParabolicPoint.from_lines is t * E^0 plus the lines not
+    jumped at j: the R-span of t^(twists[b] + 1) * m_b for every line b and
+    of t^twists[b] * m_b for jumps[b] >= j.  The members strictly between
+    E^0 and t * E^0 are the ones ``_flag_member`` builds."""
+    rng = random.Random(443)
+    p = field.p
+    flagged = 0
+    for _ in range(20):
+        n, r = rng.randint(1, 4), rng.randint(1, 5)
+        if rng.random() < 0.5:
+            matrix = gen_unimodular(rng, field, n)[0]
+        else:
+            matrix = [list(row) for row in zip(*random_columns(rng, n, field))]
+        twists = [rng.randint(-2, 2) for _ in range(n)]
+        jumps = [rng.randint(0, r - 1) for _ in range(n)]
+        pt = ParabolicPoint.from_lines(field, r, matrix, twists, jumps)
+        lines = [jets(p, [row[b] for row in matrix]) for b in range(n)]
+        for j, lattice in enumerate(pt.chain):
+            unjumped = [b for b in range(n) if jumps[b] >= j]
+            gens = ([shifted(lines[b], twists[b] + 1) for b in range(n)]
+                    + [shifted(lines[b], twists[b]) for b in unjumped])
+            assert colength_holds(lattice)
+            assert same(p, n, (gens, 1), _gens(lattice), bound(lattice))
+            flagged += 0 < len(unjumped) < n
+    assert flagged >= 10
+
+
+# -- planted kernel faults against the oracle ----------------------------------
+
+
+@pytest.mark.parametrize("fault", sorted(PLANTED_FAULTS))
+def test_each_planted_restriction_fault_fails_the_oracle(fault):
+    """A planted restriction either raises its internal guard or returns a
+    lattice the oracle refuses, on the fault's own lattice; on every other
+    input the oracle refuses the planted result exactly when it differs
+    from the true one."""
+    (old, new), cols, e, u = PLANTED_FAULTS[fault][:4]
+    broken = planted(functors.restrict_scalars, (old, new))
+    rng = random.Random(449)
+    cases = [(lat(cols), e, QQ.of(u))] + [(lattice, rng.randint(2, 3), rng.choice(UNITS[0]))
+                                          for lattice in _lattices(rng, QQ)[:8]]
+    failed = []
+    for lattice, e, u in cases:
+        try:
+            out = broken(lattice, e, u)
+        except AssertionError as exc:
+            assert str(exc).startswith("internal: ")
+            failed.append(True)
+            continue
+        refused = not same(0, lattice.n, _restricted(0, out, e, u), _gens(lattice),
+                           bound(lattice))
+        assert refused == (out != restrict_scalars(lattice, e, u))
+        failed.append(refused)
+    assert failed[0]
+
+
+@pytest.mark.parametrize("fault", sorted(TWIST_FAULTS))
+def test_each_planted_twist_fault_fails_the_oracle(fault):
+    """Each planted twist returns, on some restricted lattice and twist l,
+    a lattice the oracle refuses as res(t^l * L); wherever it returns, the
+    oracle refuses exactly the results that differ from the true twist."""
+    broken = planted(functors.twist_restricted, *TWIST_FAULTS[fault][0])
+    rng = random.Random(457)
+    refused_any = False
+    for field in (QQ, GF101):
+        p = field.p
+        for lattice in _lattices(rng, field)[:8]:
+            for e in (2, 3):
+                u = rng.choice(UNITS[p][1:])
+                res = restrict_scalars(lattice, e, u)
+                for l in range(1 - e, 2 * e + 1):
+                    try:
+                        out = broken(res, e, u, l)
+                    except AssertionError:
+                        continue
+                    gens = [shifted(g, l) for g in lattice_gens(lattice)]
+                    refused = not same(p, lattice.n, _restricted(p, out, e, u), (gens, 1),
+                                       bound(lattice) + l)
+                    assert refused == (out != twist_restricted(res, e, u, l))
+                    refused_any |= refused
+    assert refused_any
+
+
+@pytest.mark.parametrize("fault", sorted(CONTAINS_FAULTS))
+def test_each_planted_containment_fault_fails_the_oracle(fault, monkeypatch):
+    """The containment pairs of ``test_contains_and_equality_are_rank_tests``
+    find each planted shortcut of ``Lattice.contains``: on some pair it
+    disagrees with membership of the columns by rank tests."""
+    rng = random.Random(461)
+    pairs = []
+    for field in (QQ, GF101, GF2, GF3):
+        for big in _lattices(rng, field):
+            pairs.extend((big, small) for small in _probes(rng, field, big))
+        pairs.extend(_unshared(rng, field) for _ in range(12))
+    monkeypatch.setattr(Lattice, "contains", planted(Lattice.contains, CONTAINS_FAULTS[fault]))
+    wrong = 0
+    for big, small in pairs:
+        p, n = big.field.p, big.n
+        want = all(member(p, n, lattice_gens(big), bound(big), jets(p, c)) for c in small.cols)
+        wrong += big.contains(small) != want
+    assert wrong

@@ -1,15 +1,15 @@
 """Laurent-element arithmetic, coefficient fields, and lattice operations.
 
-Frozen small examples are asserted directly; derived values (membership,
-canonical spans, determinant valuations) are cross-checked against the
-independent sympy oracle in conftest.
+Frozen small examples are asserted directly; derived values (membership
+and colength) are cross-checked against the jet-space oracle of
+tests/jetspace.py, which shares no kernel with the library.  The element
+arithmetic is checked against a plain reference in tests/test_localring.py.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
-import sympy
 
 from parstack import (QQ, AmbientMismatch, Lattice, LocalElement,
                       PrimeField, SingularBasis, apply_matrix, direct_sum,
@@ -17,9 +17,14 @@ from parstack import (QQ, AmbientMismatch, Lattice, LocalElement,
 from parstack import lattice as lattice_module
 from parstack.lattice import image_columns
 
-from conftest import (GF101, T, diagonal_lattice, el, lat, oracle_det_valuation, oracle_member,
-                      random_columns, random_element, sym_valuation, to_sym,
-                      values)
+from conftest import GF101, diagonal_lattice, el, lat, random_columns, random_element, values
+from jetspace import bound, colength_holds, jets, lattice_gens, member
+
+
+def oracle_member(lattice, vec):
+    """Membership of vec in the lattice by a rank test over k."""
+    p = lattice.field.p
+    return member(p, lattice.n, lattice_gens(lattice), bound(lattice), jets(p, vec))
 
 
 # -- LocalElement ----------------------------------------------------------
@@ -35,17 +40,6 @@ def test_make_normalizes_leading_and_trailing_zeros():
     assert values(y) == [QQ.of("1/2"), QQ.of("1/3"), QQ.of("1/6")]
     z = LocalElement.make(GF101, 0, [GF101.of(-1), GF101.of("1/2")])
     assert (z.coeffs, z.den, z.p) == ((100, 51), 1, 101)
-
-
-def test_element_arithmetic_matches_sympy():
-    rng = random.Random(7)
-    for _ in range(60):
-        a, b = random_element(rng), random_element(rng)
-        assert sympy.expand(to_sym(a + b) - (to_sym(a) + to_sym(b))) == 0
-        assert sympy.expand(to_sym(a - b) - (to_sym(a) - to_sym(b))) == 0
-        assert sympy.expand(to_sym(a * b) - to_sym(a) * to_sym(b)) == 0
-        assert sympy.expand(to_sym(-a) + to_sym(a)) == 0
-        assert sympy.expand(to_sym(a.shift(3)) - T ** 3 * to_sym(a)) == 0
 
 
 def test_exponent_surgery():
@@ -129,7 +123,7 @@ def test_canonical_form_of_two_generating_sets_agree():
     for col in ([el(1, 1), el(0, 0)], [el(0, 1), el(0, 1)], [el(0, 0), el(1, 1)]):
         assert a.member(col)
         assert oracle_member(a, col)
-    assert a.det_valuation() == 1 == oracle_det_valuation(a)
+    assert a.det_valuation() == 1 and colength_holds(a)
 
 
 def test_canonical_invariants():
@@ -147,7 +141,7 @@ def test_canonical_invariants():
                 e = l.cols[j][i]
                 assert e.is_zero() or (e.degree < l.diag[i])
         assert Lattice.from_columns(QQ, n, [list(c) for c in l.cols]) == l
-        assert l.det_valuation() == oracle_det_valuation(l)
+        assert colength_holds(l)
 
 
 def test_scale_shifts_diagonal():
