@@ -131,9 +131,8 @@ def restrict_scalars(lattice, e, u):
       in a block i < j component k of c_j[i], whose terms lie below
       t^{a_i}, has w-degree below the pivot exponent of block i at row k:
       it is already reduced.  Its stored entries, a dict row -> entry, are
-      these components times u^{q_j}, read as w^{q_j} times the components
-      of t^{-e*q_j} * c_j[i] (since t^e = w / u); a pivot-only column's
-      dict is empty;
+      the nonzero rows above block j of the generator res(c_j) times the
+      constant u^{q_j}; a pivot-only column's dict is empty;
     * t times a column moves each stored entry one row down its e-block,
       an entry leaving the block wrapping to the block's first row times
       t^e = w / u.  When the pivot wraps (s = e - 1) it becomes
@@ -151,10 +150,10 @@ def restrict_scalars(lattice, e, u):
     Guards, each raising AssertionError("internal: ..."): the pivot is
     implied, never computed, so the component kernel must give it exactly:
     decompose_component(t^{a_j}, e, u, s - rho), twisted by u, is w^q for
-    every rho; every reduction quotient is a
-    constant; the pivot exponents sum to sum(a_j), the colength of res(L);
-    the result has canonical shape (``Lattice.from_canonical``); and every
-    generator t^rho * c_j of a column with entries is a member.  The
+    every rho; every reduction quotient is a constant, and a row holding
+    zero is not reduced; the pivot exponents sum to sum(a_j), the colength
+    of res(L); the result has canonical shape (``Lattice.from_canonical``);
+    and every generator t^rho * c_j of a column with entries is a member.  The
     generators then span a sublattice of the result of equal colength, so
     they span the result.  The pivot state (q, s) and the checked component
     depend on (a_j, rho) alone, so the component check runs once per
@@ -171,6 +170,7 @@ def restrict_scalars(lattice, e, u):
     seeds = []  # per block: (pivot row, pivot exponent, stored entries of the seed)
     gens = []  # the restricted generators of the columns with entries
     checked = set()  # the pivot exponents whose components are checked
+    scales = {}  # q -> the constant u^q
     w_over_u = unit = None  # built when a column with entries first moves
     for j, (ent, a) in enumerate(zip(lattice.entries, lattice.diag)):
         q, s = divmod(a, e)
@@ -178,14 +178,11 @@ def restrict_scalars(lattice, e, u):
         checked.add(a)
         col = {}
         if ent:
-            gens.extend(_restrict_columns(lattice.column(j), e, u))
-            for i, x in ent:
-                x = x.shift(-q * e)  # u^q times component k is w^q times this one's
-                for d in range(min(e, len(x.coeffs))):  # the components x has terms in
-                    k = (x.ord + d) % e
-                    y = decompose_component(x, e, u, k)
-                    if y.coeffs:
-                        col[i * e + k] = y.shift(q)
+            outs = _restrict_columns(lattice.column(j), e, u)
+            gens.extend(outs)
+            if q not in scales:
+                scales[q] = LocalElement.t_power(field, q).twist(u).shift(-q)
+            col = {k: x * scales[q] for k, x in enumerate(outs[0][:j * e]) if x.coeffs}
         for rho in range(e):
             if rho:
                 wraps = s == e - 1
@@ -205,8 +202,8 @@ def restrict_scalars(lattice, e, u):
                                      % (s, a + rho, q, q))
             for i in range(max(col) // e if col else -1, -1, -1):
                 prow, qi, seed = seeds[i]
-                x = col.get(prow)
-                if x is not None and x.ord + len(x.coeffs) > qi:
+                x = col.get(prow, _Z)
+                if x.coeffs and x.ord + len(x.coeffs) > qi:
                     lam = x.high_div(qi)
                     if lam.ord or len(lam.coeffs) != 1:
                         raise AssertionError("internal: reduction quotient %r at row %d "

@@ -5,8 +5,7 @@ The e components of an element over a ramified branch are read by
 for restriction of scalars of lattices and of maps, and for the residue
 push of pairings (``restrict_matrix`` of the form): all of them go through
 that one kernel.  The only other caller is ``functors.restrict_scalars``,
-which reads the seed of each column with entries from its stored entries,
-and whose component check reads the pivot component of each distinct pivot
+whose component check reads the pivot component of each distinct pivot
 exponent.
 """
 
@@ -15,7 +14,7 @@ from conftest import callers_of
 ALLOWED = {
     ("functors.py", "_restrict_columns"): "the kernel of every restriction",
     ("functors.py", "restrict_scalars"):
-        "the seeds of the columns with entries and the component check of each exponent",
+        "the component check reads the pivot component of each exponent",
 }
 
 

@@ -171,14 +171,19 @@ def test_restrict_scalars_is_the_span_of_the_restricted_generators(field, units)
     """The one pass against canonicalization: on diagonal lattices, on
     lattices with entries above their pivots, and on direct sums of the two
     in both orders, so that pivot-only columns come before and after the
-    others."""
+    others.  In ``cancelling`` at e = 2, u = 1 and rho = 1, reducing row 3
+    of the last column by block 1's seed cancels its row 0 to zero exactly,
+    above block 0's pivot exponent -1: a zero entry has no terms to reduce."""
     rng = random.Random(157)
+    cancelling = lat([[(-2, 1), 0, 0], [(-4, 1), (1, 1), 0], [(-5, 1), 1, 1]], field)
+    assert cancelling.diag == (-2, 1, 0) and all(cancelling.entries[1:])
     for u in units:
         for e in (1, 2, 3, 4, 7):
             diagonal = diagonal_lattice(field, [rng.randint(-2, 2 * e) for _ in range(2)])
             full = lat(random_columns(rng, 2, field), field)
             lattices = [diagonal, full, direct_sum([full, diagonal]),
-                        direct_sum([diagonal, lat(random_columns(rng, 1, field), field)])]
+                        direct_sum([diagonal, lat(random_columns(rng, 1, field), field)]),
+                        cancelling]
             assert any(_pivot_only(c) for c in lattices[2].cols)
             for lattice in lattices:
                 assert restrict_scalars(lattice, e, u) == _restricted_span(lattice, e, u)
@@ -230,10 +235,11 @@ def test_restrict_scalars_checks_the_component_kernel(field, u, e, monkeypatch):
       refuses it;
     * in the lattice spanned by (t^2, 0) and (t, t^4) the second column has
       an entry above its pivot.  With the fault planted in
-      ``_restrict_columns`` alone, the restriction itself reads the true
-      kernel and comes out right.  The generator c_1 keeps its block-0
-      entry, the component of t, but its pivot comes out u^{2q} times too
-      large, q = 4 // e >= 1.  It differs from u^{2q} times the true
+      ``_restrict_columns`` alone, the restriction still comes out right:
+      its seed for c_1 is the block-0 row of the restricted generator, the
+      component of t, whose w-degree 0 the planted twist leaves alone, and
+      the pivots are implied.  The generator c_1 keeps its block-0 entry,
+      but its pivot comes out u^{2q} times too large, q = 4 // e >= 1.  It differs from u^{2q} times the true
       generator by (1 - u^{2q}) * t * e_0, which is not in L, so it is no
       member, and the member test refuses it.
 
