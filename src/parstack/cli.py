@@ -63,14 +63,16 @@ def cmd_convert(args):
             if not to_graded:
                 converted.append(sio.encode_object(obj))
                 continue
-            items = [(label, obj.points[label]) for label in obj.labels()]
+            # the bundle's degree goes on its first point, so the rows sum to it
+            items = [(label, obj.points[label], 0 if k else obj.underlying_degree)
+                     for k, label in enumerate(obj.labels())]
         else:
-            items = [(at, obj)]
-        for label, item in items:
+            items = [(at, obj, deg or 0)]
+        for label, item, degree in items:
             if to_graded != isinstance(item, GradedModule):  # on the source side
                 item = from_parabolic(item) if to_graded else to_parabolic(item)
                 touched += 1
-            converted.append(sio.encode_placed(item, label, deg or 0))
+            converted.append(sio.encode_placed(item, label, degree))
     if not touched:
         raise ValidationError("no objects in the source representation "
                               "for direction %r" % args.direction)

@@ -170,7 +170,6 @@ def restrict_scalars(lattice, e, u):
     seeds = []  # per block: (pivot row, pivot exponent, stored entries of the seed)
     gens = []  # the restricted generators of the columns with entries
     checked = set()  # the pivot exponents whose components are checked
-    scales = {}  # q -> the constant u^q
     w_over_u = unit = None  # built when a column with entries first moves
     for j, (ent, a) in enumerate(zip(lattice.entries, lattice.diag)):
         q, s = divmod(a, e)
@@ -180,9 +179,8 @@ def restrict_scalars(lattice, e, u):
         if ent:
             outs = _restrict_columns(lattice.column(j), e, u)
             gens.extend(outs)
-            if q not in scales:
-                scales[q] = LocalElement.t_power(field, q).twist(u).shift(-q)
-            col = {k: x * scales[q] for k, x in enumerate(outs[0][:j * e]) if x.coeffs}
+            scale = LocalElement.t_power(field, q).twist(u).shift(-q)  # the constant u^q
+            col = {k: x * scale for k, x in enumerate(outs[0][:j * e]) if x.coeffs}
         for rho in range(e):
             if rho:
                 wraps = s == e - 1

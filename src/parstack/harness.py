@@ -484,24 +484,18 @@ def gen_pairing_point(rng, field, r, c_l, g_l, kind, blocks, label):
     return pt, form, value
 
 
-def _flip_off_diagonal(form):
-    """A copy of the form with its first nonzero off-diagonal entry negated."""
-    bad = [row[:] for row in form]
-    for i, row in enumerate(bad):
-        for j, x in enumerate(row):
-            if i != j and not x.is_zero():
-                row[j] = -x
-                return bad
-    return bad
-
-
 def _flip_symmetry(form, kind):
-    """The (form, kind) of the flipped-symmetry mutation: the form with an
-    off-diagonal sign flipped, or, when that leaves it unchanged (no nonzero
-    off-diagonal entry), the form with the other kind declared."""
-    bad = _flip_off_diagonal(form)
-    if bad != form:
-        return bad, kind
+    """The (form, kind) of the flipped-symmetry mutation: the form with its
+    first nonzero off-diagonal entry negated, or, when that leaves it
+    unchanged (no such entry, or -x = x in characteristic 2), the form with
+    the other kind declared.  Outside characteristic 2, -x != x exactly when
+    x != 0, and in it never, so the first entry with -x != x is the one."""
+    for i, row in enumerate(form):
+        for j, x in enumerate(row):
+            if i != j and -x != x:
+                bad = [r[:] for r in form]
+                bad[i][j] = -x
+                return bad, kind
     return form, ANTISYMMETRIC if kind == SYMMETRIC else SYMMETRIC
 
 

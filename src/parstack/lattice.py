@@ -241,8 +241,8 @@ class Lattice:
         if not isinstance(other, Lattice):
             return NotImplemented
         # distinct nested lattices differ in colength, so diag decides first
-        return (self.n == other.n and self.field == other.field
-                and self.diag == other.diag and self.entries == other.entries)
+        return (self.n == other.n and self.diag == other.diag
+                and self.entries == other.entries and self.field == other.field)
 
     def __hash__(self):
         return hash((self.n, self.diag, self.entries))
@@ -410,14 +410,10 @@ def direct_sum(lattices):
     return Lattice(lattices[0].field, off, tuple(entries), tuple(diag), _trusted=True)
 
 
-def image_columns(rows, lattice):
-    """A * (basis columns) as raw vectors; A given as a list of rows."""
-    return [mat_vec(rows, col) for col in lattice.cols]
-
-
 def apply_matrix(rows, lattice):
     """Lattice spanned by A * (basis columns); requires A injective."""
-    return Lattice.from_columns(lattice.field, len(rows), image_columns(rows, lattice))
+    return Lattice.from_columns(lattice.field, len(rows),
+                                [mat_vec(rows, col) for col in lattice.cols])
 
 
 def map_runs(fn, items):

@@ -1,10 +1,13 @@
-"""Shared builders and test oracles for the lattice tests.
+"""Shared builders, test oracles, planted-fault tables and the package
+reader of the source checks.
 
 The independent lattice oracle is the jet-space one of tests/jetspace.py:
-linear algebra over the residue field, with no library kernel in it.
+linear algebra over the residue field, with no library kernel in it.  The
+planted-fault tables live here, so that no test module imports another.
 """
 
 import ast
+import functools
 import inspect
 import os
 import random
@@ -44,6 +47,59 @@ def planted(fn, *edits):
     namespace = dict(vars(sys.modules[fn.__module__]))
     exec(source, namespace)
     return namespace[fn.__name__]
+
+
+# planted fault of functors.restrict_scalars -> (source edit, lattice
+# columns, e, u, the guard that must fire).  On the lattice spanned by
+# (t^2, 0) and (1 + t, 1), row 0 holds the pivot w of block 0, and t times
+# the seed of block 1 wraps the entry 1 into that row as w/u, so the
+# reduction quotient there is 1/u.  In the lattice of (t, 0) and (1, t)
+# the pivot of column 0 wraps at rho = 1: claimed as w^2 there, it is w,
+# and the component check refuses it before the colength sum is taken.
+# The lattice of t alone has no stored entries, so only the colength sees
+# its raised pivots.
+PLANTED_FAULTS = {
+    "wrap-by-t^2e": (("LocalElement.t_power(field, 1).twist(u, -1)",
+                      "LocalElement.t_power(field, 2).twist(u, -1)"),
+                     [[(2, 1), 0], [(0, 1, 1), 1]], 2, 1, "reduction quotient"),
+    "skipped-reduction": (("col[k] = col.get(k, _Z) - lam * y", "col[k] = col.get(k, _Z)"),
+                          [[(2, 1), 0], [(0, 1, 1), 1]], 2, 2, "not in canonical form"),
+    "wrong-colength": (("(q + 1, 0) if wraps", "(q + 2, 0) if wraps"),
+                       [[(1, 1), 0], [1, (1, 1)]], 2, 1,
+                       r"component 0 of t\^2 is not u\^-2 \* w\^2"),
+    "wrong-colength-closed-form": (("diag[row] = q", "diag[row] = q + 1"),
+                                   [[(1, 1)]], 2, 1, "restricted colength 3, expected 1"),
+    "wrap-factor-u-for-1/u": (("t_power(field, 1).twist(u, -1)", "t_power(field, 1).twist(u)"),
+                              [[(4, 1), 0], [(1, 1), 1]], 2, 2, "misses a generator"),
+}
+
+
+# planted fault -> source edits of twist_restricted, and the note every
+# failing trial of the direct-image suite must carry (None: any failure).
+# Pivots are implied by their exponents, so no fault can give a pivot the
+# wrong unit: in a column whose pivot wraps, "wrapped-column-unscaled"
+# leaves the wrapped entries unscaled by u, "pivot-only-rescaled" all its
+# entries, which move as if the pivot did not wrap while the pivot itself
+# moves right, and "wrapping-pivot-unshifted" gives a wrapping pivot-only
+# column the exponent b + q instead of b + q + 1.
+TWIST_FAULTS = {
+    "wrap-factor-u-for-1/u": ([("t_power(field, 1).twist(u, -1)", "t_power(field, 1).twist(u)")],
+                              None),
+    "wrapped-column-unscaled": (
+        [("x.shift(d) if wraps else x * wrap_factor", "x * wrap_factor")], None),
+    "pivot-only-rescaled": (
+        [("x.shift(d) if wraps else x * wrap_factor", "x * wrap_factor"),
+         ("x * unit_factor if wraps else x.shift(q)", "x.shift(q)")], None),
+    "wrapping-pivot-unshifted": ([("entries[row] = ent\n",
+                                   "entries[row] = ent\n            diag[row] = b + q\n")], None),
+}
+
+
+# planted fault -> source edit of Lattice.contains
+CONTAINS_FAULTS = {
+    "no-exponent-test": ("if b < a:", "if False:"),
+    "pivot-only-on-one-side": (" and not own", ""),
+}
 
 
 def el(t_order, *coeffs, field=QQ):
@@ -219,6 +275,19 @@ PACKAGE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
                        "src", "parstack")
 
 
+@functools.cache
+def package_trees():
+    """{file name: syntax tree} of every module of src/parstack, in name
+    order: the one reader of the package for the source checks, which
+    lists and parses it once per test session."""
+    trees = {}
+    for module in sorted(os.listdir(PACKAGE)):
+        if module.endswith(".py"):
+            with open(os.path.join(PACKAGE, module)) as fh:
+                trees[module] = ast.parse(fh.read(), module)
+    return trees
+
+
 def callers_of(name):
     """(module file, enclosing function, line) of every call of ``name``,
     by bare name or attribute, in the package source."""
@@ -234,8 +303,6 @@ def callers_of(name):
                     found.add((module, fn, child.lineno))
             visit(module, child, inner)
 
-    for module in sorted(os.listdir(PACKAGE)):
-        if module.endswith(".py"):
-            with open(os.path.join(PACKAGE, module)) as fh:
-                visit(module, ast.parse(fh.read(), module), None)
+    for module, tree in package_trees().items():
+        visit(module, tree, None)
     return found

@@ -8,9 +8,8 @@ it is listed, and a listed one that is gone fails it too.
 """
 
 import ast
-import os
 
-from conftest import PACKAGE
+from conftest import package_trees
 
 CACHES = {"cache", "lru_cache", "cached_property"}
 ALLOWED = {
@@ -62,11 +61,8 @@ def _caches(module, tree):
 
 def test_every_cache_is_on_the_allow_list():
     found, undecorated = [], []
-    for module in sorted(os.listdir(PACKAGE)):
-        if not module.endswith(".py"):
-            continue
-        with open(os.path.join(PACKAGE, module)) as fh:
-            decorated, refs = _caches(module, ast.parse(fh.read(), module))
+    for module, tree in package_trees().items():
+        decorated, refs = _caches(module, tree)
         found += decorated
         if refs != len(decorated):
             undecorated.append(module)

@@ -384,6 +384,29 @@ def test_degree_table(tmp_path, capsys):
     assert "3/2" in out
 
 
+def _degree_rows(capsys, path):
+    """The (object, parabolic degree) rows that ``degree`` prints for ``path``."""
+    assert main(["degree", path]) == 0
+    return [(" ".join(row.split()[:-2]), row.split()[-1])
+            for row in capsys.readouterr().out.splitlines()[1:]]
+
+
+def test_convert_carries_a_bundle_degree_once(tmp_path, capsys):
+    """A bundle of degree 3 marked at p (weight 1/2) and q (weight 1/3) has
+    parabolic degree 23/6; converted, its degree goes on the module at p
+    only, so the rows still sum to 23/6, there and back."""
+    points = {"p": {"order": 2, "weights": [["1/2", 1]]},
+              "q": {"order": 3, "weights": [["1/3", 1]]}}
+    src = write(tmp_path, "bundle.json", {"version": 1, "field": "rational", "objects": [
+        {"kind": "parabolic_bundle", "rank": 1, "underlying_degree": 3, "points": points}]})
+    graded, back = str(tmp_path / "graded.json"), str(tmp_path / "back.json")
+    assert _degree_rows(capsys, src) == [("bundle", "23/6")]
+    assert main(["convert", src, "--direction", "to-graded", "--out", graded]) == 0
+    assert _degree_rows(capsys, graded) == [("module 'p'", "7/2"), ("module 'q'", "1/3")]
+    assert main(["convert", graded, "--direction", "to-parabolic", "--out", back]) == 0
+    assert _degree_rows(capsys, back) == [("point 'p'", "7/2"), ("point 'q'", "1/3")]
+
+
 def test_verify_deterministic_reports(tmp_path, capsys):
     a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     assert main(["verify", "--suite", "pull", "--trials", "5", "--seed", "3",

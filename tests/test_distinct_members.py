@@ -23,7 +23,7 @@ from parstack import functors, lattice, parabolic
 from parstack import scenario as sio
 from parstack.functors import (direct_sum, make_profile, restrict_scalars,
                                substitute_element, substitute_matrix)
-from parstack.lattice import image_columns
+from parstack.linalg import mat_vec
 from parstack.localring import LocalElement
 from parstack.harness import (_find_line_pair, gen_pairing_point,
                               gen_parabolic_point, gen_point_morphism,
@@ -138,8 +138,8 @@ def ref_pullback_graded(profile, module, label, rng=None):
 
 
 def ref_is_morphism(rows, src_members, dst_members):
-    return all(tgt.member(col) for lat, tgt in zip(src_members, dst_members)
-               for col in image_columns(rows, lat))
+    return all(tgt.member(mat_vec(rows, col)) for lat, tgt in zip(src_members, dst_members)
+               for col in lat.cols)
 
 
 def ref_weights(point):

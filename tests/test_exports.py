@@ -19,8 +19,9 @@ import os
 
 import pytest
 
+from conftest import package_trees
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-PACKAGE = os.path.join(ROOT, "src", "parstack")
 GATE_ENTRY_POINTS = {}
 
 
@@ -37,10 +38,9 @@ def _defines(node, name):
 
 
 EXPORTS = sorted(alias.asname or alias.name
-                 for node in _parse("src", "parstack", "__init__.py").body
+                 for node in package_trees()["__init__.py"].body
                  if isinstance(node, ast.ImportFrom) for alias in node.names)
-MODULES = [_parse("src", "parstack", f) for f in sorted(os.listdir(PACKAGE))
-           if f.endswith(".py") and f != "__init__.py"]
+MODULES = [tree for f, tree in package_trees().items() if f != "__init__.py"]
 CLASSES = {node.name for tree in MODULES for node in tree.body
            if isinstance(node, ast.ClassDef)}
 

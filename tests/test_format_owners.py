@@ -11,20 +11,19 @@ objects=...)`` or ``{"objects": ...}``, means it has started to write it.
 """
 
 import ast
-import os
 
-CLI = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                   "src", "parstack", "cli.py")
+from conftest import package_trees
+
 FORMAT_KEYS = {"objects", "cover", "at", "underlying_degree", "suite", "trial_index",
                "trial_seed", "config", "instance", "mutation", "note"}
 
 
-def format_key_uses(source):
+def format_key_uses(tree):
     """(line, key) of each ``x["key"]``, ``x.get("key", ...)``, keyword
-    argument ``key=...`` and dict display ``{"key": ...}`` in ``source``
-    whose key is in FORMAT_KEYS, in line order."""
+    argument ``key=...`` and dict display ``{"key": ...}`` in the syntax
+    tree ``tree`` whose key is in FORMAT_KEYS, in line order."""
     found = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Subscript):
             keys = [node.slice]
         elif isinstance(node, ast.Call):
@@ -41,18 +40,18 @@ def format_key_uses(source):
 
 
 def test_cli_indexes_no_scenario_or_record_key():
-    with open(CLI) as fh:
-        found = format_key_uses(fh.read())
+    found = format_key_uses(package_trees()["cli.py"])
     assert not found, "cli.py uses format keys: %s" % found
 
 
 def test_the_guard_sees_subscripts_and_get():
     source = 'a = raw["objects"]\nb = record.get("trial_seed")\nc = obj.get("at", 0)\n' \
              'd = x["rank"]\ne = y.get(key)\n'
-    assert format_key_uses(source) == [(1, "objects"), (2, "trial_seed"), (3, "at")]
+    assert format_key_uses(ast.parse(source)) == [(1, "objects"), (2, "trial_seed"), (3, "at")]
 
 
 def test_the_guard_sees_keyword_arguments_and_dict_displays():
     source = 'a = dict(raw, objects=[])\nb = {"cover": c, "rank": 2}\n' \
              'c = f(at=x, rank=1)\nd = {**raw, "note": n}\ne = dict(raw, **extra)\n'
-    assert format_key_uses(source) == [(1, "objects"), (2, "cover"), (3, "at"), (4, "note")]
+    assert format_key_uses(ast.parse(source)) == [(1, "objects"), (2, "cover"), (3, "at"),
+                                                  (4, "note")]

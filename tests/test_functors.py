@@ -21,9 +21,9 @@ from parstack.lattice import direct_sum
 from parstack.localring import LocalElement
 from parstack.parabolic import split_into_lines
 
-from conftest import (GF101, decompose_element, diagonal_lattice, el, gen_graded_module,
-                      graded_line, lat, planted, random_columns, random_element,
-                      trivial_module, trivial_point)
+from conftest import (GF101, PLANTED_FAULTS, TWIST_FAULTS, decompose_element, diagonal_lattice,
+                      el, gen_graded_module, graded_line, lat, planted, random_columns,
+                      random_element, trivial_module, trivial_point)
 
 
 def _diag_chain(order, jumps, twists=None):
@@ -92,30 +92,6 @@ def test_restrict_scalars_commutes_with_full_twists():
         l = lat(random_columns(rng, n))
         assert restrict_scalars(l.scale(e), e, u) == \
             restrict_scalars(l, e, u).scale(1)
-
-
-# planted fault -> (source edit, lattice columns, e, u, the guard that must
-# fire).  On the lattice spanned by (t^2, 0) and (1 + t, 1), row 0 holds the
-# pivot w of block 0, and t times the seed of block 1 wraps the entry 1 into
-# that row as w/u, so the reduction quotient there is 1/u.  In the lattice
-# of (t, 0) and (1, t) the pivot of column 0 wraps at rho = 1: claimed as
-# w^2 there, it is w, and the component check refuses it before the
-# colength sum is taken.  The lattice of t alone has no stored entries, so
-# only the colength sees its raised pivots.
-PLANTED_FAULTS = {
-    "wrap-by-t^2e": (("LocalElement.t_power(field, 1).twist(u, -1)",
-                      "LocalElement.t_power(field, 2).twist(u, -1)"),
-                     [[(2, 1), 0], [(0, 1, 1), 1]], 2, 1, "reduction quotient"),
-    "skipped-reduction": (("col[k] = col.get(k, _Z) - lam * y", "col[k] = col.get(k, _Z)"),
-                          [[(2, 1), 0], [(0, 1, 1), 1]], 2, 2, "not in canonical form"),
-    "wrong-colength": (("(q + 1, 0) if wraps", "(q + 2, 0) if wraps"),
-                       [[(1, 1), 0], [1, (1, 1)]], 2, 1,
-                       r"component 0 of t\^2 is not u\^-2 \* w\^2"),
-    "wrong-colength-closed-form": (("diag[row] = q", "diag[row] = q + 1"),
-                                   [[(1, 1)]], 2, 1, "restricted colength 3, expected 1"),
-    "wrap-factor-u-for-1/u": (("t_power(field, 1).twist(u, -1)", "t_power(field, 1).twist(u)"),
-                              [[(4, 1), 0], [(1, 1), 1]], 2, 2, "misses a generator"),
-}
 
 
 @pytest.mark.parametrize("fault", sorted(PLANTED_FAULTS))
@@ -317,27 +293,6 @@ def test_restriction_undoes_base_change(field, units, monkeypatch):
         assert held == (field.of(u * u) == field.one or constant)
         broken += not held
     assert broken or all(field.of(u * u) == field.one for u in units)
-
-
-# planted fault -> source edits of twist_restricted, and the note every
-# failing trial of the direct-image suite must carry (None: any failure).
-# Pivots are implied by their exponents, so no fault can give a pivot the
-# wrong unit: in a column whose pivot wraps, "wrapped-column-unscaled"
-# leaves the wrapped entries unscaled by u, "pivot-only-rescaled" all its
-# entries, which move as if the pivot did not wrap while the pivot itself
-# moves right, and "wrapping-pivot-unshifted" gives a wrapping pivot-only
-# column the exponent b + q instead of b + q + 1.
-TWIST_FAULTS = {
-    "wrap-factor-u-for-1/u": ([("t_power(field, 1).twist(u, -1)", "t_power(field, 1).twist(u)")],
-                              None),
-    "wrapped-column-unscaled": (
-        [("x.shift(d) if wraps else x * wrap_factor", "x * wrap_factor")], None),
-    "pivot-only-rescaled": (
-        [("x.shift(d) if wraps else x * wrap_factor", "x * wrap_factor"),
-         ("x * unit_factor if wraps else x.shift(q)", "x.shift(q)")], None),
-    "wrapping-pivot-unshifted": ([("entries[row] = ent\n",
-                                   "entries[row] = ent\n            diag[row] = b + q\n")], None),
-}
 
 
 @pytest.mark.parametrize("field_name", ["rational", "prime:101"])

@@ -11,7 +11,7 @@ from parstack import (ANTISYMMETRIC, QQ, SYMMETRIC,
                       PrimeField, TrialConfig, check_pairing, gen_parabolic_point)
 from parstack import functors, pairing
 from parstack import harness
-from parstack.harness import (SUITES, _find_line_pair, _flip_off_diagonal, _line_pair,
+from parstack.harness import (SUITES, _find_line_pair, _flip_symmetry, _line_pair,
                               _value_line_bundle, gen_point_morphism,
                               gen_profile, mix_lines, verify_corollaries,
                               verify_direct_image, verify_pullback)
@@ -242,7 +242,21 @@ def test_flipped_branch_form_is_recorded_when_the_trial_raises():
     # the recorded form is the corrupted one: flipping back restores its kind
     assert not pairing._symmetry_holds(SYMMETRIC, form)
     assert not pairing._symmetry_holds(ANTISYMMETRIC, form)
-    assert pairing._symmetry_holds(instance["kind"], _flip_off_diagonal(form))
+    assert pairing._symmetry_holds(instance["kind"], _flip_symmetry(form, instance["kind"])[0])
+
+
+@pytest.mark.parametrize("kind", [SYMMETRIC, ANTISYMMETRIC])
+def test_flip_negates_the_first_off_diagonal_entry_or_declares_the_other_kind(kind):
+    """Over Q the sign flip changes the form and keeps the kind; over GF(2)
+    -x = x, so the same form comes back unchanged with the other kind."""
+    other = ANTISYMMETRIC if kind == SYMMETRIC else SYMMETRIC
+    for field in (QQ, PrimeField(2)):
+        one, zero = LocalElement.const(field, field.one), LocalElement.zero()
+        form = [[zero, zero, one], [zero, one, one], [one, one, zero]]
+        copy = [row[:] for row in form]
+        expected = (form, other) if field.p == 2 else ([[zero, zero, -one]] + form[1:], kind)
+        assert _flip_symmetry(form, kind) == expected
+        assert form == copy  # the input is left alone
 
 
 @pytest.mark.parametrize("field_name", ["rational", "prime:101"])

@@ -34,11 +34,10 @@ from parstack.functors import restrict_scalars, twist_restricted
 from parstack.harness import gen_parabolic_point, gen_unimodular
 from parstack.lattice import direct_sum
 
-from conftest import GF101, diagonal_lattice, lat, planted, random_columns, random_element
+from conftest import (CONTAINS_FAULTS, GF101, PLANTED_FAULTS, TWIST_FAULTS, diagonal_lattice,
+                      lat, planted, random_columns, random_element)
 from jetspace import (bound, colength_holds, jets, lattice_gens, member, padded, same,
                       shifted, substituted, unrestricted)
-from test_functors import PLANTED_FAULTS, TWIST_FAULTS
-from test_sparse_kernels import CONTAINS_FAULTS
 
 GF2, GF3 = PrimeField(2), PrimeField(3)
 FIELDS = pytest.mark.parametrize("field", [QQ, GF101, GF2, GF3],

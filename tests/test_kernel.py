@@ -15,7 +15,7 @@ from parstack import (QQ, AmbientMismatch, Lattice, LocalElement,
                       PrimeField, SingularBasis, apply_matrix, direct_sum,
                       field_from_name)
 from parstack import lattice as lattice_module
-from parstack.lattice import image_columns
+from parstack.linalg import mat_vec
 
 from conftest import GF101, diagonal_lattice, el, lat, random_columns, random_element, values
 from jetspace import bound, colength_holds, jets, lattice_gens, member
@@ -294,7 +294,7 @@ def test_apply_matrix_and_image_columns():
     rows = [[el(0, 0), el(0, 1)], [el(1, 1), el(0, 0)]]  # swap, t on one slot
     img = apply_matrix(rows, l)
     assert img == diagonal_lattice(QQ, [1, 1])
-    gens = image_columns(rows, l)
+    gens = [mat_vec(rows, c) for c in l.cols]
     assert gens == [[el(0, 0), el(1, 1)], [el(1, 1), el(0, 0)]]
     singular = [[el(0, 1), el(0, 1)], [el(0, 1), el(0, 1)]]
     with pytest.raises(SingularBasis):

@@ -6,10 +6,8 @@ gate would count it as detected whatever the checks do.
 """
 
 import ast
-import os
 
-HARNESS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                       "src", "parstack", "harness.py")
+from conftest import package_trees
 
 
 def _reads_mutation(expr):
@@ -18,9 +16,7 @@ def _reads_mutation(expr):
 
 
 def test_mutation_branches_do_not_return():
-    with open(HARNESS) as fh:
-        tree = ast.parse(fh.read(), "harness.py")
-    lines = [ret.lineno for node in ast.walk(tree)
+    lines = [ret.lineno for node in ast.walk(package_trees()["harness.py"])
              if isinstance(node, ast.If) and _reads_mutation(node.test)
              for ret in ast.walk(node) if isinstance(ret, ast.Return)]
     assert not lines, "harness.py returns inside a mutation branch on lines %s" % lines

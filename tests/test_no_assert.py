@@ -7,29 +7,24 @@ at the first call of some function.
 """
 
 import ast
-import os
 
 import pytest
 
-PACKAGE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                       "src", "parstack")
-MODULES = sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py"))
+from conftest import package_trees
 
-
-def _parse(module):
-    with open(os.path.join(PACKAGE, module)) as fh:
-        return ast.parse(fh.read(), module)
+MODULES = list(package_trees())
 
 
 @pytest.mark.parametrize("module", MODULES)
 def test_library_module_has_no_assert(module):
-    lines = [node.lineno for node in ast.walk(_parse(module)) if isinstance(node, ast.Assert)]
+    lines = [node.lineno for node in ast.walk(package_trees()[module])
+             if isinstance(node, ast.Assert)]
     assert not lines, "%s has assert statements on lines %s" % (module, lines)
 
 
 @pytest.mark.parametrize("module", MODULES)
 def test_library_module_imports_at_module_level(module):
-    lines = [node.lineno for fn in ast.walk(_parse(module))
+    lines = [node.lineno for fn in ast.walk(package_trees()[module])
              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
              for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert not lines, "%s imports inside a function on lines %s" % (module, lines)

@@ -7,10 +7,9 @@ value for the harness and the benchmark workloads.
 """
 
 import ast
-import os
 
-PACKAGE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                       "src", "parstack")
+from conftest import package_trees
+
 ALLOWED = {("fields.py", "random_nonzero")}
 
 
@@ -22,11 +21,9 @@ def _params(fn):
 
 def test_only_the_harness_takes_rng():
     found = []
-    for module in sorted(os.listdir(PACKAGE)):
-        if not module.endswith(".py") or module == "harness.py":
+    for module, tree in package_trees().items():
+        if module == "harness.py":
             continue
-        with open(os.path.join(PACKAGE, module)) as fh:
-            tree = ast.parse(fh.read(), module)
         for fn in ast.walk(tree):
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)) \
                     and "rng" in _params(fn):

@@ -8,13 +8,12 @@ would mean a kernel went back to dense columns.
 """
 
 import ast
-import os
 
 import pytest
 
-PACKAGE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                       "src", "parstack")
-MODULES = sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py"))
+from conftest import package_trees
+
+MODULES = list(package_trees())
 
 
 def _is_zero(node):
@@ -34,8 +33,7 @@ def _zero_counts(tree):
 
 @pytest.mark.parametrize("module", MODULES)
 def test_library_module_counts_no_zeros(module):
-    with open(os.path.join(PACKAGE, module)) as fh:
-        lines = _zero_counts(ast.parse(fh.read(), module))
+    lines = _zero_counts(package_trees()[module])
     assert not lines, "%s scans for zeros with .count on lines %s" % (module, lines)
 
 

@@ -17,10 +17,9 @@ never wrapped as a Lattice.
 """
 
 import ast
-import os
 
-PACKAGE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                       "src", "parstack")
+from conftest import package_trees
+
 ALLOWED = {("rootstack.py", "to_parabolic"), ("rootstack.py", "from_parabolic")}
 TRUSTED_ROUTES = {"from_columns", "from_canonical", "scale", "direct_sum", "_canonicalize"}
 
@@ -51,16 +50,9 @@ def _is_trusted_lattice(call):
     return name == "Lattice" or any(k.arg == "_trusted" for k in call.keywords)
 
 
-def _modules():
-    for module in sorted(os.listdir(PACKAGE)):
-        if module.endswith(".py"):
-            with open(os.path.join(PACKAGE, module)) as fh:
-                yield module, ast.parse(fh.read(), module)
-
-
 def test_only_the_index_maps_build_unchecked_objects():
     calls = set()
-    for module, tree in _modules():
+    for module, tree in package_trees().items():
         calls.update((module, fn, line) for fn, line in _calls(tree, _is_unchecked))
     stray = sorted("%s:%d in %s" % (m, line, fn) for m, fn, line in calls
                    if (m, fn) not in ALLOWED)
@@ -69,14 +61,15 @@ def test_only_the_index_maps_build_unchecked_objects():
 
 
 def test_only_lattice_calls_the_trusted_lattice_constructor():
-    found = {module: _calls(tree, _is_trusted_lattice) for module, tree in _modules()}
+    found = {module: _calls(tree, _is_trusted_lattice)
+             for module, tree in package_trees().items()}
     assert found.pop("lattice.py")
     stray = sorted("%s:%d" % (m, line) for m, calls in found.items() for _, line in calls)
     assert not stray, "trusted Lattice constructions outside lattice.py: %s" % stray
 
 
 def test_lattice_wraps_trusted_columns_only_on_the_listed_routes():
-    tree = dict(_modules())["lattice.py"]
+    tree = package_trees()["lattice.py"]
     calls = _calls(tree, _is_trusted_lattice)
     stray = sorted("line %d in %s" % (line, fn) for fn, line in calls
                    if fn not in TRUSTED_ROUTES)
@@ -85,7 +78,7 @@ def test_lattice_wraps_trusted_columns_only_on_the_listed_routes():
 
 
 def test_lattice_has_exactly_two_classmethod_constructors():
-    tree = dict(_modules())["lattice.py"]
+    tree = package_trees()["lattice.py"]
     cls = next(node for node in tree.body
                if isinstance(node, ast.ClassDef) and node.name == "Lattice")
     classmethods = {node.name for node in cls.body if isinstance(node, ast.FunctionDef)
