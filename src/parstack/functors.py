@@ -375,9 +375,10 @@ def pullback_parabolic_line(alpha, e, r):
 def pullback_parabolic(profile, point, label, lines=None):
     """Pullback of an order-s chain to the branch chart, order r = s/e.
 
-    The line formula on the splitting ``lines = (jumps, matrix)`` of the
-    point, else on split_into_lines(point), at every e; only the identity
-    chart, e = 1 with unit 1, returns the point itself.
+    The line formula on the splitting ``lines = (jumps, lifts)`` of the
+    point, else on split_into_lines(point), at every e: each lift is
+    substituted entry by entry.  Only the identity chart, e = 1 with unit
+    1, returns the point itself.
     """
     br = profile.branch(label)
     if point.order != profile.target_order:
@@ -386,8 +387,8 @@ def pullback_parabolic(profile, point, label, lines=None):
     e, r = br.e, br.r
     if e == 1 and br.unit == 1:
         return point
-    jumps, mat = lines or split_into_lines(point)
-    return ParabolicPoint.from_lines(point.field, r, substitute_matrix(mat, e, br.unit),
+    jumps, lifts = lines or split_into_lines(point)
+    return ParabolicPoint.from_lines(point.field, r, substitute_matrix(lifts, e, br.unit),
                                      [-(c // r) for c in jumps], [c % r for c in jumps])
 
 

@@ -114,21 +114,21 @@ class TrialReport:
 # -- generators ------------------------------------------------------------
 
 
-def _add_columns(mat, ops):
-    """A copy of mat with f times column j added to column i for each
-    operation (i, j, f) of ops in turn; zero products are skipped."""
-    mat = [row[:] for row in mat]
+def _add_columns(cols, ops):
+    """A copy of the list of columns ``cols`` with f times column j added
+    to column i for each operation (i, j, f) of ops in turn; zero products
+    are skipped."""
+    cols = list(cols)
     for i, j, f in ops:
         if f.coeffs:
-            for row in mat:
-                if row[j].coeffs:
-                    row[i] = row[i] + f * row[j]
-    return mat
+            cols[i] = [x + f * y if y.coeffs else x for x, y in zip(cols[i], cols[j])]
+    return cols
 
 
 def gen_unimodular(rng, field, n):
-    """(m, ops): a random unimodular-over-R matrix m and the column
-    operations (i, j, f) that build it from the identity (``_add_columns``)."""
+    """(lifts, ops): the columns of a random unimodular-over-R matrix and
+    the column operations (i, j, f) that build them from the identity
+    (``_add_columns``)."""
     ops = []
     if n > 1:
         for _ in range(n + rng.randint(0, n)):
@@ -142,8 +142,8 @@ def gen_parabolic_point(rng, n, r, field=QQ):
     """Random chain: random fiber flag in a random basis with bounded twists."""
     jumps = [rng.randint(0, r - 1) for _ in range(n)]
     exps = [rng.randint(-2, 2) for _ in range(n)]
-    m, _ = gen_unimodular(rng, field, n)
-    return ParabolicPoint.from_lines(field, r, m, exps, jumps)
+    lifts, _ = gen_unimodular(rng, field, n)
+    return ParabolicPoint.from_lines(field, r, lifts, exps, jumps)
 
 
 def gen_profile(rng, s, max_branches, field=QQ, rank_bound=None, max_rank=3):
@@ -170,9 +170,10 @@ def gen_profile(rng, s, max_branches, field=QQ, rank_bound=None, max_rank=3):
 def gen_point_morphism(rng, src, dst):
     """Random filtration-preserving matrix dst.n x src.n, via line coordinates:
     W * M * V^{-1} for the lifts V of src and W of dst, with M drawn by the
-    criterion of ``is_point_morphism``, val(M_ik) >= [js_k > jd_i]."""
-    src_jumps, src_mat = split_into_lines(src)
-    dst_jumps, dst_mat = split_into_lines(dst)
+    criterion of ``is_point_morphism``, val(M_ik) >= [js_k > jd_i].  The
+    lifts of dst are transposed once, into the row-major matrix W."""
+    src_jumps, src_lifts = split_into_lines(src)
+    dst_jumps, dst_lifts = split_into_lines(dst)
     field = src.field
     f = [[_Z] * src.n for _ in range(dst.n)]
     for bo in range(dst.n):
@@ -184,17 +185,16 @@ def gen_point_morphism(rng, src, dst):
             if c == field.zero:
                 continue
             f[bo][bi] = LocalElement.make(field, vmin + rng.randint(0, 1), [c])
-    src_inv = triangular_inverse(field, entries_above(transpose(src_mat)),
-                                 src.chain[0].diag)
-    return mat_mul(dst_mat, mat_mul(f, src_inv))
+    src_inv = triangular_inverse(field, entries_above(src_lifts), src.chain[0].diag)
+    return mat_mul(transpose(dst_lifts), mat_mul(f, src_inv))
 
 
 def mix_lines(point, lines, rng):
-    """The matrix of another adapted splitting of point: the matrix of
-    ``lines = (jumps, matrix)`` mixed by random column operations adding
-    c * v_k to v_i when jump(k) >= jump(i), which keep it adapted (they
+    """The lifts of another adapted splitting of point: the lifts of
+    ``lines = (jumps, lifts)`` mixed by random column operations adding
+    c * v_k to v_i when jump(k) >= jump(i), which keep them adapted (they
     compose on the right: (B0 * V) * E = B0 * (V * E))."""
-    n, (jumps, mat) = point.n, lines
+    n, (jumps, lifts) = point.n, lines
     ops = []
     if n > 1:
         for _ in range(n + rng.randint(0, n)):
@@ -202,7 +202,7 @@ def mix_lines(point, lines, rng):
             if jumps[k] < jumps[i]:
                 i, k = k, i
             ops.append((i, k, LocalElement.const(point.field, rng.choice([-2, -1, 1, 2]))))
-    return _add_columns(mat, ops)
+    return _add_columns(lifts, ops)
 
 
 # -- the runner ------------------------------------------------------------
@@ -343,15 +343,16 @@ def _check_direct(instance, mutation):
 
 
 def _draw_pullback(rng, cfg, mutation):
-    """A point on a one-branch cover, the matrices of two other adapted
-    splittings mixed from its own, a target point and a morphism to it."""
+    """A point on a one-branch cover, two other adapted splittings mixed
+    from its own, each kept as the row-major matrix whose columns are its
+    lifts, a target point and a morphism to it."""
     field = cfg.field
     s = rng.randint(1, cfg.max_order)
     profile, _ = gen_profile(rng, s, 1, field, max_rank=1)
     n = rng.randint(1, cfg.max_rank)
     point = gen_parabolic_point(rng, n, s, field)
     lines = split_into_lines(point)
-    splittings = tuple(mix_lines(point, lines, random.Random(rng.getrandbits(32)))
+    splittings = tuple(transpose(mix_lines(point, lines, random.Random(rng.getrandbits(32))))
                        for _ in range(2))
     target = gen_parabolic_point(rng, n, s, field)
     return {"cover": profile, "point": point, "splittings": splittings,
@@ -361,8 +362,8 @@ def _draw_pullback(rng, cfg, mutation):
 def _check_pullback(instance, mutation):
     profile, point = instance["cover"], instance["point"]
     br = profile.branches[0]
-    jumps, matrix = split_into_lines(point)
-    pulled = pullback_parabolic(profile, point, br.label, lines=(jumps, matrix))
+    jumps, lifts = split_into_lines(point)
+    pulled = pullback_parabolic(profile, point, br.label, lines=(jumps, lifts))
     pulled_graded = pullback_graded(profile, from_parabolic(point), br.label)
     if mutation == "wrong-twist":
         pulled_graded = GradedModule(
@@ -371,8 +372,8 @@ def _check_pullback(instance, mutation):
         return False, "pipeline mismatch"
 
     # splitting independence: mixing keeps the jumps
-    for mat in instance["splittings"]:
-        if pullback_parabolic(profile, point, br.label, lines=(jumps, mat)) != pulled:
+    for mixed in map(transpose, instance["splittings"]):
+        if pullback_parabolic(profile, point, br.label, lines=(jumps, mixed)) != pulled:
             return False, "splitting dependence"
 
     # weight and twist law
@@ -475,28 +476,37 @@ def gen_pairing_point(rng, field, r, c_l, g_l, kind, blocks, label):
         form_blocks.append(fb)
     n = len(jumps)
     phi = block_diag(form_blocks)
-    m, ops = gen_unimodular(rng, field, n)
-    pt = ParabolicPoint.from_lines(field, r, m, exps, jumps)
-    # m^{-1} undoes ops last first, so F = m^{-T} * phi * m^{-1} does so on both sides
+    lifts, ops = gen_unimodular(rng, field, n)
+    pt = ParabolicPoint.from_lines(field, r, lifts, exps, jumps)
+    # V^{-1} undoes ops last first.  Undone on the columns of phi they give
+    # those of phi * V^{-1}; undone on its rows, read as columns, they give
+    # the columns of V^{-T} * phi^T * V^{-1}: the rows of F = V^{-T} * phi * V^{-1}
     undo = [(i, j, -f) for i, j, f in reversed(ops)]
-    form = transpose(_add_columns(transpose(_add_columns(phi, undo)), undo))
+    form = _add_columns(transpose(_add_columns(transpose(phi), undo)), undo)
     value = _value_line_bundle(field, label, r, c_l, g_l)
     return pt, form, value
 
 
-def _flip_symmetry(form, kind):
+def _flip_symmetry(form, kind, field):
     """The (form, kind) of the flipped-symmetry mutation: the form with its
-    first nonzero off-diagonal entry negated, or, when that leaves it
-    unchanged (no such entry, or -x = x in characteristic 2), the form with
-    the other kind declared.  Outside characteristic 2, -x != x exactly when
-    x != 0, and in it never, so the first entry with -x != x is the one."""
+    first nonzero off-diagonal entry negated.  Outside characteristic 2,
+    -x != x exactly when x != 0, and in it never, so the first entry with
+    -x != x is the one.  When negating changes nothing (no such entry, or
+    characteristic 2), entry (0, 0) gets a nonzero coefficient at t, t
+    added unless that cancels a t term it has, and the form is declared
+    antisymmetric, which a nonzero diagonal entry breaks.  Declaring the
+    other kind alone is often right over GF(2), where an alternating form
+    is symmetric.  The term is t, not a constant: the residue push along an
+    even e erases a constant diagonal entry but keeps a t term."""
+    bad = [r[:] for r in form]
     for i, row in enumerate(form):
         for j, x in enumerate(row):
             if i != j and -x != x:
-                bad = [r[:] for r in form]
                 bad[i][j] = -x
                 return bad, kind
-    return form, ANTISYMMETRIC if kind == SYMMETRIC else SYMMETRIC
+    if not form[0][0].high_div(1).truncate(1).coeffs:
+        bad[0][0] = form[0][0] + LocalElement.t_power(field, 1)
+    return bad, ANTISYMMETRIC
 
 
 def _draw_corollaries(rng, cfg, mutation):
@@ -522,7 +532,7 @@ def _draw_corollaries(rng, cfg, mutation):
         pt, form, value = gen_pairing_point(rng, field, s, c_l, g_l, kind,
                                             rng.randint(1, 2), "y")
         if mutation == "flipped-symmetry":
-            form, instance["kind"] = _flip_symmetry(form, kind)
+            form, instance["kind"] = _flip_symmetry(form, kind, field)
         return dict(instance, bundle=ParabolicBundle(pt.n, 0, {"y": pt}),
                     form=form, value_line=value)
 
@@ -540,7 +550,7 @@ def _draw_corollaries(rng, cfg, mutation):
             return dict(instance, vacuous="no branch instance at this size")
         pt, form, _ = made
         if mutation == "flipped-symmetry" and not forms:
-            form, instance["kind"] = _flip_symmetry(form, kind)
+            form, instance["kind"] = _flip_symmetry(form, kind, field)
         points.append(pt)
         forms.append(form)
     return dict(instance, value_line=value, points=tuple(points), forms=tuple(forms))

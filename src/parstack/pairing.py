@@ -71,7 +71,7 @@ from .errors import (NotAPairing, ProfileMismatch, ShapeMismatch, SingularBasis,
 from .functors import (pullback_matrix, pullback_parabolic, pushforward_parabolic,
                        restrict_matrix)
 from .lattice import triangularize
-from .linalg import block_diag, mat_vec, transpose
+from .linalg import block_diag, mat_vec
 from .localring import LocalElement
 from .parabolic import ParabolicBundle, ParabolicPoint, parabolic_degree, split_into_lines
 
@@ -131,17 +131,16 @@ def _symmetry_holds(kind, form):
 
 
 def _gram(form, lifts, kind):
-    """H = V^T * F * V for a form F of the given kind, with V = ``lifts``.
-    As F^T = -F or F, H^T = -H or H, so row i of H is summed for k >= i
-    only, from column i of V against the columns F * v_k (``mat_vec``),
-    and H_ki is its mirror, -H_ik for the antisymmetric kind (over GF(2),
-    -x = x)."""
+    """H = V^T * F * V for a form F of the given kind, with V the matrix
+    whose columns are ``lifts``.  As F^T = -F or F, H^T = -H or H, so row i
+    of H is summed for k >= i only, from lift v_i against the columns
+    F * v_k (``mat_vec``), and H_ki is its mirror, -H_ik for the
+    antisymmetric kind (over GF(2), -x = x)."""
     neg = kind == ANTISYMMETRIC
-    cols = transpose(lifts)
-    fv = [mat_vec(form, v) for v in cols]
-    n = len(cols)
+    fv = [mat_vec(form, v) for v in lifts]
+    n = len(lifts)
     gram = [[_Z] * n for _ in range(n)]
-    for i, v in enumerate(cols):
+    for i, v in enumerate(lifts):
         for k, x in enumerate(mat_vec(fv[i:], v), i):
             gram[i][k] = x
             if k > i:

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .errors import InvalidChain, ShapeMismatch
 from .lattice import Lattice, back_substitute, entries_above, map_runs, stored_column
-from .linalg import mat_vec, transpose
+from .linalg import mat_vec
 from .localring import LocalElement
 
 _Z = LocalElement.zero()
@@ -80,19 +80,19 @@ class ParabolicPoint:
         return cls.from_lines(field, order, [[LocalElement.t_power(field, 0)]], [twist], [jump])
 
     @classmethod
-    def from_lines(cls, field, order, matrix, twists, jumps):
+    def from_lines(cls, field, order, lifts, twists, jumps):
         """The point of an adapted basis, the inverse of split_into_lines:
         member E^j is spanned by the lines t^{twists[b] + [j > jumps[b]]} *
-        matrix[:, b].  Only E^0 is canonicalized.  Every member lies between
+        lifts[b], with ``lifts`` the list of the n columns that lift the
+        lines.  Only E^0 is canonicalized.  Every member lies between
         E^0 and t * E^0, so it is E^0's canonical basis B0 applied to
         t * R^n plus the span of the unjumped lines' fibre vectors, the
         constant terms of their coordinates in B0 (``_flag_member``).  One
         member is built per run of equal jump patterns (map_runs): the
         patterns grow with j, the unjumped one is E^0 and the all-jumped
         one t * E^0."""
-        n = len(jumps)
-        lines = [[row[b].shift(twists[b]) for row in matrix] for b in range(n)]
-        top = Lattice.from_columns(field, n, lines)
+        lines = [[x.shift(g) for x in col] for col, g in zip(lifts, twists)]
+        top = Lattice.from_columns(field, len(jumps), lines)
         # a line of least jump is jumped in every member strictly inside E^0
         lo = min(jumps, default=0)
         fibre = {b: [x.truncate(1) for x in back_substitute(top.entries, top.diag, v)]
@@ -192,8 +192,8 @@ def is_point_morphism(rows, src, dst):
                             % (len(rows), len(rows[0]) if rows else 0, dst.n, src.n))
     src_jumps, src_lifts = split_into_lines(src)
     dst_jumps, dst_lifts = split_into_lines(dst)
-    dst_entries, diag = entries_above(transpose(dst_lifts)), dst.chain[0].diag
-    for js, v in zip(src_jumps, transpose(src_lifts)):
+    dst_entries, diag = entries_above(dst_lifts), dst.chain[0].diag
+    for js, v in zip(src_jumps, src_lifts):
         m = back_substitute(dst_entries, diag, mat_vec(rows, v))
         if not all(x.ord >= (js > jd) for x, jd in zip(m, dst_jumps) if x.coeffs):
             return False
@@ -290,16 +290,17 @@ def _flag_member(top, unjumped):
 
 
 def split_into_lines(point):
-    """Adapted basis for the chain: ``(jumps, matrix)``.  Column b of the
-    matrix lifts line b, ParabolicPoint.line(field, order, jumps[b]), and
-    ParabolicPoint.from_lines(field, order, matrix, [0] * n, jumps) is the
-    inverse operation.  The matrix is upper triangular with the pivots of
-    E^0; a mixed one (harness.mix_lines) is not.
+    """Adapted basis for the chain: ``(jumps, lifts)``, with lifts[b] the
+    column that lifts line b, ParabolicPoint.line(field, order, jumps[b]),
+    and ParabolicPoint.from_lines(field, order, lifts, [0] * n, jumps) the
+    inverse operation.  The lifts are upper triangular with the pivots of
+    E^0: lift b has its pivot in row b.  Mixed ones (harness.mix_lines)
+    are not.
 
     The splitting is read off the members' canonical bases.  Write a_i(L)
     for the exponent of the pivot in row i of L's canonical basis.  Line i
     jumps at the largest j < r with a_i(E^j) = a_i(E^0) and lifts to column
-    i of E^j's canonical basis; the matrix has these n lifts as columns.
+    i of E^j's canonical basis.
 
     * a_i does not decrease as L shrinks: t^{a_i(L)} R is the row-i
       projection of the vectors of L that vanish below row i.  Since
@@ -324,4 +325,4 @@ def split_into_lines(point):
         for i, a in enumerate(top.diag):
             if lat.diag[i] == a:
                 jumps[i], owners[i] = j, lat
-    return jumps, transpose([lat.column(i) for i, lat in enumerate(owners)])
+    return jumps, [lat.column(i) for i, lat in enumerate(owners)]

@@ -15,16 +15,14 @@ from fractions import Fraction
 
 import pytest
 
-from parstack import (QQ, InadmissibleProfile, PrimeField,
-                      TrialConfig, from_parabolic, make_profile, to_parabolic)
+from parstack import (QQ, InadmissibleProfile, TrialConfig, from_parabolic, make_profile,
+                      to_parabolic)
 from parstack.cli import main as cli_main
 from parstack.harness import (SUITES, gen_parabolic_point, gen_profile,
                               verify_direct_image, verify_pullback)
 
-from conftest import (MUTATIONS, degree_scenario_trial, gen_graded_module,
+from conftest import (GF101, MUTATIONS, degree_scenario_trial, gen_graded_module,
                       run_mutation)
-
-GF101 = PrimeField(101)
 
 
 def _report(num, name, ok):

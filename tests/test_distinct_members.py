@@ -30,10 +30,8 @@ from parstack.harness import (_find_line_pair, gen_pairing_point,
                               gen_profile, gen_unimodular, mix_lines)
 from parstack.parabolic import split_into_lines
 
-from conftest import (GF101, diagonal_lattice, graded_line, random_element, ref_from_lines,
+from conftest import (TWO_FIELDS, diagonal_lattice, graded_line, random_element, ref_from_lines,
                       trivial_module)
-
-FIELDS = pytest.mark.parametrize("field", [QQ, GF101], ids=["rational", "prime101"])
 
 
 # -- per-member reference code ----------------------------------------------
@@ -42,8 +40,8 @@ FIELDS = pytest.mark.parametrize("field", [QQ, GF101], ids=["rational", "prime10
 def ref_gen_parabolic_point(rng, n, r, field):
     jumps = [rng.randint(0, r - 1) for _ in range(n)]
     exps = [rng.randint(-2, 2) for _ in range(n)]
-    m, _ = gen_unimodular(rng, field, n)
-    return ref_from_lines(field, r, m, exps, jumps)
+    lifts, _ = gen_unimodular(rng, field, n)
+    return ref_from_lines(field, r, lifts, exps, jumps)
 
 
 def ref_gen_pairing_chain(rng, field, r, c_l, g_l, kind, blocks):
@@ -57,8 +55,8 @@ def ref_gen_pairing_chain(rng, field, r, c_l, g_l, kind, blocks):
             return None
         jumps.extend(found[0])
         exps.extend(found[1])
-    m, _ = gen_unimodular(rng, field, len(jumps))
-    return ref_from_lines(field, r, m, exps, jumps)
+    lifts, _ = gen_unimodular(rng, field, len(jumps))
+    return ref_from_lines(field, r, lifts, exps, jumps)
 
 
 def ref_pushforward_parabolic(profile, branches):
@@ -97,18 +95,17 @@ def ref_pullback_parabolic(profile, point, label, rng=None):
     e, r = br.e, br.r
     if e == 1:
         return point.chain if br.unit == 1 else _ref_substitute(point.chain, br.unit)
-    jumps, mat = split_into_lines(point)
+    jumps, lifts = split_into_lines(point)
     if rng is not None:
-        mat = mix_lines(point, (jumps, mat), rng)
-    mat_x = substitute_matrix(mat, e, br.unit)
-    n = point.n
+        lifts = mix_lines(point, (jumps, lifts), rng)
+    lifts_x = substitute_matrix(lifts, e, br.unit)
     chain = []
     for j in range(r):
         gens = []
         for b, c in enumerate(jumps):
             exp = -(c // r) + (1 if j > c % r else 0)
-            gens.append([mat_x[i][b].shift(exp) for i in range(n)])
-        chain.append(Lattice.from_columns(point.field, n, gens))
+            gens.append([x.shift(exp) for x in lifts_x[b]])
+        chain.append(Lattice.from_columns(point.field, point.n, gens))
     chain.append(chain[0].scale(1))
     return tuple(chain)
 
@@ -121,19 +118,18 @@ def ref_pullback_graded(profile, module, label, rng=None):
     if e == 1:
         return module.pieces if br.unit == 1 else _ref_substitute(module.pieces, br.unit)
     point = to_parabolic(module)
-    jumps, mat = split_into_lines(point)
+    jumps, lifts = split_into_lines(point)
     if rng is not None:
-        mat = mix_lines(point, (jumps, mat), rng)
-    mat_x = substitute_matrix(mat, e, br.unit)
-    n = module.n
+        lifts = mix_lines(point, (jumps, lifts), rng)
+    lifts_x = substitute_matrix(lifts, e, br.unit)
     pieces = []
     for k in range(r):
         gens = []
         for b, c in enumerate(jumps):
             twist, jump = c // r, c % r
             exp = -twist - (1 if jump >= 1 and k >= r - jump else 0)
-            gens.append([mat_x[i][b].shift(exp) for i in range(n)])
-        pieces.append(Lattice.from_columns(module.field, n, gens))
+            gens.append([x.shift(exp) for x in lifts_x[b]])
+        pieces.append(Lattice.from_columns(module.field, module.n, gens))
     return tuple(pieces)
 
 
@@ -156,7 +152,7 @@ def ref_weights(point):
 # -- equality with the reference --------------------------------------------
 
 
-@FIELDS
+@TWO_FIELDS
 def test_generators_match_per_member_reference(field):
     rng = random.Random(101)
     for _ in range(20):
@@ -179,7 +175,7 @@ def test_generators_match_per_member_reference(field):
         assert a.getstate() == b.getstate()
 
 
-@FIELDS
+@TWO_FIELDS
 def test_direct_image_matches_per_member_reference(field):
     rng = random.Random(103)
     for _ in range(12):
@@ -194,7 +190,7 @@ def test_direct_image_matches_per_member_reference(field):
             ref_pushforward_graded(profile, mods)
 
 
-@FIELDS
+@TWO_FIELDS
 def test_pullback_matches_per_member_reference(field):
     rng = random.Random(107)
     kinds = set()  # (unramified, unit 1) of each case
@@ -209,8 +205,8 @@ def test_pullback_matches_per_member_reference(field):
         seed = rng.getrandbits(32)
         assert pullback_parabolic(profile, pt, "x").chain == \
             ref_pullback_parabolic(profile, pt, "x")
-        jumps, mat = split_into_lines(pt)
-        mixed = mix_lines(pt, (jumps, mat), random.Random(seed))
+        jumps, lifts = split_into_lines(pt)
+        mixed = mix_lines(pt, (jumps, lifts), random.Random(seed))
         assert pullback_parabolic(profile, pt, "x", lines=(jumps, mixed)).chain == \
             ref_pullback_parabolic(profile, pt, "x", rng=random.Random(seed))
         assert pullback_graded(profile, mod, "x").pieces == \
@@ -218,7 +214,7 @@ def test_pullback_matches_per_member_reference(field):
     assert len(kinds) == 4
 
 
-@FIELDS
+@TWO_FIELDS
 def test_chain_checks_match_per_member_reference(field):
     """Generated morphisms, their t^{-1} twists, and random matrices with
     their t and t^2 twists, between points of equal and of unequal rank."""
@@ -279,7 +275,7 @@ def _count(monkeypatch, owner, name):
     return calls
 
 
-@FIELDS
+@TWO_FIELDS
 def test_generator_canonicalizes_once_per_point(field, monkeypatch):
     """from_lines canonicalizes E^0 only, and reads every other member off
     its fibre flag: one from_columns and one _canonicalize per point."""
@@ -297,7 +293,7 @@ def test_generator_canonicalizes_once_per_point(field, monkeypatch):
     assert flags
 
 
-@FIELDS
+@TWO_FIELDS
 def test_point_morphism_test_back_substitutes_once_per_source_line(field, monkeypatch):
     """is_point_morphism solves against the target's lifts once per lift of
     the source, at every order; it runs no member test."""
@@ -313,7 +309,7 @@ def test_point_morphism_test_back_substitutes_once_per_source_line(field, monkey
         assert len(subs) == src.n and not solves
 
 
-@FIELDS
+@TWO_FIELDS
 def test_index_maps_scale_once_per_run_of_equal_members(field, monkeypatch):
     rng = random.Random(139)
     cases = [gen_parabolic_point(rng, rng.randint(1, 3), rng.randint(1, 12), field)
@@ -348,7 +344,7 @@ def _one_restriction_per_distinct_member(calls, profile, members):
     assert len(calls) - len(moving) <= distinct(False)
 
 
-@FIELDS
+@TWO_FIELDS
 def test_direct_image_restricts_once_per_distinct_member(field, monkeypatch):
     calls = _count(monkeypatch, functors, "restrict_scalars")
     rng = random.Random(127)
@@ -370,7 +366,7 @@ def test_direct_image_restricts_once_per_distinct_member(field, monkeypatch):
     assert moved
 
 
-@FIELDS
+@TWO_FIELDS
 def test_pullback_once_per_point_decoding_once_per_member(field, monkeypatch):
     rng = random.Random(131)
     cases = []
@@ -409,7 +405,7 @@ def _element_keys(members):
             for e in col}
 
 
-@FIELDS
+@TWO_FIELDS
 def test_decoding_parses_each_distinct_element_once(field, monkeypatch):
     rng = random.Random(137)
     cases = [gen_parabolic_point(rng, rng.randint(1, 4), rng.randint(1, 10), field)
@@ -436,7 +432,7 @@ def _module_doc(last):
         [{"t_order": 0, "coeffs": [1]}, last]]}]}
 
 
-@FIELDS
+@TWO_FIELDS
 @pytest.mark.parametrize("last,message", [
     ({"t_order": True, "coeffs": ["1"]},
      "bad element {'t_order': True, 'coeffs': ['1']}: "
@@ -450,7 +446,7 @@ def test_decoding_memo_never_equates_bools_with_ints(field, last, message):
     assert str(exc.value) == message.replace("%s", field.name)
 
 
-@FIELDS
+@TWO_FIELDS
 def test_int_and_text_coefficients_decode_alike(field):
     # [1, t] and [1, 1 - t] span R^2, however each 1 is written
     minus = {"t_order": 0, "coeffs": [1, -1]}

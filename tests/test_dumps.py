@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parstack import QQ, SYMMETRIC, from_parabolic
+from parstack import SYMMETRIC, from_parabolic
 from parstack import scenario as sio
 from parstack.harness import gen_pairing_point, gen_parabolic_point
 
-from conftest import GF101
+from conftest import TWO_FIELDS
 
 
 def reference(obj):
@@ -104,9 +104,6 @@ def test_dumps_rejects_non_json_values(value):
         sio.dumps(value)
 
 
-FIELDS = pytest.mark.parametrize("field", [QQ, GF101], ids=["rational", "prime101"])
-
-
 def _assert_shared(members, encoded):
     """Equal neighbouring members, and equal columns and elements anywhere
     in ``members``, are encoded as one object; returns how many repeats
@@ -126,7 +123,7 @@ def _assert_shared(members, encoded):
     return repeats
 
 
-@FIELDS
+@TWO_FIELDS
 def test_encoders_share_equal_sub_objects(field):
     rng = random.Random(17)
     repeats = 0
@@ -141,7 +138,7 @@ def test_encoders_share_equal_sub_objects(field):
     assert repeats > 0
 
 
-@FIELDS
+@TWO_FIELDS
 def test_pairing_encoding_shares_equal_sub_objects(field):
     rng = random.Random(19)
     drawn = 0

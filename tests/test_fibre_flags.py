@@ -13,17 +13,15 @@ import random
 import pytest
 
 from parstack import (QQ, SYMMETRIC, GradedModule, Lattice, ParabolicBundle,
-                      ParabolicPairing, ParabolicPoint, PrimeField, SingularBasis,
+                      ParabolicPairing, ParabolicPoint, SingularBasis,
                       check_pairing, from_parabolic, is_graded_morphism, to_parabolic)
 from parstack import pairing, parabolic, rootstack
 from parstack.harness import gen_parabolic_point, gen_unimodular
 from parstack.lattice import triangularize
 from parstack.localring import LocalElement
 
-from conftest import diagonal_lattice, el, planted, ref_from_lines, trivial_point
+from conftest import FOUR_FIELDS, diagonal_lattice, el, planted, ref_from_lines, trivial_point
 
-FIELDS = pytest.mark.parametrize("field", [QQ, PrimeField(101), PrimeField(2), PrimeField(3)],
-                                 ids=["rational", "prime101", "prime2", "prime3"])
 _Z = LocalElement.zero()
 
 
@@ -35,13 +33,14 @@ def _entry(rng, field):
 
 
 def _lines(rng, field, n, r):
-    """An adapted basis: unimodular over R or a random matrix over K (which
-    may be singular), twists in [-2, 2] and jumps in [0, r)."""
+    """An adapted basis: the lifts of a unimodular matrix over R or n
+    random columns over K (which may be singular), twists in [-2, 2] and
+    jumps in [0, r)."""
     if rng.random() < 0.5:
-        matrix = gen_unimodular(rng, field, n)[0]
+        lifts = gen_unimodular(rng, field, n)[0]
     else:
-        matrix = [[_entry(rng, field) for _ in range(n)] for _ in range(n)]
-    return (matrix, [rng.randint(-2, 2) for _ in range(n)],
+        lifts = [[_entry(rng, field) for _ in range(n)] for _ in range(n)]
+    return (lifts, [rng.randint(-2, 2) for _ in range(n)],
             [rng.randint(0, r - 1) for _ in range(n)])
 
 
@@ -52,24 +51,24 @@ def _draws(field, count, seed):
         yield (r,) + _lines(rng, field, n, r)
 
 
-@FIELDS
+@FOUR_FIELDS
 def test_from_lines_matches_per_pattern_canonicalization(field):
     built = 0
-    for r, matrix, twists, jumps in _draws(field, 150, 211):
+    for r, lifts, twists, jumps in _draws(field, 150, 211):
         try:
-            ref = ref_from_lines(field, r, matrix, twists, jumps)
+            ref = ref_from_lines(field, r, lifts, twists, jumps)
         except SingularBasis:
             with pytest.raises(SingularBasis):
-                ParabolicPoint.from_lines(field, r, matrix, twists, jumps)
+                ParabolicPoint.from_lines(field, r, lifts, twists, jumps)
             continue
-        pt = ParabolicPoint.from_lines(field, r, matrix, twists, jumps)
+        pt = ParabolicPoint.from_lines(field, r, lifts, twists, jumps)
         assert pt.chain == ref
         assert pt.chain[r] is pt.chain[0].scale(1)  # the endpoint the point's check built
         built += len(set(ref)) > 2
     assert built > 50
 
 
-@FIELDS
+@FOUR_FIELDS
 def test_a_skipped_echelon_reduction_is_caught(field, monkeypatch):
     """Without the reduction of the earlier pivot vectors at each new pivot
     row, B0 * u_p keeps a t^{a_h} term at another pivot row h; the shape
@@ -79,13 +78,13 @@ def test_a_skipped_echelon_reduction_is_caught(field, monkeypatch):
         ("echelon[p] = [x - c * y if y.coeffs else x for x, y in zip(u, f)]",
          "echelon[p] = u")))
     caught = 0
-    for r, matrix, twists, jumps in _draws(field, 150, 227):
+    for r, lifts, twists, jumps in _draws(field, 150, 227):
         try:
-            ref = ref_from_lines(field, r, matrix, twists, jumps)
+            ref = ref_from_lines(field, r, lifts, twists, jumps)
         except SingularBasis:
             continue
         try:
-            chain = ParabolicPoint.from_lines(field, r, matrix, twists, jumps).chain
+            chain = ParabolicPoint.from_lines(field, r, lifts, twists, jumps).chain
         except AssertionError as exc:
             assert str(exc).startswith("internal: ")
             caught += 1
@@ -94,7 +93,7 @@ def test_a_skipped_echelon_reduction_is_caught(field, monkeypatch):
     assert caught
 
 
-@FIELDS
+@FOUR_FIELDS
 def test_a_wrong_fibre_vector_is_caught_by_the_member_guard(field, monkeypatch):
     """Fibre vectors read off the last coordinate instead of the constant
     terms give a lattice of the right shape and colength that misses an
@@ -104,13 +103,13 @@ def test_a_wrong_fibre_vector_is_caught_by_the_member_guard(field, monkeypatch):
         ("[x.truncate(1) for x in back_substitute(top.entries, top.diag, v)]",
          "[x.truncate(1) for x in back_substitute(top.entries, top.diag, v)][::-1]"))))
     caught = wrong = 0
-    for r, matrix, twists, jumps in _draws(field, 150, 229):
+    for r, lifts, twists, jumps in _draws(field, 150, 229):
         try:
-            ref = ref_from_lines(field, r, matrix, twists, jumps)
+            ref = ref_from_lines(field, r, lifts, twists, jumps)
         except SingularBasis:
             continue
         try:
-            chain = ParabolicPoint.from_lines(field, r, matrix, twists, jumps).chain
+            chain = ParabolicPoint.from_lines(field, r, lifts, twists, jumps).chain
         except AssertionError as exc:
             assert str(exc).startswith("internal: ")
             caught += 1
@@ -122,7 +121,7 @@ def test_a_wrong_fibre_vector_is_caught_by_the_member_guard(field, monkeypatch):
 # -- t * L once per lattice --------------------------------------------------
 
 
-@FIELDS
+@FOUR_FIELDS
 def test_scale_by_t_is_built_once_and_undoes_its_inverse(field):
     rng = random.Random(233)
     for _ in range(20):

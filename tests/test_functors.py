@@ -21,18 +21,9 @@ from parstack.lattice import direct_sum
 from parstack.localring import LocalElement
 from parstack.parabolic import split_into_lines
 
-from conftest import (GF101, PLANTED_FAULTS, TWIST_FAULTS, decompose_element, diagonal_lattice,
-                      el, gen_graded_module, graded_line, lat, planted, random_columns,
-                      random_element, trivial_module, trivial_point)
-
-
-def _diag_chain(order, jumps, twists=None):
-    n = len(jumps)
-    tw = twists or [0] * n
-    chain = [diagonal_lattice(QQ, [tw[b] + (1 if j > jumps[b] else 0)
-                                   for b in range(n)])
-             for j in range(order + 1)]
-    return ParabolicPoint(order, chain)
+from conftest import (GF101, PLANTED_FAULTS, TWIST_FAULTS, decompose_element, diag_point,
+                      diagonal_lattice, el, gen_graded_module, graded_line, lat, pivot_only,
+                      planted, random_columns, random_element, trivial_module, trivial_point)
 
 
 # -- profiles --------------------------------------------------------------
@@ -138,10 +129,6 @@ def _restricted_span(lattice, e, u):
     return Lattice.from_columns(lattice.field, lattice.n * e, gens)
 
 
-def _pivot_only(col):
-    return sum(1 for x in col if x.coeffs) == 1
-
-
 @pytest.mark.parametrize("field,units", TWIST_GRID, ids=["Q", "GF101", "GF2", "GF3"])
 def test_restrict_scalars_is_the_span_of_the_restricted_generators(field, units):
     """The one pass against canonicalization: on diagonal lattices, on
@@ -160,7 +147,7 @@ def test_restrict_scalars_is_the_span_of_the_restricted_generators(field, units)
             lattices = [diagonal, full, direct_sum([full, diagonal]),
                         direct_sum([diagonal, lat(random_columns(rng, 1, field), field)]),
                         cancelling]
-            assert any(_pivot_only(c) for c in lattices[2].cols)
+            assert any(pivot_only(c) for c in lattices[2].cols)
             for lattice in lattices:
                 assert restrict_scalars(lattice, e, u) == _restricted_span(lattice, e, u)
 
@@ -191,7 +178,7 @@ def test_at_e_1_pivot_only_columns_are_the_input_tuples(field, units):
         res = restrict_scalars(lattice, 1, u)
         assert res == _restricted_span(lattice, 1, u)
         for j, (col, out) in enumerate(zip(lattice.cols, res.cols)):
-            if _pivot_only(col):
+            if pivot_only(col):
                 assert res.entries[j] is lattice.entries[j]
                 assert out == col and res.diag[j] == lattice.diag[j]
 
@@ -223,7 +210,7 @@ def test_restrict_scalars_checks_the_component_kernel(field, u, e, monkeypatch):
     planted components without complaint."""
     diagonal = lat([[(0, 1), 0], [(1, 1), (4, 1)]], field)
     mixed = lat([[(2, 1), 0], [(1, 1), (4, 1)]], field)
-    assert all(_pivot_only(c) for c in diagonal.cols) and not _pivot_only(mixed.cols[1])
+    assert all(pivot_only(c) for c in diagonal.cols) and not pivot_only(mixed.cols[1])
     for lattice in (diagonal, mixed):
         assert restrict_scalars(lattice, e, u) == _restricted_span(lattice, e, u)
     with monkeypatch.context() as m:
@@ -375,7 +362,7 @@ def test_pullback_identity_cover_and_trivial():
 def test_pullback_rank2_example():
     # target weights {1/3, 2/3} on an s=6 chart, e=2, r=3
     profile = make_profile(6, [("x", 2, 3, QQ.one)])
-    pt = _diag_chain(6, [2, 4])
+    pt = diag_point(6, [2, 4])
     pulled = pullback_parabolic(profile, pt, "x")
     assert dict(pulled.weights()) == {Fraction(2, 3): 1, Fraction(1, 3): 1}
     # one line is twisted by t^{-1}
@@ -407,8 +394,8 @@ def test_unramified_pullback_runs_the_line_formula():
     a splitting with the wrong jumps changes it."""
     profile = make_profile(3, [("x", 1, 3, QQ.of(2))])
     pt = gen_parabolic_point(random.Random(53), 1, 3)
-    jumps, mat = split_into_lines(pt)
-    wrong = ([(c + 1) % 3 for c in jumps], mat)
+    jumps, lifts = split_into_lines(pt)
+    wrong = ([(c + 1) % 3 for c in jumps], lifts)
     assert pullback_parabolic(profile, pt, "x", lines=wrong) != \
         pullback_parabolic(profile, pt, "x")
 

@@ -20,8 +20,8 @@ from parstack.localring import LocalElement
 from parstack.parabolic import is_point_morphism, split_into_lines
 from parstack.scenario import decode_element
 
-from conftest import (GF101, MUTATIONS, degree_scenario_trial, diagonal_lattice, planted,
-                      reference_check, run_mutation)
+from conftest import (FOUR_FIELDS, GF101, MUTATIONS, degree_scenario_trial, diagonal_lattice,
+                      planted, reference_check, run_mutation)
 
 
 def test_trial_config_bounds():
@@ -43,12 +43,8 @@ def test_trial_config_from_dict_inverts_to_dict(field_name):
             TrialConfig.from_dict(bad)
 
 
-FOUR_FIELDS = pytest.mark.parametrize("field", [QQ, GF101, PrimeField(2), PrimeField(3)],
-                                      ids=["rational", "prime101", "prime2", "prime3"])
-
-
 def _capture_change_of_basis(monkeypatch):
-    """The latest results of ``harness.gen_unimodular``, (m, ops), and
+    """The latest results of ``harness.gen_unimodular``, (lifts, ops), and
     ``harness.block_diag``, phi, under those names."""
     captured = {}
     for name in ("gen_unimodular", "block_diag"):
@@ -61,7 +57,8 @@ def _capture_change_of_basis(monkeypatch):
 
 def _conjugation_failures(gen, captured, field):
     """(draws, failures): the pairing draws of ``gen`` in a basis of rank
-    >= 2, and those whose form F breaks m^T * F * m = phi."""
+    >= 2, and those whose form F breaks V^T * F * V = phi, with V the
+    matrix whose columns are the drawn lifts."""
     rng = random.Random(33)
     draws = failures = 0
     for _ in range(60):
@@ -71,16 +68,16 @@ def _conjugation_failures(gen, captured, field):
                    rng.randint(1, 2), "y")
         if made is None:
             continue
-        (m, _), phi = captured["gen_unimodular"], captured["block_diag"]
-        draws += len(m) > 1
-        failures += mat_mul(transpose(m), mat_mul(made[1], m)) != phi
+        (lifts, _), phi = captured["gen_unimodular"], captured["block_diag"]
+        draws += len(lifts) > 1
+        failures += mat_mul(lifts, mat_mul(made[1], transpose(lifts))) != phi
     return draws, failures
 
 
 @FOUR_FIELDS
 def test_pairing_form_is_phi_in_the_drawn_basis(field, monkeypatch):
-    """gen_pairing_point's form F is phi moved to the basis m of the point:
-    m^T * F * m = phi, with no inverse of m built."""
+    """gen_pairing_point's form F is phi moved to the basis V of the point,
+    the drawn lifts: V^T * F * V = phi, with no inverse of V built."""
     captured = _capture_change_of_basis(monkeypatch)
     draws, failures = _conjugation_failures(harness.gen_pairing_point, captured, field)
     assert draws > 30 and failures == 0
@@ -101,7 +98,8 @@ def test_generator_draws_are_pinned():
     """Fixed gen_parabolic_point, mix_lines and gen_pairing_point draws on
     Q, GF(101), GF(2) and GF(3), and the rng state after them.  The verify
     digests cover Q and GF(101) only; a change to the draws moves this pin
-    on purpose."""
+    on purpose.  The mixed lifts are hashed in the row order of the matrix
+    whose columns they are."""
     blob = hashlib.sha256()
     for field in (QQ, GF101, PrimeField(2), PrimeField(3)):
         rng = random.Random(33)
@@ -112,7 +110,7 @@ def test_generator_draws_are_pinned():
             kind = SYMMETRIC if rng.random() < 0.5 else ANTISYMMETRIC
             made = harness.gen_pairing_point(rng, field, r, rng.randint(0, r - 1),
                                              rng.randint(-1, 1), kind, rng.randint(1, 2), "y")
-            drawn = [[_entries(lat.cols) for lat in pt.chain], _entries(mixed)]
+            drawn = [[_entries(lat.cols) for lat in pt.chain], _entries(transpose(mixed))]
             if made is not None:
                 drawn += [[_entries(lat.cols) for lat in made[0].chain], _entries(made[1])]
             blob.update(repr(drawn).encode())
@@ -242,28 +240,35 @@ def test_flipped_branch_form_is_recorded_when_the_trial_raises():
     # the recorded form is the corrupted one: flipping back restores its kind
     assert not pairing._symmetry_holds(SYMMETRIC, form)
     assert not pairing._symmetry_holds(ANTISYMMETRIC, form)
-    assert pairing._symmetry_holds(instance["kind"], _flip_symmetry(form, instance["kind"])[0])
+    assert pairing._symmetry_holds(instance["kind"],
+                                   _flip_symmetry(form, instance["kind"], QQ)[0])
 
 
 @pytest.mark.parametrize("kind", [SYMMETRIC, ANTISYMMETRIC])
-def test_flip_negates_the_first_off_diagonal_entry_or_declares_the_other_kind(kind):
-    """Over Q the sign flip changes the form and keeps the kind; over GF(2)
-    -x = x, so the same form comes back unchanged with the other kind."""
-    other = ANTISYMMETRIC if kind == SYMMETRIC else SYMMETRIC
+def test_flip_negates_the_first_off_diagonal_entry_or_breaks_the_diagonal(kind):
+    """Over Q the sign flip changes the form and keeps the kind.  Over GF(2)
+    -x = x, and a form with no nonzero off-diagonal entry does not change
+    either: then entry (0, 0) gets a t term, unless it has one, and the
+    form is declared antisymmetric."""
     for field in (QQ, PrimeField(2)):
         one, zero = LocalElement.const(field, field.one), LocalElement.zero()
+        t = LocalElement.t_power(field, 1)
         form = [[zero, zero, one], [zero, one, one], [one, one, zero]]
         copy = [row[:] for row in form]
-        expected = (form, other) if field.p == 2 else ([[zero, zero, -one]] + form[1:], kind)
-        assert _flip_symmetry(form, kind) == expected
+        expected = ([[t, zero, one]] + form[1:], ANTISYMMETRIC) if field.p == 2 \
+            else ([[zero, zero, -one]] + form[1:], kind)
+        assert _flip_symmetry(form, kind, field) == expected
         assert form == copy  # the input is left alone
+        for x, flipped in ((one, one + t), (one + t, one + t), (t, t)):
+            assert _flip_symmetry([[x]], kind, field) == ([[flipped]], ANTISYMMETRIC)
 
 
-@pytest.mark.parametrize("field_name", ["rational", "prime:101"])
+@pytest.mark.parametrize("field_name", ["rational", "prime:101", "prime:2"])
 def test_flipped_symmetry_fails_every_drawn_instance(field_name):
-    """A form with no nonzero off-diagonal entry is unchanged by the sign
-    flip; the mutation then declares the other kind, so no drawn instance
-    is an equivalent mutant."""
+    """A form that the sign flip leaves unchanged, one with no nonzero
+    off-diagonal entry or any form over GF(2), gets a t term on its
+    diagonal and is declared antisymmetric, so no drawn instance is an
+    equivalent mutant."""
     for seed in range(4000, 4200):
         rep = run_mutation("corollaries", "flipped-symmetry", seed, field_name)
         [(_, ok, note)] = rep.verdicts

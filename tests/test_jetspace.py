@@ -35,7 +35,7 @@ from parstack.harness import gen_parabolic_point, gen_unimodular
 from parstack.lattice import direct_sum
 
 from conftest import (CONTAINS_FAULTS, GF101, PLANTED_FAULTS, TWIST_FAULTS, diagonal_lattice,
-                      lat, planted, random_columns, random_element)
+                      lat, pivot_only, planted, random_columns, random_element)
 from jetspace import (bound, colength_holds, jets, lattice_gens, member, padded, same,
                       shifted, substituted, unrestricted)
 
@@ -49,10 +49,6 @@ ZERO = LocalElement.zero()
 
 def _unit_vector(field, n, i, a):
     return [LocalElement.t_power(field, a) if r == i else ZERO for r in range(n)]
-
-
-def _pivot_only(col):
-    return sum(1 for x in col if x.coeffs) == 1
 
 
 def _entries_above(rng, field, n):
@@ -106,7 +102,7 @@ def _probes(rng, field, big):
     n, cols = big.n, big.cols
     raised = [list(c) for c in cols]
     for j, col in enumerate(cols):
-        if _pivot_only(col) and rng.random() < 0.5:
+        if pivot_only(col) and rng.random() < 0.5:
             raised[j] = _unit_vector(field, n, j, big.diag[j] + rng.randint(1, 2))
     rows = [list(r) for r in zip(*cols)]
     sub = [[x.shift(rng.randint(0, 2)) for x in col] for col in cols]
@@ -300,22 +296,22 @@ def test_pulled_chains_are_spans_of_substituted_members(field):
 @FIELDS
 def test_from_lines_members_are_spans_of_their_unjumped_lines(field):
     """Member j of ParabolicPoint.from_lines is t * E^0 plus the lines not
-    jumped at j: the R-span of t^(twists[b] + 1) * m_b for every line b and
-    of t^twists[b] * m_b for jumps[b] >= j.  The members strictly between
-    E^0 and t * E^0 are the ones ``_flag_member`` builds."""
+    jumped at j: the R-span of t^(twists[b] + 1) * v_b for every lift v_b
+    and of t^twists[b] * v_b for jumps[b] >= j.  The members strictly
+    between E^0 and t * E^0 are the ones ``_flag_member`` builds."""
     rng = random.Random(443)
     p = field.p
     flagged = 0
     for _ in range(20):
         n, r = rng.randint(1, 4), rng.randint(1, 5)
         if rng.random() < 0.5:
-            matrix = gen_unimodular(rng, field, n)[0]
+            lifts = gen_unimodular(rng, field, n)[0]
         else:
-            matrix = [list(row) for row in zip(*random_columns(rng, n, field))]
+            lifts = random_columns(rng, n, field)
         twists = [rng.randint(-2, 2) for _ in range(n)]
         jumps = [rng.randint(0, r - 1) for _ in range(n)]
-        pt = ParabolicPoint.from_lines(field, r, matrix, twists, jumps)
-        lines = [jets(p, [row[b] for row in matrix]) for b in range(n)]
+        pt = ParabolicPoint.from_lines(field, r, lifts, twists, jumps)
+        lines = [jets(p, v) for v in lifts]
         for j, lattice in enumerate(pt.chain):
             unjumped = [b for b in range(n) if jumps[b] >= j]
             gens = ([shifted(lines[b], twists[b] + 1) for b in range(n)]

@@ -21,19 +21,10 @@ from parstack.pairing import (_gram, _symmetry_holds, expected_branch_value_data
                               hom_chain, line_local_data, pullback_bundle,
                               residue_push_form)
 
-from conftest import (GF101, decompose_element, diagonal_lattice, el, planted,
+from conftest import (GF101, decompose_element, diag_point, diagonal_lattice, el, planted,
                       random_columns, random_element, reference_check, trivial_point)
 
 _Z = LocalElement.zero()
-
-
-def _diag_point(order, jumps, twists=None):
-    n = len(jumps)
-    tw = twists or [0] * n
-    chain = [diagonal_lattice(QQ, [tw[b] + (1 if j > jumps[b] else 0)
-                                   for b in range(n)])
-             for j in range(order + 1)]
-    return ParabolicPoint(order, chain)
 
 
 def _trivial_line(order=1):
@@ -97,7 +88,7 @@ def test_check_pairing_reads_the_trivial_datum_where_the_value_line_is_unmarked(
 
 
 def test_identity_form_fails_on_mixed_weights():
-    bundle = ParabolicBundle(2, 0, {"y": _diag_point(2, [0, 1])})
+    bundle = ParabolicBundle(2, 0, {"y": diag_point(2, [0, 1])})
     pairing = ParabolicPairing(SYMMETRIC, I2, _trivial_line(order=2))
     assert not check_pairing(pairing, bundle)
 
@@ -110,12 +101,12 @@ def test_singular_form_fails():
 
 def test_hyperbolic_pair_with_complementary_jumps():
     # order 6, jumps 2 and 3 (sum = order - 1): perfect against trivial L
-    bundle = ParabolicBundle(2, 0, {"y": _diag_point(6, [2, 3])})
+    bundle = ParabolicBundle(2, 0, {"y": diag_point(6, [2, 3])})
     line = _value_line_bundle(QQ, "y", 6, 0, 0)
     assert check_pairing(ParabolicPairing(SYMMETRIC, H2, line), bundle)
     assert check_pairing(ParabolicPairing(ANTISYMMETRIC, J2, line), bundle)
     # non-complementary jumps are imperfect
-    bad = ParabolicBundle(2, 0, {"y": _diag_point(6, [2, 4])})
+    bad = ParabolicBundle(2, 0, {"y": diag_point(6, [2, 4])})
     assert not check_pairing(ParabolicPairing(SYMMETRIC, H2, line), bad)
 
 
@@ -246,12 +237,12 @@ def _gram_cases(field):
                 x = random_element(rng, field)
                 form[i][k], form[k][i] = x, x if kind == SYMMETRIC else -x
         assert _symmetry_holds(kind, form)
-        cases.append((kind, form, transpose(random_columns(rng, n, field))))
+        cases.append((kind, form, random_columns(rng, n, field)))
     return cases
 
 
 def _gram_mismatches(gram, field):
-    return sum(gram(form, lifts, kind) != mat_mul(transpose(lifts), mat_mul(form, lifts))
+    return sum(gram(form, lifts, kind) != mat_mul(lifts, mat_mul(form, transpose(lifts)))
                for kind, form, lifts in _gram_cases(field))
 
 
@@ -285,7 +276,7 @@ def test_pullback_identity_cover():
 
 def test_pullback_hyperbolic_example():
     profile = make_profile(6, [("x", 2, 3, QQ.one)])
-    bundle = ParabolicBundle(2, 0, {"y": _diag_point(6, [2, 3])})
+    bundle = ParabolicBundle(2, 0, {"y": diag_point(6, [2, 3])})
     line = _value_line_bundle(QQ, "y", 6, 0, 0)
     pairing = ParabolicPairing(SYMMETRIC, H2, line)
     pulled, pulled_bundle = pullback_pairing(profile, pairing, bundle, "y")
@@ -297,7 +288,7 @@ def test_pullback_hyperbolic_example():
 
 def test_pullback_rejects_bad_input():
     profile = make_profile(2, [("x", 2, 1, QQ.one)])
-    bundle = ParabolicBundle(2, 0, {"y": _diag_point(2, [0, 1])})
+    bundle = ParabolicBundle(2, 0, {"y": diag_point(2, [0, 1])})
     bad = ParabolicPairing(SYMMETRIC, I2, _trivial_line(order=2))
     with pytest.raises(NotAPairing):
         pullback_pairing(profile, bad, bundle, "y")

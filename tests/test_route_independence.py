@@ -14,16 +14,14 @@ import sys
 
 import pytest
 
-from parstack import (QQ, TrialConfig, from_parabolic, pullback_graded,
+from parstack import (TrialConfig, from_parabolic, pullback_graded,
                       pullback_parabolic, to_parabolic, verify_pullback)
 from parstack import parabolic
 from parstack.functors import make_profile
 from parstack.harness import gen_parabolic_point
 from parstack.linalg import transpose
 
-from conftest import GF101, callers_of
-
-FIELDS = pytest.mark.parametrize("field", [QQ, GF101], ids=["rational", "prime101"])
+from conftest import TWO_FIELDS, callers_of
 
 SPLITTING_CALLERS = {
     ("functors.py", "pullback_parabolic"), ("parabolic.py", "is_point_morphism"),
@@ -49,7 +47,7 @@ def _replace_everywhere(monkeypatch, original, replacement):
     assert bound
 
 
-@FIELDS
+@TWO_FIELDS
 def test_graded_pullback_runs_without_the_splitting(field, monkeypatch):
     rng = random.Random(137)
     cases = []
@@ -74,12 +72,12 @@ def _transposed_lift():
     split = parabolic.split_into_lines
 
     def transposed(point):
-        jumps, mat = split(point)
-        return jumps, transpose(mat)
+        jumps, lifts = split(point)
+        return jumps, transpose(lifts)
     return transposed
 
 
-@FIELDS
+@TWO_FIELDS
 def test_planted_splitting_fault_reaches_the_unramified_pullback(field, monkeypatch):
     """At e = 1 with a unit other than 1 the parabolic pullback splits too."""
     rng = random.Random(139)

@@ -18,6 +18,7 @@ from parstack import (QQ, LocalElement, ParabolicBundle, ParseError, TrialConfig
 from parstack import harness
 from parstack import scenario as sio
 from parstack.cli import main
+from parstack.linalg import transpose
 
 from conftest import MUTATIONS, run_mutation
 
@@ -69,6 +70,29 @@ def test_encoded_instances_check_as_drawn(name, field_name):
             assert suite.verdict(decoded, mutation) == (ok, note), (mutation, seed)
             failed += not ok
     assert failed  # the mutations make some of the checks fail
+
+
+@pytest.mark.parametrize("field_name", ["rational", "prime:101"])
+def test_a_pull_instance_encodes_each_mixed_splitting_by_its_lifts(field_name, monkeypatch):
+    """A pull instance keeps each mixed splitting as a row-major matrix
+    whose columns are its lifts: the encoded ``columns`` are the lifts that
+    mix_lines returned, so a failure record reads as it did when splittings
+    were matrices."""
+    mixed = []
+    mix_lines = harness.mix_lines
+    monkeypatch.setattr(harness, "mix_lines",
+                        lambda *args: mixed.append(mix_lines(*args)) or mixed[-1])
+    cfg = TrialConfig(max_order=8, field_name=field_name)
+    differ = 0
+    for seed in range(30):
+        del mixed[:]
+        _, _, instance = harness.SUITES["pull"].trial(seed, cfg, None)
+        encoded = sio.encode_instance(instance)["splittings"]
+        assert [obj["kind"] for obj in encoded] == ["matrix"] * 2
+        assert [obj["columns"] for obj in encoded] == \
+            [[[sio.encode_element(x) for x in v] for v in lifts] for lifts in mixed]
+        differ += any([list(v) for v in lifts] != transpose(lifts) for lifts in mixed)
+    assert differ  # the lifts read as rows would change the records
 
 
 def _mentions(fn, names):
