@@ -159,12 +159,38 @@ class Span:
                    for i in range(self.n) for rho in range(step))
 
 
+def stored_form_holds(lattice):
+    """True iff the stored form is canonical, read through the terms of the
+    entries: in column j the pairs (i, x) are nonzero, in increasing row
+    order, above the pivot (i < j), and of degree below their row's pivot
+    exponent diag[i].  Span equality cannot see an entry left unreduced;
+    ``==`` compares stored forms, so such an entry makes equal lattices
+    unequal."""
+    p, diag = lattice.field.p, lattice.diag
+    for j, ent in enumerate(lattice.entries):
+        last = -1
+        for i, x in ent:
+            exps = terms(x, p)
+            if not (last < i < j and exps and max(exps) < diag[i]):
+                return False
+            last = i
+    return True
+
+
+def lattice_gens(lattice):
+    """The basis columns of a lattice as jet vectors.  The oracle reads
+    every lattice through here, so each has its stored form checked first:
+    ValueError if it is not canonical."""
+    if not stored_form_holds(lattice):
+        raise ValueError("the stored form of %r is not canonical" % (lattice,))
+    return [jets(lattice.field.p, col) for col in lattice.cols]
+
+
 def bound(lattice):
     """The claimed N with t^N R^n <= L: the colength sum(diag) relative to
     R^n over a floor lo <= every exponent of the basis gives
     N = sum(diag) - (n - 1) * lo."""
-    lo = lowest([jets(lattice.field.p, col) for col in lattice.cols])
-    return sum(lattice.diag) - (lattice.n - 1) * lo
+    return sum(lattice.diag) - (lattice.n - 1) * lowest(lattice_gens(lattice))
 
 
 def _spans(p, n, modules, N):
@@ -189,23 +215,33 @@ def same(p, n, a, b, N):
     return sa.dim == sb.dim and sb.contains(sa)
 
 
-def member(p, n, gens, N, v):
-    """True iff v lies in the R-span of gens, which must contain t^N R^n.
-    The span lies in t^lo R^n for the least exponent lo of gens, so a v
-    with a term below t^lo is no member."""
+def spans_ball(p, n, gens, N):
+    """True iff the R-span of gens contains t^N R^n.  A span of rank below
+    n contains no such ball, whatever N."""
     (span,) = _spans(p, n, [(gens, 1)], N)
+    return span.ball(N, 1)
+
+
+def _lattice_span(lattice):
+    """The lattice's Span over the window of its claimed bound N, and N."""
+    N = bound(lattice)
+    return _spans(lattice.field.p, lattice.n, [(lattice_gens(lattice), 1)], N)[0], N
+
+
+def member(lattice, vecs):
+    """True iff every vector of Laurent elements in vecs lies in the
+    lattice, by rank tests over k.  The lattice lies in t^lo R^n for the
+    least exponent lo of its basis, so a vector with a term below t^lo is
+    no member; its claimed bound N is verified (ValueError if t^N R^n is
+    not in its span)."""
+    span, N = _lattice_span(lattice)
     if not span.ball(N, 1):
-        raise ValueError("the span does not contain t^%d R^%d" % (N, n))
-    return span.has(v)
-
-
-def lattice_gens(lattice):
-    return [jets(lattice.field.p, col) for col in lattice.cols]
+        raise ValueError("the span does not contain t^%d R^%d" % (N, lattice.n))
+    return all(span.has(jets(lattice.field.p, v)) for v in vecs)
 
 
 def colength_holds(lattice):
     """True iff the claimed pivot exponents are the lattice's colength: the
     image in t^lo R^n / t^hi R^n has dimension n * hi - sum(diag)."""
-    N = bound(lattice)
-    (span,) = _spans(lattice.field.p, lattice.n, [(lattice_gens(lattice), 1)], N)
+    span, N = _lattice_span(lattice)
     return span.ball(N, 1) and span.dim == lattice.n * span.hi - sum(lattice.diag)

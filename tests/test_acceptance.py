@@ -11,9 +11,6 @@ Run with `pytest -rA` (or `-s`) to see the lines.
 import json
 import random
 import time
-from fractions import Fraction
-
-import pytest
 
 from parstack import (QQ, InadmissibleProfile, TrialConfig, from_parabolic, make_profile,
                       to_parabolic)

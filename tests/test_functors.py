@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from parstack import (QQ, CoverProfile, GradedModule, InadmissibleProfile,
+from parstack import (QQ, CoverProfile, InadmissibleProfile,
                       InadmissibleWeight, Lattice, ParabolicPoint, PrimeField,
                       ProfileMismatch, TrialConfig, from_parabolic, is_graded_morphism,
                       is_point_morphism, make_profile, pullback_graded,
@@ -15,7 +15,7 @@ from parstack import (QQ, CoverProfile, GradedModule, InadmissibleProfile,
                       restrict_scalars, to_parabolic, verify_direct_image)
 from parstack import functors
 from parstack.functors import (Branch, _restrict_columns, restrict_matrix,
-                               substitute_element, twist_restricted)
+                               substitute_element)
 from parstack.harness import gen_parabolic_point, gen_profile
 from parstack.lattice import direct_sum
 from parstack.localring import LocalElement
@@ -56,7 +56,6 @@ def test_decompose_substitute_inverse():
     for _ in range(30):
         e = rng.randint(1, 4)
         u = QQ.random_nonzero(rng)
-        from conftest import random_element
         x = random_element(rng)
         comps = decompose_element(x, e, u)
         back = sum((substitute_element(c, e, u).shift(rho)
@@ -75,7 +74,6 @@ def test_restrict_scalars_examples():
 
 def test_restrict_scalars_commutes_with_full_twists():
     rng = random.Random(73)
-    from conftest import random_columns
     for _ in range(10):
         e = rng.randint(1, 3)
         u = QQ.random_nonzero(rng)
@@ -103,53 +101,15 @@ def test_a_plant_needs_its_text_exactly_once(old):
         planted(functors.restrict_scalars, (old, old))
 
 
-# the grid of twisted restrictions: each field with its units
+# each field with its units
 TWIST_GRID = [(QQ, [QQ.one, QQ.of("2/3"), QQ.of("-5/4"), QQ.of(3), QQ.of(-1)]),
               (GF101, [1, 2, 100]), (PrimeField(2), [1]), (PrimeField(3), [1, 2])]
-
-
-@pytest.mark.parametrize("field,units", TWIST_GRID, ids=["Q", "GF101", "GF2", "GF3"])
-def test_twist_restricted_is_the_restriction_of_the_twist(field, units):
-    """Over e in {1, 2, 3, 4, 7} and every l in [-2e, 2e], on lattices
-    whose entries have negative valuations too."""
-    rng = random.Random(149)
-    for u in units:
-        for e in (1, 2, 3, 4, 7):
-            for n in (1, 2, 3):
-                lattice = lat(random_columns(rng, n, field), field)
-                res = restrict_scalars(lattice, e, u)
-                for l in range(-2 * e, 2 * e + 1):
-                    assert twist_restricted(res, e, u, l) == \
-                        restrict_scalars(lattice.scale(l), e, u)
 
 
 def _restricted_span(lattice, e, u):
     """res(L) by canonicalizing the restricted generators t^rho * c_j."""
     gens = [g for col in lattice.cols for g in _restrict_columns(col, e, u)]
     return Lattice.from_columns(lattice.field, lattice.n * e, gens)
-
-
-@pytest.mark.parametrize("field,units", TWIST_GRID, ids=["Q", "GF101", "GF2", "GF3"])
-def test_restrict_scalars_is_the_span_of_the_restricted_generators(field, units):
-    """The one pass against canonicalization: on diagonal lattices, on
-    lattices with entries above their pivots, and on direct sums of the two
-    in both orders, so that pivot-only columns come before and after the
-    others.  In ``cancelling`` at e = 2, u = 1 and rho = 1, reducing row 3
-    of the last column by block 1's seed cancels its row 0 to zero exactly,
-    above block 0's pivot exponent -1: a zero entry has no terms to reduce."""
-    rng = random.Random(157)
-    cancelling = lat([[(-2, 1), 0, 0], [(-4, 1), (1, 1), 0], [(-5, 1), 1, 1]], field)
-    assert cancelling.diag == (-2, 1, 0) and all(cancelling.entries[1:])
-    for u in units:
-        for e in (1, 2, 3, 4, 7):
-            diagonal = diagonal_lattice(field, [rng.randint(-2, 2 * e) for _ in range(2)])
-            full = lat(random_columns(rng, 2, field), field)
-            lattices = [diagonal, full, direct_sum([full, diagonal]),
-                        direct_sum([diagonal, lat(random_columns(rng, 1, field), field)]),
-                        cancelling]
-            assert any(pivot_only(c) for c in lattices[2].cols)
-            for lattice in lattices:
-                assert restrict_scalars(lattice, e, u) == _restricted_span(lattice, e, u)
 
 
 def test_a_diagonal_lattice_reaches_neither_the_general_path_nor_a_member_test(monkeypatch):

@@ -1,29 +1,38 @@
 """The lattice kernels against the jet-space oracle of ``jetspace``.
 
-Each kernel's answer is checked by rank tests over k: ``from_columns``
-spans its generators, ``member`` and ``contains`` are memberships of jet
-vectors, ``==`` is equality of spans, ``scale`` and ``direct_sum`` are
-shifts and blocks, ``restrict_scalars`` and ``twist_restricted`` are the
-identity on sets, read in restricted coordinates, the pulled chains of
-``pullback_parabolic`` are spans of substituted members, and each member
-of ``ParabolicPoint.from_lines`` (``parabolic._flag_member``) is the span
-of t * E^0 and its unjumped lines.  Every lattice's pivot exponents are
-also checked to be its colength, and every planted kernel fault of the
-restriction, twist and containment tests makes an oracle check fail.
+The oracle is the one reference for the results of ``from_columns``,
+``member``, ``contains``, ``==``, ``scale``, ``direct_sum``,
+``restrict_scalars`` and ``twist_restricted``.  Each kernel's answer is
+checked by rank tests over k: ``from_columns`` spans its generators (and a
+set it calls singular spans no t^N R^n), ``member`` and ``contains`` are
+memberships of jet vectors, ``==`` is equality of spans, ``scale`` and
+``direct_sum`` are shifts and blocks, ``restrict_scalars`` and
+``twist_restricted`` are the identity on sets, read in restricted
+coordinates, the pulled chains of ``pullback_parabolic`` are spans of
+substituted members, and each member of ``ParabolicPoint.from_lines``
+(``parabolic._flag_member``) is the span of t * E^0 and its unjumped
+lines.  The oracle reads every lattice through ``jetspace.lattice_gens``,
+which checks that its stored form is canonical; every lattice's pivot
+exponents are also checked to be its colength, and every planted kernel
+fault of the restriction, twist and containment tests makes an oracle
+check fail.
 
-The inputs are those of tests/test_sparse_kernels.py: diagonal and mixed
-lattices and their direct sums, restrictions and twists, whose columns are
-mostly pivot-only; generators with zero rows and zero columns; the zero
-vector, vectors whose one entry is the first or last row, vectors of
-negative valuation; and containment probes t^(a_j + d_j) * e_j against
-containers with and without entries above their pivots, sublattices that
-keep the container's columns, and sublattices by R-combinations.  The
-fields are Q (units with denominators among them), GF(101), GF(2) and
-GF(3).
+The inputs: generating sets of rank 1 to 5 with zero rows and zero
+columns; diagonal and mixed lattices of rank 1 to 5, one with entries
+above its pivots by construction, ``cancelling`` (below), and direct sums
+in both orders, so that pivot-only columns come before and after the
+others; their restrictions along e in {1, 2, 3, 4, 7} with every twist l
+in [-2e, 2e] (at e = 7 a sample, see ``_twists``); the zero vector,
+vectors whose one entry is the first or last row, vectors of negative
+valuation; and containment probes t^(a_j + d_j) * e_j against containers
+with and without entries above their pivots, sublattices that keep the
+container's columns, and sublattices by R-combinations.  The fields are Q
+(units with denominators among them), GF(101), GF(2) and GF(3).
 """
 
 import random
 from fractions import Fraction
+from itertools import cycle
 
 import pytest
 
@@ -37,7 +46,7 @@ from parstack.lattice import direct_sum
 from conftest import (CONTAINS_FAULTS, GF101, PLANTED_FAULTS, TWIST_FAULTS, diagonal_lattice,
                       lat, pivot_only, planted, random_columns, random_element)
 from jetspace import (bound, colength_holds, jets, lattice_gens, member, padded, same,
-                      shifted, substituted, unrestricted)
+                      shifted, spans_ball, substituted, unrestricted)
 
 GF2, GF3 = PrimeField(2), PrimeField(3)
 FIELDS = pytest.mark.parametrize("field", [QQ, GF101, GF2, GF3],
@@ -66,19 +75,30 @@ def _entries_above(rng, field, n):
     return Lattice.from_columns(field, n, cols)
 
 
-def _lattices(rng, field):
-    """Diagonal and mixed lattices of rank 1 to 3, a lattice with entries
-    above its pivots, direct sums in both orders, and restrictions and
-    twists of them."""
-    out = []
+def _cancelling(field):
+    """At e = 2, u = 1 and rho = 1, reducing row 3 of the last column by
+    block 1's seed cancels its row 0 to zero exactly, above block 0's pivot
+    exponent -1: a zero entry has no terms to reduce."""
+    return lat([[(-2, 1), 0, 0], [(-4, 1), (1, 1), 0], [(-5, 1), 1, 1]], field)
+
+
+def _bases(rng, field):
+    """``cancelling``, diagonal and mixed lattices of rank 1 to 3, a mixed
+    lattice of rank 4 or 5, a lattice with entries above its pivots, and
+    direct sums in both orders."""
+    out = [_cancelling(field)]
     for n in (1, 2, 3):
         out.append(diagonal_lattice(field, [rng.randint(-2, 3) for _ in range(n)]))
         out.append(lat(random_columns(rng, n, field, extra=rng.randint(0, 1)), field))
+    out.append(lat(random_columns(rng, rng.randint(4, 5), field), field))
     full = _entries_above(rng, field, 3)
-    out.append(full)
-    out.append(direct_sum([full, out[2]]))
-    out.append(direct_sum([out[2], out[1]]))
-    for base in (out[0], out[3], full):
+    return out + [full, direct_sum([full, out[3]]), direct_sum([out[3], out[2]])]
+
+
+def _lattices(rng, field):
+    """The bases and restrictions and twists of three of them."""
+    out = _bases(rng, field)
+    for base in (out[1], out[4], out[8]):
         e, u = rng.randint(2, 3), rng.choice(UNITS[field.p])
         res = restrict_scalars(base, e, u)
         out.extend([res, twist_restricted(res, e, u, rng.randint(1 - e, 2 * e))])
@@ -142,10 +162,12 @@ def _gens(lattice):
 
 @FIELDS
 def test_from_columns_spans_its_generators(field):
+    """Generating sets of rank 1 to 5; a set of rank below n spans no
+    t^N R^n, so one the library calls singular must not span t^12 R^n."""
     rng = random.Random(401)
     p, checked = field.p, 0
     for _ in range(30):
-        n = rng.randint(1, 3)
+        n = rng.randint(1, 5)
         cols = [[random_element(rng, field, 0.6) for _ in range(n)]
                 for _ in range(n + rng.randint(0, 2))]
         if rng.random() < 0.3:  # a zero row
@@ -155,13 +177,15 @@ def test_from_columns_spans_its_generators(field):
         cols.insert(rng.randint(0, len(cols)), [ZERO] * n)  # a zero column
         if rng.random() < 0.5:
             cols += [_unit_vector(field, n, i, rng.randint(0, 3)) for i in range(n)]
+        gens = [jets(p, c) for c in cols]
         try:
             lattice = Lattice.from_columns(field, n, cols)
         except SingularBasis:
+            assert not spans_ball(p, n, gens, 12)
             continue
         checked += 1
         assert colength_holds(lattice)
-        assert same(p, n, ([jets(p, c) for c in cols], 1), _gens(lattice), bound(lattice))
+        assert same(p, n, (gens, 1), _gens(lattice), bound(lattice))
         kept = Lattice.from_columns(field, n, [list(c) for c in lattice.cols])
         assert kept == lattice
     assert checked >= 10
@@ -170,12 +194,10 @@ def test_from_columns_spans_its_generators(field):
 @FIELDS
 def test_member_is_a_rank_test(field):
     rng = random.Random(409)
-    p = field.p
     for lattice in _lattices(rng, field):
-        gens, N = lattice_gens(lattice), bound(lattice)
         assert colength_holds(lattice)
         for v in _vectors(rng, field, lattice.n) + [list(c) for c in lattice.cols]:
-            assert lattice.member(v) == member(p, lattice.n, gens, N, jets(p, v))
+            assert lattice.member(v) == member(lattice, [v])
 
 
 @FIELDS
@@ -188,11 +210,9 @@ def test_contains_and_equality_are_rank_tests(field):
         pairs.append((big, Lattice.from_columns(field, big.n, [list(c) for c in big.cols][::-1])))
     pairs.extend(_unshared(rng, field) for _ in range(12))
     for big, small in pairs:
-        gens, N, n = lattice_gens(big), bound(big), big.n
-        want = all(member(p, n, gens, N, jets(p, c)) for c in small.cols)
-        assert big.contains(small) == want
-        N = max(N, bound(small))
-        assert (big == small) == same(p, n, (gens, 1), _gens(small), N)
+        assert big.contains(small) == member(big, small.cols)
+        N = max(bound(big), bound(small))
+        assert (big == small) == same(p, big.n, _gens(big), _gens(small), N)
 
 
 @FIELDS
@@ -224,20 +244,29 @@ def _restricted(p, lattice, e, u):
     return [unrestricted(p, c, e, u) for c in lattice.cols], e
 
 
+def _twists(e):
+    """Every l in [-2e, 2e]; at e = 7 a sample: each multiple of e in it
+    and its two neighbours, where a column starts or stops wrapping."""
+    if e < 7:
+        return range(-2 * e, 2 * e + 1)
+    return [k * e + d for k in range(-2, 3) for d in (-1, 0, 1) if abs(k * e + d) <= 2 * e]
+
+
 @FIELDS
 def test_restriction_and_its_twists_are_the_identity_on_sets(field):
     """res(L), read in restricted coordinates, is L, and the twist by l of
-    res(L) is t^l * L."""
+    res(L) is t^l * L, for e in {1, 2, 3, 4, 7}.  The bases take the
+    field's units in turn, so ``cancelling``, the first, is restricted
+    along u = 1."""
     rng = random.Random(431)
     p = field.p
-    for lattice in _lattices(rng, field)[:8]:
+    for lattice, u in zip(_bases(rng, field), cycle(UNITS[p])):
         N = bound(lattice)
-        for e in (1, 2, 3):
-            u = rng.choice(UNITS[p])
+        for e in (1, 2, 3, 4, 7):
             res = restrict_scalars(lattice, e, u)
             assert colength_holds(res)
             assert same(p, lattice.n, _restricted(p, res, e, u), _gens(lattice), N)
-            for l in (rng.randint(-e, -1), rng.randint(1, 2 * e)):
+            for l in _twists(e):
                 twisted = twist_restricted(res, e, u, l)
                 gens = [shifted(g, l) for g in lattice_gens(lattice)]
                 assert same(p, lattice.n, _restricted(p, twisted, e, u), (gens, 1), N + l)
@@ -250,11 +279,10 @@ def test_the_oracle_tells_wrong_answers(field):
     rng = random.Random(433)
     p = field.p
     flagged = 0
-    for lattice in _lattices(rng, field)[:8]:
+    for lattice in _bases(rng, field):
         N, n = bound(lattice), lattice.n
         assert not same(p, n, _gens(lattice), _gens(lattice.scale(1)), N + 1)
-        v = [x.shift(-1) for x in lattice.cols[-1]]
-        assert not member(p, n, lattice_gens(lattice), N, jets(p, v))
+        assert not member(lattice, [[x.shift(-1) for x in lattice.cols[-1]]])
         for u in UNITS[p]:
             wrong = restrict_scalars(lattice, 3, _inverse(p, u))
             if wrong != restrict_scalars(lattice, 3, u):
@@ -335,7 +363,7 @@ def test_each_planted_restriction_fault_fails_the_oracle(fault):
     broken = planted(functors.restrict_scalars, (old, new))
     rng = random.Random(449)
     cases = [(lat(cols), e, QQ.of(u))] + [(lattice, rng.randint(2, 3), rng.choice(UNITS[0]))
-                                          for lattice in _lattices(rng, QQ)[:8]]
+                                          for lattice in _bases(rng, QQ)]
     failed = []
     for lattice, e, u in cases:
         try:
@@ -361,7 +389,7 @@ def test_each_planted_twist_fault_fails_the_oracle(fault):
     refused_any = False
     for field in (QQ, GF101):
         p = field.p
-        for lattice in _lattices(rng, field)[:8]:
+        for lattice in _bases(rng, field):
             for e in (2, 3):
                 u = rng.choice(UNITS[p][1:])
                 res = restrict_scalars(lattice, e, u)
@@ -392,7 +420,5 @@ def test_each_planted_containment_fault_fails_the_oracle(fault, monkeypatch):
     monkeypatch.setattr(Lattice, "contains", planted(Lattice.contains, CONTAINS_FAULTS[fault]))
     wrong = 0
     for big, small in pairs:
-        p, n = big.field.p, big.n
-        want = all(member(p, n, lattice_gens(big), bound(big), jets(p, c)) for c in small.cols)
-        wrong += big.contains(small) != want
+        wrong += big.contains(small) != member(big, small.cols)
     assert wrong

@@ -16,7 +16,7 @@ from parstack.harness import (gen_parabolic_point, gen_point_morphism, gen_profi
 from parstack.lattice import entries_above, triangular_inverse
 from parstack.linalg import identity_matrix, mat_mul, transpose
 
-from conftest import FOUR_FIELDS, GF101, diagonal_lattice, el, lat, planted, trivial_point
+from conftest import FOUR_FIELDS, GF101, diagonal_lattice, lat, planted, trivial_point
 
 THREE_FIELDS = pytest.mark.parametrize("field", [QQ, GF101, PrimeField(2)],
                                        ids=["rational", "prime101", "prime2"])
