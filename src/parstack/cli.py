@@ -1,7 +1,8 @@
 """Command-line interface: scenario commands and the verification entry point.
 
 Subcommands: convert, push, pull, degree, verify, replay.
-Exit codes: 0 success, 1 verification failure, 2 input error.
+Exit codes: 0 success, 1 verification failure, 2 input error, 3 internal
+error (a library guard fired).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .harness import SUITES, TrialConfig, replay, verify_document
 from .parabolic import ParabolicBundle, parabolic_degree
 from .rootstack import GradedModule, from_parabolic, to_parabolic
 
-PASS, FAIL, USAGE = 0, 1, 2
+PASS, FAIL, USAGE, INTERNAL = 0, 1, 2, 3
 
 
 def _read_scenario(path):
@@ -251,6 +252,10 @@ def main(argv=None):
     except ParstackError as exc:
         print("input error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return USAGE
+    except AssertionError as exc:
+        where = " ".join(filter(None, [args.command, getattr(args, "scenario", None)]))
+        print("internal error: %s: %s" % (where, exc), file=sys.stderr)
+        return INTERNAL
 
 
 if __name__ == "__main__":

@@ -1,9 +1,11 @@
-"""Shared builders, test oracles, planted-fault tables and the package
-reader of the source checks.
+"""Shared builders, planted-fault tables, the field parametrizations and
+the package reader of the source checks.
 
-The independent lattice oracle is the jet-space one of tests/jetspace.py:
-linear algebra over the residue field, with no library kernel in it.  The
-planted-fault tables live here, so that no test module imports another.
+The one reference for lattice and point-level results is the jet-space
+oracle of tests/jetspace.py: linear algebra over the residue field, with
+no library kernel in it, and no import of this module or of the package.
+The planted-fault tables live here, so that no test module imports
+another.
 """
 
 import ast
@@ -20,12 +22,9 @@ import pytest
 
 from parstack import (QQ, GradedModule, InvalidGrading, Lattice, LocalElement,
                       ParabolicPoint, PrimeField, SingularBasis, TrialConfig,
-                      apply_matrix, from_parabolic, gen_parabolic_point,
-                      pullback_parabolic_line)
+                      from_parabolic, gen_parabolic_point, pullback_parabolic_line)
 from parstack import functors, harness
 from parstack.harness import SUITES
-from parstack.linalg import transpose
-from parstack.pairing import _symmetry_holds, hom_chain, line_local_data
 
 GF101 = PrimeField(101)
 TWO_FIELDS = pytest.mark.parametrize("field", [QQ, GF101], ids=["rational", "prime101"])
@@ -206,14 +205,6 @@ def trivial_point(field, n, order=1):
     return ParabolicPoint(order, [top] + [top.scale(1)] * order)
 
 
-def ref_from_lines(field, order, lifts, twists, jumps):
-    """The chain of ``ParabolicPoint.from_lines`` member by member: each
-    jump pattern's lines canonicalized on their own."""
-    return tuple(Lattice.from_columns(field, len(jumps), [
-        [x.shift(g + (j > jb)) for x in col] for col, g, jb in zip(lifts, twists, jumps)])
-        for j in range(order + 1))
-
-
 def diag_point(order, jumps, twists=None):
     """The point over Q whose line b is t^twists[b] * e_b with jump jumps[b]."""
     tw = twists or [0] * len(jumps)
@@ -261,24 +252,6 @@ def run_mutation(suite, mutation, seed, field_name="rational"):
     """One corrupted trial; the verifier must flag it."""
     cfg = TrialConfig(seed=seed, trials=1, field_name=field_name, max_order=8)
     return SUITES[suite](cfg, mutation=mutation)
-
-
-def reference_check(pairing, bundle):
-    """check_pairing by its definition: F^T * E^a equals the hom chain."""
-    if not _symmetry_holds(pairing.kind, pairing.form):
-        return False
-    ft = transpose(pairing.form)
-    for label in bundle.labels():
-        pt = bundle.points[label]
-        g, c = line_local_data(pairing.value_line, label, pt.order)
-        target = hom_chain(pt, g, c)
-        try:
-            if not all(apply_matrix(ft, pt.chain[a])
-                       == target.chain[a] for a in range(pt.order)):
-                return False
-        except SingularBasis:
-            return False
-    return True
 
 
 def degree_scenario_trial(rng):

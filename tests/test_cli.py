@@ -10,11 +10,11 @@ from fractions import Fraction
 import pytest
 
 import parstack
-from parstack import harness
+from parstack import functors, harness
 from parstack.cli import main
 from parstack.errors import SingularBasis
 
-from conftest import run_mutation
+from conftest import PLANTED_FAULTS, planted, run_mutation
 
 
 def write(tmp_path, name, doc):
@@ -611,6 +611,20 @@ def test_command_stdout_bytes_are_pinned(capsys, argv, digest, err_digest):
     cap = capsys.readouterr()
     assert hashlib.sha256(cap.out.encode()).hexdigest()[:16] == digest
     assert hashlib.sha256(cap.err.encode()).hexdigest()[:16] == err_digest
+
+
+def test_a_library_guard_that_fires_is_an_internal_error(capsys, monkeypatch):
+    """A planted restriction fault trips the component guard of
+    restrict_scalars on every push scenario; the command exits 3 and says
+    which command and scenario failed, with no traceback."""
+    edit = PLANTED_FAULTS["wrong-colength"][0]
+    monkeypatch.setattr(functors, "restrict_scalars", planted(functors.restrict_scalars, edit))
+    for name in ("push-parabolic", "push-graded", "push-parabolic-gf101"):
+        assert main(["push", data_file(name)]) == 3
+        cap = capsys.readouterr()
+        assert cap.out == "" and "Traceback" not in cap.err
+        assert cap.err.startswith("internal error: push %s: internal: " % data_file(name))
+        assert "component 0 of t^" in cap.err
 
 
 def _gf101_push_scenario():

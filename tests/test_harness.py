@@ -20,8 +20,9 @@ from parstack.localring import LocalElement
 from parstack.parabolic import is_point_morphism, split_into_lines
 from parstack.scenario import decode_element
 
-from conftest import (FOUR_FIELDS, GF101, MUTATIONS, degree_scenario_trial, diagonal_lattice,
-                      planted, reference_check, run_mutation)
+from conftest import (FOUR_FIELDS, GF101, MUTATIONS, TWO_FIELDS, degree_scenario_trial,
+                      diagonal_lattice, planted, run_mutation)
+from jetspace import perfect
 
 
 def test_trial_config_bounds():
@@ -349,18 +350,18 @@ def _grid_cases():
                                     yield r, c_l, g_l, kind, [a_v, a_w], [g_v, g_w]
 
 
-@pytest.mark.parametrize("field", [QQ, GF101], ids=["rational", "prime101"])
+@TWO_FIELDS
 def test_line_pair_matches_search_on_grid(field):
     """The closed form against the first h that check_pairing accepts and,
     for the symmetric blocks, the first h that the definition accepts
-    (``reference_check``: F^T * E^a against the hom chain)."""
+    (``jetspace.perfect``: F^T * E^a against t^(1+g) * (E^b)^*)."""
     found = set()
     for r, c_l, g_l, kind, jumps, twists in _grid_cases():
         h = _closed_form_exponent(_line_pair, r, c_l, g_l, jumps, twists)
         assert h == _search_exponent(field, r, c_l, g_l, kind, jumps, twists)
         if kind == SYMMETRIC:
             assert h == _search_exponent(field, r, c_l, g_l, kind, jumps, twists,
-                                         reference_check)
+                                         perfect)
         found.add((len(jumps), h is not None))
     assert found == {(1, True), (1, False), (2, True), (2, False)}
 
@@ -389,7 +390,7 @@ def test_each_closed_form_off_by_one_is_caught(fault):
                for r, c_l, g_l, kind, jumps, twists in _grid_cases())
 
 
-@pytest.mark.parametrize("field", [QQ, GF101], ids=["rational", "prime101"])
+@TWO_FIELDS
 def test_find_line_pair_matches_brute_force_and_rng_stream(field):
     outcomes = set()
     for seed in range(40):

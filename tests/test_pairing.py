@@ -21,8 +21,10 @@ from parstack.pairing import (_gram, _symmetry_holds, expected_branch_value_data
                               hom_chain, line_local_data, pullback_bundle,
                               residue_push_form)
 
-from conftest import (GF101, decompose_element, diag_point, diagonal_lattice, el, planted,
-                      random_columns, random_element, reference_check, trivial_point)
+from conftest import (FOUR_FIELDS, GF101, TWO_FIELDS, decompose_element, diag_point,
+                      diagonal_lattice, el, planted, random_columns, random_element,
+                      trivial_point)
+from jetspace import perfect
 
 _Z = LocalElement.zero()
 
@@ -126,12 +128,12 @@ def test_dual_point_involution_and_weights():
         assert dict(d.weights()) == expected
 
 
-@pytest.mark.parametrize("field", [QQ, GF101, PrimeField(2), PrimeField(3)],
-                         ids=["rational", "prime101", "prime2", "prime3"])
+@FOUR_FIELDS
 def test_check_pairing_matches_reference_definition(field):
     """Drawn pairings, perturbed, t^{+-1}-shifted and rank-1 forms, each
     checked against every value datum (c, g), c < r, g in {-1, 0, 1}, of
-    its point: the drawn datum and every other one."""
+    its point: the drawn datum and every other one.  The definition is the
+    jet-space one (``jetspace.perfect``)."""
     rng = random.Random(211)
     verdicts, data = [], set()
     made_count = 0
@@ -167,26 +169,18 @@ def test_check_pairing_matches_reference_definition(field):
                 for f in forms:
                     pairing = ParabolicPairing(kind, f, value)
                     verdict = check_pairing(pairing, bundle)
-                    assert verdict == reference_check(pairing, bundle)
+                    assert verdict == perfect(pairing, bundle)
                     verdicts.append((verdict, (c, g) == (c_l, g_l)))
     assert {(True, True), (True, False), (False, True), (False, False)} <= set(verdicts)
     assert (True, True) in data
 
 
-@pytest.mark.parametrize("field", [QQ, GF101], ids=["rational", "prime101"])
-def test_check_pairing_tests_each_mirrored_level_once(field, monkeypatch):
-    """Every level, the mirrored ones r+c-a included, is read off one Gram
-    matrix H = V^T * F * V per marked point, whatever the order: on pushed
-    pairings of order 8 to 10 check_pairing splits the point once, and the
-    verdicts match the reference definition.  The branch points are
-    diagonal with line 2k paired to line 2k+1; jumps j and order-1-j make
-    the pair perfect, and the last case is not."""
-    splits = []
-    split = pairing.split_into_lines
-    monkeypatch.setattr(pairing, "split_into_lines",
-                        lambda pt: splits.append(pt) or split(pt))
-    rng = random.Random(223)
-    verdicts = []
+def _branch_pairings(rng, field):
+    """(order, e, point, form, kind) of branch pairings valued in the
+    trivial line: diagonal points with line 2k paired to line 2k+1, where
+    jumps j and order-1-j make the pair perfect and the fifth case is not,
+    then three drawn rank-2 pairings (``gen_pairing_point``), to be pushed
+    along e in {4, 5, 8, 9} to rank at most 18."""
     for order, e, jumps in ((1, 8, [0, 0]), (2, 4, [0, 1]), (2, 5, [1, 0, 0, 1]),
                             (3, 3, [0, 2, 1, 1]), (3, 3, [0, 1])):
         n = len(jumps)
@@ -197,6 +191,32 @@ def test_check_pairing_tests_each_mirrored_level_once(field, monkeypatch):
         for k in range(0, n, 2):
             form[k][k + 1] = el(0, 1, field=field)
             form[k + 1][k] = el(0, 1 if kind == SYMMETRIC else -1, field=field)
+        yield order, e, pt, form, kind
+    drawn = 0
+    while drawn < 3:
+        order, e = rng.choice([(1, 8), (1, 9), (2, 4), (2, 5)])
+        kind = rng.choice([SYMMETRIC, ANTISYMMETRIC])
+        made = gen_pairing_point(rng, field, order, 0, 0, kind, 1, "x0")
+        if made is not None:
+            drawn += 1
+            yield order, e, made[0], made[1], kind
+
+
+@TWO_FIELDS
+def test_check_pairing_tests_each_mirrored_level_once(field, monkeypatch):
+    """Every level, the mirrored ones r+c-a included, is read off one Gram
+    matrix H = V^T * F * V per marked point, whatever the order: on pushed
+    pairings of order 8 to 10 (``_branch_pairings``) check_pairing splits
+    the point once, and the verdicts match the definition
+    (``jetspace.perfect``); each pushed form is perfect but the fifth, and
+    its t-multiple is not."""
+    splits = []
+    split = pairing.split_into_lines
+    monkeypatch.setattr(pairing, "split_into_lines",
+                        lambda pt: splits.append(pt) or split(pt))
+    rng = random.Random(223)
+    verdicts = []
+    for order, e, pt, form, kind in _branch_pairings(rng, field):
         s = order * e
         profile = make_profile(s, [("x0", e, order, field.random_nonzero(rng))])
         value = ParabolicBundle(1, 0, {"y": ParabolicPoint.line(field, s, 0)})
@@ -205,10 +225,10 @@ def test_check_pairing_tests_each_mirrored_level_once(field, monkeypatch):
             candidate = ParabolicPairing(kind, f, value)
             del splits[:]
             verdict = check_pairing(candidate, bundle)
-            assert verdict == reference_check(candidate, bundle)
+            assert verdict == perfect(candidate, bundle)
             verdicts.append(verdict)
             assert splits == [bundle.points["y"]]
-    assert verdicts == [True, False] * 4 + [False, False]
+    assert verdicts == [True, False] * 4 + [False, False] + [True, False] * 3
 
 
 def _gram_cases(field):
@@ -246,8 +266,7 @@ def _gram_mismatches(gram, field):
                for kind, form, lifts in _gram_cases(field))
 
 
-@pytest.mark.parametrize("field", [QQ, GF101, PrimeField(2), PrimeField(3)],
-                         ids=["rational", "prime101", "prime2", "prime3"])
+@FOUR_FIELDS
 def test_gram_on_one_triangle_is_the_dense_product(field):
     assert _gram_mismatches(_gram, field) == 0
 
