@@ -3,9 +3,10 @@ once per lattice, the level-0 rank test and shared graded columns.
 
 ``ParabolicPoint.from_lines`` canonicalizes E^0 only and reads every other
 member off the fibre flag of the lines (``parabolic._flag_member``); its
-members are checked against the jet-space oracle in
-tests/test_jetspace.py, and the two flag faults below must trip a guard
-or make a member the oracle refuses.  Each new shortcut has a planted
+members are checked against the per-pattern canonicalization it replaced
+(each member's lines through ``Lattice.from_columns``) here and against
+the jet-space oracle in tests/test_jetspace.py, and the two flag faults
+below must trip a guard or make a member the oracle refuses.  Each new shortcut has a planted
 fault that its guard or its test must catch.
 """
 
@@ -51,6 +52,29 @@ def _draws(field, count, seed):
     for _ in range(count):
         n, r = rng.randint(1, 5), rng.randint(1, 12)
         yield (r,) + _lines(rng, field, n, r)
+
+
+@FOUR_FIELDS
+def test_from_lines_matches_per_pattern_canonicalization(field):
+    """The flag members of from_lines equal the general path they replace:
+    each member's lines canonicalized on their own by from_columns, with
+    singular bases raising alike on both paths."""
+    built = 0
+    for r, lifts, twists, jumps in _draws(field, 150, 211):
+        n = len(jumps)
+        try:
+            ref = tuple(Lattice.from_columns(field, n, [
+                [x.shift(g + (j > jb)) for x in col] for col, g, jb in zip(lifts, twists, jumps)])
+                for j in range(r + 1))
+        except SingularBasis:
+            with pytest.raises(SingularBasis):
+                ParabolicPoint.from_lines(field, r, lifts, twists, jumps)
+            continue
+        pt = ParabolicPoint.from_lines(field, r, lifts, twists, jumps)
+        assert pt.chain == ref
+        assert pt.chain[r] is pt.chain[0].scale(1)  # the endpoint the point's check built
+        built += len(set(ref)) > 2
+    assert built > 50
 
 
 def _planted_chains(field, seed):
