@@ -88,13 +88,16 @@ def decompose_component(x, e, u, rho):
     """Component rho of x in K_Y * {1, t, ..., t^{e-1}} with w_y = u * t^e:
     the terms t^{q*e + rho} = t^rho * (w_y / u)^q, in the target
     uniformizer.  The offset rule holds for every integer rho: component
-    rho2 of t^d * x is decompose_component(x, e, u, rho2 - d)."""
-    return x.decimate(e, rho).twist(u, -1)
+    rho2 of t^d * x is decompose_component(x, e, u, rho2 - d).  One call of
+    the component kernel ``LocalElement.component``, which picks the terms
+    and multiplies them by u^{-q} in one pass and one reduction."""
+    return x.component(e, rho, u)
 
 
 def substitute_element(x, e, u):
-    """Substitute w_y = u * t^e: the inverse of taking the e components."""
-    return x.twist(u).spread(e)
+    """Substitute w_y = u * t^e: the inverse of taking the e components.
+    One call of the substitution kernel ``LocalElement.substitute``."""
+    return x.substitute(e, u)
 
 
 def _restrict_columns(col, e, u):
@@ -149,19 +152,20 @@ def restrict_scalars(lattice, e, u):
     Every column lies in res(L), since L is a K_X-lattice and the seeds do.
     Guards, each raising AssertionError("internal: ..."): the pivot is
     implied, never computed, so the component kernel must give it exactly:
-    decompose_component(t^{a_j}, e, u, s - rho), twisted by u, is w^q for
-    every rho; every reduction quotient is a constant, and a row holding
+    decompose_component(t^{a_j}, e, u, s - rho) equals the claimed pivot
+    u^{-q} * w^q, built once per q as the twist of t^q and not by the
+    kernel, for every rho; every reduction quotient is a constant, and a row holding
     zero is not reduced; the pivot exponents sum to sum(a_j), the colength
     of res(L); the result has canonical shape (``Lattice.from_canonical``);
     and every generator t^rho * c_j of a column with entries is a member.  The
     generators then span a sublattice of the result of equal colength, so
     they span the result.  The pivot state (q, s) and the checked component
-    depend on (a_j, rho) alone, so the component check runs once per
-    distinct exponent.  It is an equality, and it is the guard of the
-    pivot-only columns: any unit multiple of a pivot-only generator is a
-    member, so a member test cannot see a component kernel that returns
-    the wrong unit, while the equality refuses it whenever the unit
-    differs at some q.
+    depend on (a_j, rho) alone, so the component check makes one kernel
+    call per distinct exponent and step, and nothing is cached across
+    calls.  It is an equality, and it is the guard of the pivot-only
+    columns: any unit multiple of a pivot-only generator is a member, so a
+    member test cannot see a component kernel that returns the wrong unit,
+    while the equality refuses it whenever the unit differs at some q.
     """
     if e == 1 and u == 1:
         return lattice
@@ -170,6 +174,7 @@ def restrict_scalars(lattice, e, u):
     seeds = []  # per block: (pivot row, pivot exponent, stored entries of the seed)
     gens = []  # the restricted generators of the columns with entries
     checked = set()  # the pivot exponents whose components are checked
+    claims = {}  # q -> the claimed pivot u^-q * w^q, built without the kernel
     w_over_u = unit = None  # built when a column with entries first moves
     for j, (ent, a) in enumerate(zip(lattice.entries, lattice.diag)):
         q, s = divmod(a, e)
@@ -194,10 +199,13 @@ def restrict_scalars(lattice, e, u):
                     else:
                         col[row + 1] = x * unit if wraps else x
                 q, s = (q + 1, 0) if wraps else (q, s + 1)
-            if power is not None and (decompose_component(power, e, u, s - rho).twist(u)
-                                      != LocalElement.t_power(field, q)):
-                raise AssertionError("internal: component %d of t^%d is not u^-%d * w^%d"
-                                     % (s, a + rho, q, q))
+            if power is not None:
+                claim = claims.get(q)
+                if claim is None:
+                    claim = claims[q] = LocalElement.t_power(field, q).twist(u, -1)
+                if decompose_component(power, e, u, s - rho) != claim:
+                    raise AssertionError("internal: component %d of t^%d is not u^-%d * w^%d"
+                                         % (s, a + rho, q, q))
             for i in range(max(col) // e if col else -1, -1, -1):
                 prow, qi, seed = seeds[i]
                 x = col.get(prow, _Z)

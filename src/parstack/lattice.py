@@ -57,11 +57,12 @@ Six constructors build canonical forms without canonicalizing:
   ``diag`` entries.  It is guarded: ``Lattice.from_canonical`` checks the
   shape with ``_canonical_shape``, and the restriction checks that the
   component of t^{a_j} at each implied pivot is exactly the unit times
-  the power of w it claims, once per distinct exponent (an equality,
-  which sees a wrong unit where a member test cannot); that every
-  reduction quotient is a constant; that the colength is L's; and that
-  every generator of a column with entries is a member.  Each failure
-  raises AssertionError("internal: ...").
+  the power of w it claims, with one call of the component kernel per
+  distinct exponent and step, compared with a pivot built without it (an
+  equality, which sees a wrong unit where a member test cannot); that
+  every reduction quotient is a constant; that the colength is L's; and
+  that every generator of a column with entries is a member.  Each
+  failure raises AssertionError("internal: ...").
 * the twist of a restriction (``functors.twist_restricted``) reads
   res(t^l * L) off the stored form of res(L): t acts on restricted
   coordinates by moving each e-block down one row, and the rows' degree

@@ -19,8 +19,15 @@ other factor's order by d and reuses its coefficient tuple and
 denominator, with no convolution and no reduction.
 
 Field values (``Fraction`` over Q, int residues over GF(p)) appear only
-as inputs: building an element from them (``make``, ``const``) and
-twisting by one (``twist``).  No method returns a field value;
+as inputs: building an element from them (``make``, ``const``) and as
+the unit u of the three kernels that edit exponents along w = u * t^e.
+``twist`` multiplies the coefficient of t^q by u^(+-q); ``component``
+reads the terms t^(q*e + rho) as u^-q * w^q (the direct image restricts
+scalars with it); ``substitute`` puts u * t^e in place of t (the
+pullback's base change).  They share one core that twists a run of
+coefficients and reduces once, and a one-term element, such as every
+pivot t^a, takes its O(1) path: one power of the unit and one gcd over
+Q, one modular product over GF(p).  No method returns a field value;
 ``coeff_texts`` prints the stored integers as exact text for scenario
 files and ``repr``.  The field is passed explicitly when an element is
 built from values, and stored as its characteristic ``p``.
@@ -178,54 +185,27 @@ class LocalElement:
         cs[::e] = self.coeffs
         return LocalElement(self.ord * e, tuple(cs), self.den, self.p)
 
-    def decimate(self, e, rho):
-        """sum over q of (coefficient of t**(q*e + rho)) * t**q."""
-        if not self.coeffs:
-            return self
-        if e == 1:
-            return self.shift(-rho)
-        start = (rho - self.ord) % e
-        return _normal((self.ord + start - rho) // e, self.coeffs[start::e],
-                       self.den, self.p)
-
     def twist(self, u, sign=1):
         """Multiply the coefficient of t**q by u**(sign*q), u a nonzero field
         value and sign +1 or -1."""
+        return _twisted(self.ord, self.coeffs, self.den, self.p, u, sign) or self
+
+    def component(self, e, rho, u):
+        """Component rho along t**e = w / u: the coefficient of t**(q*e + rho)
+        times u**-q, at w**q, summed over q.  A decimation of the exponents
+        and ``twist(u, -1)`` in one pass and one reduction."""
         cs = self.coeffs
-        if not cs:
+        start = (rho - self.ord) % e
+        if start >= len(cs):
+            return _ZERO
+        q0, cs = (self.ord + start - rho) // e, cs[start::e]
+        return _twisted(q0, cs, self.den, self.p, u, -1) or _normal(q0, cs, self.den, self.p)
+
+    def substitute(self, e, u):
+        """Substitute u * t**e for t: ``twist(u)``, then ``spread(e)``."""
+        if not self.coeffs:
             return self
-        q0, p = self.ord, self.p
-        if p:
-            w = _residue(u, p)
-            if sign < 0:
-                w = pow(w, -1, p)
-            if w == 1:
-                return self
-            f = pow(w, q0, p)
-            out = []
-            for c in cs:
-                out.append(c * f % p)
-                f = f * w % p
-            return LocalElement(q0, tuple(out), 1, p)
-        un, ud = u.numerator, u.denominator
-        if sign < 0:
-            un, ud = ud, un
-        if un == ud:
-            return self
-        # c_i * (un/ud)^(q0+i) = c_i * un^i * ud^(k-i) * (un/ud)^q0 / ud^k
-        k = len(cs) - 1
-        udpow = [1] * (k + 1)
-        for i in range(1, k + 1):
-            udpow[i] = udpow[i - 1] * ud
-        out, unpow = [], 1
-        for i, c in enumerate(cs):
-            out.append(c * unpow * udpow[k - i])
-            unpow *= un
-        scale_num, scale_den = (un ** q0, ud ** q0) if q0 >= 0 else (ud ** -q0, un ** -q0)
-        den = self.den * udpow[k] * scale_den
-        if den < 0:
-            den, scale_num = -den, -scale_num
-        return _normal(q0, [c * scale_num for c in out], den, 0)
+        return (_twisted(self.ord, self.coeffs, self.den, self.p, u, 1) or self).spread(e)
 
     def unit_poly(self):
         """The unit factor: self * t**(-ord)."""
@@ -330,6 +310,66 @@ def _normal(t_order, cs, den, p):
             cs = [c // g for c in cs]
             den //= g
     return LocalElement(t_order + lo, tuple(cs), den, p)
+
+
+def _twisted(q0, cs, den, p, u, sign):
+    """The element sum(cs[i] * u**(sign*(q0 + i)) * t**(q0 + i)) / den in
+    normal form: the core of ``twist``, ``component`` and ``substitute``.
+    cs is a tuple of integers over den (residues over GF(p)) that may have
+    zero ends and share a factor with den; u is a nonzero field value.
+    None when u is 1: the run is unchanged, so ``twist`` and ``substitute``
+    keep their element and ``component`` only normalizes its run.  A unit
+    multiplier keeps nonzero terms nonzero, so the ends are stripped first,
+    and a one-term run takes one power of the unit and one gcd over Q, or
+    one modular product over GF(p)."""
+    if p:
+        w = _residue(u, p)
+        if w == 1:
+            return None
+    else:
+        un, ud = (u.numerator, u.denominator) if sign > 0 else (u.denominator, u.numerator)
+        if un == ud:
+            return None
+    lo, hi = 0, len(cs)
+    while lo < hi and not cs[lo]:
+        lo += 1
+    if lo == hi:
+        return _ZERO
+    while not cs[hi - 1]:
+        hi -= 1
+    cs, q0, k = cs[lo:hi], q0 + lo, hi - lo - 1
+    if p:
+        f = pow(w, sign * q0, p)
+        if not k:
+            return LocalElement(q0, (cs[0] * f % p,), 1, p)
+        if sign < 0:
+            w = pow(w, -1, p)
+        out = []
+        for c in cs:
+            out.append(c * f % p)
+            f = f * w % p
+        return LocalElement(q0, tuple(out), 1, p)
+    scale, den = (un ** q0, den * ud ** q0) if q0 >= 0 else (ud ** -q0, den * un ** -q0)
+    if not k:
+        cs = (cs[0] * scale,)
+    else:
+        # c_i * (un/ud)^(q0+i) = c_i * un^i * ud^(k-i) * (un/ud)^q0 / ud^k
+        udpow = [1] * (k + 1)
+        for i in range(1, k + 1):
+            udpow[i] = udpow[i - 1] * ud
+        out, unpow = [], scale
+        for i, c in enumerate(cs):
+            out.append(c * unpow * udpow[k - i])
+            unpow *= un
+        cs, den = out, den * udpow[k]
+    if den < 0:
+        cs, den = [-c for c in cs], -den
+    if den != 1:
+        g = gcd(den, *cs)
+        if g != 1:
+            cs = [c // g for c in cs]
+            den //= g
+    return LocalElement(q0, tuple(cs), den, 0)
 
 
 def _combine(x, y, subtract):

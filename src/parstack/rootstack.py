@@ -94,10 +94,15 @@ def is_graded_morphism(rows, src, dst):
 
     Modules of different orders are never related.  A matrix that is not
     dst.n x src.n raises ShapeMismatch.  Column j of M_k is tested only
-    when k = 0 or it differs from column j of M_{k-1}: an equal column was
-    proven, at grade k-1 or by this rule below it, to map into N_{k-1},
-    which lies in N_k because the target's pieces ascend.  So a grade that
-    repeats the previous source piece tests nothing.
+    when k = 0 or its pivot exponent differs from that of column j of
+    M_{k-1}.  With equal exponents the two columns share their pivot t^a
+    at row j and vanish below it, so their difference lies in M_k (the
+    source's pieces ascend) and vanishes from row j down: it is an
+    R-combination of columns 0..j-1 of M_k, which were proven, tested or
+    by this rule, to map into N_k.  Column j of M_{k-1} was proven to map
+    into N_{k-1}, which lies in N_k because the target's pieces ascend.
+    So a grade that keeps the previous source piece's pivot exponents
+    tests nothing.
     """
     if src.order != dst.order:
         return False
@@ -106,8 +111,8 @@ def is_graded_morphism(rows, src, dst):
                             % (len(rows), len(rows[0]) if rows else 0, dst.n, src.n))
     prev = None
     for piece, tgt in zip(src.pieces, dst.pieces):
-        for j, (a, ent) in enumerate(zip(piece.diag, piece.entries)):
-            if prev is not None and a == prev.diag[j] and ent == prev.entries[j]:
+        for j, a in enumerate(piece.diag):
+            if prev is not None and a == prev.diag[j]:
                 continue
             if not tgt.member(mat_vec(rows, piece.column(j))):
                 return False

@@ -26,6 +26,8 @@ from parstack import (QQ, GradedModule, InvalidGrading, Lattice, LocalElement,
 from parstack import functors, harness
 from parstack.harness import SUITES
 
+from jetspace import component, terms
+
 GF101 = PrimeField(101)
 TWO_FIELDS = pytest.mark.parametrize("field", [QQ, GF101], ids=["rational", "prime101"])
 FOUR_FIELDS = pytest.mark.parametrize("field", [QQ, GF101, PrimeField(2), PrimeField(3)],
@@ -124,7 +126,7 @@ VERDICT_FAULTS = {
                                     "(Fraction(a, self.order), m + (a > 0))"),
         "pull", "weight law violated"),
     "substitution-shifted": (
-        functors, "substitute_element", (".spread(e)", ".spread(e).shift(1)"),
+        functors, "substitute_element", ("x.substitute(e, u)", "x.substitute(e, u).shift(1)"),
         "pull", "twist law violated"),
     "morphism-bound-dropped": (
         harness, "gen_point_morphism",
@@ -303,10 +305,21 @@ def random_element(rng, field=QQ, zero_chance=0.3):
     return LocalElement.make(field, rng.randint(-2, 2), coeffs)
 
 
+def from_terms(field, ts):
+    """The LocalElement of a term dict {exponent: field value}."""
+    if not ts:
+        return LocalElement.zero()
+    lo, hi = min(ts), max(ts)
+    return LocalElement.make(field, lo, [ts.get(d, field.zero) for d in range(lo, hi + 1)])
+
+
 def decompose_element(x, e, u):
-    """The e components of x over K_Y with w_y = u * t^e, rho = 0, ..., e-1:
-    the reference that restriction of scalars reads 2e-1 offsets from."""
-    return [x.decimate(e, rho).twist(u, -1) for rho in range(e)]
+    """The e components of x over K_Y with w_y = u * t^e, rho = 0, ..., e-1,
+    by the term-dict definition ``jetspace.component``: the reference that
+    restriction of scalars reads 2e-1 offsets from."""
+    p = x.p
+    field = PrimeField(p) if p else QQ
+    return [from_terms(field, component(p, terms(x, p), e, u, rho)) for rho in range(e)]
 
 
 def random_columns(rng, n, field=QQ, extra=0):

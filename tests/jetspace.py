@@ -61,17 +61,28 @@ def padded(vec, before, after):
     return [{} for _ in range(before)] + vec + [{} for _ in range(after)]
 
 
+def unit_times(p, c, u, b):
+    """c * u^b for a nonzero field value u and any integer b."""
+    return c * pow(u, b, p) % p if p else c * Fraction(u) ** b
+
+
+def substitution(p, row, e, u):
+    """A term dict with u * t^e substituted for t: each term c * t^b
+    becomes c * u^b * t^(e*b)."""
+    return {e * b: unit_times(p, c, u, b) for b, c in row.items()}
+
+
+def component(p, row, e, u, rho):
+    """Component rho of a term dict along w = u * t^e: each term c * t^d
+    with d = q*e + rho becomes c * u^(-q) * w^q, and the others drop."""
+    return {(d - rho) // e: unit_times(p, c, u, (rho - d) // e)
+            for d, c in row.items() if (d - rho) % e == 0}
+
+
 def substituted(p, v, e, u):
-    """Base change of a vector along t_y = u * t_x^e: each term c * t^b of
-    an entry becomes c * u^b * t^(e*b)."""
-    out = []
-    for x in v:
-        row = {}
-        for b, c in terms(x, p).items():
-            ub = pow(u, b, p) if p else Fraction(u) ** b
-            row[e * b] = c * ub % p if p else c * ub
-        out.append(row)
-    return out
+    """Base change of a vector along t_y = u * t_x^e (``substitution`` of
+    every entry)."""
+    return [substitution(p, terms(x, p), e, u) for x in v]
 
 
 def unrestricted(p, v, e, u):
@@ -285,13 +296,8 @@ def product(p, rows, vec):
 def restricted(p, vec, e, u):
     """The K_Y-vector of rank n * e of a K_X-vector of rank n, w = u * t^e,
     the inverse of ``unrestricted``: a term c * t^d at row i goes to row
-    i*e + d mod e as c * u^(-q) * w^q, q = d div e."""
-    out = [{} for _ in range(len(vec) * e)]
-    for i, row in enumerate(vec):
-        for d, c in row.items():
-            q, rho = divmod(d, e)
-            out[i * e + rho][q] = c * pow(u, -q, p) % p if p else c * Fraction(u) ** -q
-    return out
+    i*e + d mod e as c * u^(-q) * w^q, q = d div e (``component``)."""
+    return [component(p, row, e, u, rho) for row in vec for rho in range(e)]
 
 
 def pushed(blocks):

@@ -177,8 +177,8 @@ def test_a_column_skip_where_the_target_does_not_ascend_is_caught(monkeypatch):
 
 
 def test_graded_morphism_tests_each_changed_column_once(monkeypatch):
-    """Column j of M_k is solved for only at k = 0 or where it differs from
-    column j of M_{k-1}."""
+    """Column j of M_k is solved for only at k = 0 or where its pivot
+    exponent differs from that of column j of M_{k-1}."""
     solves = []
     orig = Lattice.solve
     monkeypatch.setattr(Lattice, "solve", lambda self, w: solves.append(w) or orig(self, w))
@@ -190,5 +190,5 @@ def test_graded_morphism_tests_each_changed_column_once(monkeypatch):
         del solves[:]
         assert is_graded_morphism(ident, mod, mod)
         assert len(solves) == n + sum(a != b for k in range(1, r)
-                                      for a, b in zip(mod.pieces[k].cols,
-                                                      mod.pieces[k - 1].cols))
+                                      for a, b in zip(mod.pieces[k].diag,
+                                                      mod.pieces[k - 1].diag))

@@ -101,6 +101,9 @@ def test_a_plant_needs_its_text_exactly_once(old):
         planted(functors.restrict_scalars, (old, old))
 
 
+# the component kernel planted to multiply by u^q instead of u^{-q}
+UNIT_FAULT = ("self.p, u, -1)", "self.p, u, 1)")
+
 # each field with its units
 TWIST_GRID = [(QQ, [QQ.one, QQ.of("2/3"), QQ.of("-5/4"), QQ.of(3), QQ.of(-1)]),
               (GF101, [1, 2, 100]), (PrimeField(2), [1]), (PrimeField(3), [1, 2])]
@@ -148,8 +151,8 @@ def test_at_e_1_pivot_only_columns_are_the_input_tuples(field, units):
 @pytest.mark.parametrize("e", [2, 3, 4])
 def test_restrict_scalars_checks_the_component_kernel(field, u, e, monkeypatch):
     """The restriction checks decompose_component, which it shares with
-    restrict_matrix and so with the residue push.  With twist(u, 1) planted
-    for twist(u, -1):
+    restrict_matrix and so with the residue push.  With the component
+    kernel multiplying by u^q instead of u^{-q} (UNIT_FAULT):
 
     * the lattice spanned by (1, 0) and (t, t^4) canonicalizes to the
       diagonal one of 1 and t^4, so neither column has stored entries.  The
@@ -158,7 +161,8 @@ def test_restrict_scalars_checks_the_component_kernel(field, u, e, monkeypatch):
       refuses it;
     * in the lattice spanned by (t^2, 0) and (t, t^4) the second column has
       an entry above its pivot.  With the fault planted in
-      ``_restrict_columns`` alone, the restriction still comes out right:
+      ``_restrict_columns`` alone (each component twisted by u twice, which
+      takes u^{-q} to u^q), the restriction still comes out right:
       its seed for c_1 is the block-0 row of the restricted generator, the
       component of t, whose w-degree 0 the planted twist leaves alone, and
       the pivots are implied.  The generator c_1 keeps its block-0 entry,
@@ -174,13 +178,12 @@ def test_restrict_scalars_checks_the_component_kernel(field, u, e, monkeypatch):
     for lattice in (diagonal, mixed):
         assert restrict_scalars(lattice, e, u) == _restricted_span(lattice, e, u)
     with monkeypatch.context() as m:
-        m.setattr(functors, "decompose_component",
-                  lambda x, e, u, rho: x.decimate(e, rho).twist(u, 1))
+        m.setattr(LocalElement, "component", planted(LocalElement.component, UNIT_FAULT))
         with pytest.raises(AssertionError, match=r"internal: component \d+ of t\^\d+ is not"):
             restrict_scalars(diagonal, e, u)
     monkeypatch.setattr(functors, "_restrict_columns", planted(
         functors._restrict_columns,
-        ("decompose_component(x, e, u, d)", "x.decimate(e, d).twist(u, 1)")))
+        ("decompose_component(x, e, u, d)", "decompose_component(x, e, u, d).twist(u).twist(u)")))
     with pytest.raises(AssertionError, match="internal: restriction misses a generator"):
         restrict_scalars(mixed, e, u)
 
@@ -197,8 +200,7 @@ def test_a_unit_fault_on_a_diagonal_lattice_is_refused(field, u, monkeypatch):
     lattice = diagonal_lattice(field, [1, 0, 2])  # q = 0 at e = 3
     assert restrict_scalars(lattice, 3, u) == \
         diagonal_lattice(field, [1, 0, 0, 0, 0, 0, 1, 1, 0]) == _restricted_span(lattice, 3, u)
-    monkeypatch.setattr(functors, "decompose_component",
-                        planted(functors.decompose_component, ("twist(u, -1)", "twist(u)")))
+    monkeypatch.setattr(LocalElement, "component", planted(LocalElement.component, UNIT_FAULT))
     with pytest.raises(AssertionError, match=r"internal: component 0 of t\^3 is not u\^-1 \* w\^1"):
         restrict_scalars(lattice, 3, u)
     assert restrict_scalars(diagonal_lattice(field, [0, 0]), 3, u) == \

@@ -3,11 +3,14 @@
 The reference keeps an element as a dict {exponent: field value} of its
 nonzero terms, with values Fraction on Q and int residues on GF(p), and
 implements every operation by the textbook formula, reducing ``% p``
-on GF(p).  Each LocalElement operation must agree with it, leave its result
-in the normal form of localring, and give equal values equal ``==`` and
-``hash``.
+on GF(p); the twist, the component and the substitution are the
+definitions of tests/jetspace.py on the same dicts.  Each LocalElement
+operation must agree with it, leave its result in the normal form of
+localring, and give equal values equal ``==`` and ``hash``.
 """
 
+import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -16,7 +19,8 @@ from hypothesis import given, settings, strategies as st
 from parstack import QQ, LocalElement, PrimeField, TrialConfig
 from parstack.harness import SUITES
 
-from conftest import planted, values
+from conftest import from_terms, values
+from jetspace import component, substitution
 
 FIELDS = (QQ, PrimeField(101), PrimeField(3))
 
@@ -26,14 +30,6 @@ FIELDS = (QQ, PrimeField(101), PrimeField(3))
 
 def terms(x):
     return {x.ord + i: v for i, v in enumerate(values(x)) if v != 0}
-
-
-def build(field, ts):
-    """The LocalElement of a term dict."""
-    if not ts:
-        return LocalElement.zero()
-    lo, hi = min(ts), max(ts)
-    return LocalElement.make(field, lo, [ts.get(e, field.zero) for e in range(lo, hi + 1)])
 
 
 def reduce(field, v):
@@ -94,7 +90,7 @@ def check(field, x, ts):
     element built from ts: equal values, equal == and hash."""
     assert_normal(x)
     assert terms(x) == ts
-    y = build(field, ts)
+    y = from_terms(field, ts)
     assert x == y and hash(x) == hash(y)
 
 
@@ -139,7 +135,7 @@ PROPS = settings(max_examples=150, deadline=None)
 @given(field_and(2))
 def test_ring_operations_match_the_reference(case):
     field, a, b = case
-    x, y = build(field, a), build(field, b)
+    x, y = from_terms(field, a), from_terms(field, b)
     check(field, x, a)
     check(field, x + y, ref_add(field, a, b))
     check(field, x - y, ref_add(field, a, b, -1))
@@ -155,7 +151,7 @@ def test_scalar_mul_and_shift_match_the_reference(data):
     field, a = data.draw(field_and(1))
     c = data.draw(value(field))
     d = data.draw(st.integers(-5, 5))
-    x = build(field, a)
+    x = from_terms(field, a)
     check(field, x * LocalElement.const(field, c),
           clean(field, {e: c * v for e, v in a.items()}))
     check(field, x.shift(d), {e + d: v for e, v in a.items()})
@@ -166,7 +162,7 @@ def test_scalar_mul_and_shift_match_the_reference(data):
 def test_exponent_surgery_matches_the_reference(data):
     field, a = data.draw(field_and(1))
     exp = data.draw(st.integers(-6, 10))
-    x = build(field, a)
+    x = from_terms(field, a)
     check(field, x.truncate(exp), {e: v for e, v in a.items() if e < exp})
     check(field, x.high_div(exp), {e - exp: v for e, v in a.items() if e >= exp})
 
@@ -175,7 +171,7 @@ def test_exponent_surgery_matches_the_reference(data):
 @given(field_and(1))
 def test_coefficient_text_prints_the_field_values(case):
     field, a = case
-    x = build(field, a)
+    x = from_terms(field, a)
     vals = [a.get(e, field.zero) for e in range(x.ord, x.ord + len(x.coeffs))]
     assert x.coeff_texts() == [str(v) for v in vals]
     terms_text = [(e, str(v)) for e, v in sorted(a.items())]
@@ -188,38 +184,51 @@ def test_coefficient_text_prints_the_field_values(case):
 @given(field_unit(), st.integers(1, 9))
 def test_inv_series_matches_the_reference(case, nterms):
     field, a = case
-    check(field, build(field, a).inv_series(nterms), ref_inv_series(field, a, nterms))
+    check(field, from_terms(field, a).inv_series(nterms), ref_inv_series(field, a, nterms))
 
 
-@PROPS
-@given(st.data())
-def test_twist_spread_decimate_match_the_reference(data):
-    field, a = data.draw(field_and(1))
-    u = data.draw(value(field).filter(lambda v: v != 0))
-    e = data.draw(st.integers(1, 7))
-    rho = data.draw(st.integers(1 - e, e - 1))  # restriction decimates at negative offsets
-    x = build(field, a)
-    for sign in (1, -1):
-        check(field, x.twist(u, sign),
-              clean(field, {q: v * power(field, u, sign * q) for q, v in a.items()}))
-    check(field, x.spread(e), {q * e: v for q, v in a.items()})
-    check(field, x.decimate(e, rho),
-          {(m - rho) // e: v for m, v in a.items() if (m - rho) % e == 0})
+# units per field: 1, -1 and others (GF(2) has only 1, GF(3) only +-1)
+KERNEL_UNITS = [(QQ, [QQ.one, QQ.of(-1), QQ.of(2), QQ.of("2/3"), QQ.of("-5/4")]),
+                (PrimeField(101), [1, 100, 2, 51]), (PrimeField(2), [1]), (PrimeField(3), [1, 2])]
 
 
-@PROPS
-@given(field_and(1), st.integers(-6, 6))
-def test_decimate_at_e_1_is_the_general_path(case, rho):
-    """decimate(1, rho) is the shift by -rho: the same element as the
-    general path (its e == 1 branch planted away) gives, and it keeps the
-    coefficient tuple instead of copying it."""
-    field, a = case
-    x = build(field, a)
-    general = planted(LocalElement.decimate, ("if e == 1:", "if False:"))
-    y = x.decimate(1, rho)
-    check(field, y, {m - rho: v for m, v in a.items()})
-    assert y == general(x, 1, rho)
-    assert y.coeffs is x.coeffs
+def _kernel_inputs(rng, field):
+    """Term dicts: one-term at negative, zero and positive orders, and long
+    ones (up to 25 terms, some zero) starting at negative and positive
+    orders."""
+    def nonzero():
+        return field.of(field.random_nonzero(rng)) if field.p else \
+            field.of(Fraction(rng.choice([-7, -3, -1, 1, 2, 5]), rng.randint(1, 6)))
+
+    out = [{d: nonzero()} for d in (-7, 0, 5)]
+    for lo in (rng.randint(-15, -1), rng.randint(0, 15)):
+        size = rng.randint(2, 25)
+        ts = {lo + i: nonzero() for i in range(size) if i in (0, size - 1) or rng.random() < 0.7}
+        out.append(ts)
+    return out
+
+
+@pytest.mark.parametrize("field,units", KERNEL_UNITS, ids=["Q", "GF101", "GF2", "GF3"])
+def test_twist_and_the_kernels_match_the_term_dict_definitions(field, units):
+    """``twist``, ``component``, ``substitute`` and ``spread`` against the
+    term-dict definitions of tests/jetspace.py: component rho along
+    w = u * t^e takes c * t^(q*e + rho) to c * u^(-q) * w^q, substitution
+    takes c * t^b to c * u^b * t^(e*b), and twist(u, sign) is the
+    substitution (sign +1) or the component 0 (sign -1) at e = 1; spread
+    is the substitution with u = 1.  Every e from 1 to 12 and rho in
+    (-e, e); results are in normal form."""
+    rng = random.Random(241)
+    p = field.p
+    for e in range(1, 13):
+        for a in _kernel_inputs(rng, field):
+            x = from_terms(field, a)
+            check(field, x.spread(e), substitution(p, a, e, field.one))
+            for u in units:
+                check(field, x.twist(u), substitution(p, a, 1, u))
+                check(field, x.twist(u, -1), component(p, a, 1, u, 0))
+                check(field, x.substitute(e, u), substitution(p, a, e, u))
+                for rho in range(1 - e, e):
+                    check(field, x.component(e, rho, u), component(p, a, e, u, rho))
 
 
 @pytest.mark.parametrize("field_name", ["rational", "prime:101"])

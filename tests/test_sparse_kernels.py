@@ -41,6 +41,8 @@ from parstack.harness import gen_unimodular
 from parstack.lattice import back_substitute, entries_above, triangular_inverse
 from parstack.linalg import mat_vec
 
+from conftest import decompose_element
+
 FIELDS = (QQ, PrimeField(101), PrimeField(3))
 ALL_FIELDS = FIELDS + (PrimeField(2),)
 ZERO = LocalElement.zero()
@@ -68,9 +70,9 @@ def dense_solve(cols, diag, w):
 
 def dense_restrict_matrix(rows, e, u):
     """Entry (i*e + rho2, j*e + sigma): component rho2 of t^sigma * rows[i][j]."""
-    return [[rows[i][j].shift(sigma).decimate(e, rho2).twist(u, -1)
-             for j in range(len(rows[0])) for sigma in range(e)]
-            for i in range(len(rows)) for rho2 in range(e)]
+    comps = [[decompose_element(x.shift(sigma), e, u) for x in row for sigma in range(e)]
+             for row in rows]
+    return [[c[rho2] for c in row] for row in comps for rho2 in range(e)]
 
 
 def dense_stored_shape(field, entries, diag):
